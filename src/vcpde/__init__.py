@@ -1,6 +1,13 @@
 """Discovery of PDEs with time- or space-varying coefficients from gridded data."""
 
 from .baselines import GroupLassoConfig, SgtrConfig, group_lasso, sgtr
+from .criteria import (
+    aic_loss,
+    coefficient_mse,
+    group_error_bar,
+    rms_criterion,
+    total_error_bar,
+)
 from .differentiation import DerivativeStack, build_derivative_stack, differentiate
 from .fields import SpatioTemporalField
 from .filters import FilterSpec, apply_filter, data_mse, filter_sweep
@@ -24,13 +31,12 @@ from .library import (
 from .pipeline import (
     Dataset,
     DifferentiationSpec,
-    MethodConfig,
     build_system,
     discover,
     filter_dataset,
     simulate_dataset,
 )
-from .selection import aic_loss, coefficient_mse, sweep, total_error_bar
+from .selection import MethodConfig, SweepFailedError, fit, sweep
 from .solvers import (
     PdeScenario,
     TrueCoefficients,
@@ -44,7 +50,7 @@ from .solvers import (
     solve_ks,
     true_coefficients,
 )
-from .tbglss import DiscoveryReport, ThresholdSpec, group_error_bar, rms_criterion, run_tbglss
-from .uncertainty import BootstrapCI, bootstrap_median_ci, error_bands
+from .tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
+from .uncertainty import BootstrapCI, bootstrap_median_ci
 
 __version__ = "0.1.0"

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import rms_criterion
 from .library import CoefficientTrajectories, GroupedLinearSystem, normalize_columns
-from .tbglss import rms_criterion
 
 
 @dataclass(frozen=True)

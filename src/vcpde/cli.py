@@ -18,20 +18,20 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import load_dataset, save_dataset, save_report
 from .fields import GridError
 from .filters import FilterSpec, data_mse, filter_sweep
-from .gibbs import BglssConfig, SamplerError
+from .gibbs import ESTIMATE, BglssConfig, SamplerError, dump_ensemble
 from .library import LibrarySpec, ZeroColumnError
 from .pipeline import (
     Dataset,
     DifferentiationSpec,
-    MethodConfig,
     build_system,
     discover,
     filter_dataset,
     simulate_dataset,
 )
-from .selection import SWEEP_AXES, default_grid, sweep
+from .selection import AXIS_METHODS, SWEEP_AXES, MethodConfig, SweepFailedError, default_grid, sweep
 from .solvers import (
     SolverBlowupError,
     advection_diffusion_scenario,
@@ -156,32 +156,32 @@ def _library_from_args(args) -> LibrarySpec:
     return LibrarySpec.standard(args.max_power, args.max_derivative)
 
 
-def _method_config_from_args(args) -> MethodConfig:
-    thresholds = None
-    if args.method == "tbglss":
-        thresholds = ThresholdSpec(t_rms=args.t_rms, t_ge=args.t_ge)
-    lam = args.lam if args.lam is not None else 1.0
-    pi0 = args.pi0 if args.pi0 is not None else "estimate"
+# Sampler and SGTR options that discover and sweep share: flag, type, default, help.
+SAMPLER_OPTIONS = (
+    ("--t-rms", float, None, "group RMS threshold"),
+    ("--t-ge", float, None, "group error bar threshold"),
+    ("--lam", float, None, "group-lasso rate (default 1.0)"),
+    ("--pi0", float, None, "fixed spike weight (default: estimate)"),
+    ("--iterations", int, 1000, "final chain length"),
+    ("--burnin", int, 200, None),
+    ("--seed", int, 0, "sampler seed"),
+    ("--sgtr-ridge", float, 1e-5, None),
+)
+SAMPLER_DEFAULTS = {flag[2:].replace("-", "_"): default for flag, _, default, _ in SAMPLER_OPTIONS}
+
+
+def _method_config(options, method: str, thresholds: ThresholdSpec | None = None,
+                   **fields) -> MethodConfig:
+    """The MethodConfig of every command: `options` holds the SAMPLER_OPTIONS values."""
     bglss = BglssConfig(
-        n_iterations=args.iterations,
-        n_burnin=args.burnin,
-        lam=lam,
-        pi0=pi0,
-        seed=args.seed,
+        n_iterations=options.iterations,
+        n_burnin=options.burnin,
+        lam=1.0 if options.lam is None else options.lam,
+        pi0=ESTIMATE if options.pi0 is None else options.pi0,
+        seed=options.seed,
     )
-    return MethodConfig(
-        method=args.method,
-        thresholds=thresholds,
-        bglss=bglss,
-        update_iterations=args.update_iterations,
-        update_burnin=args.update_burnin,
-        final_chains=args.final_chains,
-        with_ci=getattr(args, "with_ci", False),
-        keep_final_ensemble=bool(getattr(args, "dump_trace", None)),
-        sgtr_threshold=args.sgtr_threshold,
-        sgtr_ridge=args.sgtr_ridge,
-        lasso_lam=args.lasso_lam,
-    )
+    return MethodConfig(method=method, thresholds=thresholds, bglss=bglss,
+                        sgtr_ridge=options.sgtr_ridge, **fields)
 
 
 def _require(value, name: str):
@@ -191,8 +191,6 @@ def _require(value, name: str):
 
 
 def cmd_simulate(args) -> int:
-    from .dataio import save_dataset
-
     _require(args.family, "family")
     scenario = make_scenario(args.family, args.nx, args.nt,
                              _parse_span(args.x_span) if args.x_span else None,
@@ -214,8 +212,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    from .dataio import load_dataset, save_dataset
-
     dataset = load_dataset(_require(args.dataset, "dataset"))
     _require(args.kind, "kind")
     spec = _filter_spec_from_args(args)
@@ -235,10 +231,19 @@ def cmd_filter(args) -> int:
 
 
 def cmd_discover(args) -> int:
-    from .dataio import load_dataset, save_report
-
     dataset = load_dataset(_require(args.dataset, "dataset"))
-    method_config = _method_config_from_args(args)
+    method_config = _method_config(
+        args,
+        args.method,
+        ThresholdSpec(t_rms=args.t_rms, t_ge=args.t_ge) if args.method == "tbglss" else None,
+        update_iterations=args.update_iterations,
+        update_burnin=args.update_burnin,
+        final_chains=args.final_chains,
+        with_ci=args.with_ci,
+        keep_final_ensemble=bool(args.dump_trace),
+        sgtr_threshold=args.sgtr_threshold,
+        lasso_lam=args.lasso_lam,
+    )
     report = discover(
         dataset,
         method_config,
@@ -249,8 +254,6 @@ def cmd_discover(args) -> int:
     paths = save_report(report, outdir, stem=f"{report.method}_{_dataset_stem(dataset.metadata)}")
     print(f"wrote {paths['json']}")
     if args.dump_trace and report.final_ensemble is not None:
-        from .gibbs import dump_ensemble
-
         trace_path = outdir / args.dump_trace
         dump_ensemble(report.final_ensemble, trace_path,
                       fmt="csv" if str(trace_path).endswith(".csv") else "npz")
@@ -262,8 +265,6 @@ def cmd_discover(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .dataio import load_dataset
-
     dataset = load_dataset(_require(args.dataset, "dataset"))
     outdir = _out_root(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -299,20 +300,11 @@ def cmd_sweep(args) -> int:
     if args.with_truth:
         scenario = scenario_from_metadata(dataset.metadata)
         truth = true_coefficients(scenario, _library_from_args(args), step_coords=system.step_coords)
-    fixed = {}
-    if axis in ("t_rms", "t_ge"):
-        if args.t_rms is not None and axis != "t_rms":
-            fixed["t_rms"] = args.t_rms
-        if args.t_ge is not None and axis != "t_ge":
-            fixed["t_ge"] = args.t_ge
-        config = BglssConfig(n_iterations=args.iterations, n_burnin=args.burnin,
-                             lam=args.lam if args.lam is not None else 1.0,
-                             pi0=args.pi0 if args.pi0 is not None else "estimate", seed=args.seed)
-        curve = sweep(system, axis, grid, method="tbglss", fixed=fixed, truth=truth, config=config)
-    elif axis == "lambda":
-        curve = sweep(system, axis, grid, method="group_lasso", truth=truth)
-    else:
-        curve = sweep(system, axis, grid, method="sgtr", fixed={"ridge": args.sgtr_ridge}, truth=truth)
+    method = AXIS_METHODS[axis]
+    thresholds = None
+    if method == "tbglss":  # sweep sets the swept threshold at each point; 0.0 holds its place
+        thresholds = ThresholdSpec(**{"t_rms": args.t_rms, "t_ge": args.t_ge, axis: 0.0})
+    curve = sweep(system, axis, grid, _method_config(args, method, thresholds), truth=truth)
     stem = outdir / f"sweep_{axis}_{_dataset_stem(dataset.metadata)}"
     curve.to_csv(f"{stem}.csv")
     curve.to_json(f"{stem}.json")
@@ -332,8 +324,7 @@ BENCHMARK_CELLS = {
 def cmd_reproduce(args) -> int:
     """Run the benchmark grid: three equations x noise levels x three methods,
     the t_GE model-selection sweep, and the 5% Burgers filter study."""
-    from .dataio import save_report
-
+    options = argparse.Namespace(**{**SAMPLER_DEFAULTS, "seed": args.seed})
     outdir = _out_root(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     done = []
@@ -352,12 +343,8 @@ def cmd_reproduce(args) -> int:
                     scenario = make_scenario(family)
                     cell_data = simulate_dataset(scenario, noise, seed=args.seed)
                 t_rms, t_ge = spec["thresholds"][noise]
-                mc = MethodConfig(
-                    method=method,
-                    thresholds=ThresholdSpec(t_rms, t_ge) if method == "tbglss" else None,
-                    bglss=BglssConfig(seed=args.seed, lam=1.0),
-                )
-                report = discover(cell_data, mc)
+                thresholds = ThresholdSpec(t_rms, t_ge) if method == "tbglss" else None
+                report = discover(cell_data, _method_config(options, method, thresholds))
                 save_report(report, outdir / cell)
                 done.append(cell)
                 print(f"[{cell}] {report.rendered_equation()}")
@@ -367,8 +354,8 @@ def cmd_reproduce(args) -> int:
         dataset = simulate_dataset(scenario, 0.02, seed=args.seed)
         system = build_system(dataset)
         truth = true_coefficients(scenario, LibrarySpec.standard(), step_coords=system.step_coords)
-        curve = sweep(system, "t_ge", np.linspace(0.02, 0.22, 11), method="tbglss",
-                      fixed={"t_rms": 0.01}, truth=truth, config=BglssConfig(seed=args.seed, lam=1.0))
+        base = _method_config(options, "tbglss", ThresholdSpec(t_rms=0.01))
+        curve = sweep(system, "t_ge", np.linspace(0.02, 0.22, 11), base, truth=truth)
         curve.to_csv(outdir / "ad_tge_sweep.csv")
         curve.to_json(outdir / "ad_tge_sweep.json")
         done.append("ad_tge_sweep")
@@ -388,8 +375,7 @@ def cmd_reproduce(args) -> int:
             curve = filter_sweep(noisy.field, clean.field, kind, grid)
             curve.to_csv(outdir / f"burgers_filter_{kind}.csv")
             print(f"[burgers_filter_study] {kind}: argmin {curve.argmin!r} min {curve.min_mse!r}")
-        mc = MethodConfig(method="tbglss", thresholds=ThresholdSpec(0.01, 0.1),
-                          bglss=BglssConfig(seed=args.seed, lam=1.0))
+        mc = _method_config(options, "tbglss", ThresholdSpec(0.01, 0.1))
         filtered = filter_dataset(noisy, FilterSpec.moving_average(13))
         for tag, ds in (("unfiltered", noisy), ("moving_average_13", filtered)):
             report = discover(ds, mc)
@@ -415,21 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None,
                        help=f"output directory (default: ${OUTPUT_ROOT_ENV} or '.')")
 
+    def add_sampler_options(p):
+        for flag, kind, default, text in SAMPLER_OPTIONS:
+            p.add_argument(flag, type=kind, default=default, help=text)
+
     def add_method_options(p):
         p.add_argument("--method", default="tbglss", choices=("tbglss", "sgtr", "group_lasso"))
-        p.add_argument("--t-rms", type=float, default=None, help="group RMS threshold")
-        p.add_argument("--t-ge", type=float, default=None, help="group error bar threshold")
-        p.add_argument("--lam", type=float, default=None, help="group-lasso rate (default 1.0)")
-        p.add_argument("--pi0", type=float, default=None, help="fixed spike weight (default: estimate)")
-        p.add_argument("--iterations", type=int, default=1000, help="final chain length")
-        p.add_argument("--burnin", type=int, default=200)
+        add_sampler_options(p)
         p.add_argument("--update-iterations", type=int, default=200, help="screening chain length")
         p.add_argument("--update-burnin", type=int, default=50)
         p.add_argument("--final-chains", type=int, default=1)
         p.add_argument("--sgtr-threshold", type=float, default=None)
-        p.add_argument("--sgtr-ridge", type=float, default=1e-5)
         p.add_argument("--lasso-lam", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0, help="sampler seed")
         add_diff_options(p)
         add_library_options(p)
 
@@ -491,14 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", action="store_true", help="logarithmic range spacing")
     p.add_argument("--with-truth", action="store_true",
                    help="also record coefficient MSE against the built-in scenario truth")
-    p.add_argument("--t-rms", type=float, default=None)
-    p.add_argument("--t-ge", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--pi0", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--burnin", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sgtr-ridge", type=float, default=1e-5)
+    add_sampler_options(p)
     p.add_argument("--filter", default=None,
                    choices=("moving_average", "savitzky_golay", "zero_phase_lowpass"),
                    help="sweep a filter parameter instead of a method parameter")
@@ -538,10 +514,11 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(remaining)}")
     try:
         return args.func(args)
-    except (ValueError, GridError, ZeroColumnError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, GridError, ZeroColumnError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverBlowupError, SamplerError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (SolverBlowupError, SamplerError, SweepFailedError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

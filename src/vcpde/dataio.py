@@ -63,6 +63,12 @@ def save_dataset(dataset: Dataset, path: str | Path, fmt: str = "json") -> Path:
     raise ValueError("fmt must be 'json' or 'csv'")
 
 
+def _require_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"{where} lacks required key(s): {', '.join(missing)}")
+
+
 def load_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
@@ -70,6 +76,8 @@ def load_dataset(path: str | Path) -> Dataset:
     if path.name.endswith(".meta.json"):
         stem = str(path)[: -len(".meta.json")]
         meta = json.loads(path.read_text())
+        _require_keys(meta, ("metadata",), str(path))
+        _require_keys(meta["metadata"], ("family",), f"{path} metadata")
         values = np.loadtxt(f"{stem}.values.csv", delimiter=",", ndmin=2)
         x = np.loadtxt(f"{stem}.x_coords.csv", delimiter=",")
         t = np.loadtxt(f"{stem}.t_coords.csv", delimiter=",")
@@ -77,6 +85,8 @@ def load_dataset(path: str | Path) -> Dataset:
     doc = json.loads(path.read_text())
     if doc.get("format") != DATASET_FORMAT:
         raise ValueError(f"{path} is not a {DATASET_FORMAT} file")
+    _require_keys(doc, ("shape", "values_base64", "x_coords", "t_coords", "metadata"), str(path))
+    _require_keys(doc["metadata"], ("family",), f"{path} metadata")
     n_x, n_t = doc["shape"]
     values = np.frombuffer(base64.b64decode(doc["values_base64"]), dtype="<f8").reshape(n_x, n_t)
     return Dataset(

@@ -75,13 +75,3 @@ class SpatioTemporalField:
     def with_values(self, values: np.ndarray) -> "SpatioTemporalField":
         return SpatioTemporalField(values, self.x_coords, self.t_coords)
 
-    def window_t(self, t_min: float | None = None, t_max: float | None = None) -> "SpatioTemporalField":
-        """Restrict to time samples with t_min <= t <= t_max (inclusive)."""
-        mask = np.ones(self.n_t, dtype=bool)
-        if t_min is not None:
-            mask &= self.t_coords >= t_min - 1e-12
-        if t_max is not None:
-            mask &= self.t_coords <= t_max + 1e-12
-        if mask.sum() < 2:
-            raise GridError("time window leaves fewer than two samples")
-        return SpatioTemporalField(self.values[:, mask], self.x_coords, self.t_coords[mask])

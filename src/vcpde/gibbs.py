@@ -299,9 +299,6 @@ class HyperparamEstimate:
     converged: bool
     n_rounds: int
 
-    def __iter__(self):
-        return iter((self.lam, self.pi0))
-
 
 def estimate_hyperparams(
     system: GroupedLinearSystem,

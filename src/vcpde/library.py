@@ -8,9 +8,7 @@ design that is never materialized densely; all downstream solvers work on the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -87,33 +85,6 @@ class LibrarySpec:
                     continue
                 terms.append(Term(tuple(factors)))
         return cls(tuple(terms))
-
-    @classmethod
-    def products(cls, max_deriv_order: int = 1, max_factors: int = 2) -> "LibrarySpec":
-        """All monomials of total degree <= max_factors in u and its derivatives."""
-        variables = list(range(max_deriv_order + 1))
-        terms = [Term(())]
-        for total in range(1, max_factors + 1):
-            terms.extend(_monomials(variables, total))
-        return cls(tuple(terms))
-
-
-def _monomials(variables: list[int], total: int) -> list[Term]:
-    out = []
-
-    def rec(idx: int, remaining: int, factors: tuple):
-        if remaining == 0:
-            out.append(Term(factors))
-            return
-        if idx == len(variables):
-            return
-        for p in range(remaining, -1, -1):
-            rec(idx + 1, remaining - p, factors + (((variables[idx], p),) if p else ()))
-
-    rec(0, total, ())
-    # keep ascending-derivative order within a degree level: u^2, u*u_x, u_x^2, ...
-    out.sort(key=lambda t: tuple(sorted((q, -p) for q, p in t.factors)))
-    return out
 
 
 def evaluate_terms(stack: DerivativeStack, spec: LibrarySpec) -> np.ndarray:
@@ -219,22 +190,6 @@ class GroupedLinearSystem:
             out[i * n : (i + 1) * n, i * g : (i + 1) * g] = self.blocks[i]
         return out
 
-    def export_debug(self, directory: str | Path) -> None:
-        """Dump per-step CSV blocks plus a JSON column-to-group map."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        m, n, g = self.blocks.shape
-        for i in range(m):
-            np.savetxt(directory / f"block_{i:04d}.csv", self.blocks[i], delimiter=",")
-        np.savetxt(directory / "target.csv", self.target, delimiter=",")
-        group_map = {
-            "descriptors": list(self.descriptors),
-            "varying_axis": self.varying_axis,
-            "n_steps": m,
-            "n_rows": n,
-            "column_group": {str(i * g + j): j for i in range(m) for j in range(g)},
-        }
-        (directory / "groups.json").write_text(json.dumps(group_map, indent=2, sort_keys=True))
 
 
 def assemble_grouped_system(

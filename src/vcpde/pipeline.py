@@ -11,14 +11,13 @@ stay consistent with full runs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .differentiation import build_derivative_stack
 from .fields import SpatioTemporalField
 from .filters import FilterSpec, apply_filter
-from .gibbs import BglssConfig
 from .library import (
     GroupedLinearSystem,
     LibrarySpec,
@@ -26,8 +25,9 @@ from .library import (
     evaluate_terms,
     normalize_columns,
 )
+from .selection import MethodConfig, SweepFailedError, default_grid, fit, sweep
 from .solvers import PdeScenario, add_noise, solve
-from .tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
+from .tbglss import DiscoveryReport
 
 NOISE_DOUBLING_LEVEL = 0.02  # chain lengths double at and above this noise level
 
@@ -167,118 +167,49 @@ def build_system(
     return normalize_columns(system)
 
 
-@dataclass(frozen=True)
-class MethodConfig:
-    """Method choice plus its parameters for one discovery run."""
-
-    method: str = "tbglss"  # tbglss | sgtr | group_lasso
-    thresholds: ThresholdSpec | None = None
-    bglss: BglssConfig = field(default_factory=BglssConfig)
-    update_iterations: int = 200
-    update_burnin: int = 50
-    final_chains: int = 1
-    with_ci: bool = False  # bootstrap confidence intervals in the report
-    keep_final_ensemble: bool = False
-    # sgtr / group_lasso: fixed parameter, or None to select by lowest loss over a grid
-    sgtr_threshold: float | None = None
-    sgtr_ridge: float = 1e-5
-    lasso_lam: float | None = None
-
-    def __post_init__(self):
-        if self.method not in ("tbglss", "sgtr", "group_lasso"):
-            raise ValueError("method must be tbglss, sgtr or group_lasso")
-        if self.method == "tbglss" and self.thresholds is None:
-            raise ValueError("tbglss needs thresholds")
-
-
 def discover(dataset: Dataset, method_config: MethodConfig, system: GroupedLinearSystem | None = None,
              library: LibrarySpec | None = None, diff: DifferentiationSpec | None = None) -> DiscoveryReport:
-    """Run one discovery method on a dataset and wrap the result in a report."""
-    from .baselines import GroupLassoConfig, SgtrConfig, group_lasso, sgtr
-    from .selection import aic_loss, default_grid, sweep
+    """Fit one method to a dataset and record the provenance to reproduce it.
 
-    resolved_diff = (diff or DifferentiationSpec()).resolve(
-        dataset.noise_level, bool(dataset.metadata.get("filters"))
-    )
+    tbglss chains double in length at and above NOISE_DOUBLING_LEVEL.  An SGTR
+    threshold or group-lasso penalty left as None is chosen by the lowest loss
+    over its default grid, and the report fitted at that grid point is
+    returned.  The differentiation spec is recorded only when the system is
+    built here from the dataset.
+    """
+    resolved_diff = None
     if system is None:
+        resolved_diff = (diff or DifferentiationSpec()).resolve(
+            dataset.noise_level, bool(dataset.metadata.get("filters"))
+        )
         system = build_system(dataset, library=library, diff=resolved_diff)
     provenance = {
         "dataset_id": dataset.dataset_id(),
         "dataset": dataset.metadata,
         "n_steps": system.n_steps,
         "n_rows": system.n_rows,
-        "differentiation": asdict(resolved_diff),
+        "differentiation": None if resolved_diff is None else asdict(resolved_diff),
     }
 
-    if method_config.method == "tbglss":
-        cfg = method_config.bglss
-        if dataset.noise_level >= NOISE_DOUBLING_LEVEL:
-            cfg = replace(cfg, n_iterations=2 * cfg.n_iterations, n_burnin=2 * cfg.n_burnin)
-            update_iterations = 2 * method_config.update_iterations
-            update_burnin = 2 * method_config.update_burnin
-        else:
-            update_iterations = method_config.update_iterations
-            update_burnin = method_config.update_burnin
-        return run_tbglss(
-            system,
-            method_config.thresholds,
-            cfg,
-            update_iterations=update_iterations,
-            update_burnin=update_burnin,
-            final_chains=method_config.final_chains,
-            provenance=provenance,
-            keep_final_ensemble=method_config.keep_final_ensemble,
-            bootstrap_ci=method_config.with_ci,
-        )
-
-    if method_config.method == "sgtr":
-        if method_config.sgtr_threshold is not None:
-            trajectories = sgtr(
-                system, SgtrConfig(threshold=method_config.sgtr_threshold, ridge=method_config.sgtr_ridge)
-            )
-            chosen = method_config.sgtr_threshold
-        else:
-            curve = sweep(system, "sgtr_threshold", default_grid("sgtr_threshold"),
-                          method="sgtr", fixed={"ridge": method_config.sgtr_ridge})
-            chosen = curve.argmin["loss"]
-            trajectories = sgtr(system, SgtrConfig(threshold=chosen, ridge=method_config.sgtr_ridge))
-            provenance["selected_by"] = "lowest loss over sgtr_threshold grid"
-        beta_norm = trajectories.values * system.scales
-        k = int(trajectories.active.sum()) * system.n_steps
-        return DiscoveryReport(
-            trajectories=trajectories,
-            stdev=np.zeros_like(trajectories.values),
-            criteria={},
-            loss=aic_loss(system, beta_norm, k),
-            total_error_bar=None,
-            update_history=(),
-            thresholds=None,
-            method="sgtr",
-            hyperparameters={"threshold": chosen, "ridge": method_config.sgtr_ridge},
-            provenance=provenance,
-            empty_model=not bool(trajectories.active.any()),
-        )
-
-    # group lasso
-    if method_config.lasso_lam is not None:
-        result = group_lasso(system, GroupLassoConfig(lam=method_config.lasso_lam))
-        chosen = method_config.lasso_lam
+    mc = method_config
+    if mc.method == "tbglss" and dataset.noise_level >= NOISE_DOUBLING_LEVEL:
+        bglss = replace(mc.bglss, n_iterations=2 * mc.bglss.n_iterations,
+                        n_burnin=2 * mc.bglss.n_burnin)
+        mc = replace(mc, bglss=bglss, update_iterations=2 * mc.update_iterations,
+                     update_burnin=2 * mc.update_burnin)
+    axis = None
+    if mc.method == "sgtr" and mc.sgtr_threshold is None:
+        axis = "sgtr_threshold"
+    elif mc.method == "group_lasso" and mc.lasso_lam is None:
+        axis = "lambda"
+    if axis is None:
+        report = fit(system, mc)
     else:
-        curve = sweep(system, "lambda", default_grid("lambda", system), method="group_lasso")
-        chosen = curve.argmin["loss"]
-        result = group_lasso(system, GroupLassoConfig(lam=chosen))
-        provenance["selected_by"] = "lowest loss over lambda grid"
-    k = int(result.trajectories.active.sum()) * system.n_steps
-    return DiscoveryReport(
-        trajectories=result.trajectories,
-        stdev=np.zeros_like(result.trajectories.values),
-        criteria={},
-        loss=aic_loss(system, result.beta_normalized, k),
-        total_error_bar=None,
-        update_history=(),
-        thresholds=None,
-        method="group_lasso",
-        hyperparameters={"lam": chosen, "converged": result.converged, "sweeps": result.n_sweeps},
-        provenance=provenance,
-        empty_model=not bool(result.trajectories.active.any()),
-    )
+        curve = sweep(system, axis, default_grid(axis, system), mc)
+        if "loss" not in curve.argmin:
+            raise SweepFailedError(
+                f"every point of the {axis} grid failed; the first with {curve.points[0].error}"
+            )
+        report = curve.point_at(curve.argmin["loss"]).report
+        provenance["selected_by"] = f"lowest loss over {axis} grid"
+    return replace(report, provenance={**provenance, **report.provenance})

@@ -1,76 +1,119 @@
-"""Model evaluation criteria and parameter sweeps.
+"""One method dispatch, and the parameter sweeps built on it.
 
-Three criteria: an AIC-inspired loss on the normalized system, the total error
-bar (summed group error bars, a posterior-confidence score), and, when ground
-truth is available, the mean square error of the recovered coefficients.
+`fit` runs tbglss, SGTR or group lasso at fixed parameters on a grouped system
+and scores the result with the AIC-inspired loss.  `sweep` calls `fit` once per
+value of one parameter and records every criterion (see `criteria`), keeping
+each point's report so a parameter chosen on a grid needs no second fit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .baselines import GroupLassoConfig, SgtrConfig, group_lasso, group_lasso_null_threshold, sgtr
+from .criteria import aic_loss, coefficient_mse, empty_model_scores
+from .gibbs import BglssConfig, SamplerError
 from .library import CoefficientTrajectories, GroupedLinearSystem
 from .solvers import TrueCoefficients
-from .tbglss import group_error_bar
+from .tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
 
-DEFAULT_EPSILON = 1e-6
+# Each sweep axis is a parameter of one method.
+AXIS_METHODS = {"t_rms": "tbglss", "t_ge": "tbglss", "lambda": "group_lasso", "sgtr_threshold": "sgtr"}
+SWEEP_AXES = tuple(AXIS_METHODS)
 
-SWEEP_AXES = ("t_rms", "t_ge", "lambda", "sgtr_threshold")
+# Failures a sweep records on the point instead of raising: validation errors
+# (GridError, ZeroColumnError and ZeroNormGroupError are ValueErrors) and
+# numerical ones.  Anything else is a fault and propagates.
+POINT_ERRORS = (ValueError, SamplerError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def aic_loss(
-    system: GroupedLinearSystem,
-    beta: np.ndarray,
-    k: int,
-    epsilon: float = DEFAULT_EPSILON,
-    n_obs: int | None = None,
-) -> float:
-    """N * ln(mean squared residual of the fully normalized system + eps) + 2k.
+class SweepFailedError(RuntimeError):
+    """Every point of a sweep failed, so no parameter value can be chosen."""
 
-    `beta` is in the normalized column scaling of `system`; the target is
-    additionally scaled by its global L2 norm inside the loss only, and k
-    counts nonzero coefficients (active groups x steps).  N defaults to the
-    row count of the assembled system.
+
+@dataclass(frozen=True)
+class MethodConfig:
+    """Method choice plus its parameters for one discovery run."""
+
+    method: str = "tbglss"  # tbglss | sgtr | group_lasso
+    thresholds: ThresholdSpec | None = None
+    bglss: BglssConfig = field(default_factory=BglssConfig)
+    update_iterations: int = 200
+    update_burnin: int = 50
+    final_chains: int = 1
+    with_ci: bool = False  # bootstrap confidence intervals in the report
+    keep_final_ensemble: bool = False
+    # sgtr / group_lasso: fixed parameter, or None to select by lowest loss over a grid
+    sgtr_threshold: float | None = None
+    sgtr_ridge: float = 1e-5
+    lasso_lam: float | None = None
+
+    def __post_init__(self):
+        if self.method not in ("tbglss", "sgtr", "group_lasso"):
+            raise ValueError("method must be tbglss, sgtr or group_lasso")
+        if self.method == "tbglss" and self.thresholds is None:
+            raise ValueError("tbglss needs thresholds")
+
+
+def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryReport:
+    """Run one method at fixed parameters and score it.
+
+    The loss is `aic_loss` of the normalized-scale coefficients with k =
+    active groups x steps.  A tbglss run that keeps no group has no loss;
+    SGTR and group lasso report the zero fit's.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if beta.shape != (system.n_steps, system.n_groups):
-        raise ValueError("beta shape does not match the system")
-    if n_obs is None:
-        n_obs = system.n_observations
-    rss = system.residual_norm_sq(beta)
-    yty = float((system.target**2).sum())
-    return float(n_obs * np.log(rss / (yty * n_obs) + epsilon) + 2 * k)
+    mc = method_config
+    if mc.method == "tbglss":
+        report = run_tbglss(
+            system,
+            mc.thresholds,
+            mc.bglss,
+            update_iterations=mc.update_iterations,
+            update_burnin=mc.update_burnin,
+            final_chains=mc.final_chains,
+            keep_final_ensemble=mc.keep_final_ensemble,
+            bootstrap_ci=mc.with_ci,
+        )
+        if report.empty_model:
+            return report
+    elif mc.method == "sgtr":
+        if mc.sgtr_threshold is None:
+            raise ValueError("fit needs a fixed sgtr_threshold")
+        trajectories = sgtr(system, SgtrConfig(threshold=mc.sgtr_threshold, ridge=mc.sgtr_ridge))
+        report = _baseline_report(trajectories, trajectories.values * system.scales, "sgtr",
+                                  {"threshold": mc.sgtr_threshold, "ridge": mc.sgtr_ridge})
+    else:
+        if mc.lasso_lam is None:
+            raise ValueError("fit needs a fixed lasso_lam")
+        result = group_lasso(system, GroupLassoConfig(lam=mc.lasso_lam))
+        report = _baseline_report(result.trajectories, result.beta_normalized, "group_lasso",
+                                  {"lam": mc.lasso_lam, "converged": result.converged,
+                                   "sweeps": result.n_sweeps})
+    k = int(report.trajectories.active.sum()) * system.n_steps
+    return replace(report, loss=aic_loss(system, report.beta_normalized, k))
 
 
-def total_error_bar(beta: np.ndarray, s2: np.ndarray, active: np.ndarray | None = None) -> float:
-    """Sum of group error bars over the active groups; lower is more confident."""
-    beta = np.asarray(beta, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    if beta.shape != s2.shape:
-        raise ValueError("beta and s2 shapes differ")
-    if active is None:
-        active = ~np.all(beta == 0.0, axis=0)
-    total = 0.0
-    for g in np.flatnonzero(active):
-        total += group_error_bar(beta[:, g], s2[:, g])  # raises on zero-norm active group
-    return float(total)
-
-
-def coefficient_mse(estimated: CoefficientTrajectories, truth: TrueCoefficients) -> float:
-    """Mean squared coefficient error over every (term, step) pair."""
-    if estimated.descriptors != truth.descriptors:
-        raise ValueError("term libraries differ between estimate and truth")
-    if estimated.step_coords.shape != truth.step_coords.shape or not np.allclose(
-        estimated.step_coords, truth.step_coords, rtol=0, atol=1e-9
-    ):
-        raise ValueError("step grids differ between estimate and truth")
-    return float(np.mean((estimated.values - truth.values) ** 2))
+def _baseline_report(trajectories: CoefficientTrajectories, beta_normalized: np.ndarray,
+                     method: str, hyperparameters: dict) -> DiscoveryReport:
+    return DiscoveryReport(
+        trajectories=trajectories,
+        stdev=np.zeros_like(trajectories.values),
+        criteria={},
+        loss=None,
+        total_error_bar=None,
+        update_history=(),
+        thresholds=None,
+        method=method,
+        hyperparameters=hyperparameters,
+        provenance={},
+        empty_model=not bool(trajectories.active.any()),
+        beta_normalized=beta_normalized,
+    )
 
 
 @dataclass(frozen=True)
@@ -81,6 +124,7 @@ class SweepPoint:
     coefficient_mse: float | None
     selected: tuple[str, ...]
     error: str | None = None
+    report: DiscoveryReport | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -129,21 +173,16 @@ def sweep(
     system: GroupedLinearSystem,
     axis: str,
     grid: np.ndarray,
-    method: str = "tbglss",
-    fixed: dict | None = None,
+    base: MethodConfig,
     truth: TrueCoefficients | None = None,
-    config=None,
-    **method_kwargs,
 ) -> SelectionCurve:
-    """Run the chosen method once per grid point and record all criteria.
+    """Fit `base` once per grid value of `axis` and record all criteria.
 
-    fixed holds the non-swept parameters (e.g. t_rms while sweeping t_ge).
-    Individual point failures are recorded on the curve, not raised.
+    The axis implies the method, which `base` must use; `base` holds the
+    parameters that are not swept, e.g. t_rms while sweeping t_ge.  A point
+    failing with one of POINT_ERRORS is recorded on the curve.  A point whose
+    tbglss run keeps no group scores as the empty model.
     """
-    from .baselines import GroupLassoConfig, SgtrConfig, group_lasso, sgtr
-    from .gibbs import BglssConfig
-    from .tbglss import ThresholdSpec, run_tbglss
-
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("sweep grid must be nonempty")
@@ -151,21 +190,14 @@ def sweep(
         raise ValueError("sweep grid must be strictly increasing")
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
-    required_method = {"t_rms": "tbglss", "t_ge": "tbglss", "lambda": "group_lasso",
-                       "sgtr_threshold": "sgtr"}[axis]
-    if method != required_method:
-        raise ValueError(f"axis {axis!r} applies to the {required_method} method")
-    fixed = dict(fixed or {})
+    if base.method != AXIS_METHODS[axis]:
+        raise ValueError(f"axis {axis!r} applies to the {AXIS_METHODS[axis]} method")
     points = []
-    for value in grid:
+    for value in map(float, grid):
         try:
-            points.append(
-                _run_point(system, axis, float(value), method, fixed, truth, config, method_kwargs)
-            )
-        except Exception as exc:  # per-point failures recorded, not fatal
-            points.append(
-                SweepPoint(float(value), None, None, None, (), error=f"{type(exc).__name__}: {exc}")
-            )
+            points.append(_fit_point(system, _point_config(base, axis, value), value, truth))
+        except POINT_ERRORS as exc:
+            points.append(SweepPoint(value, None, None, None, (), error=f"{type(exc).__name__}: {exc}"))
     argmin = {}
     for crit in ("loss", "total_error_bar", "coefficient_mse"):
         best = [(getattr(p, crit), p.value) for p in points if getattr(p, crit) is not None]
@@ -174,40 +206,23 @@ def sweep(
     return SelectionCurve(axis, tuple(points), argmin)
 
 
-def _run_point(system, axis, value, method, fixed, truth, config, method_kwargs) -> SweepPoint:
-    from .baselines import GroupLassoConfig, SgtrConfig, group_lasso, sgtr
-    from .gibbs import BglssConfig
-    from .tbglss import ThresholdSpec, run_tbglss
+def _fit_point(system: GroupedLinearSystem, config: MethodConfig, value: float,
+               truth: TrueCoefficients | None) -> SweepPoint:
+    report = fit(system, config)
+    loss, teb = report.loss, report.total_error_bar
+    if loss is None:
+        loss, teb = empty_model_scores(system)
+    mse = None if truth is None else coefficient_mse(report.trajectories, truth)
+    return SweepPoint(value, loss, teb, mse, report.selected, report=report)
 
-    n_steps = system.n_steps
-    if axis in ("t_rms", "t_ge"):
-        thresholds = ThresholdSpec(
-            t_rms=value if axis == "t_rms" else fixed.get("t_rms"),
-            t_ge=value if axis == "t_ge" else fixed.get("t_ge"),
-        )
-        cfg = config or BglssConfig()
-        report = run_tbglss(system, thresholds, cfg, **method_kwargs)
-        trajectories = report.trajectories
-        loss = report.loss
-        teb = report.total_error_bar
-        if loss is None:  # empty model: loss of the zero fit
-            loss = aic_loss(system, np.zeros((n_steps, system.n_groups)), 0)
-            teb = 0.0
-    elif axis == "lambda":
-        result = group_lasso(system, GroupLassoConfig(lam=value, **fixed))
-        trajectories = result.trajectories
-        k = int(trajectories.active.sum()) * n_steps
-        loss = aic_loss(system, result.beta_normalized, k)
-        teb = None
-    else:  # sgtr_threshold
-        trajectories = sgtr(system, SgtrConfig(threshold=value, **fixed))
-        beta_norm = trajectories.values * system.scales
-        k = int(trajectories.active.sum()) * n_steps
-        loss = aic_loss(system, beta_norm, k)
-        teb = None
 
-    mse = None if truth is None else coefficient_mse(trajectories, truth)
-    return SweepPoint(value, loss, teb, mse, trajectories.selected)
+def _point_config(base: MethodConfig, axis: str, value: float) -> MethodConfig:
+    """`base` with the swept parameter set to `value`."""
+    if axis == "lambda":
+        return replace(base, lasso_lam=value)
+    if axis == "sgtr_threshold":
+        return replace(base, sgtr_threshold=value)
+    return replace(base, thresholds=replace(base.thresholds, **{axis: value}))
 
 
 def default_grid(axis: str, system: GroupedLinearSystem | None = None) -> np.ndarray:
@@ -217,8 +232,6 @@ def default_grid(axis: str, system: GroupedLinearSystem | None = None) -> np.nda
     if axis == "t_ge":
         return np.linspace(0.02, 0.22, 11)
     if axis == "lambda":
-        from .baselines import group_lasso_null_threshold
-
         if system is None:
             raise ValueError("lambda grid needs the system for its null threshold")
         lam_max = group_lasso_null_threshold(system)

@@ -21,8 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
+from .criteria import group_error_bar, rms_criterion, total_error_bar
+from .gibbs import BglssConfig, PosteriorEnsemble, estimate_hyperparams, sample_posterior
 from .library import CoefficientTrajectories, GroupedLinearSystem
+from .uncertainty import ensemble_bootstrap_cis
 
 DEFAULT_UPDATE_ITERATIONS = 200
 DEFAULT_UPDATE_BURNIN = 50
@@ -42,28 +44,6 @@ class ThresholdSpec:
             raise ValueError("t_rms must be nonnegative")
         if self.t_ge is not None and self.t_ge < 0:
             raise ValueError("t_ge must be nonnegative")
-
-
-class ZeroNormGroupError(ValueError):
-    """The group is already excluded (zero norm); criteria do not apply."""
-
-
-def rms_criterion(beta_g: np.ndarray) -> float:
-    """Root mean square of one group's trajectory: ||beta_g|| / sqrt(m_g)."""
-    beta_g = np.asarray(beta_g, dtype=float)
-    if beta_g.size == 0:
-        raise ValueError("empty group")
-    return float(np.linalg.norm(beta_g) / np.sqrt(beta_g.size))
-
-
-def group_error_bar(beta_g: np.ndarray, s2_g: np.ndarray) -> float:
-    """Summed coefficient variances normalized by the group's squared norm."""
-    beta_g = np.asarray(beta_g, dtype=float)
-    s2_g = np.asarray(s2_g, dtype=float)
-    norm_sq = float(beta_g @ beta_g)
-    if norm_sq == 0.0:
-        raise ZeroNormGroupError("zero-norm group is already excluded")
-    return float(s2_g.sum() / norm_sq)
 
 
 @dataclass(frozen=True)
@@ -98,6 +78,8 @@ class DiscoveryReport:
     chain_medians: np.ndarray | None = None  # (n_chains, n_steps, n_groups), multi-chain mode
     bootstrap_cis: dict | None = None  # descriptor -> per-step [low, high], physical units
     final_ensemble: PosteriorEnsemble | None = field(default=None, repr=False, compare=False)
+    # (n_steps, n_groups) coefficients in the system's normalized scaling, the ones the loss scores
+    beta_normalized: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def selected(self) -> tuple[str, ...]:
@@ -202,7 +184,8 @@ def run_tbglss(
     updates use the shorter update_iterations/update_burnin chain.  When a
     screening update removes nothing, the same support is re-run at the final
     length; only that confirmed update is committed, so every committed update
-    except the last removes at least one group.
+    except the last removes at least one group.  The report's loss is left to
+    `selection.fit`, which scores every method alike.
     """
     if not system.normalized:
         raise ValueError("run_tbglss requires a column-normalized system")
@@ -210,8 +193,6 @@ def run_tbglss(
     lam = config.lam
     hyper: dict = {"pi0": config.pi0}
     if isinstance(lam, str):
-        from .gibbs import estimate_hyperparams
-
         est = estimate_hyperparams(system, config)
         lam = est.lam
         hyper.update(
@@ -258,9 +239,12 @@ def run_tbglss(
     n_groups = system.n_groups
     values = np.zeros((n_steps, n_groups))
     stdev = np.zeros((n_steps, n_groups))
+    beta_full_norm = np.zeros((n_steps, n_groups))
     active_mask = np.zeros(n_groups, dtype=bool)
     final_criteria: dict = {}
     chain_medians = None
+    total_eb = None
+    cis = None
 
     if active.size:
         assert ensemble is not None
@@ -269,10 +253,14 @@ def run_tbglss(
         sub_scales = system.scales[:, active]
         values[:, active] = med_norm / sub_scales
         stdev[:, active] = np.sqrt(s2_norm) / sub_scales
+        beta_full_norm[:, active] = med_norm
         active_mask[active] = ~np.all(med_norm == 0.0, axis=0)
         values[:, ~active_mask] = 0.0
         stdev[:, ~active_mask] = 0.0
         final_criteria = history[-1].criteria if history else {}
+        s2_full = np.zeros((n_steps, n_groups))
+        s2_full[:, active] = s2_norm
+        total_eb = total_error_bar(beta_full_norm, s2_full, active_mask)
 
         if final_chains > 1:
             medians = [med_norm / sub_scales]
@@ -288,27 +276,7 @@ def run_tbglss(
             stacked[:, :, active] = np.stack(medians)
             chain_medians = stacked
 
-    trajectories = CoefficientTrajectories(
-        values, active_mask, full_descriptors, system.step_coords, system.varying_axis
-    )
-
-    loss = None
-    total_eb = None
-    cis = None
-    if active.size:
-        from .selection import aic_loss, total_error_bar
-
-        beta_full_norm = np.zeros((n_steps, n_groups))
-        beta_full_norm[:, active] = np.median(ensemble.beta, axis=0)
-        k = int(active_mask.sum()) * n_steps
-        loss = aic_loss(system, beta_full_norm, k)
-        s2_full = np.zeros((n_steps, n_groups))
-        s2_full[:, active] = np.var(ensemble.beta, axis=0, ddof=1)
-        total_eb = total_error_bar(beta_full_norm, s2_full, active_mask)
-
         if bootstrap_ci:
-            from .uncertainty import ensemble_bootstrap_cis
-
             per_group = ensemble_bootstrap_cis(
                 ensemble, level=ci_level, n_resamples=ci_resamples, base_seed=config.seed
             )
@@ -320,11 +288,15 @@ def run_tbglss(
                 },
             }
 
+    trajectories = CoefficientTrajectories(
+        values, active_mask, full_descriptors, system.step_coords, system.varying_axis
+    )
+
     return DiscoveryReport(
         trajectories=trajectories,
         stdev=stdev,
         criteria=final_criteria,
-        loss=loss,
+        loss=None,
         total_error_bar=total_eb,
         update_history=tuple(history),
         thresholds=thresholds,
@@ -335,4 +307,5 @@ def run_tbglss(
         chain_medians=chain_medians,
         bootstrap_cis=cis,
         final_ensemble=ensemble if (keep_final_ensemble and active.size) else None,
+        beta_normalized=beta_full_norm,
     )

@@ -1,4 +1,4 @@
-"""Error bands from posterior draws and bootstrap confidence intervals."""
+"""Bootstrap confidence intervals for posterior-median coefficients."""
 
 from __future__ import annotations
 
@@ -6,46 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import PosteriorEnsemble, posterior_median, posterior_variance
+from .gibbs import PosteriorEnsemble, posterior_median
 
 MIN_DRAWS = 30
 MIN_RESAMPLES = 200
-
-
-@dataclass(frozen=True)
-class ErrorBandSet:
-    """Median-centered one-standard-deviation bands per coefficient.
-
-    magnification is a presentation hint only (bands are often thinner than
-    the plotted line); stored half-widths are never scaled by it.
-    """
-
-    center: np.ndarray  # (n_steps, n_groups)
-    halfwidth: np.ndarray  # (n_steps, n_groups), >= 0
-    descriptors: tuple[str, ...]
-    step_coords: np.ndarray
-    magnification: float = 1.0
-
-    def __post_init__(self):
-        if np.any(self.halfwidth < 0):
-            raise ValueError("half-widths must be nonnegative")
-        if self.center.shape != self.halfwidth.shape:
-            raise ValueError("center and halfwidth shapes differ")
-
-
-def error_bands(
-    ensemble: PosteriorEnsemble, scale: str = "physical", magnification: float = 1.0
-) -> ErrorBandSet:
-    """Bands centered on the posterior median with one-sigma half-widths."""
-    med = posterior_median(ensemble, scale=scale)
-    halfwidth = np.sqrt(posterior_variance(ensemble, scale=scale))
-    return ErrorBandSet(
-        center=med.values,
-        halfwidth=halfwidth,
-        descriptors=med.descriptors,
-        step_coords=med.step_coords,
-        magnification=magnification,
-    )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from vcpde.baselines import GroupLassoConfig, group_lasso, group_lasso_null_threshold
+from vcpde.criteria import aic_loss, coefficient_mse, group_error_bar, rms_criterion, total_error_bar
 from vcpde.filters import FilterSpec, data_mse, filter_sweep
 from vcpde.gibbs import BglssConfig, sample_posterior
 from vcpde.library import GroupedLinearSystem, LibrarySpec, normalize_columns
@@ -20,14 +21,14 @@ from vcpde.pipeline import (
     filter_dataset,
     simulate_dataset,
 )
-from vcpde.selection import aic_loss, coefficient_mse, sweep, total_error_bar
+from vcpde.selection import sweep
 from vcpde.solvers import (
     advection_diffusion_scenario,
     burgers_scenario,
     ks_scenario,
     true_coefficients,
 )
-from vcpde.tbglss import ThresholdSpec, group_error_bar, rms_criterion, run_tbglss
+from vcpde.tbglss import ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
 
@@ -361,8 +362,8 @@ class TestCriterion10ModelSelectionSweep:
         system = build_system(dataset)
         truth = true_coefficients(ad_scenario, LIB, step_coords=system.step_coords)
         grid = np.linspace(0.02, 0.22, 11)
-        curve = sweep(system, "t_ge", grid, method="tbglss", fixed={"t_rms": 0.01},
-                      truth=truth, config=BglssConfig(seed=4, lam=1.0))
+        base = MethodConfig(thresholds=ThresholdSpec(t_rms=0.01), bglss=BglssConfig(seed=4, lam=1.0))
+        curve = sweep(system, "t_ge", grid, base, truth=truth)
         teb = {p.value: p.total_error_bar for p in curve.points}
         assert teb[0.22] > teb[0.02]
         true_support = ("u", "u_x", "u_xx")

@@ -49,6 +49,17 @@ class TestDatasetArchive:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("key", ["shape", "values_base64", "metadata", "family"])
+    def test_missing_required_key_named(self, small_dataset, tmp_path, key):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        doc = json.loads(path.read_text())
+        del (doc["metadata"] if key == "family" else doc)[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=key):
+            load_dataset(path)
+        assert main(["discover", "--dataset", str(path), "--t-rms", "0.1",
+                     "--output", str(tmp_path)]) == 1
+
     def test_dataset_id_stable(self, small_dataset):
         assert small_dataset.dataset_id() == small_dataset.dataset_id()
 
@@ -142,6 +153,33 @@ class TestCli:
         assert header.startswith("t_rms,loss,total_error_bar,coefficient_mse")
         assert json.loads((tmp_path / "sw2" / "sweep_t_rms_burgers_noise0_seed0.json").read_text())["argmin"]
 
+    def test_threshold_sweep_without_fixed_threshold(self, tmp_path):
+        self.run("simulate", "--family", "burgers", "--nx", "64", "--nt", "48",
+                 "--t-span", "0:4", "--output", str(tmp_path))
+        code = self.run("sweep", "--dataset", str(tmp_path / "burgers_noise0_seed0.json"),
+                        "--axis", "t_rms", "--range", "0.05:0.2:2",
+                        "--iterations", "120", "--burnin", "30", "--output", str(tmp_path / "sw"))
+        assert code == 0
+        summary = json.loads((tmp_path / "sw" / "sweep_t_rms_burgers_noise0_seed0.json").read_text())
+        assert summary["n_failed"] == 0
+        empty = self.run("sweep", "--dataset", str(tmp_path / "burgers_noise0_seed0.json"),
+                         "--axis", "t_rms", "--range", "0.05:0.2:0", "--output", str(tmp_path / "sw"))
+        assert empty == 1
+
+    def test_discover_every_grid_point_failing_exits_two(self, monkeypatch, tmp_path, capsys):
+        from vcpde import selection
+
+        def singular(system, config):
+            raise np.linalg.LinAlgError("singular per-step Gram")
+
+        self.run("simulate", "--family", "burgers", "--nx", "64", "--nt", "48",
+                 "--t-span", "0:4", "--output", str(tmp_path))
+        monkeypatch.setattr(selection, "sgtr", singular)
+        code = self.run("discover", "--dataset", str(tmp_path / "burgers_noise0_seed0.json"),
+                        "--method", "sgtr", "--output", str(tmp_path / "out"))
+        assert code == 2
+        assert "LinAlgError: singular per-step Gram" in capsys.readouterr().err
+
     def test_discover_with_ci_and_trace(self, tmp_path):
         self.run("simulate", "--family", "burgers", "--nx", "64", "--nt", "48",
                  "--t-span", "0:4", "--output", str(tmp_path))
@@ -206,3 +244,15 @@ class TestCli:
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
         code = main(["simulate", "--family", "burgers", "--output", str(tmp_path)])
         assert code == 2
+
+    def test_key_error_is_not_a_validation_error(self, monkeypatch, tmp_path):
+        from vcpde import cli
+
+        def faulty(args):
+            raise KeyError("a fault in the program")
+
+        parser = cli.build_parser()
+        parser.subcommand_parsers["simulate"].set_defaults(func=faulty)
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        with pytest.raises(KeyError, match="a fault"):
+            main(["simulate", "--family", "burgers", "--output", str(tmp_path)])

@@ -43,14 +43,6 @@ def test_nonfinite_value_named():
         SpatioTemporalField(values, x, x)
 
 
-def test_window_t():
-    f = make_field()
-    w = f.window_t(t_min=1.0)
-    assert w.t_coords[0] >= 1.0
-    assert w.values.shape == (f.n_x, w.n_t)
-    np.testing.assert_array_equal(w.values, f.values[:, f.t_coords >= 1.0])
-
-
 def test_sigma_population_convention():
     f = make_field()
     assert f.sigma() == pytest.approx(float(f.values.std()))

@@ -223,8 +223,7 @@ class TestHyperparamEstimation:
     def test_fixed_values_pass_through(self):
         system = single_group_system(BETA_LS)
         est = estimate_hyperparams(system, BglssConfig(lam=2.5, pi0=0.3))
-        lam, pi0 = est
-        assert (lam, pi0) == (2.5, 0.3)
+        assert (est.lam, est.pi0) == (2.5, 0.3)
         assert est.converged and est.n_rounds == 0
 
     @pytest.mark.filterwarnings("ignore:Monte Carlo EM")

@@ -43,10 +43,6 @@ class TestLibrarySpec:
             lib = LibrarySpec.standard(p, q)
             assert len(lib.terms) == (p + 1) * (q + 1)
 
-    def test_pairwise_products_library(self):
-        lib = LibrarySpec.products(max_deriv_order=1, max_factors=2)
-        assert lib.descriptors == ("1", "u", "u_x", "u^2", "u*u_x", "u_x^2")
-
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ValueError):
             LibrarySpec((Term(((0, 1),)), Term(((0, 1),))))
@@ -188,12 +184,6 @@ class TestBlockStructure:
         assert sub.descriptors == (lib.descriptors[1], lib.descriptors[3])
         np.testing.assert_array_equal(sub.blocks, system.blocks[:, :, keep])
         np.testing.assert_array_equal(sub.scales, system.scales[:, keep])
-
-    def test_debug_export(self, tmp_path):
-        system, _ = manufactured_exponential_system()
-        system.export_debug(tmp_path)
-        assert (tmp_path / "groups.json").exists()
-        assert (tmp_path / "block_0000.csv").exists()
 
 
 class TestExactRecoveryInvariant:

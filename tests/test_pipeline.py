@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from vcpde import selection
 from vcpde.filters import FilterSpec
 from vcpde.gibbs import BglssConfig
+from vcpde.library import GroupedLinearSystem, normalize_columns
 from vcpde.pipeline import (
     DifferentiationSpec,
     MethodConfig,
@@ -12,6 +14,7 @@ from vcpde.pipeline import (
     simulate_dataset,
     stage_seed,
 )
+from vcpde.selection import SweepFailedError, default_grid
 from vcpde.solvers import burgers_scenario, ks_scenario
 from vcpde.tbglss import ThresholdSpec
 
@@ -109,6 +112,36 @@ class TestDiscover:
         report = discover(small_noisy_dataset,
                           MethodConfig(method="group_lasso", thresholds=None, lasso_lam=0.5))
         assert report.hyperparameters["lam"] == 0.5
+
+    def test_grid_choice_reuses_the_point_fit(self, small_noisy_dataset, monkeypatch):
+        thresholds = []
+        original = selection.sgtr
+
+        def counted(system, config):
+            thresholds.append(config.threshold)
+            return original(system, config)
+
+        monkeypatch.setattr(selection, "sgtr", counted)
+        report = discover(small_noisy_dataset, MethodConfig(method="sgtr"))
+        assert len(thresholds) == len(default_grid("sgtr_threshold"))  # no refit
+        assert report.hyperparameters["threshold"] in thresholds
+        assert report.provenance["selected_by"] == "lowest loss over sgtr_threshold grid"
+
+    def test_every_grid_point_failing_raises_typed_error(self, small_noisy_dataset):
+        # duplicated columns + zero ridge make every sgtr point singular
+        col = np.random.default_rng(3).standard_normal((3, 8, 1))
+        system = normalize_columns(GroupedLinearSystem(
+            np.concatenate([col, col], axis=2), col[:, :, 0] * 2.0, ("a", "b"), "time",
+            np.arange(3.0)))
+        with pytest.raises(SweepFailedError, match="LinAlgError"):
+            discover(small_noisy_dataset, MethodConfig(method="sgtr", sgtr_ridge=0.0), system=system)
+
+    def test_supplied_system_records_no_differentiation(self, small_noisy_dataset):
+        mc = MethodConfig(method="group_lasso", lasso_lam=0.5)
+        supplied = discover(small_noisy_dataset, mc, system=build_system(small_noisy_dataset))
+        assert supplied.provenance["differentiation"] is None
+        built = discover(small_noisy_dataset, mc)
+        assert built.provenance["differentiation"]["method"] == "poly_fit"
 
     def test_tbglss_requires_thresholds(self):
         with pytest.raises(ValueError):

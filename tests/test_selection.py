@@ -3,17 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcpde import selection
+from vcpde.criteria import aic_loss, coefficient_mse, empty_model_scores, total_error_bar
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, GroupedLinearSystem, normalize_columns
-from vcpde.selection import (
-    SelectionCurve,
-    aic_loss,
-    coefficient_mse,
-    default_grid,
-    sweep,
-    total_error_bar,
-)
+from vcpde.selection import MethodConfig, SelectionCurve, default_grid, fit, sweep
 from vcpde.solvers import TrueCoefficients
+from vcpde.tbglss import ThresholdSpec
 
 from conftest import random_grouped_system
 
@@ -143,13 +139,39 @@ class TestCoefficientMse:
             coefficient_mse(est, truth)
 
 
+class TestFit:
+    def test_baselines_need_a_fixed_parameter(self):
+        system, _ = perfect_fit_system(seed=10)
+        with pytest.raises(ValueError, match="sgtr_threshold"):
+            fit(system, MethodConfig(method="sgtr"))
+        with pytest.raises(ValueError, match="lasso_lam"):
+            fit(system, MethodConfig(method="group_lasso"))
+
+    def test_loss_counts_active_groups_times_steps(self):
+        system, _ = perfect_fit_system(seed=11)
+        report = fit(system, MethodConfig(method="sgtr", sgtr_threshold=0.01))
+        assert report.selected == ("c",)
+        beta = report.trajectories.values * system.scales
+        assert report.loss == aic_loss(system, beta, system.n_steps)
+
+    def test_tbglss_loss_scores_the_normalized_median(self):
+        rng = np.random.default_rng(12)
+        system, _, _ = random_grouped_system(rng, n_rows=16)
+        report = fit(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
+            bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=0)))
+        k = len(report.selected) * system.n_steps
+        assert report.selected
+        assert report.loss == aic_loss(system, report.beta_normalized, k)
+
+
 class TestSweep:
     def test_single_point_grid(self):
         rng = np.random.default_rng(1)
         system, _, _ = random_grouped_system(rng, n_rows=16)
-        curve = sweep(system, "t_rms", np.array([0.05]), method="tbglss",
-                      fixed={"t_ge": 0.5},
-                      config=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=0))
+        base = MethodConfig(thresholds=ThresholdSpec(t_ge=0.5),
+                            bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=0))
+        curve = sweep(system, "t_rms", np.array([0.05]), base)
         assert len(curve.points) == 1
         assert curve.argmin["loss"] == 0.05
 
@@ -157,8 +179,9 @@ class TestSweep:
         rng = np.random.default_rng(2)
         system, _, active_truth = random_grouped_system(rng, n_rows=24)
         grid = np.array([0.02, 0.05])  # both below every true group's scale
-        curve = sweep(system, "t_rms", grid, method="tbglss", fixed={"t_ge": 10.0},
-                      config=BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=1))
+        base = MethodConfig(thresholds=ThresholdSpec(t_ge=10.0),
+                            bglss=BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=1))
+        curve = sweep(system, "t_rms", grid, base)
         supports = {p.selected for p in curve.points}
         assert len(supports) == 1
 
@@ -166,7 +189,8 @@ class TestSweep:
         rng = np.random.default_rng(3)
         system, _, _ = random_grouped_system(rng)
         with pytest.raises(ValueError, match="group_lasso"):
-            sweep(system, "lambda", np.array([0.5, 1.0]), method="tbglss")
+            sweep(system, "lambda", np.array([0.5, 1.0]),
+                  MethodConfig(thresholds=ThresholdSpec(t_rms=0.1)))
 
     def test_point_failures_recorded_not_fatal(self):
         # duplicated columns + zero ridge make every sgtr point singular
@@ -175,23 +199,42 @@ class TestSweep:
         blocks = np.concatenate([col, col], axis=2)
         system = normalize_columns(GroupedLinearSystem(
             blocks, col[:, :, 0] * 2.0, ("a", "b"), "time", np.arange(3.0)))
-        curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.1]), method="sgtr",
-                      fixed={"ridge": 0.0})
+        curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.1]),
+                      MethodConfig(method="sgtr", sgtr_ridge=0.0))
         assert all(p.error is not None for p in curve.points)
         assert curve.argmin == {}
+
+    def test_undocumented_point_error_propagates(self, monkeypatch):
+        def broken(system, config):
+            raise KeyError("a fault, not a documented point failure")
+
+        monkeypatch.setattr(selection, "sgtr", broken)
+        system, _ = perfect_fit_system(seed=8)
+        with pytest.raises(KeyError, match="a fault"):
+            sweep(system, "sgtr_threshold", np.array([0.01, 0.1]), MethodConfig(method="sgtr"))
+
+    def test_empty_tbglss_point_scores_as_zero_fit(self):
+        rng = np.random.default_rng(9)
+        system, _, _ = random_grouped_system(rng, n_rows=16)
+        base = MethodConfig(thresholds=ThresholdSpec(t_rms=1e6),
+                            bglss=BglssConfig(n_iterations=120, n_burnin=30, lam=1.0, seed=0))
+        point = sweep(system, "t_rms", np.array([1e6]), base).points[0]
+        assert point.selected == ()
+        assert (point.loss, point.total_error_bar) == empty_model_scores(system)
+        assert point.report.loss is None
 
     def test_lambda_sweep_records_loss(self):
         rng = np.random.default_rng(4)
         system, _, _ = random_grouped_system(rng, n_rows=16)
         grid = default_grid("lambda", system)[::5]
-        curve = sweep(system, "lambda", grid, method="group_lasso")
+        curve = sweep(system, "lambda", grid, MethodConfig(method="group_lasso"))
         ok = [p for p in curve.points if p.error is None]
         assert ok and all(p.loss is not None for p in ok)
         assert all(p.total_error_bar is None for p in ok)
 
     def test_sgtr_threshold_sweep(self):
         system, beta_norm = perfect_fit_system(seed=5)
-        curve = sweep(system, "sgtr_threshold", np.array([0.01, 1e6]), method="sgtr")
+        curve = sweep(system, "sgtr_threshold", np.array([0.01, 1e6]), MethodConfig(method="sgtr"))
         assert curve.points[0].selected == ("c",)
         assert curve.points[1].selected == ()
 
@@ -199,11 +242,12 @@ class TestSweep:
         rng = np.random.default_rng(6)
         system, _, _ = random_grouped_system(rng)
         with pytest.raises(ValueError):
-            sweep(system, "t_rms", np.array([0.2, 0.1]), method="tbglss", fixed={"t_ge": 0.5})
+            sweep(system, "t_rms", np.array([0.2, 0.1]),
+                  MethodConfig(thresholds=ThresholdSpec(t_ge=0.5)))
 
     def test_csv_and_json_outputs(self, tmp_path):
         system, _ = perfect_fit_system(seed=7)
-        curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.5]), method="sgtr")
+        curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.5]), MethodConfig(method="sgtr"))
         curve.to_csv(tmp_path / "curve.csv")
         curve.to_json(tmp_path / "curve.json")
         text = (tmp_path / "curve.csv").read_text()

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcpde.criteria import ZeroNormGroupError, group_error_bar, rms_criterion
 from vcpde.gibbs import BglssConfig
-from vcpde.tbglss import (
-    DiscoveryReport,
-    ThresholdSpec,
-    ZeroNormGroupError,
-    group_error_bar,
-    rms_criterion,
-    run_tbglss,
-)
+from vcpde.tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
 

@@ -1,45 +1,14 @@
 import numpy as np
 import pytest
 
-from vcpde.gibbs import posterior_variance
 from vcpde.uncertainty import (
     BootstrapCI,
     bootstrap_median_ci,
     coefficient_seed,
     ensemble_bootstrap_cis,
-    error_bands,
 )
 
 from test_gibbs import synthetic_ensemble
-
-
-class TestErrorBands:
-    def test_degenerate_ensemble_zero_width(self):
-        ens = synthetic_ensemble(np.full((60, 3, 2), 1.5))
-        bands = error_bands(ens)
-        np.testing.assert_array_equal(bands.halfwidth, 0.0)
-        np.testing.assert_allclose(bands.center, 1.5)
-
-    def test_halfwidth_is_sqrt_variance(self):
-        rng = np.random.default_rng(0)
-        beta = 1.0 + 0.1 * rng.standard_normal((200, 4, 2))
-        ens = synthetic_ensemble(beta)
-        bands = error_bands(ens)
-        np.testing.assert_allclose(bands.halfwidth, np.sqrt(posterior_variance(ens)), atol=1e-15)
-
-    def test_magnification_is_presentation_only(self):
-        rng = np.random.default_rng(1)
-        beta = 1.0 + 0.1 * rng.standard_normal((100, 3, 1))
-        plain = error_bands(synthetic_ensemble(beta))
-        magnified = error_bands(synthetic_ensemble(beta), magnification=10.0)
-        np.testing.assert_array_equal(plain.halfwidth, magnified.halfwidth)
-        assert magnified.magnification == 10.0
-
-    def test_negative_halfwidth_rejected(self):
-        from vcpde.uncertainty import ErrorBandSet
-
-        with pytest.raises(ValueError):
-            ErrorBandSet(np.zeros((2, 1)), -np.ones((2, 1)), ("a",), np.arange(2.0))
 
 
 class TestBootstrapMedianCi:

@@ -65,7 +65,8 @@ def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryRe
 
     The loss is `aic_loss` of the normalized-scale coefficients with k =
     active groups x steps.  A tbglss run that keeps no group has no loss;
-    SGTR and group lasso report the zero fit's.
+    SGTR and group lasso report the zero fit's.  A group-lasso fit that
+    stopped unconverged has no loss either, and says so in `unscored`.
     """
     mc = method_config
     if mc.method == "tbglss":
@@ -93,7 +94,12 @@ def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryRe
         result = group_lasso(system, GroupLassoConfig(lam=mc.lasso_lam))
         report = _baseline_report(result.trajectories, result.beta_normalized, "group_lasso",
                                   {"lam": mc.lasso_lam, "converged": result.converged,
-                                   "sweeps": result.n_sweeps})
+                                   "sweeps": result.n_sweeps,
+                                   "admm_iterations": result.admm_iterations,
+                                   "kkt_residual": result.kkt_residual})
+        if not result.converged:
+            return replace(report, unscored=f"NotConverged: group lasso did not converge "
+                                            f"in {result.n_sweeps} sweeps")
     k = int(report.trajectories.active.sum()) * system.n_steps
     return replace(report, loss=aic_loss(system, report.beta_normalized, k))
 
@@ -180,7 +186,8 @@ def sweep(
 
     The axis implies the method, which `base` must use; `base` holds the
     parameters that are not swept, e.g. t_rms while sweeping t_ge.  A point
-    failing with one of POINT_ERRORS is recorded on the curve.  A point whose
+    failing with one of POINT_ERRORS, or whose report is `unscored`, is
+    recorded on the curve as failed and no argmin uses it.  A point whose
     tbglss run keeps no group scores as the empty model.
     """
     grid = np.asarray(grid, dtype=float)
@@ -209,6 +216,8 @@ def sweep(
 def _fit_point(system: GroupedLinearSystem, config: MethodConfig, value: float,
                truth: TrueCoefficients | None) -> SweepPoint:
     report = fit(system, config)
+    if report.unscored:
+        return SweepPoint(value, None, None, None, (), error=report.unscored)
     loss, teb = report.loss, report.total_error_bar
     if loss is None:
         loss, teb = empty_model_scores(system)

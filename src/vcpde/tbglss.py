@@ -80,6 +80,9 @@ class DiscoveryReport:
     final_ensemble: PosteriorEnsemble | None = field(default=None, repr=False, compare=False)
     # (n_steps, n_groups) coefficients in the system's normalized scaling, the ones the loss scores
     beta_normalized: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # why the fit has no loss although it has a model, e.g. an unconverged solver;
+    # a sweep records it as the point's error
+    unscored: str | None = None
 
     @property
     def selected(self) -> tuple[str, ...]:

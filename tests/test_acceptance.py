@@ -72,7 +72,7 @@ class TestCriterion1BurgersClean:
         assert per["u_xx"] <= 0.05
         assert elapsed <= 600.0
         print(f"\n[criterion 1] PASS: selected {report.selected}, "
-              f"rel errors u*u_x={per['u*u_x']:.4f} u_xx={per['u_xx']:.4f}, {elapsed:.0f}s")
+              f"rel errors u*u_x={per['u*u_x']:.4f} u_xx={per['u_xx']:.4f}")
 
 
 class TestCriterion2AdvectionDiffusion:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from vcpde import baselines
 from vcpde.baselines import (
     GroupLassoConfig,
     SgtrConfig,
@@ -23,6 +26,30 @@ def noiseless_system(seed=0, n_steps=4, n_rows=16, n_groups=6):
     system = GroupedLinearSystem(blocks, target, tuple(f"g{i}" for i in range(n_groups)),
                                  "time", np.arange(float(n_steps)))
     return normalize_columns(system), beta_true
+
+
+def collinear_system(seed, collinearity, second_weight):
+    """Groups 0 and 1 at the given collinearity; the target is 2 g0 + w g1 - g3 + noise."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((4, 30, 5))
+    blocks[:, :, 1] = blocks[:, :, 0] + collinearity * rng.standard_normal((4, 30))
+    target = 2.0 * blocks[:, :, 0] + second_weight * blocks[:, :, 1] - blocks[:, :, 3]
+    target += 0.01 * rng.standard_normal((4, 30))
+    return normalize_columns(GroupedLinearSystem(
+        blocks, target, tuple(f"g{i}" for i in range(5)), "time", np.arange(4.0)))
+
+
+def assert_group_lasso_kkt(system, beta, lam, tol):
+    """Criterion 7: per-group stationarity within 10 tol, zero groups within lam."""
+    residual = system.target - system.matvec(beta)
+    grad = np.einsum("mng,mn->mg", system.blocks, residual)  # X_g^T r per step
+    for g in range(system.n_groups):
+        norm_g = np.linalg.norm(beta[:, g])
+        if norm_g > 0:
+            stationarity = grad[:, g] - lam * beta[:, g] / norm_g
+            assert np.linalg.norm(stationarity) <= 10 * tol
+        else:
+            assert np.linalg.norm(grad[:, g]) <= lam * (1 + 1e-6)
 
 
 class TestSgtr:
@@ -99,16 +126,44 @@ class TestGroupLasso:
         lam = 0.3 * group_lasso_null_threshold(system)
         tol = 1e-8
         result = group_lasso(system, GroupLassoConfig(lam=lam, tolerance=tol))
-        beta = result.beta_normalized
-        residual = system.target - system.matvec(beta)
-        grad = np.einsum("mng,mn->mg", system.blocks, residual)  # X_g^T r per step
-        for g in range(system.n_groups):
-            norm_g = np.linalg.norm(beta[:, g])
-            if norm_g > 0:
-                stationarity = grad[:, g] - lam * beta[:, g] / norm_g
-                assert np.linalg.norm(stationarity) <= 10 * tol
-            else:
-                assert np.linalg.norm(grad[:, g]) <= lam * (1 + 1e-6)
+        assert_group_lasso_kkt(system, result.beta_normalized, lam, tol)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_block_descent_from_zero(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        system, _, _ = random_grouped_system(rng, n_steps=4, n_rows=10, n_groups=5)
+        config = GroupLassoConfig(lam=0.3 * group_lasso_null_threshold(system), tolerance=1e-8)
+        result = group_lasso(system, config)
+        monkeypatch.setattr(baselines, "_admm_start",
+                            lambda gram, cty, lam: (np.zeros_like(cty), 0))
+        reference = group_lasso(system, replace(config, tolerance=1e-12))
+        assert reference.admm_iterations == 0 and reference.converged
+        np.testing.assert_array_equal(result.trajectories.active, reference.trajectories.active)
+        np.testing.assert_allclose(result.beta_normalized, reference.beta_normalized, atol=1e-6)
+
+    def test_ill_conditioned_system_converges(self):
+        # nearly collinear active groups: block descent from zero needs
+        # about 12,700 sweeps, from the ADMM start one
+        system = collinear_system(0, collinearity=0.03, second_weight=1.0)
+        lam = 0.02 * group_lasso_null_threshold(system)
+        tol = 1e-8
+        result = group_lasso(system, GroupLassoConfig(lam=lam, tolerance=tol, max_sweeps=200))
+        assert result.converged and result.admm_iterations < baselines.ADMM_MAX_ITERATIONS
+        assert_group_lasso_kkt(system, result.beta_normalized, lam, tol)
+        assert np.all(np.diff(result.objective_history) <= 1e-9)
+
+    def test_stalled_admm_start_falls_back_to_zero(self):
+        # group 1 is zero at the optimum but 1e-3 collinear with group 0: ADMM
+        # stalls, and descent from its last iterate would not converge in
+        # 100,000 sweeps; from zero it needs 10
+        system = collinear_system(21, collinearity=1e-3, second_weight=0.0)
+        lam = 0.01 * group_lasso_null_threshold(system)
+        tol = 1e-8
+        result = group_lasso(system, GroupLassoConfig(lam=lam, tolerance=tol, max_sweeps=200))
+        assert result.admm_iterations == baselines.ADMM_MAX_ITERATIONS
+        assert result.converged
+        assert result.trajectories.selected == ("g0", "g3")
+        assert_group_lasso_kkt(system, result.beta_normalized, lam, tol)
 
     def test_nonconvergence_warns(self):
         rng = np.random.default_rng(9)

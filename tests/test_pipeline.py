@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vcpde import selection
+from vcpde.baselines import group_lasso
 from vcpde.filters import FilterSpec
 from vcpde.gibbs import BglssConfig
 from vcpde.library import GroupedLinearSystem, normalize_columns
@@ -17,6 +20,8 @@ from vcpde.pipeline import (
 from vcpde.selection import SweepFailedError, default_grid
 from vcpde.solvers import burgers_scenario, ks_scenario
 from vcpde.tbglss import ThresholdSpec
+
+from conftest import random_grouped_system
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +140,15 @@ class TestDiscover:
             np.arange(3.0)))
         with pytest.raises(SweepFailedError, match="LinAlgError"):
             discover(small_noisy_dataset, MethodConfig(method="sgtr", sgtr_ridge=0.0), system=system)
+
+    def test_every_grid_point_unconverged_raises_typed_error(self, small_noisy_dataset, monkeypatch):
+        def unconverged(system, config):
+            return replace(group_lasso(system, config), converged=False, n_sweeps=config.max_sweeps)
+
+        monkeypatch.setattr(selection, "group_lasso", unconverged)
+        system, _, _ = random_grouped_system(np.random.default_rng(4), n_rows=16)
+        with pytest.raises(SweepFailedError, match="did not converge in 10000 sweeps"):
+            discover(small_noisy_dataset, MethodConfig(method="group_lasso"), system=system)
 
     def test_supplied_system_records_no_differentiation(self, small_noisy_dataset):
         mc = MethodConfig(method="group_lasso", lasso_lam=0.5)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcpde import selection
+from vcpde.baselines import GroupLassoConfig, group_lasso, group_lasso_null_threshold
 from vcpde.criteria import aic_loss, coefficient_mse, empty_model_scores, total_error_bar
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, GroupedLinearSystem, normalize_columns
@@ -164,6 +167,27 @@ class TestFit:
         assert report.selected
         assert report.loss == aic_loss(system, report.beta_normalized, k)
 
+    def test_group_lasso_report_certifies_the_fit(self):
+        rng = np.random.default_rng(13)
+        system, _, _ = random_grouped_system(rng, n_rows=16)
+        lam = 0.3 * group_lasso_null_threshold(system)
+        hyper = fit(system, MethodConfig(method="group_lasso", lasso_lam=lam)).hyperparameters
+        assert hyper["converged"] and hyper["admm_iterations"] >= 1
+        assert 0.0 <= hyper["kkt_residual"] <= 10 * GroupLassoConfig(lam=lam).tolerance / lam
+
+    def test_unconverged_lasso_fit_is_reported_unscored(self, monkeypatch):
+        def unconverged(system, config):
+            return replace(group_lasso(system, config), converged=False, n_sweeps=config.max_sweeps)
+
+        monkeypatch.setattr(selection, "group_lasso", unconverged)
+        rng = np.random.default_rng(13)
+        system, _, _ = random_grouped_system(rng, n_rows=16)
+        lam = 0.3 * group_lasso_null_threshold(system)
+        report = fit(system, MethodConfig(method="group_lasso", lasso_lam=lam))
+        assert report.selected and report.hyperparameters["converged"] is False
+        assert report.loss is None
+        assert report.unscored == "NotConverged: group lasso did not converge in 10000 sweeps"
+
 
 class TestSweep:
     def test_single_point_grid(self):
@@ -212,6 +236,27 @@ class TestSweep:
         system, _ = perfect_fit_system(seed=8)
         with pytest.raises(KeyError, match="a fault"):
             sweep(system, "sgtr_threshold", np.array([0.01, 0.1]), MethodConfig(method="sgtr"))
+
+    def test_unconverged_lasso_point_is_flagged_not_chosen(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        system, _, _ = random_grouped_system(rng, n_rows=16)
+        grid = default_grid("lambda", system)[::4]
+        base = MethodConfig(method="group_lasso")
+        chosen = sweep(system, "lambda", grid, base).argmin["loss"]
+
+        def unconverged_at_chosen(system, config):
+            result = group_lasso(system, config)
+            if config.lam != chosen:
+                return result
+            return replace(result, converged=False, n_sweeps=config.max_sweeps)
+
+        monkeypatch.setattr(selection, "group_lasso", unconverged_at_chosen)
+        curve = sweep(system, "lambda", grid, base)
+        point = curve.point_at(chosen)
+        assert point.loss is None and point.report is None
+        assert point.error == "NotConverged: group lasso did not converge in 10000 sweeps"
+        assert curve.argmin["loss"] != chosen
+        assert curve.summary()["n_failed"] == 1
 
     def test_empty_tbglss_point_scores_as_zero_fit(self):
         rng = np.random.default_rng(9)

@@ -8,7 +8,7 @@ from .criteria import (
     rms_criterion,
     total_error_bar,
 )
-from .differentiation import DerivativeStack, build_derivative_stack, differentiate
+from .differentiation import DerivativeStack, build_derivative_stack
 from .fields import SpatioTemporalField
 from .filters import FilterSpec, apply_filter, data_mse, filter_sweep
 from .gibbs import (
@@ -16,7 +16,6 @@ from .gibbs import (
     PosteriorEnsemble,
     estimate_hyperparams,
     posterior_median,
-    posterior_variance,
     sample_posterior,
 )
 from .library import (

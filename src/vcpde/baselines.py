@@ -20,15 +20,15 @@ import numpy as np
 from .criteria import rms_criterion
 from .library import CoefficientTrajectories, GroupedLinearSystem, normalize_columns
 
+SGTR_MAX_ITERATIONS = 50  # ridge refits before thresholding gives up on a fixed point
+
 
 @dataclass(frozen=True)
 class SgtrConfig:
-    """Ridge penalty, group-rms threshold and iteration cap."""
+    """Group-rms threshold and ridge penalty."""
 
     threshold: float
     ridge: float = 1e-5
-    max_iterations: int = 50
-    normalize: bool = True
 
     def __post_init__(self):
         if self.threshold <= 0:
@@ -68,16 +68,17 @@ def _ridge_fit(system: GroupedLinearSystem, active: np.ndarray, ridge: float) ->
 
 
 def sgtr(system: GroupedLinearSystem, config: SgtrConfig) -> CoefficientTrajectories:
-    """Per-step ridge fits with iterative group-rms thresholding to a fixed point."""
-    if config.normalize and not system.normalized:
-        system = normalize_columns(system)
+    """Per-step ridge fits with iterative group-rms thresholding to a fixed point.
+
+    A raw system is column-normalized first.
+    """
     if not system.normalized:
-        raise ValueError("sgtr requires a normalized system (or normalize=True)")
+        system = normalize_columns(system)
 
     n_groups = system.n_groups
     active = np.arange(n_groups)
     beta_active = _ridge_fit(system, active, config.ridge)
-    for _ in range(config.max_iterations):
+    for _ in range(SGTR_MAX_ITERATIONS):
         rms = np.array([rms_criterion(beta_active[:, j]) for j in range(active.size)])
         keep = rms >= config.threshold
         if keep.all():

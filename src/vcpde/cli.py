@@ -2,10 +2,10 @@
 
 Configuration precedence is command line > --config file > built-in defaults;
 the config file is a flat JSON object whose keys are the long option names
-with dashes replaced by underscores.  Every output embeds the options and
-seeds needed to reproduce it bit-for-bit.  Exit codes: 0 success (including
-documented expected-failure scenarios), 1 validation error, 2 numerical
-failure.
+with dashes replaced by underscores, and a key that no subcommand declares is
+a validation error.  Every output embeds the options and seeds needed to
+reproduce it bit-for-bit.  Exit codes: 0 success (including documented
+expected-failure scenarios), 1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -501,18 +501,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the --config file's values the defaults of every subcommand that declares them."""
+    try:
+        overrides = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    declared = {name: {action.dest for action in sub._actions}
+                for name, sub in parser.subcommand_parsers.items()}
+    unknown = sorted(set(overrides).difference(*declared.values()))
+    if unknown:
+        raise ValueError(f"config file {path} has keys no command declares: {', '.join(unknown)}")
+    for name, sub in parser.subcommand_parsers.items():
+        sub.set_defaults(**{k: v for k, v in overrides.items() if k in declared[name]})
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args, remaining = parser.parse_known_args(argv)
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-        for sub in parser.subcommand_parsers.values():
-            known = {action.dest for action in sub._actions}
-            sub.set_defaults(**{k: v for k, v in overrides.items() if k in known})
-        args = parser.parse_args(argv)
-    elif remaining:
-        parser.error(f"unrecognized arguments: {' '.join(remaining)}")
     try:
+        if args.config:
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
+        elif remaining:
+            parser.error(f"unrecognized arguments: {' '.join(remaining)}")
         return args.func(args)
     except (ValueError, GridError, ZeroColumnError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Datasets serialize either as one JSON document with a base64 float64 payload
 or as a CSV triplet (values / x_coords / t_coords) next to a metadata JSON.
 All writers are deterministic: rerunning the same command produces
-byte-identical files.
+byte-identical files.  Loading checks the format name and version both
+writers record.
 """
 
 from __future__ import annotations
@@ -69,6 +70,16 @@ def _require_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
         raise ValueError(f"{where} lacks required key(s): {', '.join(missing)}")
 
 
+def _require_format(doc: dict, where: str) -> None:
+    if doc.get("format") != DATASET_FORMAT:
+        raise ValueError(f"{where} is not a {DATASET_FORMAT} file")
+    if doc.get("version") != DATASET_VERSION:
+        raise ValueError(
+            f"{where} has {DATASET_FORMAT} version {doc.get('version')!r}; "
+            f"this reader knows version {DATASET_VERSION}"
+        )
+
+
 def load_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
@@ -76,6 +87,7 @@ def load_dataset(path: str | Path) -> Dataset:
     if path.name.endswith(".meta.json"):
         stem = str(path)[: -len(".meta.json")]
         meta = json.loads(path.read_text())
+        _require_format(meta, str(path))
         _require_keys(meta, ("metadata",), str(path))
         _require_keys(meta["metadata"], ("family",), f"{path} metadata")
         values = np.loadtxt(f"{stem}.values.csv", delimiter=",", ndmin=2)
@@ -83,8 +95,7 @@ def load_dataset(path: str | Path) -> Dataset:
         t = np.loadtxt(f"{stem}.t_coords.csv", delimiter=",")
         return Dataset(SpatioTemporalField(values, x, t), meta["metadata"])
     doc = json.loads(path.read_text())
-    if doc.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path} is not a {DATASET_FORMAT} file")
+    _require_format(doc, str(path))
     _require_keys(doc, ("shape", "values_base64", "x_coords", "t_coords", "metadata"), str(path))
     _require_keys(doc["metadata"], ("family",), f"{path} metadata")
     n_x, n_t = doc["shape"]

@@ -1,8 +1,12 @@
 """Derivative estimation on uniform grids: centered stencils and local polynomial fits.
 
-Both methods only ever evaluate where their full stencil/window fits inside the
-grid; edge strips are dropped from the valid region instead of being
-extrapolated, since biased edge derivatives would contaminate the regression.
+`build_derivative_stack` is the one place a field is differentiated.  It builds
+one kernel per derivative order and axis, either a centered finite-difference
+stencil or the weights of a least-squares local polynomial (`polyfit_kernel`),
+and correlates the field with them, along space first and then time.  Only
+points where the widest kernel fits inside the grid are kept; edge strips are
+dropped from the valid region instead of being extrapolated, since biased edge
+derivatives would contaminate the regression.
 """
 
 from __future__ import annotations
@@ -40,65 +44,6 @@ def polyfit_kernel(width: int, degree: int, order: int, h: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DerivativeField:
-    """One derivative on the full grid; entries outside the valid region are NaN."""
-
-    values: np.ndarray
-    axis: str
-    order: int
-    trim: int  # points dropped at each end of the differentiated axis
-
-    def valid(self) -> np.ndarray:
-        if self.trim == 0:
-            return self.values
-        sl = slice(self.trim, -self.trim)
-        return self.values[sl, :] if self.axis == "space" else self.values[:, sl]
-
-
-def differentiate(
-    field: SpatioTemporalField,
-    axis: str,
-    order: int,
-    method: str = "finite_difference",
-    width: int | None = None,
-    degree: int | None = None,
-) -> DerivativeField:
-    """Differentiate along one axis; returns full-shape values with NaN edges."""
-    if axis not in ("space", "time"):
-        raise ValueError("axis must be 'space' or 'time'")
-    if axis == "time" and order != 1:
-        raise ValueError("time derivatives are only taken at order 1")
-    if not 1 <= order <= MAX_SPACE_ORDER:
-        raise ValueError(f"derivative order must be in 1..{MAX_SPACE_ORDER}")
-    ax = 0 if axis == "space" else 1
-    h = field.dx if axis == "space" else field.dt
-
-    if method == "finite_difference":
-        kernel = _FD_STENCILS[order] / h**order
-    elif method == "poly_fit":
-        if width is None or degree is None:
-            raise ValueError("poly_fit requires width and degree")
-        kernel = polyfit_kernel(width, degree, order, h)
-    else:
-        raise ValueError(f"unknown differentiation method {method!r}")
-
-    trim = len(kernel) // 2
-    if field.values.shape[ax] < len(kernel):
-        raise ValueError(
-            f"grid too small along {axis}: {field.values.shape[ax]} points for a "
-            f"{len(kernel)}-point stencil"
-        )
-    out = ndimage.correlate1d(field.values, kernel, axis=ax, mode="constant", cval=0.0)
-    if trim:
-        edge = [slice(None), slice(None)]
-        edge[ax] = slice(0, trim)
-        out[tuple(edge)] = np.nan
-        edge[ax] = slice(-trim, None)
-        out[tuple(edge)] = np.nan
-    return DerivativeField(out, axis, order, trim)
-
-
-@dataclass(frozen=True)
 class DerivativeStack:
     """u, u_t and spatial derivatives restricted to a common valid region."""
 
@@ -126,8 +71,7 @@ class DerivativeStack:
 def build_derivative_stack(
     field: SpatioTemporalField,
     max_space_order: int = MAX_SPACE_ORDER,
-    space_method: str = "finite_difference",
-    time_method: str = "finite_difference",
+    method: str = "finite_difference",
     space_width: int = 9,
     space_degree: int = 4,
     time_width: int = 5,
@@ -144,49 +88,39 @@ def build_derivative_stack(
     """
     if not 1 <= max_space_order <= MAX_SPACE_ORDER:
         raise ValueError(f"max_space_order must be in 1..{MAX_SPACE_ORDER}")
-    if space_method == "poly_fit" and space_degree < max_space_order:
-        raise ValueError("space poly_fit degree must reach max_space_order")
-    for name, method in (("space", space_method), ("time", time_method)):
-        if method not in ("finite_difference", "poly_fit"):
-            raise ValueError(f"unknown {name} differentiation method {method!r}")
+    orders = range(max_space_order + 1)
+    # kernels indexed by derivative order; None leaves the axis as it is
+    if method == "finite_difference":
+        space = [None] + [_FD_STENCILS[q] / field.dx**q for q in orders[1:]]
+        time = [None, _FD_STENCILS[1] / field.dt]
+    elif method == "poly_fit":
+        space = [polyfit_kernel(space_width, space_degree, q, field.dx) for q in orders]
+        time = [polyfit_kernel(time_width, time_degree, q, field.dt) for q in (0, 1)]
+    else:
+        raise ValueError(f"unknown differentiation method {method!r}")
 
-    def kernel(axis: str, order: int) -> np.ndarray | None:
-        method = space_method if axis == "space" else time_method
-        h = field.dx if axis == "space" else field.dt
-        if method == "finite_difference":
-            return None if order == 0 else _FD_STENCILS[order] / h**order
-        width, degree = (
-            (space_width, space_degree) if axis == "space" else (time_width, time_degree)
-        )
-        return polyfit_kernel(width, degree, order, h)
-
-    def apply_pair(qx: int, qt: int) -> np.ndarray:
-        out = field.values
-        kx = kernel("space", qx)
-        if kx is not None:
-            if field.n_x < kx.size:
-                raise ValueError(f"grid too small along space for a {kx.size}-point stencil")
-            out = ndimage.correlate1d(out, kx, axis=0, mode="constant")
-        kt = kernel("time", qt)
-        if kt is not None:
-            if field.n_t < kt.size:
-                raise ValueError(f"grid too small along time for a {kt.size}-point stencil")
-            out = ndimage.correlate1d(out, kt, axis=1, mode="constant")
-        return out
-
-    trim_x = max(
-        (kernel("space", q).size // 2 for q in range(max_space_order + 1) if kernel("space", q) is not None),
-        default=0,
-    )
-    trim_t = max(
-        (kernel("time", q).size // 2 for q in (0, 1) if kernel("time", q) is not None), default=0
-    )
+    trims = []
+    for axis, kernels, n in (("space", space, field.n_x), ("time", time, field.n_t)):
+        size = max(k.size for k in kernels if k is not None)
+        if n < size:
+            raise ValueError(f"grid too small along {axis}: {n} points for a {size}-point stencil")
+        trims.append(size // 2)
+    trim_x, trim_t = trims
     sx = slice(trim_x, field.n_x - trim_x)
     st = slice(trim_t, field.n_t - trim_t)
+
+    def apply(kx: np.ndarray | None, kt: np.ndarray | None) -> np.ndarray:
+        out = field.values
+        if kx is not None:
+            out = ndimage.correlate1d(out, kx, axis=0, mode="constant")
+        if kt is not None:
+            out = ndimage.correlate1d(out, kt, axis=1, mode="constant")
+        return out[sx, st]
+
     return DerivativeStack(
-        u=apply_pair(0, 0)[sx, st],
-        u_t=apply_pair(0, 1)[sx, st],
-        space={q: apply_pair(q, 0)[sx, st] for q in range(1, max_space_order + 1)},
+        u=apply(space[0], time[0]),
+        u_t=apply(space[0], time[1]),
+        space={q: apply(space[q], time[0]) for q in orders[1:]},
         x_coords=field.x_coords[sx],
         t_coords=field.t_coords[st],
         valid_x=(trim_x, field.n_x - trim_x),

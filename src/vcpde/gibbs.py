@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -37,6 +38,16 @@ ESTIMATE = "estimate"
 
 MIN_RETAINED_DRAWS = 30
 
+# Inverse-gamma (alpha, gamma) prior of the noise variance sigma2.
+SIGMA2_PRIOR = (1e-2, 1e-2)
+
+# Monte Carlo EM: chain length and burn-in of each round, the round cap and
+# the relative change in lambda that counts as converged.
+EM_ITERATIONS = 100
+EM_BURNIN = 30
+EM_MAX_ROUNDS = 20
+EM_RTOL = 1e-3
+
 
 class SamplerError(RuntimeError):
     """The chain reached a numerically invalid state."""
@@ -44,13 +55,12 @@ class SamplerError(RuntimeError):
 
 @dataclass(frozen=True)
 class BglssConfig:
-    """Chain lengths, hyperparameter policy and the inverse-gamma noise prior."""
+    """Chain lengths and hyperparameter policy."""
 
     n_iterations: int = 1000
     n_burnin: int = 200
     lam: Union[float, str] = 1.0  # or ESTIMATE_MC_EM
     pi0: Union[float, str] = ESTIMATE
-    sigma2_prior: tuple[float, float] = (1e-2, 1e-2)
     seed: int = 0
     # diagnostic knobs: hold variance parameters fixed to validate the group
     # update against its analytic conditional
@@ -70,9 +80,6 @@ class BglssConfig:
                 raise ValueError(f"pi0 must be a probability or {ESTIMATE!r}")
         elif not 0.0 <= self.pi0 <= 1.0:
             raise ValueError("fixed pi0 must lie in [0, 1]")
-        alpha, gamma = self.sigma2_prior
-        if alpha <= 0 or gamma <= 0:
-            raise ValueError("sigma2 inverse-gamma prior parameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,37 +110,16 @@ class PosteriorEnsemble:
         return self.beta.shape[0]
 
 
-def _require_ready(ensemble: PosteriorEnsemble) -> None:
-    if ensemble.n_draws == 0:
-        raise ValueError("empty ensemble")
+def posterior_median(ensemble: PosteriorEnsemble) -> CoefficientTrajectories:
+    """Per-coefficient sample median in physical units; spike-majority groups are exactly zero."""
     if ensemble.n_draws < MIN_RETAINED_DRAWS:
         raise ValueError(f"need at least {MIN_RETAINED_DRAWS} retained draws")
-
-
-def posterior_median(ensemble: PosteriorEnsemble, scale: str = "physical") -> CoefficientTrajectories:
-    """Per-coefficient sample median; spike-majority groups come out exactly zero."""
-    _require_ready(ensemble)
-    med = np.median(ensemble.beta, axis=0)
-    if scale == "physical":
-        med = med / ensemble.scales
-    elif scale != "normalized":
-        raise ValueError("scale must be 'physical' or 'normalized'")
+    med = np.median(ensemble.beta, axis=0) / ensemble.scales
     active = ~np.all(med == 0.0, axis=0)
     med[:, ~active] = 0.0
     return CoefficientTrajectories(
         med, active, ensemble.descriptors, ensemble.step_coords, ensemble.varying_axis
     )
-
-
-def posterior_variance(ensemble: PosteriorEnsemble, scale: str = "physical") -> np.ndarray:
-    """Unbiased per-coefficient sample variance of the retained draws."""
-    _require_ready(ensemble)
-    s2 = np.var(ensemble.beta, axis=0, ddof=1)
-    if scale == "physical":
-        return s2 / ensemble.scales**2
-    if scale != "normalized":
-        raise ValueError("scale must be 'physical' or 'normalized'")
-    return s2
 
 
 def sample_posterior(system: GroupedLinearSystem, config: BglssConfig) -> PosteriorEnsemble:
@@ -157,7 +143,7 @@ def _run_chain(
     cty = system.design_target()
     yty = float((system.target**2).sum())
     n_obs = m * n
-    alpha_prior, gamma_prior = config.sigma2_prior
+    alpha_prior, gamma_prior = SIGMA2_PRIOR
     lam = float(config.lam)
     estimate_pi0 = isinstance(config.pi0, str)
 
@@ -257,8 +243,6 @@ def _run_chain(
 
 def dump_ensemble(ensemble: PosteriorEnsemble, path, fmt: str = "npz") -> None:
     """Write the retained draws for external diagnostics (binary or CSV)."""
-    from pathlib import Path
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "npz":
@@ -300,14 +284,7 @@ class HyperparamEstimate:
     n_rounds: int
 
 
-def estimate_hyperparams(
-    system: GroupedLinearSystem,
-    config: BglssConfig,
-    em_iterations: int = 100,
-    em_burnin: int = 30,
-    max_rounds: int = 20,
-    rtol: float = 1e-3,
-) -> HyperparamEstimate:
+def estimate_hyperparams(system: GroupedLinearSystem, config: BglssConfig) -> HyperparamEstimate:
     """Monte Carlo EM for the group-lasso rate lambda plus the mixing weight pi0.
 
     Each round runs a short chain at the current lambda and applies the
@@ -325,10 +302,10 @@ def estimate_hyperparams(
     pi0_hat = float(config.pi0) if fixed_pi0 else 0.5
     converged = False
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, EM_MAX_ROUNDS + 1):
         seed = int(np.random.SeedSequence((config.seed, 0xE3, rounds)).generate_state(1)[0])
         chain_cfg = replace(
-            config, lam=lam, n_iterations=em_iterations, n_burnin=em_burnin, seed=seed
+            config, lam=lam, n_iterations=EM_ITERATIONS, n_burnin=EM_BURNIN, seed=seed
         )
         ens = _run_chain(system, chain_cfg, pi0_init=None if fixed_pi0 else pi0_hat)
         if not fixed_pi0:
@@ -338,14 +315,14 @@ def estimate_hyperparams(
             break
         expected_tau2_total = float(ens.tau2.sum(axis=1).mean())
         new_lam = float(np.sqrt(n_groups * (m + 1) / expected_tau2_total))
-        if abs(new_lam - lam) <= rtol * lam:
+        if abs(new_lam - lam) <= EM_RTOL * lam:
             lam = new_lam
             converged = True
             break
         lam = new_lam
     if not converged and not fixed_lam:
         warnings.warn(
-            f"Monte Carlo EM did not converge in {max_rounds} rounds; using lambda={lam:g}",
+            f"Monte Carlo EM did not converge in {EM_MAX_ROUNDS} rounds; using lambda={lam:g}",
             RuntimeWarning,
         )
     return HyperparamEstimate(lam, pi0_hat, converged, rounds)

@@ -69,9 +69,7 @@ class LibrarySpec:
         return max(t.max_derivative for t in self.terms)
 
     @classmethod
-    def standard(
-        cls, max_poly_power: int = 3, max_deriv_order: int = 4, include_constant: bool = True
-    ) -> "LibrarySpec":
+    def standard(cls, max_poly_power: int = 3, max_deriv_order: int = 4) -> "LibrarySpec":
         """All products u^p * (d^q u / dx^q), p <= max_poly_power, q <= max_deriv_order."""
         terms = []
         for q in range(max_deriv_order + 1):
@@ -81,8 +79,6 @@ class LibrarySpec:
                     factors.append((0, p))
                 if q > 0:
                     factors.append((q, 1))
-                if not factors and not include_constant:
-                    continue
                 terms.append(Term(tuple(factors)))
         return cls(tuple(terms))
 
@@ -182,15 +178,6 @@ class GroupedLinearSystem:
             scales=None if self.scales is None else self.scales[:, indices],
         )
 
-    def dense(self) -> np.ndarray:
-        """Materialize the block-diagonal design (tests and small systems only)."""
-        m, n, g = self.blocks.shape
-        out = np.zeros((m * n, m * g))
-        for i in range(m):
-            out[i * n : (i + 1) * n, i * g : (i + 1) * g] = self.blocks[i]
-        return out
-
-
 
 def assemble_grouped_system(
     term_values: np.ndarray,
@@ -227,15 +214,6 @@ def normalize_columns(system: GroupedLinearSystem) -> GroupedLinearSystem:
             f"{system.step_coords[i]:g}"
         )
     return replace(system, blocks=system.blocks / norms[:, None, :], scales=norms)
-
-
-def lstsq_trajectories(system: GroupedLinearSystem) -> np.ndarray:
-    """Per-step least squares, returned in the system's own column scaling (m, G)."""
-    m = system.n_steps
-    beta = np.empty((m, system.n_groups))
-    for i in range(m):
-        beta[i], *_ = np.linalg.lstsq(system.blocks[i], system.target[i], rcond=None)
-    return beta
 
 
 @dataclass(frozen=True)

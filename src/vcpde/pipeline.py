@@ -143,8 +143,7 @@ def build_system(
     stack = build_derivative_stack(
         field_used,
         max_space_order=library.max_derivative,
-        space_method=diff.method,
-        time_method=diff.method,
+        method=diff.method,
         space_width=diff.space_width,
         space_degree=diff.space_degree,
         time_width=diff.time_width,

@@ -24,7 +24,7 @@ import numpy as np
 from .criteria import group_error_bar, rms_criterion, total_error_bar
 from .gibbs import BglssConfig, PosteriorEnsemble, estimate_hyperparams, sample_posterior
 from .library import CoefficientTrajectories, GroupedLinearSystem
-from .uncertainty import ensemble_bootstrap_cis
+from .uncertainty import CI_LEVEL, CI_RESAMPLES, ensemble_bootstrap_cis
 
 DEFAULT_UPDATE_ITERATIONS = 200
 DEFAULT_UPDATE_BURNIN = 50
@@ -54,10 +54,6 @@ class UpdateRecord:
     removed: tuple[str, ...]
     criteria: dict  # descriptor -> {"rms": float, "group_error_bar": float | None}
     n_iterations: int
-
-    @property
-    def support_after(self) -> tuple[str, ...]:
-        return tuple(d for d in self.support_before if d not in self.removed)
 
 
 @dataclass(frozen=True)
@@ -175,11 +171,8 @@ def run_tbglss(
     update_iterations: int = DEFAULT_UPDATE_ITERATIONS,
     update_burnin: int = DEFAULT_UPDATE_BURNIN,
     final_chains: int = 1,
-    provenance: dict | None = None,
     keep_final_ensemble: bool = False,
     bootstrap_ci: bool = False,
-    ci_level: float = 0.95,
-    ci_resamples: int = 1000,
 ) -> DiscoveryReport:
     """Threshold the spike-and-slab sampler until the sparsity pattern is stable.
 
@@ -280,12 +273,10 @@ def run_tbglss(
             chain_medians = stacked
 
         if bootstrap_ci:
-            per_group = ensemble_bootstrap_cis(
-                ensemble, level=ci_level, n_resamples=ci_resamples, base_seed=config.seed
-            )
+            per_group = ensemble_bootstrap_cis(ensemble, config.seed)
             cis = {
-                "level": ci_level,
-                "n_resamples": ci_resamples,
+                "level": CI_LEVEL,
+                "n_resamples": CI_RESAMPLES,
                 "intervals": {
                     name: [[ci.lower, ci.upper] for ci in group] for name, group in per_group.items()
                 },
@@ -305,7 +296,7 @@ def run_tbglss(
         thresholds=thresholds,
         method="tbglss",
         hyperparameters=hyper,
-        provenance=dict(provenance or {}, seed=config.seed),
+        provenance={"seed": config.seed},
         empty_model=not bool(active_mask.any()),
         chain_medians=chain_medians,
         bootstrap_cis=cis,

@@ -6,10 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import PosteriorEnsemble, posterior_median
+from .gibbs import MIN_RETAINED_DRAWS, PosteriorEnsemble, posterior_median
 
-MIN_DRAWS = 30
 MIN_RESAMPLES = 200
+# level and resample count of the intervals a report carries
+CI_LEVEL = 0.95
+CI_RESAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -34,14 +36,14 @@ class BootstrapCI:
 
 def bootstrap_median_ci(
     draws: np.ndarray,
-    level: float = 0.95,
-    n_resamples: int = 1000,
+    level: float = CI_LEVEL,
+    n_resamples: int = CI_RESAMPLES,
     seed: int = 0,
 ) -> BootstrapCI:
     """Resample with replacement, re-take the median, read off percentiles."""
     draws = np.asarray(draws, dtype=float).ravel()
-    if draws.size < MIN_DRAWS:
-        raise ValueError(f"need at least {MIN_DRAWS} draws, got {draws.size}")
+    if draws.size < MIN_RETAINED_DRAWS:
+        raise ValueError(f"need at least {MIN_RETAINED_DRAWS} draws, got {draws.size}")
     if n_resamples < MIN_RESAMPLES:
         raise ValueError(f"need at least {MIN_RESAMPLES} resamples")
     if not 0.0 < level < 1.0:
@@ -66,25 +68,15 @@ def coefficient_seed(base_seed: int, group: int, step: int) -> int:
     return int(np.random.SeedSequence((base_seed, group, step)).generate_state(1)[0])
 
 
-def ensemble_bootstrap_cis(
-    ensemble: PosteriorEnsemble,
-    level: float = 0.95,
-    n_resamples: int = 1000,
-    base_seed: int = 0,
-    scale: str = "physical",
-) -> dict:
-    """Bootstrap CIs for every coefficient of every active group."""
-    med = posterior_median(ensemble, scale=scale)
+def ensemble_bootstrap_cis(ensemble: PosteriorEnsemble, base_seed: int = 0) -> dict:
+    """Bootstrap CIs, in physical units, for every coefficient of every active group."""
+    med = posterior_median(ensemble)
     out: dict = {}
     for g in np.flatnonzero(med.active):
         name = ensemble.descriptors[g]
-        draws_g = ensemble.beta[:, :, g]
-        if scale == "physical":
-            draws_g = draws_g / ensemble.scales[None, :, g]
+        draws_g = ensemble.beta[:, :, g] / ensemble.scales[None, :, g]
         out[name] = [
-            bootstrap_median_ci(
-                draws_g[:, i], level, n_resamples, coefficient_seed(base_seed, int(g), i)
-            )
+            bootstrap_median_ci(draws_g[:, i], seed=coefficient_seed(base_seed, int(g), i))
             for i in range(draws_g.shape[1])
         ]
     return out

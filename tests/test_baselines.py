@@ -11,9 +11,10 @@ from vcpde.baselines import (
     group_lasso_null_threshold,
     sgtr,
 )
-from vcpde.library import GroupedLinearSystem, lstsq_trajectories, normalize_columns
+from vcpde.library import GroupedLinearSystem, normalize_columns
 
 from conftest import random_grouped_system
+from helpers import lstsq_trajectories
 
 
 def noiseless_system(seed=0, n_steps=4, n_rows=16, n_groups=6):

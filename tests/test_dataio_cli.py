@@ -60,6 +60,20 @@ class TestDatasetArchive:
         assert main(["discover", "--dataset", str(path), "--t-rms", "0.1",
                      "--output", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("format", "other-format", "is not a vcpde-dataset file"),
+        ("version", 2, "version 2"),
+    ], ids=["format", "version"])
+    def test_wrong_format_or_version_rejected(self, small_dataset, tmp_path, fmt, key, value,
+                                              message):
+        path = save_dataset(small_dataset, tmp_path / "d.json", fmt=fmt)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_dataset(path)
+
     def test_dataset_id_stable(self, small_dataset):
         assert small_dataset.dataset_id() == small_dataset.dataset_id()
 
@@ -214,6 +228,31 @@ class TestCli:
         written = load_dataset(tmp_path / "burgers_noise0.02_seed0.json")
         assert written.metadata["noise_level"] == 0.02
         assert written.metadata["n_x"] == 64
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "No such file"),
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"family": "burgers", "iteration": 5000}', "keys no command declares: iteration"),
+    ], ids=["missing", "malformed", "not_an_object", "unknown_key"])
+    def test_bad_config_file_is_validation_error(self, tmp_path, capsys, text, message):
+        config = tmp_path / "cfg.json"
+        if text is not None:
+            config.write_text(text)
+        code = self.run("--config", str(config), "simulate", "--nx", "64", "--nt", "32",
+                        "--output", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not list(tmp_path.glob("burgers*"))
+
+    def test_config_key_of_another_command_accepted(self, tmp_path):
+        # "iterations" belongs to discover and sweep; simulate ignores it
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"family": "burgers", "iterations": 50}))
+        assert self.run("--config", str(config), "simulate", "--nx", "64", "--nt", "32",
+                        "--output", str(tmp_path)) == 0
+        assert (tmp_path / "burgers_noise0_seed0.json").exists()
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VCPDE_OUTPUT_ROOT", str(tmp_path))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcpde.differentiation import build_derivative_stack, differentiate, polyfit_kernel
+from vcpde.differentiation import build_derivative_stack, polyfit_kernel
 from vcpde.fields import SpatioTemporalField
 
 
@@ -15,64 +15,72 @@ def grid_field(fn, n_x=64, n_t=16, x_span=(-3.0, 3.0), t_span=(0.0, 1.0)):
 
 class TestDifferentiate:
     def test_quadratic_second_derivative_exact(self):
-        f = grid_field(lambda x: x**2)
-        d = differentiate(f, "space", 2)
-        interior = d.valid()
-        np.testing.assert_allclose(interior, 2.0, atol=1e-8)
+        stack = build_derivative_stack(grid_field(lambda x: x**2), max_space_order=2)
+        np.testing.assert_allclose(stack.space[2], 2.0, atol=1e-8)
 
     def test_constant_any_order(self):
         f = grid_field(lambda x: np.full_like(x, 3.7))
-        for order in (1, 2, 3, 4):
-            assert np.abs(differentiate(f, "space", order).valid()).max() < 1e-10
+        for method in ("finite_difference", "poly_fit"):
+            stack = build_derivative_stack(f, method=method)
+            for order in (1, 2, 3, 4):
+                assert np.abs(stack.space[order]).max() < 1e-10
+            assert np.abs(stack.u_t).max() < 1e-10
 
     @pytest.mark.parametrize("method,kwargs", [
         ("finite_difference", {}),
-        ("poly_fit", {"width": 9, "degree": 5}),
+        ("poly_fit", {"space_width": 9, "space_degree": 5}),
     ])
     def test_sin_fourth_derivative_second_order(self, method, kwargs):
         errs = []
         for n in (65, 129):
-            f = grid_field(np.sin, n_x=n)
-            d = differentiate(f, "space", 4, method, **kwargs)
-            exact = np.sin(f.x_coords)[:, None] * np.ones(f.n_t)[None, :]
-            sl = slice(d.trim, -d.trim)
-            errs.append(np.abs(d.values[sl] - exact[sl]).max())
+            stack = build_derivative_stack(grid_field(np.sin, n_x=n), method=method, **kwargs)
+            exact = np.sin(stack.x_coords)[:, None]
+            errs.append(np.abs(stack.space[4] - exact).max())
         rate = np.log2(errs[0] / errs[1])
         assert rate >= 2.0 - 0.3  # formal order two within tolerance
 
     def test_valid_region_marked(self):
         f = grid_field(np.sin)
-        d = differentiate(f, "space", 4)
-        assert d.trim == 2
-        assert np.isnan(d.values[:2, :]).all() and np.isnan(d.values[-2:, :]).all()
-        assert np.isfinite(d.valid()).all()
+        # the widest kernel sets the trim: 5-point stencils from order 3 on, 3-point below
+        for max_order, trim_x in ((2, 1), (4, 2)):
+            stack = build_derivative_stack(f, max_space_order=max_order)
+            assert stack.valid_x == (trim_x, f.n_x - trim_x) and stack.valid_t == (1, f.n_t - 1)
+            np.testing.assert_array_equal(stack.x_coords, f.x_coords[trim_x:-trim_x])
+            np.testing.assert_array_equal(stack.t_coords, f.t_coords[1:-1])
+            np.testing.assert_array_equal(stack.u, f.values[trim_x:-trim_x, 1:-1])
+            assert all(np.isfinite(a).all() for a in stack.space.values())
+        stack = build_derivative_stack(f, method="poly_fit", space_width=7, time_width=5)
+        assert stack.valid_x == (3, f.n_x - 3) and stack.valid_t == (2, f.n_t - 2)
 
     def test_time_derivative(self):
         x = np.linspace(0, 1, 8)
         t = np.linspace(0, 1, 32)
         f = SpatioTemporalField(np.ones(8)[:, None] * t[None, :] ** 2, x, t)
-        d = differentiate(f, "time", 1)
-        exact = np.ones(8)[:, None] * (2 * t)[None, :]
-        sl = slice(1, -1)
-        np.testing.assert_allclose(d.values[:, sl], exact[:, sl], atol=1e-8)
+        stack = build_derivative_stack(f, max_space_order=1)
+        exact = np.ones(stack.x_coords.size)[:, None] * (2 * stack.t_coords)[None, :]
+        np.testing.assert_allclose(stack.u_t, exact, atol=1e-8)
 
     def test_rejects_high_order_and_bad_windows(self):
         f = grid_field(np.sin)
-        with pytest.raises(ValueError):
-            differentiate(f, "space", 5)
-        with pytest.raises(ValueError):
-            differentiate(f, "time", 2)
-        with pytest.raises(ValueError):
-            differentiate(f, "space", 2, "poly_fit", width=8, degree=3)  # even width
-        with pytest.raises(ValueError):
-            differentiate(f, "space", 3, "poly_fit", width=7, degree=2)  # degree < order
-        with pytest.raises(ValueError):
-            differentiate(f, "space", 2, "poly_fit", width=5, degree=5)  # width <= degree
+        for order in (0, 5):
+            with pytest.raises(ValueError, match="max_space_order"):
+                build_derivative_stack(f, max_space_order=order)
+        with pytest.raises(ValueError, match="unknown differentiation method"):
+            build_derivative_stack(f, method="spectral")
+        with pytest.raises(ValueError, match="odd"):
+            build_derivative_stack(f, 2, "poly_fit", space_width=8, space_degree=3)
+        with pytest.raises(ValueError, match="odd"):
+            build_derivative_stack(f, 2, "poly_fit", time_width=4)
+        with pytest.raises(ValueError, match="degree must be at least"):
+            build_derivative_stack(f, 3, "poly_fit", space_width=7, space_degree=2)
+        with pytest.raises(ValueError, match="exceed the degree"):
+            build_derivative_stack(f, 2, "poly_fit", space_width=5, space_degree=5)
 
     def test_grid_too_small(self):
-        f = grid_field(np.sin, n_x=8)
-        with pytest.raises(ValueError, match="too small"):
-            differentiate(f, "space", 2, "poly_fit", width=9, degree=4)
+        with pytest.raises(ValueError, match="too small along space"):
+            build_derivative_stack(grid_field(np.sin, n_x=8), 2, "poly_fit")
+        with pytest.raises(ValueError, match="too small along time"):
+            build_derivative_stack(grid_field(np.sin, n_t=2))
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
@@ -80,8 +88,9 @@ class TestDifferentiate:
         f = grid_field(np.sin)
         g = grid_field(np.cos)
         combo = f.with_values(a * f.values + b * g.values)
-        lhs = differentiate(combo, "space", 2).valid()
-        rhs = a * differentiate(f, "space", 2).valid() + b * differentiate(g, "space", 2).valid()
+        lhs = build_derivative_stack(combo, max_space_order=2).space[2]
+        rhs = (a * build_derivative_stack(f, max_space_order=2).space[2]
+               + b * build_derivative_stack(g, max_space_order=2).space[2])
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -113,10 +122,8 @@ class TestDerivativeStack:
         from vcpde.solvers import burgers_scenario, solve_burgers
 
         smooth = solve_burgers(burgers_scenario(mu=lambda t: 0.0, mu_formula="0"))
-        s7 = build_derivative_stack(smooth, space_method="poly_fit", space_width=7,
-                                    space_degree=4, time_method="poly_fit")
-        s9 = build_derivative_stack(smooth, space_method="poly_fit", space_width=9,
-                                    space_degree=4, time_method="poly_fit")
+        s7 = build_derivative_stack(smooth, method="poly_fit", space_width=7, space_degree=4)
+        s9 = build_derivative_stack(smooth, method="poly_fit", space_width=9, space_degree=4)
         a = s7.space[1][2:-2, :]  # restrict to the common interior
         b = s9.space[1][1:-1, :]
         assert np.linalg.norm(a - b) / np.linalg.norm(b) <= 1e-4
@@ -129,11 +136,11 @@ class TestDerivativeStack:
         noisy = np.sin(2 * np.pi * x)[:, None] * np.ones(32)[None, :]
         noisy = noisy + 0.1 * rng.standard_normal(noisy.shape)
         f = SpatioTemporalField(noisy, x, t)
-        stack = build_derivative_stack(f, space_method="poly_fit", time_method="poly_fit")
+        stack = build_derivative_stack(f, method="poly_fit")
         sx, st = slice(*stack.valid_x), slice(*stack.valid_t)
         assert not np.array_equal(stack.u, noisy[sx, st])
         assert stack.u.std() < noisy[sx, st].std()
 
     def test_degree_must_reach_order(self, burgers_field):
         with pytest.raises(ValueError):
-            build_derivative_stack(burgers_field, space_method="poly_fit", space_degree=3)
+            build_derivative_stack(burgers_field, method="poly_fit", space_degree=3)

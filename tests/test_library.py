@@ -12,9 +12,10 @@ from vcpde.library import (
     ZeroColumnError,
     assemble_grouped_system,
     evaluate_terms,
-    lstsq_trajectories,
     normalize_columns,
 )
+
+from helpers import dense, lstsq_trajectories
 
 
 def analytic_stack(u_fn, ut_fn, derivs, x, t):
@@ -174,8 +175,8 @@ class TestBlockStructure:
         system = GroupedLinearSystem(blocks, rng.standard_normal((m, n)),
                                      tuple("abcd"), "time", np.arange(float(m)))
         beta = rng.standard_normal((m, g))
-        dense = system.dense() @ beta.reshape(-1)
-        np.testing.assert_allclose(system.matvec(beta).reshape(-1), dense, atol=1e-10)
+        expected = dense(system) @ beta.reshape(-1)
+        np.testing.assert_allclose(system.matvec(beta).reshape(-1), expected, atol=1e-10)
 
     def test_subsystem_group_bookkeeping(self):
         system, lib = manufactured_exponential_system(normalize=True)

@@ -15,6 +15,7 @@ from vcpde.solvers import TrueCoefficients
 from vcpde.tbglss import ThresholdSpec
 
 from conftest import random_grouped_system
+from helpers import lstsq_trajectories
 
 
 def perfect_fit_system(seed=0, n_steps=3, n_rows=8, n_groups=4):
@@ -55,8 +56,6 @@ class TestAicLoss:
         assert l1 - l2 == pytest.approx(expected, rel=1e-9)
 
     def test_true_support_beats_supersets_on_clean_burgers(self, burgers_system, library20):
-        from vcpde.library import lstsq_trajectories
-
         m = burgers_system.n_steps
         true_idx = [library20.descriptors.index(n) for n in ("u*u_x", "u_xx")]
         losses = {}

@@ -138,13 +138,12 @@ class TestReportSerialization:
         rng = np.random.default_rng(8)
         system, _, _ = random_grouped_system(rng)
         report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5),
-                            BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3),
-                            provenance={"dataset_id": "test123"})
+                            BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3))
         path = tmp_path / "report.json"
         report.to_json(path)
         doc = json.loads(path.read_text())
         assert doc["method"] == "tbglss"
-        assert doc["provenance"]["dataset_id"] == "test123"
+        assert doc["provenance"] == {"seed": 3}
         assert doc["thresholds"] == {"t_rms": 0.05, "t_ge": 0.5}
         assert len(doc["trajectories"]) == system.n_steps
         assert doc["selected"] == list(report.selected)

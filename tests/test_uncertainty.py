@@ -74,7 +74,7 @@ class TestPerCoefficientSeeds:
         beta = np.zeros((120, 3, 2))
         beta[:, :, 0] = 2.0 + 0.05 * rng.standard_normal((120, 3))
         ens = synthetic_ensemble(beta, spike=np.tile([False, True], (120, 1)))
-        cis = ensemble_bootstrap_cis(ens, n_resamples=300, base_seed=11)
+        cis = ensemble_bootstrap_cis(ens, base_seed=11)
         assert set(cis) == {"g0"}
         assert len(cis["g0"]) == 3
         for ci in cis["g0"]:
@@ -93,7 +93,7 @@ class TestReportIntegration:
         system, _, _ = random_grouped_system(rng, n_rows=24)
         report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5),
                             BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=6),
-                            keep_final_ensemble=True, bootstrap_ci=True, ci_resamples=300)
+                            keep_final_ensemble=True, bootstrap_ci=True)
         assert report.final_ensemble is not None
         assert set(report.bootstrap_cis["intervals"]) == set(report.selected)
         for name in report.selected:

@@ -33,12 +33,12 @@ from .pipeline import (
     build_system,
     discover,
     filter_dataset,
+    noisy_dataset,
     simulate_dataset,
 )
 from .selection import MethodConfig, SweepFailedError, fit, sweep
 from .solvers import (
     PdeScenario,
-    TrueCoefficients,
     add_noise,
     advection_diffusion_scenario,
     burgers_scenario,

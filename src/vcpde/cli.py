@@ -1,11 +1,15 @@
 """Command-line interface: simulate, filter, discover, sweep, reproduce-paper.
 
-Configuration precedence is command line > --config file > built-in defaults;
-the config file is a flat JSON object whose keys are the long option names
-with dashes replaced by underscores, and a key that no subcommand declares is
-a validation error.  Every output embeds the options and seeds needed to
-reproduce it bit-for-bit.  Exit codes: 0 success (including documented
-expected-failure scenarios), 1 validation error, 2 numerical failure.
+The commands parse options, call the library and print; the library holds the
+decisions.  Configuration precedence is command line > --config file >
+built-in defaults, and the defaults of the sampler, method, differentiation
+and library options are those of BglssConfig, MethodConfig,
+DifferentiationSpec and LibrarySpec.standard.  The config file is a flat JSON
+object whose keys are the long option names with dashes replaced by
+underscores, and a key that no subcommand declares is a validation error.
+Every output embeds the options and seeds needed to reproduce it bit-for-bit.
+Exit codes: 0 success (including documented expected-failure scenarios),
+1 validation error (including a path that cannot be read), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,80 +24,22 @@ import numpy as np
 
 from .dataio import load_dataset, save_dataset, save_report
 from .fields import GridError
-from .filters import FilterSpec, data_mse, filter_sweep
-from .gibbs import ESTIMATE, BglssConfig, SamplerError, dump_ensemble
+from .filters import FILTER_KINDS, FilterSpec, data_mse, filter_sweep, parameter_name
+from .gibbs import BglssConfig, SamplerError, dump_ensemble
 from .library import LibrarySpec, ZeroColumnError
 from .pipeline import (
-    Dataset,
     DifferentiationSpec,
     build_system,
     discover,
     filter_dataset,
+    noisy_dataset,
     simulate_dataset,
 )
 from .selection import AXIS_METHODS, SWEEP_AXES, MethodConfig, SweepFailedError, default_grid, sweep
-from .solvers import (
-    SolverBlowupError,
-    advection_diffusion_scenario,
-    burgers_scenario,
-    ks_scenario,
-    solve,
-    true_coefficients,
-)
+from .solvers import SolverBlowupError, make_scenario, scenario_from_metadata, true_coefficients
 from .tbglss import ThresholdSpec
 
 OUTPUT_ROOT_ENV = "VCPDE_OUTPUT_ROOT"
-
-FAMILY_ALIASES = {
-    "burgers": "burgers",
-    "advection_diffusion": "advection_diffusion",
-    "advection-diffusion": "advection_diffusion",
-    "ad": "advection_diffusion",
-    "kuramoto_sivashinsky": "kuramoto_sivashinsky",
-    "kuramoto-sivashinsky": "kuramoto_sivashinsky",
-    "ks": "kuramoto_sivashinsky",
-}
-
-_FACTORIES = {
-    "burgers": burgers_scenario,
-    "advection_diffusion": advection_diffusion_scenario,
-    "kuramoto_sivashinsky": ks_scenario,
-}
-
-
-def make_scenario(family: str, n_x: int | None = None, n_t: int | None = None,
-                  x_span=None, t_span=None):
-    family = FAMILY_ALIASES.get(family.lower())
-    if family is None:
-        raise ValueError(f"unknown family; choose one of {sorted(set(FAMILY_ALIASES))}")
-    kwargs = {}
-    if n_x is not None:
-        kwargs["n_x"] = n_x
-    if n_t is not None:
-        kwargs["n_t"] = n_t
-    if x_span is not None:
-        kwargs["x_span"] = x_span
-    if t_span is not None:
-        kwargs["t_span"] = t_span
-    return _FACTORIES[family](**kwargs)
-
-
-def scenario_from_metadata(metadata: dict):
-    """Rebuild a built-in scenario from dataset metadata (for ground truth)."""
-    family = metadata.get("family")
-    if family not in _FACTORIES:
-        raise ValueError(f"cannot rebuild scenario for family {family!r}")
-    reference = _FACTORIES[family]()
-    if metadata.get("coefficients") != reference.coefficient_formulas or (
-        metadata.get("initial_condition") != reference.ic_formula
-    ):
-        raise ValueError("ground truth is only available for the built-in scenario coefficients")
-    return _FACTORIES[family](
-        x_span=tuple(metadata["x_span"]),
-        t_span=tuple(metadata["t_span"]),
-        n_x=metadata["n_x"],
-        n_t=metadata["n_t"],
-    )
 
 
 def _out_root(value: str | None) -> Path:
@@ -129,59 +75,50 @@ def _dataset_stem(metadata: dict) -> str:
     return f"{metadata['family']}_noise{noise:g}_seed{metadata.get('seed', 0)}"
 
 
-def _filter_spec_from_args(args) -> FilterSpec:
-    kind = args.kind.replace("-", "_")
-    if kind == "moving_average":
-        return FilterSpec.moving_average(args.window, axis=args.axis)
-    if kind == "savitzky_golay":
-        return FilterSpec.savitzky_golay(args.window, args.polyorder, axis=args.axis)
-    if kind == "zero_phase_lowpass":
-        if args.cutoff is None:
-            raise ValueError("zero_phase_lowpass needs --cutoff")
-        return FilterSpec.zero_phase_lowpass(args.cutoff, args.order, axis=args.axis)
-    raise ValueError(f"unknown filter kind {args.kind!r}")
+# Options whose default is the library's: option dest -> the field it sets.
+BGLSS_OPTIONS = {"iterations": "n_iterations", "burnin": "n_burnin", "lam": "lam", "pi0": "pi0",
+                 "seed": "seed"}
+METHOD_OPTIONS = {name: name for name in ("update_iterations", "update_burnin", "final_chains",
+                                          "with_ci", "sgtr_threshold", "sgtr_ridge", "lasso_lam")}
+DIFF_OPTIONS = {"diff_method": "method", "space_width": "space_width",
+                "space_degree": "space_degree", "time_width": "time_width",
+                "time_degree": "time_degree"}
+LIBRARY_OPTIONS = {"max_power": "max_poly_power", "max_derivative": "max_deriv_order"}
+
+
+def _given(args, options: dict) -> dict:
+    """The fields set by the options in `args` that have a value; unset ones keep their default."""
+    return {field: getattr(args, dest) for dest, field in options.items()
+            if getattr(args, dest, None) is not None}
 
 
 def _diff_spec_from_args(args) -> DifferentiationSpec:
-    return DifferentiationSpec(
-        method=args.diff_method,
-        space_width=args.space_width,
-        space_degree=args.space_degree,
-        time_width=args.time_width,
-        time_degree=args.time_degree,
-    )
+    return DifferentiationSpec(**_given(args, DIFF_OPTIONS))
 
 
 def _library_from_args(args) -> LibrarySpec:
-    return LibrarySpec.standard(args.max_power, args.max_derivative)
+    return LibrarySpec.standard(**_given(args, LIBRARY_OPTIONS))
 
 
-# Sampler and SGTR options that discover and sweep share: flag, type, default, help.
+# Sampler and SGTR options that discover and sweep share: flag, type, help.
 SAMPLER_OPTIONS = (
-    ("--t-rms", float, None, "group RMS threshold"),
-    ("--t-ge", float, None, "group error bar threshold"),
-    ("--lam", float, None, "group-lasso rate (default 1.0)"),
-    ("--pi0", float, None, "fixed spike weight (default: estimate)"),
-    ("--iterations", int, 1000, "final chain length"),
-    ("--burnin", int, 200, None),
-    ("--seed", int, 0, "sampler seed"),
-    ("--sgtr-ridge", float, 1e-5, None),
+    ("--t-rms", float, "group RMS threshold"),
+    ("--t-ge", float, "group error bar threshold"),
+    ("--lam", float, f"group-lasso rate (default {BglssConfig.lam})"),
+    ("--pi0", float, f"fixed spike weight (default: {BglssConfig.pi0})"),
+    ("--iterations", int, "final chain length"),
+    ("--burnin", int, None),
+    ("--seed", int, "sampler seed"),
+    ("--sgtr-ridge", float, None),
 )
-SAMPLER_DEFAULTS = {flag[2:].replace("-", "_"): default for flag, _, default, _ in SAMPLER_OPTIONS}
 
 
-def _method_config(options, method: str, thresholds: ThresholdSpec | None = None,
+def _method_config(args, method: str, thresholds: ThresholdSpec | None = None,
                    **fields) -> MethodConfig:
-    """The MethodConfig of every command: `options` holds the SAMPLER_OPTIONS values."""
-    bglss = BglssConfig(
-        n_iterations=options.iterations,
-        n_burnin=options.burnin,
-        lam=1.0 if options.lam is None else options.lam,
-        pi0=ESTIMATE if options.pi0 is None else options.pi0,
-        seed=options.seed,
-    )
-    return MethodConfig(method=method, thresholds=thresholds, bglss=bglss,
-                        sgtr_ridge=options.sgtr_ridge, **fields)
+    """The MethodConfig of every command, from the BGLSS_OPTIONS and METHOD_OPTIONS `args` sets."""
+    return MethodConfig(method=method, thresholds=thresholds,
+                        bglss=BglssConfig(**_given(args, BGLSS_OPTIONS)),
+                        **_given(args, METHOD_OPTIONS), **fields)
 
 
 def _require(value, name: str):
@@ -195,16 +132,15 @@ def cmd_simulate(args) -> int:
     scenario = make_scenario(args.family, args.nx, args.nt,
                              _parse_span(args.x_span) if args.x_span else None,
                              _parse_span(args.t_span) if args.t_span else None)
-    dataset = simulate_dataset(scenario, args.noise, args.seed)
+    clean = simulate_dataset(scenario, seed=args.seed)
+    dataset = noisy_dataset(clean, args.noise, args.seed)
     outdir = _out_root(args.output)
     stem = _dataset_stem(dataset.metadata)
     ext = ".json" if args.format == "json" else ""
     path = save_dataset(dataset, outdir / f"{stem}{ext}", fmt=args.format)
     print(f"wrote {path}")
     if args.noise > 0:
-        clean = Dataset(solve(scenario), {**dataset.metadata, "noise_level": 0.0})
-        mse = data_mse(dataset.field, clean.field)
-        print(f"data MSE vs clean: {mse!r}")
+        print(f"data MSE vs clean: {data_mse(dataset.field, clean.field)!r}")
         if args.write_clean:
             clean_path = save_dataset(clean, outdir / f"{stem}_clean{ext}", fmt=args.format)
             print(f"wrote {clean_path}")
@@ -213,14 +149,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_filter(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
-    _require(args.kind, "kind")
-    spec = _filter_spec_from_args(args)
+    name = parameter_name(_require(args.kind, "kind"))
+    spec = FilterSpec.of(args.kind, _require(getattr(args, name), name), args.polyorder,
+                         args.order, args.axis)
     filtered = filter_dataset(dataset, spec)
-    if spec.kind == "zero_phase_lowpass":
-        tag = f"{spec.kind}{spec.cutoff:g}"
-    else:
-        tag = f"{spec.kind}{spec.window}"
     ext = ".json" if args.format == "json" else ""
+    tag = f"{spec.kind}{spec.parameter:g}"
     out = _out_root(args.output) / f"{_dataset_stem(dataset.metadata)}_{tag}{ext}"
     path = save_dataset(filtered, out, fmt=args.format)
     print(f"wrote {path}")
@@ -232,18 +166,10 @@ def cmd_filter(args) -> int:
 
 def cmd_discover(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
-    method_config = _method_config(
-        args,
-        args.method,
-        ThresholdSpec(t_rms=args.t_rms, t_ge=args.t_ge) if args.method == "tbglss" else None,
-        update_iterations=args.update_iterations,
-        update_burnin=args.update_burnin,
-        final_chains=args.final_chains,
-        with_ci=args.with_ci,
-        keep_final_ensemble=bool(args.dump_trace),
-        sgtr_threshold=args.sgtr_threshold,
-        lasso_lam=args.lasso_lam,
-    )
+    method = args.method or MethodConfig.method
+    thresholds = ThresholdSpec(t_rms=args.t_rms, t_ge=args.t_ge) if method == "tbglss" else None
+    method_config = _method_config(args, method, thresholds,
+                                   keep_final_ensemble=bool(args.dump_trace))
     report = discover(
         dataset,
         method_config,
@@ -273,13 +199,11 @@ def cmd_sweep(args) -> int:
         if not args.clean:
             raise ValueError("filter sweeps need --clean for the reference field")
         clean = load_dataset(args.clean)
-        kind = args.filter.replace("-", "_")
-        if kind in ("moving_average", "savitzky_golay"):
-            if not args.windows:
-                raise ValueError("window-based filter sweeps need --windows start:stop:step")
-            grid = _parse_int_range(args.windows)
+        kind = args.filter
+        if parameter_name(kind) == "cutoff":
+            grid = _parse_range(args.cutoffs) if args.cutoffs else None
         else:
-            grid = _parse_range(args.cutoffs) if args.cutoffs else np.arange(0.02, 0.2001, 0.0025)
+            grid = _parse_int_range(args.windows) if args.windows else None
         curve = filter_sweep(dataset.field, clean.field, kind, grid,
                              polyorder=args.polyorder, butterworth_order=args.order, axis=args.axis)
         stem = outdir / f"filter_sweep_{kind}"
@@ -298,8 +222,8 @@ def cmd_sweep(args) -> int:
     grid = _parse_range(args.range, log=args.log) if args.range else default_grid(axis, system)
     truth = None
     if args.with_truth:
-        scenario = scenario_from_metadata(dataset.metadata)
-        truth = true_coefficients(scenario, _library_from_args(args), step_coords=system.step_coords)
+        truth = true_coefficients(scenario_from_metadata(dataset.metadata),
+                                  _library_from_args(args), step_coords=system.step_coords)
     method = AXIS_METHODS[axis]
     thresholds = None
     if method == "tbglss":  # sweep sets the swept threshold at each point; 0.0 holds its place
@@ -323,60 +247,54 @@ BENCHMARK_CELLS = {
 
 def cmd_reproduce(args) -> int:
     """Run the benchmark grid: three equations x noise levels x three methods,
-    the t_GE model-selection sweep, and the 5% Burgers filter study."""
-    options = argparse.Namespace(**{**SAMPLER_DEFAULTS, "seed": args.seed})
+    the t_GE model-selection sweep, and the 5% Burgers filter study.  Each
+    family is solved once; every dataset of it adds its noise to that solve."""
     outdir = _out_root(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     done = []
+    solved = {}
 
     def wanted(cell: str) -> bool:
         return args.only is None or args.only in cell
 
+    def data(family: str, noise: float):
+        if family not in solved:
+            solved[family] = simulate_dataset(make_scenario(family), seed=args.seed)
+        return noisy_dataset(solved[family], noise, args.seed)
+
     for family, spec in BENCHMARK_CELLS.items():
         for noise in spec["noises"]:
-            cell_data = None
             for method in ("tbglss", "sgtr", "group_lasso"):
                 cell = f"{family}_noise{noise:g}_{method}"
                 if not wanted(cell):
                     continue
-                if cell_data is None:
-                    scenario = make_scenario(family)
-                    cell_data = simulate_dataset(scenario, noise, seed=args.seed)
                 t_rms, t_ge = spec["thresholds"][noise]
                 thresholds = ThresholdSpec(t_rms, t_ge) if method == "tbglss" else None
-                report = discover(cell_data, _method_config(options, method, thresholds))
+                report = discover(data(family, noise), _method_config(args, method, thresholds))
                 save_report(report, outdir / cell)
                 done.append(cell)
                 print(f"[{cell}] {report.rendered_equation()}")
 
     if wanted("ad_tge_sweep"):
-        scenario = make_scenario("advection_diffusion")
-        dataset = simulate_dataset(scenario, 0.02, seed=args.seed)
-        system = build_system(dataset)
-        truth = true_coefficients(scenario, LibrarySpec.standard(), step_coords=system.step_coords)
-        base = _method_config(options, "tbglss", ThresholdSpec(t_rms=0.01))
-        curve = sweep(system, "t_ge", np.linspace(0.02, 0.22, 11), base, truth=truth)
+        system = build_system(data("advection_diffusion", 0.02))
+        truth = true_coefficients(make_scenario("advection_diffusion"), LibrarySpec.standard(),
+                                  step_coords=system.step_coords)
+        base = _method_config(args, "tbglss", ThresholdSpec(t_rms=0.01))
+        curve = sweep(system, "t_ge", default_grid("t_ge"), base, truth=truth)
         curve.to_csv(outdir / "ad_tge_sweep.csv")
         curve.to_json(outdir / "ad_tge_sweep.json")
         done.append("ad_tge_sweep")
         print(f"[ad_tge_sweep] argmin {curve.argmin!r}")
 
     if wanted("burgers_filter_study"):
-        scenario = make_scenario("burgers")
-        clean = Dataset(solve(scenario), {**scenario.metadata(), "noise_level": 0.0, "seed": args.seed})
-        noisy = simulate_dataset(scenario, 0.05, seed=args.seed)
+        clean, noisy = data("burgers", 0.0), data("burgers", 0.05)
         print(f"[burgers_filter_study] 5% data MSE {data_mse(noisy.field, clean.field)!r}")
-        sweeps = {
-            "moving_average": range(5, 23, 2),
-            "savitzky_golay": range(5, 63, 2),
-            "zero_phase_lowpass": np.arange(0.02, 0.2001, 0.0025),
-        }
-        for kind, grid in sweeps.items():
-            curve = filter_sweep(noisy.field, clean.field, kind, grid)
+        for kind in FILTER_KINDS:
+            curve = filter_sweep(noisy.field, clean.field, kind)
             curve.to_csv(outdir / f"burgers_filter_{kind}.csv")
             print(f"[burgers_filter_study] {kind}: argmin {curve.argmin!r} min {curve.min_mse!r}")
-        mc = _method_config(options, "tbglss", ThresholdSpec(0.01, 0.1))
-        filtered = filter_dataset(noisy, FilterSpec.moving_average(13))
+        mc = _method_config(args, "tbglss", ThresholdSpec(0.01, 0.1))
+        filtered = filter_dataset(noisy, FilterSpec.of("moving_average", 13))
         for tag, ds in (("unfiltered", noisy), ("moving_average_13", filtered)):
             report = discover(ds, mc)
             save_report(report, outdir / f"burgers_5pct_{tag}")
@@ -402,31 +320,32 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"output directory (default: ${OUTPUT_ROOT_ENV} or '.')")
 
     def add_sampler_options(p):
-        for flag, kind, default, text in SAMPLER_OPTIONS:
-            p.add_argument(flag, type=kind, default=default, help=text)
+        for flag, kind, text in SAMPLER_OPTIONS:
+            p.add_argument(flag, type=kind, default=None, help=text)
 
     def add_method_options(p):
-        p.add_argument("--method", default="tbglss", choices=("tbglss", "sgtr", "group_lasso"))
+        p.add_argument("--method", default=None, choices=("tbglss", "sgtr", "group_lasso"))
         add_sampler_options(p)
-        p.add_argument("--update-iterations", type=int, default=200, help="screening chain length")
-        p.add_argument("--update-burnin", type=int, default=50)
-        p.add_argument("--final-chains", type=int, default=1)
+        p.add_argument("--update-iterations", type=int, default=None, help="screening chain length")
+        p.add_argument("--update-burnin", type=int, default=None)
+        p.add_argument("--final-chains", type=int, default=None)
         p.add_argument("--sgtr-threshold", type=float, default=None)
         p.add_argument("--lasso-lam", type=float, default=None)
         add_diff_options(p)
         add_library_options(p)
 
     def add_diff_options(p):
-        p.add_argument("--diff-method", default="auto",
+        p.add_argument("--diff-method", default=None,
                        choices=("auto", "finite_difference", "poly_fit"))
-        p.add_argument("--space-width", type=int, default=9)
-        p.add_argument("--space-degree", type=int, default=4)
-        p.add_argument("--time-width", type=int, default=5)
-        p.add_argument("--time-degree", type=int, default=3)
+        p.add_argument("--space-width", type=int, default=None)
+        p.add_argument("--space-degree", type=int, default=None)
+        p.add_argument("--time-width", type=int, default=None)
+        p.add_argument("--time-degree", type=int, default=None)
 
     def add_library_options(p):
-        p.add_argument("--max-power", type=int, default=3, help="highest power of u")
-        p.add_argument("--max-derivative", type=int, default=4, help="highest x-derivative order")
+        p.add_argument("--max-power", type=int, default=None, help="highest power of u")
+        p.add_argument("--max-derivative", type=int, default=None,
+                       help="highest x-derivative order")
 
     p = sub.add_parser("simulate", help="solve a scenario and write a dataset archive")
     p.add_argument("--family", default=None)
@@ -444,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="denoise a dataset with one of the preprocessing filters")
     p.add_argument("--dataset", default=None)
-    p.add_argument("--kind", default=None,
-                   choices=("moving_average", "savitzky_golay", "zero_phase_lowpass"))
+    p.add_argument("--kind", default=None, choices=FILTER_KINDS)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--polyorder", type=int, default=3)
     p.add_argument("--cutoff", type=float, default=None)
@@ -475,11 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-truth", action="store_true",
                    help="also record coefficient MSE against the built-in scenario truth")
     add_sampler_options(p)
-    p.add_argument("--filter", default=None,
-                   choices=("moving_average", "savitzky_golay", "zero_phase_lowpass"),
+    p.add_argument("--filter", default=None, choices=FILTER_KINDS,
                    help="sweep a filter parameter instead of a method parameter")
-    p.add_argument("--windows", default=None, help="start:stop:step (odd windows)")
-    p.add_argument("--cutoffs", default=None, help="lo:hi:count for the lowpass cutoff")
+    p.add_argument("--windows", default=None,
+                   help="start:stop:step (odd windows; default: the kind's built-in grid)")
+    p.add_argument("--cutoffs", default=None,
+                   help="lo:hi:count for the lowpass cutoff (default: the built-in grid)")
     p.add_argument("--polyorder", type=int, default=3)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--clean", default=None)
@@ -528,7 +447,7 @@ def main(argv=None) -> int:
         elif remaining:
             parser.error(f"unrecognized arguments: {' '.join(remaining)}")
         return args.func(args)
-    except (ValueError, GridError, ZeroColumnError, FileNotFoundError) as exc:
+    except (ValueError, GridError, ZeroColumnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverBlowupError, SamplerError, SweepFailedError, np.linalg.LinAlgError,

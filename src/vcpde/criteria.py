@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .library import CoefficientTrajectories, GroupedLinearSystem
-from .solvers import TrueCoefficients
 
 DEFAULT_EPSILON = 1e-6
 
@@ -83,7 +82,7 @@ def empty_model_scores(system: GroupedLinearSystem) -> tuple[float, float]:
     return aic_loss(system, np.zeros((system.n_steps, system.n_groups)), 0), 0.0
 
 
-def coefficient_mse(estimated: CoefficientTrajectories, truth: TrueCoefficients) -> float:
+def coefficient_mse(estimated: CoefficientTrajectories, truth: CoefficientTrajectories) -> float:
     """Mean squared coefficient error over every (term, step) pair."""
     if estimated.descriptors != truth.descriptors:
         raise ValueError("term libraries differ between estimate and truth")

@@ -2,7 +2,10 @@
 
 Filters run along one grid axis, slice by slice over the other.  The moving
 average trims the window half-width off each end of the filtered axis (edges
-are cut rather than padded); the other two preserve length.
+are cut rather than padded); the other two preserve length.  Each kind has one
+parameter, the window width or the lowpass cutoff: `FilterSpec.of` builds a
+filter from it and `filter_sweep` sweeps it, over DEFAULT_GRIDS unless given
+a grid.
 """
 
 from __future__ import annotations
@@ -17,6 +20,17 @@ from scipy import ndimage, signal
 from .fields import GridError, SpatioTemporalField
 
 FILTER_KINDS = ("moving_average", "savitzky_golay", "zero_phase_lowpass")
+# The grid a filter sweep uses by default for each kind's parameter.
+DEFAULT_GRIDS = {
+    "moving_average": range(5, 23, 2),
+    "savitzky_golay": range(5, 63, 2),
+    "zero_phase_lowpass": np.arange(0.02, 0.2001, 0.0025),
+}
+
+
+def parameter_name(kind: str) -> str:
+    """The FilterSpec field holding a kind's one parameter: the lowpass cutoff, else the window."""
+    return "cutoff" if kind == "zero_phase_lowpass" else "window"
 
 
 @dataclass(frozen=True)
@@ -48,16 +62,17 @@ class FilterSpec:
                 raise ValueError("butterworth_order must be at least 1")
 
     @classmethod
-    def moving_average(cls, window: int, axis: str = "time") -> "FilterSpec":
-        return cls("moving_average", window=window, axis=axis)
+    def of(cls, kind: str, parameter, polyorder: int = 3, butterworth_order: int = 4,
+           axis: str = "time") -> "FilterSpec":
+        """The `kind` filter with its parameter (see `parameter_name`) set to `parameter`."""
+        if parameter_name(kind) == "cutoff":
+            return cls(kind, cutoff=parameter, butterworth_order=butterworth_order, axis=axis)
+        return cls(kind, window=None if parameter is None else int(parameter),
+                   polyorder=polyorder if kind == "savitzky_golay" else None, axis=axis)
 
-    @classmethod
-    def savitzky_golay(cls, window: int, polyorder: int = 3, axis: str = "time") -> "FilterSpec":
-        return cls("savitzky_golay", window=window, polyorder=polyorder, axis=axis)
-
-    @classmethod
-    def zero_phase_lowpass(cls, cutoff: float, order: int = 4, axis: str = "time") -> "FilterSpec":
-        return cls("zero_phase_lowpass", cutoff=cutoff, butterworth_order=order, axis=axis)
+    @property
+    def parameter(self):
+        return getattr(self, parameter_name(self.kind))
 
     def to_dict(self) -> dict:
         return {
@@ -151,26 +166,21 @@ def filter_sweep(
     noisy: SpatioTemporalField,
     clean: SpatioTemporalField,
     kind: str,
-    grid,
+    grid=None,
     polyorder: int = 3,
     butterworth_order: int = 4,
     axis: str = "time",
 ) -> FilterSweepCurve:
-    """Evaluate data_mse over a filter-parameter grid; reports the argmin."""
-    grid = list(grid)
+    """Evaluate data_mse over a parameter grid (default: DEFAULT_GRIDS[kind]) and find its argmin."""
+    if kind not in FILTER_KINDS:
+        raise ValueError(f"kind must be one of {FILTER_KINDS}")
+    grid = list(DEFAULT_GRIDS[kind] if grid is None else grid)
     if not grid:
         raise ValueError("filter sweep grid must be nonempty")
     points = []
     for value in grid:
         try:
-            if kind == "moving_average":
-                spec = FilterSpec.moving_average(int(value), axis=axis)
-            elif kind == "savitzky_golay":
-                spec = FilterSpec.savitzky_golay(int(value), polyorder, axis=axis)
-            elif kind == "zero_phase_lowpass":
-                spec = FilterSpec.zero_phase_lowpass(float(value), butterworth_order, axis=axis)
-            else:
-                raise ValueError(f"kind must be one of {FILTER_KINDS}")
+            spec = FilterSpec.of(kind, value, polyorder, butterworth_order, axis)
             mse = data_mse(apply_filter(noisy, spec), clean)
             points.append(FilterSweepPoint(float(value), mse))
         except ValueError as exc:

@@ -59,7 +59,7 @@ class BglssConfig:
 
     n_iterations: int = 1000
     n_burnin: int = 200
-    lam: Union[float, str] = 1.0  # or ESTIMATE_MC_EM
+    lam: Union[float, str] = 1.0  # or ESTIMATE_MC_EM, which run_tbglss resolves
     pi0: Union[float, str] = ESTIMATE
     seed: int = 0
     # diagnostic knobs: hold variance parameters fixed to validate the group
@@ -126,13 +126,9 @@ def sample_posterior(system: GroupedLinearSystem, config: BglssConfig) -> Poster
     """Run the block Gibbs sampler on a normalized grouped system."""
     if not system.normalized:
         raise ValueError("sample_posterior requires a column-normalized system")
-    lam = config.lam
-    pi0_hat = None
-    if isinstance(lam, str):
-        est = estimate_hyperparams(system, config)
-        lam = est.lam
-        pi0_hat = est.pi0
-    return _run_chain(system, replace(config, lam=float(lam)), pi0_init=pi0_hat)
+    if isinstance(config.lam, str):
+        raise ValueError("sample_posterior needs a numeric lam; estimate_hyperparams estimates one")
+    return _run_chain(system, config)
 
 
 def _run_chain(

@@ -64,13 +64,21 @@ class Dataset:
         return h.hexdigest()[:16]
 
 
+def noisy_dataset(clean: Dataset, noise_level: float, seed: int) -> Dataset:
+    """`clean` plus white noise from the seed's noise stream; the one writer of noise metadata.
+
+    At level 0 the field stays clean and only the metadata changes: that is the
+    clean twin of the noisy dataset made with the same seed.
+    """
+    field = clean.field
+    if noise_level > 0:
+        field = add_noise(field, noise_level, stage_seed(seed, "noise"))
+    return Dataset(field, {**clean.metadata, "noise_level": noise_level, "seed": seed})
+
+
 def simulate_dataset(scenario: PdeScenario, noise_level: float = 0.0, seed: int = 0) -> Dataset:
     """Solve the scenario and optionally add white noise (seed-derived)."""
-    clean = solve(scenario)
-    noisy = add_noise(clean, noise_level, stage_seed(seed, "noise")) if noise_level > 0 else clean
-    metadata = scenario.metadata()
-    metadata.update({"noise_level": noise_level, "seed": seed})
-    return Dataset(noisy, metadata)
+    return noisy_dataset(Dataset(solve(scenario), scenario.metadata()), noise_level, seed)
 
 
 def filter_dataset(dataset: Dataset, spec: FilterSpec) -> Dataset:
@@ -136,10 +144,10 @@ def build_system(
     field_used = dataset.field
     if diff.prefilter_time is not None:
         w, d = diff.prefilter_time
-        field_used = apply_filter(field_used, FilterSpec.savitzky_golay(w, d, axis="time"))
+        field_used = apply_filter(field_used, FilterSpec.of("savitzky_golay", w, d, axis="time"))
     if diff.prefilter_space is not None:
         w, d = diff.prefilter_space
-        field_used = apply_filter(field_used, FilterSpec.savitzky_golay(w, d, axis="space"))
+        field_used = apply_filter(field_used, FilterSpec.of("savitzky_golay", w, d, axis="space"))
     stack = build_derivative_stack(
         field_used,
         max_space_order=library.max_derivative,

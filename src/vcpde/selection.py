@@ -19,8 +19,13 @@ from .baselines import GroupLassoConfig, SgtrConfig, group_lasso, group_lasso_nu
 from .criteria import aic_loss, coefficient_mse, empty_model_scores
 from .gibbs import BglssConfig, SamplerError
 from .library import CoefficientTrajectories, GroupedLinearSystem
-from .solvers import TrueCoefficients
-from .tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
+from .tbglss import (
+    DEFAULT_UPDATE_BURNIN,
+    DEFAULT_UPDATE_ITERATIONS,
+    DiscoveryReport,
+    ThresholdSpec,
+    run_tbglss,
+)
 
 # Each sweep axis is a parameter of one method.
 AXIS_METHODS = {"t_rms": "tbglss", "t_ge": "tbglss", "lambda": "group_lasso", "sgtr_threshold": "sgtr"}
@@ -43,8 +48,8 @@ class MethodConfig:
     method: str = "tbglss"  # tbglss | sgtr | group_lasso
     thresholds: ThresholdSpec | None = None
     bglss: BglssConfig = field(default_factory=BglssConfig)
-    update_iterations: int = 200
-    update_burnin: int = 50
+    update_iterations: int = DEFAULT_UPDATE_ITERATIONS
+    update_burnin: int = DEFAULT_UPDATE_BURNIN
     final_chains: int = 1
     with_ci: bool = False  # bootstrap confidence intervals in the report
     keep_final_ensemble: bool = False
@@ -180,7 +185,7 @@ def sweep(
     axis: str,
     grid: np.ndarray,
     base: MethodConfig,
-    truth: TrueCoefficients | None = None,
+    truth: CoefficientTrajectories | None = None,
 ) -> SelectionCurve:
     """Fit `base` once per grid value of `axis` and record all criteria.
 
@@ -214,7 +219,7 @@ def sweep(
 
 
 def _fit_point(system: GroupedLinearSystem, config: MethodConfig, value: float,
-               truth: TrueCoefficients | None) -> SweepPoint:
+               truth: CoefficientTrajectories | None) -> SweepPoint:
     report = fit(system, config)
     if report.unscored:
         return SweepPoint(value, None, None, None, (), error=report.unscored)

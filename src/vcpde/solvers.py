@@ -16,8 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .fields import SpatioTemporalField
-
-FAMILIES = ("burgers", "advection_diffusion", "kuramoto_sivashinsky")
+from .library import CoefficientTrajectories
 
 
 class SolverBlowupError(RuntimeError):
@@ -354,16 +353,48 @@ def solve_ks(scenario: PdeScenario) -> SpatioTemporalField:
     return SpatioTemporalField(values, x, t)
 
 
-_SOLVERS = {
-    "burgers": solve_burgers,
-    "advection_diffusion": solve_advection_diffusion,
-    "kuramoto_sivashinsky": solve_ks,
+# The one table of equation families: each name's scenario factory and solver.
+FAMILIES = {
+    "burgers": (burgers_scenario, solve_burgers),
+    "advection_diffusion": (advection_diffusion_scenario, solve_advection_diffusion),
+    "kuramoto_sivashinsky": (ks_scenario, solve_ks),
 }
+# Other names make_scenario accepts for a family.
+FAMILY_ALIASES = {
+    "advection-diffusion": "advection_diffusion",
+    "ad": "advection_diffusion",
+    "kuramoto-sivashinsky": "kuramoto_sivashinsky",
+    "ks": "kuramoto_sivashinsky",
+}
+
+
+def make_scenario(family: str, n_x: int | None = None, n_t: int | None = None,
+                  x_span=None, t_span=None) -> PdeScenario:
+    """The built-in scenario of a family (name or alias), with any grid argument given."""
+    name = FAMILY_ALIASES.get(family.lower(), family.lower())
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family; choose one of {sorted([*FAMILIES, *FAMILY_ALIASES])}")
+    grid = {"n_x": n_x, "n_t": n_t, "x_span": x_span, "t_span": t_span}
+    return FAMILIES[name][0](**{key: value for key, value in grid.items() if value is not None})
+
+
+def scenario_from_metadata(metadata: dict) -> PdeScenario:
+    """Rebuild a built-in scenario from dataset metadata (for ground truth)."""
+    family = metadata.get("family")
+    if family not in FAMILIES:
+        raise ValueError(f"cannot rebuild scenario for family {family!r}")
+    reference = make_scenario(family)
+    if metadata.get("coefficients") != reference.coefficient_formulas or (
+        metadata.get("initial_condition") != reference.ic_formula
+    ):
+        raise ValueError("ground truth is only available for the built-in scenario coefficients")
+    return make_scenario(family, metadata["n_x"], metadata["n_t"],
+                         tuple(metadata["x_span"]), tuple(metadata["t_span"]))
 
 
 def solve(scenario: PdeScenario) -> SpatioTemporalField:
     """Dispatch to the family solver."""
-    return _SOLVERS[scenario.family](scenario)
+    return FAMILIES[scenario.family][1](scenario)
 
 
 def add_noise(field: SpatioTemporalField, level: float, seed: int) -> SpatioTemporalField:
@@ -377,25 +408,12 @@ def add_noise(field: SpatioTemporalField, level: float, seed: int) -> SpatioTemp
     return field.with_values(field.values + noise)
 
 
-@dataclass(frozen=True)
-class TrueCoefficients:
-    """Ground-truth coefficient trajectories on the varying-axis grid."""
-
-    values: np.ndarray  # (n_steps, n_terms)
-    descriptors: tuple[str, ...]
-    step_coords: np.ndarray
-    varying_axis: str
-
-    def __post_init__(self):
-        if self.values.shape != (self.step_coords.size, len(self.descriptors)):
-            raise ValueError("trajectory shape does not match step grid / term list")
-
-
-def true_coefficients(scenario: PdeScenario, library_spec, step_coords: np.ndarray | None = None) -> TrueCoefficients:
+def true_coefficients(scenario: PdeScenario, library_spec,
+                      step_coords: np.ndarray | None = None) -> CoefficientTrajectories:
     """Evaluate the scenario's closed-form coefficients over the varying axis.
 
-    Terms absent from the equation get zero trajectories; every true term must
-    be present in the library.
+    The equation's terms are the active groups; terms absent from it get zero
+    trajectories.  Every true term must be present in the library.
     """
     descriptors = tuple(term.descriptor for term in library_spec.terms)
     missing = [name for name in scenario.true_terms if name not in descriptors]
@@ -409,4 +427,5 @@ def true_coefficients(scenario: PdeScenario, library_spec, step_coords: np.ndarr
         fn = scenario.true_terms.get(name)
         if fn is not None:
             values[:, g] = np.asarray(fn(step_coords), dtype=float)
-    return TrueCoefficients(values, descriptors, step_coords, scenario.varying_axis)
+    active = np.array([name in scenario.true_terms for name in descriptors])
+    return CoefficientTrajectories(values, active, descriptors, step_coords, scenario.varying_axis)

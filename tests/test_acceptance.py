@@ -210,7 +210,7 @@ class TestCriterion5FilterStudy:
             truth = true_coefficients(burgers_scenario_full, LIB,
                                       step_coords=rep_noisy.trajectories.step_coords)
             mse_noisy = coefficient_mse(rep_noisy.trajectories, truth)
-            smoothed = filter_dataset(noisy[seed], FilterSpec.moving_average(13))
+            smoothed = filter_dataset(noisy[seed], FilterSpec.of("moving_average", 13))
             rep_smooth = discover(smoothed, config)
             truth_s = true_coefficients(burgers_scenario_full, LIB,
                                         step_coords=rep_smooth.trajectories.step_coords)

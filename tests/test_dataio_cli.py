@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from vcpde import cli, pipeline, solvers
 from vcpde.cli import main
 from vcpde.dataio import load_dataset, save_dataset, save_report
-from vcpde.filters import FilterSpec
+from vcpde.filters import DEFAULT_GRIDS, FilterSpec
 from vcpde.gibbs import BglssConfig
-from vcpde.pipeline import filter_dataset, simulate_dataset
+from vcpde.library import LibrarySpec
+from vcpde.pipeline import DifferentiationSpec, filter_dataset, simulate_dataset
+from vcpde.selection import MethodConfig
 from vcpde.solvers import burgers_scenario
 from vcpde.tbglss import ThresholdSpec, run_tbglss
 
@@ -40,7 +43,7 @@ class TestDatasetArchive:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_filter_provenance_recorded(self, small_dataset, tmp_path):
-        filtered = filter_dataset(small_dataset, FilterSpec.moving_average(5))
+        filtered = filter_dataset(small_dataset, FilterSpec.of("moving_average", 5))
         path = save_dataset(filtered, tmp_path / "f.json")
         loaded = load_dataset(path)
         assert loaded.metadata["filters"][0]["kind"] == "moving_average"
@@ -107,6 +110,25 @@ class TestCli:
         assert self.run(*args) == 0
         assert (tmp_path / "burgers_noise0.05_seed1.json").read_bytes() == first
         assert (tmp_path / "burgers_noise0.05_seed1_clean.json").exists()
+
+    def test_simulate_writes_clean_twin_from_its_one_solve(self, monkeypatch, tmp_path):
+        solved = []
+
+        def counting_solve(scenario):
+            solved.append(scenario.family)
+            return solvers.solve(scenario)
+
+        monkeypatch.setattr(pipeline, "solve", counting_solve)
+        assert self.run("simulate", "--family", "burgers", "--noise", "0.05", "--seed", "1",
+                        "--nx", "64", "--nt", "32", "--output", str(tmp_path)) == 0
+        assert solved == ["burgers"]
+        expected = simulate_dataset(burgers_scenario(n_x=64, n_t=32), 0.0, seed=1)
+        clean = load_dataset(tmp_path / "burgers_noise0.05_seed1_clean.json")
+        noisy = load_dataset(tmp_path / "burgers_noise0.05_seed1.json")
+        np.testing.assert_array_equal(clean.field.values, expected.field.values)
+        assert clean.metadata == expected.metadata
+        assert noisy.metadata == {**expected.metadata, "noise_level": 0.05}
+        assert not np.array_equal(noisy.field.values, clean.field.values)
 
     def test_simulate_clean_no_twin(self, tmp_path, capsys):
         assert self.run("simulate", "--family", "ad", "--nx", "64", "--nt", "32",
@@ -218,6 +240,70 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sw" / "filter_sweep_moving_average.csv").exists()
 
+    def test_filter_sweep_default_grid(self, tmp_path):
+        self.run("simulate", "--family", "burgers", "--noise", "0.05", "--seed", "2",
+                 "--nx", "64", "--nt", "48", "--t-span", "0:4", "--output", str(tmp_path))
+        code = self.run("sweep", "--dataset", str(tmp_path / "burgers_noise0.05_seed2.json"),
+                        "--filter", "savitzky_golay",
+                        "--clean", str(tmp_path / "burgers_noise0.05_seed2_clean.json"),
+                        "--output", str(tmp_path / "sw"))
+        assert code == 0
+        rows = (tmp_path / "sw" / "filter_sweep_savitzky_golay.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == list(DEFAULT_GRIDS["savitzky_golay"])
+
+    def test_filter_needs_its_parameter(self, tmp_path, capsys):
+        self.run("simulate", "--family", "burgers", "--nx", "64", "--nt", "32",
+                 "--output", str(tmp_path))
+        code = self.run("filter", "--dataset", str(tmp_path / "burgers_noise0_seed0.json"),
+                        "--kind", "zero_phase_lowpass", "--window", "5",
+                        "--output", str(tmp_path))
+        assert code == 1
+        assert "--cutoff is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", "{dir}", "simulate", "--family", "burgers"],
+        ["discover", "--dataset", "{dir}", "--t-rms", "0.1"],
+    ], ids=["config", "dataset"])
+    def test_directory_path_is_validation_error(self, tmp_path, capsys, argv):
+        code = self.run(*[arg.format(dir=tmp_path) for arg in argv],
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_options_left_unset_take_the_library_defaults(self, monkeypatch, tmp_path):
+        class Captured(Exception):
+            pass
+
+        def capture(*args, **kwargs):
+            raise Captured(args, kwargs)
+
+        monkeypatch.setattr(cli, "discover", capture)
+        monkeypatch.setattr(cli, "sweep", capture)
+        self.run("simulate", "--family", "burgers", "--nx", "64", "--nt", "48",
+                 "--t-span", "0:4", "--output", str(tmp_path))
+        dataset = str(tmp_path / "burgers_noise0_seed0.json")
+
+        def called(*argv):
+            with pytest.raises(Captured) as caught:
+                self.run(*argv, "--dataset", dataset, "--output", str(tmp_path))
+            return caught.value.args
+
+        args, kwargs = called("discover", "--t-rms", "0.02")
+        assert args[1] == MethodConfig(thresholds=ThresholdSpec(t_rms=0.02))
+        assert kwargs == {"library": LibrarySpec.standard(), "diff": DifferentiationSpec()}
+        args, _ = called("discover", "--method", "sgtr")
+        assert args[1] == MethodConfig(method="sgtr")
+        args, _ = called("sweep", "--axis", "t_ge", "--t-rms", "0.01")
+        assert args[3] == MethodConfig(thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.0))
+        args, _ = called("sweep", "--axis", "sgtr_threshold")
+        assert args[3] == MethodConfig(method="sgtr")
+
+    @pytest.mark.parametrize("alias,family", [
+        ("burgers", "burgers"), ("ad", "advection_diffusion"), ("ks", "kuramoto_sivashinsky"),
+    ])
+    def test_cli_make_scenario_resolves_aliases(self, alias, family):
+        assert cli.make_scenario(alias).family == family
+
     def test_config_file_with_cli_override(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"family": "burgers", "nx": 64, "nt": 32, "noise": 0.01}))
@@ -269,6 +355,30 @@ class TestCli:
         assert code == 0
         assert "completed 1 cells" in capsys.readouterr().out
         assert (tmp_path / "burgers_noise0_sgtr" / "report.json").exists()
+
+    def test_reproduce_solves_each_family_once(self, monkeypatch, tmp_path):
+        solved, fitted = [], []
+
+        def counting_solve(scenario):
+            solved.append(scenario.family)
+            return solvers.solve(scenario)
+
+        class Report:
+            def rendered_equation(self):
+                return "u_t = 0"
+
+        def recording_discover(dataset, method_config):
+            fitted.append((dataset.metadata["family"], dataset.noise_level, method_config.method))
+            return Report()
+
+        monkeypatch.setattr(pipeline, "solve", counting_solve)
+        monkeypatch.setattr(cli, "discover", recording_discover)
+        monkeypatch.setattr(cli, "save_report", lambda report, path: None)
+        assert self.run("reproduce-paper", "--only", "sgtr", "--output", str(tmp_path)) == 0
+        assert solved == ["burgers", "advection_diffusion", "kuramoto_sivashinsky"]
+        assert fitted == [(family, noise, "sgtr")
+                          for family, spec in cli.BENCHMARK_CELLS.items()
+                          for noise in spec["noises"]]
 
     def test_numerical_failure_exits_two(self, monkeypatch, tmp_path):
         from vcpde import cli

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcpde.fields import GridError, SpatioTemporalField
-from vcpde.filters import FilterSpec, apply_filter, data_mse, filter_sweep
+from vcpde.filters import DEFAULT_GRIDS, FilterSpec, apply_filter, data_mse, filter_sweep
 
 
 def field_from(values):
@@ -26,19 +26,33 @@ def noisy_sine(seed=0, n=96, amp=0.1):
 class TestFilterSpecValidation:
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
-            FilterSpec.moving_average(4)
+            FilterSpec.of("moving_average", 4)
 
     def test_tiny_window_rejected(self):
         with pytest.raises(ValueError):
-            FilterSpec.moving_average(1)
+            FilterSpec.of("moving_average", 1)
 
     def test_polyorder_below_window(self):
         with pytest.raises(ValueError):
-            FilterSpec.savitzky_golay(5, polyorder=5)
+            FilterSpec.of("savitzky_golay", 5, polyorder=5)
 
     def test_cutoff_in_unit_interval(self):
         with pytest.raises(ValueError):
-            FilterSpec.zero_phase_lowpass(1.5)
+            FilterSpec.of("zero_phase_lowpass", 1.5)
+
+    @pytest.mark.parametrize("kind,parameter,fields", [
+        ("moving_average", 5, {"window": 5}),
+        ("savitzky_golay", 7, {"window": 7, "polyorder": 2}),
+        ("zero_phase_lowpass", 0.25, {"cutoff": 0.25, "butterworth_order": 3}),
+    ])
+    def test_of_sets_only_the_kinds_fields(self, kind, parameter, fields):
+        spec = FilterSpec.of(kind, parameter, polyorder=2, butterworth_order=3, axis="space")
+        assert spec == FilterSpec(kind, axis="space", **fields)
+        assert spec.parameter == parameter
+
+    def test_of_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            FilterSpec.of("median", 5)
 
     def test_axis_checked(self):
         with pytest.raises(ValueError):
@@ -49,15 +63,15 @@ class TestApplyFilter:
     def test_moving_average_direct_convolution(self):
         seq = np.array([0.0, 3.0, 0.0, 3.0, 0.0])
         f = field_from(np.tile(seq[:, None], (1, 4)))
-        out = apply_filter(f, FilterSpec.moving_average(3, axis="space"))
+        out = apply_filter(f, FilterSpec.of("moving_average", 3, axis="space"))
         np.testing.assert_allclose(out.values[:, 0], [1.0, 2.0, 1.0])
         assert out.n_x == 3  # edges cut
         np.testing.assert_array_equal(out.x_coords, f.x_coords[1:-1])
 
     @pytest.mark.parametrize("spec", [
-        FilterSpec.moving_average(5),
-        FilterSpec.savitzky_golay(7, 3),
-        FilterSpec.zero_phase_lowpass(0.25),
+        FilterSpec.of("moving_average", 5),
+        FilterSpec.of("savitzky_golay", 7, 3),
+        FilterSpec.of("zero_phase_lowpass", 0.25),
     ])
     def test_constant_field_unchanged(self, spec):
         f = field_from(np.full((32, 40), 2.5))
@@ -68,7 +82,7 @@ class TestApplyFilter:
         t = np.linspace(-1, 1, 41)
         poly = 0.3 - 1.2 * t + 0.7 * t**3
         f = field_from(np.tile(poly[None, :], (8, 1)))
-        out = apply_filter(f, FilterSpec.savitzky_golay(9, 3, axis="time"))
+        out = apply_filter(f, FilterSpec.of("savitzky_golay", 9, 3, axis="time"))
         np.testing.assert_allclose(out.values, f.values, atol=1e-8)
         assert out.values.shape == f.values.shape  # shape preserving
 
@@ -79,7 +93,7 @@ class TestApplyFilter:
         x = np.linspace(-8, 8, n)
         pulse = np.exp(-(x**2))
         f = field_from(np.tile(pulse[:, None], (1, 8)))
-        out = apply_filter(f, FilterSpec.zero_phase_lowpass(0.3, axis="space"))
+        out = apply_filter(f, FilterSpec.of("zero_phase_lowpass", 0.3, axis="space"))
         col = out.values[:, 0]
         assert np.abs(col - col[::-1]).max() <= 1e-8
 
@@ -88,7 +102,7 @@ class TestApplyFilter:
     def test_linearity(self, a, b):
         noisy, clean = noisy_sine()
         combo = noisy.with_values(a * noisy.values + b * clean.values)
-        spec = FilterSpec.savitzky_golay(7, 3)
+        spec = FilterSpec.of("savitzky_golay", 7, 3)
         lhs = apply_filter(combo, spec).values
         rhs = a * apply_filter(noisy, spec).values + b * apply_filter(clean, spec).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
@@ -96,7 +110,7 @@ class TestApplyFilter:
     def test_window_longer_than_axis_rejected(self):
         f = field_from(np.zeros((8, 8)))
         with pytest.raises(ValueError):
-            apply_filter(f, FilterSpec.moving_average(9, axis="space"))
+            apply_filter(f, FilterSpec.of("moving_average", 9, axis="space"))
 
 
 class TestDataMse:
@@ -111,7 +125,7 @@ class TestDataMse:
 
     def test_trimmed_filter_output_aligns(self):
         noisy, clean = noisy_sine()
-        smoothed = apply_filter(noisy, FilterSpec.moving_average(5, axis="space"))
+        smoothed = apply_filter(noisy, FilterSpec.of("moving_average", 5, axis="space"))
         mse = data_mse(smoothed, clean)
         assert 0.0 < mse < 0.1
 
@@ -140,6 +154,17 @@ class TestFilterSweep:
         curve = filter_sweep(noisy, clean, "savitzky_golay", [2, 7], axis="space")
         assert curve.points[0].error is not None
         assert curve.points[1].mse is not None
+
+    @pytest.mark.parametrize("kind", sorted(DEFAULT_GRIDS))
+    def test_default_grid(self, kind):
+        noisy, clean = noisy_sine()
+        curve = filter_sweep(noisy, clean, kind, axis="space")
+        assert [p.parameter for p in curve.points] == [float(v) for v in DEFAULT_GRIDS[kind]]
+
+    def test_unknown_kind_rejected(self):
+        noisy, clean = noisy_sine()
+        with pytest.raises(ValueError, match="kind must be one of"):
+            filter_sweep(noisy, clean, "median", [3, 5])
 
     def test_csv_export(self, tmp_path):
         noisy, clean = noisy_sine()

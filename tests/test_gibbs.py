@@ -127,6 +127,12 @@ class TestSamplerLimits:
         with pytest.raises(ValueError, match="normalized"):
             sample_posterior(system, BglssConfig(n_iterations=60, n_burnin=10, lam=1.0))
 
+    def test_requires_numeric_lam(self):
+        system = single_group_system(BETA_LS)
+        with pytest.raises(ValueError, match="numeric lam"):
+            sample_posterior(system, BglssConfig(n_iterations=60, n_burnin=10,
+                                                 lam="estimate_mc_em"))
+
 
 class TestSpikeSlabExclusivity:
     def test_every_draw_is_all_or_nothing(self):

@@ -88,7 +88,7 @@ class TestBuildSystem:
         assert system.n_rows < 40
 
     def test_filtered_metadata_feeds_policy(self, small_noisy_dataset):
-        filtered = filter_dataset(small_noisy_dataset, FilterSpec.moving_average(5))
+        filtered = filter_dataset(small_noisy_dataset, FilterSpec.of("moving_average", 5))
         system_f = build_system(filtered)
         system_n = build_system(small_noisy_dataset)
         # prefilter tier trims more of the grid than the filtered tier

@@ -11,7 +11,6 @@ from vcpde.criteria import aic_loss, coefficient_mse, empty_model_scores, total_
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, GroupedLinearSystem, normalize_columns
 from vcpde.selection import MethodConfig, SelectionCurve, default_grid, fit, sweep
-from vcpde.solvers import TrueCoefficients
 from vcpde.tbglss import ThresholdSpec
 
 from conftest import random_grouped_system
@@ -110,33 +109,27 @@ def make_trajectories(values, coords=None):
                                    tuple(f"g{i}" for i in range(values.shape[1])), coords, "time")
 
 
-def make_truth(values, coords=None):
-    values = np.asarray(values, dtype=float)
-    coords = np.arange(float(values.shape[0])) if coords is None else coords
-    return TrueCoefficients(values, tuple(f"g{i}" for i in range(values.shape[1])), coords, "time")
-
-
 class TestCoefficientMse:
     def test_identical_zero(self):
         est = make_trajectories([[1.0, 0.0], [2.0, 0.0]])
-        truth = make_truth([[1.0, 0.0], [2.0, 0.0]])
+        truth = make_trajectories([[1.0, 0.0], [2.0, 0.0]])
         assert coefficient_mse(est, truth) == 0.0
 
     def test_includes_absent_terms(self):
         est = make_trajectories([[1.0, 0.0], [1.0, 0.0]])
-        truth = make_truth([[0.0, 1.0], [0.0, 1.0]])
+        truth = make_trajectories([[0.0, 1.0], [0.0, 1.0]])
         assert coefficient_mse(est, truth) == pytest.approx(1.0)
 
     def test_symmetry(self):
         a = [[1.0, 0.5], [2.0, 0.0]]
         b = [[0.5, 1.0], [0.0, 2.0]]
-        forward = coefficient_mse(make_trajectories(a), make_truth(b))
-        backward = coefficient_mse(make_trajectories(b), make_truth(a))
+        forward = coefficient_mse(make_trajectories(a), make_trajectories(b))
+        backward = coefficient_mse(make_trajectories(b), make_trajectories(a))
         assert forward == pytest.approx(backward)
 
     def test_grid_mismatch_rejected(self):
         est = make_trajectories([[1.0], [2.0]], coords=np.array([0.0, 1.0]))
-        truth = make_truth([[1.0], [2.0]], coords=np.array([0.0, 2.0]))
+        truth = make_trajectories([[1.0], [2.0]], coords=np.array([0.0, 2.0]))
         with pytest.raises(ValueError, match="grids"):
             coefficient_mse(est, truth)
 

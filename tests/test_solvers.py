@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from vcpde.library import LibrarySpec
+from vcpde.library import CoefficientTrajectories, LibrarySpec
 from vcpde.solvers import (
     PdeScenario,
     add_noise,
     advection_diffusion_scenario,
     burgers_scenario,
     ks_scenario,
+    make_scenario,
+    scenario_from_metadata,
     solve_advection_diffusion,
     solve_burgers,
     solve_ks,
@@ -175,10 +177,47 @@ class TestTrueCoefficients:
         g = library20.descriptors.index("u_xxxx")
         assert truth.values[0, g] == pytest.approx(-1.25)
 
+    def test_equation_terms_are_the_active_groups(self, library20):
+        truth = true_coefficients(advection_diffusion_scenario(), library20)
+        assert isinstance(truth, CoefficientTrajectories)
+        assert truth.selected == ("u", "u_x", "u_xx")
+        assert truth.varying_axis == "space"
+
     def test_missing_term_rejected(self, burgers_scenario_full):
         lib = LibrarySpec.standard(max_poly_power=1, max_deriv_order=1)
         with pytest.raises(ValueError, match="does not cover"):
             true_coefficients(burgers_scenario_full, lib)
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("name,family", [
+        ("burgers", "burgers"), ("ad", "advection_diffusion"),
+        ("Advection-Diffusion", "advection_diffusion"), ("ks", "kuramoto_sivashinsky"),
+        ("kuramoto_sivashinsky", "kuramoto_sivashinsky"),
+    ])
+    def test_make_scenario_resolves_aliases(self, name, family):
+        assert make_scenario(name).family == family
+
+    def test_make_scenario_grid_arguments(self):
+        sc = make_scenario("burgers", n_x=64, t_span=(0.0, 4.0))
+        assert (sc.n_x, sc.n_t, sc.x_span, sc.t_span) == (64, 256, (-8.0, 8.0), (0.0, 4.0))
+
+    def test_unknown_family_names_the_choices(self):
+        with pytest.raises(ValueError, match="'ad', 'advection-diffusion'"):
+            make_scenario("wave")
+
+    def test_scenario_from_metadata_round_trip(self):
+        sc = make_scenario("ks", n_x=64, n_t=32, t_span=(0.0, 50.0))
+        rebuilt = scenario_from_metadata(sc.metadata())
+        assert rebuilt.metadata() == sc.metadata()
+
+    def test_scenario_from_metadata_needs_builtin_coefficients(self):
+        metadata = make_scenario("burgers").metadata()
+        metadata["coefficients"] = {**metadata["coefficients"], "nu": "0.2"}
+        with pytest.raises(ValueError, match="built-in scenario coefficients"):
+            scenario_from_metadata(metadata)
+        with pytest.raises(ValueError, match="cannot rebuild"):
+            scenario_from_metadata({"family": "wave"})
 
 
 class TestScenarioValidation:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcpde.criteria import ZeroNormGroupError, group_error_bar, rms_criterion
-from vcpde.gibbs import BglssConfig
+from vcpde import tbglss
+from vcpde.gibbs import BglssConfig, estimate_hyperparams
 from vcpde.tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
@@ -172,3 +173,55 @@ class TestMultiChainMode:
         active = report.trajectories.active
         spread = report.chain_medians[:, :, active].std(axis=0)
         assert np.isfinite(spread).all()
+
+    def test_extra_chains_round_trip(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        system, _, _ = random_grouped_system(rng, n_rows=24)
+        seeds = []
+        sample = tbglss.sample_posterior
+
+        def recording(sub, config):
+            seeds.append(config.seed)
+            return sample(sub, config)
+
+        monkeypatch.setattr(tbglss, "sample_posterior", recording)
+        report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5),
+                            BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3),
+                            final_chains=3)
+        medians = report.chain_medians
+        active = report.trajectories.active
+        assert medians.shape == (3, system.n_steps, system.n_groups)
+        assert active.any() and not active.all()
+        assert np.all(medians[:, :, ~active] == 0.0)
+        np.testing.assert_array_equal(medians[0], report.trajectories.values)
+        # the confirming chain, then one chain per extra seed
+        assert len(set(seeds[-3:])) == 3
+        for c in (1, 2):
+            assert not np.array_equal(medians[c][:, active], medians[0][:, active])
+        doc = json.loads(report.to_json())
+        np.testing.assert_array_equal(np.array(doc["chain_medians"]), medians)
+
+
+class TestEstimatedLambda:
+    @pytest.mark.filterwarnings("ignore:Monte Carlo EM")
+    def test_mc_em_lambda_drives_every_chain(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        system, _, _ = random_grouped_system(rng, n_rows=24)
+        config = BglssConfig(n_iterations=150, n_burnin=40, lam="estimate_mc_em", seed=3)
+        est = estimate_hyperparams(system, config)
+        sampled = []
+        sample = tbglss.sample_posterior
+
+        def recording(sub, chain_config):
+            sampled.append(chain_config)
+            return sample(sub, chain_config)
+
+        monkeypatch.setattr(tbglss, "sample_posterior", recording)
+        report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5), config)
+        hyper = report.hyperparameters
+        assert hyper["lam_estimated"] is True
+        assert hyper["em_rounds"] == est.n_rounds >= 1
+        assert hyper["lam"] == est.lam
+        assert sampled and all(c.lam == est.lam for c in sampled)
+        # pi0 is left to each chain, which starts it at 0.5
+        assert all(c.pi0 == config.pi0 for c in sampled)

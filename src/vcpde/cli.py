@@ -2,9 +2,9 @@
 
 The commands parse options, call the library and print; the library holds the
 decisions.  Configuration precedence is command line > --config file >
-built-in defaults, and the defaults of the sampler, method, differentiation
-and library options are those of BglssConfig, MethodConfig,
-DifferentiationSpec and LibrarySpec.standard.  The config file is a flat JSON
+built-in defaults; the sampler, method, differentiation, library and filter
+options default to BglssConfig, MethodConfig, DifferentiationSpec,
+LibrarySpec.standard and FilterSpec.of.  The config file is a flat JSON
 object whose keys are the long option names with dashes replaced by
 underscores, and a key that no subcommand declares is a validation error.
 Every output embeds the options and seeds needed to reproduce it bit-for-bit.
@@ -84,6 +84,7 @@ DIFF_OPTIONS = {"diff_method": "method", "space_width": "space_width",
                 "space_degree": "space_degree", "time_width": "time_width",
                 "time_degree": "time_degree"}
 LIBRARY_OPTIONS = {"max_power": "max_poly_power", "max_derivative": "max_deriv_order"}
+FILTER_OPTIONS = {"polyorder": "polyorder", "order": "butterworth_order", "axis": "axis"}
 
 
 def _given(args, options: dict) -> dict:
@@ -150,8 +151,7 @@ def cmd_simulate(args) -> int:
 def cmd_filter(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
     name = parameter_name(_require(args.kind, "kind"))
-    spec = FilterSpec.of(args.kind, _require(getattr(args, name), name), args.polyorder,
-                         args.order, args.axis)
+    spec = FilterSpec.of(args.kind, _require(getattr(args, name), name), **_given(args, FILTER_OPTIONS))
     filtered = filter_dataset(dataset, spec)
     ext = ".json" if args.format == "json" else ""
     tag = f"{spec.kind}{spec.parameter:g}"
@@ -204,8 +204,7 @@ def cmd_sweep(args) -> int:
             grid = _parse_range(args.cutoffs) if args.cutoffs else None
         else:
             grid = _parse_int_range(args.windows) if args.windows else None
-        curve = filter_sweep(dataset.field, clean.field, kind, grid,
-                             polyorder=args.polyorder, butterworth_order=args.order, axis=args.axis)
+        curve = filter_sweep(dataset.field, clean.field, kind, grid, **_given(args, FILTER_OPTIONS))
         stem = outdir / f"filter_sweep_{kind}"
         curve.to_csv(f"{stem}.csv")
         Path(f"{stem}.json").write_text(json.dumps(
@@ -365,10 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None)
     p.add_argument("--kind", default=None, choices=FILTER_KINDS)
     p.add_argument("--window", type=int, default=None)
-    p.add_argument("--polyorder", type=int, default=3)
+    p.add_argument("--polyorder", type=int, default=None)
     p.add_argument("--cutoff", type=float, default=None)
-    p.add_argument("--order", type=int, default=4, help="butterworth order")
-    p.add_argument("--axis", default="time", choices=("time", "space"))
+    p.add_argument("--order", type=int, default=None, help="butterworth order")
+    p.add_argument("--axis", default=None, choices=("time", "space"))
     p.add_argument("--clean", default=None, help="clean dataset for the data-MSE printout")
     p.add_argument("--format", default="json", choices=("json", "csv"))
     add_output(p)
@@ -399,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start:stop:step (odd windows; default: the kind's built-in grid)")
     p.add_argument("--cutoffs", default=None,
                    help="lo:hi:count for the lowpass cutoff (default: the built-in grid)")
-    p.add_argument("--polyorder", type=int, default=3)
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--polyorder", type=int, default=None)
+    p.add_argument("--order", type=int, default=None)
     p.add_argument("--clean", default=None)
-    p.add_argument("--axis-direction", dest="axis", default="time", choices=("time", "space"),
+    p.add_argument("--axis-direction", dest="axis", default=None, choices=("time", "space"),
                    help="grid axis the filter runs along")
     add_diff_options(p)
     add_library_options(p)

@@ -167,11 +167,9 @@ def filter_sweep(
     clean: SpatioTemporalField,
     kind: str,
     grid=None,
-    polyorder: int = 3,
-    butterworth_order: int = 4,
-    axis: str = "time",
+    **options,
 ) -> FilterSweepCurve:
-    """Evaluate data_mse over a parameter grid (default: DEFAULT_GRIDS[kind]) and find its argmin."""
+    """data_mse of FilterSpec.of(kind, value, **options) per `grid` value; see DEFAULT_GRIDS."""
     if kind not in FILTER_KINDS:
         raise ValueError(f"kind must be one of {FILTER_KINDS}")
     grid = list(DEFAULT_GRIDS[kind] if grid is None else grid)
@@ -180,7 +178,7 @@ def filter_sweep(
     points = []
     for value in grid:
         try:
-            spec = FilterSpec.of(kind, value, polyorder, butterworth_order, axis)
+            spec = FilterSpec.of(kind, value, **options)
             mse = data_mse(apply_filter(noisy, spec), clean)
             points.append(FilterSweepPoint(float(value), mse))
         except ValueError as exc:
@@ -189,4 +187,4 @@ def filter_sweep(
     if not scored:
         raise ValueError("every filter sweep point failed")
     min_mse, argmin = min(scored)
-    return FilterSweepCurve(kind, axis, tuple(points), argmin, min_mse)
+    return FilterSweepCurve(kind, spec.axis, tuple(points), argmin, min_mse)

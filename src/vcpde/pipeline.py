@@ -68,11 +68,9 @@ def noisy_dataset(clean: Dataset, noise_level: float, seed: int) -> Dataset:
     """`clean` plus white noise from the seed's noise stream; the one writer of noise metadata.
 
     At level 0 the field stays clean and only the metadata changes: that is the
-    clean twin of the noisy dataset made with the same seed.
+    clean twin of the noisy dataset made with the same seed.  A level below 0 is an error.
     """
-    field = clean.field
-    if noise_level > 0:
-        field = add_noise(field, noise_level, stage_seed(seed, "noise"))
+    field = add_noise(clean.field, noise_level, stage_seed(seed, "noise"))
     return Dataset(field, {**clean.metadata, "noise_level": noise_level, "seed": seed})
 
 

@@ -399,8 +399,8 @@ def solve(scenario: PdeScenario) -> SpatioTemporalField:
 
 def add_noise(field: SpatioTemporalField, level: float, seed: int) -> SpatioTemporalField:
     """Add white noise scaled by the global standard deviation of the field."""
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not level >= 0:
+        raise ValueError(f"noise level must be nonnegative, got {level}")
     if level == 0:
         return field
     rng = np.random.default_rng(seed)

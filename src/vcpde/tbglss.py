@@ -24,7 +24,7 @@ import numpy as np
 from .criteria import group_error_bar, rms_criterion, total_error_bar
 from .gibbs import BglssConfig, PosteriorEnsemble, estimate_hyperparams, sample_posterior
 from .library import CoefficientTrajectories, GroupedLinearSystem
-from .uncertainty import CI_LEVEL, CI_RESAMPLES, ensemble_bootstrap_cis
+from .uncertainty import ensemble_bootstrap_cis
 
 DEFAULT_UPDATE_ITERATIONS = 200
 DEFAULT_UPDATE_BURNIN = 50
@@ -72,7 +72,7 @@ class DiscoveryReport:
     provenance: dict
     empty_model: bool = False
     chain_medians: np.ndarray | None = None  # (n_chains, n_steps, n_groups), multi-chain mode
-    bootstrap_cis: dict | None = None  # descriptor -> per-step [low, high], physical units
+    bootstrap_cis: dict | None = None  # level, and descriptor -> per-step [low, high]
     final_ensemble: PosteriorEnsemble | None = field(default=None, repr=False, compare=False)
     # (n_steps, n_groups) coefficients in the system's normalized scaling, the ones the loss scores
     beta_normalized: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -240,7 +240,6 @@ def run_tbglss(
     final_criteria: dict = {}
     chain_medians = None
     total_eb = None
-    cis = None
 
     if active.size:
         assert ensemble is not None
@@ -272,16 +271,6 @@ def run_tbglss(
             stacked[:, :, active] = np.stack(medians)
             chain_medians = stacked
 
-        if bootstrap_ci:
-            per_group = ensemble_bootstrap_cis(ensemble, config.seed)
-            cis = {
-                "level": CI_LEVEL,
-                "n_resamples": CI_RESAMPLES,
-                "intervals": {
-                    name: [[ci.lower, ci.upper] for ci in group] for name, group in per_group.items()
-                },
-            }
-
     trajectories = CoefficientTrajectories(
         values, active_mask, full_descriptors, system.step_coords, system.varying_axis
     )
@@ -299,7 +288,7 @@ def run_tbglss(
         provenance={"seed": config.seed},
         empty_model=not bool(active_mask.any()),
         chain_medians=chain_medians,
-        bootstrap_cis=cis,
+        bootstrap_cis=ensemble_bootstrap_cis(ensemble) if (bootstrap_ci and active.size) else None,
         final_ensemble=ensemble if (keep_final_ensemble and active.size) else None,
         beta_normalized=beta_full_norm,
     )

@@ -1,17 +1,22 @@
-"""Bootstrap confidence intervals for posterior-median coefficients."""
+"""Exact percentile-bootstrap confidence intervals for posterior-median coefficients.
+
+The bootstrap law of a median depends only on ranks (Maritz & Jarrett 1978;
+Efron 1982), so an interval is one sort of the draws and a weighted quantile,
+with no resamples and no seed.  The draws are treated as iid, as in the paper.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.stats import binom
 
 from .gibbs import MIN_RETAINED_DRAWS, PosteriorEnsemble, posterior_median
 
-MIN_RESAMPLES = 200
-# level and resample count of the intervals a report carries
-CI_LEVEL = 0.95
-CI_RESAMPLES = 1000
+CI_LEVEL = 0.95  # level of the intervals a report carries
+WEIGHT_FLOOR = 1e-18  # rank pairs lighter than this are left out of the bootstrap law
 
 
 @dataclass(frozen=True)
@@ -22,61 +27,71 @@ class BootstrapCI:
     lower: float
     upper: float
     level: float
-    n_resamples: int
-    seed: int
 
     def __post_init__(self):
         if not self.lower <= self.point <= self.upper:
             raise ValueError("confidence interval must bracket the point estimate")
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
+
+def _log_top_attained(c: np.ndarray, power: int) -> np.ndarray:
+    """log(1 - ((c-1)/c)^power): `power` uniform draws from c ranks include the top one."""
+    with np.errstate(divide="ignore"):
+        return np.log(-np.expm1(power * np.log1p(-1.0 / c)))
 
 
-def bootstrap_median_ci(
-    draws: np.ndarray,
-    level: float = CI_LEVEL,
-    n_resamples: int = CI_RESAMPLES,
-    seed: int = 0,
-) -> BootstrapCI:
-    """Resample with replacement, re-take the median, read off percentiles."""
+@lru_cache(maxsize=8)
+def median_rank_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based rank pairs (a, b), a <= b, and the probability that the median of a resample
+    of n sorted draws x is (x[a] + x[b]) / 2, as `np.median` takes it (a == b for odd n).
+    Pairs lighter than WEIGHT_FLOOR are left out; the arrays are shared and read-only."""
+    k = (n + 1) // 2  # the median is the k-th smallest resampled draw, or its mean with the next
+    below = binom.cdf(k - 1, n, np.arange(n + 1) / n)  # P(fewer than k resampled ranks < j)
+    kth = below[:-1] - below[1:]  # P(the k-th smallest is rank j)
+    band = np.flatnonzero(kth > WEIGHT_FLOOR)
+    pairs = [(band, band, kth[band])]
+    if n % 2 == 0:
+        # A pair a < b: exactly k resampled ranks are <= a, with a among them, and the
+        # other n - k are >= b, with b among them.  A tie a == b takes the rest of P(A = a).
+        log_low = binom.logpmf(k, n, (band + 1) / n) + _log_top_attained(band + 1, k)
+        pairs = [(band, band, np.clip(kth[band] - np.exp(log_low), 0.0, None))]
+        for gap in range(1, n):
+            a = band[band + gap < n]
+            high = n - a - gap  # the ranks b..n-1
+            w = np.exp(log_low[: a.size] + (n - k) * np.log(high / (n - 1 - a))
+                       + _log_top_attained(high, n - k))
+            keep = w > WEIGHT_FLOOR
+            if not keep.any():
+                break
+            pairs.append((a[keep], a[keep] + gap, w[keep]))
+    a, b, w = (np.concatenate(part) for part in zip(*pairs))
+    for array in (a, b, w):
+        array.flags.writeable = False
+    return a, b, w
+
+
+def bootstrap_median_ci(draws: np.ndarray, level: float = CI_LEVEL) -> BootstrapCI:
+    """Exact percentile bootstrap interval of the median: the smallest resample medians whose
+    cumulative probability reaches (1 -/+ level) / 2, widened if need be to bracket the median."""
     draws = np.asarray(draws, dtype=float).ravel()
     if draws.size < MIN_RETAINED_DRAWS:
         raise ValueError(f"need at least {MIN_RETAINED_DRAWS} draws, got {draws.size}")
-    if n_resamples < MIN_RESAMPLES:
-        raise ValueError(f"need at least {MIN_RESAMPLES} resamples")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, draws.size, size=(n_resamples, draws.size))
-    medians = np.median(draws[idx], axis=1)
-    lo, hi = np.percentile(medians, [50.0 * (1.0 - level), 50.0 * (1.0 + level)])
+    ordered = np.sort(draws)
+    a, b, w = median_rank_weights(draws.size)
+    values = (ordered[a] + ordered[b]) / 2
+    order = np.argsort(values)
+    ends = np.searchsorted(np.cumsum(w[order]), [(1.0 - level) / 2, (1.0 + level) / 2])
+    lo, hi = values[order[np.minimum(ends, order.size - 1)]]
     point = float(np.median(draws))
-    return BootstrapCI(
-        point=point,
-        lower=min(float(lo), point),
-        upper=max(float(hi), point),
-        level=level,
-        n_resamples=n_resamples,
-        seed=seed,
-    )
+    return BootstrapCI(point, min(float(lo), point), max(float(hi), point), level)
 
 
-def coefficient_seed(base_seed: int, group: int, step: int) -> int:
-    """Deterministic per-coefficient seed for parallel resampling."""
-    return int(np.random.SeedSequence((base_seed, group, step)).generate_state(1)[0])
-
-
-def ensemble_bootstrap_cis(ensemble: PosteriorEnsemble, base_seed: int = 0) -> dict:
-    """Bootstrap CIs, in physical units, for every coefficient of every active group."""
-    med = posterior_median(ensemble)
-    out: dict = {}
-    for g in np.flatnonzero(med.active):
-        name = ensemble.descriptors[g]
+def ensemble_bootstrap_cis(ensemble: PosteriorEnsemble) -> dict:
+    """A report's CIs: level, and each active group's per-step [lower, upper], physical units."""
+    intervals = {}
+    for g in np.flatnonzero(posterior_median(ensemble).active):
         draws_g = ensemble.beta[:, :, g] / ensemble.scales[None, :, g]
-        out[name] = [
-            bootstrap_median_ci(draws_g[:, i], seed=coefficient_seed(base_seed, int(g), i))
-            for i in range(draws_g.shape[1])
-        ]
-    return out
+        intervals[ensemble.descriptors[g]] = [[ci.lower, ci.upper]
+                                              for ci in map(bootstrap_median_ci, draws_g.T)]
+    return {"level": CI_LEVEL, "intervals": intervals}

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from vcpde.library import GroupedLinearSystem, LibrarySpec, normalize_columns
-from vcpde.pipeline import build_system, simulate_dataset
-from vcpde.solvers import burgers_scenario, solve_burgers
+from vcpde.pipeline import build_system, noisy_dataset, simulate_dataset
+from vcpde.solvers import advection_diffusion_scenario, burgers_scenario, ks_scenario
+
+# One clean solve per scenario; `noisy_dataset(clean, level, seed)` of it is bit-identical
+# to `simulate_dataset(scenario, level, seed)`.
 
 
 @pytest.fixture(scope="session")
@@ -12,13 +15,38 @@ def burgers_scenario_full():
 
 
 @pytest.fixture(scope="session")
-def burgers_field(burgers_scenario_full):
-    return solve_burgers(burgers_scenario_full)
+def burgers_clean(burgers_scenario_full):
+    return simulate_dataset(burgers_scenario_full)
 
 
 @pytest.fixture(scope="session")
-def burgers_dataset(burgers_scenario_full):
-    return simulate_dataset(burgers_scenario_full, noise_level=0.0, seed=1)
+def burgers_field(burgers_clean):
+    return burgers_clean.field
+
+
+@pytest.fixture(scope="session")
+def burgers_dataset(burgers_clean):
+    return noisy_dataset(burgers_clean, 0.0, seed=1)
+
+
+@pytest.fixture(scope="session")
+def small_burgers_clean():
+    return simulate_dataset(burgers_scenario(n_x=64, n_t=48, t_span=(0.0, 4.0)))
+
+
+@pytest.fixture(scope="session")
+def ad_scenario():
+    return advection_diffusion_scenario()
+
+
+@pytest.fixture(scope="session")
+def ad_clean(ad_scenario):
+    return simulate_dataset(ad_scenario)
+
+
+@pytest.fixture(scope="session")
+def ks_clean():
+    return simulate_dataset(ks_scenario())
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Dense and least-squares oracles that the tests check the package against."""
+"""Dense, least-squares and Monte Carlo oracles that the tests check the package against."""
 
 import numpy as np
 
@@ -27,3 +27,16 @@ def lstsq_trajectories(system: GroupedLinearSystem) -> np.ndarray:
 def posterior_variance(ensemble: PosteriorEnsemble) -> np.ndarray:
     """Unbiased per-coefficient sample variance of the retained draws, physical units."""
     return np.var(ensemble.beta, axis=0, ddof=1) / ensemble.scales**2
+
+
+def monte_carlo_median_ci(draws: np.ndarray, level: float, n_resamples: int,
+                          seed: int) -> tuple[float, float]:
+    """Percentile bootstrap interval of the median from `n_resamples` seeded resamples."""
+    draws = np.asarray(draws, dtype=float).ravel()
+    rng = np.random.default_rng(seed)
+    medians = []
+    for start in range(0, n_resamples, 1000):  # 1000 resamples at a time bounds the memory
+        idx = rng.integers(0, draws.size, size=(min(1000, n_resamples - start), draws.size))
+        medians.append(np.median(draws[idx], axis=1))
+    lo, hi = np.percentile(np.concatenate(medians), [50.0 * (1.0 - level), 50.0 * (1.0 + level)])
+    return float(lo), float(hi)

@@ -19,15 +19,10 @@ from vcpde.pipeline import (
     build_system,
     discover,
     filter_dataset,
-    simulate_dataset,
+    noisy_dataset,
 )
 from vcpde.selection import sweep
-from vcpde.solvers import (
-    advection_diffusion_scenario,
-    burgers_scenario,
-    ks_scenario,
-    true_coefficients,
-)
+from vcpde.solvers import true_coefficients
 from vcpde.tbglss import ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
@@ -47,11 +42,6 @@ def _trajectory_errors(report, truth, names):
     idx = [LIB.descriptors.index(n) for n in names]
     stacked = _rel(report.trajectories.values[:, idx], truth.values[:, idx])
     return per, stacked
-
-
-@pytest.fixture(scope="module")
-def ad_scenario():
-    return advection_diffusion_scenario()
 
 
 class TestCriterion1BurgersClean:
@@ -77,8 +67,8 @@ class TestCriterion1BurgersClean:
 
 class TestCriterion2AdvectionDiffusion:
     @pytest.mark.parametrize("noise,seed", [(0.0, 3), (0.01, 0)])
-    def test_ad_recovery(self, ad_scenario, noise, seed):
-        dataset = simulate_dataset(ad_scenario, noise, seed=seed)
+    def test_ad_recovery(self, ad_scenario, ad_clean, noise, seed):
+        dataset = noisy_dataset(ad_clean, noise, seed=seed)
         system = build_system(dataset)
         report = discover(
             dataset,
@@ -99,13 +89,13 @@ class TestCriterion2AdvectionDiffusion:
 
 
 class TestCriterion3RobustnessOrdering:
-    def test_two_percent_noise_ten_seeds(self, ad_scenario):
+    def test_two_percent_noise_ten_seeds(self, ad_clean):
         true_support = {"u", "u_x", "u_xx"}
         tbglss_hits = 0
         sgtr_fails = 0
         lasso_fails = 0
         for seed in range(10):
-            dataset = simulate_dataset(ad_scenario, 0.02, seed=seed)
+            dataset = noisy_dataset(ad_clean, 0.02, seed=seed)
             system = build_system(dataset)
             report = discover(
                 dataset,
@@ -130,9 +120,8 @@ class TestCriterion3RobustnessOrdering:
 
 
 class TestCriterion4KuramotoSivashinsky:
-    def test_ks_recovery(self):
-        scenario = ks_scenario()
-        dataset = simulate_dataset(scenario, 0.0001, seed=2)
+    def test_ks_recovery(self, ks_clean):
+        dataset = noisy_dataset(ks_clean, 0.0001, seed=2)
         system = build_system(dataset)
         # discovery sees only the chaotic window t >= 100
         assert system.step_coords.size <= 256 - 4  # steps index space
@@ -147,11 +136,10 @@ class TestCriterion4KuramotoSivashinsky:
         print(f"\n[criterion 4] PASS: selected {report.selected} from the t>=100 window "
               f"({system.n_rows} retained time rows)")
 
-    def test_ks_one_percent_completes_gracefully(self):
+    def test_ks_one_percent_completes_gracefully(self, ks_clean):
         # at 1% noise no method recovers the stiff equation; the run must
         # still finish and produce a report
-        scenario = ks_scenario()
-        dataset = simulate_dataset(scenario, 0.01, seed=2)
+        dataset = noisy_dataset(ks_clean, 0.01, seed=2)
         report = discover(
             dataset,
             MethodConfig(method="tbglss", thresholds=ThresholdSpec(t_rms=0.1, t_ge=0.05),
@@ -167,8 +155,8 @@ FILTER_STUDY_SEEDS = (1, 2, 3, 4)
 
 
 @pytest.fixture(scope="module")
-def burgers_5pct(burgers_scenario_full, burgers_dataset):
-    noisy = {s: simulate_dataset(burgers_scenario_full, 0.05, seed=s)
+def burgers_5pct(burgers_clean, burgers_dataset):
+    noisy = {s: noisy_dataset(burgers_clean, 0.05, seed=s)
              for s in FILTER_STUDY_SEEDS}
     return noisy, burgers_dataset
 
@@ -357,8 +345,8 @@ class TestCriterion9CriterionFormulas:
 
 
 class TestCriterion10ModelSelectionSweep:
-    def test_tge_sweep_trend_and_argmins(self, ad_scenario):
-        dataset = simulate_dataset(ad_scenario, 0.02, seed=3)
+    def test_tge_sweep_trend_and_argmins(self, ad_scenario, ad_clean):
+        dataset = noisy_dataset(ad_clean, 0.02, seed=3)
         system = build_system(dataset)
         truth = true_coefficients(ad_scenario, LIB, step_coords=system.step_coords)
         grid = np.linspace(0.02, 0.22, 11)

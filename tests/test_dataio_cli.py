@@ -9,7 +9,7 @@ from vcpde.dataio import load_dataset, save_dataset, save_report
 from vcpde.filters import DEFAULT_GRIDS, FilterSpec
 from vcpde.gibbs import BglssConfig
 from vcpde.library import LibrarySpec
-from vcpde.pipeline import DifferentiationSpec, filter_dataset, simulate_dataset
+from vcpde.pipeline import DifferentiationSpec, filter_dataset, noisy_dataset, simulate_dataset
 from vcpde.selection import MethodConfig
 from vcpde.solvers import burgers_scenario
 from vcpde.tbglss import ThresholdSpec, run_tbglss
@@ -18,9 +18,8 @@ from conftest import random_grouped_system
 
 
 @pytest.fixture(scope="module")
-def small_dataset():
-    scenario = burgers_scenario(n_x=64, n_t=48, t_span=(0.0, 4.0))
-    return simulate_dataset(scenario, noise_level=0.02, seed=5)
+def small_dataset(small_burgers_clean):
+    return noisy_dataset(small_burgers_clean, noise_level=0.02, seed=5)
 
 
 class TestDatasetArchive:
@@ -129,6 +128,13 @@ class TestCli:
         assert clean.metadata == expected.metadata
         assert noisy.metadata == {**expected.metadata, "noise_level": 0.05}
         assert not np.array_equal(noisy.field.values, clean.field.values)
+
+    def test_simulate_negative_noise_is_validation_error(self, tmp_path, capsys):
+        code = self.run("simulate", "--family", "burgers", "--noise", "-0.05",
+                        "--nx", "64", "--nt", "32", "--output", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: noise level must be nonnegative")
+        assert not list(tmp_path.iterdir())
 
     def test_simulate_clean_no_twin(self, tmp_path, capsys):
         assert self.run("simulate", "--family", "ad", "--nx", "64", "--nt", "32",
@@ -297,6 +303,32 @@ class TestCli:
         assert args[3] == MethodConfig(thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.0))
         args, _ = called("sweep", "--axis", "sgtr_threshold")
         assert args[3] == MethodConfig(method="sgtr")
+
+    def test_filter_options_left_unset_take_filter_spec_defaults(self, monkeypatch, tmp_path):
+        self.run("simulate", "--family", "burgers", "--noise", "0.05", "--nx", "64", "--nt", "32",
+                 "--output", str(tmp_path))
+        dataset = str(tmp_path / "burgers_noise0.05_seed0.json")
+        for kind, option, value in (("savitzky_golay", "--window", "7"),
+                                    ("zero_phase_lowpass", "--cutoff", "0.1")):
+            assert self.run("filter", "--dataset", dataset, "--kind", kind, option, value,
+                            "--output", str(tmp_path / kind)) == 0
+            written, = (tmp_path / kind).iterdir()
+            assert load_dataset(written).metadata["filters"] == [
+                FilterSpec.of(kind, float(value)).to_dict()]
+
+        swept, real_sweep = [], cli.filter_sweep
+
+        def recording_sweep(*args, **options):
+            swept.append(options)
+            return real_sweep(*args, **options)
+
+        monkeypatch.setattr(cli, "filter_sweep", recording_sweep)
+        assert self.run("sweep", "--dataset", dataset, "--filter", "savitzky_golay",
+                        "--clean", str(tmp_path / "burgers_noise0.05_seed0_clean.json"),
+                        "--output", str(tmp_path / "sw")) == 0
+        assert swept == [{}]
+        summary = json.loads((tmp_path / "sw" / "filter_sweep_savitzky_golay.json").read_text())
+        assert summary["axis"] == FilterSpec.of("savitzky_golay", 7).axis
 
     @pytest.mark.parametrize("alias,family", [
         ("burgers", "burgers"), ("ad", "advection_diffusion"), ("ks", "kuramoto_sivashinsky"),

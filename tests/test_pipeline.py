@@ -14,6 +14,7 @@ from vcpde.pipeline import (
     build_system,
     discover,
     filter_dataset,
+    noisy_dataset,
     simulate_dataset,
     stage_seed,
 )
@@ -25,9 +26,8 @@ from conftest import random_grouped_system
 
 
 @pytest.fixture(scope="module")
-def small_noisy_dataset():
-    scenario = burgers_scenario(n_x=64, n_t=48, t_span=(0.0, 4.0))
-    return simulate_dataset(scenario, noise_level=0.02, seed=9)
+def small_noisy_dataset(small_burgers_clean):
+    return noisy_dataset(small_burgers_clean, noise_level=0.02, seed=9)
 
 
 class TestSeeds:
@@ -42,6 +42,11 @@ class TestSeeds:
         b = simulate_dataset(scenario, 0.05, seed=4)
         np.testing.assert_array_equal(a.field.values, b.field.values)
         assert a.dataset_id() == b.dataset_id()
+
+    @pytest.mark.parametrize("level", [-0.05, float("nan")])
+    def test_noise_level_below_zero_rejected(self, burgers_dataset, level):
+        with pytest.raises(ValueError, match="noise level must be nonnegative"):
+            noisy_dataset(burgers_dataset, level, seed=1)
 
 
 class TestDifferentiationPolicy:
@@ -72,8 +77,8 @@ class TestDifferentiationPolicy:
 
 
 class TestBuildSystem:
-    def test_varying_axis_orientation(self):
-        burgers = simulate_dataset(burgers_scenario(n_x=64, n_t=48, t_span=(0, 4)), 0.0, seed=0)
+    def test_varying_axis_orientation(self, small_burgers_clean):
+        burgers = noisy_dataset(small_burgers_clean, 0.0, seed=0)
         system = build_system(burgers)
         assert system.varying_axis == "time"
         assert system.n_steps == 46  # 48 minus one time trim per side

@@ -90,9 +90,8 @@ class TestKuramotoSivashinsky:
         f = solve_ks(sc)
         assert np.abs(f.values).max() < 1e-12
 
-    def test_chaotic_amplitude_late(self):
-        sc = ks_scenario()
-        f = solve_ks(sc)
+    def test_chaotic_amplitude_late(self, ks_clean):
+        f = ks_clean.field
         late = f.values[:, f.t_coords >= 100.0]
         assert np.abs(late).max() > 1.0  # sustained turbulence, not decay
         assert np.all(np.isfinite(f.values))

@@ -1,84 +1,127 @@
 import numpy as np
 import pytest
 
+from vcpde.gibbs import MIN_RETAINED_DRAWS
 from vcpde.uncertainty import (
     BootstrapCI,
     bootstrap_median_ci,
-    coefficient_seed,
     ensemble_bootstrap_cis,
+    median_rank_weights,
 )
 
+from helpers import monte_carlo_median_ci
 from test_gibbs import synthetic_ensemble
+
+
+def spiky_draws(rng, n):
+    """Draws with a tied block of spike zeros near the median, as a mostly-slab group gives."""
+    return np.where(rng.random(n) < 0.48, 0.0, 1.0 + 0.3 * rng.standard_normal(n))
+
+
+class TestMedianRankWeights:
+    @pytest.mark.parametrize("n", [30, 31, 800, 801])
+    def test_weights_sum_to_one(self, n):
+        a, b, w = median_rank_weights(n)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.all(a <= b) and np.all(w >= 0.0)
+        if n % 2:
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_weights_match_every_resample(self, n):
+        # each of the n**n resamples of the ranks 0..n-1, with np.median's middle pair
+        resamples = np.sort(np.indices((n,) * n).reshape(n, -1).T, axis=1)
+        pairs, counts = np.unique(resamples[:, [(n - 1) // 2, n // 2]], axis=0,
+                                  return_counts=True)
+        a, b, w = median_rank_weights(n)
+        got = {(int(i), int(j)): p for i, j, p in zip(a, b, w)}
+        assert set(got) == {(int(i), int(j)) for i, j in pairs}
+        for (i, j), count in zip(pairs, counts):
+            assert got[int(i), int(j)] == pytest.approx(count / n**n, rel=1e-12)
 
 
 class TestBootstrapMedianCi:
     def test_identical_draws_zero_width(self):
-        ci = bootstrap_median_ci(np.full(100, 3.25), seed=1)
+        ci = bootstrap_median_ci(np.full(100, 3.25))
         assert ci.lower == ci.point == ci.upper == 3.25
-        assert ci.width == 0.0
 
     def test_determinism(self):
+        # the interval depends on the draws' values only, not on their order
         rng = np.random.default_rng(2)
         draws = rng.standard_normal(200)
-        a = bootstrap_median_ci(draws, seed=9)
-        b = bootstrap_median_ci(draws, seed=9)
+        a = bootstrap_median_ci(draws)
+        b = bootstrap_median_ci(rng.permutation(draws))
         assert (a.lower, a.upper) == (b.lower, b.upper)
+
+    @pytest.mark.parametrize("n", [800, 801])
+    @pytest.mark.parametrize("kind", ["normal", "spike"])
+    def test_matches_monte_carlo_oracle(self, n, kind):
+        rng = np.random.default_rng(n)
+        draws = rng.standard_normal(n) if kind == "normal" else spiky_draws(rng, n)
+        ci = bootstrap_median_ci(draws)
+        lo, hi = monte_carlo_median_ci(draws, level=0.95, n_resamples=20_000, seed=1)
+        assert abs(ci.lower - lo) <= 0.03 * (hi - lo)
+        assert abs(ci.upper - hi) <= 0.03 * (hi - lo)
+
+    @pytest.mark.parametrize("n", [200, 201])
+    def test_ends_are_quantiles_of_the_exact_law(self, n):
+        rng = np.random.default_rng(n)
+        draws = rng.standard_normal(n)
+        a, b, w = median_rank_weights(n)
+        ordered = np.sort(draws)
+        medians = (ordered[a] + ordered[b]) / 2
+        for level in (0.5, 0.9, 0.95):
+            ci = bootstrap_median_ci(draws, level=level)
+            for end, q in ((ci.lower, (1 - level) / 2), (ci.upper, (1 + level) / 2)):
+                assert w[medians < end].sum() < q <= w[medians <= end].sum()
 
     def test_nesting_of_levels(self):
         rng = np.random.default_rng(3)
-        draws = rng.standard_normal(300)
-        narrow = bootstrap_median_ci(draws, level=0.90, seed=4)
-        wide = bootstrap_median_ci(draws, level=0.95, seed=4)
-        assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
+        for draws in (rng.standard_normal(300), rng.standard_normal(301), spiky_draws(rng, 300)):
+            narrow = bootstrap_median_ci(draws, level=0.90)
+            wide = bootstrap_median_ci(draws, level=0.95)
+            assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
 
     def test_contains_sample_median_almost_always(self):
+        # the ends are clamped, so every interval brackets its point, ties and all
         rng = np.random.default_rng(5)
-        hits = 0
-        trials = 200
-        for k in range(trials):
-            draws = rng.standard_normal(120)
-            ci = bootstrap_median_ci(draws, n_resamples=400, seed=k)
-            hits += ci.lower <= np.median(draws) <= ci.upper
-        assert hits / trials >= 0.99
+        for n in range(MIN_RETAINED_DRAWS, MIN_RETAINED_DRAWS + 40):
+            for draws in (rng.standard_normal(n), spiky_draws(rng, n), rng.integers(0, 3, n)):
+                ci = bootstrap_median_ci(draws, level=0.5)
+                assert ci.point == np.median(draws)
+                assert ci.lower <= ci.point <= ci.upper
 
     def test_emulated_chain_ci_width_order(self):
         # draws mimicking the benchmark posterior histogram: the published 95%
         # interval has width ~4.5e-5, reproducible only in order of magnitude
         rng = np.random.default_rng(6)
         draws = 0.100116 + 2.6e-4 * rng.standard_normal(800)
-        ci = bootstrap_median_ci(draws, seed=7)
+        ci = bootstrap_median_ci(draws)
         published_width = 0.10013647 - 0.10009149
-        assert published_width / 10 <= ci.width <= published_width * 10
+        assert published_width / 10 <= ci.upper - ci.lower <= published_width * 10
         assert abs(ci.point - 0.100116) < 5e-5
 
     def test_too_few_draws_rejected(self):
         with pytest.raises(ValueError):
-            bootstrap_median_ci(np.ones(10))
-
-    def test_too_few_resamples_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_median_ci(np.ones(100), n_resamples=50)
+            bootstrap_median_ci(np.ones(MIN_RETAINED_DRAWS - 1))
 
     def test_interval_must_bracket_point(self):
         with pytest.raises(ValueError):
-            BootstrapCI(point=1.0, lower=1.1, upper=1.2, level=0.95, n_resamples=500, seed=0)
+            BootstrapCI(point=1.0, lower=1.1, upper=1.2, level=0.95)
 
 
-class TestPerCoefficientSeeds:
-    def test_deterministic_and_distinct(self):
-        assert coefficient_seed(1, 2, 3) == coefficient_seed(1, 2, 3)
-        assert coefficient_seed(1, 2, 3) != coefficient_seed(1, 3, 2)
-
+class TestEnsembleBootstrapCis:
     def test_ensemble_cis_cover_active_groups(self):
         rng = np.random.default_rng(8)
         beta = np.zeros((120, 3, 2))
         beta[:, :, 0] = 2.0 + 0.05 * rng.standard_normal((120, 3))
         ens = synthetic_ensemble(beta, spike=np.tile([False, True], (120, 1)))
-        cis = ensemble_bootstrap_cis(ens, base_seed=11)
-        assert set(cis) == {"g0"}
-        assert len(cis["g0"]) == 3
-        for ci in cis["g0"]:
-            assert 1.9 <= ci.point <= 2.1
+        cis = ensemble_bootstrap_cis(ens)
+        assert cis["level"] == 0.95
+        assert set(cis["intervals"]) == {"g0"}
+        assert len(cis["intervals"]["g0"]) == 3
+        for (lower, upper), point in zip(cis["intervals"]["g0"], np.median(beta[:, :, 0], axis=0)):
+            assert 1.9 <= lower <= point <= upper <= 2.1
 
 
 class TestReportIntegration:

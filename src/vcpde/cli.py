@@ -36,7 +36,13 @@ from .pipeline import (
     simulate_dataset,
 )
 from .selection import AXIS_METHODS, SWEEP_AXES, MethodConfig, SweepFailedError, default_grid, sweep
-from .solvers import SolverBlowupError, make_scenario, scenario_from_metadata, true_coefficients
+from .solvers import (
+    SolverBlowupError,
+    check_noise_level,
+    make_scenario,
+    scenario_from_metadata,
+    true_coefficients,
+)
 from .tbglss import ThresholdSpec
 
 OUTPUT_ROOT_ENV = "VCPDE_OUTPUT_ROOT"
@@ -130,6 +136,7 @@ def _require(value, name: str):
 
 def cmd_simulate(args) -> int:
     _require(args.family, "family")
+    check_noise_level(args.noise)
     scenario = make_scenario(args.family, args.nx, args.nt,
                              _parse_span(args.x_span) if args.x_span else None,
                              _parse_span(args.t_span) if args.t_span else None)

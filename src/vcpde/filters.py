@@ -28,6 +28,14 @@ DEFAULT_GRIDS = {
 }
 
 
+# The options besides its parameter that each kind uses, and their defaults.
+KIND_OPTIONS = {
+    "moving_average": {},
+    "savitzky_golay": {"polyorder": 3},
+    "zero_phase_lowpass": {"butterworth_order": 4},
+}
+
+
 def parameter_name(kind: str) -> str:
     """The FilterSpec field holding a kind's one parameter: the lowpass cutoff, else the window."""
     return "cutoff" if kind == "zero_phase_lowpass" else "window"
@@ -41,7 +49,7 @@ class FilterSpec:
     window: int | None = None
     polyorder: int | None = None
     cutoff: float | None = None
-    butterworth_order: int = 4
+    butterworth_order: int = KIND_OPTIONS["zero_phase_lowpass"]["butterworth_order"]
     axis: str = "time"
 
     def __post_init__(self):
@@ -62,13 +70,23 @@ class FilterSpec:
                 raise ValueError("butterworth_order must be at least 1")
 
     @classmethod
-    def of(cls, kind: str, parameter, polyorder: int = 3, butterworth_order: int = 4,
-           axis: str = "time") -> "FilterSpec":
-        """The `kind` filter with its parameter (see `parameter_name`) set to `parameter`."""
+    def of(cls, kind: str, parameter, polyorder: int | None = None,
+           butterworth_order: int | None = None, axis: str = "time") -> "FilterSpec":
+        """The `kind` filter with its parameter (see `parameter_name`) set to `parameter`.
+
+        An option left None takes its KIND_OPTIONS default; setting one the
+        kind does not use is an error.
+        """
+        given = {"polyorder": polyorder, "butterworth_order": butterworth_order}
+        uses = KIND_OPTIONS.get(kind, given)  # an unknown kind fails in __post_init__
+        unused = [name for name, value in given.items() if value is not None and name not in uses]
+        if unused:
+            raise ValueError(f"a {kind} filter does not use {' or '.join(unused)}")
+        options = {name: default if given[name] is None else given[name]
+                   for name, default in uses.items()}
         if parameter_name(kind) == "cutoff":
-            return cls(kind, cutoff=parameter, butterworth_order=butterworth_order, axis=axis)
-        return cls(kind, window=None if parameter is None else int(parameter),
-                   polyorder=polyorder if kind == "savitzky_golay" else None, axis=axis)
+            return cls(kind, cutoff=parameter, axis=axis, **options)
+        return cls(kind, window=None if parameter is None else int(parameter), axis=axis, **options)
 
     @property
     def parameter(self):
@@ -185,6 +203,6 @@ def filter_sweep(
             points.append(FilterSweepPoint(float(value), None, error=str(exc)))
     scored = [(p.mse, p.parameter) for p in points if p.mse is not None]
     if not scored:
-        raise ValueError("every filter sweep point failed")
+        raise ValueError(f"every filter sweep point failed; the first with {points[0].error}")
     min_mse, argmin = min(scored)
     return FilterSweepCurve(kind, spec.axis, tuple(points), argmin, min_mse)

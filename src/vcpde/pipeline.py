@@ -26,7 +26,7 @@ from .library import (
     normalize_columns,
 )
 from .selection import MethodConfig, SweepFailedError, default_grid, fit, sweep
-from .solvers import PdeScenario, add_noise, solve
+from .solvers import PdeScenario, add_noise, check_noise_level, solve
 from .tbglss import DiscoveryReport
 
 NOISE_DOUBLING_LEVEL = 0.02  # chain lengths double at and above this noise level
@@ -76,6 +76,7 @@ def noisy_dataset(clean: Dataset, noise_level: float, seed: int) -> Dataset:
 
 def simulate_dataset(scenario: PdeScenario, noise_level: float = 0.0, seed: int = 0) -> Dataset:
     """Solve the scenario and optionally add white noise (seed-derived)."""
+    check_noise_level(noise_level)
     return noisy_dataset(Dataset(solve(scenario), scenario.metadata()), noise_level, seed)
 
 

@@ -65,13 +65,15 @@ class MethodConfig:
             raise ValueError("tbglss needs thresholds")
 
 
-def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryReport:
+def fit(system: GroupedLinearSystem, method_config: MethodConfig,
+        chains: dict | None = None) -> DiscoveryReport:
     """Run one method at fixed parameters and score it.
 
     The loss is `aic_loss` of the normalized-scale coefficients with k =
     active groups x steps.  A tbglss run that keeps no group has no loss;
     SGTR and group lasso report the zero fit's.  A group-lasso fit that
     stopped unconverged has no loss either, and says so in `unscored`.
+    `chains` is `run_tbglss`'s memo of chains already sampled on this system.
     """
     mc = method_config
     if mc.method == "tbglss":
@@ -84,6 +86,7 @@ def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryRe
             final_chains=mc.final_chains,
             keep_final_ensemble=mc.keep_final_ensemble,
             bootstrap_ci=mc.with_ci,
+            chains=chains,
         )
         if report.empty_model:
             return report
@@ -190,7 +193,10 @@ def sweep(
     """Fit `base` once per grid value of `axis` and record all criteria.
 
     The axis implies the method, which `base` must use; `base` holds the
-    parameters that are not swept, e.g. t_rms while sweeping t_ge.  A point
+    parameters that are not swept, e.g. t_rms while sweeping t_ge.  The
+    tbglss points share one memo of chains, so a chain that several threshold
+    values run (the screening chains on the full support, say) is sampled once
+    and every point's report is the same as a standalone `fit`'s.  A point
     failing with one of POINT_ERRORS, or whose report is `unscored`, is
     recorded on the curve as failed and no argmin uses it.  A point whose
     tbglss run keeps no group scores as the empty model.
@@ -205,9 +211,10 @@ def sweep(
     if base.method != AXIS_METHODS[axis]:
         raise ValueError(f"axis {axis!r} applies to the {AXIS_METHODS[axis]} method")
     points = []
+    chains: dict = {}
     for value in map(float, grid):
         try:
-            points.append(_fit_point(system, _point_config(base, axis, value), value, truth))
+            points.append(_fit_point(system, _point_config(base, axis, value), value, truth, chains))
         except POINT_ERRORS as exc:
             points.append(SweepPoint(value, None, None, None, (), error=f"{type(exc).__name__}: {exc}"))
     argmin = {}
@@ -219,8 +226,8 @@ def sweep(
 
 
 def _fit_point(system: GroupedLinearSystem, config: MethodConfig, value: float,
-               truth: CoefficientTrajectories | None) -> SweepPoint:
-    report = fit(system, config)
+               truth: CoefficientTrajectories | None, chains: dict) -> SweepPoint:
+    report = fit(system, config, chains)
     if report.unscored:
         return SweepPoint(value, None, None, None, (), error=report.unscored)
     loss, teb = report.loss, report.total_error_bar

@@ -397,10 +397,15 @@ def solve(scenario: PdeScenario) -> SpatioTemporalField:
     return FAMILIES[scenario.family][1](scenario)
 
 
-def add_noise(field: SpatioTemporalField, level: float, seed: int) -> SpatioTemporalField:
-    """Add white noise scaled by the global standard deviation of the field."""
+def check_noise_level(level: float) -> None:
+    """Reject a noise level below 0 or NaN; callers check it before they spend a solve on it."""
     if not level >= 0:
         raise ValueError(f"noise level must be nonnegative, got {level}")
+
+
+def add_noise(field: SpatioTemporalField, level: float, seed: int) -> SpatioTemporalField:
+    """Add white noise scaled by the global standard deviation of the field."""
+    check_noise_level(level)
     if level == 0:
         return field
     rng = np.random.default_rng(seed)

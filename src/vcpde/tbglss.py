@@ -40,10 +40,11 @@ class ThresholdSpec:
     def __post_init__(self):
         if self.t_rms is None and self.t_ge is None:
             raise ValueError("at least one threshold must be given")
-        if self.t_rms is not None and self.t_rms < 0:
-            raise ValueError("t_rms must be nonnegative")
-        if self.t_ge is not None and self.t_ge < 0:
-            raise ValueError("t_ge must be nonnegative")
+        # NaN compares false, so a NaN threshold would never remove a group
+        if self.t_rms is not None and not self.t_rms >= 0:
+            raise ValueError(f"t_rms must be nonnegative, got {self.t_rms}")
+        if self.t_ge is not None and not self.t_ge >= 0:
+            raise ValueError(f"t_ge must be nonnegative, got {self.t_ge}")
 
 
 @dataclass(frozen=True)
@@ -139,20 +140,18 @@ class DiscoveryReport:
 
 
 def _evaluate_criteria(
-    ensemble: PosteriorEnsemble, thresholds: ThresholdSpec
+    median: np.ndarray, variance: np.ndarray, descriptors: tuple[str, ...], thresholds: ThresholdSpec
 ) -> tuple[dict, list[int]]:
     """Normalized-scale criteria per group and the indices failing any of them."""
-    med = np.median(ensemble.beta, axis=0)
-    s2 = np.var(ensemble.beta, axis=0, ddof=1)
     criteria: dict = {}
     failing: list[int] = []
-    for g, name in enumerate(ensemble.descriptors):
-        rms = rms_criterion(med[:, g])
+    for g, name in enumerate(descriptors):
+        rms = rms_criterion(median[:, g])
         if rms == 0.0:
             criteria[name] = {"rms": 0.0, "group_error_bar": None, "median_zero": True}
             failing.append(g)
             continue
-        ge = group_error_bar(med[:, g], s2[:, g])
+        ge = group_error_bar(median[:, g], variance[:, g])
         criteria[name] = {"rms": rms, "group_error_bar": ge, "median_zero": False}
         fails = False
         if thresholds.t_rms is not None and rms < thresholds.t_rms:
@@ -164,6 +163,34 @@ def _evaluate_criteria(
     return criteria, failing
 
 
+@dataclass(frozen=True)
+class ChainSummary:
+    """What the loop keeps of one chain: its normalized posterior median and variance (read-only),
+    and the draws only when the run reports them."""
+
+    median: np.ndarray  # (n_steps, n_active)
+    variance: np.ndarray  # (n_steps, n_active), ddof=1
+    ensemble: PosteriorEnsemble | None = None
+
+
+def _chain(system: GroupedLinearSystem, key: tuple[tuple[int, ...], BglssConfig], chains: dict,
+           keep_ensemble: bool = False) -> ChainSummary:
+    """The summary of the chain `key` = (support, config), sampled only if `chains` lacks it.
+
+    A chain's draws depend only on its system, its support and its config, so
+    `chains` (shared by runs on one system) maps that key to the summary.
+    """
+    summary = chains.get(key)
+    if summary is None or (keep_ensemble and summary.ensemble is None):
+        support, config = key
+        ensemble = sample_posterior(system.subsystem(support), config)
+        median = np.median(ensemble.beta, axis=0)
+        variance = np.var(ensemble.beta, axis=0, ddof=1)
+        median.flags.writeable = variance.flags.writeable = False
+        summary = chains[key] = ChainSummary(median, variance, ensemble if keep_ensemble else None)
+    return summary
+
+
 def run_tbglss(
     system: GroupedLinearSystem,
     thresholds: ThresholdSpec,
@@ -173,6 +200,7 @@ def run_tbglss(
     final_chains: int = 1,
     keep_final_ensemble: bool = False,
     bootstrap_ci: bool = False,
+    chains: dict | None = None,
 ) -> DiscoveryReport:
     """Threshold the spike-and-slab sampler until the sparsity pattern is stable.
 
@@ -182,14 +210,22 @@ def run_tbglss(
     length; only that confirmed update is committed, so every committed update
     except the last removes at least one group.  The report's loss is left to
     `selection.fit`, which scores every method alike.
+
+    `chains`, a dict shared by runs on this same system (as `selection.sweep`
+    shares one), memoizes the chains and the MC-EM estimate: a run finds there
+    what an earlier run already sampled, and its report is the same as without.
     """
     if not system.normalized:
         raise ValueError("run_tbglss requires a column-normalized system")
 
+    chains = {} if chains is None else chains
     lam = config.lam
     hyper: dict = {"pi0": config.pi0}
     if isinstance(lam, str):
-        est = estimate_hyperparams(system, config)
+        key = ("estimate_hyperparams", config)
+        if key not in chains:
+            chains[key] = estimate_hyperparams(system, config)
+        est = chains[key]
         lam = est.lam
         hyper.update(
             {"lam_estimated": True, "em_converged": est.converged, "em_rounds": est.n_rounds,
@@ -204,29 +240,35 @@ def run_tbglss(
     full_descriptors = system.descriptors
     active = np.arange(system.n_groups)
     history: list[UpdateRecord] = []
-    ensemble: PosteriorEnsemble | None = None
+    summary: ChainSummary | None = None
     update_idx = 0
     long_run = system.n_groups == 0
+    keep_ensemble = keep_final_ensemble or bootstrap_ci
 
     while active.size:
         n_it, n_burn = (
             (config.n_iterations, config.n_burnin) if long_run else (update_iterations, update_burnin)
         )
         seed = int(np.random.SeedSequence((config.seed, update_idx)).generate_state(1)[0])
-        sub = system.subsystem(active)
-        cfg = replace(config, lam=float(lam), n_iterations=n_it, n_burnin=n_burn, seed=seed)
-        ensemble = sample_posterior(sub, cfg)
-        criteria, failing = _evaluate_criteria(ensemble, thresholds)
+        key = (tuple(active.tolist()), replace(config, lam=float(lam), n_iterations=n_it,
+                                               n_burnin=n_burn, seed=seed))
+        summary = _chain(system, key, chains, keep_ensemble and long_run)
+        descriptors = tuple(full_descriptors[g] for g in active)
+        criteria, failing = _evaluate_criteria(summary.median, summary.variance, descriptors,
+                                               thresholds)
         update_idx += 1
         if failing:
-            removed = tuple(sub.descriptors[g] for g in failing)
-            history.append(UpdateRecord(sub.descriptors, removed, criteria, n_it))
+            if summary.ensemble is not None:
+                # only a confirming chain's entry holds its draws
+                chains[key] = replace(summary, ensemble=None)
+            removed = tuple(descriptors[g] for g in failing)
+            history.append(UpdateRecord(descriptors, removed, criteria, n_it))
             keep = np.setdiff1d(np.arange(active.size), failing)
             active = active[keep]
             long_run = False
             continue
         if long_run:
-            history.append(UpdateRecord(sub.descriptors, (), criteria, n_it))
+            history.append(UpdateRecord(descriptors, (), criteria, n_it))
             break
         # screening update stabilized: confirm with the long chain on the same support
         long_run = True
@@ -240,11 +282,12 @@ def run_tbglss(
     final_criteria: dict = {}
     chain_medians = None
     total_eb = None
+    ensemble = None
 
     if active.size:
-        assert ensemble is not None
-        med_norm = np.median(ensemble.beta, axis=0)
-        s2_norm = np.var(ensemble.beta, axis=0, ddof=1)
+        assert summary is not None
+        ensemble = summary.ensemble
+        med_norm, s2_norm = summary.median, summary.variance
         sub_scales = system.scales[:, active]
         values[:, active] = med_norm / sub_scales
         stdev[:, active] = np.sqrt(s2_norm) / sub_scales
@@ -263,10 +306,8 @@ def run_tbglss(
                 seed = int(
                     np.random.SeedSequence((config.seed, update_idx, c)).generate_state(1)[0]
                 )
-                extra = sample_posterior(
-                    system.subsystem(active), replace(config, lam=float(lam), seed=seed)
-                )
-                medians.append(np.median(extra.beta, axis=0) / sub_scales)
+                extra_key = (tuple(active.tolist()), replace(config, lam=float(lam), seed=seed))
+                medians.append(_chain(system, extra_key, chains).median / sub_scales)
             stacked = np.zeros((final_chains, n_steps, n_groups))
             stacked[:, :, active] = np.stack(medians)
             chain_medians = stacked
@@ -288,7 +329,8 @@ def run_tbglss(
         provenance={"seed": config.seed},
         empty_model=not bool(active_mask.any()),
         chain_medians=chain_medians,
-        bootstrap_cis=ensemble_bootstrap_cis(ensemble) if (bootstrap_ci and active.size) else None,
-        final_ensemble=ensemble if (keep_final_ensemble and active.size) else None,
+        bootstrap_cis=None if not bootstrap_ci or ensemble is None
+        else ensemble_bootstrap_cis(ensemble),
+        final_ensemble=ensemble if keep_final_ensemble else None,
         beta_normalized=beta_full_norm,
     )

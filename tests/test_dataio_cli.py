@@ -136,6 +136,36 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: noise level must be nonnegative")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("noise", ["-0.05", "nan"])
+    def test_simulate_checks_noise_before_solving(self, monkeypatch, tmp_path, capsys, noise):
+        solved = []
+        for family, (factory, solver) in list(solvers.FAMILIES.items()):
+            monkeypatch.setitem(solvers.FAMILIES, family, (
+                factory, lambda scenario, solver=solver: solved.append(scenario) or solver(scenario)))
+        code = self.run("simulate", "--family", "ks", "--noise", noise, "--output", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: noise level must be nonnegative")
+        assert solved == []
+        assert not list(tmp_path.iterdir())
+
+    def test_discover_nan_threshold_is_validation_error(self, small_dataset, tmp_path, capsys):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("discover", "--dataset", str(path), "--t-ge", "nan",
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: t_ge must be nonnegative, got nan")
+        assert not (tmp_path / "out").exists()
+
+    def test_filter_option_its_kind_ignores_is_validation_error(self, small_dataset, tmp_path,
+                                                                 capsys):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("filter", "--dataset", str(path), "--kind", "moving_average",
+                        "--window", "5", "--order", "6", "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: a moving_average filter does not use butterworth_order")
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_clean_no_twin(self, tmp_path, capsys):
         assert self.run("simulate", "--family", "ad", "--nx", "64", "--nt", "32",
                         "--output", str(tmp_path)) == 0

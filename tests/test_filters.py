@@ -46,9 +46,18 @@ class TestFilterSpecValidation:
         ("zero_phase_lowpass", 0.25, {"cutoff": 0.25, "butterworth_order": 3}),
     ])
     def test_of_sets_only_the_kinds_fields(self, kind, parameter, fields):
-        spec = FilterSpec.of(kind, parameter, polyorder=2, butterworth_order=3, axis="space")
+        options = {"polyorder", "butterworth_order"}
+        used = {name: value for name, value in fields.items() if name in options}
+        spec = FilterSpec.of(kind, parameter, axis="space", **used)
         assert spec == FilterSpec(kind, axis="space", **fields)
         assert spec.parameter == parameter
+        for option in sorted(options - set(used)):
+            with pytest.raises(ValueError, match=f"a {kind} filter does not use {option}"):
+                FilterSpec.of(kind, parameter, axis="space", **used, **{option: 2})
+
+    def test_of_defaults_unset_options(self):
+        assert FilterSpec.of("savitzky_golay", 7).polyorder == 3
+        assert FilterSpec.of("zero_phase_lowpass", 0.25).butterworth_order == 4
 
     def test_of_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind must be one of"):
@@ -154,6 +163,11 @@ class TestFilterSweep:
         curve = filter_sweep(noisy, clean, "savitzky_golay", [2, 7], axis="space")
         assert curve.points[0].error is not None
         assert curve.points[1].mse is not None
+
+    def test_option_the_kind_ignores_fails_every_point_and_says_why(self):
+        noisy, clean = noisy_sine()
+        with pytest.raises(ValueError, match="does not use butterworth_order"):
+            filter_sweep(noisy, clean, "moving_average", [3, 5], butterworth_order=3)
 
     @pytest.mark.parametrize("kind", sorted(DEFAULT_GRIDS))
     def test_default_grid(self, kind):

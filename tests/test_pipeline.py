@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vcpde import selection
+from vcpde import selection, solvers
 from vcpde.baselines import group_lasso
 from vcpde.filters import FilterSpec
 from vcpde.gibbs import BglssConfig
@@ -47,6 +47,16 @@ class TestSeeds:
     def test_noise_level_below_zero_rejected(self, burgers_dataset, level):
         with pytest.raises(ValueError, match="noise level must be nonnegative"):
             noisy_dataset(burgers_dataset, level, seed=1)
+
+    @pytest.mark.parametrize("level", [-0.05, float("nan")])
+    def test_bad_noise_level_rejected_before_the_solve(self, monkeypatch, level):
+        solved = []
+        factory, solver = solvers.FAMILIES["burgers"]
+        monkeypatch.setitem(solvers.FAMILIES, "burgers",
+                            (factory, lambda scenario: solved.append(scenario) or solver(scenario)))
+        with pytest.raises(ValueError, match="noise level must be nonnegative"):
+            simulate_dataset(burgers_scenario(n_x=64, n_t=32), level, seed=1)
+        assert solved == []
 
 
 class TestDifferentiationPolicy:

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcpde import selection
+from vcpde import selection, tbglss
 from vcpde.baselines import GroupLassoConfig, group_lasso, group_lasso_null_threshold
 from vcpde.criteria import aic_loss, coefficient_mse, empty_model_scores, total_error_bar
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, GroupedLinearSystem, normalize_columns
+from vcpde.pipeline import build_system, noisy_dataset
 from vcpde.selection import MethodConfig, SelectionCurve, default_grid, fit, sweep
-from vcpde.tbglss import ThresholdSpec
+from vcpde.tbglss import ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
 from helpers import lstsq_trajectories
@@ -290,3 +291,105 @@ class TestSweep:
         text = (tmp_path / "curve.csv").read_text()
         assert "sgtr_threshold" in text.splitlines()[0]
         assert (tmp_path / "curve.json").exists()
+
+
+@pytest.fixture(scope="module")
+def burgers_one_percent(small_burgers_clean):
+    return build_system(noisy_dataset(small_burgers_clean, 0.01, seed=3))
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """The (support, config) of each chain run_tbglss samples, in order."""
+    chains = []
+    sample = tbglss.sample_posterior
+
+    def recording(system, config):
+        chains.append((system.descriptors, config))
+        return sample(system, config)
+
+    monkeypatch.setattr(tbglss, "sample_posterior", recording)
+    return chains
+
+
+class TestSweepSharesChains:
+    """A sweep samples each distinct chain once; every point still reports what `fit` reports."""
+
+    BASE = MethodConfig(thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.1),
+                        bglss=BglssConfig(n_iterations=300, n_burnin=100, seed=4),
+                        update_iterations=120, update_burnin=40)
+
+    @pytest.mark.parametrize("axis,grid,options", [
+        ("t_ge", np.linspace(0.02, 0.22, 6), {}),
+        ("t_rms", np.logspace(-3, 0, 6), {}),
+        ("t_ge", np.linspace(0.02, 0.22, 4),
+         {"final_chains": 2, "with_ci": True, "keep_final_ensemble": True}),
+    ], ids=["t_ge", "t_rms", "t_ge-two-chains-ci"])
+    def test_every_point_matches_a_standalone_fit(self, burgers_one_percent, sampled,
+                                                  axis, grid, options):
+        base = replace(self.BASE, **options)
+        curve = sweep(burgers_one_percent, axis, grid, base)
+        shared = len(sampled)
+        sampled.clear()
+        supports = set()
+        for point in curve.points:
+            alone = fit(burgers_one_percent, selection._point_config(base, axis, point.value))
+            assert point.report.to_json() == alone.to_json()
+            supports.add(point.selected)
+            if base.keep_final_ensemble and alone.final_ensemble is not None:
+                np.testing.assert_array_equal(point.report.final_ensemble.beta,
+                                              alone.final_ensemble.beta)
+        assert len(supports) > 1  # the grid crosses support changes
+        assert len(set(sampled)) == shared < len(sampled)
+        if base.with_ci:
+            assert any(p.report.bootstrap_cis for p in curve.points)
+
+    def test_runs_sharing_a_memo_keep_same_size_supports_apart(self, burgers_one_percent):
+        """Two runs whose first updates remove as many groups but not the same ones."""
+        system, base = burgers_one_percent, self.BASE
+        lengths = {"update_iterations": base.update_iterations,
+                   "update_burnin": base.update_burnin}
+        probe = run_tbglss(system, ThresholdSpec(t_ge=np.inf), base.bglss, **lengths)
+        crit = probe.update_history[0].criteria
+        live = [name for name, c in crit.items() if not c["median_zero"]]
+        rms = sorted(crit[name]["rms"] for name in live)
+        ge = sorted((crit[name]["group_error_bar"] for name in live), reverse=True)
+        k = next(k for k in range(1, len(live))
+                 if {n for n in live if crit[n]["rms"] < rms[k]}
+                 != {n for n in live if crit[n]["group_error_bar"] > ge[k]})
+        specs = (ThresholdSpec(t_rms=(rms[k - 1] + rms[k]) / 2),
+                 ThresholdSpec(t_ge=(ge[k - 1] + ge[k]) / 2))
+        chains: dict = {}
+        shared = [run_tbglss(system, spec, base.bglss, chains=chains, **lengths) for spec in specs]
+        first, second = (r.update_history[0].removed for r in shared)
+        assert len(first) == len(second) and set(first) != set(second)
+        for spec, report in zip(specs, shared):
+            assert report.to_json() == run_tbglss(system, spec, base.bglss, **lengths).to_json()
+
+    def test_back_to_back_sweeps_share_nothing(self, burgers_one_percent, sampled):
+        grid = np.linspace(0.02, 0.22, 4)
+        first = sweep(burgers_one_percent, "t_ge", grid, self.BASE)
+        once = list(sampled)
+        second = sweep(burgers_one_percent, "t_ge", grid, self.BASE)
+        assert sampled == once + once
+        assert [p.report.to_json() for p in first.points] == [
+            p.report.to_json() for p in second.points]
+
+    @pytest.mark.filterwarnings("ignore:Monte Carlo EM")
+    def test_mc_em_estimate_runs_once_per_sweep(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        system, _, _ = random_grouped_system(rng, n_rows=24)
+        estimates = []
+        estimate = tbglss.estimate_hyperparams
+        monkeypatch.setattr(tbglss, "estimate_hyperparams",
+                            lambda *args: estimates.append(args) or estimate(*args))
+        base = MethodConfig(thresholds=ThresholdSpec(t_rms=0.05),
+                            bglss=BglssConfig(n_iterations=150, n_burnin=40,
+                                              lam="estimate_mc_em", seed=3))
+        grid = np.array([0.1, 0.5, 1.0])
+        curve = sweep(system, "t_ge", grid, base)
+        assert len(estimates) == 1
+        for point in curve.points:
+            alone = fit(system, selection._point_config(base, "t_ge", point.value))
+            assert point.report.to_json() == alone.to_json()
+        assert len(estimates) == 1 + grid.size

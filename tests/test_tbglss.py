@@ -22,6 +22,12 @@ class TestThresholdSpec:
         with pytest.raises(ValueError):
             ThresholdSpec(t_rms=-0.1)
 
+    @pytest.mark.parametrize("field", ["t_rms", "t_ge"])
+    def test_rejects_nan_accepts_inf(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative, got nan"):
+            ThresholdSpec(**{field: float("nan")})
+        assert getattr(ThresholdSpec(**{field: float("inf")}), field) == float("inf")
+
 
 class TestRmsCriterion:
     def test_zero_vector(self):

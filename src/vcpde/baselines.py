@@ -31,10 +31,11 @@ class SgtrConfig:
     ridge: float = 1e-5
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.ridge < 0:
-            raise ValueError("ridge penalty must be nonnegative")
+        # negated comparisons, so that NaN fails them too
+        if not self.threshold > 0:
+            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        if not self.ridge >= 0:
+            raise ValueError(f"ridge penalty must be nonnegative, got {self.ridge}")
 
 
 @dataclass(frozen=True)
@@ -46,17 +47,17 @@ class GroupLassoConfig:
     max_sweeps: int = 10000
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # negated comparisons, so that NaN fails them too
+        if not self.lam > 0:
+            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 def _ridge_fit(system: GroupedLinearSystem, active: np.ndarray, ridge: float) -> np.ndarray:
     """Batched per-step ridge solve on the active columns; (m, len(active))."""
-    sub = system.subsystem(active)
-    gram = sub.gram()
-    cty = sub.design_target()
+    gram = system.gram()[:, active[:, None], active]
+    cty = system.design_target()[:, active]
     k = active.size
     lhs = gram + ridge * np.eye(k)[None, :, :]
     try:

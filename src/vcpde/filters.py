@@ -43,13 +43,16 @@ def parameter_name(kind: str) -> str:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One denoiser and its parameters; axis picks the filtered grid direction."""
+    """One denoiser and its parameters; axis picks the filtered grid direction.
+
+    An option the kind uses (KIND_OPTIONS) that is left None takes its default.
+    """
 
     kind: str
     window: int | None = None
     polyorder: int | None = None
     cutoff: float | None = None
-    butterworth_order: int = KIND_OPTIONS["zero_phase_lowpass"]["butterworth_order"]
+    butterworth_order: int | None = None
     axis: str = "time"
 
     def __post_init__(self):
@@ -57,6 +60,13 @@ class FilterSpec:
             raise ValueError(f"kind must be one of {FILTER_KINDS}")
         if self.axis not in ("space", "time"):
             raise ValueError("axis must be 'space' or 'time'")
+        unused = [name for name in ("polyorder", "butterworth_order")
+                  if getattr(self, name) is not None and name not in KIND_OPTIONS[self.kind]]
+        if unused:
+            raise ValueError(f"a {self.kind} filter does not use {' or '.join(unused)}")
+        for name, default in KIND_OPTIONS[self.kind].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.kind in ("moving_average", "savitzky_golay"):
             if self.window is None or self.window < 3 or self.window % 2 == 0:
                 raise ValueError("window must be odd and at least 3")
@@ -66,7 +76,7 @@ class FilterSpec:
         if self.kind == "zero_phase_lowpass":
             if self.cutoff is None or not 0.0 < self.cutoff < 1.0:
                 raise ValueError("cutoff must be a normalized frequency in (0, 1)")
-            if self.butterworth_order < 1:
+            if self.butterworth_order is None or self.butterworth_order < 1:
                 raise ValueError("butterworth_order must be at least 1")
 
     @classmethod
@@ -75,15 +85,9 @@ class FilterSpec:
         """The `kind` filter with its parameter (see `parameter_name`) set to `parameter`.
 
         An option left None takes its KIND_OPTIONS default; setting one the
-        kind does not use is an error.
+        kind does not use is an error (both in `__post_init__`).
         """
-        given = {"polyorder": polyorder, "butterworth_order": butterworth_order}
-        uses = KIND_OPTIONS.get(kind, given)  # an unknown kind fails in __post_init__
-        unused = [name for name, value in given.items() if value is not None and name not in uses]
-        if unused:
-            raise ValueError(f"a {kind} filter does not use {' or '.join(unused)}")
-        options = {name: default if given[name] is None else given[name]
-                   for name, default in uses.items()}
+        options = {"polyorder": polyorder, "butterworth_order": butterworth_order}
         if parameter_name(kind) == "cutoff":
             return cls(kind, cutoff=parameter, axis=axis, **options)
         return cls(kind, window=None if parameter is None else int(parameter), axis=axis, **options)

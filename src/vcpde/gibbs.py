@@ -23,13 +23,13 @@ prior for tau2_g (spike), inverse-gamma for sigma2 and a Beta law for pi0.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from .library import CoefficientTrajectories, GroupedLinearSystem
 
@@ -73,13 +73,17 @@ class BglssConfig:
         if isinstance(self.lam, str):
             if self.lam != ESTIMATE_MC_EM:
                 raise ValueError(f"lam must be positive or {ESTIMATE_MC_EM!r}")
-        elif self.lam <= 0:
-            raise ValueError("lam must be positive")
+        elif not self.lam > 0:  # also rejects NaN
+            raise ValueError(f"lam must be positive, got {self.lam}")
         if isinstance(self.pi0, str):
             if self.pi0 != ESTIMATE:
                 raise ValueError(f"pi0 must be a probability or {ESTIMATE!r}")
         elif not 0.0 <= self.pi0 <= 1.0:
             raise ValueError("fixed pi0 must lie in [0, 1]")
+        for name in ("fixed_tau2", "fixed_sigma2"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,21 @@ def sample_posterior(system: GroupedLinearSystem, config: BglssConfig) -> Poster
     return _run_chain(system, config)
 
 
+def _log_prior_odds(pi0: float) -> float:
+    """log((1 - pi0) / pi0): +inf at pi0 = 0 and -inf at pi0 = 1."""
+    if pi0 <= 0.0:
+        return math.inf
+    if pi0 >= 1.0:
+        return -math.inf
+    return float(np.log1p(-pi0) - np.log(pi0))
+
+
 def _run_chain(
     system: GroupedLinearSystem, config: BglssConfig, pi0_init: float | None = None
 ) -> PosteriorEnsemble:
+    """One chain.  Its draws and random stream are bit-identical to those of the plain
+    step-major kernel the tests keep as reference: every value below is computed by the
+    same floating-point operations, in the same order, only into buffers."""
     m, n, n_groups = system.blocks.shape
     gram = system.gram()
     cty = system.design_target()
@@ -142,10 +158,19 @@ def _run_chain(
     alpha_prior, gamma_prior = SIGMA2_PRIOR
     lam = float(config.lam)
     estimate_pi0 = isinstance(config.pi0, str)
+    update_tau2 = config.fixed_tau2 is None
+    update_sigma2 = config.fixed_sigma2 is None
+
+    # The group sweep keeps its state group-major, row g holding column g of the
+    # step-major (m, G) arrays, so every read and write in it is contiguous:
+    # gram_t[g, h, i] = Gram_i[h, g], cty_t = cty.T, beta_t = beta.T and v_t = v_cache.T,
+    # with v_cache the per-step Gram_i @ beta_i.
+    gram_t = np.ascontiguousarray(gram.transpose(2, 1, 0))
+    cty_t = np.ascontiguousarray(cty.T)
+    beta_t = np.zeros((n_groups, m))
+    v_t = np.zeros((n_groups, m))
 
     rng = np.random.default_rng(config.seed)
-    beta = np.zeros((m, n_groups))
-    v_cache = np.zeros((m, n_groups))  # per step: Gram_i @ beta_i
     spike = np.ones(n_groups, dtype=bool)
     tau2 = np.full(n_groups, config.fixed_tau2 if config.fixed_tau2 is not None else 1.0)
     if config.fixed_sigma2 is not None:
@@ -156,6 +181,7 @@ def _run_chain(
         pi0 = 0.5 if pi0_init is None else min(max(float(pi0_init), 1e-6), 1 - 1e-6)
     else:
         pi0 = float(config.pi0)
+    log_prior_odds = _log_prior_odds(pi0)
 
     n_keep = config.n_iterations - config.n_burnin
     kept_beta = np.empty((n_keep, m, n_groups))
@@ -164,55 +190,77 @@ def _run_chain(
     kept_pi0 = np.empty(n_keep)
     kept_spike = np.empty((n_keep, n_groups), dtype=bool)
 
-    with np.errstate(divide="ignore"):
-        log_prior_odds = np.log1p(-pi0) - np.log(pi0)
+    # buffers of the group update, and each group's rows of the group-major state
+    c = np.empty(m)
+    delta = np.empty(m)
+    noise = np.empty(m)
+    product_t = np.empty((n_groups, m))
+    product = np.empty((m, n_groups))
+    rows = list(enumerate(zip(gram_t, cty_t, beta_t, v_t)))
 
     for it in range(config.n_iterations):
-        for g in range(n_groups):
-            c = cty[:, g] - v_cache[:, g] + beta[:, g]
-            w = 1.0 + 1.0 / tau2[g]
-            log_odds = log_prior_odds - 0.5 * m * np.log1p(tau2[g]) + (c @ c) / (2.0 * sigma2 * w)
-            p_spike = float(expit(-log_odds))
+        # tau2 and sigma2 hold still during the sweep.  np.log1p, as math.log1p
+        # differs from it in the last bit on some inputs.
+        tau2_list = tau2.tolist()
+        log1p_tau2 = np.log1p(tau2).tolist()
+        for g, (gram_g, cty_g, beta_g, v_g) in rows:
+            np.subtract(cty_g, v_g, c)
+            np.add(c, beta_g, c)
+            w = 1.0 + 1.0 / tau2_list[g]
+            log_odds = log_prior_odds - 0.5 * m * log1p_tau2[g] + c.dot(c) / (2.0 * sigma2 * w)
+            try:
+                p_spike = 1.0 / (1.0 + math.exp(log_odds))  # = expit(-log_odds)
+            except OverflowError:  # log_odds above ~709.78, where expit(-log_odds) is 0
+                p_spike = 0.0
             if rng.random() < p_spike:
-                new = np.zeros(m)
-                now_spike = True
+                if spike[g]:
+                    continue
+                np.subtract(0.0, beta_g, delta)
+                beta_g.fill(0.0)
+                spike[g] = True
             else:
-                new = c / w + np.sqrt(sigma2 / w) * rng.standard_normal(m)
-                now_spike = False
-            if not (now_spike and spike[g]):
-                v_cache += gram[:, :, g] * (new - beta[:, g])[:, None]
-                beta[:, g] = new
-            spike[g] = now_spike
+                np.divide(c, w, c)
+                rng.standard_normal(out=noise)
+                np.multiply(noise, math.sqrt(sigma2 / w), noise)
+                np.add(c, noise, c)
+                np.subtract(c, beta_g, delta)
+                np.copyto(beta_g, c)
+                spike[g] = False
+            np.multiply(gram_g, delta, product_t)
+            np.add(v_t, product_t, v_t)
 
-        if config.fixed_tau2 is None:
-            active = np.flatnonzero(~spike)
+        beta = np.ascontiguousarray(beta_t.T)
+        active = (~spike).nonzero()[0]
+        if active.size and (update_tau2 or update_sigma2):
+            # summed over the active columns only: indexing all columns' sums rounds differently
+            beta_active = beta[:, active]
+            norms_sq = np.einsum("mg,mg->g", beta_active, beta_active)
+        if update_tau2:
             if active.size:
-                norms = np.sqrt(np.einsum("mg,mg->g", beta[:, active], beta[:, active]))
-                mean_inv = lam * np.sqrt(sigma2) / np.maximum(norms, 1e-300)
+                mean_inv = lam * math.sqrt(sigma2) / np.maximum(np.sqrt(norms_sq), 1e-300)
                 inv_tau2 = rng.wald(mean_inv, lam**2)
                 tau2[active] = 1.0 / np.maximum(inv_tau2, 1e-300)
-            spiked = np.flatnonzero(spike)
+            spiked = spike.nonzero()[0]
             if spiked.size:
                 tau2[spiked] = rng.gamma((m + 1) / 2.0, 2.0 / lam**2, size=spiked.size)
 
-        rss = max(yty - 2.0 * float((beta * cty).sum()) + float((beta * v_cache).sum()), 0.0)
-        if config.fixed_sigma2 is None:
-            active = ~spike
-            shrink = 0.0
-            if active.any():
-                norms_sq = np.einsum("mg,mg->g", beta[:, active], beta[:, active])
-                shrink = float((norms_sq / tau2[active]).sum())
-            shape = alpha_prior + 0.5 * n_obs + 0.5 * m * int(active.sum())
+        if update_sigma2:
+            # both sums run over C-ordered (m, G) products, the order the rss is defined in
+            np.multiply(beta, cty, out=product)
+            rss = yty - 2.0 * float(product.sum())
+            np.multiply(beta, v_t.T, out=product)
+            rss = max(rss + float(product.sum()), 0.0)
+            shrink = float((norms_sq / tau2[active]).sum()) if active.size else 0.0
+            shape = alpha_prior + 0.5 * n_obs + 0.5 * m * active.size
             rate = gamma_prior + 0.5 * rss + 0.5 * shrink
             sigma2 = 1.0 / rng.gamma(shape, 1.0 / rate)
-            if not np.isfinite(sigma2) or sigma2 <= 0:
+            if not 0.0 < sigma2 < math.inf:
                 raise SamplerError(f"sigma2 diverged at iteration {it}")
 
         if estimate_pi0:
-            n_spike = int(spike.sum())
+            n_spike = n_groups - active.size
             pi0 = rng.beta(1.0 + n_spike, 1.0 + n_groups - n_spike)
-            with np.errstate(divide="ignore"):
-                log_prior_odds = np.log1p(-pi0) - np.log(pi0)
+            log_prior_odds = _log_prior_odds(pi0)
 
         k = it - config.n_burnin
         if k >= 0:

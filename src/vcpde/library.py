@@ -8,11 +8,15 @@ design that is never materialized densely; all downstream solvers work on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .differentiation import DerivativeStack
+
+# Steps per chunk of a loop over steps that would otherwise make a temporary the size
+# of all steps (`_group_major_products`, `tbglss._summarize`).
+CHUNK_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,9 @@ class GroupedLinearSystem:
     varying_axis: str
     step_coords: np.ndarray
     scales: np.ndarray | None = None  # (n_steps, n_groups) column norms, set by normalize
+    # The Gram and Theta^T y once computed (`_products`).  Not an init field, so `replace`
+    # starts every derived system with an empty cache.
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, n, g = self.blocks.shape
@@ -161,22 +168,60 @@ class GroupedLinearSystem:
         return float((r * r).sum())
 
     def gram(self) -> np.ndarray:
-        """Per-step Gram matrices Theta_i^T Theta_i, shape (m, G, G)."""
-        return np.einsum("mng,mnh->mgh", self.blocks, self.blocks)
+        """Per-step Gram matrices Theta_i^T Theta_i, shape (m, G, G), read-only."""
+        return self._products()[0]
 
     def design_target(self) -> np.ndarray:
-        """Per-step Theta_i^T y_i, shape (m, G)."""
-        return np.einsum("mng,mn->mg", self.blocks, self.target)
+        """Per-step Theta_i^T y_i, shape (m, G), read-only."""
+        return self._products()[1]
+
+    def _products(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram and Theta^T y, computed once (a subsystem's are set by `subsystem`)."""
+        if "gram" not in self._cache:
+            self._set_products(*_group_major_products(self.blocks, self.target))
+        return self._cache["gram"], self._cache["cty"]
+
+    def _set_products(self, gram: np.ndarray, cty: np.ndarray) -> None:
+        gram.flags.writeable = cty.flags.writeable = False
+        self._cache.update(gram=gram, cty=cty)
 
     def subsystem(self, indices: np.ndarray) -> "GroupedLinearSystem":
-        """Restrict to a subset of groups (columns deleted for removed groups)."""
+        """Restrict to a subset of groups (columns deleted for removed groups).
+
+        The blocks are copied; the Gram and Theta^T y are slices of this
+        system's, bit-identical to computing them from the copy.
+        """
         indices = np.asarray(indices, dtype=int)
-        return replace(
+        sub = replace(
             self,
             blocks=self.blocks[:, :, indices],
             descriptors=tuple(self.descriptors[i] for i in indices),
             scales=None if self.scales is None else self.scales[:, indices],
         )
+        gram, cty = self.gram(), self.design_target()
+        sub._set_products(gram[:, indices[:, None], indices], cty[:, indices])
+        return sub
+
+
+def _group_major_products(blocks: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step Gram and Theta^T y, summed in group-major order, CHUNK_STEPS steps at a time.
+
+    `einsum`'s summation order follows the memory layout of its operands.
+    Indexing the group axis (`subsystem`) lays the blocks out group-major, so
+    computing on a group-major copy makes every slice of the result
+    bit-identical to the products computed from a subsystem's own blocks.
+    Each step is independent, so chunking the steps changes no bit and
+    bounds the copy.
+    """
+    m, _, n_groups = blocks.shape
+    gram = np.empty((m, n_groups, n_groups))
+    cty = np.empty((m, n_groups))
+    for start in range(0, m, CHUNK_STEPS):
+        steps = slice(start, start + CHUNK_STEPS)
+        chunk = np.ascontiguousarray(blocks[steps].transpose(2, 0, 1)).transpose(1, 2, 0)
+        gram[steps] = np.einsum("mng,mnh->mgh", chunk, chunk)
+        cty[steps] = np.einsum("mng,mn->mg", chunk, target[steps])
+    return gram, cty
 
 
 def assemble_grouped_system(

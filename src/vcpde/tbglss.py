@@ -23,7 +23,7 @@ import numpy as np
 
 from .criteria import group_error_bar, rms_criterion, total_error_bar
 from .gibbs import BglssConfig, PosteriorEnsemble, estimate_hyperparams, sample_posterior
-from .library import CoefficientTrajectories, GroupedLinearSystem
+from .library import CHUNK_STEPS, CoefficientTrajectories, GroupedLinearSystem
 from .uncertainty import ensemble_bootstrap_cis
 
 DEFAULT_UPDATE_ITERATIONS = 200
@@ -184,11 +184,26 @@ def _chain(system: GroupedLinearSystem, key: tuple[tuple[int, ...], BglssConfig]
     if summary is None or (keep_ensemble and summary.ensemble is None):
         support, config = key
         ensemble = sample_posterior(system.subsystem(support), config)
-        median = np.median(ensemble.beta, axis=0)
-        variance = np.var(ensemble.beta, axis=0, ddof=1)
-        median.flags.writeable = variance.flags.writeable = False
-        summary = chains[key] = ChainSummary(median, variance, ensemble if keep_ensemble else None)
+        summary = chains[key] = ChainSummary(*_summarize(ensemble.beta),
+                                             ensemble if keep_ensemble else None)
     return summary
+
+
+def _summarize(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coefficient median and ddof=1 variance of draws (n_draws, n_steps, k), read-only.
+
+    Each step's statistics take the same arithmetic whole or in chunks, so
+    CHUNK_STEPS steps at a time gives the same bits without temporaries the
+    size of all the draws.
+    """
+    median = np.empty(beta.shape[1:])
+    variance = np.empty(beta.shape[1:])
+    for start in range(0, beta.shape[1], CHUNK_STEPS):
+        steps = slice(start, start + CHUNK_STEPS)
+        median[steps] = np.median(beta[:, steps], axis=0)
+        variance[steps] = np.var(beta[:, steps], axis=0, ddof=1)
+    median.flags.writeable = variance.flags.writeable = False
+    return median, variance
 
 
 def run_tbglss(

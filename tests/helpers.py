@@ -1,8 +1,10 @@
-"""Dense, least-squares and Monte Carlo oracles that the tests check the package against."""
+"""Dense, least-squares, Monte Carlo and reference-sampler oracles that the tests check the
+package against."""
 
 import numpy as np
+from scipy.special import expit
 
-from vcpde.gibbs import PosteriorEnsemble
+from vcpde.gibbs import SIGMA2_PRIOR, BglssConfig, PosteriorEnsemble, SamplerError
 from vcpde.library import GroupedLinearSystem
 
 
@@ -40,3 +42,110 @@ def monte_carlo_median_ci(draws: np.ndarray, level: float, n_resamples: int,
         medians.append(np.median(draws[idx], axis=1))
     lo, hi = np.percentile(np.concatenate(medians), [50.0 * (1.0 - level), 50.0 * (1.0 + level)])
     return float(lo), float(hi)
+
+
+def reference_chain(system: GroupedLinearSystem, config: BglssConfig,
+                    pi0_init: float | None = None) -> PosteriorEnsemble:
+    """The block Gibbs sampler as first written, step-major with one temporary per operation:
+    the oracle that `gibbs._run_chain` must match bit for bit, draws and RNG stream alike."""
+    m, n, n_groups = system.blocks.shape
+    gram = system.gram()
+    cty = system.design_target()
+    yty = float((system.target**2).sum())
+    n_obs = m * n
+    alpha_prior, gamma_prior = SIGMA2_PRIOR
+    lam = float(config.lam)
+    estimate_pi0 = isinstance(config.pi0, str)
+
+    rng = np.random.default_rng(config.seed)
+    beta = np.zeros((m, n_groups))
+    v_cache = np.zeros((m, n_groups))  # per step: Gram_i @ beta_i
+    spike = np.ones(n_groups, dtype=bool)
+    tau2 = np.full(n_groups, config.fixed_tau2 if config.fixed_tau2 is not None else 1.0)
+    if config.fixed_sigma2 is not None:
+        sigma2 = float(config.fixed_sigma2)
+    else:
+        sigma2 = max(float(system.target.var()), 1e-12)
+    if estimate_pi0:
+        pi0 = 0.5 if pi0_init is None else min(max(float(pi0_init), 1e-6), 1 - 1e-6)
+    else:
+        pi0 = float(config.pi0)
+
+    n_keep = config.n_iterations - config.n_burnin
+    kept_beta = np.empty((n_keep, m, n_groups))
+    kept_tau2 = np.empty((n_keep, n_groups))
+    kept_sigma2 = np.empty(n_keep)
+    kept_pi0 = np.empty(n_keep)
+    kept_spike = np.empty((n_keep, n_groups), dtype=bool)
+
+    with np.errstate(divide="ignore"):
+        log_prior_odds = np.log1p(-pi0) - np.log(pi0)
+
+    for it in range(config.n_iterations):
+        for g in range(n_groups):
+            c = cty[:, g] - v_cache[:, g] + beta[:, g]
+            w = 1.0 + 1.0 / tau2[g]
+            log_odds = log_prior_odds - 0.5 * m * np.log1p(tau2[g]) + (c @ c) / (2.0 * sigma2 * w)
+            p_spike = float(expit(-log_odds))
+            if rng.random() < p_spike:
+                new = np.zeros(m)
+                now_spike = True
+            else:
+                new = c / w + np.sqrt(sigma2 / w) * rng.standard_normal(m)
+                now_spike = False
+            if not (now_spike and spike[g]):
+                v_cache += gram[:, :, g] * (new - beta[:, g])[:, None]
+                beta[:, g] = new
+            spike[g] = now_spike
+
+        if config.fixed_tau2 is None:
+            active = np.flatnonzero(~spike)
+            if active.size:
+                norms = np.sqrt(np.einsum("mg,mg->g", beta[:, active], beta[:, active]))
+                mean_inv = lam * np.sqrt(sigma2) / np.maximum(norms, 1e-300)
+                inv_tau2 = rng.wald(mean_inv, lam**2)
+                tau2[active] = 1.0 / np.maximum(inv_tau2, 1e-300)
+            spiked = np.flatnonzero(spike)
+            if spiked.size:
+                tau2[spiked] = rng.gamma((m + 1) / 2.0, 2.0 / lam**2, size=spiked.size)
+
+        rss = max(yty - 2.0 * float((beta * cty).sum()) + float((beta * v_cache).sum()), 0.0)
+        if config.fixed_sigma2 is None:
+            active = ~spike
+            shrink = 0.0
+            if active.any():
+                norms_sq = np.einsum("mg,mg->g", beta[:, active], beta[:, active])
+                shrink = float((norms_sq / tau2[active]).sum())
+            shape = alpha_prior + 0.5 * n_obs + 0.5 * m * int(active.sum())
+            rate = gamma_prior + 0.5 * rss + 0.5 * shrink
+            sigma2 = 1.0 / rng.gamma(shape, 1.0 / rate)
+            if not np.isfinite(sigma2) or sigma2 <= 0:
+                raise SamplerError(f"sigma2 diverged at iteration {it}")
+
+        if estimate_pi0:
+            n_spike = int(spike.sum())
+            pi0 = rng.beta(1.0 + n_spike, 1.0 + n_groups - n_spike)
+            with np.errstate(divide="ignore"):
+                log_prior_odds = np.log1p(-pi0) - np.log(pi0)
+
+        k = it - config.n_burnin
+        if k >= 0:
+            kept_beta[k] = beta
+            kept_tau2[k] = tau2
+            kept_sigma2[k] = sigma2
+            kept_pi0[k] = pi0
+            kept_spike[k] = spike
+
+    return PosteriorEnsemble(
+        beta=kept_beta,
+        tau2=kept_tau2,
+        sigma2=kept_sigma2,
+        pi0=kept_pi0,
+        spike=kept_spike,
+        scales=system.scales.copy(),
+        descriptors=system.descriptors,
+        step_coords=system.step_coords,
+        varying_axis=system.varying_axis,
+        lam_used=lam,
+        seed=config.seed,
+    )

@@ -98,6 +98,10 @@ class TestSgtr:
             SgtrConfig(threshold=0.0)
         with pytest.raises(ValueError):
             SgtrConfig(threshold=0.1, ridge=-1.0)
+        with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+            SgtrConfig(threshold=float("nan"))
+        with pytest.raises(ValueError, match="ridge penalty must be nonnegative, got nan"):
+            SgtrConfig(threshold=0.1, ridge=float("nan"))
 
 
 class TestGroupLasso:
@@ -184,6 +188,10 @@ class TestGroupLasso:
             GroupLassoConfig(lam=0.0)
         with pytest.raises(ValueError):
             GroupLassoConfig(lam=1.0, tolerance=0.0)
+        with pytest.raises(ValueError, match="lam must be positive, got nan"):
+            GroupLassoConfig(lam=float("nan"))
+        with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+            GroupLassoConfig(lam=1.0, tolerance=float("nan"))
 
 
 class TestBaselinesOnCleanBurgers:

@@ -156,6 +156,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: t_ge must be nonnegative, got nan")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--lam", "nan"], "lam must be positive, got nan"),
+        (["--method", "sgtr", "--sgtr-threshold", "nan"], "threshold must be positive, got nan"),
+        (["--method", "sgtr", "--sgtr-threshold", "0.1", "--sgtr-ridge", "nan"],
+         "ridge penalty must be nonnegative, got nan"),
+        (["--method", "group_lasso", "--lasso-lam", "nan"], "lam must be positive, got nan"),
+    ], ids=["lam", "sgtr_threshold", "sgtr_ridge", "lasso_lam"])
+    def test_discover_nan_option_is_validation_error(self, small_dataset, tmp_path, capsys,
+                                                     argv, message):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("discover", "--dataset", str(path), "--t-rms", "0.1", *argv,
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_filter_option_its_kind_ignores_is_validation_error(self, small_dataset, tmp_path,
                                                                  capsys):
         path = save_dataset(small_dataset, tmp_path / "d.json")

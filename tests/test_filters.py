@@ -59,6 +59,21 @@ class TestFilterSpecValidation:
         assert FilterSpec.of("savitzky_golay", 7).polyorder == 3
         assert FilterSpec.of("zero_phase_lowpass", 0.25).butterworth_order == 4
 
+    @pytest.mark.parametrize("kind,parameter", [("moving_average", 5), ("savitzky_golay", 7)])
+    def test_only_lowpass_carries_an_order(self, kind, parameter):
+        spec = FilterSpec.of(kind, parameter)
+        assert spec.butterworth_order is None
+        assert spec.to_dict()["butterworth_order"] is None
+        assert FilterSpec.of("zero_phase_lowpass", 0.25).to_dict()["butterworth_order"] == 4
+        with pytest.raises(ValueError, match=f"a {kind} filter does not use butterworth_order"):
+            FilterSpec(kind, window=parameter, polyorder=spec.polyorder, butterworth_order=4)
+
+    def test_constructor_fills_the_kinds_defaults(self):
+        assert FilterSpec("zero_phase_lowpass", cutoff=0.25) == FilterSpec.of("zero_phase_lowpass", 0.25)
+        assert FilterSpec("savitzky_golay", window=7) == FilterSpec.of("savitzky_golay", 7)
+        assert FilterSpec("moving_average", window=5).to_dict()["butterworth_order"] is None
+        assert FilterSpec("zero_phase_lowpass", cutoff=0.25, butterworth_order=2).butterworth_order == 2
+
     def test_of_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind must be one of"):
             FilterSpec.of("median", 5)

@@ -4,13 +4,14 @@ import pytest
 from vcpde.gibbs import (
     BglssConfig,
     PosteriorEnsemble,
+    _run_chain,
     estimate_hyperparams,
     posterior_median,
     sample_posterior,
 )
 from vcpde.library import GroupedLinearSystem, normalize_columns
 
-from helpers import posterior_variance
+from helpers import posterior_variance, reference_chain
 
 
 def single_group_system(beta_ls, n_rows=8, seed=7):
@@ -126,6 +127,12 @@ class TestSamplerLimits:
                                      ("a", "b"), "time", np.arange(3.0))
         with pytest.raises(ValueError, match="normalized"):
             sample_posterior(system, BglssConfig(n_iterations=60, n_burnin=10, lam=1.0))
+
+    @pytest.mark.parametrize("field", ["lam", "fixed_tau2", "fixed_sigma2"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_nonpositive_or_nan_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive, got {value}"):
+            BglssConfig(**{field: value})
 
     def test_requires_numeric_lam(self):
         system = single_group_system(BETA_LS)
@@ -274,3 +281,45 @@ class TestBurgersMedianTracksTruth:
         rel = np.linalg.norm(report.trajectories.values[:, g] - truth.values[:, g]) / np.linalg.norm(
             truth.values[:, g])
         assert rel <= 0.05
+
+
+# Settings that steer the kernel down each of its branches: pi0 drawn or fixed (at 0 and 1
+# the prior odds are infinite), variances drawn or fixed, and a noise variance so small
+# that the slab odds overflow exp.
+ORACLE_SETTINGS = {
+    "estimated_pi0": {},
+    "fixed_pi0": {"pi0": 0.3},
+    "pi0_zero": {"pi0": 0.0},
+    "pi0_one": {"pi0": 1.0},
+    "fixed_tau2_and_sigma2": {"fixed_tau2": 0.5, "fixed_sigma2": 1e-3},
+    "overflowing_odds": {"fixed_sigma2": 1e-9},
+}
+
+
+class TestKernelMatchesReference:
+    """The sampler's kernel draws bit for bit what the reference kernel draws."""
+
+    @pytest.fixture(scope="class", params=[20, 3], ids=["20_groups", "3_groups"])
+    def system(self, request, burgers_system):
+        if request.param == 20:
+            return burgers_system
+        names = ("u", "u*u_x", "u_xx")
+        return burgers_system.subsystem([burgers_system.descriptors.index(d) for d in names])
+
+    @staticmethod
+    def assert_same_draws(got: PosteriorEnsemble, want: PosteriorEnsemble):
+        for name in ("beta", "tau2", "sigma2", "pi0", "spike"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("settings", list(ORACLE_SETTINGS.values()), ids=list(ORACLE_SETTINGS))
+    def test_bit_identical_draws(self, system, settings):
+        config = BglssConfig(n_iterations=40, n_burnin=10, seed=3, **settings)
+        self.assert_same_draws(sample_posterior(system, config), reference_chain(system, config))
+
+    def test_bit_identical_draws_from_an_em_start(self, system):
+        # estimate_hyperparams starts each round's chain from the last round's pi0
+        config = BglssConfig(n_iterations=40, n_burnin=10, lam=0.7, seed=9)
+        self.assert_same_draws(_run_chain(system, config, pi0_init=0.2),
+                               reference_chain(system, config, pi0_init=0.2))

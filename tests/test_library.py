@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from vcpde.differentiation import DerivativeStack
 from vcpde.library import (
+    CHUNK_STEPS,
     CoefficientTrajectories,
     GroupedLinearSystem,
     LibrarySpec,
@@ -185,6 +188,64 @@ class TestBlockStructure:
         assert sub.descriptors == (lib.descriptors[1], lib.descriptors[3])
         np.testing.assert_array_equal(sub.blocks, system.blocks[:, :, keep])
         np.testing.assert_array_equal(sub.scales, system.scales[:, keep])
+
+
+class TestGramCache:
+    """The Gram and Theta^T y each system computes once, and its subsystems slice."""
+
+    @staticmethod
+    def products_of_own_blocks(system):
+        blocks = system.blocks
+        return (np.einsum("mng,mnh->mgh", blocks, blocks),
+                np.einsum("mng,mn->mg", blocks, system.target))
+
+    @pytest.mark.parametrize("source", ["burgers", "one_step_last_chunk"])
+    def test_subsystem_products_bitwise_equal_its_own(self, burgers_system, source):
+        # equal to einsum over the subsystem's own (indexed) blocks, for every support
+        rng = np.random.default_rng(0)
+        system = burgers_system
+        if source == "one_step_last_chunk":
+            m = CHUNK_STEPS + 1
+            system = GroupedLinearSystem(rng.standard_normal((m, 30, 20)),
+                                         rng.standard_normal((m, 30)),
+                                         tuple(f"g{i}" for i in range(20)), "time",
+                                         np.arange(float(m)))
+        supports = [np.arange(20), np.array([7])]
+        supports += [np.sort(rng.choice(20, size=rng.integers(1, 20), replace=False))
+                     for _ in range(30)]
+        for support in supports:
+            sub = system.subsystem(support)
+            gram, cty = self.products_of_own_blocks(sub)
+            assert sub.gram().tobytes() == gram.tobytes()
+            assert sub.design_target().tobytes() == cty.tobytes()
+            nested = sub.subsystem(np.arange(0, support.size, 2))
+            gram, cty = self.products_of_own_blocks(nested)
+            assert nested.gram().tobytes() == gram.tobytes()
+            assert nested.design_target().tobytes() == cty.tobytes()
+
+    def test_products_close_to_step_major_sums(self, burgers_system):
+        gram, cty = self.products_of_own_blocks(burgers_system)
+        np.testing.assert_allclose(burgers_system.gram(), gram, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(burgers_system.design_target(), cty, rtol=1e-12, atol=1e-14)
+
+    def test_products_are_computed_once_and_read_only(self, burgers_system):
+        sub = burgers_system.subsystem([0, 3])
+        assert sub.gram() is sub.gram()
+        for array in (sub.gram(), sub.design_target(), burgers_system.gram()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_derived_systems_start_without_cache(self):
+        raw, _ = manufactured_exponential_system()
+        raw_gram, raw_cty = raw.gram(), raw.design_target()
+        normalized = normalize_columns(raw)
+        gram, cty = self.products_of_own_blocks(normalized)
+        np.testing.assert_allclose(normalized.gram(), gram, rtol=1e-12)
+        np.testing.assert_allclose(normalized.design_target(), cty, rtol=1e-12)
+        assert not np.allclose(normalized.gram(), raw_gram)
+        retargeted = replace(raw, target=2.0 * raw.target)
+        np.testing.assert_allclose(retargeted.design_target(), 2.0 * raw_cty, rtol=1e-12)
+        np.testing.assert_array_equal(retargeted.gram(), raw_gram)
 
 
 class TestExactRecoveryInvariant:

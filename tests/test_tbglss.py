@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vcpde.criteria import ZeroNormGroupError, group_error_bar, rms_criterion
 from vcpde import tbglss
 from vcpde.gibbs import BglssConfig, estimate_hyperparams
+from vcpde.library import CHUNK_STEPS
 from vcpde.tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
@@ -138,6 +139,18 @@ class TestLoopProperties:
         assert report.empty_model
         assert report.selected == ()
         assert np.all(report.trajectories.values == 0.0)
+
+
+class TestChainSummary:
+    @pytest.mark.parametrize("n_draws", [30, 31])  # np.median averages two middle draws at even n
+    def test_chunked_summary_bitwise_equals_whole_array(self, n_draws):
+        rng = np.random.default_rng(n_draws)
+        beta = rng.standard_normal((n_draws, 2 * CHUNK_STEPS + 5, 3))
+        beta[:, :, 1] = 0.0
+        median, variance = tbglss._summarize(beta)
+        assert median.tobytes() == np.median(beta, axis=0).tobytes()
+        assert variance.tobytes() == np.var(beta, axis=0, ddof=1).tobytes()
+        assert not median.flags.writeable and not variance.flags.writeable
 
 
 class TestReportSerialization:

@@ -1,9 +1,10 @@
 """One method dispatch, and the parameter sweeps built on it.
 
 `fit` runs tbglss, SGTR or group lasso at fixed parameters on a grouped system
-and scores the result with the AIC-inspired loss.  `sweep` calls `fit` once per
-value of one parameter and records every criterion (see `criteria`), keeping
-each point's report so a parameter chosen on a grid needs no second fit.
+and scores the result with the AIC-inspired loss.  `sweep` fits once per value
+of one parameter and records every criterion (see `criteria`), keeping each
+point's report so a parameter chosen on a grid needs no second fit.  A sweep
+runs its work on worker processes forked from this one, one per CPU it may use.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +21,15 @@ from .baselines import GroupLassoConfig, SgtrConfig, group_lasso, group_lasso_nu
 from .criteria import aic_loss, coefficient_mse, empty_model_scores
 from .gibbs import BglssConfig, SamplerError
 from .library import CoefficientTrajectories, GroupedLinearSystem
+from .pool import Workers
 from .tbglss import (
     DEFAULT_UPDATE_BURNIN,
     DEFAULT_UPDATE_ITERATIONS,
     DiscoveryReport,
     ThresholdSpec,
+    _chain,
     run_tbglss,
+    threshold_loop,
 )
 
 # Each sweep axis is a parameter of one method.
@@ -65,31 +70,17 @@ class MethodConfig:
             raise ValueError("tbglss needs thresholds")
 
 
-def fit(system: GroupedLinearSystem, method_config: MethodConfig,
-        chains: dict | None = None) -> DiscoveryReport:
+def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryReport:
     """Run one method at fixed parameters and score it.
 
     The loss is `aic_loss` of the normalized-scale coefficients with k =
     active groups x steps.  A tbglss run that keeps no group has no loss;
     SGTR and group lasso report the zero fit's.  A group-lasso fit that
     stopped unconverged has no loss either, and says so in `unscored`.
-    `chains` is `run_tbglss`'s memo of chains already sampled on this system.
     """
     mc = method_config
     if mc.method == "tbglss":
-        report = run_tbglss(
-            system,
-            mc.thresholds,
-            mc.bglss,
-            update_iterations=mc.update_iterations,
-            update_burnin=mc.update_burnin,
-            final_chains=mc.final_chains,
-            keep_final_ensemble=mc.keep_final_ensemble,
-            bootstrap_ci=mc.with_ci,
-            chains=chains,
-        )
-        if report.empty_model:
-            return report
+        report = run_tbglss(system, mc.thresholds, mc.bglss, **_loop_options(mc))
     elif mc.method == "sgtr":
         if mc.sgtr_threshold is None:
             raise ValueError("fit needs a fixed sgtr_threshold")
@@ -108,6 +99,20 @@ def fit(system: GroupedLinearSystem, method_config: MethodConfig,
         if not result.converged:
             return replace(report, unscored=f"NotConverged: group lasso did not converge "
                                             f"in {result.n_sweeps} sweeps")
+    return _scored(system, report)
+
+
+def _loop_options(mc: MethodConfig) -> dict:
+    """The tbglss run's settings besides its thresholds and chain config."""
+    return {"update_iterations": mc.update_iterations, "update_burnin": mc.update_burnin,
+            "final_chains": mc.final_chains, "keep_final_ensemble": mc.keep_final_ensemble,
+            "bootstrap_ci": mc.with_ci}
+
+
+def _scored(system: GroupedLinearSystem, report: DiscoveryReport) -> DiscoveryReport:
+    """`report` with its loss, unless it is a tbglss run that kept no group."""
+    if report.method == "tbglss" and report.empty_model:
+        return report
     k = int(report.trajectories.active.sum()) * system.n_steps
     return replace(report, loss=aic_loss(system, report.beta_normalized, k))
 
@@ -200,23 +205,30 @@ def sweep(
     failing with one of POINT_ERRORS, or whose report is `unscored`, is
     recorded on the curve as failed and no argmin uses it.  A point whose
     tbglss run keeps no group scores as the empty model.
+
+    The work runs on worker processes forked once per sweep (`pool.Workers`):
+    each distinct tbglss chain is one task, and so is each SGTR or group-lasso
+    point.  Points come back in grid order, warnings raised in a worker are
+    raised again here, and every report is the same as when run in this
+    process.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("sweep grid must be nonempty")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"sweep grid values must be finite, got {grid.tolist()}")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("sweep grid must be strictly increasing")
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     if base.method != AXIS_METHODS[axis]:
         raise ValueError(f"axis {axis!r} applies to the {AXIS_METHODS[axis]} method")
-    points = []
+    values = [float(v) for v in grid]
     chains: dict = {}
-    for value in map(float, grid):
-        try:
-            points.append(_fit_point(system, _point_config(base, axis, value), value, truth, chains))
-        except POINT_ERRORS as exc:
-            points.append(SweepPoint(value, None, None, None, (), error=f"{type(exc).__name__}: {exc}"))
+    loops = [_point_loop(system, _point_config(base, axis, v), v, truth, chains) for v in values]
+    system.gram()  # cached before the workers fork, so each inherits it
+    with Workers(partial(_work, system, truth), len(values)) as workers:
+        points = _drive(loops, workers)
     argmin = {}
     for crit in ("loss", "total_error_bar", "coefficient_mse"):
         best = [(getattr(p, crit), p.value) for p in points if getattr(p, crit) is not None]
@@ -225,9 +237,23 @@ def sweep(
     return SelectionCurve(axis, tuple(points), argmin)
 
 
-def _fit_point(system: GroupedLinearSystem, config: MethodConfig, value: float,
-               truth: CoefficientTrajectories | None, chains: dict) -> SweepPoint:
-    report = fit(system, config, chains)
+def _point_loop(system: GroupedLinearSystem, config: MethodConfig, value: float,
+                truth: CoefficientTrajectories | None, chains: dict):
+    """One sweep point as a generator: yields (key, keep_ensemble) for the work it needs and
+    returns its SweepPoint, failed if the point raised one of POINT_ERRORS.  A tbglss point
+    asks for its chains; any other point is one task."""
+    try:
+        if config.method != "tbglss":
+            return (yield (value, config), False)
+        report = yield from threshold_loop(system, config.thresholds, config.bglss,
+                                           chains=chains, **_loop_options(config))
+        return _sweep_point(system, _scored(system, report), value, truth)
+    except POINT_ERRORS as exc:
+        return SweepPoint(value, None, None, None, (), error=f"{type(exc).__name__}: {exc}")
+
+
+def _sweep_point(system: GroupedLinearSystem, report: DiscoveryReport, value: float,
+                 truth: CoefficientTrajectories | None) -> SweepPoint:
     if report.unscored:
         return SweepPoint(value, None, None, None, (), error=report.unscored)
     loss, teb = report.loss, report.total_error_bar
@@ -235,6 +261,55 @@ def _fit_point(system: GroupedLinearSystem, config: MethodConfig, value: float,
         loss, teb = empty_model_scores(system)
     mse = None if truth is None else coefficient_mse(report.trajectories, truth)
     return SweepPoint(value, loss, teb, mse, report.selected, report=report)
+
+
+def _work(system: GroupedLinearSystem, truth: CoefficientTrajectories | None, task: tuple):
+    """One task (key, keep_ensemble): a tbglss memo entry, or a whole SGTR or group-lasso point
+    (key = (value, config))."""
+    key, keep_ensemble = task
+    if isinstance(key[1], MethodConfig):
+        value, config = key
+        return _sweep_point(system, fit(system, config), value, truth)
+    return _chain(system, key, keep_ensemble)
+
+
+def _drive(loops: list, workers: Workers) -> list:
+    """Run every point's loop (`_point_loop`) to its SweepPoint, in this thread.
+
+    A key in flight is submitted once; every loop waiting on it resumes when
+    it completes, in the order they asked.  A task's point error is raised in
+    each of them; any other error of a task is raised here.
+    """
+    points: list = [None] * len(loops)
+    waiting: dict = {}  # key in flight -> [(loop index, keep_ensemble)]
+
+    def resume(index, value=None, error=None):
+        loop = loops[index]
+        try:
+            key, keep = loop.send(value) if error is None else loop.throw(error)
+        except StopIteration as done:
+            points[index] = done.value
+            return
+        wait_on(index, key, keep)
+
+    def wait_on(index, key, keep):
+        if key not in waiting:
+            waiting[key] = []
+            workers.submit((key, keep))
+        waiting[key].append((index, keep))
+
+    for index in range(len(loops)):
+        resume(index)
+    while waiting:
+        for (key, _), value, error in workers.collect():
+            if error is not None and not isinstance(error, POINT_ERRORS):
+                raise error
+            for index, keep in waiting.pop(key):
+                if keep and error is None and value.ensemble is None:
+                    wait_on(index, key, keep)  # it joined a chain submitted without its draws
+                else:
+                    resume(index, value, error)
+    return points
 
 
 def _point_config(base: MethodConfig, axis: str, value: float) -> MethodConfig:

@@ -172,21 +172,45 @@ class ChainSummary:
     variance: np.ndarray  # (n_steps, n_active), ddof=1
     ensemble: PosteriorEnsemble | None = None
 
+    def __post_init__(self):
+        self.median.flags.writeable = self.variance.flags.writeable = False
 
-def _chain(system: GroupedLinearSystem, key: tuple[tuple[int, ...], BglssConfig], chains: dict,
-           keep_ensemble: bool = False) -> ChainSummary:
-    """The summary of the chain `key` = (support, config), sampled only if `chains` lacks it.
+    def __reduce__(self):
+        # through the constructor, so a summary a sweep's worker sends back stays read-only
+        return ChainSummary, (self.median, self.variance, self.ensemble)
 
-    A chain's draws depend only on its system, its support and its config, so
-    `chains` (shared by runs on one system) maps that key to the summary.
+
+# The first element of the memo key of the MC-EM estimate; a chain's key starts with its support.
+ESTIMATE = "estimate_hyperparams"
+
+
+def _chain(system: GroupedLinearSystem, key: tuple, keep_ensemble: bool = False):
+    """Compute the memo entry `key` names on `system`.
+
+    A chain's key is (support, config): its draws depend only on the system,
+    the support and the config, and the entry is their `ChainSummary`.  The
+    MC-EM estimate's key is (ESTIMATE, config).
     """
-    summary = chains.get(key)
-    if summary is None or (keep_ensemble and summary.ensemble is None):
-        support, config = key
-        ensemble = sample_posterior(system.subsystem(support), config)
-        summary = chains[key] = ChainSummary(*_summarize(ensemble.beta),
-                                             ensemble if keep_ensemble else None)
-    return summary
+    first, config = key
+    if first == ESTIMATE:
+        return estimate_hyperparams(system, config)
+    ensemble = sample_posterior(system.subsystem(first), config)
+    return ChainSummary(*_summarize(ensemble.beta), ensemble if keep_ensemble else None)
+
+
+def _median(draws: np.ndarray) -> np.ndarray:
+    """`np.median(draws, axis=0)` bit for bit, for finite draws, from one partition.
+
+    np.median partitions at both middle ranks and averages them with
+    `np.mean`, which sums from 0.0 (so a -0.0 median reads 0.0).  The lower
+    middle rank is the largest value below the upper one, so one partition
+    and a max over the lower half give the same operands and the same sum.
+    """
+    half = draws.shape[0] // 2
+    part = np.partition(draws, half, axis=0)
+    if draws.shape[0] % 2:
+        return 0.0 + part[half]
+    return (0.0 + part[:half].max(axis=0) + part[half]) / 2
 
 
 def _summarize(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,16 +218,26 @@ def _summarize(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each step's statistics take the same arithmetic whole or in chunks, so
     CHUNK_STEPS steps at a time gives the same bits without temporaries the
-    size of all the draws.
+    size of all the draws.  A chunk with a non-finite draw has a non-finite
+    variance and takes `np.median` itself, which is NaN wherever a draw is.
     """
     median = np.empty(beta.shape[1:])
     variance = np.empty(beta.shape[1:])
     for start in range(0, beta.shape[1], CHUNK_STEPS):
         steps = slice(start, start + CHUNK_STEPS)
-        median[steps] = np.median(beta[:, steps], axis=0)
         variance[steps] = np.var(beta[:, steps], axis=0, ddof=1)
+        finite = np.isfinite(variance[steps]).all()
+        median[steps] = _median(beta[:, steps]) if finite else np.median(beta[:, steps], axis=0)
     median.flags.writeable = variance.flags.writeable = False
     return median, variance
+
+
+def _entry(chains: dict, key: tuple, keep_ensemble: bool = False):
+    """The memo's entry for `key`; on a miss, yield (key, keep_ensemble) and store what comes back."""
+    entry = chains.get(key)
+    if entry is None or (keep_ensemble and entry.ensemble is None):
+        entry = chains[key] = yield key, keep_ensemble
+    return entry
 
 
 def run_tbglss(
@@ -226,21 +260,47 @@ def run_tbglss(
     except the last removes at least one group.  The report's loss is left to
     `selection.fit`, which scores every method alike.
 
-    `chains`, a dict shared by runs on this same system (as `selection.sweep`
-    shares one), memoizes the chains and the MC-EM estimate: a run finds there
-    what an earlier run already sampled, and its report is the same as without.
+    `chains`, a dict shared by runs on this same system, memoizes the chains
+    and the MC-EM estimate: a run finds there what an earlier run already
+    sampled, and its report is the same as without.  This runs
+    `threshold_loop`, computing each entry it asks for here.
+    """
+    loop = threshold_loop(system, thresholds, config, update_iterations, update_burnin,
+                          final_chains, keep_final_ensemble, bootstrap_ci,
+                          {} if chains is None else chains)
+    try:
+        request = next(loop)
+        while True:
+            request = loop.send(_chain(system, *request))
+    except StopIteration as done:
+        return done.value
+
+
+def threshold_loop(
+    system: GroupedLinearSystem,
+    thresholds: ThresholdSpec,
+    config: BglssConfig,
+    update_iterations: int,
+    update_burnin: int,
+    final_chains: int,
+    keep_final_ensemble: bool,
+    bootstrap_ci: bool,
+    chains: dict,
+):
+    """`run_tbglss` as a generator that leaves the sampling to its driver.
+
+    For each memo entry missing from `chains` it yields (key, keep_ensemble)
+    and expects the entry `_chain(system, key, keep_ensemble)` computes sent
+    back; it returns the report.  `selection.sweep` drives many such loops on
+    one memo and computes their entries on worker processes.
     """
     if not system.normalized:
         raise ValueError("run_tbglss requires a column-normalized system")
 
-    chains = {} if chains is None else chains
     lam = config.lam
     hyper: dict = {"pi0": config.pi0}
     if isinstance(lam, str):
-        key = ("estimate_hyperparams", config)
-        if key not in chains:
-            chains[key] = estimate_hyperparams(system, config)
-        est = chains[key]
+        est = yield from _entry(chains, (ESTIMATE, config))
         lam = est.lam
         hyper.update(
             {"lam_estimated": True, "em_converged": est.converged, "em_rounds": est.n_rounds,
@@ -267,7 +327,7 @@ def run_tbglss(
         seed = int(np.random.SeedSequence((config.seed, update_idx)).generate_state(1)[0])
         key = (tuple(active.tolist()), replace(config, lam=float(lam), n_iterations=n_it,
                                                n_burnin=n_burn, seed=seed))
-        summary = _chain(system, key, chains, keep_ensemble and long_run)
+        summary = yield from _entry(chains, key, keep_ensemble and long_run)
         descriptors = tuple(full_descriptors[g] for g in active)
         criteria, failing = _evaluate_criteria(summary.median, summary.variance, descriptors,
                                                thresholds)
@@ -322,7 +382,8 @@ def run_tbglss(
                     np.random.SeedSequence((config.seed, update_idx, c)).generate_state(1)[0]
                 )
                 extra_key = (tuple(active.tolist()), replace(config, lam=float(lam), seed=seed))
-                medians.append(_chain(system, extra_key, chains).median / sub_scales)
+                extra = yield from _entry(chains, extra_key)
+                medians.append(extra.median / sub_scales)
             stacked = np.zeros((final_chains, n_steps, n_groups))
             stacked[:, :, active] = np.stack(medians)
             chain_medians = stacked

@@ -254,6 +254,16 @@ class TestCli:
                          "--axis", "t_rms", "--range", "0.05:0.2:0", "--output", str(tmp_path / "sw"))
         assert empty == 1
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in log10")
+    def test_sweep_rejects_a_non_finite_grid(self, tmp_path, capsys):
+        self.run("simulate", "--family", "burgers", "--nx", "64", "--nt", "48",
+                 "--t-span", "0:4", "--output", str(tmp_path))
+        code = self.run("sweep", "--dataset", str(tmp_path / "burgers_noise0_seed0.json"),
+                        "--axis", "t_ge", "--log", "--range=-1:1:3", "--output", str(tmp_path / "sw"))
+        assert code == 1
+        assert "sweep grid values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sw" / "sweep_t_ge_burgers_noise0_seed0.csv").exists()
+
     def test_discover_every_grid_point_failing_exits_two(self, monkeypatch, tmp_path, capsys):
         from vcpde import selection
 

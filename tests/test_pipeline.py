@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vcpde import selection, solvers
+from vcpde import pool, selection, solvers
 from vcpde.baselines import group_lasso
 from vcpde.filters import FilterSpec
 from vcpde.gibbs import BglssConfig
@@ -134,14 +134,22 @@ class TestDiscover:
         assert report.hyperparameters["lam"] == 0.5
 
     def test_grid_choice_reuses_the_point_fit(self, small_noisy_dataset, monkeypatch):
+        # the points run on two workers: count each fit here and each point dispatched to them
         thresholds = []
-        original = selection.sgtr
+        original, submit = selection.sgtr, pool.Workers.submit
 
         def counted(system, config):
             thresholds.append(config.threshold)
             return original(system, config)
 
+        def dispatched(workers, task):
+            (_, config), _ = task
+            thresholds.append(config.sgtr_threshold)
+            return submit(workers, task)
+
         monkeypatch.setattr(selection, "sgtr", counted)
+        monkeypatch.setattr(pool.Workers, "submit", dispatched)
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 2)
         report = discover(small_noisy_dataset, MethodConfig(method="sgtr"))
         assert len(thresholds) == len(default_grid("sgtr_threshold"))  # no refit
         assert report.hyperparameters["threshold"] in thresholds

@@ -1,11 +1,13 @@
-from dataclasses import replace
+import warnings
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcpde import selection, tbglss
+from vcpde import pool, selection, tbglss
 from vcpde.baselines import GroupLassoConfig, group_lasso, group_lasso_null_threshold
 from vcpde.criteria import aic_loss, coefficient_mse, empty_model_scores, total_error_bar
 from vcpde.gibbs import BglssConfig
@@ -283,6 +285,12 @@ class TestSweep:
             sweep(system, "t_rms", np.array([0.2, 0.1]),
                   MethodConfig(thresholds=ThresholdSpec(t_ge=0.5)))
 
+    @pytest.mark.parametrize("grid", [[np.nan, 0.1], [0.1, np.inf], [np.nan] * 3, [-np.inf, 0.1]])
+    def test_grid_must_be_finite(self, grid):
+        system, _ = perfect_fit_system(seed=6)
+        with pytest.raises(ValueError, match="must be finite"):
+            sweep(system, "sgtr_threshold", np.array(grid), MethodConfig(method="sgtr"))
+
     def test_csv_and_json_outputs(self, tmp_path):
         system, _ = perfect_fit_system(seed=7)
         curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.5]), MethodConfig(method="sgtr"))
@@ -299,17 +307,29 @@ def burgers_one_percent(small_burgers_clean):
 
 
 @pytest.fixture
-def sampled(monkeypatch):
-    """The (support, config) of each chain run_tbglss samples, in order."""
-    chains = []
-    sample = tbglss.sample_posterior
+def pooled(monkeypatch):
+    """Sweeps run on two worker processes, however many CPUs this machine has."""
+    monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 2)
 
-    def recording(system, config):
-        chains.append((system.descriptors, config))
-        return sample(system, config)
 
-    monkeypatch.setattr(tbglss, "sample_posterior", recording)
-    return chains
+@pytest.fixture
+def sampled(monkeypatch, pooled):
+    """The key of each memo entry (chain or MC-EM estimate) in order: computed here by a
+    standalone run, or dispatched to a worker by a sweep."""
+    keys = []
+    compute, submit = tbglss._chain, pool.Workers.submit
+
+    def computing(system, key, keep_ensemble=False):
+        keys.append(key)
+        return compute(system, key, keep_ensemble)
+
+    def dispatching(workers, task):
+        keys.append(task[0])
+        return submit(workers, task)
+
+    monkeypatch.setattr(tbglss, "_chain", computing)
+    monkeypatch.setattr(pool.Workers, "submit", dispatching)
+    return keys
 
 
 class TestSweepSharesChains:
@@ -371,25 +391,140 @@ class TestSweepSharesChains:
         first = sweep(burgers_one_percent, "t_ge", grid, self.BASE)
         once = list(sampled)
         second = sweep(burgers_one_percent, "t_ge", grid, self.BASE)
-        assert sampled == once + once
+        assert once  # workers finish in any order, so the keys are compared as multisets
+        assert Counter(sampled) == Counter(once + once)
         assert [p.report.to_json() for p in first.points] == [
             p.report.to_json() for p in second.points]
 
     @pytest.mark.filterwarnings("ignore:Monte Carlo EM")
-    def test_mc_em_estimate_runs_once_per_sweep(self, monkeypatch):
+    def test_mc_em_estimate_runs_once_per_sweep(self, sampled):
         rng = np.random.default_rng(4)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        estimates = []
-        estimate = tbglss.estimate_hyperparams
-        monkeypatch.setattr(tbglss, "estimate_hyperparams",
-                            lambda *args: estimates.append(args) or estimate(*args))
         base = MethodConfig(thresholds=ThresholdSpec(t_rms=0.05),
                             bglss=BglssConfig(n_iterations=150, n_burnin=40,
                                               lam="estimate_mc_em", seed=3))
         grid = np.array([0.1, 0.5, 1.0])
+
+        def estimates():
+            return [key for key in sampled if key[0] == tbglss.ESTIMATE]
+
         curve = sweep(system, "t_ge", grid, base)
-        assert len(estimates) == 1
+        assert len(estimates()) == 1
         for point in curve.points:
             alone = fit(system, selection._point_config(base, "t_ge", point.value))
             assert point.report.to_json() == alone.to_json()
-        assert len(estimates) == 1 + grid.size
+        assert len(estimates()) == 1 + grid.size
+
+
+def sweep_outputs(curve: SelectionCurve, tmp_path) -> list:
+    """Every byte a sweep reports: each point's report, and the curve's CSV and summary."""
+    curve.to_csv(tmp_path / "curve.csv")
+    curve.to_json(tmp_path / "curve.json")
+    return ([None if p.report is None else p.report.to_json() for p in curve.points]
+            + [(tmp_path / name).read_bytes() for name in ("curve.csv", "curve.json")])
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestParallelSweep:
+    """Worker processes change no report, and what a worker raises reaches the parent."""
+
+    BASE = TestSweepSharesChains.BASE
+
+    def test_points_needing_one_key_together_sample_it_once(self, burgers_one_percent, sampled):
+        curve = sweep(burgers_one_percent, "t_ge", np.array([0.05, 0.15]), self.BASE)
+        full = tuple(range(burgers_one_percent.n_groups))
+        assert [p.report.update_history[0].support_before for p in curve.points] == [
+            burgers_one_percent.descriptors] * 2
+        assert sum(key[0] == full for key in sampled) == 1
+        assert set(Counter(sampled).values()) == {1}
+
+    @pytest.mark.parametrize("axis,grid,options", [
+        ("t_ge", np.linspace(0.02, 0.22, 5), {}),
+        ("t_ge", np.linspace(0.02, 0.22, 3),
+         {"final_chains": 2, "with_ci": True, "keep_final_ensemble": True}),
+        ("sgtr_threshold", np.logspace(-3, 0, 6), {"method": "sgtr"}),
+        ("lambda", None, {"method": "group_lasso"}),
+    ], ids=["t_ge", "t_ge-two-chains-ci", "sgtr", "lambda"])
+    def test_inline_and_pooled_sweeps_report_the_same_bytes(self, burgers_one_percent, monkeypatch,
+                                                            tmp_path, axis, grid, options):
+        system = burgers_one_percent
+        base = replace(self.BASE, **options)
+        grid = default_grid(axis, system)[::4] if grid is None else grid
+        curves = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "worker_count", lambda n_tasks: workers)
+            curves[workers] = sweep(system, axis, grid, base)
+            (tmp_path / str(workers)).mkdir()
+        assert (sweep_outputs(curves[1], tmp_path / "1")
+                == sweep_outputs(curves[2], tmp_path / "2"))
+        if not base.keep_final_ensemble:
+            return
+        reported = 0
+        for inline_point, pooled_point in zip(curves[1].points, curves[2].points):
+            ensembles = inline_point.report.final_ensemble, pooled_point.report.final_ensemble
+            if ensembles[0] is None:
+                assert ensembles[1] is None
+                continue
+            reported += 1
+            for f in fields(ensembles[0]):
+                assert_same_bits(*(getattr(e, f.name) for e in ensembles))
+            assert_same_bits(inline_point.report.chain_medians, pooled_point.report.chain_medians)
+            assert pooled_point.report.bootstrap_cis == inline_point.report.bootstrap_cis
+        assert reported
+
+    def test_a_loop_needing_draws_gets_them_from_a_key_in_flight_without(self, monkeypatch):
+        # two points can ask for one chain, one as a screening and one as a confirming chain,
+        # when the update and final lengths are equal
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
+        submitted = []
+
+        def sample(task):
+            submitted.append(task)
+            _, keep_ensemble = task
+            return tbglss.ChainSummary(np.zeros(1), np.zeros(1), "draws" if keep_ensemble else None)
+
+        def loop(keep_ensemble):
+            return (yield "chain", keep_ensemble)
+
+        with pool.Workers(sample, 2) as workers:
+            entries = selection._drive([loop(False), loop(True)], workers)
+        assert [entry.ensemble for entry in entries] == [None, "draws"]
+        assert submitted == [("chain", False), ("chain", True)]
+
+    def test_worker_warnings_are_raised_again_here(self, monkeypatch, pooled):
+        def warning_sgtr(system, config):
+            warnings.warn(f"sgtr at {config.threshold!r}", UserWarning)
+            return selection_sgtr(system, config)
+
+        selection_sgtr = selection.sgtr
+        monkeypatch.setattr(selection, "sgtr", warning_sgtr)
+        system, _ = perfect_fit_system(seed=5)
+        grid = np.array([0.01, 0.1, 1e6])
+        with pytest.warns(UserWarning, match="sgtr at") as caught:
+            sweep(system, "sgtr_threshold", grid, MethodConfig(method="sgtr"))
+        assert sorted(str(w.message) for w in caught) == [f"sgtr at {v!r}" for v in grid.tolist()]
+        assert {w.filename for w in caught} == {__file__}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            warnings.filterwarnings("error", "sgtr at 0.1")
+            with pytest.raises(UserWarning, match="sgtr at 0.1"):
+                sweep(system, "sgtr_threshold", grid, MethodConfig(method="sgtr"))
+
+    def test_worker_point_error_is_recorded_on_its_point(self, monkeypatch, pooled):
+        def singular_at_one(system, config):
+            if config.threshold == 0.1:
+                raise np.linalg.LinAlgError("singular per-step Gram")
+            return selection_sgtr(system, config)
+
+        selection_sgtr = selection.sgtr
+        monkeypatch.setattr(selection, "sgtr", singular_at_one)
+        system, _ = perfect_fit_system(seed=5)
+        curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.1, 1e6]),
+                      MethodConfig(method="sgtr"))
+        assert [p.error for p in curve.points] == [
+            None, "LinAlgError: singular per-step Gram", None]
+        assert curve.points[0].selected == ("c",)

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -151,6 +152,38 @@ class TestChainSummary:
         assert median.tobytes() == np.median(beta, axis=0).tobytes()
         assert variance.tobytes() == np.var(beta, axis=0, ddof=1).tobytes()
         assert not median.flags.writeable and not variance.flags.writeable
+
+    @pytest.mark.parametrize("n_draws", [2, 3, 7, 8, 31, 32])
+    def test_median_matches_numpy_on_ties_and_zeros(self, n_draws, monkeypatch):
+        rng = np.random.default_rng(n_draws)
+        beta = rng.integers(-2, 3, (n_draws, CHUNK_STEPS + 3, 6)).astype(float)
+        beta[rng.random(beta.shape) < 0.3] = -0.0  # signed zeros tie with zeros
+        beta[:, :, 1] = 0.0
+        beta[:, :, 2] = -0.0
+        beta[:, :, 3] *= 1e150
+        expected = np.median(beta, axis=0)
+        monkeypatch.setattr(np, "median", None)  # finite draws never reach np.median
+        median, _ = tbglss._summarize(beta)
+        assert median.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_draws_get_numpy_median(self):
+        rng = np.random.default_rng(3)
+        beta = rng.standard_normal((30, 2 * CHUNK_STEPS, 3))
+        beta[4, 1, 0] = np.nan
+        beta[:3, CHUNK_STEPS + 2, 1] = np.inf
+        beta[3:6, CHUNK_STEPS + 2, 2] = -np.inf
+        median, _ = tbglss._summarize(beta)
+        expected = np.median(beta, axis=0)
+        assert np.isnan(median[1, 0])
+        assert median.tobytes() == expected.tobytes()
+
+    def test_pickled_summary_stays_read_only(self):
+        beta = np.random.default_rng(4).standard_normal((20, 3, 2))
+        summary = tbglss.ChainSummary(*tbglss._summarize(beta))
+        copy = pickle.loads(pickle.dumps(summary))
+        assert copy.median.tobytes() == summary.median.tobytes()
+        assert not copy.median.flags.writeable and not copy.variance.flags.writeable
 
 
 class TestReportSerialization:

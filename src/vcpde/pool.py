@@ -3,9 +3,10 @@
 `Workers(run, n_tasks)` forks its workers once.  Each inherits `run` and what
 it holds (a sweep's system with its Gram cached, say), so a task sends only
 its own small description and its result comes back pickled.  With one CPU,
-one task or no `fork` start method, each task runs in this process when it is
-submitted.  No thread is started: results are read in the caller's thread, so
-they are allocated where an inline run would allocate them.
+one task, no `fork` start method or another thread running, each task runs in
+this process when it is submitted.  No thread is started: results are read in
+the caller's thread, so they are allocated where an inline run would allocate
+them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import sys
+import threading
 import traceback
 import warnings
 from collections import deque
@@ -21,8 +23,11 @@ from typing import Callable
 
 
 def worker_count(n_tasks: int) -> int:
-    """One worker per CPU this process may run on, at most one per task; one without `fork`."""
-    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
+    """One worker per CPU this process may run on, at most one per task.  One, so the tasks
+    run here, without `fork`, and while another thread runs: a forked child gets no copy of
+    that thread, and any lock it held stays locked there."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
         return 1
     return min(len(os.sched_getaffinity(0)), n_tasks)
 

@@ -88,11 +88,14 @@ class TestWorkers:
                 run_all(workers, [1])
         assert not any(p.is_alive() for p in workers.processes)
 
-    def test_one_task_or_one_cpu_runs_inline(self, monkeypatch):
+    def test_one_task_one_cpu_no_fork_or_another_thread_runs_inline(self, monkeypatch):
         assert pool.worker_count(1) == 1
         monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0})
         assert pool.worker_count(8) == 1
         monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert pool.worker_count(8) == 3 and pool.worker_count(2) == 2
+        monkeypatch.setattr(pool.threading, "active_count", lambda: 2)
+        assert pool.worker_count(8) == 1  # never fork a process with another thread running
+        monkeypatch.setattr(pool.threading, "active_count", lambda: 1)
         monkeypatch.setattr(pool.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert pool.worker_count(8) == 1

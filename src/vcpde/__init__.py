@@ -11,13 +11,7 @@ from .criteria import (
 from .differentiation import DerivativeStack, build_derivative_stack
 from .fields import SpatioTemporalField
 from .filters import FilterSpec, apply_filter, data_mse, filter_sweep
-from .gibbs import (
-    BglssConfig,
-    PosteriorEnsemble,
-    estimate_hyperparams,
-    posterior_median,
-    sample_posterior,
-)
+from .gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
 from .library import (
     CoefficientTrajectories,
     GroupedLinearSystem,

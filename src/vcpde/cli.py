@@ -394,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None)
     p.add_argument("--axis", dest="axis_name", default=None,
                    help=f"one of {', '.join(SWEEP_AXES)}")
-    p.add_argument("--range", default=None, help="lo:hi:count")
+    p.add_argument("--range", default=None,
+                   help="lo:hi:count; write --range=lo:hi:count when lo is negative")
     p.add_argument("--log", action="store_true", help="logarithmic range spacing")
     p.add_argument("--with-truth", action="store_true",
                    help="also record coefficient MSE against the built-in scenario truth")
@@ -404,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", default=None,
                    help="start:stop:step (odd windows; default: the kind's built-in grid)")
     p.add_argument("--cutoffs", default=None,
-                   help="lo:hi:count for the lowpass cutoff (default: the built-in grid)")
+                   help="lo:hi:count for the lowpass cutoff (default: the built-in grid); "
+                        "write --cutoffs=lo:hi:count when lo is negative")
     p.add_argument("--polyorder", type=int, default=None)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--clean", default=None)
@@ -434,13 +436,33 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    declared = {name: {action.dest for action in sub._actions}
-                for name, sub in parser.subcommand_parsers.items()}
-    unknown = sorted(set(overrides).difference(*declared.values()))
+    declared = {action.dest for sub in parser.subcommand_parsers.values()
+                for action in sub._actions}
+    unknown = sorted(set(overrides) - declared)
     if unknown:
         raise ValueError(f"config file {path} has keys no command declares: {', '.join(unknown)}")
-    for name, sub in parser.subcommand_parsers.items():
-        sub.set_defaults(**{k: v for k, v in overrides.items() if k in declared[name]})
+    for sub in parser.subcommand_parsers.values():
+        sub.set_defaults(**{action.dest: _config_value(action, overrides[action.dest], path)
+                            for action in sub._actions if action.dest in overrides})
+
+
+def _config_value(action: argparse.Action, value, path: str):
+    """A config file's `value` for `action`, checked and converted as the command line would."""
+    if value is None:  # null leaves the option at its built-in default
+        return None
+    try:
+        if action.nargs == 0:  # a flag: the file says whether it is set
+            if not isinstance(value, bool):
+                raise ValueError("expected true or false")
+            return value
+        if action.type is None and not isinstance(value, str):
+            raise ValueError("expected a string")
+        parsed = value if action.type is None else action.type(str(value))
+        if action.choices is not None and parsed not in action.choices:
+            raise ValueError(f"expected one of {', '.join(map(str, action.choices))}")
+        return parsed
+    except ValueError as exc:
+        raise ValueError(f"config file {path} sets {action.dest} to {value!r}: {exc}") from None
 
 
 def main(argv=None) -> int:

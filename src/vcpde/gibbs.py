@@ -24,29 +24,20 @@ prior for tau2_g (spike), inverse-gamma for sigma2 and a Beta law for pi0.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .library import CoefficientTrajectories, GroupedLinearSystem
+from .library import GroupedLinearSystem
 
-ESTIMATE_MC_EM = "estimate_mc_em"
 ESTIMATE = "estimate"
 
 MIN_RETAINED_DRAWS = 30
 
 # Inverse-gamma (alpha, gamma) prior of the noise variance sigma2.
 SIGMA2_PRIOR = (1e-2, 1e-2)
-
-# Monte Carlo EM: chain length and burn-in of each round, the round cap and
-# the relative change in lambda that counts as converged.
-EM_ITERATIONS = 100
-EM_BURNIN = 30
-EM_MAX_ROUNDS = 20
-EM_RTOL = 1e-3
 
 
 class SamplerError(RuntimeError):
@@ -59,31 +50,20 @@ class BglssConfig:
 
     n_iterations: int = 1000
     n_burnin: int = 200
-    lam: Union[float, str] = 1.0  # or ESTIMATE_MC_EM, which run_tbglss resolves
+    lam: float = 1.0
     pi0: Union[float, str] = ESTIMATE
     seed: int = 0
-    # diagnostic knobs: hold variance parameters fixed to validate the group
-    # update against its analytic conditional
-    fixed_tau2: float | None = None
-    fixed_sigma2: float | None = None
 
     def __post_init__(self):
         if self.n_burnin >= self.n_iterations:
             raise ValueError("n_burnin must be smaller than n_iterations")
-        if isinstance(self.lam, str):
-            if self.lam != ESTIMATE_MC_EM:
-                raise ValueError(f"lam must be positive or {ESTIMATE_MC_EM!r}")
-        elif not self.lam > 0:  # also rejects NaN
+        if not self.lam > 0:  # also rejects NaN
             raise ValueError(f"lam must be positive, got {self.lam}")
         if isinstance(self.pi0, str):
             if self.pi0 != ESTIMATE:
                 raise ValueError(f"pi0 must be a probability or {ESTIMATE!r}")
         elif not 0.0 <= self.pi0 <= 1.0:
             raise ValueError("fixed pi0 must lie in [0, 1]")
-        for name in ("fixed_tau2", "fixed_sigma2"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -114,24 +94,10 @@ class PosteriorEnsemble:
         return self.beta.shape[0]
 
 
-def posterior_median(ensemble: PosteriorEnsemble) -> CoefficientTrajectories:
-    """Per-coefficient sample median in physical units; spike-majority groups are exactly zero."""
-    if ensemble.n_draws < MIN_RETAINED_DRAWS:
-        raise ValueError(f"need at least {MIN_RETAINED_DRAWS} retained draws")
-    med = np.median(ensemble.beta, axis=0) / ensemble.scales
-    active = ~np.all(med == 0.0, axis=0)
-    med[:, ~active] = 0.0
-    return CoefficientTrajectories(
-        med, active, ensemble.descriptors, ensemble.step_coords, ensemble.varying_axis
-    )
-
-
 def sample_posterior(system: GroupedLinearSystem, config: BglssConfig) -> PosteriorEnsemble:
     """Run the block Gibbs sampler on a normalized grouped system."""
     if not system.normalized:
         raise ValueError("sample_posterior requires a column-normalized system")
-    if isinstance(config.lam, str):
-        raise ValueError("sample_posterior needs a numeric lam; estimate_hyperparams estimates one")
     return _run_chain(system, config)
 
 
@@ -144,9 +110,7 @@ def _log_prior_odds(pi0: float) -> float:
     return float(np.log1p(-pi0) - np.log(pi0))
 
 
-def _run_chain(
-    system: GroupedLinearSystem, config: BglssConfig, pi0_init: float | None = None
-) -> PosteriorEnsemble:
+def _run_chain(system: GroupedLinearSystem, config: BglssConfig) -> PosteriorEnsemble:
     """One chain.  Its draws and random stream are bit-identical to those of the plain
     step-major kernel the tests keep as reference: every value below is computed by the
     same floating-point operations, in the same order, only into buffers."""
@@ -158,8 +122,6 @@ def _run_chain(
     alpha_prior, gamma_prior = SIGMA2_PRIOR
     lam = float(config.lam)
     estimate_pi0 = isinstance(config.pi0, str)
-    update_tau2 = config.fixed_tau2 is None
-    update_sigma2 = config.fixed_sigma2 is None
 
     # The group sweep keeps its state group-major, row g holding column g of the
     # step-major (m, G) arrays, so every read and write in it is contiguous:
@@ -172,15 +134,9 @@ def _run_chain(
 
     rng = np.random.default_rng(config.seed)
     spike = np.ones(n_groups, dtype=bool)
-    tau2 = np.full(n_groups, config.fixed_tau2 if config.fixed_tau2 is not None else 1.0)
-    if config.fixed_sigma2 is not None:
-        sigma2 = float(config.fixed_sigma2)
-    else:
-        sigma2 = max(float(system.target.var()), 1e-12)
-    if estimate_pi0:
-        pi0 = 0.5 if pi0_init is None else min(max(float(pi0_init), 1e-6), 1 - 1e-6)
-    else:
-        pi0 = float(config.pi0)
+    tau2 = np.ones(n_groups)
+    sigma2 = max(float(system.target.var()), 1e-12)
+    pi0 = 0.5 if estimate_pi0 else float(config.pi0)
     log_prior_odds = _log_prior_odds(pi0)
 
     n_keep = config.n_iterations - config.n_burnin
@@ -231,31 +187,28 @@ def _run_chain(
 
         beta = np.ascontiguousarray(beta_t.T)
         active = (~spike).nonzero()[0]
-        if active.size and (update_tau2 or update_sigma2):
+        if active.size:
             # summed over the active columns only: indexing all columns' sums rounds differently
             beta_active = beta[:, active]
             norms_sq = np.einsum("mg,mg->g", beta_active, beta_active)
-        if update_tau2:
-            if active.size:
-                mean_inv = lam * math.sqrt(sigma2) / np.maximum(np.sqrt(norms_sq), 1e-300)
-                inv_tau2 = rng.wald(mean_inv, lam**2)
-                tau2[active] = 1.0 / np.maximum(inv_tau2, 1e-300)
-            spiked = spike.nonzero()[0]
-            if spiked.size:
-                tau2[spiked] = rng.gamma((m + 1) / 2.0, 2.0 / lam**2, size=spiked.size)
+            mean_inv = lam * math.sqrt(sigma2) / np.maximum(np.sqrt(norms_sq), 1e-300)
+            inv_tau2 = rng.wald(mean_inv, lam**2)
+            tau2[active] = 1.0 / np.maximum(inv_tau2, 1e-300)
+        spiked = spike.nonzero()[0]
+        if spiked.size:
+            tau2[spiked] = rng.gamma((m + 1) / 2.0, 2.0 / lam**2, size=spiked.size)
 
-        if update_sigma2:
-            # both sums run over C-ordered (m, G) products, the order the rss is defined in
-            np.multiply(beta, cty, out=product)
-            rss = yty - 2.0 * float(product.sum())
-            np.multiply(beta, v_t.T, out=product)
-            rss = max(rss + float(product.sum()), 0.0)
-            shrink = float((norms_sq / tau2[active]).sum()) if active.size else 0.0
-            shape = alpha_prior + 0.5 * n_obs + 0.5 * m * active.size
-            rate = gamma_prior + 0.5 * rss + 0.5 * shrink
-            sigma2 = 1.0 / rng.gamma(shape, 1.0 / rate)
-            if not 0.0 < sigma2 < math.inf:
-                raise SamplerError(f"sigma2 diverged at iteration {it}")
+        # both sums run over C-ordered (m, G) products, the order the rss is defined in
+        np.multiply(beta, cty, out=product)
+        rss = yty - 2.0 * float(product.sum())
+        np.multiply(beta, v_t.T, out=product)
+        rss = max(rss + float(product.sum()), 0.0)
+        shrink = float((norms_sq / tau2[active]).sum()) if active.size else 0.0
+        shape = alpha_prior + 0.5 * n_obs + 0.5 * m * active.size
+        rate = gamma_prior + 0.5 * rss + 0.5 * shrink
+        sigma2 = 1.0 / rng.gamma(shape, 1.0 / rate)
+        if not 0.0 < sigma2 < math.inf:
+            raise SamplerError(f"sigma2 diverged at iteration {it}")
 
         if estimate_pi0:
             n_spike = n_groups - active.size
@@ -318,55 +271,3 @@ def dump_ensemble(ensemble: PosteriorEnsemble, path, fmt: str = "npz") -> None:
                 fh.write(",".join(row) + "\n")
         return
     raise ValueError("fmt must be 'npz' or 'csv'")
-
-
-@dataclass(frozen=True)
-class HyperparamEstimate:
-    lam: float
-    pi0: float
-    converged: bool
-    n_rounds: int
-
-
-def estimate_hyperparams(system: GroupedLinearSystem, config: BglssConfig) -> HyperparamEstimate:
-    """Monte Carlo EM for the group-lasso rate lambda plus the mixing weight pi0.
-
-    Each round runs a short chain at the current lambda and applies the
-    Gamma((m_g + 1)/2, lambda^2/2) stationarity update
-    lambda^2 <- sum_g (m_g + 1) / sum_g E[tau2_g].
-    """
-    fixed_lam = not isinstance(config.lam, str)
-    fixed_pi0 = not isinstance(config.pi0, str)
-    if fixed_lam and fixed_pi0:
-        return HyperparamEstimate(float(config.lam), float(config.pi0), True, 0)
-
-    m = system.n_steps
-    n_groups = system.n_groups
-    lam = float(config.lam) if fixed_lam else 1.0
-    pi0_hat = float(config.pi0) if fixed_pi0 else 0.5
-    converged = False
-    rounds = 0
-    for rounds in range(1, EM_MAX_ROUNDS + 1):
-        seed = int(np.random.SeedSequence((config.seed, 0xE3, rounds)).generate_state(1)[0])
-        chain_cfg = replace(
-            config, lam=lam, n_iterations=EM_ITERATIONS, n_burnin=EM_BURNIN, seed=seed
-        )
-        ens = _run_chain(system, chain_cfg, pi0_init=None if fixed_pi0 else pi0_hat)
-        if not fixed_pi0:
-            pi0_hat = float(ens.pi0.mean())
-        if fixed_lam:
-            converged = True
-            break
-        expected_tau2_total = float(ens.tau2.sum(axis=1).mean())
-        new_lam = float(np.sqrt(n_groups * (m + 1) / expected_tau2_total))
-        if abs(new_lam - lam) <= EM_RTOL * lam:
-            lam = new_lam
-            converged = True
-            break
-        lam = new_lam
-    if not converged and not fixed_lam:
-        warnings.warn(
-            f"Monte Carlo EM did not converge in {EM_MAX_ROUNDS} rounds; using lambda={lam:g}",
-            RuntimeWarning,
-        )
-    return HyperparamEstimate(lam, pi0_hat, converged, rounds)

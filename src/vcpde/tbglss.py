@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import group_error_bar, rms_criterion, total_error_bar
-from .gibbs import BglssConfig, PosteriorEnsemble, estimate_hyperparams, sample_posterior
+from .gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
 from .library import CHUNK_STEPS, CoefficientTrajectories, GroupedLinearSystem
 from .uncertainty import ensemble_bootstrap_cis
 
@@ -180,21 +180,11 @@ class ChainSummary:
         return ChainSummary, (self.median, self.variance, self.ensemble)
 
 
-# The first element of the memo key of the MC-EM estimate; a chain's key starts with its support.
-ESTIMATE = "estimate_hyperparams"
-
-
-def _chain(system: GroupedLinearSystem, key: tuple, keep_ensemble: bool = False):
-    """Compute the memo entry `key` names on `system`.
-
-    A chain's key is (support, config): its draws depend only on the system,
-    the support and the config, and the entry is their `ChainSummary`.  The
-    MC-EM estimate's key is (ESTIMATE, config).
-    """
-    first, config = key
-    if first == ESTIMATE:
-        return estimate_hyperparams(system, config)
-    ensemble = sample_posterior(system.subsystem(first), config)
+def _chain(system: GroupedLinearSystem, key: tuple, keep_ensemble: bool = False) -> ChainSummary:
+    """The `ChainSummary` of the chain `key` = (support, config) names on `system`: its draws
+    depend only on the system, the support and the config."""
+    support, config = key
+    ensemble = sample_posterior(system.subsystem(support), config)
     return ChainSummary(*_summarize(ensemble.beta), ensemble if keep_ensemble else None)
 
 
@@ -260,10 +250,10 @@ def run_tbglss(
     except the last removes at least one group.  The report's loss is left to
     `selection.fit`, which scores every method alike.
 
-    `chains`, a dict shared by runs on this same system, memoizes the chains
-    and the MC-EM estimate: a run finds there what an earlier run already
-    sampled, and its report is the same as without.  This runs
-    `threshold_loop`, computing each entry it asks for here.
+    `chains`, a dict shared by runs on this same system, memoizes the chains:
+    a run finds there what an earlier run already sampled, and its report is
+    the same as without.  This runs `threshold_loop`, computing each entry it
+    asks for here.
     """
     loop = threshold_loop(system, thresholds, config, update_iterations, update_burnin,
                           final_chains, keep_final_ensemble, bootstrap_ci,
@@ -297,20 +287,9 @@ def threshold_loop(
     if not system.normalized:
         raise ValueError("run_tbglss requires a column-normalized system")
 
-    lam = config.lam
-    hyper: dict = {"pi0": config.pi0}
-    if isinstance(lam, str):
-        est = yield from _entry(chains, (ESTIMATE, config))
-        lam = est.lam
-        hyper.update(
-            {"lam_estimated": True, "em_converged": est.converged, "em_rounds": est.n_rounds,
-             "pi0_em_mean": est.pi0}
-        )
-    hyper["lam"] = float(lam)
-    hyper["final_iterations"] = config.n_iterations
-    hyper["final_burnin"] = config.n_burnin
-    hyper["update_iterations"] = update_iterations
-    hyper["update_burnin"] = update_burnin
+    hyper = {"pi0": config.pi0, "lam": float(config.lam), "final_iterations": config.n_iterations,
+             "final_burnin": config.n_burnin, "update_iterations": update_iterations,
+             "update_burnin": update_burnin}
 
     full_descriptors = system.descriptors
     active = np.arange(system.n_groups)
@@ -325,8 +304,8 @@ def threshold_loop(
             (config.n_iterations, config.n_burnin) if long_run else (update_iterations, update_burnin)
         )
         seed = int(np.random.SeedSequence((config.seed, update_idx)).generate_state(1)[0])
-        key = (tuple(active.tolist()), replace(config, lam=float(lam), n_iterations=n_it,
-                                               n_burnin=n_burn, seed=seed))
+        key = (tuple(active.tolist()),
+               replace(config, n_iterations=n_it, n_burnin=n_burn, seed=seed))
         summary = yield from _entry(chains, key, keep_ensemble and long_run)
         descriptors = tuple(full_descriptors[g] for g in active)
         criteria, failing = _evaluate_criteria(summary.median, summary.variance, descriptors,
@@ -381,7 +360,7 @@ def threshold_loop(
                 seed = int(
                     np.random.SeedSequence((config.seed, update_idx, c)).generate_state(1)[0]
                 )
-                extra_key = (tuple(active.tolist()), replace(config, lam=float(lam), seed=seed))
+                extra_key = (tuple(active.tolist()), replace(config, seed=seed))
                 extra = yield from _entry(chains, extra_key)
                 medians.append(extra.median / sub_scales)
             stacked = np.zeros((final_chains, n_steps, n_groups))
@@ -406,7 +385,7 @@ def threshold_loop(
         empty_model=not bool(active_mask.any()),
         chain_medians=chain_medians,
         bootstrap_cis=None if not bootstrap_ci or ensemble is None
-        else ensemble_bootstrap_cis(ensemble),
+        else ensemble_bootstrap_cis(ensemble, active_mask[active]),
         final_ensemble=ensemble if keep_final_ensemble else None,
         beta_normalized=beta_full_norm,
     )

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import binom
 
-from .gibbs import MIN_RETAINED_DRAWS, PosteriorEnsemble, posterior_median
+from .gibbs import MIN_RETAINED_DRAWS, PosteriorEnsemble
 
 CI_LEVEL = 0.95  # level of the intervals a report carries
 WEIGHT_FLOOR = 1e-18  # rank pairs lighter than this are left out of the bootstrap law
@@ -87,10 +87,11 @@ def bootstrap_median_ci(draws: np.ndarray, level: float = CI_LEVEL) -> Bootstrap
     return BootstrapCI(point, min(float(lo), point), max(float(hi), point), level)
 
 
-def ensemble_bootstrap_cis(ensemble: PosteriorEnsemble) -> dict:
-    """A report's CIs: level, and each active group's per-step [lower, upper], physical units."""
+def ensemble_bootstrap_cis(ensemble: PosteriorEnsemble, active: np.ndarray) -> dict:
+    """A report's CIs: level, and per-step [lower, upper] in physical units for each group of
+    the ensemble that `active` marks (the groups whose posterior median is not all zero)."""
     intervals = {}
-    for g in np.flatnonzero(posterior_median(ensemble).active):
+    for g in np.flatnonzero(active):
         draws_g = ensemble.beta[:, :, g] / ensemble.scales[None, :, g]
         intervals[ensemble.descriptors[g]] = [[ci.lower, ci.upper]
                                               for ci in map(bootstrap_median_ci, draws_g.T)]

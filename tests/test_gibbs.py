@@ -1,16 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from vcpde.gibbs import (
-    BglssConfig,
-    PosteriorEnsemble,
-    _run_chain,
-    estimate_hyperparams,
-    posterior_median,
-    sample_posterior,
-)
+from vcpde import tbglss
+from vcpde.gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
 from vcpde.library import GroupedLinearSystem, normalize_columns
+from vcpde.tbglss import ThresholdSpec, run_tbglss
+from vcpde.uncertainty import ensemble_bootstrap_cis
 
+from conftest import random_grouped_system
 from helpers import posterior_variance, reference_chain
 
 
@@ -53,13 +52,13 @@ TAU2, SIGMA2, PI0 = 1.0, 0.8, 0.5
 @pytest.fixture(scope="module")
 def fixed_variance_chain():
     system = single_group_system(BETA_LS)
-    config = BglssConfig(n_iterations=20050, n_burnin=50, lam=1.0, pi0=PI0,
-                         fixed_tau2=TAU2, fixed_sigma2=SIGMA2, seed=3)
-    return sample_posterior(system, config)
+    config = BglssConfig(n_iterations=20050, n_burnin=50, lam=1.0, pi0=PI0, seed=3)
+    return reference_chain(system, config, fixed_tau2=TAU2, fixed_sigma2=SIGMA2)
 
 
 class TestGroupConditionalOracle:
-    """The sampler's group update against the analytic spike/slab conditional."""
+    """The sampler's group update against the analytic spike/slab conditional, run by the
+    reference kernel, which draws what the sampler draws and can hold the variances still."""
 
     def analytic(self):
         m = len(BETA_LS)
@@ -128,17 +127,16 @@ class TestSamplerLimits:
         with pytest.raises(ValueError, match="normalized"):
             sample_posterior(system, BglssConfig(n_iterations=60, n_burnin=10, lam=1.0))
 
-    @pytest.mark.parametrize("field", ["lam", "fixed_tau2", "fixed_sigma2"])
+    @pytest.mark.parametrize("field", ["lam"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_nonpositive_or_nan_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive, got {value}"):
             BglssConfig(**{field: value})
 
     def test_requires_numeric_lam(self):
-        system = single_group_system(BETA_LS)
-        with pytest.raises(ValueError, match="numeric lam"):
-            sample_posterior(system, BglssConfig(n_iterations=60, n_burnin=10,
-                                                 lam="estimate_mc_em"))
+        # lam has no string form: the sampler never estimates it
+        with pytest.raises(TypeError):
+            BglssConfig(lam="estimate_mc_em")
 
 
 class TestSpikeSlabExclusivity:
@@ -156,24 +154,47 @@ class TestSpikeSlabExclusivity:
         assert np.all(np.any(slab_draws != 0.0, axis=1))
 
 
+def run_on_draws(monkeypatch, system, draws):
+    """`run_tbglss` on `system` with each chain's draws `draws(subsystem)` instead of sampled;
+    t_rms = 0 removes only the groups whose median is exactly zero."""
+    monkeypatch.setattr(tbglss, "sample_posterior",
+                        lambda sub, config: synthetic_ensemble(draws(sub), scales=sub.scales))
+    return run_tbglss(system, ThresholdSpec(t_rms=0.0), BglssConfig(n_iterations=200, n_burnin=60))
+
+
 class TestPosteriorSummaries:
-    def test_median_spike_majority_excluded(self):
-        beta = np.zeros((100, 3, 2))
-        beta[:49, :, 0] = 1.0  # 51% of draws in the spike for group 0
-        beta[:, :, 1] = 2.0
-        ens = synthetic_ensemble(beta)
-        med = posterior_median(ens)
-        assert not med.active[0] and med.active[1]
-        assert np.all(med.values[:, 0] == 0.0)
+    """The chain summary `tbglss._summarize` and what a report makes of it."""
+
+    def test_median_spike_majority_excluded(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        system, _, _ = random_grouped_system(rng, n_steps=3, n_rows=10, n_groups=2)
+
+        def draws(sub):
+            beta = 2.0 + 0.1 * rng.standard_normal((100, sub.n_steps, sub.n_groups))
+            if "g0" in sub.descriptors:
+                beta[49:, :, 0] = 0.0  # 51% of draws in the spike for group 0
+            return beta
+
+        beta = draws(system)
+        median, _ = tbglss._summarize(beta)
+        assert median[:, 0].tobytes() == np.zeros(3).tobytes()  # exact, unsigned zeros
+        report = run_on_draws(monkeypatch, system, draws)
+        assert report.update_history[0].removed == ("g0",)
+        assert report.update_history[0].criteria["g0"]["median_zero"]
+        assert report.trajectories.active.tolist() == [False, True]
+        assert np.all(report.trajectories.values[:, 0] == 0.0)
 
     def test_median_midpoint_tie_convention(self):
         a = 1.3
-        beta = np.empty((40, 2, 1))
-        beta[::2, :, 0] = a
-        beta[1::2, :, 0] = -a
-        ens = synthetic_ensemble(beta)
-        med = posterior_median(ens)
-        assert np.all(med.values == 0.0)
+        for n_draws in (40, 41):
+            beta = np.full((n_draws, 2, 3), a)
+            beta[n_draws // 2:] = -a
+            if n_draws % 2:
+                beta[-1] = -0.0  # the middle draw is a signed zero
+            median, variance = tbglss._summarize(beta)
+            assert median.tobytes() == np.median(beta, axis=0).tobytes()
+            assert variance.tobytes() == np.var(beta, axis=0, ddof=1).tobytes()
+            assert np.all(median == 0.0) and not np.signbit(median).any()
 
     def test_variance_two_point_formula(self):
         k = 50
@@ -192,21 +213,22 @@ class TestPosteriorSummaries:
         beta = np.full((10, 2, 1), 3.0)
         ens = synthetic_ensemble(beta)
         with pytest.raises(ValueError, match="at least"):
-            posterior_median(ens)
+            ensemble_bootstrap_cis(ens, np.array([True]))
 
-    def test_physical_denormalization(self):
-        beta = np.full((60, 2, 1), 3.0)
-        scales = np.full((2, 1), 2.0)
-        ens = synthetic_ensemble(beta, scales=scales)
-        med = posterior_median(ens)
-        np.testing.assert_allclose(med.values, 1.5)
-        np.testing.assert_allclose(posterior_variance(ens), 0.0)
+    def test_physical_denormalization(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        system, _, _ = random_grouped_system(rng, n_steps=3, n_rows=10, n_groups=2)
+        report = run_on_draws(monkeypatch, system,
+                              lambda sub: np.full((60, sub.n_steps, sub.n_groups), 3.0))
+        assert report.trajectories.values.tobytes() == (3.0 / system.scales).tobytes()
+        np.testing.assert_array_equal(report.stdev, 0.0)
+        np.testing.assert_array_equal(report.beta_normalized, 3.0)
 
     def test_slab_variance_matches_analytic(self):
         system = single_group_system(BETA_LS)
-        ens = sample_posterior(system, BglssConfig(n_iterations=6050, n_burnin=50, lam=1.0,
-                                                   pi0=0.0, fixed_tau2=TAU2,
-                                                   fixed_sigma2=SIGMA2, seed=1))
+        ens = reference_chain(system, BglssConfig(n_iterations=6050, n_burnin=50, lam=1.0,
+                                                  pi0=0.0, seed=1),
+                              fixed_tau2=TAU2, fixed_sigma2=SIGMA2)
         shrink = 1.0 / (1.0 + TAU2)
         expected = SIGMA2 * (1 - shrink)  # normalized scale
         s2 = np.var(ens.beta, axis=0, ddof=1)
@@ -226,43 +248,11 @@ class TestPosteriorContraction:
                 blocks, target, ("a", "u", "c"), "time", np.arange(float(m))))
             ens = sample_posterior(system, BglssConfig(n_iterations=500, n_burnin=150,
                                                        lam=1.0, seed=2))
-            med = posterior_median(ens)
-            errors.append(np.abs(med.group("u") - 2.0).max())
+            median_u = np.median(ens.beta[:, :, 1], axis=0) / ens.scales[:, 1]
+            errors.append(np.abs(median_u - 2.0).max())
             spreads.append(posterior_variance(ens)[:, 1].mean())
         assert errors[-1] < 5e-3
         assert spreads[0] > spreads[1] > spreads[2]
-
-
-class TestHyperparamEstimation:
-    def test_fixed_values_pass_through(self):
-        system = single_group_system(BETA_LS)
-        est = estimate_hyperparams(system, BglssConfig(lam=2.5, pi0=0.3))
-        assert (est.lam, est.pi0) == (2.5, 0.3)
-        assert est.converged and est.n_rounds == 0
-
-    @pytest.mark.filterwarnings("ignore:Monte Carlo EM")
-    def test_pure_noise_high_spike_weight(self):
-        rng = np.random.default_rng(17)
-        m, n, g = 6, 24, 20
-        blocks = rng.standard_normal((m, n, g))
-        target = rng.standard_normal((m, n))  # no signal at all
-        system = normalize_columns(GroupedLinearSystem(
-            blocks, target, tuple(f"g{i}" for i in range(g)), "time", np.arange(float(m))))
-        est = estimate_hyperparams(system, BglssConfig(seed=3, lam="estimate_mc_em"))
-        assert est.pi0 >= 0.9
-        assert est.lam > 0
-
-    @pytest.mark.filterwarnings("ignore:Monte Carlo EM")
-    def test_known_sparsity_band(self):
-        rng = np.random.default_rng(23)
-        m, n, g = 6, 24, 20
-        blocks = rng.standard_normal((m, n, g))
-        target = 3.0 * blocks[:, :, 4] - 2.0 * blocks[:, :, 11]
-        target = target + 0.01 * rng.standard_normal((m, n))
-        system = normalize_columns(GroupedLinearSystem(
-            blocks, target, tuple(f"g{i}" for i in range(g)), "time", np.arange(float(m))))
-        est = estimate_hyperparams(system, BglssConfig(seed=5, lam="estimate_mc_em"))
-        assert 0.8 <= est.pi0 <= 0.95
 
 
 class TestBurgersMedianTracksTruth:
@@ -284,15 +274,13 @@ class TestBurgersMedianTracksTruth:
 
 
 # Settings that steer the kernel down each of its branches: pi0 drawn or fixed (at 0 and 1
-# the prior odds are infinite), variances drawn or fixed, and a noise variance so small
-# that the slab odds overflow exp.
+# the prior odds are infinite).  The default setting also takes the branch where the slab
+# odds overflow exp (test_default_setting_overflows_the_odds).
 ORACLE_SETTINGS = {
     "estimated_pi0": {},
     "fixed_pi0": {"pi0": 0.3},
     "pi0_zero": {"pi0": 0.0},
     "pi0_one": {"pi0": 1.0},
-    "fixed_tau2_and_sigma2": {"fixed_tau2": 0.5, "fixed_sigma2": 1e-3},
-    "overflowing_odds": {"fixed_sigma2": 1e-9},
 }
 
 
@@ -318,8 +306,19 @@ class TestKernelMatchesReference:
         config = BglssConfig(n_iterations=40, n_burnin=10, seed=3, **settings)
         self.assert_same_draws(sample_posterior(system, config), reference_chain(system, config))
 
-    def test_bit_identical_draws_from_an_em_start(self, system):
-        # estimate_hyperparams starts each round's chain from the last round's pi0
-        config = BglssConfig(n_iterations=40, n_burnin=10, lam=0.7, seed=9)
-        self.assert_same_draws(_run_chain(system, config, pi0_init=0.2),
-                               reference_chain(system, config, pi0_init=0.2))
+    def test_default_setting_overflows_the_odds(self, burgers_system, monkeypatch):
+        """The default setting of `test_bit_identical_draws` reaches the kernel's OverflowError
+        branch (log odds above ~709.78), so the bit-identity check covers it."""
+        overflows, real_exp = [], math.exp
+
+        def exp(x):
+            try:
+                return real_exp(x)
+            except OverflowError:
+                overflows.append(x)
+                raise
+
+        monkeypatch.setattr(math, "exp", exp)
+        sample_posterior(burgers_system, BglssConfig(n_iterations=40, n_burnin=10, seed=3,
+                                                     **ORACLE_SETTINGS["estimated_pi0"]))
+        assert overflows

@@ -314,8 +314,8 @@ def pooled(monkeypatch):
 
 @pytest.fixture
 def sampled(monkeypatch, pooled):
-    """The key of each memo entry (chain or MC-EM estimate) in order: computed here by a
-    standalone run, or dispatched to a worker by a sweep."""
+    """The key of each chain in order: computed here by a standalone run, or dispatched to a
+    worker by a sweep."""
     keys = []
     compute, submit = tbglss._chain, pool.Workers.submit
 
@@ -395,25 +395,6 @@ class TestSweepSharesChains:
         assert Counter(sampled) == Counter(once + once)
         assert [p.report.to_json() for p in first.points] == [
             p.report.to_json() for p in second.points]
-
-    @pytest.mark.filterwarnings("ignore:Monte Carlo EM")
-    def test_mc_em_estimate_runs_once_per_sweep(self, sampled):
-        rng = np.random.default_rng(4)
-        system, _, _ = random_grouped_system(rng, n_rows=24)
-        base = MethodConfig(thresholds=ThresholdSpec(t_rms=0.05),
-                            bglss=BglssConfig(n_iterations=150, n_burnin=40,
-                                              lam="estimate_mc_em", seed=3))
-        grid = np.array([0.1, 0.5, 1.0])
-
-        def estimates():
-            return [key for key in sampled if key[0] == tbglss.ESTIMATE]
-
-        curve = sweep(system, "t_ge", grid, base)
-        assert len(estimates()) == 1
-        for point in curve.points:
-            alone = fit(system, selection._point_config(base, "t_ge", point.value))
-            assert point.report.to_json() == alone.to_json()
-        assert len(estimates()) == 1 + grid.size
 
 
 def sweep_outputs(curve: SelectionCurve, tmp_path) -> list:

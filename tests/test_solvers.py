@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,22 @@ class TestScenarioValidation:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             PdeScenario("wave", (-1, 1), (0, 1), 16, 16, {}, {}, lambda x: x, "x", "time")
+
+
+# SHA-256 over each family's default solve: the field's values, then its x and t coordinates,
+# as float64 bytes.  A solver change that moves any bit has to update these and say why.
+DEFAULT_SOLVE_SHA256 = {
+    "burgers_clean": "5051946fa0cc0389e05b150908894ab264c3cedbaf0068a3a39494bcbf7f6dea",
+    "ad_clean": "b52a11d6dea222b2f40e08b58929a412a357715c047a071c239bad6c70483458",
+    "ks_clean": "bbef1d04634619d931abd46414570f5a5f6dc7e1e4c71bf1acb470da1a0a5951",
+}
+
+
+@pytest.mark.parametrize("clean", list(DEFAULT_SOLVE_SHA256))
+def test_default_solve_is_bit_for_bit_pinned(request, clean):
+    field = request.getfixturevalue(clean).field  # the session's solve, not a new one
+    digest = hashlib.sha256()
+    for array in (field.values, field.x_coords, field.t_coords):
+        assert array.dtype == np.float64
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == DEFAULT_SOLVE_SHA256[clean]

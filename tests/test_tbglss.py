@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vcpde.criteria import ZeroNormGroupError, group_error_bar, rms_criterion
 from vcpde import tbglss
-from vcpde.gibbs import BglssConfig, estimate_hyperparams
+from vcpde.gibbs import BglssConfig
 from vcpde.library import CHUNK_STEPS
 from vcpde.tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
 
@@ -252,28 +252,3 @@ class TestMultiChainMode:
             assert not np.array_equal(medians[c][:, active], medians[0][:, active])
         doc = json.loads(report.to_json())
         np.testing.assert_array_equal(np.array(doc["chain_medians"]), medians)
-
-
-class TestEstimatedLambda:
-    @pytest.mark.filterwarnings("ignore:Monte Carlo EM")
-    def test_mc_em_lambda_drives_every_chain(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        system, _, _ = random_grouped_system(rng, n_rows=24)
-        config = BglssConfig(n_iterations=150, n_burnin=40, lam="estimate_mc_em", seed=3)
-        est = estimate_hyperparams(system, config)
-        sampled = []
-        sample = tbglss.sample_posterior
-
-        def recording(sub, chain_config):
-            sampled.append(chain_config)
-            return sample(sub, chain_config)
-
-        monkeypatch.setattr(tbglss, "sample_posterior", recording)
-        report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5), config)
-        hyper = report.hyperparameters
-        assert hyper["lam_estimated"] is True
-        assert hyper["em_rounds"] == est.n_rounds >= 1
-        assert hyper["lam"] == est.lam
-        assert sampled and all(c.lam == est.lam for c in sampled)
-        # pi0 is left to each chain, which starts it at 0.5
-        assert all(c.pi0 == config.pi0 for c in sampled)

@@ -116,7 +116,7 @@ class TestEnsembleBootstrapCis:
         beta = np.zeros((120, 3, 2))
         beta[:, :, 0] = 2.0 + 0.05 * rng.standard_normal((120, 3))
         ens = synthetic_ensemble(beta, spike=np.tile([False, True], (120, 1)))
-        cis = ensemble_bootstrap_cis(ens)
+        cis = ensemble_bootstrap_cis(ens, np.array([True, False]))
         assert cis["level"] == 0.95
         assert set(cis["intervals"]) == {"g0"}
         assert len(cis["intervals"]["g0"]) == 3

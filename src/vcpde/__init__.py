@@ -38,9 +38,6 @@ from .solvers import (
     burgers_scenario,
     ks_scenario,
     solve,
-    solve_advection_diffusion,
-    solve_burgers,
-    solve_ks,
     true_coefficients,
 )
 from .tbglss import DiscoveryReport, ThresholdSpec, run_tbglss

@@ -8,8 +8,9 @@ LibrarySpec.standard and FilterSpec.of.  The config file is a flat JSON
 object whose keys are the long option names with dashes replaced by
 underscores, and a key that no subcommand declares is a validation error.
 Every output embeds the options and seeds needed to reproduce it bit-for-bit.
-Exit codes: 0 success (including documented expected-failure scenarios),
-1 validation error (including a path that cannot be read), 2 numerical failure.
+Exit codes: 0 success (including documented expected-failure scenarios and
+--help), 1 validation error (including a usage error, which also prints the
+usage line, and a path that cannot be read), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -313,8 +314,16 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are validation errors (argparse exits 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vcpde",
         description="Discover PDEs with time- or space-varying coefficients from gridded data.",
     )
@@ -467,8 +476,8 @@ def _config_value(action: argparse.Action, value, path: str):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args, remaining = parser.parse_known_args(argv)
     try:
+        args, remaining = parser.parse_known_args(argv)
         if args.config:
             _apply_config(parser, args.config)
             args = parser.parse_args(argv)

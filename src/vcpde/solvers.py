@@ -1,13 +1,18 @@
 """Synthetic ground-truth datasets: three variable-coefficient model equations.
 
-All three families are posed on periodic spatial domains and integrated
-pseudo-spectrally: Fourier derivatives in space, adaptive Runge-Kutta in time
-for the non-stiff equations and a fixed-step exponential fourth-order
-Runge-Kutta scheme for the stiff fourth-derivative problem.
+Each equation is stated once, as a term table: u_t = sum_k xi_k(s) Theta_k(u),
+with s the varying coordinate (t or x) and Theta_k a library term.  The
+solver integrates that table and `true_coefficients` reports it as the
+discovery's ground truth.  All three families are posed on periodic spatial
+domains and integrated pseudo-spectrally: one right-hand side takes Fourier
+derivatives in space and sums the table, adaptive Runge-Kutta (RK45) advances
+it in time for the non-stiff equations and a fixed-step exponential
+fourth-order Runge-Kutta scheme (ETDRK4) for the stiff fourth-derivative one.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -16,7 +21,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .fields import SpatioTemporalField
-from .library import CoefficientTrajectories
+from .library import CoefficientTrajectories, LibrarySpec
 
 
 class SolverBlowupError(RuntimeError):
@@ -31,26 +36,30 @@ class SolverBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class PdeScenario:
-    """One synthetic experiment: equation family, coefficients, domain, grid."""
+    """One synthetic experiment: equation family, term table, domain, grid."""
 
     family: str
     x_span: tuple[float, float]
     t_span: tuple[float, float]
     n_x: int
     n_t: int
-    coefficients: dict[str, Callable]
+    # The equation u_t = sum of coefficient * term, in summation order: term descriptor ->
+    # coefficient function of the varying-axis coordinate.
+    true_terms: dict[str, Callable]
     coefficient_formulas: dict[str, str]
     initial_condition: Callable[[np.ndarray], np.ndarray]
     ic_formula: str
     varying_axis: str
-    # term descriptor -> true coefficient function of the varying-axis coordinate
-    true_terms: dict[str, Callable[[np.ndarray], np.ndarray]] = field(repr=False, default_factory=dict)
     retain_t_from: float | None = None
     solver_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        read = list(inspect.signature(FAMILIES[self.family][1]).parameters)[1:]
+        unknown = sorted(set(self.solver_options) - set(read))
+        if unknown:
+            raise ValueError(f"the {self.family} solver does not read {unknown}; it reads {read}")
         if self.n_x < 8 or self.n_t < 8:
             raise ValueError("grid must have at least 8 points per axis")
         if self.varying_axis not in ("time", "space"):
@@ -110,16 +119,11 @@ def burgers_scenario(
         t_span=t_span,
         n_x=n_x,
         n_t=n_t,
-        coefficients={"mu": mu, "nu": lambda t: np.full_like(np.asarray(t, dtype=float), nu)},
         coefficient_formulas={"mu": mu_formula, "nu": repr(nu)},
         initial_condition=initial_condition,
         ic_formula=ic_formula,
         varying_axis="time",
-        true_terms={
-            "u*u_x": lambda t: -np.asarray(mu(np.asarray(t, dtype=float)), dtype=float)
-            * np.ones_like(np.asarray(t, dtype=float)),
-            "u_xx": lambda t: np.full_like(np.asarray(t, dtype=float), nu),
-        },
+        true_terms={"u*u_x": lambda t: -mu(t), "u_xx": lambda t: nu},
         solver_options=solver_options,
     )
 
@@ -149,18 +153,11 @@ def advection_diffusion_scenario(
         t_span=t_span,
         n_x=n_x,
         n_t=n_t,
-        coefficients={"mu": mu, "mu_x": mu_x, "nu": lambda x: np.full_like(np.asarray(x, dtype=float), nu)},
         coefficient_formulas={"mu": mu_formula, "nu": repr(nu)},
         initial_condition=initial_condition or (lambda x: np.cos(0.4 * np.pi * x)),
         ic_formula=ic_formula,
         varying_axis="space",
-        true_terms={
-            "u": lambda x: np.asarray(mu_x(np.asarray(x, dtype=float)), dtype=float)
-            * np.ones_like(np.asarray(x, dtype=float)),
-            "u_x": lambda x: np.asarray(mu(np.asarray(x, dtype=float)), dtype=float)
-            * np.ones_like(np.asarray(x, dtype=float)),
-            "u_xx": lambda x: np.full_like(np.asarray(x, dtype=float), nu),
-        },
+        true_terms={"u": mu_x, "u_x": mu, "u_xx": lambda x: nu},
         solver_options=solver_options,
     )
 
@@ -190,7 +187,6 @@ def ks_scenario(
         t_span=t_span,
         n_x=n_x,
         n_t=n_t,
-        coefficients={"alpha": alpha, "beta": beta, "gamma": gamma},
         coefficient_formulas={
             "alpha": "1 + 0.25*sin(0.1*pi*x)",
             "beta": "-1 + 0.25*exp(-(x-2)^2/5)",
@@ -199,87 +195,69 @@ def ks_scenario(
         initial_condition=initial_condition or (lambda x: np.exp(-(x**2))),
         ic_formula="exp(-x^2)",
         varying_axis="space",
-        true_terms={
-            "u*u_x": lambda x: np.asarray(alpha(np.asarray(x, dtype=float)), dtype=float),
-            "u_xx": lambda x: np.asarray(beta(np.asarray(x, dtype=float)), dtype=float),
-            "u_xxxx": lambda x: np.asarray(gamma(np.asarray(x, dtype=float)), dtype=float),
-        },
+        true_terms={"u*u_x": alpha, "u_xx": beta, "u_xxxx": gamma},
         retain_t_from=retain_t_from,
         solver_options=solver_options,
     )
 
 
-def _rfft_k(n: int, length: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+# Each term's factors as (derivative order, power) pairs, by descriptor.
+_TERM_FACTORS = {term.descriptor: term.factors for term in LibrarySpec.standard().terms}
 
 
-def _first_nonfinite(values: np.ndarray, x: np.ndarray, t: np.ndarray, family: str):
-    """Raise SolverBlowupError at the first (in time, then space) bad entry."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        j = int(np.any(bad, axis=0).argmax())
-        i = int(bad[:, j].argmax())
-        raise SolverBlowupError(family, float(x[i]), float(t[j]))
-
-
-def _integrate_rk(scenario: PdeScenario, rhs) -> SpatioTemporalField:
-    x = scenario.x_coords
-    t = scenario.t_coords
-    u0 = np.asarray(scenario.initial_condition(x), dtype=float)
-    rtol = scenario.solver_options.get("rtol", 1e-8)
-    atol = scenario.solver_options.get("atol", 1e-10)
-    res = solve_ivp(
-        rhs, (t[0], t[-1]), u0, t_eval=t, method="RK45", rtol=rtol, atol=atol
-    )
-    if not res.success:
-        raise SolverBlowupError(scenario.family, None, float(res.t[-1]) if res.t.size else t[0])
-    values = res.y
-    _first_nonfinite(values, x, t, scenario.family)
-    return SpatioTemporalField(values, x, t)
-
-
-def solve_burgers(scenario: PdeScenario) -> SpatioTemporalField:
-    if scenario.family != "burgers":
-        raise ValueError("scenario family must be 'burgers'")
+def _spectral_rhs(scenario: PdeScenario):
+    """The equation's right-hand side as `rhs(u, rfft(u), coefficients)`, with the coefficients
+    in table order, and each derivative order's Fourier multiplier."""
     n = scenario.n_x
-    k = _rfft_k(n, scenario.domain_length)
-    ik = 1j * k.copy()
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=scenario.domain_length / n)
+    ik = 1j * k
     if n % 2 == 0:
         ik[-1] = 0.0  # zero the Nyquist mode for odd derivatives
-    k2 = k**2
-    mu = scenario.coefficients["mu"]
-    nu = float(scenario.coefficients["nu"](0.0))
+    multipliers = {1: ik, 2: -k**2, 4: k**4}
+    # each term as the derivative orders it multiplies, one entry per power
+    terms = [[q for q, p in _TERM_FACTORS[name] for _ in range(p)] for name in scenario.true_terms]
+    orders = sorted({q for term in terms for q in term} - {0})
 
-    def rhs(t, u):
-        u_hat = np.fft.rfft(u)
-        ux = np.fft.irfft(ik * u_hat, n)
-        uxx = np.fft.irfft(-k2 * u_hat, n)
-        return -float(mu(t)) * u * ux + nu * uxx
+    def rhs(u, u_hat, coefficients):
+        d = {0: u}
+        for q in orders:
+            d[q] = np.fft.irfft(multipliers[q] * u_hat, n)
+        total = None
+        for c, term in zip(coefficients, terms):
+            for q in term:
+                c = c * d[q]
+            total = c if total is None else total + c
+        return total
 
-    return _integrate_rk(scenario, rhs)
+    return rhs, multipliers
 
 
-def solve_advection_diffusion(scenario: PdeScenario) -> SpatioTemporalField:
-    if scenario.family != "advection_diffusion":
-        raise ValueError("scenario family must be 'advection_diffusion'")
-    n = scenario.n_x
+def _solve_rk(scenario: PdeScenario, rtol: float = 1e-8, atol: float = 1e-10) -> SpatioTemporalField:
+    """Adaptive Runge-Kutta (RK45); a time-varying coefficient is evaluated at every call."""
     x = scenario.x_coords
-    k = _rfft_k(n, scenario.domain_length)
-    ik = 1j * k.copy()
-    if n % 2 == 0:
-        ik[-1] = 0.0
-    k2 = k**2
-    mu = np.asarray(scenario.coefficients["mu"](x), dtype=float)
-    mu_x = np.asarray(scenario.coefficients["mu_x"](x), dtype=float)
-    nu = float(scenario.coefficients["nu"](0.0))
+    t = scenario.t_coords
+    rhs, _ = _spectral_rhs(scenario)
+    if scenario.varying_axis == "time":
+        functions = list(scenario.true_terms.values())
 
-    def rhs(t, u):
-        u_hat = np.fft.rfft(u)
-        ux = np.fft.irfft(ik * u_hat, n)
-        uxx = np.fft.irfft(-k2 * u_hat, n)
-        return mu_x * u + mu * ux + nu * uxx
+        def f(s, u):
+            return rhs(u, np.fft.rfft(u), [float(fn(s)) for fn in functions])
+    else:
+        coefficients = [np.asarray(fn(x), dtype=float) for fn in scenario.true_terms.values()]
 
-    return _integrate_rk(scenario, rhs)
+        def f(s, u):
+            return rhs(u, np.fft.rfft(u), coefficients)
+
+    u0 = np.asarray(scenario.initial_condition(x), dtype=float)
+    res = solve_ivp(f, (t[0], t[-1]), u0, t_eval=t, method="RK45", rtol=rtol, atol=atol)
+    if not res.success:
+        raise SolverBlowupError(scenario.family, None, float(res.t[-1]) if res.t.size else t[0])
+    bad = ~np.isfinite(res.y)
+    if bad.any():  # name the first bad entry, in time and then in space
+        j = int(np.any(bad, axis=0).argmax())
+        i = int(bad[:, j].argmax())
+        raise SolverBlowupError(scenario.family, float(x[i]), float(t[j]))
+    return SpatioTemporalField(res.y, x, t)
 
 
 def _etdrk4_tables(lin: np.ndarray, dt: float, n_contour: int = 32):
@@ -294,43 +272,29 @@ def _etdrk4_tables(lin: np.ndarray, dt: float, n_contour: int = 32):
     return np.exp(dt * lin), np.exp(dt * lin / 2.0), q, f1, f2, f3
 
 
-def solve_ks(scenario: PdeScenario) -> SpatioTemporalField:
-    """Exponential fourth-order integrator with the spatial-mean second/fourth
-    derivative terms treated exactly and the coefficient deviations advanced
-    with the nonlinearity."""
-    if scenario.family != "kuramoto_sivashinsky":
-        raise ValueError("scenario family must be 'kuramoto_sivashinsky'")
+def _solve_etdrk4(scenario: PdeScenario, dt: float = 0.05) -> SpatioTemporalField:
+    """Exponential fourth-order Runge-Kutta at steps of at most `dt`: the spatial mean of each
+    single even-derivative term's coefficient is treated exactly, and the coefficient
+    deviations are advanced with the rest of the right-hand side."""
     n = scenario.n_x
     x = scenario.x_coords
     t = scenario.t_coords
-    k = _rfft_k(n, scenario.domain_length)
-    ik = 1j * k.copy()
-    if n % 2 == 0:
-        ik[-1] = 0.0
-    k2, k4 = k**2, k**4
-
-    alpha = np.asarray(scenario.coefficients["alpha"](x), dtype=float)
-    beta = np.asarray(scenario.coefficients["beta"](x), dtype=float)
-    gamma = np.asarray(scenario.coefficients["gamma"](x), dtype=float)
-    beta0 = float(beta.mean())
-    gamma0 = float(gamma.mean())
-    d_beta = beta - beta0
-    d_gamma = gamma - gamma0
-
-    lin = -beta0 * k2 + gamma0 * k4
+    rhs, multipliers = _spectral_rhs(scenario)
+    xi = [np.asarray(fn(x), dtype=float) for fn in scenario.true_terms.values()]
+    lin = np.zeros(n // 2 + 1)
+    for g, name in enumerate(scenario.true_terms):
+        if _TERM_FACTORS[name] in (((2, 1),), ((4, 1),)):  # u_xx or u_xxxx alone
+            mean = float(xi[g].mean())
+            xi[g] = xi[g] - mean
+            lin = lin + mean * multipliers[_TERM_FACTORS[name][0][0]]
 
     dt_sample = float(t[1] - t[0])
-    dt_target = scenario.solver_options.get("dt", 0.05)
-    substeps = max(1, math.ceil(dt_sample / dt_target))
-    dt = dt_sample / substeps
-    e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(lin, dt)
+    substeps = max(1, math.ceil(dt_sample / dt))
+    step = dt_sample / substeps
+    e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(lin, step)
 
     def nonlin(v):
-        u = np.fft.irfft(v, n)
-        ux = np.fft.irfft(ik * v, n)
-        uxx = np.fft.irfft(-k2 * v, n)
-        uxxxx = np.fft.irfft(k4 * v, n)
-        return np.fft.rfft(alpha * u * ux + d_beta * uxx + d_gamma * uxxxx)
+        return np.fft.rfft(rhs(np.fft.irfft(v, n), v, xi))
 
     values = np.empty((n, t.size))
     u0 = np.asarray(scenario.initial_condition(x), dtype=float)
@@ -353,11 +317,12 @@ def solve_ks(scenario: PdeScenario) -> SpatioTemporalField:
     return SpatioTemporalField(values, x, t)
 
 
-# The one table of equation families: each name's scenario factory and solver.
+# The one table of equation families: each name's scenario factory and integrator.  An
+# integrator's keyword arguments are the solver options its families accept.
 FAMILIES = {
-    "burgers": (burgers_scenario, solve_burgers),
-    "advection_diffusion": (advection_diffusion_scenario, solve_advection_diffusion),
-    "kuramoto_sivashinsky": (ks_scenario, solve_ks),
+    "burgers": (burgers_scenario, _solve_rk),
+    "advection_diffusion": (advection_diffusion_scenario, _solve_rk),
+    "kuramoto_sivashinsky": (ks_scenario, _solve_etdrk4),
 }
 # Other names make_scenario accepts for a family.
 FAMILY_ALIASES = {
@@ -393,8 +358,8 @@ def scenario_from_metadata(metadata: dict) -> PdeScenario:
 
 
 def solve(scenario: PdeScenario) -> SpatioTemporalField:
-    """Dispatch to the family solver."""
-    return FAMILIES[scenario.family][1](scenario)
+    """Integrate the scenario's equation with its family's integrator."""
+    return FAMILIES[scenario.family][1](scenario, **scenario.solver_options)
 
 
 def check_noise_level(level: float) -> None:
@@ -431,6 +396,6 @@ def true_coefficients(scenario: PdeScenario, library_spec,
     for g, name in enumerate(descriptors):
         fn = scenario.true_terms.get(name)
         if fn is not None:
-            values[:, g] = np.asarray(fn(step_coords), dtype=float)
+            values[:, g] = fn(step_coords)  # a constant broadcasts over the axis
     active = np.array([name in scenario.true_terms for name in descriptors])
     return CoefficientTrajectories(values, active, descriptors, step_coords, scenario.varying_axis)

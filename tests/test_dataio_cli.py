@@ -129,6 +129,27 @@ class TestCli:
         assert noisy.metadata == {**expected.metadata, "noise_level": 0.05}
         assert not np.array_equal(noisy.field.values, clean.field.values)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["discover", "--dataset", "x.json", "--iterations", "abc"],
+         "argument --iterations: invalid int value: 'abc'"),
+        (["discover", "--dataset", "x.json", "--method", "lasso"],
+         "argument --method: invalid choice: 'lasso'"),
+        (["sweep", "--dataset", "x.json", "--range", "-1:1:3"],
+         "argument --range: expected one argument"),
+        (["simulate", "--nx", "64", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["bad_int", "bad_choice", "bare_negative_range", "unknown_argument"])
+    def test_usage_error_is_validation_error(self, tmp_path, capsys, argv, message):
+        assert self.run(*argv, "--output", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vcpde ") and f"\nerror: {message}" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            self.run("simulate", "--help")
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: vcpde simulate")
+
     def test_simulate_negative_noise_is_validation_error(self, tmp_path, capsys):
         code = self.run("simulate", "--family", "burgers", "--noise", "-0.05",
                         "--nx", "64", "--nt", "32", "--output", str(tmp_path))

@@ -1,4 +1,5 @@
-"""Import hygiene of the package: imports sit at module top, criteria is a leaf."""
+"""Import hygiene of the package: imports sit at module top, criteria is a leaf, and only the
+CLI prints."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,14 @@ def test_criteria_is_a_leaf():
     tree = ast.parse((PACKAGE / "criteria.py").read_text())
     imported = {node.module for node in _imports(tree) if isinstance(node, ast.ImportFrom)}
     assert not imported & {"tbglss", "selection", "baselines", "pipeline"}
+
+
+def test_only_the_cli_prints():
+    # the library reports through logging and return values
+    calls = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in MODULES if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    )
+    assert not calls, f"print calls outside cli.py: {calls}"

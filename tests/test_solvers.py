@@ -12,9 +12,7 @@ from vcpde.solvers import (
     ks_scenario,
     make_scenario,
     scenario_from_metadata,
-    solve_advection_diffusion,
-    solve_burgers,
-    solve_ks,
+    solve,
     true_coefficients,
 )
 
@@ -36,13 +34,13 @@ class TestBurgers:
     def test_zero_initial_data(self):
         sc = burgers_scenario(initial_condition=lambda x: np.zeros_like(x), ic_formula="0",
                               n_x=64, n_t=32)
-        f = solve_burgers(sc)
+        f = solve(sc)
         assert np.abs(f.values).max() < 1e-12
 
     def test_heat_kernel_oracle(self):
         # mu == 0 reduces to the heat equation; the Gaussian widens analytically
         sc = burgers_scenario(mu=lambda t: 0.0, mu_formula="0", n_x=128, n_t=64)
-        f = solve_burgers(sc)
+        f = solve(sc)
         a0, nu = 0.25, 0.1
         x = f.x_coords
         for j in (10, 31, 63):
@@ -52,16 +50,12 @@ class TestBurgers:
                 exact += np.sqrt(a0 / a) * np.exp(-((x + 1.0 - 16.0 * image) ** 2) / (4.0 * a))
             assert rel_l2(f.values[:, j], exact) <= 1e-3
 
-    def test_family_guard(self):
-        with pytest.raises(ValueError):
-            solve_burgers(advection_diffusion_scenario())
-
 
 class TestAdvectionDiffusion:
     def test_zero_initial_data(self):
         sc = advection_diffusion_scenario(initial_condition=lambda x: np.zeros_like(x),
                                           ic_formula="0", n_x=64, n_t=32)
-        f = solve_advection_diffusion(sc)
+        f = solve(sc)
         assert np.abs(f.values).max() < 1e-12
 
     def test_constant_advection_translation_oracle(self):
@@ -72,7 +66,7 @@ class TestAdvectionDiffusion:
             nu=0.0, mu_formula=repr(c), n_x=128, n_t=64, t_span=(0.0, 2.0),
             initial_condition=lambda x: np.exp(-(x**2)), ic_formula="exp(-x^2)",
         )
-        f = solve_advection_diffusion(sc)
+        f = solve(sc)
         length = sc.domain_length
         for j in (20, 63):
             shift = f.x_coords + c * f.t_coords[j]
@@ -81,7 +75,7 @@ class TestAdvectionDiffusion:
 
     def test_benchmark_profile_decays(self):
         sc = advection_diffusion_scenario(n_x=128, n_t=64)
-        f = solve_advection_diffusion(sc)
+        f = solve(sc)
         assert np.abs(f.values[:, -1]).max() < np.abs(f.values[:, 0]).max()
 
 
@@ -89,7 +83,7 @@ class TestKuramotoSivashinsky:
     def test_zero_initial_data(self):
         sc = ks_scenario(initial_condition=lambda x: np.zeros_like(x), n_x=64, n_t=32,
                          t_span=(0.0, 10.0), retain_t_from=None)
-        f = solve_ks(sc)
+        f = solve(sc)
         assert np.abs(f.values).max() < 1e-12
 
     def test_chaotic_amplitude_late(self, ks_clean):
@@ -100,8 +94,8 @@ class TestKuramotoSivashinsky:
 
     def test_step_refinement_self_convergence(self):
         # halving the step changes the early retained window by under 1%
-        coarse = solve_ks(ks_scenario(dt=0.05))
-        fine = solve_ks(ks_scenario(dt=0.025))
+        coarse = solve(ks_scenario(dt=0.05))
+        fine = solve(ks_scenario(dt=0.025))
         window = (coarse.t_coords >= 100.0) & (coarse.t_coords <= 110.0)
         assert rel_l2(coarse.values[:, window], fine.values[:, window]) <= 0.01
 
@@ -113,7 +107,7 @@ class TestBlowupDiagnostics:
 
         sc = advection_diffusion_scenario(nu=-5.0, n_x=64, n_t=32, t_span=(0.0, 2.0))
         with pytest.raises(SolverBlowupError, match="t="):
-            solve_advection_diffusion(sc)
+            solve(sc)
 
 
 class TestGridRefinement:
@@ -121,7 +115,7 @@ class TestGridRefinement:
         errs = []
         prev = None
         for n in (64, 128, 256):
-            f = solve_burgers(burgers_scenario(n_x=n, n_t=65))
+            f = solve(burgers_scenario(n_x=n, n_t=65))
             if prev is not None:
                 errs.append(rel_l2(prev, f.values[::2]))
             prev = f.values
@@ -229,6 +223,68 @@ class TestScenarioValidation:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             PdeScenario("wave", (-1, 1), (0, 1), 16, 16, {}, {}, lambda x: x, "x", "time")
+
+    @pytest.mark.parametrize("factory,option", [
+        (burgers_scenario, "rtoll"), (advection_diffusion_scenario, "dt"),
+        (ks_scenario, "d_t"), (ks_scenario, "rtol"),
+    ])
+    def test_option_the_integrator_does_not_read_rejected(self, factory, option):
+        # RK45 (Burgers, advection-diffusion) reads rtol and atol; ETDRK4 (KS) reads dt
+        with pytest.raises(ValueError, match=f"does not read \\['{option}'\\]"):
+            factory(**{option: 0.5})
+
+    def test_options_the_integrator_reads_recorded(self):
+        assert burgers_scenario(rtol=1e-6, atol=1e-9).metadata()["solver_options"] == {
+            "rtol": 1e-6, "atol": 1e-9}
+        assert ks_scenario(dt=0.025).metadata()["solver_options"] == {"dt": 0.025}
+        assert all(make_scenario(name).metadata()["solver_options"] == {}
+                   for name in ("burgers", "ad", "ks"))
+
+
+def equation_residual(field, scenario, t_from=None):
+    """Relative L2 residual of the scenario's stated equation on `field`, at the interior times
+    from `t_from` on: numpy spectral x-derivatives of the solution, with the coefficients of
+    `true_coefficients`, against a centred time difference."""
+    library = LibrarySpec.standard()
+    truth = true_coefficients(scenario, library)
+    u, t = field.values, field.t_coords
+    n = u.shape[0]
+    ik = 2j * np.pi * np.fft.fftfreq(n, d=scenario.domain_length / n)
+    u_hat = np.fft.fft(u, axis=0)
+    derivatives = [u]
+    for q in range(1, library.max_derivative + 1):
+        multiplier = ik**q
+        if q % 2:
+            multiplier[n // 2] = 0.0  # the Nyquist mode has no odd derivative
+        derivatives.append(np.fft.ifft(multiplier[:, None] * u_hat, axis=0).real)
+    rhs = np.zeros_like(u)
+    for g, term in enumerate(library.terms):
+        if truth.active[g]:
+            xi = truth.values[:, g]
+            product = xi[None, :] if scenario.varying_axis == "time" else xi[:, None]
+            for q, p in term.factors:
+                product = product * derivatives[q] ** p
+            rhs += product
+    u_t = (u[:, 2:] - u[:, :-2]) / (t[2:] - t[:-2])
+    keep = slice(None) if t_from is None else t[1:-1] > t_from
+    return rel_l2(rhs[:, 1:-1][:, keep], u_t[:, keep])
+
+
+class TestEquationResidual:
+    """The acceptance truth describes the data: each family's clean solve satisfies the
+    equation its scenario states."""
+
+    @pytest.mark.parametrize("clean,scenario", [
+        ("burgers_clean", "burgers_scenario_full"), ("ad_clean", "ad_scenario"),
+    ])
+    def test_fixture_solve(self, request, clean, scenario):
+        field = request.getfixturevalue(clean).field
+        assert equation_residual(field, request.getfixturevalue(scenario)) <= 1e-2
+
+    def test_kuramoto_sivashinsky(self):
+        # a short fine-step KS solve, past the initial transient
+        sc = ks_scenario(n_x=128, n_t=401, t_span=(0.0, 4.0), retain_t_from=None)
+        assert equation_residual(solve(sc), sc, t_from=1.0) <= 1e-2
 
 
 # SHA-256 over each family's default solve: the field's values, then its x and t coordinates,

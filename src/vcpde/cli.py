@@ -36,7 +36,8 @@ from .pipeline import (
     noisy_dataset,
     simulate_dataset,
 )
-from .selection import AXIS_METHODS, SWEEP_AXES, MethodConfig, SweepFailedError, default_grid, sweep
+from .selection import (AXIS_METHODS, METHODS, SWEEP_AXES, MethodConfig, SweepFailedError,
+                        default_grid, sweep)
 from .solvers import (
     SolverBlowupError,
     check_noise_level,
@@ -175,7 +176,10 @@ def cmd_filter(args) -> int:
 def cmd_discover(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
     method = args.method or MethodConfig.method
-    thresholds = ThresholdSpec(t_rms=args.t_rms, t_ge=args.t_ge) if method == "tbglss" else None
+    wants_thresholds = method == "tbglss" or args.t_rms is not None or args.t_ge is not None
+    thresholds = ThresholdSpec(t_rms=args.t_rms, t_ge=args.t_ge) if wants_thresholds else None
+    if args.dump_trace and method != "tbglss":
+        raise ValueError(f"--dump-trace needs the tbglss method: {method} samples no draws")
     method_config = _method_config(args, method, thresholds,
                                    keep_final_ensemble=bool(args.dump_trace))
     report = discover(
@@ -271,7 +275,7 @@ def cmd_reproduce(args) -> int:
 
     for family, spec in BENCHMARK_CELLS.items():
         for noise in spec["noises"]:
-            for method in ("tbglss", "sgtr", "group_lasso"):
+            for method in METHODS:
                 cell = f"{family}_noise{noise:g}_{method}"
                 if not wanted(cell):
                     continue
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, type=kind, default=None, help=text)
 
     def add_method_options(p):
-        p.add_argument("--method", default=None, choices=("tbglss", "sgtr", "group_lasso"))
+        p.add_argument("--method", default=None, choices=METHODS)
         add_sampler_options(p)
         p.add_argument("--update-iterations", type=int, default=None, help="screening chain length")
         p.add_argument("--update-burnin", type=int, default=None)

@@ -22,16 +22,9 @@ from .criteria import aic_loss, coefficient_mse, empty_model_scores
 from .gibbs import BglssConfig, SamplerError
 from .library import CoefficientTrajectories, GroupedLinearSystem
 from .pool import Workers
-from .tbglss import (
-    DEFAULT_UPDATE_BURNIN,
-    DEFAULT_UPDATE_ITERATIONS,
-    DiscoveryReport,
-    ThresholdSpec,
-    _chain,
-    run_tbglss,
-    threshold_loop,
-)
+from .tbglss import DiscoveryReport, ThresholdSpec, _chain, run_tbglss, threshold_loop
 
+METHODS = ("tbglss", "sgtr", "group_lasso")
 # Each sweep axis is a parameter of one method.
 AXIS_METHODS = {"t_rms": "tbglss", "t_ge": "tbglss", "lambda": "group_lasso", "sgtr_threshold": "sgtr"}
 SWEEP_AXES = tuple(AXIS_METHODS)
@@ -50,24 +43,31 @@ class SweepFailedError(RuntimeError):
 class MethodConfig:
     """Method choice plus its parameters for one discovery run."""
 
-    method: str = "tbglss"  # tbglss | sgtr | group_lasso
+    method: str = "tbglss"  # one of METHODS
+    # tbglss only: the thresholding loop (`tbglss.run_tbglss`) reads these
     thresholds: ThresholdSpec | None = None
-    bglss: BglssConfig = field(default_factory=BglssConfig)
-    update_iterations: int = DEFAULT_UPDATE_ITERATIONS
-    update_burnin: int = DEFAULT_UPDATE_BURNIN
+    bglss: BglssConfig = field(default_factory=BglssConfig)  # the final chain
+    update_iterations: int = 200  # screening chains
+    update_burnin: int = 50
     final_chains: int = 1
     with_ci: bool = False  # bootstrap confidence intervals in the report
     keep_final_ensemble: bool = False
     # sgtr / group_lasso: fixed parameter, or None to select by lowest loss over a grid
     sgtr_threshold: float | None = None
-    sgtr_ridge: float = 1e-5
+    sgtr_ridge: float = SgtrConfig.ridge
     lasso_lam: float | None = None
 
     def __post_init__(self):
-        if self.method not in ("tbglss", "sgtr", "group_lasso"):
-            raise ValueError("method must be tbglss, sgtr or group_lasso")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}")
         if self.method == "tbglss" and self.thresholds is None:
             raise ValueError("tbglss needs thresholds")
+        tbglss_only = {"thresholds": self.thresholds is not None, "with_ci": self.with_ci,
+                       "keep_final_ensemble": self.keep_final_ensemble,
+                       "final_chains": self.final_chains != 1}
+        unused = [name for name, is_set in tbglss_only.items() if is_set]
+        if self.method != "tbglss" and unused:
+            raise ValueError(f"{self.method} does not use {' or '.join(unused)}")
 
 
 def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryReport:
@@ -80,7 +80,7 @@ def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryRe
     """
     mc = method_config
     if mc.method == "tbglss":
-        report = run_tbglss(system, mc.thresholds, mc.bglss, **_loop_options(mc))
+        report = run_tbglss(system, mc)
     elif mc.method == "sgtr":
         if mc.sgtr_threshold is None:
             raise ValueError("fit needs a fixed sgtr_threshold")
@@ -100,13 +100,6 @@ def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryRe
             return replace(report, unscored=f"NotConverged: group lasso did not converge "
                                             f"in {result.n_sweeps} sweeps")
     return _scored(system, report)
-
-
-def _loop_options(mc: MethodConfig) -> dict:
-    """The tbglss run's settings besides its thresholds and chain config."""
-    return {"update_iterations": mc.update_iterations, "update_burnin": mc.update_burnin,
-            "final_chains": mc.final_chains, "keep_final_ensemble": mc.keep_final_ensemble,
-            "bootstrap_ci": mc.with_ci}
 
 
 def _scored(system: GroupedLinearSystem, report: DiscoveryReport) -> DiscoveryReport:
@@ -130,7 +123,6 @@ def _baseline_report(trajectories: CoefficientTrajectories, beta_normalized: np.
         method=method,
         hyperparameters=hyperparameters,
         provenance={},
-        empty_model=not bool(trajectories.active.any()),
         beta_normalized=beta_normalized,
     )
 
@@ -245,8 +237,7 @@ def _point_loop(system: GroupedLinearSystem, config: MethodConfig, value: float,
     try:
         if config.method != "tbglss":
             return (yield (value, config), False)
-        report = yield from threshold_loop(system, config.thresholds, config.bglss,
-                                           chains=chains, **_loop_options(config))
+        report = yield from threshold_loop(system, config, chains)
         return _sweep_point(system, _scored(system, report), value, truth)
     except POINT_ERRORS as exc:
         return SweepPoint(value, None, None, None, (), error=f"{type(exc).__name__}: {exc}")

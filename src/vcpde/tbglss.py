@@ -18,16 +18,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .criteria import group_error_bar, rms_criterion, total_error_bar
-from .gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
+from .gibbs import PosteriorEnsemble, sample_posterior
 from .library import CHUNK_STEPS, CoefficientTrajectories, GroupedLinearSystem
 from .uncertainty import ensemble_bootstrap_cis
 
-DEFAULT_UPDATE_ITERATIONS = 200
-DEFAULT_UPDATE_BURNIN = 50
+if TYPE_CHECKING:  # selection imports this module
+    from .selection import MethodConfig
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class DiscoveryReport:
     method: str
     hyperparameters: dict
     provenance: dict
-    empty_model: bool = False
     chain_medians: np.ndarray | None = None  # (n_chains, n_steps, n_groups), multi-chain mode
     bootstrap_cis: dict | None = None  # level, and descriptor -> per-step [low, high]
     final_ensemble: PosteriorEnsemble | None = field(default=None, repr=False, compare=False)
@@ -84,6 +84,10 @@ class DiscoveryReport:
     @property
     def selected(self) -> tuple[str, ...]:
         return self.trajectories.selected
+
+    @property
+    def empty_model(self) -> bool:
+        return not self.trajectories.active.any()
 
     @property
     def n_updates(self) -> int:
@@ -230,34 +234,18 @@ def _entry(chains: dict, key: tuple, keep_ensemble: bool = False):
     return entry
 
 
-def run_tbglss(
-    system: GroupedLinearSystem,
-    thresholds: ThresholdSpec,
-    config: BglssConfig,
-    update_iterations: int = DEFAULT_UPDATE_ITERATIONS,
-    update_burnin: int = DEFAULT_UPDATE_BURNIN,
-    final_chains: int = 1,
-    keep_final_ensemble: bool = False,
-    bootstrap_ci: bool = False,
-    chains: dict | None = None,
-) -> DiscoveryReport:
+def run_tbglss(system: GroupedLinearSystem, mc: MethodConfig) -> DiscoveryReport:
     """Threshold the spike-and-slab sampler until the sparsity pattern is stable.
 
-    `config` describes the final (reported) chain; intermediate screening
-    updates use the shorter update_iterations/update_burnin chain.  When a
-    screening update removes nothing, the same support is re-run at the final
-    length; only that confirmed update is committed, so every committed update
-    except the last removes at least one group.  The report's loss is left to
-    `selection.fit`, which scores every method alike.
-
-    `chains`, a dict shared by runs on this same system, memoizes the chains:
-    a run finds there what an earlier run already sampled, and its report is
-    the same as without.  This runs `threshold_loop`, computing each entry it
-    asks for here.
+    `mc.bglss` describes the final (reported) chain; intermediate screening
+    updates use the shorter `mc.update_iterations`/`mc.update_burnin` chain.
+    When a screening update removes nothing, the same support is re-run at the
+    final length; only that confirmed update is committed, so every committed
+    update except the last removes at least one group.  The report's loss is
+    left to `selection.fit`, which scores every method alike.  This runs
+    `threshold_loop`, computing each chain it asks for here.
     """
-    loop = threshold_loop(system, thresholds, config, update_iterations, update_burnin,
-                          final_chains, keep_final_ensemble, bootstrap_ci,
-                          {} if chains is None else chains)
+    loop = threshold_loop(system, mc, {})
     try:
         request = next(loop)
         while True:
@@ -266,50 +254,44 @@ def run_tbglss(
         return done.value
 
 
-def threshold_loop(
-    system: GroupedLinearSystem,
-    thresholds: ThresholdSpec,
-    config: BglssConfig,
-    update_iterations: int,
-    update_burnin: int,
-    final_chains: int,
-    keep_final_ensemble: bool,
-    bootstrap_ci: bool,
-    chains: dict,
-):
+def threshold_loop(system: GroupedLinearSystem, mc: MethodConfig, chains: dict):
     """`run_tbglss` as a generator that leaves the sampling to its driver.
 
-    For each memo entry missing from `chains` it yields (key, keep_ensemble)
-    and expects the entry `_chain(system, key, keep_ensemble)` computes sent
-    back; it returns the report.  `selection.sweep` drives many such loops on
-    one memo and computes their entries on worker processes.
+    `chains`, a dict shared by runs on this same system, memoizes the chains:
+    a run finds there what an earlier run already sampled, and its report is
+    the same as without.  For each entry missing from `chains` it yields
+    (key, keep_ensemble) and expects the entry `_chain(system, key,
+    keep_ensemble)` computes sent back; it returns the report.
+    `selection.sweep` drives many such loops on one memo and computes their
+    entries on worker processes.
     """
+    if mc.method != "tbglss":
+        raise ValueError(f"run_tbglss needs a tbglss MethodConfig, got method {mc.method!r}")
     if not system.normalized:
         raise ValueError("run_tbglss requires a column-normalized system")
 
+    config = mc.bglss
     hyper = {"pi0": config.pi0, "lam": float(config.lam), "final_iterations": config.n_iterations,
-             "final_burnin": config.n_burnin, "update_iterations": update_iterations,
-             "update_burnin": update_burnin}
+             "final_burnin": config.n_burnin, "update_iterations": mc.update_iterations,
+             "update_burnin": mc.update_burnin}
 
     full_descriptors = system.descriptors
     active = np.arange(system.n_groups)
     history: list[UpdateRecord] = []
-    summary: ChainSummary | None = None
     update_idx = 0
-    long_run = system.n_groups == 0
-    keep_ensemble = keep_final_ensemble or bootstrap_ci
+    long_run = False
+    keep_ensemble = mc.keep_final_ensemble or mc.with_ci
 
     while active.size:
-        n_it, n_burn = (
-            (config.n_iterations, config.n_burnin) if long_run else (update_iterations, update_burnin)
-        )
+        n_it, n_burn = ((config.n_iterations, config.n_burnin) if long_run
+                        else (mc.update_iterations, mc.update_burnin))
         seed = int(np.random.SeedSequence((config.seed, update_idx)).generate_state(1)[0])
         key = (tuple(active.tolist()),
                replace(config, n_iterations=n_it, n_burnin=n_burn, seed=seed))
         summary = yield from _entry(chains, key, keep_ensemble and long_run)
         descriptors = tuple(full_descriptors[g] for g in active)
         criteria, failing = _evaluate_criteria(summary.median, summary.variance, descriptors,
-                                               thresholds)
+                                               mc.thresholds)
         update_idx += 1
         if failing:
             if summary.ensemble is not None:
@@ -327,65 +309,54 @@ def threshold_loop(
         # screening update stabilized: confirm with the long chain on the same support
         long_run = True
 
-    n_steps = system.n_steps
-    n_groups = system.n_groups
-    values = np.zeros((n_steps, n_groups))
-    stdev = np.zeros((n_steps, n_groups))
-    beta_full_norm = np.zeros((n_steps, n_groups))
-    active_mask = np.zeros(n_groups, dtype=bool)
+    # The loop stops on a support only once a final-length update removed nothing, and every
+    # group whose median is all zero fails, so each group left in `active` is in the model.
+    shape = (system.n_steps, system.n_groups)
+    values, stdev, beta_full_norm, s2_full = (np.zeros(shape) for _ in range(4))
     final_criteria: dict = {}
-    chain_medians = None
-    total_eb = None
-    ensemble = None
+    chain_medians = total_eb = ensemble = None
 
     if active.size:
-        assert summary is not None
         ensemble = summary.ensemble
-        med_norm, s2_norm = summary.median, summary.variance
         sub_scales = system.scales[:, active]
-        values[:, active] = med_norm / sub_scales
-        stdev[:, active] = np.sqrt(s2_norm) / sub_scales
-        beta_full_norm[:, active] = med_norm
-        active_mask[active] = ~np.all(med_norm == 0.0, axis=0)
-        values[:, ~active_mask] = 0.0
-        stdev[:, ~active_mask] = 0.0
-        final_criteria = history[-1].criteria if history else {}
-        s2_full = np.zeros((n_steps, n_groups))
-        s2_full[:, active] = s2_norm
-        total_eb = total_error_bar(beta_full_norm, s2_full, active_mask)
+        values[:, active] = summary.median / sub_scales
+        stdev[:, active] = np.sqrt(summary.variance) / sub_scales
+        beta_full_norm[:, active] = summary.median
+        s2_full[:, active] = summary.variance
+        final_criteria = history[-1].criteria
+        # summed on full-width columns: a one-group support's own (n_steps, 1) column is
+        # contiguous, and BLAS sums a contiguous dot product in another order (other last bits)
+        total_eb = total_error_bar(beta_full_norm, s2_full)
 
-        if final_chains > 1:
-            medians = [med_norm / sub_scales]
-            for c in range(1, final_chains):
+        if mc.final_chains > 1:
+            medians = [values[:, active]]
+            for c in range(1, mc.final_chains):
                 seed = int(
                     np.random.SeedSequence((config.seed, update_idx, c)).generate_state(1)[0]
                 )
                 extra_key = (tuple(active.tolist()), replace(config, seed=seed))
                 extra = yield from _entry(chains, extra_key)
                 medians.append(extra.median / sub_scales)
-            stacked = np.zeros((final_chains, n_steps, n_groups))
-            stacked[:, :, active] = np.stack(medians)
-            chain_medians = stacked
+            chain_medians = np.zeros((mc.final_chains, *shape))
+            chain_medians[:, :, active] = np.stack(medians)
 
-    trajectories = CoefficientTrajectories(
-        values, active_mask, full_descriptors, system.step_coords, system.varying_axis
-    )
-
+    active_mask = np.zeros(system.n_groups, dtype=bool)
+    active_mask[active] = True
     return DiscoveryReport(
-        trajectories=trajectories,
+        trajectories=CoefficientTrajectories(values, active_mask, full_descriptors,
+                                             system.step_coords, system.varying_axis),
         stdev=stdev,
         criteria=final_criteria,
         loss=None,
         total_error_bar=total_eb,
         update_history=tuple(history),
-        thresholds=thresholds,
+        thresholds=mc.thresholds,
         method="tbglss",
         hyperparameters=hyper,
         provenance={"seed": config.seed},
-        empty_model=not bool(active_mask.any()),
         chain_medians=chain_medians,
-        bootstrap_cis=None if not bootstrap_ci or ensemble is None
-        else ensemble_bootstrap_cis(ensemble, active_mask[active]),
-        final_ensemble=ensemble if keep_final_ensemble else None,
+        bootstrap_cis=ensemble_bootstrap_cis(ensemble) if mc.with_ci and ensemble is not None
+        else None,
+        final_ensemble=ensemble if mc.keep_final_ensemble else None,
         beta_normalized=beta_full_norm,
     )

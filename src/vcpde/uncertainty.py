@@ -87,12 +87,11 @@ def bootstrap_median_ci(draws: np.ndarray, level: float = CI_LEVEL) -> Bootstrap
     return BootstrapCI(point, min(float(lo), point), max(float(hi), point), level)
 
 
-def ensemble_bootstrap_cis(ensemble: PosteriorEnsemble, active: np.ndarray) -> dict:
+def ensemble_bootstrap_cis(ensemble: PosteriorEnsemble) -> dict:
     """A report's CIs: level, and per-step [lower, upper] in physical units for each group of
-    the ensemble that `active` marks (the groups whose posterior median is not all zero)."""
+    the ensemble."""
     intervals = {}
-    for g in np.flatnonzero(active):
+    for g, name in enumerate(ensemble.descriptors):
         draws_g = ensemble.beta[:, :, g] / ensemble.scales[None, :, g]
-        intervals[ensemble.descriptors[g]] = [[ci.lower, ci.upper]
-                                              for ci in map(bootstrap_median_ci, draws_g.T)]
+        intervals[name] = [[ci.lower, ci.upper] for ci in map(bootstrap_median_ci, draws_g.T)]
     return {"level": CI_LEVEL, "intervals": intervals}

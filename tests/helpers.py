@@ -1,11 +1,13 @@
 """Dense, least-squares, Monte Carlo and reference-sampler oracles that the tests check the
-package against."""
+package against, and a driver for the thresholding loop."""
 
 import numpy as np
 from scipy.special import expit
 
+from vcpde import tbglss
 from vcpde.gibbs import SIGMA2_PRIOR, BglssConfig, PosteriorEnsemble, SamplerError
 from vcpde.library import GroupedLinearSystem
+from vcpde.selection import MethodConfig
 
 
 def dense(system: GroupedLinearSystem) -> np.ndarray:
@@ -150,3 +152,15 @@ def reference_chain(system: GroupedLinearSystem, config: BglssConfig,
         lam_used=lam,
         seed=config.seed,
     )
+
+
+def run_threshold_loop(system: GroupedLinearSystem, mc: MethodConfig, chains: dict):
+    """`tbglss.threshold_loop` run to its report here, each chain it asks for computed in this
+    process and kept in the memo `chains`: `run_tbglss` with a memo that outlives the run."""
+    loop = tbglss.threshold_loop(system, mc, chains)
+    try:
+        request = next(loop)
+        while True:
+            request = loop.send(tbglss._chain(system, *request))
+    except StopIteration as done:
+        return done.value

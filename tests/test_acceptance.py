@@ -21,7 +21,7 @@ from vcpde.pipeline import (
     filter_dataset,
     noisy_dataset,
 )
-from vcpde.selection import sweep
+from vcpde.selection import MethodConfig, sweep
 from vcpde.solvers import true_coefficients
 from vcpde.tbglss import ThresholdSpec, run_tbglss
 
@@ -303,8 +303,9 @@ class TestCriterion8LoopProperties:
             rng = np.random.default_rng(2000 + seed)
             system, _, _ = random_grouped_system(rng, n_steps=4, n_rows=12, n_groups=5)
             config = BglssConfig(n_iterations=300, n_burnin=80, lam=1.0, seed=seed)
-            report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5), config,
-                                update_iterations=120, update_burnin=30)
+            report = run_tbglss(system, MethodConfig(
+                thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5), bglss=config,
+                update_iterations=120, update_burnin=30))
             assert report.n_updates <= system.n_groups + 1
             for record in report.update_history[:-1]:
                 assert len(record.removed) >= 1
@@ -313,8 +314,9 @@ class TestCriterion8LoopProperties:
                 assert not (removed & set(record.support_before))
                 removed |= set(record.removed)
             if seed < 3:
-                again = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5), config,
-                                   update_iterations=120, update_burnin=30)
+                again = run_tbglss(system, MethodConfig(
+                    thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5), bglss=config,
+                    update_iterations=120, update_burnin=30))
                 assert again.selected == report.selected
                 np.testing.assert_array_equal(again.trajectories.values,
                                               report.trajectories.values)

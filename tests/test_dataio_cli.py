@@ -84,8 +84,9 @@ class TestReportFiles:
     def test_report_bundle_written(self, tmp_path):
         rng = np.random.default_rng(4)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5),
-                            BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3))
+        report = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
+            bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3)))
         paths = save_report(report, tmp_path, stem="run")
         assert paths["json"].exists()
         doc = json.loads(paths["json"].read_text())
@@ -178,7 +179,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--lam", "nan"], "lam must be positive, got nan"),
+        (["--t-rms", "0.1", "--lam", "nan"], "lam must be positive, got nan"),
         (["--method", "sgtr", "--sgtr-threshold", "nan"], "threshold must be positive, got nan"),
         (["--method", "sgtr", "--sgtr-threshold", "0.1", "--sgtr-ridge", "nan"],
          "ridge penalty must be nonnegative, got nan"),
@@ -187,7 +188,25 @@ class TestCli:
     def test_discover_nan_option_is_validation_error(self, small_dataset, tmp_path, capsys,
                                                      argv, message):
         path = save_dataset(small_dataset, tmp_path / "d.json")
-        code = self.run("discover", "--dataset", str(path), "--t-rms", "0.1", *argv,
+        code = self.run("discover", "--dataset", str(path), *argv,
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "sgtr", "--with-ci"], "sgtr does not use with_ci"),
+        (["--method", "sgtr", "--dump-trace", "trace.npz"], "--dump-trace needs the tbglss method"),
+        (["--method", "sgtr", "--final-chains", "3"], "sgtr does not use final_chains"),
+        (["--method", "sgtr", "--t-rms", "0.02"], "sgtr does not use thresholds"),
+        (["--method", "group_lasso", "--t-ge", "0.1"], "group_lasso does not use thresholds"),
+        (["--method", "group_lasso", "--with-ci"], "group_lasso does not use with_ci"),
+    ], ids=["sgtr-with-ci", "sgtr-dump-trace", "sgtr-final-chains", "sgtr-t-rms",
+            "group_lasso-t-ge", "group_lasso-with-ci"])
+    def test_discover_option_only_tbglss_reads_is_validation_error(self, small_dataset,
+                                                                   tmp_path, capsys, argv, message):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("discover", "--dataset", str(path), *argv,
                         "--output", str(tmp_path / "out"))
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -6,6 +6,7 @@ import pytest
 from vcpde import tbglss
 from vcpde.gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
 from vcpde.library import GroupedLinearSystem, normalize_columns
+from vcpde.selection import MethodConfig
 from vcpde.tbglss import ThresholdSpec, run_tbglss
 from vcpde.uncertainty import ensemble_bootstrap_cis
 
@@ -159,7 +160,8 @@ def run_on_draws(monkeypatch, system, draws):
     t_rms = 0 removes only the groups whose median is exactly zero."""
     monkeypatch.setattr(tbglss, "sample_posterior",
                         lambda sub, config: synthetic_ensemble(draws(sub), scales=sub.scales))
-    return run_tbglss(system, ThresholdSpec(t_rms=0.0), BglssConfig(n_iterations=200, n_burnin=60))
+    return run_tbglss(system, MethodConfig(
+        thresholds=ThresholdSpec(t_rms=0.0), bglss=BglssConfig(n_iterations=200, n_burnin=60)))
 
 
 class TestPosteriorSummaries:
@@ -213,7 +215,7 @@ class TestPosteriorSummaries:
         beta = np.full((10, 2, 1), 3.0)
         ens = synthetic_ensemble(beta)
         with pytest.raises(ValueError, match="at least"):
-            ensemble_bootstrap_cis(ens, np.array([True]))
+            ensemble_bootstrap_cis(ens)
 
     def test_physical_denormalization(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -261,10 +263,10 @@ class TestBurgersMedianTracksTruth:
         # the benchmark panel comes from the thresholded run: its final-chain
         # posterior median follows the oscillating advective coefficient
         from vcpde.solvers import true_coefficients
-        from vcpde.tbglss import ThresholdSpec, run_tbglss
 
-        report = run_tbglss(burgers_system, ThresholdSpec(t_rms=0.02, t_ge=0.1),
-                            BglssConfig(n_iterations=600, n_burnin=150, lam=1.0, seed=21))
+        report = run_tbglss(burgers_system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.02, t_ge=0.1),
+            bglss=BglssConfig(n_iterations=600, n_burnin=150, lam=1.0, seed=21)))
         truth = true_coefficients(burgers_scenario_full, library20,
                                   step_coords=burgers_system.step_coords)
         g = library20.descriptors.index("u*u_x")

@@ -1,5 +1,5 @@
-"""Import hygiene of the package: imports sit at module top, criteria is a leaf, and only the
-CLI prints."""
+"""Import hygiene of the package: imports sit at module top, criteria is a leaf, tbglss does
+not import selection at run time, and only the CLI prints."""
 
 import ast
 from pathlib import Path
@@ -31,6 +31,25 @@ def test_criteria_is_a_leaf():
     tree = ast.parse((PACKAGE / "criteria.py").read_text())
     imported = {node.module for node in _imports(tree) if isinstance(node, ast.ImportFrom)}
     assert not imported & {"tbglss", "selection", "baselines", "pipeline"}
+
+
+def _modules(node):
+    """Every dotted name an import statement may bind a module to."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module or ""
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def test_tbglss_imports_selection_only_for_type_checking():
+    # selection imports tbglss, so a run-time import back would be a cycle
+    tree = ast.parse((PACKAGE / "tbglss.py").read_text())
+    guarded = {id(node) for branch in ast.walk(tree)
+               if isinstance(branch, ast.If) and ast.unparse(branch.test) == "TYPE_CHECKING"
+               for statement in branch.body for node in _imports(statement)}
+    runtime = sorted(node.lineno for node in _imports(tree) if id(node) not in guarded
+                     and any(name.split(".")[-1] == "selection" for name in _modules(node)))
+    assert not runtime, f"run-time imports of selection in tbglss.py: lines {runtime}"
 
 
 def test_only_the_cli_prints():

@@ -17,7 +17,7 @@ from vcpde.selection import MethodConfig, SelectionCurve, default_grid, fit, swe
 from vcpde.tbglss import ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
-from helpers import lstsq_trajectories
+from helpers import lstsq_trajectories, run_threshold_loop
 
 
 def perfect_fit_system(seed=0, n_steps=3, n_rows=8, n_groups=4):
@@ -144,6 +144,15 @@ class TestFit:
             fit(system, MethodConfig(method="sgtr"))
         with pytest.raises(ValueError, match="lasso_lam"):
             fit(system, MethodConfig(method="group_lasso"))
+
+    @pytest.mark.parametrize("method", ["sgtr", "group_lasso"])
+    @pytest.mark.parametrize("name, value", [
+        ("thresholds", ThresholdSpec(t_rms=0.1)), ("with_ci", True),
+        ("keep_final_ensemble", True), ("final_chains", 2),
+    ], ids=["thresholds", "with_ci", "keep_final_ensemble", "final_chains"])
+    def test_baselines_reject_tbglss_settings(self, method, name, value):
+        with pytest.raises(ValueError, match=f"^{method} does not use {name}$"):
+            MethodConfig(method=method, **{name: value})
 
     def test_loss_counts_active_groups_times_steps(self):
         system, _ = perfect_fit_system(seed=11)
@@ -367,9 +376,7 @@ class TestSweepSharesChains:
     def test_runs_sharing_a_memo_keep_same_size_supports_apart(self, burgers_one_percent):
         """Two runs whose first updates remove as many groups but not the same ones."""
         system, base = burgers_one_percent, self.BASE
-        lengths = {"update_iterations": base.update_iterations,
-                   "update_burnin": base.update_burnin}
-        probe = run_tbglss(system, ThresholdSpec(t_ge=np.inf), base.bglss, **lengths)
+        probe = run_tbglss(system, replace(base, thresholds=ThresholdSpec(t_ge=np.inf)))
         crit = probe.update_history[0].criteria
         live = [name for name, c in crit.items() if not c["median_zero"]]
         rms = sorted(crit[name]["rms"] for name in live)
@@ -377,14 +384,15 @@ class TestSweepSharesChains:
         k = next(k for k in range(1, len(live))
                  if {n for n in live if crit[n]["rms"] < rms[k]}
                  != {n for n in live if crit[n]["group_error_bar"] > ge[k]})
-        specs = (ThresholdSpec(t_rms=(rms[k - 1] + rms[k]) / 2),
-                 ThresholdSpec(t_ge=(ge[k - 1] + ge[k]) / 2))
+        configs = [replace(base, thresholds=spec)
+                   for spec in (ThresholdSpec(t_rms=(rms[k - 1] + rms[k]) / 2),
+                                ThresholdSpec(t_ge=(ge[k - 1] + ge[k]) / 2))]
         chains: dict = {}
-        shared = [run_tbglss(system, spec, base.bglss, chains=chains, **lengths) for spec in specs]
+        shared = [run_threshold_loop(system, mc, chains) for mc in configs]
         first, second = (r.update_history[0].removed for r in shared)
         assert len(first) == len(second) and set(first) != set(second)
-        for spec, report in zip(specs, shared):
-            assert report.to_json() == run_tbglss(system, spec, base.bglss, **lengths).to_json()
+        for mc, report in zip(configs, shared):
+            assert report.to_json() == run_tbglss(system, mc).to_json()
 
     def test_back_to_back_sweeps_share_nothing(self, burgers_one_percent, sampled):
         grid = np.linspace(0.02, 0.22, 4)
@@ -427,8 +435,8 @@ class TestParallelSweep:
         ("t_ge", np.linspace(0.02, 0.22, 5), {}),
         ("t_ge", np.linspace(0.02, 0.22, 3),
          {"final_chains": 2, "with_ci": True, "keep_final_ensemble": True}),
-        ("sgtr_threshold", np.logspace(-3, 0, 6), {"method": "sgtr"}),
-        ("lambda", None, {"method": "group_lasso"}),
+        ("sgtr_threshold", np.logspace(-3, 0, 6), {"method": "sgtr", "thresholds": None}),
+        ("lambda", None, {"method": "group_lasso", "thresholds": None}),
     ], ids=["t_ge", "t_ge-two-chains-ci", "sgtr", "lambda"])
     def test_inline_and_pooled_sweeps_report_the_same_bytes(self, burgers_one_percent, monkeypatch,
                                                             tmp_path, axis, grid, options):

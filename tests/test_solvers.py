@@ -3,7 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, LibrarySpec
+from vcpde.pipeline import build_system, noisy_dataset
+from vcpde.selection import MethodConfig, fit
 from vcpde.solvers import (
     PdeScenario,
     add_noise,
@@ -15,6 +18,7 @@ from vcpde.solvers import (
     solve,
     true_coefficients,
 )
+from vcpde.tbglss import ThresholdSpec
 
 
 def rel_l2(a, b):
@@ -304,3 +308,27 @@ def test_default_solve_is_bit_for_bit_pinned(request, clean):
         assert array.dtype == np.float64
         digest.update(np.ascontiguousarray(array).tobytes())
     assert digest.hexdigest() == DEFAULT_SOLVE_SHA256[clean]
+
+
+# SHA-256 of one tBGL-SS run on the small Burgers fixture at 1% noise, with two final chains,
+# bootstrap CIs and the final ensemble kept: its JSON report, and the ensemble's draws as
+# float64 bytes.  A change that moves any bit of a tBGL-SS run has to update these and say why.
+TBGLSS_REPORT_SHA256 = {
+    "report": "ab040dc7f4c9155c3bab694c00c02e8274abac35567f4aed44f40ce5d236cd26",
+    "beta": "a7bc1236e5058e41ea27d8acd30c97cb95defd590c3714707f0673e81a9268cf",
+}
+
+
+def test_tbglss_report_is_bit_for_bit_pinned(small_burgers_clean):
+    system = build_system(noisy_dataset(small_burgers_clean, 0.01, seed=3))
+    report = fit(system, MethodConfig(
+        thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.1),
+        bglss=BglssConfig(n_iterations=300, n_burnin=100, seed=4),
+        update_iterations=120, update_burnin=40, final_chains=2, with_ci=True,
+        keep_final_ensemble=True))
+    beta = report.final_ensemble.beta
+    assert beta.dtype == np.float64
+    assert report.bootstrap_cis["intervals"] and report.chain_medians.shape[0] == 2
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == TBGLSS_REPORT_SHA256["report"]
+    assert (hashlib.sha256(np.ascontiguousarray(beta).tobytes()).hexdigest()
+            == TBGLSS_REPORT_SHA256["beta"])

@@ -10,6 +10,7 @@ from vcpde.criteria import ZeroNormGroupError, group_error_bar, rms_criterion
 from vcpde import tbglss
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CHUNK_STEPS
+from vcpde.selection import MethodConfig
 from vcpde.tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
@@ -75,8 +76,9 @@ class TestLoopProperties:
         rng = np.random.default_rng(seed)
         system, _, active_truth = random_grouped_system(rng, n_steps=4, n_rows=12, n_groups=5)
         config = BglssConfig(n_iterations=300, n_burnin=80, lam=1.0, seed=seed)
-        report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5), config,
-                            update_iterations=120, update_burnin=30)
+        report = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5), bglss=config, update_iterations=120,
+            update_burnin=30))
         g = system.n_groups
         assert report.n_updates <= g + 1
         # every committed update except the last removes at least one group
@@ -95,8 +97,10 @@ class TestLoopProperties:
         rng = np.random.default_rng(seed + 50)
         system, _, _ = random_grouped_system(rng)
         config = BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=7)
-        a = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5), config)
-        b = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5), config)
+        a = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5), bglss=config))
+        b = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5), bglss=config))
         np.testing.assert_array_equal(a.trajectories.values, b.trajectories.values)
         np.testing.assert_array_equal(a.stdev, b.stdev)
         assert a.selected == b.selected
@@ -106,8 +110,9 @@ class TestLoopProperties:
         rng = np.random.default_rng(seed + 11)
         system, _, _ = random_grouped_system(rng)
         thresholds = ThresholdSpec(t_rms=0.05, t_ge=0.5)
-        report = run_tbglss(system, thresholds,
-                            BglssConfig(n_iterations=300, n_burnin=80, lam=1.0, seed=seed))
+        report = run_tbglss(system, MethodConfig(
+            thresholds=thresholds,
+            bglss=BglssConfig(n_iterations=300, n_burnin=80, lam=1.0, seed=seed)))
         for name in report.selected:
             crit = report.criteria[name]
             assert crit["rms"] >= thresholds.t_rms
@@ -118,8 +123,9 @@ class TestLoopProperties:
         for seed in range(5):
             rng = np.random.default_rng(seed + 200)
             system, _, active_truth = random_grouped_system(rng, n_rows=24)
-            report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5),
-                                BglssConfig(n_iterations=300, n_burnin=80, lam=1.0, seed=seed))
+            report = run_tbglss(system, MethodConfig(
+                thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
+                bglss=BglssConfig(n_iterations=300, n_burnin=80, lam=1.0, seed=seed)))
             expected = {f"g{i}" for i in sorted(active_truth)}
             hits += set(report.selected) == expected
         assert hits >= 4
@@ -127,16 +133,23 @@ class TestLoopProperties:
     def test_zero_rms_threshold_terminates_quickly(self):
         rng = np.random.default_rng(3)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        report = run_tbglss(system, ThresholdSpec(t_rms=0.0),
-                            BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=1))
+        report = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.0),
+            bglss=BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=1)))
         assert report.n_updates <= 2
+
+    def test_needs_a_tbglss_config(self):
+        system, _, _ = random_grouped_system(np.random.default_rng(4))
+        with pytest.raises(ValueError, match="needs a tbglss MethodConfig, got method 'sgtr'"):
+            run_tbglss(system, MethodConfig(method="sgtr"))
 
     def test_all_groups_removed_flagged(self):
         rng = np.random.default_rng(4)
         system, _, _ = random_grouped_system(rng)
         # a threshold above every group's scale removes everything
-        report = run_tbglss(system, ThresholdSpec(t_rms=1e6),
-                            BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=2))
+        report = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=1e6),
+            bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=2)))
         assert report.empty_model
         assert report.selected == ()
         assert np.all(report.trajectories.values == 0.0)
@@ -190,8 +203,9 @@ class TestReportSerialization:
     def test_json_round_trip_fields(self, tmp_path):
         rng = np.random.default_rng(8)
         system, _, _ = random_grouped_system(rng)
-        report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5),
-                            BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3))
+        report = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
+            bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3)))
         path = tmp_path / "report.json"
         report.to_json(path)
         doc = json.loads(path.read_text())
@@ -205,8 +219,9 @@ class TestReportSerialization:
     def test_rendered_equation(self):
         rng = np.random.default_rng(9)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5),
-                            BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3))
+        report = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
+            bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3)))
         eq = report.rendered_equation()
         assert eq.startswith("u_t = ")
         for i, name in enumerate(report.selected):
@@ -217,9 +232,9 @@ class TestMultiChainMode:
     def test_chain_medians_recorded(self):
         rng = np.random.default_rng(12)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5),
-                            BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3),
-                            final_chains=3)
+        report = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
+            bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3), final_chains=3))
         assert report.chain_medians is not None
         assert report.chain_medians.shape[0] == 3
         active = report.trajectories.active
@@ -237,9 +252,9 @@ class TestMultiChainMode:
             return sample(sub, config)
 
         monkeypatch.setattr(tbglss, "sample_posterior", recording)
-        report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5),
-                            BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3),
-                            final_chains=3)
+        report = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
+            bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3), final_chains=3))
         medians = report.chain_medians
         active = report.trajectories.active
         assert medians.shape == (3, system.n_steps, system.n_groups)

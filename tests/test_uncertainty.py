@@ -112,16 +112,19 @@ class TestBootstrapMedianCi:
 
 class TestEnsembleBootstrapCis:
     def test_ensemble_cis_cover_active_groups(self):
+        # a report's ensemble is its final chain on the active groups only, so each gets CIs
         rng = np.random.default_rng(8)
         beta = np.zeros((120, 3, 2))
         beta[:, :, 0] = 2.0 + 0.05 * rng.standard_normal((120, 3))
-        ens = synthetic_ensemble(beta, spike=np.tile([False, True], (120, 1)))
-        cis = ensemble_bootstrap_cis(ens, np.array([True, False]))
+        beta[:, :, 1] = -1.0 + 0.05 * rng.standard_normal((120, 3))
+        cis = ensemble_bootstrap_cis(synthetic_ensemble(beta))
         assert cis["level"] == 0.95
-        assert set(cis["intervals"]) == {"g0"}
-        assert len(cis["intervals"]["g0"]) == 3
-        for (lower, upper), point in zip(cis["intervals"]["g0"], np.median(beta[:, :, 0], axis=0)):
-            assert 1.9 <= lower <= point <= upper <= 2.1
+        assert set(cis["intervals"]) == {"g0", "g1"}
+        for g, center in enumerate((2.0, -1.0)):
+            intervals = cis["intervals"][f"g{g}"]
+            assert len(intervals) == 3
+            for (lower, upper), point in zip(intervals, np.median(beta[:, :, g], axis=0)):
+                assert center - 0.1 <= lower <= point <= upper <= center + 0.1
 
 
 class TestReportIntegration:
@@ -129,14 +132,16 @@ class TestReportIntegration:
         import numpy as np
 
         from vcpde.gibbs import BglssConfig, dump_ensemble
+        from vcpde.selection import MethodConfig
         from vcpde.tbglss import ThresholdSpec, run_tbglss
         from conftest import random_grouped_system
 
         rng = np.random.default_rng(14)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        report = run_tbglss(system, ThresholdSpec(t_rms=0.05, t_ge=0.5),
-                            BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=6),
-                            keep_final_ensemble=True, bootstrap_ci=True)
+        report = run_tbglss(system, MethodConfig(
+            thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
+            bglss=BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=6),
+            keep_final_ensemble=True, with_ci=True))
         assert report.final_ensemble is not None
         assert set(report.bootstrap_cis["intervals"]) == set(report.selected)
         for name in report.selected:

@@ -145,7 +145,7 @@ def group_lasso(system: GroupedLinearSystem, config: GroupLassoConfig) -> GroupL
     cty = system.design_target()
     yty = float((system.target**2).sum())
 
-    beta, admm_iterations = _admm_start(gram, cty, config.lam)
+    beta, admm_iterations = _admm_start(system.gram_eigh(), cty, config.lam)
     v_cache = np.matmul(gram, beta[:, :, None])[:, :, 0]
     objective = []
     converged = False
@@ -182,16 +182,18 @@ def group_lasso(system: GroupedLinearSystem, config: GroupLassoConfig) -> GroupL
                             admm_iterations, _kkt_residual(system, beta, config.lam))
 
 
-def _admm_start(gram: np.ndarray, cty: np.ndarray, lam: float) -> tuple[np.ndarray, int]:
+def _admm_start(gram_eigh: tuple[np.ndarray, np.ndarray], cty: np.ndarray,
+                lam: float) -> tuple[np.ndarray, int]:
     """Scaled-form ADMM on beta = z with residual-balancing rho; returns (start, iterations).
 
     The beta update solves (Gram_i + rho I) beta_i = X_i^T y_i + rho (z_i - u_i)
-    for every step at once.  The inverses come from one eigendecomposition
-    Gram_i = Q_i diag(w_i) Q_i^T, so a new rho costs a batched product, no
+    for every step at once.  The inverses come from the eigendecomposition
+    Gram_i = Q_i diag(w_i) Q_i^T that the system computes once for its whole
+    lambda path (`gram_eigh`), so a new rho costs a batched product, no
     factorization.  The z update is the group soft threshold at lam/rho, so
     the start z is exactly group-sparse; it is zero if ADMM did not converge.
     """
-    eigvals, eigvecs = np.linalg.eigh(gram)
+    eigvals, eigvecs = gram_eigh
     eigvecs_t = eigvecs.transpose(0, 2, 1)
 
     def inverse(rho: float) -> np.ndarray:

@@ -191,7 +191,9 @@ def cmd_discover(args) -> int:
     outdir = _out_root(args.output)
     paths = save_report(report, outdir, stem=f"{report.method}_{_dataset_stem(dataset.metadata)}")
     print(f"wrote {paths['json']}")
-    if args.dump_trace and report.final_ensemble is not None:
+    if args.dump_trace and report.final_ensemble is None:
+        print("no trace written: no terms selected")
+    elif args.dump_trace:
         trace_path = outdir / args.dump_trace
         dump_ensemble(report.final_ensemble, trace_path,
                       fmt="csv" if str(trace_path).endswith(".csv") else "npz")
@@ -398,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-ci", action="store_true",
                    help="embed bootstrap confidence intervals in the report")
     p.add_argument("--dump-trace", default=None, metavar="FILE",
-                   help="also dump the final chain's retained draws (.npz or .csv)")
+                   help="also dump the final chain's retained draws (.npz or .csv); "
+                        "nothing is written when no term is selected")
     add_method_options(p)
     add_output(p)
     p.set_defaults(func=cmd_discover)

@@ -87,20 +87,28 @@ class LibrarySpec:
         return cls(tuple(terms))
 
 
-def evaluate_terms(stack: DerivativeStack, spec: LibrarySpec) -> np.ndarray:
-    """Evaluate every candidate term on the valid region; returns (n_x, n_t, n_terms)."""
+def evaluate_terms(stack: DerivativeStack, spec: LibrarySpec, varying_axis: str) -> np.ndarray:
+    """Evaluate every candidate term on the valid region, step-major: (n_t, n_x, n_terms) when
+    time varies, (n_x, n_t, n_terms) when space does.
+
+    This is the layout `assemble_grouped_system` takes, so the design, the largest
+    array of a run, is allocated once.
+    """
     if spec.max_derivative > stack.max_order:
         missing = [t.descriptor for t in spec.terms if t.max_derivative > stack.max_order]
         raise ValueError(f"derivative stack (order {stack.max_order}) cannot evaluate {missing}")
+    if varying_axis not in ("time", "space"):
+        raise ValueError("varying_axis must be 'time' or 'space'")
     n_x, n_t = stack.u.shape
-    values = np.empty((n_x, n_t, len(spec.terms)))
+    steps_rows = (n_t, n_x) if varying_axis == "time" else (n_x, n_t)
+    blocks = np.empty((*steps_rows, len(spec.terms)))
     for g, term in enumerate(spec.terms):
         col = np.ones((n_x, n_t))
         for q, p in term.factors:
             base = stack.u if q == 0 else stack.space[q]
             col = col * base**p
-        values[:, :, g] = col
-    return values
+        blocks[:, :, g] = col.T if varying_axis == "time" else col
+    return blocks
 
 
 class ZeroColumnError(ValueError):
@@ -121,8 +129,9 @@ class GroupedLinearSystem:
     varying_axis: str
     step_coords: np.ndarray
     scales: np.ndarray | None = None  # (n_steps, n_groups) column norms, set by normalize
-    # The Gram and Theta^T y once computed (`_products`).  Not an init field, so `replace`
-    # starts every derived system with an empty cache.
+    # The Gram and Theta^T y once computed (`_products`), and the Gram's eigendecomposition
+    # (`gram_eigh`).  Not an init field, so `replace` starts every derived system with an
+    # empty cache.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -175,6 +184,15 @@ class GroupedLinearSystem:
         """Per-step Theta_i^T y_i, shape (m, G), read-only."""
         return self._products()[1]
 
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every step's Gram as `np.linalg.eigh` decomposes it, (m, G) eigenvalues and (m, G, G)
+        eigenvectors, computed once and read-only (a derived system computes its own)."""
+        if "eigh" not in self._cache:
+            eigvals, eigvecs = np.linalg.eigh(self._products()[0])
+            eigvals.flags.writeable = eigvecs.flags.writeable = False
+            self._cache["eigh"] = eigvals, eigvecs
+        return self._cache["eigh"]
+
     def _products(self) -> tuple[np.ndarray, np.ndarray]:
         """The Gram and Theta^T y, computed once (a subsystem's are set by `subsystem`)."""
         if "gram" not in self._cache:
@@ -225,40 +243,59 @@ def _group_major_products(blocks: np.ndarray, target: np.ndarray) -> tuple[np.nd
 
 
 def assemble_grouped_system(
-    term_values: np.ndarray,
+    blocks: np.ndarray,
     u_t: np.ndarray,
     varying_axis: str,
     step_coords: np.ndarray,
     descriptors: tuple[str, ...],
 ) -> GroupedLinearSystem:
-    """Assemble the grouped system; for a space-varying axis the roles of x and t
-    are transposed so steps index space."""
-    if term_values.ndim != 3:
-        raise ValueError("term values must be (n_x, n_t, n_terms)")
-    if u_t.shape != term_values.shape[:2]:
-        raise ValueError(f"u_t shape {u_t.shape} does not match term grid {term_values.shape[:2]}")
+    """The column-normalized grouped system on step-major `blocks` (`evaluate_terms`).
+
+    Takes ownership of `blocks`: they are divided by their column norms in
+    place and become the system's blocks.  The target u_t is given (n_x, n_t)
+    and laid out like the blocks: transposed when time varies, so steps index
+    time, and as it is when space varies.
+    """
+    if blocks.ndim != 3:
+        raise ValueError("blocks must be (n_steps, n_rows, n_terms)")
     if varying_axis == "time":
-        blocks = np.ascontiguousarray(term_values.transpose(1, 0, 2))
         target = np.ascontiguousarray(u_t.T)
     elif varying_axis == "space":
-        blocks = np.ascontiguousarray(term_values)
         target = np.ascontiguousarray(u_t)
     else:
         raise ValueError("varying_axis must be 'time' or 'space'")
+    if target.shape != blocks.shape[:2]:
+        raise ValueError(f"u_t shape {u_t.shape} does not match the {varying_axis}-varying "
+                         f"blocks {blocks.shape[:2]}")
     step_coords = np.asarray(step_coords, dtype=float)
-    return GroupedLinearSystem(blocks, target, tuple(descriptors), varying_axis, step_coords)
+    raw = GroupedLinearSystem(blocks, target, tuple(descriptors), varying_axis, step_coords)
+    return _normalize_in_place(raw)
 
 
 def normalize_columns(system: GroupedLinearSystem) -> GroupedLinearSystem:
-    """Rescale every design column to unit L2 norm, remembering the scales."""
-    norms = np.sqrt(np.einsum("mng,mng->mg", system.blocks, system.blocks))
+    """Rescale every design column to unit L2 norm, remembering the scales.
+
+    For a system built by hand; `system` itself is left as it is.
+    """
+    return _normalize_in_place(replace(system, blocks=system.blocks.copy(order="K")))
+
+
+def _normalize_in_place(system: GroupedLinearSystem) -> GroupedLinearSystem:
+    """Divide `system`'s blocks by their column norms in place; the system with those scales.
+
+    The norms are summed over the blocks in their own memory layout, which
+    `normalize_columns`' copy keeps.
+    """
+    blocks = system.blocks
+    norms = np.sqrt(np.einsum("mng,mng->mg", blocks, blocks))
     if np.any(norms == 0):
         i, g = np.argwhere(norms == 0)[0]
         raise ZeroColumnError(
             f"term {system.descriptors[g]!r} has a zero column at step "
             f"{system.step_coords[i]:g}"
         )
-    return replace(system, blocks=system.blocks / norms[:, None, :], scales=norms)
+    blocks /= norms[:, None, :]
+    return replace(system, scales=norms)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .library import (
     LibrarySpec,
     assemble_grouped_system,
     evaluate_terms,
-    normalize_columns,
 )
 from .selection import MethodConfig, SweepFailedError, default_grid, fit, sweep
 from .solvers import PdeScenario, add_noise, check_noise_level, solve
@@ -136,7 +135,10 @@ def build_system(
     library: LibrarySpec | None = None,
     diff: DifferentiationSpec | None = None,
 ) -> GroupedLinearSystem:
-    """Differentiate, evaluate the library, assemble and normalize the system."""
+    """Differentiate, evaluate the library, assemble and normalize the system.
+
+    The design is allocated once, step-major, and normalized in place.
+    """
     library = library or LibrarySpec.standard()
     already_filtered = bool(dataset.metadata.get("filters"))
     diff = (diff or DifferentiationSpec()).resolve(dataset.noise_level, already_filtered)
@@ -156,21 +158,24 @@ def build_system(
         time_width=diff.time_width,
         time_degree=diff.time_degree,
     )
-    u_t = stack.u_t
-    x_coords, t_coords = stack.x_coords, stack.t_coords
-    term_values = evaluate_terms(stack, library)
-
+    del field_used  # a prefiltered copy is not needed past the derivatives
     retain = dataset.retain_t_from
     if retain is not None:
-        keep = t_coords >= retain - 1e-12
-        term_values = term_values[:, keep, :]
-        u_t = u_t[:, keep]
-        t_coords = t_coords[keep]
+        # t is increasing, so the samples at or after `retain` are a suffix: views, no copies
+        first = int(np.searchsorted(stack.t_coords, retain - 1e-12))
+        stack = replace(
+            stack,
+            u=stack.u[:, first:],
+            u_t=stack.u_t[:, first:],
+            space={q: values[:, first:] for q, values in stack.space.items()},
+            t_coords=stack.t_coords[first:],
+            valid_t=(stack.valid_t[0] + first, stack.valid_t[1]),
+        )
 
     varying = dataset.varying_axis
-    step_coords = t_coords if varying == "time" else x_coords
-    system = assemble_grouped_system(term_values, u_t, varying, step_coords, library.descriptors)
-    return normalize_columns(system)
+    step_coords = stack.t_coords if varying == "time" else stack.x_coords
+    blocks = evaluate_terms(stack, library, varying)
+    return assemble_grouped_system(blocks, stack.u_t, varying, step_coords, library.descriptors)
 
 
 def discover(dataset: Dataset, method_config: MethodConfig, system: GroupedLinearSystem | None = None,

@@ -206,8 +206,13 @@ _TERM_FACTORS = {term.descriptor: term.factors for term in LibrarySpec.standard(
 
 
 def _spectral_rhs(scenario: PdeScenario):
-    """The equation's right-hand side as `rhs(u, rfft(u), coefficients)`, with the coefficients
-    in table order, and each derivative order's Fourier multiplier."""
+    """The equation's right-hand side as `rhs(u_hat, coefficients, u=None)`, with u_hat =
+    rfft(u) and the coefficients in table order, and each derivative order's Fourier
+    multiplier.
+
+    Every derivative comes from one inverse transform of u_hat times the stacked
+    multipliers; without `u`, u_hat itself is the first row of that transform.
+    """
     n = scenario.n_x
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=scenario.domain_length / n)
     ik = 1j * k
@@ -217,11 +222,17 @@ def _spectral_rhs(scenario: PdeScenario):
     # each term as the derivative orders it multiplies, one entry per power
     terms = [[q for q, p in _TERM_FACTORS[name] for _ in range(p)] for name in scenario.true_terms]
     orders = sorted({q for term in terms for q in term} - {0})
+    stacked = np.array([multipliers[q] for q in orders], dtype=complex)
 
-    def rhs(u, u_hat, coefficients):
-        d = {0: u}
-        for q in orders:
-            d[q] = np.fft.irfft(multipliers[q] * u_hat, n)
+    def rhs(u_hat, coefficients, u=None):
+        first = int(u is None)  # the row of the first derivative
+        spectra = np.empty((first + len(orders), u_hat.size), dtype=complex)
+        np.multiply(stacked, u_hat, out=spectra[first:])
+        if u is None:
+            spectra[0] = u_hat  # copied, not multiplied by 1 + 0j, which can flip a zero's sign
+        fields = np.fft.irfft(spectra, n)
+        d = dict(zip(orders, fields[first:]))
+        d[0] = fields[0] if u is None else u
         total = None
         for c, term in zip(coefficients, terms):
             for q in term:
@@ -241,12 +252,12 @@ def _solve_rk(scenario: PdeScenario, rtol: float = 1e-8, atol: float = 1e-10) ->
         functions = list(scenario.true_terms.values())
 
         def f(s, u):
-            return rhs(u, np.fft.rfft(u), [float(fn(s)) for fn in functions])
+            return rhs(np.fft.rfft(u), [float(fn(s)) for fn in functions], u)
     else:
         coefficients = [np.asarray(fn(x), dtype=float) for fn in scenario.true_terms.values()]
 
         def f(s, u):
-            return rhs(u, np.fft.rfft(u), coefficients)
+            return rhs(np.fft.rfft(u), coefficients, u)
 
     u0 = np.asarray(scenario.initial_condition(x), dtype=float)
     res = solve_ivp(f, (t[0], t[-1]), u0, t_eval=t, method="RK45", rtol=rtol, atol=atol)
@@ -292,9 +303,10 @@ def _solve_etdrk4(scenario: PdeScenario, dt: float = 0.05) -> SpatioTemporalFiel
     substeps = max(1, math.ceil(dt_sample / dt))
     step = dt_sample / substeps
     e_full, e_half, q, f1, f2, f3 = _etdrk4_tables(lin, step)
+    f2_twice = 2.0 * f2  # the step's 2.0 * f2 * (na + nb) evaluates this product first
 
     def nonlin(v):
-        return np.fft.rfft(rhs(np.fft.irfft(v, n), v, xi))
+        return np.fft.rfft(rhs(v, xi))
 
     values = np.empty((n, t.size))
     u0 = np.asarray(scenario.initial_condition(x), dtype=float)
@@ -309,7 +321,7 @@ def _solve_etdrk4(scenario: PdeScenario, dt: float = 0.05) -> SpatioTemporalFiel
             nb = nonlin(b)
             c = e_half * a + q * (2.0 * nb - nv)
             nc = nonlin(c)
-            v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
+            v = e_full * v + f1 * nv + f2_twice * (na + nb) + f3 * nc
         u = np.fft.irfft(v, n)
         if not np.all(np.isfinite(u)):
             raise SolverBlowupError(scenario.family, None, float(t[j - 1]))

@@ -35,6 +35,17 @@ def small_burgers_clean():
 
 
 @pytest.fixture(scope="session")
+def small_build_datasets(small_burgers_clean):
+    """Small datasets that take each branch of `build_system`: time-varying Burgers on finite
+    differences, space-varying AD at 1% noise (the Savitzky-Golay prefilter tier) and KS with
+    `retain_t_from`."""
+    ad = simulate_dataset(advection_diffusion_scenario(n_x=64, n_t=48))
+    ks = ks_scenario(n_x=64, n_t=64, t_span=(0.0, 40.0), retain_t_from=20.0)
+    return {"burgers": small_burgers_clean, "ad_prefiltered": noisy_dataset(ad, 0.01, seed=2),
+            "ks_retained": simulate_dataset(ks)}
+
+
+@pytest.fixture(scope="session")
 def ad_scenario():
     return advection_diffusion_scenario()
 

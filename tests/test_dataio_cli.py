@@ -246,15 +246,21 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "tbglss_burgers_noise0_seed0.json").read_text())
         assert report["provenance"]["dataset"]["family"] == "burgers"
 
-    def test_empty_model_exits_zero(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra,says", [
+        ([], []),
+        (["--dump-trace", "trace.npz"], ["no trace written: no terms selected"]),
+    ], ids=["report", "dump-trace"])
+    def test_empty_model_exits_zero(self, tmp_path, capsys, extra, says):
         self.run("simulate", "--family", "burgers", "--nx", "64", "--nt", "48",
                  "--t-span", "0:4", "--output", str(tmp_path))
         code = self.run("discover", "--dataset", str(tmp_path / "burgers_noise0_seed0.json"),
                         "--t-rms", "1e9", "--iterations", "100", "--burnin", "20",
                         "--update-iterations", "60", "--update-burnin", "15",
-                        "--output", str(tmp_path / "out2"))
+                        *extra, "--output", str(tmp_path / "out2"))
         assert code == 0
-        assert "no terms selected" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert all(line in out for line in ["status: no terms selected", *says])
+        assert not (tmp_path / "out2" / "trace.npz").exists()
 
     def test_filter_command_reports_mse(self, tmp_path, capsys):
         self.run("simulate", "--family", "burgers", "--noise", "0.05", "--seed", "2",

@@ -68,7 +68,7 @@ class TestEvaluateTerms:
             x, t,
         )
         lib = LibrarySpec.standard(max_poly_power=2, max_deriv_order=1)
-        values = evaluate_terms(stack, lib)
+        values = evaluate_terms(stack, lib, "space")
         cols = dict(zip(lib.descriptors, np.moveaxis(values, 2, 0)))
         np.testing.assert_allclose(cols["u^2"], c**2)
         np.testing.assert_allclose(cols["u_x"], 0.0)
@@ -79,7 +79,9 @@ class TestEvaluateTerms:
         stack = analytic_stack(lambda xx, tt: xx, lambda xx, tt: xx,
                                {1: lambda xx, tt: np.ones_like(xx)}, x, x)
         with pytest.raises(ValueError, match="u_xx"):
-            evaluate_terms(stack, LibrarySpec.standard(1, 2))
+            evaluate_terms(stack, LibrarySpec.standard(1, 2), "time")
+        with pytest.raises(ValueError, match="varying_axis"):
+            evaluate_terms(stack, LibrarySpec.standard(1, 1), "both")
 
 
 def manufactured_exponential_system(n_x=24, n_t=12, normalize=False):
@@ -93,9 +95,11 @@ def manufactured_exponential_system(n_x=24, n_t=12, normalize=False):
         {1: lambda xx, tt: np.exp(2 * tt) * np.cos(xx)},
         x, t,
     )
-    values = evaluate_terms(stack, lib)
-    system = assemble_grouped_system(values, stack.u_t, "time", t, lib.descriptors)
-    return (normalize_columns(system) if normalize else system), lib
+    blocks = evaluate_terms(stack, lib, "time")
+    if normalize:
+        return assemble_grouped_system(blocks, stack.u_t, "time", t, lib.descriptors), lib
+    return GroupedLinearSystem(blocks, np.ascontiguousarray(stack.u_t.T), lib.descriptors,
+                               "time", t), lib
 
 
 class TestAssembly:
@@ -110,19 +114,38 @@ class TestAssembly:
     def test_varying_axis_transposition(self):
         x = np.linspace(0, 1, 6)
         t = np.linspace(0, 1, 4)
-        values = np.arange(6 * 4 * 2, dtype=float).reshape(6, 4, 2)
-        u_t = np.arange(24, dtype=float).reshape(6, 4)
-        time_sys = assemble_grouped_system(values, u_t, "time", t, ("a", "b"))
-        space_sys = assemble_grouped_system(values, u_t, "space", x, ("a", "b"))
-        assert time_sys.blocks.shape == (4, 6, 2)
-        assert space_sys.blocks.shape == (6, 4, 2)
-        np.testing.assert_array_equal(time_sys.target, u_t.T)
-        np.testing.assert_array_equal(space_sys.blocks[2], values[2])
+        stack = analytic_stack(lambda xx, tt: 1.0 + xx + 10.0 * tt, lambda xx, tt: xx * tt,
+                               {1: lambda xx, tt: np.ones_like(xx)}, x, t)
+        lib = LibrarySpec((Term(((0, 1),)), Term(((0, 2),))))
+        time_blocks = evaluate_terms(stack, lib, "time")
+        space_blocks = evaluate_terms(stack, lib, "space")
+        assert time_blocks.shape == (4, 6, 2) and time_blocks.flags.c_contiguous
+        assert space_blocks.shape == (6, 4, 2) and space_blocks.flags.c_contiguous
+        np.testing.assert_array_equal(time_blocks[:, :, 1], stack.u.T**2)
+        np.testing.assert_array_equal(space_blocks[:, :, 1], stack.u**2)
+        time_sys = assemble_grouped_system(time_blocks, stack.u_t, "time", t, lib.descriptors)
+        space_sys = assemble_grouped_system(space_blocks, stack.u_t, "space", x, lib.descriptors)
+        np.testing.assert_array_equal(time_sys.target, stack.u_t.T)
+        np.testing.assert_array_equal(space_sys.target, stack.u_t)
+        np.testing.assert_allclose(time_sys.scales[:, 0], np.linalg.norm(stack.u, axis=0),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(space_sys.scales[:, 0], np.linalg.norm(stack.u, axis=1),
+                                   rtol=1e-14)
+
+    def test_assembly_normalizes_the_blocks_it_is_given_in_place(self):
+        system, _ = manufactured_exponential_system()
+        blocks = system.blocks.copy()
+        assembled = assemble_grouped_system(blocks, system.target.T, "time", system.step_coords,
+                                            system.descriptors)
+        assert assembled.blocks is blocks
+        expected = normalize_columns(system)
+        for name in ("blocks", "target", "scales"):
+            assert getattr(assembled, name).tobytes() == getattr(expected, name).tobytes()
 
     def test_single_step_degenerate(self):
-        values = np.ones((5, 1, 3))
+        blocks = np.ones((1, 5, 3))
         u_t = np.ones((5, 1))
-        system = assemble_grouped_system(values, u_t, "time", np.array([0.0]), ("a", "b", "c"))
+        system = assemble_grouped_system(blocks, u_t, "time", np.array([0.0]), ("a", "b", "c"))
         assert system.n_steps == 1 and system.n_groups == 3
 
     def test_shape_mismatch_rejected(self):
@@ -160,12 +183,13 @@ class TestNormalization:
         np.testing.assert_allclose(beta_phys[:, g_u], 2.0, atol=1e-8)
 
     def test_zero_column_named(self):
-        values = np.ones((3, 4, 2))
-        values[1, :, 1] = 0.0
-        system = assemble_grouped_system(values, np.ones((3, 4)).T[:4].T, "space",
-                                         np.arange(3.0), ("a", "b"))
-        with pytest.raises(ZeroColumnError, match="'b'"):
-            normalize_columns(system)
+        blocks = np.ones((3, 4, 2))
+        blocks[1, :, 1] = 0.0
+        with pytest.raises(ZeroColumnError, match="'b' has a zero column at step 1"):
+            assemble_grouped_system(blocks, np.ones((3, 4)), "space", np.arange(3.0), ("a", "b"))
+        raw = GroupedLinearSystem(blocks, np.ones((3, 4)), ("a", "b"), "space", np.arange(3.0))
+        with pytest.raises(ZeroColumnError, match="'b' has a zero column at step 1"):
+            normalize_columns(raw)
 
 
 class TestBlockStructure:
@@ -231,9 +255,19 @@ class TestGramCache:
     def test_products_are_computed_once_and_read_only(self, burgers_system):
         sub = burgers_system.subsystem([0, 3])
         assert sub.gram() is sub.gram()
-        for array in (sub.gram(), sub.design_target(), burgers_system.gram()):
+        assert sub.gram_eigh() is sub.gram_eigh()
+        for array in (sub.gram(), sub.design_target(), burgers_system.gram(), *sub.gram_eigh()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
+
+    def test_eigendecomposition_is_the_systems_own(self, burgers_system):
+        # a subsystem slices its parent's Gram but decomposes it itself
+        eigvals, eigvecs = burgers_system.gram_eigh()
+        for array, expected in zip((eigvals, eigvecs), np.linalg.eigh(burgers_system.gram())):
+            assert array.tobytes() == expected.tobytes()
+        sub = burgers_system.subsystem([0, 3])
+        assert sub.gram_eigh()[0].shape == (burgers_system.n_steps, 2)
+        assert replace(burgers_system).gram_eigh()[1] is not eigvecs
 
     def test_derived_systems_start_without_cache(self):
         raw, _ = manufactured_exponential_system()
@@ -257,10 +291,8 @@ class TestExactRecoveryInvariant:
 
         lib = LibrarySpec.standard(max_poly_power=2, max_deriv_order=2)
         stack = build_derivative_stack(burgers_dataset.field, max_space_order=2)
-        values = evaluate_terms(stack, lib)
-        system = normalize_columns(
-            assemble_grouped_system(values, stack.u_t, "time", stack.t_coords, lib.descriptors)
-        )
+        system = assemble_grouped_system(evaluate_terms(stack, lib, "time"), stack.u_t, "time",
+                                         stack.t_coords, lib.descriptors)
         truth = true_coefficients(burgers_scenario_full, lib, step_coords=system.step_coords)
         beta = lstsq_trajectories(system) / system.scales
         for name in ("u*u_x", "u_xx"):

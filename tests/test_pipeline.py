@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,18 @@ class TestBuildSystem:
         # steps index space; rows are the retained time samples only
         assert np.all(ds.field.t_coords[ds.field.t_coords >= 20.0][:system.n_rows] >= 20.0)
         assert system.n_rows < 40
+
+    @pytest.mark.parametrize("name", ["burgers", "ad_prefiltered"])
+    def test_build_holds_one_copy_of_the_design(self, small_build_datasets, name):
+        # the design is the largest array of a run: the build allocates it once, in its final
+        # layout, and normalizes it in place
+        tracemalloc.start()
+        try:
+            system = build_system(small_build_datasets[name])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * system.blocks.nbytes
 
     def test_filtered_metadata_feeds_policy(self, small_noisy_dataset):
         filtered = filter_dataset(small_noisy_dataset, FilterSpec.of("moving_average", 5))

@@ -281,6 +281,22 @@ class TestSweep:
         assert ok and all(p.loss is not None for p in ok)
         assert all(p.total_error_bar is None for p in ok)
 
+    def test_lambda_path_decomposes_the_gram_once(self, monkeypatch):
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
+        system, _, _ = random_grouped_system(np.random.default_rng(4), n_rows=16)
+        base = MethodConfig(method="group_lasso")
+        eigh, decomposed = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: decomposed.append(a.shape) or eigh(a))
+        curve = sweep(system, "lambda", default_grid("lambda", system), base)
+        assert len(curve.points) == 20 and decomposed == [system.gram().shape]
+        for point in curve.points:
+            alone = fit(replace(system), replace(base, lasso_lam=point.value))  # a fresh cache
+            assert point.error == alone.unscored
+            if point.report is not None:
+                assert point.report.to_json() == alone.to_json()
+                assert point.report.beta_normalized.tobytes() == alone.beta_normalized.tobytes()
+        assert len(decomposed) == 21
+
     def test_sgtr_threshold_sweep(self):
         system, beta_norm = perfect_fit_system(seed=5)
         curve = sweep(system, "sgtr_threshold", np.array([0.01, 1e6]), MethodConfig(method="sgtr"))

@@ -310,6 +310,27 @@ def test_default_solve_is_bit_for_bit_pinned(request, clean):
     assert digest.hexdigest() == DEFAULT_SOLVE_SHA256[clean]
 
 
+# SHA-256 of `build_system` on each small fixture: its blocks, target, column scales and step
+# coordinates, each as its shape and float64 bytes.  A change to the system build that moves any
+# bit has to update these and say why.
+BUILD_SYSTEM_SHA256 = {
+    "burgers": "6e73efb82a9470ba28bc6c9b6dde40ed25f9657d61919d8044832603ac59b072",
+    "ad_prefiltered": "61896403bb121556dd3f985c5639912915c0cba9cab09afd0108927db4404ec1",
+    "ks_retained": "6a4a8d6bf13f06ebe6b82c35f89d6b9f45bb10e2b04f6a8a28c79d258ad4e4eb",
+}
+
+
+@pytest.mark.parametrize("name", list(BUILD_SYSTEM_SHA256))
+def test_build_system_is_bit_for_bit_pinned(small_build_datasets, name):
+    system = build_system(small_build_datasets[name])
+    digest = hashlib.sha256()
+    for array in (system.blocks, system.target, system.scales, system.step_coords):
+        assert array.dtype == np.float64
+        digest.update(repr(array.shape).encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == BUILD_SYSTEM_SHA256[name]
+
+
 # SHA-256 of one tBGL-SS run on the small Burgers fixture at 1% noise, with two final chains,
 # bootstrap CIs and the final ensemble kept: its JSON report, and the ensemble's draws as
 # float64 bytes.  A change that moves any bit of a tBGL-SS run has to update these and say why.

@@ -7,6 +7,9 @@ and correlates the field with them, along space first and then time.  Only
 points where the widest kernel fits inside the grid are kept; edge strips are
 dropped from the valid region instead of being extrapolated, since biased edge
 derivatives would contaminate the regression.
+
+`correlate1d` is the one correlation of the package: the derivative stack, the
+moving average and the Savitzky-Golay filter all run through it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .fields import SpatioTemporalField
 
@@ -41,6 +43,59 @@ def polyfit_kernel(width: int, degree: int, order: int, h: float) -> np.ndarray:
     offsets = (np.arange(width) - width // 2) * h
     vand = np.vander(offsets, degree + 1, increasing=True)
     return np.linalg.pinv(vand)[order] * math.factorial(order)
+
+
+def savgol_coeffs(width: int, degree: int) -> np.ndarray:
+    """Savitzky-Golay smoothing weights for convolution, to the bit those of
+    `scipy.signal.savgol_coeffs(width, degree)`: the least-squares solve on its reversed
+    Vandermonde matrix, not `polyfit_kernel`, which agrees only to about 2e-15."""
+    half = width // 2
+    vand = np.arange(-half, width - half, dtype=float)[::-1] ** np.arange(degree + 1.0)[:, None]
+    unit = np.zeros(degree + 1)
+    unit[0] = 1.0
+    return np.linalg.lstsq(vand, unit, rcond=np.finfo(float).eps * max(vand.shape))[0]
+
+
+def correlate1d(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """`values` correlated with `weights` along `axis`, zero beyond the ends, to the bit what
+    `scipy.ndimage.correlate1d(values, weights, axis, mode="constant")` returns.
+
+    The sum runs in ndimage's order.  A kernel of odd width that is symmetric or antisymmetric
+    to within machine epsilon, as ndimage tests it, sums w[c] x[0] and then the pairs
+    (x[-j] +/- x[j]) w[c-j] for j = c..1; any other starts from its last tap and adds the rest
+    from the left.
+    """
+    weights = np.asarray(weights, dtype=float)
+    left = weights.size // 2
+    right = weights.size - left - 1
+    n = values.shape[axis]
+    padded_shape = list(values.shape)
+    padded_shape[axis] += weights.size - 1
+    padded = np.zeros(padded_shape)
+    index = [slice(None)] * values.ndim
+
+    def shifted(j: int) -> np.ndarray:  # x[j], the input j points along the axis, as a view
+        index[axis] = slice(left + j, left + j + n)
+        return padded[tuple(index)]
+
+    shifted(0)[...] = values
+    if weights.size % 2:
+        ahead, behind = weights[left + 1:], weights[:left][::-1]
+        for sign, combine in ((1.0, np.add), (-1.0, np.subtract)):  # symmetric, antisymmetric
+            if np.any(np.abs(ahead - sign * behind) > np.finfo(float).eps):
+                continue
+            out = shifted(0) * weights[left]
+            pair = np.empty_like(out)
+            for j in range(left, 0, -1):
+                combine(shifted(-j), shifted(j), out=pair)
+                pair *= weights[left - j]
+                out += pair
+            return out
+    out = shifted(right) * weights[-1]
+    term = np.empty_like(out)
+    for j in range(-left, right):
+        out += np.multiply(shifted(j), weights[left + j], out=term)
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,9 +167,9 @@ def build_derivative_stack(
     def apply(kx: np.ndarray | None, kt: np.ndarray | None) -> np.ndarray:
         out = field.values
         if kx is not None:
-            out = ndimage.correlate1d(out, kx, axis=0, mode="constant")
+            out = correlate1d(out, kx, axis=0)
         if kt is not None:
-            out = ndimage.correlate1d(out, kt, axis=1, mode="constant")
+            out = correlate1d(out, kt, axis=1)
         return out[sx, st]
 
     return DerivativeStack(

@@ -3,6 +3,9 @@
 The bootstrap law of a median depends only on ranks (Maritz & Jarrett 1978;
 Efron 1982), so an interval is one sort of the draws and a weighted quantile,
 with no resamples and no seed.  The draws are treated as iid, as in the paper.
+The binomial law behind the weights is written with `scipy.special`: its CDF as
+a regularized incomplete beta function and its log pmf as `scipy.stats.binom`
+computes it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import betaincc, gammaln, xlog1py, xlogy
 
 from .gibbs import MIN_RETAINED_DRAWS, PosteriorEnsemble
 
@@ -39,20 +42,30 @@ def _log_top_attained(c: np.ndarray, power: int) -> np.ndarray:
         return np.log(-np.expm1(power * np.log1p(-1.0 / c)))
 
 
+def _binom_cdf(k: int, n: int, p: np.ndarray) -> np.ndarray:
+    """P(Binomial(n, p) <= k), within about 3e-15 of `scipy.stats.binom.cdf(k, n, p)`."""
+    return betaincc(k + 1, n - k, p)
+
+
+def _binom_logpmf(k: int, n: int, p: np.ndarray) -> np.ndarray:
+    """log P(Binomial(n, p) = k), bit for bit `scipy.stats.binom.logpmf(k, n, p)`."""
+    return gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1)) + xlogy(k, p) + xlog1py(n - k, -p)
+
+
 @lru_cache(maxsize=8)
 def median_rank_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0-based rank pairs (a, b), a <= b, and the probability that the median of a resample
     of n sorted draws x is (x[a] + x[b]) / 2, as `np.median` takes it (a == b for odd n).
     Pairs lighter than WEIGHT_FLOOR are left out; the arrays are shared and read-only."""
     k = (n + 1) // 2  # the median is the k-th smallest resampled draw, or its mean with the next
-    below = binom.cdf(k - 1, n, np.arange(n + 1) / n)  # P(fewer than k resampled ranks < j)
+    below = _binom_cdf(k - 1, n, np.arange(n + 1) / n)  # P(fewer than k resampled ranks < j)
     kth = below[:-1] - below[1:]  # P(the k-th smallest is rank j)
     band = np.flatnonzero(kth > WEIGHT_FLOOR)
     pairs = [(band, band, kth[band])]
     if n % 2 == 0:
         # A pair a < b: exactly k resampled ranks are <= a, with a among them, and the
         # other n - k are >= b, with b among them.  A tie a == b takes the rest of P(A = a).
-        log_low = binom.logpmf(k, n, (band + 1) / n) + _log_top_attained(band + 1, k)
+        log_low = _binom_logpmf(k, n, (band + 1) / n) + _log_top_attained(band + 1, k)
         pairs = [(band, band, np.clip(kth[band] - np.exp(log_low), 0.0, None))]
         for gap in range(1, n):
             a = band[band + gap < n]

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage, signal  # the oracle of the bit-for-bit tests only
 
-from vcpde.differentiation import build_derivative_stack, polyfit_kernel
+from vcpde.differentiation import (
+    _FD_STENCILS,
+    build_derivative_stack,
+    correlate1d,
+    polyfit_kernel,
+    savgol_coeffs,
+)
 from vcpde.fields import SpatioTemporalField
 
 
@@ -102,6 +109,43 @@ class TestPolyfitKernel:
         # second derivative of x^3 at the window centre (x=0) is 0; of x^2 is 2
         assert kern @ offsets**3 == pytest.approx(0.0, abs=1e-10)
         assert kern @ offsets**2 == pytest.approx(2.0)
+
+
+def assert_same_bits(actual, expected, name=""):
+    assert actual.shape == expected.shape, name
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64), err_msg=name)
+
+
+# every kernel the package correlates with: the stencils, poly_fit weights (symmetric,
+# antisymmetric and, at small spacings, neither to within machine epsilon), moving averages
+# and Savitzky-Golay coefficients
+KERNELS = {
+    **{f"fd{q}": k for q, k in _FD_STENCILS.items()},
+    **{f"polyfit{w}-{d}-{q}-{h}": polyfit_kernel(w, d, q, h)
+       for w in range(5, 20, 2) for d in range(5) for q in range(d + 1)
+       for h in (1.0, 0.03, 0.0039)},
+    **{f"mean{w}": np.full(w, 1.0 / w) for w in range(3, 32, 2)},
+    **{f"savgol{w}-{d}": savgol_coeffs(w, d)[::-1] for w in range(5, 63, 2) for d in range(2, 6)},
+}
+
+
+class TestCorrelate1d:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_bit_for_bit_ndimage(self, axis):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((70, 64)) * np.logspace(-3, 4, 70)[:, None]
+        for name, kernel in KERNELS.items():
+            expected = ndimage.correlate1d(values, kernel, axis=axis, mode="constant")
+            assert_same_bits(correlate1d(values, kernel, axis), expected, name)
+
+    def test_zero_padding_and_order(self):
+        out = correlate1d(np.array([1.0, 2.0, 4.0]), np.array([1.0, 10.0, 100.0]), 0)
+        np.testing.assert_array_equal(out, [210.0, 421.0, 42.0])
+
+    def test_savgol_coeffs_bit_for_bit_scipy(self):
+        for w in range(3, 63, 2):
+            for d in range(min(6, w)):
+                assert_same_bits(savgol_coeffs(w, d), signal.savgol_coeffs(w, d), f"{w}, {d}")
 
 
 class TestDerivativeStack:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal  # the oracle of the bit-for-bit tests only
 
 from vcpde.fields import GridError, SpatioTemporalField
 from vcpde.filters import DEFAULT_GRIDS, FilterSpec, apply_filter, data_mse, filter_sweep
@@ -135,6 +136,57 @@ class TestApplyFilter:
         f = field_from(np.zeros((8, 8)))
         with pytest.raises(ValueError):
             apply_filter(f, FilterSpec.of("moving_average", 9, axis="space"))
+
+    def test_lowpass_needs_more_points_than_its_odd_extension(self):
+        # order 4 extends each end by 3 * (4 + 1) = 15 points, which needs 16
+        spec = FilterSpec.of("zero_phase_lowpass", 0.2, axis="space")
+        values = np.random.default_rng(0).standard_normal((16, 3))
+        with pytest.raises(ValueError, match="axis length 15 too short for order 4"):
+            apply_filter(field_from(values[:15]), spec)
+        out = apply_filter(field_from(values), spec)
+        assert_same_bits(out.values, signal.filtfilt(*signal.butter(4, 0.2), values, axis=0))
+
+
+def assert_same_bits(actual, expected, name=""):
+    assert actual.shape == expected.shape, name
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64), err_msg=name)
+
+
+AXES = [(0, "space"), (1, "time")]
+
+
+class TestScipyBitForBit:
+    """Each filter returns what scipy's own returns, bit for bit, at every default grid value."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        # long enough on both axes for the widest default window, 61
+        x, t = np.linspace(0, 4 * np.pi, 72), np.linspace(0, 3, 80)
+        noise = 0.05 * np.random.default_rng(4).standard_normal((72, 80))
+        return field_from(np.sin(x)[:, None] * np.cos(t)[None, :] + noise)
+
+    @pytest.mark.parametrize("ax, axis", AXES)
+    @pytest.mark.parametrize("polyorder", [2, 3, 4, 5])
+    def test_savitzky_golay(self, field, ax, axis, polyorder):
+        for window in (w for w in DEFAULT_GRIDS["savitzky_golay"] if w > polyorder):
+            out = apply_filter(field, FilterSpec.of("savitzky_golay", window, polyorder, axis=axis))
+            expected = signal.savgol_filter(field.values, window, polyorder, axis=ax)
+            assert_same_bits(out.values, expected, f"window {window}")
+
+    @pytest.mark.parametrize("ax, axis", AXES)
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_zero_phase_lowpass(self, field, ax, axis, order):
+        for cutoff in DEFAULT_GRIDS["zero_phase_lowpass"]:
+            spec = FilterSpec.of("zero_phase_lowpass", cutoff, butterworth_order=order, axis=axis)
+            expected = signal.filtfilt(*signal.butter(order, cutoff), field.values, axis=ax)
+            assert_same_bits(apply_filter(field, spec).values, expected, f"cutoff {cutoff}")
+
+    def test_lowpass_sweep_matches_each_filter(self, field):
+        clean = field.with_values(np.zeros_like(field.values))
+        curve = filter_sweep(field, clean, "zero_phase_lowpass", axis="space")
+        for point in curve.points:
+            spec = FilterSpec.of("zero_phase_lowpass", point.parameter, axis="space")
+            assert point.mse == data_mse(apply_filter(field, spec), clean)
 
 
 class TestDataMse:

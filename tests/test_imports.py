@@ -1,7 +1,11 @@
 """Import hygiene of the package: imports sit at module top, criteria is a leaf, tbglss does
-not import selection at run time, and only the CLI prints."""
+not import selection at run time, only the CLI prints, and the CLI loads no scipy module that
+its start-up need not pay for."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,14 @@ def test_only_the_cli_prints():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
     )
     assert not calls, f"print calls outside cli.py: {calls}"
+
+
+def test_the_cli_loads_no_slow_scipy_module():
+    # scipy.signal alone pulls in scipy.stats; the package owns its filter and binomial code
+    code = ("import sys, vcpde.cli\n"
+            "print(' '.join(m for m in ('scipy.ndimage', 'scipy.signal', 'scipy.stats')"
+            " if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                            text=True, env=env).stdout.split()
+    assert not loaded, f"importing vcpde.cli loads {loaded}"

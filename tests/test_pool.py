@@ -99,3 +99,21 @@ class TestWorkers:
         monkeypatch.setattr(pool.threading, "active_count", lambda: 1)
         monkeypatch.setattr(pool.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert pool.worker_count(8) == 1
+
+    def test_workers_opened_inside_a_task_run_it_inline(self, monkeypatch):
+        # a worker may not fork children of its own, so its Workers run their tasks in it
+        monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def run(task):
+            with Workers(lambda inner: (inner, os.getpid()), 2) as nested:
+                done = run_all(nested, [task, task + 10])
+            return len(nested.processes), os.getpid(), done
+
+        with Workers(run, 2) as workers:
+            done = run_all(workers, [1, 2])
+        assert len(workers.processes) == 2
+        for task, (result, error) in done.items():
+            assert error is None
+            n_nested, pid, nested_done = result
+            assert n_nested == 0 and pid != os.getpid()
+            assert nested_done == {task: ((task, pid), None), task + 10: ((task + 10, pid), None)}

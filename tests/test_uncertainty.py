@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.stats import binom  # the oracle of the binomial-law tests only
 
+from vcpde import uncertainty
 from vcpde.gibbs import MIN_RETAINED_DRAWS
 from vcpde.uncertainty import (
     BootstrapCI,
@@ -26,6 +28,23 @@ class TestMedianRankWeights:
         assert np.all(a <= b) and np.all(w >= 0.0)
         if n % 2:
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [30, 31, 256, 257, 1000, 1001, 4000, 4001])
+    def test_binomial_law_matches_scipy_stats(self, n):
+        k, p = (n + 1) // 2, np.arange(n + 1) / n
+        np.testing.assert_allclose(uncertainty._binom_cdf(k - 1, n, p), binom.cdf(k - 1, n, p),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(uncertainty._binom_logpmf(k, n, p), binom.logpmf(k, n, p))
+
+    @pytest.mark.parametrize("n", [30, 31, 256, 257, 1000, 1001, 4000, 4001])
+    def test_weights_match_scipy_stats_binom(self, n, monkeypatch):
+        a, b, w = median_rank_weights(n)
+        monkeypatch.setattr(uncertainty, "_binom_cdf", binom.cdf)
+        monkeypatch.setattr(uncertainty, "_binom_logpmf", binom.logpmf)
+        ref_a, ref_b, ref_w = median_rank_weights.__wrapped__(n)
+        np.testing.assert_array_equal(a, ref_a)
+        np.testing.assert_array_equal(b, ref_b)
+        np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_weights_match_every_resample(self, n):

@@ -5,9 +5,12 @@ with s the varying coordinate (t or x) and Theta_k a library term.  The
 solver integrates that table and `true_coefficients` reports it as the
 discovery's ground truth.  All three families are posed on periodic spatial
 domains and integrated pseudo-spectrally: one right-hand side takes Fourier
-derivatives in space and sums the table, adaptive Runge-Kutta (RK45) advances
-it in time for the non-stiff equations and a fixed-step exponential
-fourth-order Runge-Kutta scheme (ETDRK4) for the stiff fourth-derivative one.
+derivatives in space and sums the table.  The non-stiff equations are advanced
+in time by the adaptive Dormand-Prince 5(4) pair with Shampine's quartic dense
+output, run operation for operation as `scipy.integrate.solve_ivp`'s RK45 runs
+it, so a solve returns scipy's bits without importing scipy.  The stiff
+fourth-derivative one is advanced by a fixed-step exponential fourth-order
+Runge-Kutta scheme (ETDRK4).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .fields import SpatioTemporalField
 from .library import CoefficientTrajectories, LibrarySpec
@@ -243,8 +245,108 @@ def _spectral_rhs(scenario: PdeScenario):
     return rhs, multipliers
 
 
+# The Dormand-Prince 5(4) tableau (nodes C, stages A, weights B, error weights E) and the
+# dense-output matrix P of Shampine's quartic interpolant, as scipy's RK45 holds them.
+_RK45_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK45_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK45_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK45_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK45_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10  # step-size control
+_ERROR_EXPONENT = -1 / 5  # the error estimate is of fourth order
+
+
+def _rms(x: np.ndarray):
+    """The root-mean-square norm the step control measures errors in."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk45(f, t_eval: np.ndarray, y0: np.ndarray, rtol: float, atol: float):
+    """`solve_ivp(f, (t_eval[0], t_eval[-1]), y0, method="RK45", t_eval=t_eval, rtol=rtol,
+    atol=atol)` operation for operation, for a real state stepped forward with scalar
+    tolerances: the state at each point of `t_eval` as a column, and how many leading points
+    were reached.  A step shrunk below ten spacings of the floats at t ends the integration,
+    as scipy's fails, and leaves the columns not reached unset."""
+    if atol < 0:
+        raise ValueError("atol must be nonnegative")
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    t, t_bound = float(t_eval[0]), float(t_eval[-1])
+    y = y0
+    fy = f(t, y)
+    # the initial step (Hairer, Norsett & Wanner, Sec. II.4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(fy / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound - t)
+    d2 = _rms((f(t + h0, y + h0 * fy) - fy) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_bound - t)
+
+    values = np.empty((y.size, t_eval.size))
+    K = np.empty((_RK45_C.size + 1, y.size))
+    reached = 0
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return values, reached
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = fy
+            for s in range(1, _RK45_C.size):
+                dy = np.dot(K[:s].T, _RK45_A[s, :s]) * h
+                K[s] = f(t + _RK45_C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _RK45_B)
+            fy_new = f(t + h, y_new)
+            K[-1] = fy_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _RK45_E) * h / scale)
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        # the quartic interpolant over the accepted step, at the t_eval points it covers
+        end = int(np.searchsorted(t_eval, t_new, side="right"))
+        if end > reached:
+            x = (t_eval[reached:end] - t) / h
+            powers = np.cumprod(np.tile(x, (_RK45_P.shape[1], 1)), axis=0)
+            values[:, reached:end] = h * np.dot(K.T.dot(_RK45_P), powers) + y[:, None]
+            reached = end
+        t, y, fy = t_new, y_new, fy_new
+        if t - t_bound >= 0:
+            return values, reached
+
+
 def _solve_rk(scenario: PdeScenario, rtol: float = 1e-8, atol: float = 1e-10) -> SpatioTemporalField:
-    """Adaptive Runge-Kutta (RK45); a time-varying coefficient is evaluated at every call."""
+    """Adaptive Dormand-Prince 5(4) (`_rk45`); a time-varying coefficient is evaluated at every
+    call."""
     x = scenario.x_coords
     t = scenario.t_coords
     rhs, _ = _spectral_rhs(scenario)
@@ -260,15 +362,15 @@ def _solve_rk(scenario: PdeScenario, rtol: float = 1e-8, atol: float = 1e-10) ->
             return rhs(np.fft.rfft(u), coefficients, u)
 
     u0 = np.asarray(scenario.initial_condition(x), dtype=float)
-    res = solve_ivp(f, (t[0], t[-1]), u0, t_eval=t, method="RK45", rtol=rtol, atol=atol)
-    if not res.success:
-        raise SolverBlowupError(scenario.family, None, float(res.t[-1]) if res.t.size else t[0])
-    bad = ~np.isfinite(res.y)
+    values, reached = _rk45(f, t, u0, rtol, atol)
+    if reached < t.size:  # name the last time reached
+        raise SolverBlowupError(scenario.family, None, float(t[max(reached - 1, 0)]))
+    bad = ~np.isfinite(values)
     if bad.any():  # name the first bad entry, in time and then in space
         j = int(np.any(bad, axis=0).argmax())
         i = int(bad[:, j].argmax())
         raise SolverBlowupError(scenario.family, float(x[i]), float(t[j]))
-    return SpatioTemporalField(res.y, x, t)
+    return SpatioTemporalField(values, x, t)
 
 
 def _etdrk4_tables(lin: np.ndarray, dt: float, n_contour: int = 32):

@@ -1,8 +1,9 @@
 """Import hygiene of the package: imports sit at module top, criteria is a leaf, tbglss does
-not import selection at run time, only the CLI prints, and the CLI loads no scipy module that
-its start-up need not pay for."""
+not import selection at run time, only the CLI prints, and the package runs on numpy alone:
+neither importing the CLI nor running it loads any scipy module."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -67,12 +68,36 @@ def test_only_the_cli_prints():
     assert not calls, f"print calls outside cli.py: {calls}"
 
 
-def test_the_cli_loads_no_slow_scipy_module():
-    # scipy.signal alone pulls in scipy.stats; the package owns its filter and binomial code
-    code = ("import sys, vcpde.cli\n"
-            "print(' '.join(m for m in ('scipy.ndimage', 'scipy.signal', 'scipy.stats')"
-            " if m in sys.modules))")
+def _scipy_modules_after(code, *args):
+    """The scipy modules loaded once `code` has run in a fresh interpreter."""
+    code += ("\nimport sys\n"
+             "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    loaded = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                            text=True, env=env).stdout.split()
+    return subprocess.run([sys.executable, "-c", code, *args], check=True, capture_output=True,
+                          text=True, env=env).stdout.splitlines()[-1].split()
+
+
+def test_the_cli_loads_no_slow_scipy_module():
+    # the package owns its filters, its RK45 and its binomial law
+    loaded = _scipy_modules_after("import vcpde.cli")
     assert not loaded, f"importing vcpde.cli loads {loaded}"
+
+
+def test_simulate_and_discover_with_ci_load_no_scipy_module(tmp_path):
+    # a deferred import would show only once the solver and the bootstrap CIs have run
+    code = (
+        "import sys\n"
+        "from vcpde import cli\n"
+        "out = sys.argv[1]\n"
+        "assert cli.main(['simulate', '--family', 'ad', '--nx', '64', '--nt', '48',\n"
+        "                 '--t-span', '0:2', '--noise', '0.01', '--output', out]) == 0\n"
+        "assert cli.main(['discover', '--dataset', out + '/advection_diffusion_noise0.01_seed0.json',\n"
+        "                 '--t-rms', '0.02', '--t-ge', '0.1', '--iterations', '120',\n"
+        "                 '--burnin', '30', '--update-iterations', '60', '--update-burnin', '15',\n"
+        "                 '--with-ci', '--output', out + '/ci']) == 0\n"
+    )
+    loaded = _scipy_modules_after(code, str(tmp_path))
+    report = json.loads((tmp_path / "ci" / "tbglss_advection_diffusion_noise0.01_seed0.json")
+                        .read_text())
+    assert report["bootstrap_cis"]["intervals"]  # the bootstrap ran
+    assert not loaded, f"simulate and discover --with-ci load {loaded}"

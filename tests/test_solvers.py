@@ -2,7 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45, solve_ivp  # the oracle of the RK45 tests only
 
+from vcpde import solvers
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, LibrarySpec
 from vcpde.pipeline import build_system, noisy_dataset
@@ -104,14 +106,63 @@ class TestKuramotoSivashinsky:
         assert rel_l2(coarse.values[:, window], fine.values[:, window]) <= 0.01
 
 
+def capture_rk45(monkeypatch):
+    """Record the arguments each solve hands the RK45 integrator: (rhs, t_eval, y0, rtol, atol)."""
+    calls = []
+    rk45 = solvers._rk45
+    monkeypatch.setattr(solvers, "_rk45", lambda *args: calls.append(args) or rk45(*args))
+    return calls
+
+
+def scipy_rk45(rhs, t_eval, y0, rtol, atol):
+    return solve_ivp(rhs, (t_eval[0], t_eval[-1]), y0, method="RK45", t_eval=t_eval,
+                     rtol=rtol, atol=atol)
+
+
 class TestBlowupDiagnostics:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_antidiffusion_blowup_named(self):
+    def test_antidiffusion_blowup_named(self, monkeypatch):
         from vcpde.solvers import SolverBlowupError
 
         sc = advection_diffusion_scenario(nu=-5.0, n_x=64, n_t=32, t_span=(0.0, 2.0))
-        with pytest.raises(SolverBlowupError, match="t="):
+        calls = capture_rk45(monkeypatch)
+        with pytest.raises(SolverBlowupError, match="t=") as caught:
             solve(sc)
+        # the last output time reached, as scipy's failed solve reports it
+        res = scipy_rk45(*calls[0])
+        assert not res.success
+        assert caught.value.t == res.t[-1]
+
+
+class TestRk45MatchesScipy:
+    """The integrator runs scipy's RK45 operation for operation, so each solve keeps its bits."""
+
+    @pytest.mark.parametrize("tolerances", [{}, {"rtol": 1e-5, "atol": 1e-7}],
+                             ids=["default", "loose"])
+    @pytest.mark.parametrize("make", [
+        lambda **options: burgers_scenario(n_x=64, n_t=33, t_span=(0.0, 3.0), **options),
+        lambda **options: advection_diffusion_scenario(n_x=64, n_t=33, t_span=(0.0, 2.0),
+                                                       **options),
+    ], ids=["burgers-time-varying", "ad-space-varying"])
+    def test_solve_is_solve_ivp_bit_for_bit(self, monkeypatch, make, tolerances):
+        calls = capture_rk45(monkeypatch)
+        field = solve(make(**tolerances))
+        res = scipy_rk45(*calls[0])
+        assert res.success
+        assert np.array_equal(field.values, res.y)
+
+    def test_last_step_clipped_to_the_end(self, monkeypatch):
+        sc = advection_diffusion_scenario(n_x=32, n_t=9, t_span=(0.0, 1.0), rtol=1e-2, atol=1e-4)
+        calls = capture_rk45(monkeypatch)
+        field = solve(sc)
+        rhs, t, y0, rtol, atol = calls[0]
+        # scipy's own stepper shows that the last step is proposed past the end and clipped
+        stepper = RK45(rhs, t[0], y0, t[-1], rtol=rtol, atol=atol)
+        while stepper.status == "running":
+            start, proposed = stepper.t, stepper.h_abs
+            stepper.step()
+        assert stepper.t == t[-1] and start + proposed > t[-1]
+        assert np.array_equal(field.values, scipy_rk45(*calls[0]).y)
 
 
 class TestGridRefinement:

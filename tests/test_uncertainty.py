@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.stats import binom  # the oracle of the binomial-law tests only
+from scipy.special import gammaln, xlog1py  # the oracles of the binomial-law tests only
+from scipy.stats import binom
 
 from vcpde import uncertainty
 from vcpde.gibbs import MIN_RETAINED_DRAWS
@@ -35,6 +36,21 @@ class TestMedianRankWeights:
         np.testing.assert_allclose(uncertainty._binom_cdf(k - 1, n, p), binom.cdf(k - 1, n, p),
                                    rtol=0, atol=1e-14)
         np.testing.assert_array_equal(uncertainty._binom_logpmf(k, n, p), binom.logpmf(k, n, p))
+
+    def test_lgam_is_gammaln_bit_for_bit(self):
+        # the integers take the recurrence and Stirling's series; other x also the [2, 3] fit
+        x = np.concatenate([np.arange(1.0, 10_001.0), np.linspace(0.01, 40.0, 4000)])
+        np.testing.assert_array_equal([uncertainty._lgam(v) for v in x.tolist()], gammaln(x))
+
+    def test_log1p_is_xlog1py_bit_for_bit(self):
+        x = np.linspace(-1.0, 1.0, 40_001)[1:]  # (-1, 1]
+        np.testing.assert_array_equal([uncertainty._log1p(v) for v in x.tolist()],
+                                      xlog1py(1.0, x))
+
+    @pytest.mark.parametrize("p", [0.35, [0.0, 0.5, 1.0 / 3.0]])
+    def test_binom_cdf_rejects_p_off_the_grid(self, p):
+        with pytest.raises(ValueError, match="grid"):
+            uncertainty._binom_cdf(4, 10, np.asarray(p))
 
     @pytest.mark.parametrize("n", [30, 31, 256, 257, 1000, 1001, 4000, 4001])
     def test_weights_match_scipy_stats_binom(self, n, monkeypatch):

@@ -83,7 +83,7 @@ class PosteriorEnsemble:
     seed: int
 
     def __post_init__(self):
-        zero_groups = np.all(self.beta == 0.0, axis=1)
+        zero_groups = ~np.any(self.beta, axis=1)  # no temporary the size of the draws
         if not np.array_equal(zero_groups, self.spike):
             raise ValueError("spike bookkeeping disagrees with exact-zero group draws")
         if np.any(self.sigma2 <= 0) or np.any(self.tau2 <= 0):
@@ -94,11 +94,17 @@ class PosteriorEnsemble:
         return self.beta.shape[0]
 
 
-def sample_posterior(system: GroupedLinearSystem, config: BglssConfig) -> PosteriorEnsemble:
-    """Run the block Gibbs sampler on a normalized grouped system."""
+def sample_posterior(system: GroupedLinearSystem, config: BglssConfig,
+                     groups=None) -> PosteriorEnsemble:
+    """Run the block Gibbs sampler on a normalized grouped system, on its groups `groups` alone
+    (every group when None).  The draws are those of `system.subsystem(groups)` bit for bit,
+    but no block is copied: the sampler reads only `system.group_products(groups)`."""
     if not system.normalized:
         raise ValueError("sample_posterior requires a column-normalized system")
-    return _run_chain(system, config)
+    groups = np.arange(system.n_groups) if groups is None else np.asarray(groups, dtype=int)
+    if groups.ndim != 1 or len(set(groups.tolist()) & set(range(system.n_groups))) != groups.size:
+        raise ValueError(f"groups must be distinct indices below {system.n_groups}, got {groups}")
+    return _run_chain(system, config, groups)
 
 
 def _log_prior_odds(pi0: float) -> float:
@@ -110,17 +116,20 @@ def _log_prior_odds(pi0: float) -> float:
     return float(np.log1p(-pi0) - np.log(pi0))
 
 
-def _run_chain(system: GroupedLinearSystem, config: BglssConfig) -> PosteriorEnsemble:
-    """One chain.  Its draws and random stream are bit-identical to those of the plain
-    step-major kernel the tests keep as reference: every value below is computed by the
-    same floating-point operations, in the same order, only into buffers."""
-    m, n, n_groups = system.blocks.shape
-    gram = system.gram()
-    cty = system.design_target()
+def _run_chain(system: GroupedLinearSystem, config: BglssConfig,
+               groups: np.ndarray) -> PosteriorEnsemble:
+    """One chain on the groups `groups` of `system`.  Its draws and random stream are
+    bit-identical to those of the plain step-major kernel the tests keep as reference, run on
+    `system.subsystem(groups)`: every value below is computed by the same floating-point
+    operations, in the same order, only into buffers."""
+    m, n = system.target.shape
+    n_groups = groups.size
+    gram, cty = system.group_products(groups)
     yty = float((system.target**2).sum())
     n_obs = m * n
     alpha_prior, gamma_prior = SIGMA2_PRIOR
     lam = float(config.lam)
+    lam2 = lam**2
     estimate_pi0 = isinstance(config.pi0, str)
 
     # The group sweep keeps its state group-major, row g holding column g of the
@@ -192,11 +201,12 @@ def _run_chain(system: GroupedLinearSystem, config: BglssConfig) -> PosteriorEns
             beta_active = beta[:, active]
             norms_sq = np.einsum("mg,mg->g", beta_active, beta_active)
             mean_inv = lam * math.sqrt(sigma2) / np.maximum(np.sqrt(norms_sq), 1e-300)
-            inv_tau2 = rng.wald(mean_inv, lam**2)
-            tau2[active] = 1.0 / np.maximum(inv_tau2, 1e-300)
+            # one scalar draw per group takes the array call's stream without its argument checks
+            for g, mean_g in zip(active.tolist(), mean_inv.tolist()):
+                tau2[g] = 1.0 / max(rng.wald(mean_g, lam2), 1e-300)
         spiked = spike.nonzero()[0]
         if spiked.size:
-            tau2[spiked] = rng.gamma((m + 1) / 2.0, 2.0 / lam**2, size=spiked.size)
+            tau2[spiked] = rng.gamma((m + 1) / 2.0, 2.0 / lam2, size=spiked.size)
 
         # both sums run over C-ordered (m, G) products, the order the rss is defined in
         np.multiply(beta, cty, out=product)
@@ -229,8 +239,8 @@ def _run_chain(system: GroupedLinearSystem, config: BglssConfig) -> PosteriorEns
         sigma2=kept_sigma2,
         pi0=kept_pi0,
         spike=kept_spike,
-        scales=system.scales.copy(),
-        descriptors=system.descriptors,
+        scales=np.ascontiguousarray(system.scales[:, groups]),
+        descriptors=tuple(system.descriptors[g] for g in groups),
         step_coords=system.step_coords,
         varying_axis=system.varying_axis,
         lam_used=lam,

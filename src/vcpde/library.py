@@ -203,11 +203,17 @@ class GroupedLinearSystem:
         gram.flags.writeable = cty.flags.writeable = False
         self._cache.update(gram=gram, cty=cty)
 
+    def group_products(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram and Theta^T y of the groups `indices` alone, (m, k, k) and (m, k): slices of
+        this system's, bit-identical to computing them from `subsystem(indices)`'s own blocks."""
+        indices = np.asarray(indices, dtype=int)
+        gram, cty = self.gram(), self.design_target()
+        return gram[:, indices[:, None], indices], cty[:, indices]
+
     def subsystem(self, indices: np.ndarray) -> "GroupedLinearSystem":
         """Restrict to a subset of groups (columns deleted for removed groups).
 
-        The blocks are copied; the Gram and Theta^T y are slices of this
-        system's, bit-identical to computing them from the copy.
+        The blocks are copied; the Gram and Theta^T y are `group_products(indices)`.
         """
         indices = np.asarray(indices, dtype=int)
         sub = replace(
@@ -216,8 +222,7 @@ class GroupedLinearSystem:
             descriptors=tuple(self.descriptors[i] for i in indices),
             scales=None if self.scales is None else self.scales[:, indices],
         )
-        gram, cty = self.gram(), self.design_target()
-        sub._set_products(gram[:, indices[:, None], indices], cty[:, indices])
+        sub._set_products(*self.group_products(indices))
         return sub
 
 

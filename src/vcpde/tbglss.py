@@ -188,7 +188,7 @@ def _chain(system: GroupedLinearSystem, key: tuple, keep_ensemble: bool = False)
     """The `ChainSummary` of the chain `key` = (support, config) names on `system`: its draws
     depend only on the system, the support and the config."""
     support, config = key
-    ensemble = sample_posterior(system.subsystem(support), config)
+    ensemble = sample_posterior(system, config, support)
     return ChainSummary(*_summarize(ensemble.beta), ensemble if keep_ensemble else None)
 
 

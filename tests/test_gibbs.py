@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,100 @@ class TestSamplerLimits:
             BglssConfig(lam="estimate_mc_em")
 
 
+class TestSupportSampling:
+    """`sample_posterior(root, config, groups)` samples the subsystem of `groups` without it."""
+
+    FIELDS = ("beta", "tau2", "sigma2", "pi0", "spike", "scales", "step_coords")
+
+    @pytest.fixture(scope="class")
+    def supports(self, burgers_system):
+        rng = np.random.default_rng(4)
+        g = burgers_system.n_groups
+        supports = [[0], [7], [g - 1], list(range(g))]
+        supports += [sorted(rng.choice(g, size=rng.integers(2, g), replace=False).tolist())
+                     for _ in range(18)]
+        return supports
+
+    @pytest.mark.parametrize("settings", [{}, {"pi0": 0.3}], ids=["estimated_pi0", "fixed_pi0"])
+    def test_draws_equal_the_subsystems_bit_for_bit(self, burgers_system, supports, settings):
+        config = BglssConfig(n_iterations=30, n_burnin=10, seed=5, **settings)
+        for support in supports:
+            got = sample_posterior(burgers_system, config, groups=support)
+            want = sample_posterior(burgers_system.subsystem(support), config)
+            for name in self.FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, (support, name)
+                assert a.tobytes() == b.tobytes(), (support, name)
+                # as the subsystem path's copy was: dump_ensemble's npz records the layout
+                assert a.flags.c_contiguous, (support, name)
+            assert got.descriptors == want.descriptors
+            assert (got.varying_axis, got.lam_used, got.seed) == (
+                want.varying_axis, want.lam_used, want.seed)
+
+    def test_none_means_every_group(self, burgers_system):
+        config = BglssConfig(n_iterations=30, n_burnin=10, seed=5)
+        every = sample_posterior(burgers_system, config, groups=range(burgers_system.n_groups))
+        default = sample_posterior(burgers_system, config)
+        for name in self.FIELDS:
+            assert getattr(every, name).tobytes() == getattr(default, name).tobytes(), name
+        assert default.descriptors == burgers_system.descriptors
+
+    @pytest.mark.parametrize("groups", [[0, 0], [5, 20], [-1], [[0, 1]]],
+                             ids=["repeated", "too_large", "negative", "two_dimensional"])
+    def test_groups_must_be_distinct_indices(self, burgers_system, groups):
+        with pytest.raises(ValueError, match="distinct indices below 20"):
+            sample_posterior(burgers_system, BglssConfig(n_iterations=30, n_burnin=10), groups)
+
+    @pytest.mark.parametrize("support", [
+        list(range(20)), [0, 2, 3, 5, 8, 9, 11, 12, 14, 15, 17, 19]], ids=["20_groups", "12_groups"])
+    def test_chain_copies_no_blocks(self, burgers_system, support):
+        """One chain of the threshold loop allocates the draws it keeps and less than one copy
+        of its support's blocks besides."""
+        config = BglssConfig(n_iterations=60, n_burnin=10, seed=2)
+        m, n, _ = burgers_system.blocks.shape
+        k, n_keep = len(support), config.n_iterations - config.n_burnin
+        kept_draws = n_keep * (m * k * 8 + k * 8 + 2 * 8 + k)  # beta, tau2, sigma2 and pi0, spike
+        block_copy = m * n * k * 8
+        burgers_system.gram()  # the root's products are computed once per system, not per chain
+        tracemalloc.start()
+        try:
+            tbglss._chain(burgers_system, (tuple(support), config))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kept_draws + block_copy
+
+
+class TestSpikeBookkeeping:
+    """`PosteriorEnsemble` checks that a group is spiked in exactly the draws where it is zero."""
+
+    def test_signed_zero_rows_are_zero_and_nan_rows_are_not(self):
+        beta = np.ones((3, 4, 2))
+        beta[0, :, 0] = -0.0
+        beta[1, :, 0] = [0.0, -0.0, 0.0, -0.0]
+        beta[2, :, 1] = [0.0, np.nan, 0.0, 0.0]
+        spike = np.array([[True, False], [True, False], [False, False]])
+        assert synthetic_ensemble(beta, spike=spike).spike.tobytes() == spike.tobytes()
+        for draw, group in ((0, 0), (2, 1)):  # a spike must match a zero row, and only one
+            wrong = spike.copy()
+            wrong[draw, group] = not wrong[draw, group]
+            with pytest.raises(ValueError, match="spike bookkeeping"):
+                synthetic_ensemble(beta, spike=wrong)
+
+    def test_check_allocates_nothing_the_size_of_the_draws(self):
+        beta = np.ones((200, 240, 12))
+        beta[:, :, 3] = 0.0
+        spike = np.zeros((200, 12), dtype=bool)
+        spike[:, 3] = True
+        tracemalloc.start()
+        try:
+            synthetic_ensemble(beta, spike=spike)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < beta.size  # one byte per draw: a boolean array of the draws
+
+
 class TestSpikeSlabExclusivity:
     def test_every_draw_is_all_or_nothing(self):
         rng = np.random.default_rng(5)
@@ -156,10 +251,14 @@ class TestSpikeSlabExclusivity:
 
 
 def run_on_draws(monkeypatch, system, draws):
-    """`run_tbglss` on `system` with each chain's draws `draws(subsystem)` instead of sampled;
-    t_rms = 0 removes only the groups whose median is exactly zero."""
-    monkeypatch.setattr(tbglss, "sample_posterior",
-                        lambda sub, config: synthetic_ensemble(draws(sub), scales=sub.scales))
+    """`run_tbglss` on `system` with each chain's draws `draws(subsystem)` instead of sampled,
+    the subsystem being the chain's groups; t_rms = 0 removes only the groups whose median is
+    exactly zero."""
+    def sample(root, config, groups):
+        sub = root.subsystem(groups)
+        return synthetic_ensemble(draws(sub), scales=sub.scales)
+
+    monkeypatch.setattr(tbglss, "sample_posterior", sample)
     return run_tbglss(system, MethodConfig(
         thresholds=ThresholdSpec(t_rms=0.0), bglss=BglssConfig(n_iterations=200, n_burnin=60)))
 

@@ -134,6 +134,24 @@ class TestBlowupDiagnostics:
         assert caught.value.t == res.t[-1]
 
 
+    def test_blowup_ends_at_scipys_minimum_step(self):
+        # y' = y^2 from y(0) = 1.  At rtol 1e-3 the numerical solution blows up near
+        # t = 0.9999266193426, some 7e-5 before the true pole at 1, and the step control
+        # shrinks the step there until it falls below min_step = 10 ulp(t).  The output points,
+        # 2e-16 apart around that time, show where the last accepted step ended, which moves
+        # by about 2e-15 if the floor is 1 ulp instead of 10.
+        t_eval = np.unique(np.concatenate([[0.0, 0.5],
+                                           np.linspace(0.99992661934263, 0.99992661934264, 41),
+                                           [1 - 1e-16]]))
+        rhs = lambda t, y: y * y
+        values, reached = solvers._rk45(rhs, t_eval, np.array([1.0]), 1e-3, 1e-6)
+        res = scipy_rk45(rhs, t_eval, np.array([1.0]), 1e-3, 1e-6)
+        assert not res.success
+        assert 2 < reached < t_eval.size - 1  # the failure lies inside the dense window
+        assert reached == res.t.size
+        assert np.array_equal(values[:, :reached], res.y)
+
+
 class TestRk45MatchesScipy:
     """The integrator runs scipy's RK45 operation for operation, so each solve keeps its bits."""
 

@@ -247,9 +247,9 @@ class TestMultiChainMode:
         seeds = []
         sample = tbglss.sample_posterior
 
-        def recording(sub, config):
+        def recording(system, config, groups):
             seeds.append(config.seed)
-            return sample(sub, config)
+            return sample(system, config, groups)
 
         monkeypatch.setattr(tbglss, "sample_posterior", recording)
         report = run_tbglss(system, MethodConfig(

@@ -56,26 +56,31 @@ def _out_root(value: str | None) -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
 
 
-def _parse_span(text: str) -> tuple[float, float]:
-    lo, hi = text.split(":")
-    return (float(lo), float(hi))
+def _split(text: str, option: str, form: str, *types) -> list:
+    """The ':'-separated fields of `text`, one per type in `types`, for `option` of `form`."""
+    fields = text.split(":")
+    try:
+        if len(fields) == len(types):
+            return [kind(field) for kind, field in zip(types, fields)]
+    except ValueError:
+        pass
+    raise ValueError(f"{option} expects {form}, got {text!r}")
 
 
-def _parse_range(text: str, log: bool = False) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("range must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+def _parse_span(text: str, option: str) -> tuple[float, float]:
+    return tuple(_split(text, option, "lo:hi", float, float))
+
+
+def _parse_range(text: str, option: str, log: bool = False) -> np.ndarray:
+    lo, hi, count = _split(text, option, "lo:hi:count", float, float, int)
     if log:
         return np.logspace(np.log10(lo), np.log10(hi), count)
     return np.linspace(lo, hi, count)
 
 
-def _parse_int_range(text: str) -> list[int]:
-    parts = [int(p) for p in text.split(":")]
-    if len(parts) == 3:
-        return list(range(parts[0], parts[1] + 1, parts[2]))
-    raise ValueError("window range must be start:stop:step")
+def _parse_int_range(text: str, option: str) -> list[int]:
+    start, stop, step = _split(text, option, "start:stop:step", int, int, int)
+    return list(range(start, stop + 1, step))
 
 
 def _dataset_stem(metadata: dict) -> str:
@@ -140,8 +145,8 @@ def cmd_simulate(args) -> int:
     _require(args.family, "family")
     check_noise_level(args.noise)
     scenario = make_scenario(args.family, args.nx, args.nt,
-                             _parse_span(args.x_span) if args.x_span else None,
-                             _parse_span(args.t_span) if args.t_span else None)
+                             _parse_span(args.x_span, "--x-span") if args.x_span else None,
+                             _parse_span(args.t_span, "--t-span") if args.t_span else None)
     clean = simulate_dataset(scenario, seed=args.seed)
     dataset = noisy_dataset(clean, args.noise, args.seed)
     outdir = _out_root(args.output)
@@ -215,9 +220,9 @@ def cmd_sweep(args) -> int:
         clean = load_dataset(args.clean)
         kind = args.filter
         if parameter_name(kind) == "cutoff":
-            grid = _parse_range(args.cutoffs) if args.cutoffs else None
+            grid = _parse_range(args.cutoffs, "--cutoffs") if args.cutoffs else None
         else:
-            grid = _parse_int_range(args.windows) if args.windows else None
+            grid = _parse_int_range(args.windows, "--windows") if args.windows else None
         curve = filter_sweep(dataset.field, clean.field, kind, grid, **_given(args, FILTER_OPTIONS))
         stem = outdir / f"filter_sweep_{kind}"
         curve.to_csv(f"{stem}.csv")
@@ -231,8 +236,9 @@ def cmd_sweep(args) -> int:
     axis = args.axis_name
     if axis not in SWEEP_AXES:
         raise ValueError(f"--axis must be one of {SWEEP_AXES} (or use --filter)")
+    grid = _parse_range(args.range, "--range", log=args.log) if args.range else None
     system = build_system(dataset, library=_library_from_args(args), diff=_diff_spec_from_args(args))
-    grid = _parse_range(args.range, log=args.log) if args.range else default_grid(axis, system)
+    grid = default_grid(axis, system) if grid is None else grid
     truth = None
     if args.with_truth:
         truth = true_coefficients(scenario_from_metadata(dataset.metadata),

@@ -222,6 +222,34 @@ class TestCli:
             "error: a moving_average filter does not use butterworth_order")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option, text, message", [
+        ("--x-span", "5", "--x-span expects lo:hi, got '5'"),
+        ("--t-span", "0:1:2", "--t-span expects lo:hi, got '0:1:2'"),
+        ("--t-span", "0:b", "--t-span expects lo:hi, got '0:b'"),
+    ], ids=["too_few", "too_many", "not_a_number"])
+    def test_malformed_span_names_its_option(self, tmp_path, capsys, option, text, message):
+        code = self.run("simulate", "--family", "burgers", option, text, "--output", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_malformed_range_names_its_option(self, small_dataset, tmp_path, capsys):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("sweep", "--dataset", str(path), "--axis", "t_rms",
+                        "--range", "0.02:0.2:x", "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: --range expects lo:hi:count, got '0.02:0.2:x'\n"
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_malformed_window_range_names_its_option(self, small_dataset, tmp_path, capsys):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("sweep", "--dataset", str(path), "--filter", "moving_average",
+                        "--clean", str(path), "--windows", "3:9",
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: --windows expects start:stop:step, got '3:9'\n"
+        assert not list((tmp_path / "out").iterdir())
+
     def test_simulate_clean_no_twin(self, tmp_path, capsys):
         assert self.run("simulate", "--family", "ad", "--nx", "64", "--nt", "32",
                         "--output", str(tmp_path)) == 0

@@ -1,11 +1,14 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from scipy.special import gammaln, xlog1py  # the oracles of the binomial-law tests only
-from scipy.stats import binom
+from scipy.stats import binom  # the oracle of the binomial-law tests only
 
 from vcpde import uncertainty
 from vcpde.gibbs import MIN_RETAINED_DRAWS
 from vcpde.uncertainty import (
+    WEIGHT_FLOOR,
     BootstrapCI,
     bootstrap_median_ci,
     ensemble_bootstrap_cis,
@@ -19,6 +22,33 @@ from test_gibbs import synthetic_ensemble
 def spiky_draws(rng, n):
     """Draws with a tied block of spike zeros near the median, as a mostly-slab group gives."""
     return np.where(rng.random(n) < 0.48, 0.0, 1.0 + 0.3 * rng.standard_normal(n))
+
+
+def exact_rank_counts(n, floor):
+    """{(a, b): how many of the n**n resamples of the ranks 0..n-1 have np.median's middle
+    pair (a, b)}, in integers, for every pair counted more than `floor` times."""
+    k = (n + 1) // 2  # the median is the k-th smallest resampled rank, or its mean with the next
+    choose = [math.comb(n, i) for i in range(n + 1)]
+    below = []  # resamples whose k-th smallest rank is below j: at least k ranks are below j
+    for j in range(n + 1):
+        total, q_power = 0, 1
+        for i in range(n, k - 1, -1):  # sum of choose[i] j**i (n-j)**(n-i), by Horner's rule
+            total = total * j + choose[i] * q_power
+            q_power *= n - j
+        below.append(total * j**k)
+    kth = [hi - lo for lo, hi in zip(below, below[1:])]
+    if n % 2:
+        return {(a, a): c for a, c in enumerate(kth) if c > floor}
+    # a < b: k ranks are <= a, a among them, and the other n - k are >= b, b among them
+    low = [choose[k] * ((a + 1)**k - a**k) for a in range(n)]
+    high = [(n - b)**(n - k) - (n - b - 1)**(n - k) for b in range(n)]
+    counts = {(a, a): kth[a] - low[a] * (n - a - 1)**(n - k) for a in range(n)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if low[a] * high[b] <= floor:
+                break  # high falls as b grows, so every later pair is lighter
+            counts[a, b] = low[a] * high[b]
+    return {pair: c for pair, c in counts.items() if c > floor}
 
 
 class TestMedianRankWeights:
@@ -35,32 +65,24 @@ class TestMedianRankWeights:
         k, p = (n + 1) // 2, np.arange(n + 1) / n
         np.testing.assert_allclose(uncertainty._binom_cdf(k - 1, n, p), binom.cdf(k - 1, n, p),
                                    rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(uncertainty._binom_logpmf(k, n, p), binom.logpmf(k, n, p))
-
-    def test_lgam_is_gammaln_bit_for_bit(self):
-        # the integers take the recurrence and Stirling's series; other x also the [2, 3] fit
-        x = np.concatenate([np.arange(1.0, 10_001.0), np.linspace(0.01, 40.0, 4000)])
-        np.testing.assert_array_equal([uncertainty._lgam(v) for v in x.tolist()], gammaln(x))
-
-    def test_log1p_is_xlog1py_bit_for_bit(self):
-        x = np.linspace(-1.0, 1.0, 40_001)[1:]  # (-1, 1]
-        np.testing.assert_array_equal([uncertainty._log1p(v) for v in x.tolist()],
-                                      xlog1py(1.0, x))
+        np.testing.assert_allclose(uncertainty._binom_logpmf(k, n, p), binom.logpmf(k, n, p),
+                                   rtol=1e-11)
 
     @pytest.mark.parametrize("p", [0.35, [0.0, 0.5, 1.0 / 3.0]])
     def test_binom_cdf_rejects_p_off_the_grid(self, p):
         with pytest.raises(ValueError, match="grid"):
             uncertainty._binom_cdf(4, 10, np.asarray(p))
 
-    @pytest.mark.parametrize("n", [30, 31, 256, 257, 1000, 1001, 4000, 4001])
-    def test_weights_match_scipy_stats_binom(self, n, monkeypatch):
+    @pytest.mark.parametrize("n", [30, 31, 200, 201, 400, 401])
+    def test_weights_match_the_exact_law(self, n):
+        # each exact weight is an integer count over n**n, rounded once by the int division
+        total = n**n
+        exact = exact_rank_counts(n, math.floor(Fraction(WEIGHT_FLOOR) * total))
         a, b, w = median_rank_weights(n)
-        monkeypatch.setattr(uncertainty, "_binom_cdf", binom.cdf)
-        monkeypatch.setattr(uncertainty, "_binom_logpmf", binom.logpmf)
-        ref_a, ref_b, ref_w = median_rank_weights.__wrapped__(n)
-        np.testing.assert_array_equal(a, ref_a)
-        np.testing.assert_array_equal(b, ref_b)
-        np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-14)
+        pairs = list(zip(a.tolist(), b.tolist()))
+        for pair, weight in zip(pairs, w.tolist()):
+            assert abs(weight - exact.get(pair, 0) / total) <= 1.5e-15, pair
+        assert sum(exact[pair] for pair in exact.keys() - pairs) / total < 1e-15
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_weights_match_every_resample(self, n):
@@ -109,6 +131,21 @@ class TestBootstrapMedianCi:
             ci = bootstrap_median_ci(draws, level=level)
             for end, q in ((ci.lower, (1 - level) / 2), (ci.upper, (1 + level) / 2)):
                 assert w[medians < end].sum() < q <= w[medians <= end].sum()
+
+    def test_ends_match_those_of_scipy_stats_weights(self, monkeypatch):
+        # the weights only pick which draw values become the ends, so their last bits do not
+        rng = np.random.default_rng(19)
+        kinds = (rng.standard_normal, rng.standard_cauchy, lambda n: spiky_draws(rng, n),
+                 lambda n: np.round(rng.standard_normal(n), 2))
+        sets = [kind(n) for n in (30, 31, 800, 801) for kind in kinds for _ in range(63)]
+        ends = [(ci.lower, ci.upper) for ci in map(bootstrap_median_ci, sets)]
+        monkeypatch.setattr(uncertainty, "_binom_cdf", binom.cdf)
+        monkeypatch.setattr(uncertainty, "_binom_logpmf", binom.logpmf)
+        oracle = {n: median_rank_weights.__wrapped__(n) for n in (30, 31, 800, 801)}
+        monkeypatch.setattr(uncertainty, "median_rank_weights", oracle.__getitem__)
+        for draws, got in zip(sets, ends):
+            ci = bootstrap_median_ci(draws)
+            assert got == (ci.lower, ci.upper)
 
     def test_nesting_of_levels(self):
         rng = np.random.default_rng(3)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import rms_criterion
-from .library import CoefficientTrajectories, GroupedLinearSystem, normalize_columns
+from .library import CoefficientTrajectories, GroupedLinearSystem
 
 SGTR_MAX_ITERATIONS = 50  # ridge refits before thresholding gives up on a fixed point
 
@@ -69,12 +69,10 @@ def _ridge_fit(system: GroupedLinearSystem, active: np.ndarray, ridge: float) ->
 
 
 def sgtr(system: GroupedLinearSystem, config: SgtrConfig) -> CoefficientTrajectories:
-    """Per-step ridge fits with iterative group-rms thresholding to a fixed point.
-
-    A raw system is column-normalized first.
-    """
+    """Per-step ridge fits with iterative group-rms thresholding to a fixed point, on a
+    normalized system."""
     if not system.normalized:
-        system = normalize_columns(system)
+        raise ValueError("sgtr requires a column-normalized system")
 
     n_groups = system.n_groups
     active = np.arange(n_groups)

@@ -73,6 +73,8 @@ def _parse_span(text: str, option: str) -> tuple[float, float]:
 
 def _parse_range(text: str, option: str, log: bool = False) -> np.ndarray:
     lo, hi, count = _split(text, option, "lo:hi:count", float, float, int)
+    if count < 1:
+        raise ValueError(f"{option} expects a positive count, got {text!r}")
     if log:
         return np.logspace(np.log10(lo), np.log10(hi), count)
     return np.linspace(lo, hi, count)
@@ -80,6 +82,8 @@ def _parse_range(text: str, option: str, log: bool = False) -> np.ndarray:
 
 def _parse_int_range(text: str, option: str) -> list[int]:
     start, stop, step = _split(text, option, "start:stop:step", int, int, int)
+    if step < 1 or stop < start:
+        raise ValueError(f"{option} expects start <= stop and a positive step, got {text!r}")
     return list(range(start, stop + 1, step))
 
 
@@ -125,6 +129,17 @@ SAMPLER_OPTIONS = (
     ("--seed", int, "sampler seed"),
     ("--sgtr-ridge", float, None),
 )
+
+
+def _thresholds(args, method: str, swept: str | None = None) -> ThresholdSpec | None:
+    """--t-rms and --t-ge as a ThresholdSpec, 0.0 holding a swept one's place: always for
+    tbglss, and for another method only when either is given, for MethodConfig to reject."""
+    values = {"t_rms": args.t_rms, "t_ge": args.t_ge}
+    if swept in values:
+        values[swept] = 0.0
+    if method != "tbglss" and all(value is None for value in values.values()):
+        return None
+    return ThresholdSpec(**values)
 
 
 def _method_config(args, method: str, thresholds: ThresholdSpec | None = None,
@@ -181,11 +196,9 @@ def cmd_filter(args) -> int:
 def cmd_discover(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
     method = args.method or MethodConfig.method
-    wants_thresholds = method == "tbglss" or args.t_rms is not None or args.t_ge is not None
-    thresholds = ThresholdSpec(t_rms=args.t_rms, t_ge=args.t_ge) if wants_thresholds else None
     if args.dump_trace and method != "tbglss":
         raise ValueError(f"--dump-trace needs the tbglss method: {method} samples no draws")
-    method_config = _method_config(args, method, thresholds,
+    method_config = _method_config(args, method, _thresholds(args, method),
                                    keep_final_ensemble=bool(args.dump_trace))
     report = discover(
         dataset,
@@ -237,17 +250,15 @@ def cmd_sweep(args) -> int:
     if axis not in SWEEP_AXES:
         raise ValueError(f"--axis must be one of {SWEEP_AXES} (or use --filter)")
     grid = _parse_range(args.range, "--range", log=args.log) if args.range else None
+    method = AXIS_METHODS[axis]
+    method_config = _method_config(args, method, _thresholds(args, method, swept=axis))
     system = build_system(dataset, library=_library_from_args(args), diff=_diff_spec_from_args(args))
     grid = default_grid(axis, system) if grid is None else grid
     truth = None
     if args.with_truth:
         truth = true_coefficients(scenario_from_metadata(dataset.metadata),
                                   _library_from_args(args), step_coords=system.step_coords)
-    method = AXIS_METHODS[axis]
-    thresholds = None
-    if method == "tbglss":  # sweep sets the swept threshold at each point; 0.0 holds its place
-        thresholds = ThresholdSpec(**{"t_rms": args.t_rms, "t_ge": args.t_ge, axis: 0.0})
-    curve = sweep(system, axis, grid, _method_config(args, method, thresholds), truth=truth)
+    curve = sweep(system, axis, grid, method_config, truth=truth)
     stem = outdir / f"sweep_{axis}_{_dataset_stem(dataset.metadata)}"
     curve.to_csv(f"{stem}.csv")
     curve.to_json(f"{stem}.json")

@@ -38,40 +38,32 @@ def group_error_bar(beta_g: np.ndarray, s2_g: np.ndarray) -> float:
     return float(s2_g.sum() / norm_sq)
 
 
-def total_error_bar(beta: np.ndarray, s2: np.ndarray, active: np.ndarray | None = None) -> float:
-    """Sum of group error bars over the active groups; lower is more confident."""
+def total_error_bar(beta: np.ndarray, s2: np.ndarray) -> float:
+    """Sum of group error bars over the nonzero groups; lower is more confident."""
     beta = np.asarray(beta, dtype=float)
     s2 = np.asarray(s2, dtype=float)
     if beta.shape != s2.shape:
         raise ValueError("beta and s2 shapes differ")
-    if active is None:
-        active = ~np.all(beta == 0.0, axis=0)
     total = 0.0
-    for g in np.flatnonzero(active):
-        total += group_error_bar(beta[:, g], s2[:, g])  # raises on zero-norm active group
+    for g in np.flatnonzero(~np.all(beta == 0.0, axis=0)):
+        total += group_error_bar(beta[:, g], s2[:, g])
     return float(total)
 
 
-def aic_loss(
-    system: GroupedLinearSystem,
-    beta: np.ndarray,
-    k: int,
-    epsilon: float = DEFAULT_EPSILON,
-    n_obs: int | None = None,
-) -> float:
+def aic_loss(system: GroupedLinearSystem, beta: np.ndarray, k: int,
+             epsilon: float = DEFAULT_EPSILON) -> float:
     """N * ln(mean squared residual of the fully normalized system + eps) + 2k.
 
     `beta` is in the normalized column scaling of `system`; the target is
-    additionally scaled by its global L2 norm inside the loss only, and k
-    counts nonzero coefficients (active groups x steps).  N defaults to the
-    row count of the assembled system.
+    additionally scaled by its global L2 norm inside the loss only, k counts
+    nonzero coefficients (active groups x steps), and N is the row count of
+    the assembled system.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if beta.shape != (system.n_steps, system.n_groups):
         raise ValueError("beta shape does not match the system")
-    if n_obs is None:
-        n_obs = system.n_observations
+    n_obs = system.n_observations
     rss = system.residual_norm_sq(beta)
     yty = float((system.target**2).sum())
     return float(n_obs * np.log(rss / (yty * n_obs) + epsilon) + 2 * k)

@@ -3,12 +3,17 @@
 Each equation is stated once, as a term table: u_t = sum_k xi_k(s) Theta_k(u),
 with s the varying coordinate (t or x) and Theta_k a library term.  The
 solver integrates that table and `true_coefficients` reports it as the
-discovery's ground truth.  All three families are posed on periodic spatial
-domains and integrated pseudo-spectrally: one right-hand side takes Fourier
-derivatives in space and sums the table.  The non-stiff equations are advanced
-in time by the adaptive Dormand-Prince 5(4) pair with Shampine's quartic dense
-output, run operation for operation as `scipy.integrate.solve_ivp`'s RK45 runs
-it, so a solve returns scipy's bits without importing scipy.  The stiff
+discovery's ground truth.  Each family's factory returns its one built-in
+scenario on the grid, domain and solver options it is given.  Any other
+equation is a `PdeScenario` (or a `dataclasses.replace` of a built-in one)
+that states its terms and their formulas together, because
+`scenario_from_metadata` trusts a dataset's recorded formulas for its ground
+truth.  All three families are posed on periodic spatial domains and
+integrated pseudo-spectrally: one right-hand side takes Fourier derivatives
+in space and sums the table.  The non-stiff equations are advanced in time by
+the adaptive Dormand-Prince 5(4) pair with Shampine's quartic dense output,
+run operation for operation as `scipy.integrate.solve_ivp`'s RK45 runs it, so
+a solve returns scipy's bits without importing scipy.  The stiff
 fourth-derivative one is advanced by a fixed-step exponential fourth-order
 Runge-Kutta scheme (ETDRK4).
 """
@@ -98,108 +103,53 @@ class PdeScenario:
         }
 
 
-def burgers_scenario(
-    mu: Callable[[float], float] | None = None,
-    nu: float = 0.1,
-    initial_condition: Callable[[np.ndarray], np.ndarray] | None = None,
-    x_span: tuple[float, float] = (-8.0, 8.0),
-    t_span: tuple[float, float] = (0.0, 10.0),
-    n_x: int = 256,
-    n_t: int = 256,
-    mu_formula: str = "1 + sin(t)/4",
-    ic_formula: str = "exp(-(x+1)^2)",
-    **solver_options,
-) -> PdeScenario:
+def burgers_scenario(x_span: tuple[float, float] = (-8.0, 8.0),
+                     t_span: tuple[float, float] = (0.0, 10.0),
+                     n_x: int = 256, n_t: int = 256, **solver_options) -> PdeScenario:
     """u_t + mu(t) u u_x = nu u_xx, written as u_t = -mu(t) u u_x + nu u_xx."""
-    if mu is None:
-        mu = lambda t: 1.0 + np.sin(t) / 4.0
-    if initial_condition is None:
-        initial_condition = lambda x: np.exp(-((x + 1.0) ** 2))
     return PdeScenario(
-        family="burgers",
-        x_span=x_span,
-        t_span=t_span,
-        n_x=n_x,
-        n_t=n_t,
-        coefficient_formulas={"mu": mu_formula, "nu": repr(nu)},
-        initial_condition=initial_condition,
-        ic_formula=ic_formula,
-        varying_axis="time",
-        true_terms={"u*u_x": lambda t: -mu(t), "u_xx": lambda t: nu},
+        family="burgers", x_span=x_span, t_span=t_span, n_x=n_x, n_t=n_t,
+        true_terms={"u*u_x": lambda t: -(1.0 + np.sin(t) / 4.0), "u_xx": lambda t: 0.1},
+        coefficient_formulas={"mu": "1 + sin(t)/4", "nu": "0.1"},
+        initial_condition=lambda x: np.exp(-((x + 1.0) ** 2)),
+        ic_formula="exp(-(x+1)^2)", varying_axis="time",
         solver_options=solver_options,
     )
 
 
-def advection_diffusion_scenario(
-    mu: Callable[[np.ndarray], np.ndarray] | None = None,
-    mu_x: Callable[[np.ndarray], np.ndarray] | None = None,
-    nu: float = 0.1,
-    initial_condition: Callable[[np.ndarray], np.ndarray] | None = None,
-    x_span: tuple[float, float] = (-5.0, 5.0),
-    t_span: tuple[float, float] = (0.0, 5.0),
-    n_x: int = 256,
-    n_t: int = 256,
-    mu_formula: str = "-1.5 + cos(0.4*pi*x)",
-    ic_formula: str = "cos(0.4*pi*x)",
-    **solver_options,
-) -> PdeScenario:
+def advection_diffusion_scenario(x_span: tuple[float, float] = (-5.0, 5.0),
+                                 t_span: tuple[float, float] = (0.0, 5.0),
+                                 n_x: int = 256, n_t: int = 256,
+                                 **solver_options) -> PdeScenario:
     """u_t = (mu(x) u)_x + nu u_xx = mu_x u + mu u_x + nu u_xx."""
-    if mu is None:
-        mu = lambda x: -1.5 + np.cos(0.4 * np.pi * x)
-        mu_x = lambda x: -0.4 * np.pi * np.sin(0.4 * np.pi * x)
-    if mu_x is None:
-        raise ValueError("mu_x must be supplied alongside a custom mu")
     return PdeScenario(
-        family="advection_diffusion",
-        x_span=x_span,
-        t_span=t_span,
-        n_x=n_x,
-        n_t=n_t,
-        coefficient_formulas={"mu": mu_formula, "nu": repr(nu)},
-        initial_condition=initial_condition or (lambda x: np.cos(0.4 * np.pi * x)),
-        ic_formula=ic_formula,
-        varying_axis="space",
-        true_terms={"u": mu_x, "u_x": mu, "u_xx": lambda x: nu},
+        family="advection_diffusion", x_span=x_span, t_span=t_span, n_x=n_x, n_t=n_t,
+        true_terms={"u": lambda x: -0.4 * np.pi * np.sin(0.4 * np.pi * x),
+                    "u_x": lambda x: -1.5 + np.cos(0.4 * np.pi * x),
+                    "u_xx": lambda x: 0.1},
+        coefficient_formulas={"mu": "-1.5 + cos(0.4*pi*x)", "nu": "0.1"},
+        initial_condition=lambda x: np.cos(0.4 * np.pi * x),
+        ic_formula="cos(0.4*pi*x)", varying_axis="space",
         solver_options=solver_options,
     )
 
 
-def ks_scenario(
-    alpha: Callable[[np.ndarray], np.ndarray] | None = None,
-    beta: Callable[[np.ndarray], np.ndarray] | None = None,
-    gamma: Callable[[np.ndarray], np.ndarray] | None = None,
-    initial_condition: Callable[[np.ndarray], np.ndarray] | None = None,
-    x_span: tuple[float, float] = (-20.0, 20.0),
-    t_span: tuple[float, float] = (0.0, 200.0),
-    n_x: int = 256,
-    n_t: int = 256,
-    retain_t_from: float | None = 100.0,
-    **solver_options,
-) -> PdeScenario:
-    """u_t = alpha(x) u u_x + beta(x) u_xx + gamma(x) u_xxxx (chaotic for defaults)."""
-    if alpha is None:
-        alpha = lambda x: 1.0 + 0.25 * np.sin(0.1 * np.pi * x)
-    if beta is None:
-        beta = lambda x: -1.0 + 0.25 * np.exp(-((x - 2.0) ** 2) / 5.0)
-    if gamma is None:
-        gamma = lambda x: -1.0 - 0.25 * np.exp(-((x + 2.0) ** 2) / 5.0)
+def ks_scenario(x_span: tuple[float, float] = (-20.0, 20.0),
+                t_span: tuple[float, float] = (0.0, 200.0),
+                n_x: int = 256, n_t: int = 256, retain_t_from: float | None = 100.0,
+                **solver_options) -> PdeScenario:
+    """u_t = alpha(x) u u_x + beta(x) u_xx + gamma(x) u_xxxx (chaotic)."""
     return PdeScenario(
-        family="kuramoto_sivashinsky",
-        x_span=x_span,
-        t_span=t_span,
-        n_x=n_x,
-        n_t=n_t,
-        coefficient_formulas={
-            "alpha": "1 + 0.25*sin(0.1*pi*x)",
-            "beta": "-1 + 0.25*exp(-(x-2)^2/5)",
-            "gamma": "-1 - 0.25*exp(-(x+2)^2/5)",
-        },
-        initial_condition=initial_condition or (lambda x: np.exp(-(x**2))),
-        ic_formula="exp(-x^2)",
-        varying_axis="space",
-        true_terms={"u*u_x": alpha, "u_xx": beta, "u_xxxx": gamma},
-        retain_t_from=retain_t_from,
-        solver_options=solver_options,
+        family="kuramoto_sivashinsky", x_span=x_span, t_span=t_span, n_x=n_x, n_t=n_t,
+        true_terms={"u*u_x": lambda x: 1.0 + 0.25 * np.sin(0.1 * np.pi * x),
+                    "u_xx": lambda x: -1.0 + 0.25 * np.exp(-((x - 2.0) ** 2) / 5.0),
+                    "u_xxxx": lambda x: -1.0 - 0.25 * np.exp(-((x + 2.0) ** 2) / 5.0)},
+        coefficient_formulas={"alpha": "1 + 0.25*sin(0.1*pi*x)",
+                              "beta": "-1 + 0.25*exp(-(x-2)^2/5)",
+                              "gamma": "-1 - 0.25*exp(-(x+2)^2/5)"},
+        initial_condition=lambda x: np.exp(-(x**2)),
+        ic_formula="exp(-x^2)", varying_axis="space",
+        retain_t_from=retain_t_from, solver_options=solver_options,
     )
 
 

@@ -85,13 +85,14 @@ class TestSgtr:
         with pytest.raises(np.linalg.LinAlgError, match="ridge"):
             sgtr(system, SgtrConfig(threshold=0.01, ridge=0.0))
 
-    def test_normalizes_raw_system(self):
+    def test_raw_system_rejected(self):
         rng = np.random.default_rng(5)
         blocks = rng.standard_normal((3, 10, 4))
         target = 3.0 * blocks[:, :, 2]
         raw = GroupedLinearSystem(blocks, target, ("a", "b", "c", "d"), "time", np.arange(3.0))
-        trajectories = sgtr(raw, SgtrConfig(threshold=0.05))
-        assert trajectories.selected == ("c",)
+        with pytest.raises(ValueError, match="sgtr requires a column-normalized system"):
+            sgtr(raw, SgtrConfig(threshold=0.05))
+        assert sgtr(normalize_columns(raw), SgtrConfig(threshold=0.05)).selected == ("c",)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -235,19 +235,46 @@ class TestCli:
 
     def test_malformed_range_names_its_option(self, small_dataset, tmp_path, capsys):
         path = save_dataset(small_dataset, tmp_path / "d.json")
-        code = self.run("sweep", "--dataset", str(path), "--axis", "t_rms",
-                        "--range", "0.02:0.2:x", "--output", str(tmp_path / "out"))
-        assert code == 1
-        assert capsys.readouterr().err == "error: --range expects lo:hi:count, got '0.02:0.2:x'\n"
+        lowpass = ["--filter", "zero_phase_lowpass", "--clean", str(path)]
+        for argv, message in [
+            (["--axis", "t_rms", "--range", "0.02:0.2:x"],
+             "--range expects lo:hi:count, got '0.02:0.2:x'"),
+            (["--axis", "t_rms", "--range", "0.1:0.2:0"],
+             "--range expects a positive count, got '0.1:0.2:0'"),
+            (["--axis", "t_rms", "--range=0.1:0.2:-1"],
+             "--range expects a positive count, got '0.1:0.2:-1'"),
+            ([*lowpass, "--cutoffs=0.1:0.2:0"],
+             "--cutoffs expects a positive count, got '0.1:0.2:0'"),
+        ]:
+            code = self.run("sweep", "--dataset", str(path), *argv,
+                            "--output", str(tmp_path / "out"))
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not list((tmp_path / "out").iterdir())
 
     def test_malformed_window_range_names_its_option(self, small_dataset, tmp_path, capsys):
         path = save_dataset(small_dataset, tmp_path / "d.json")
-        code = self.run("sweep", "--dataset", str(path), "--filter", "moving_average",
-                        "--clean", str(path), "--windows", "3:9",
+        for text, expects in [("3:9", "start:stop:step"),
+                              ("3:9:0", "start <= stop and a positive step"),
+                              ("9:3:2", "start <= stop and a positive step")]:
+            code = self.run("sweep", "--dataset", str(path), "--filter", "moving_average",
+                            "--clean", str(path), "--windows", text,
+                            "--output", str(tmp_path / "out"))
+            assert code == 1
+            assert capsys.readouterr().err == f"error: --windows expects {expects}, got {text!r}\n"
+        assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("axis, method", [("sgtr_threshold", "sgtr"),
+                                              ("lambda", "group_lasso")])
+    def test_baseline_sweep_rejects_thresholds(self, small_dataset, tmp_path, capsys,
+                                                axis, method):
+        # as discover --method sgtr --t-ge does: only tbglss reads the thresholds
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("sweep", "--dataset", str(path), "--axis", axis,
+                        "--range", "0.01:0.1:2", "--t-ge", "0.1",
                         "--output", str(tmp_path / "out"))
         assert code == 1
-        assert capsys.readouterr().err == "error: --windows expects start:stop:step, got '3:9'\n"
+        assert capsys.readouterr().err == f"error: {method} does not use thresholds\n"
         assert not list((tmp_path / "out").iterdir())
 
     def test_simulate_clean_no_twin(self, tmp_path, capsys):

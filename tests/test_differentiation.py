@@ -163,9 +163,13 @@ class TestDerivativeStack:
 
     def test_polyfit_width_self_consistency(self):
         # clean smooth data: u_x from width-7 and width-9 quartic windows agree closely
+        from dataclasses import replace
+
         from vcpde.solvers import burgers_scenario, solve
 
-        smooth = solve(burgers_scenario(mu=lambda t: 0.0, mu_formula="0"))
+        smooth = solve(replace(burgers_scenario(),
+                               true_terms={"u*u_x": lambda t: 0.0, "u_xx": lambda t: 0.1},
+                               coefficient_formulas={"mu": "0", "nu": "0.1"}))
         s7 = build_derivative_stack(smooth, method="poly_fit", space_width=7, space_degree=4)
         s9 = build_derivative_stack(smooth, method="poly_fit", space_width=9, space_degree=4)
         a = s7.space[1][2:-2, :]  # restrict to the common interior

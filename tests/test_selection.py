@@ -88,20 +88,15 @@ class TestTotalErrorBar:
         assert total_error_bar(beta, s2) == pytest.approx(0.04)
 
     def test_disjoint_additivity(self):
+        # zeroed columns leave a group out of the sum
         rng = np.random.default_rng(0)
         beta = rng.standard_normal((3, 4))
         s2 = rng.random((3, 4))
-        left = np.array([True, True, False, False])
-        right = ~left
-        total = total_error_bar(beta, s2, np.ones(4, dtype=bool))
-        assert total == pytest.approx(
-            total_error_bar(beta, s2, left) + total_error_bar(beta, s2, right))
-
-    def test_active_zero_norm_rejected(self):
-        beta = np.zeros((3, 2))
-        beta[:, 0] = 1.0
-        with pytest.raises(ValueError):
-            total_error_bar(beta, np.ones((3, 2)), np.array([True, True]))
+        left, right = beta.copy(), beta.copy()
+        left[:, 2:] = 0.0
+        right[:, :2] = 0.0
+        assert total_error_bar(beta, s2) == pytest.approx(
+            total_error_bar(left, s2) + total_error_bar(right, s2))
 
 
 def make_trajectories(values, coords=None):

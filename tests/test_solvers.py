@@ -1,4 +1,6 @@
 import hashlib
+import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +29,10 @@ def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def zero_start(scenario):
+    return replace(scenario, initial_condition=lambda x: np.zeros_like(x), ic_formula="0")
+
+
 class TestBurgers:
     def test_pulse_stays_bounded(self, burgers_field):
         assert np.abs(burgers_field.values).max() <= 1.0 + 1e-9
@@ -38,14 +44,14 @@ class TestBurgers:
         assert last > first + 1.0
 
     def test_zero_initial_data(self):
-        sc = burgers_scenario(initial_condition=lambda x: np.zeros_like(x), ic_formula="0",
-                              n_x=64, n_t=32)
-        f = solve(sc)
+        f = solve(zero_start(burgers_scenario(n_x=64, n_t=32)))
         assert np.abs(f.values).max() < 1e-12
 
     def test_heat_kernel_oracle(self):
         # mu == 0 reduces to the heat equation; the Gaussian widens analytically
-        sc = burgers_scenario(mu=lambda t: 0.0, mu_formula="0", n_x=128, n_t=64)
+        sc = replace(burgers_scenario(n_x=128, n_t=64),
+                     true_terms={"u*u_x": lambda t: 0.0, "u_xx": lambda t: 0.1},
+                     coefficient_formulas={"mu": "0", "nu": "0.1"})
         f = solve(sc)
         a0, nu = 0.25, 0.1
         x = f.x_coords
@@ -59,17 +65,17 @@ class TestBurgers:
 
 class TestAdvectionDiffusion:
     def test_zero_initial_data(self):
-        sc = advection_diffusion_scenario(initial_condition=lambda x: np.zeros_like(x),
-                                          ic_formula="0", n_x=64, n_t=32)
-        f = solve(sc)
+        f = solve(zero_start(advection_diffusion_scenario(n_x=64, n_t=32)))
         assert np.abs(f.values).max() < 1e-12
 
     def test_constant_advection_translation_oracle(self):
         c = -1.5
-        sc = advection_diffusion_scenario(
-            mu=lambda x: np.full_like(np.asarray(x, float), c),
-            mu_x=lambda x: np.zeros_like(np.asarray(x, float)),
-            nu=0.0, mu_formula=repr(c), n_x=128, n_t=64, t_span=(0.0, 2.0),
+        sc = replace(
+            advection_diffusion_scenario(n_x=128, n_t=64, t_span=(0.0, 2.0)),
+            true_terms={"u": lambda x: np.zeros_like(np.asarray(x, float)),
+                        "u_x": lambda x: np.full_like(np.asarray(x, float), c),
+                        "u_xx": lambda x: 0.0},
+            coefficient_formulas={"mu": repr(c), "nu": "0.0"},
             initial_condition=lambda x: np.exp(-(x**2)), ic_formula="exp(-x^2)",
         )
         f = solve(sc)
@@ -87,9 +93,8 @@ class TestAdvectionDiffusion:
 
 class TestKuramotoSivashinsky:
     def test_zero_initial_data(self):
-        sc = ks_scenario(initial_condition=lambda x: np.zeros_like(x), n_x=64, n_t=32,
-                         t_span=(0.0, 10.0), retain_t_from=None)
-        f = solve(sc)
+        f = solve(zero_start(ks_scenario(n_x=64, n_t=32, t_span=(0.0, 10.0),
+                                         retain_t_from=None)))
         assert np.abs(f.values).max() < 1e-12
 
     def test_chaotic_amplitude_late(self, ks_clean):
@@ -124,7 +129,9 @@ class TestBlowupDiagnostics:
     def test_antidiffusion_blowup_named(self, monkeypatch):
         from vcpde.solvers import SolverBlowupError
 
-        sc = advection_diffusion_scenario(nu=-5.0, n_x=64, n_t=32, t_span=(0.0, 2.0))
+        sc = advection_diffusion_scenario(n_x=64, n_t=32, t_span=(0.0, 2.0))
+        sc = replace(sc, true_terms={**sc.true_terms, "u_xx": lambda x: -5.0},
+                     coefficient_formulas={**sc.coefficient_formulas, "nu": "-5.0"})
         calls = capture_rk45(monkeypatch)
         with pytest.raises(SolverBlowupError, match="t=") as caught:
             solve(sc)
@@ -279,6 +286,20 @@ class TestFamilyTable:
         rebuilt = scenario_from_metadata(sc.metadata())
         assert rebuilt.metadata() == sc.metadata()
 
+    @pytest.mark.parametrize("name, grid", [
+        ("burgers", {}), ("burgers", {"n_x": 64, "n_t": 48, "t_span": (0.0, 4.0)}),
+        ("ad", {}), ("ad", {"n_x": 128, "n_t": 64, "x_span": (-10.0, 10.0)}),
+        ("ks", {}), ("ks", {"n_x": 64, "n_t": 64, "t_span": (0.0, 40.0)}),
+    ])
+    def test_scenario_from_metadata_gives_the_truth_bit_for_bit(self, name, grid, library20):
+        sc = make_scenario(name, **grid)
+        expected = true_coefficients(sc, library20)
+        rebuilt = true_coefficients(scenario_from_metadata(sc.metadata()), library20)
+        for attribute in ("values", "active", "step_coords"):
+            assert getattr(rebuilt, attribute).tobytes() == getattr(expected, attribute).tobytes()
+        assert (rebuilt.descriptors, rebuilt.varying_axis) == (
+            expected.descriptors, expected.varying_axis)
+
     def test_scenario_from_metadata_needs_builtin_coefficients(self):
         metadata = make_scenario("burgers").metadata()
         metadata["coefficients"] = {**metadata["coefficients"], "nu": "0.2"}
@@ -300,11 +321,26 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("factory,option", [
         (burgers_scenario, "rtoll"), (advection_diffusion_scenario, "dt"),
         (ks_scenario, "d_t"), (ks_scenario, "rtol"),
+        # each factory is its family's one built-in scenario: a coefficient or initial
+        # condition is not an option, and another equation is a replace() of terms and formulas
+        *[(burgers_scenario, name) for name in
+          ("mu", "nu", "initial_condition", "mu_formula", "ic_formula")],
+        *[(advection_diffusion_scenario, name) for name in
+          ("mu", "mu_x", "nu", "initial_condition", "mu_formula", "ic_formula")],
+        *[(ks_scenario, name) for name in ("alpha", "beta", "gamma", "initial_condition")],
     ])
     def test_option_the_integrator_does_not_read_rejected(self, factory, option):
         # RK45 (Burgers, advection-diffusion) reads rtol and atol; ETDRK4 (KS) reads dt
         with pytest.raises(ValueError, match=f"does not read \\['{option}'\\]"):
             factory(**{option: 0.5})
+
+    @pytest.mark.parametrize("factory, extra", [
+        (burgers_scenario, []), (advection_diffusion_scenario, []),
+        (ks_scenario, ["retain_t_from"]),
+    ], ids=["burgers", "advection_diffusion", "ks"])
+    def test_factories_take_only_grid_domain_and_solver_options(self, factory, extra):
+        assert list(inspect.signature(factory).parameters) == [
+            "x_span", "t_span", "n_x", "n_t", *extra, "solver_options"]
 
     def test_options_the_integrator_reads_recorded(self):
         assert burgers_scenario(rtol=1e-6, atol=1e-9).metadata()["solver_options"] == {

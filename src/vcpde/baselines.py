@@ -56,8 +56,7 @@ class GroupLassoConfig:
 
 def _ridge_fit(system: GroupedLinearSystem, active: np.ndarray, ridge: float) -> np.ndarray:
     """Batched per-step ridge solve on the active columns; (m, len(active))."""
-    gram = system.gram()[:, active[:, None], active]
-    cty = system.design_target()[:, active]
+    gram, cty = system.group_products(active)
     k = active.size
     lhs = gram + ridge * np.eye(k)[None, :, :]
     try:

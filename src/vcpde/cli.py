@@ -76,6 +76,8 @@ def _parse_range(text: str, option: str, log: bool = False) -> np.ndarray:
     if count < 1:
         raise ValueError(f"{option} expects a positive count, got {text!r}")
     if log:
+        if not (lo > 0 and hi > 0):
+            raise ValueError(f"{option} with --log expects positive bounds, got {text!r}")
         return np.logspace(np.log10(lo), np.log10(hi), count)
     return np.linspace(lo, hi, count)
 
@@ -222,6 +224,12 @@ def cmd_discover(args) -> int:
     return 0
 
 
+def _truth(dataset, library: LibrarySpec, system):
+    """The built-in ground truth of the scenario `dataset` records, on `system`'s steps."""
+    return true_coefficients(scenario_from_metadata(dataset.metadata), library,
+                             step_coords=system.step_coords)
+
+
 def cmd_sweep(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
     outdir = _out_root(args.output)
@@ -254,10 +262,7 @@ def cmd_sweep(args) -> int:
     method_config = _method_config(args, method, _thresholds(args, method, swept=axis))
     system = build_system(dataset, library=_library_from_args(args), diff=_diff_spec_from_args(args))
     grid = default_grid(axis, system) if grid is None else grid
-    truth = None
-    if args.with_truth:
-        truth = true_coefficients(scenario_from_metadata(dataset.metadata),
-                                  _library_from_args(args), step_coords=system.step_coords)
+    truth = _truth(dataset, _library_from_args(args), system) if args.with_truth else None
     curve = sweep(system, axis, grid, method_config, truth=truth)
     stem = outdir / f"sweep_{axis}_{_dataset_stem(dataset.metadata)}"
     curve.to_csv(f"{stem}.csv")
@@ -306,9 +311,9 @@ def cmd_reproduce(args) -> int:
                 print(f"[{cell}] {report.rendered_equation()}")
 
     if wanted("ad_tge_sweep"):
-        system = build_system(data("advection_diffusion", 0.02))
-        truth = true_coefficients(make_scenario("advection_diffusion"), LibrarySpec.standard(),
-                                  step_coords=system.step_coords)
+        dataset = data("advection_diffusion", 0.02)
+        system = build_system(dataset)
+        truth = _truth(dataset, LibrarySpec.standard(), system)
         base = _method_config(args, "tbglss", ThresholdSpec(t_rms=0.01))
         curve = sweep(system, "t_ge", default_grid("t_ge"), base, truth=truth)
         curve.to_csv(outdir / "ad_tge_sweep.csv")
@@ -415,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="run one discovery method on a dataset")
     p.add_argument("--dataset", default=None)
     p.add_argument("--with-ci", action="store_true",
-                   help="embed bootstrap confidence intervals in the report")
+                   help="embed bootstrap intervals of each posterior median: its Monte Carlo "
+                        "error, not a band for the true coefficient (that is stdev)")
     p.add_argument("--dump-trace", default=None, metavar="FILE",
                    help="also dump the final chain's retained draws (.npz or .csv); "
                         "nothing is written when no term is selected")

@@ -97,8 +97,8 @@ class PosteriorEnsemble:
 def sample_posterior(system: GroupedLinearSystem, config: BglssConfig,
                      groups=None) -> PosteriorEnsemble:
     """Run the block Gibbs sampler on a normalized grouped system, on its groups `groups` alone
-    (every group when None).  The draws are those of `system.subsystem(groups)` bit for bit,
-    but no block is copied: the sampler reads only `system.group_products(groups)`."""
+    (every group when None).  The draws are bit for bit those of a system of those groups'
+    blocks alone, but no block is copied: the sampler reads `system.group_products(groups)`."""
     if not system.normalized:
         raise ValueError("sample_posterior requires a column-normalized system")
     groups = np.arange(system.n_groups) if groups is None else np.asarray(groups, dtype=int)
@@ -120,8 +120,8 @@ def _run_chain(system: GroupedLinearSystem, config: BglssConfig,
                groups: np.ndarray) -> PosteriorEnsemble:
     """One chain on the groups `groups` of `system`.  Its draws and random stream are
     bit-identical to those of the plain step-major kernel the tests keep as reference, run on
-    `system.subsystem(groups)`: every value below is computed by the same floating-point
-    operations, in the same order, only into buffers."""
+    a system of those groups' blocks alone: every value below is computed by the same
+    floating-point operations, in the same order, only into buffers."""
     m, n = system.target.shape
     n_groups = groups.size
     gram, cty = system.group_products(groups)

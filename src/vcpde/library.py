@@ -194,45 +194,28 @@ class GroupedLinearSystem:
         return self._cache["eigh"]
 
     def _products(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Gram and Theta^T y, computed once (a subsystem's are set by `subsystem`)."""
+        """The Gram and Theta^T y, computed once."""
         if "gram" not in self._cache:
-            self._set_products(*_group_major_products(self.blocks, self.target))
+            gram, cty = _group_major_products(self.blocks, self.target)
+            gram.flags.writeable = cty.flags.writeable = False
+            self._cache.update(gram=gram, cty=cty)
         return self._cache["gram"], self._cache["cty"]
-
-    def _set_products(self, gram: np.ndarray, cty: np.ndarray) -> None:
-        gram.flags.writeable = cty.flags.writeable = False
-        self._cache.update(gram=gram, cty=cty)
 
     def group_products(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """The Gram and Theta^T y of the groups `indices` alone, (m, k, k) and (m, k): slices of
-        this system's, bit-identical to computing them from `subsystem(indices)`'s own blocks."""
+        this system's, bit-identical to those computed from `blocks[:, :, indices]`."""
         indices = np.asarray(indices, dtype=int)
         gram, cty = self.gram(), self.design_target()
         return gram[:, indices[:, None], indices], cty[:, indices]
-
-    def subsystem(self, indices: np.ndarray) -> "GroupedLinearSystem":
-        """Restrict to a subset of groups (columns deleted for removed groups).
-
-        The blocks are copied; the Gram and Theta^T y are `group_products(indices)`.
-        """
-        indices = np.asarray(indices, dtype=int)
-        sub = replace(
-            self,
-            blocks=self.blocks[:, :, indices],
-            descriptors=tuple(self.descriptors[i] for i in indices),
-            scales=None if self.scales is None else self.scales[:, indices],
-        )
-        sub._set_products(*self.group_products(indices))
-        return sub
 
 
 def _group_major_products(blocks: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-step Gram and Theta^T y, summed in group-major order, CHUNK_STEPS steps at a time.
 
     `einsum`'s summation order follows the memory layout of its operands.
-    Indexing the group axis (`subsystem`) lays the blocks out group-major, so
-    computing on a group-major copy makes every slice of the result
-    bit-identical to the products computed from a subsystem's own blocks.
+    Indexing the group axis (`blocks[:, :, indices]`) lays the blocks out
+    group-major, so computing on a group-major copy makes every slice of the
+    result bit-identical to the products computed from those indexed blocks.
     Each step is independent, so chunking the steps changes no bit and
     bounds the copy.
     """

@@ -88,6 +88,21 @@ def filter_dataset(dataset: Dataset, spec: FilterSpec) -> Dataset:
 
 
 SMOOTHING_NOISE_LEVEL = 0.005  # heavy-smoothing tier starts here
+# The fit windows and degrees that neither the tier nor the caller sets.
+POLY_FIT_DEFAULTS = {"space_width": 9, "space_degree": 4, "time_width": 5, "time_degree": 3}
+
+
+def _tier(noise_level: float, filtered: bool) -> dict:
+    """The `auto` method's settings for data at `noise_level`, `filtered` if already denoised."""
+    if noise_level == 0:
+        return {"method": "finite_difference"}
+    if filtered:
+        # data already denoised upstream: widen the fit slightly, no prefilter
+        return {"method": "poly_fit", "space_width": 19, "space_degree": 4}
+    if noise_level < SMOOTHING_NOISE_LEVEL:
+        return {"method": "poly_fit"}
+    return {"method": "poly_fit", "space_width": 17, "space_degree": 4, "time_width": 9,
+            "time_degree": 3, "prefilter_time": (21, 3), "prefilter_space": (9, 4)}
 
 
 @dataclass(frozen=True)
@@ -97,37 +112,31 @@ class DifferentiationSpec:
     Tiers: clean data uses centered finite differences; barely-noisy data
     (below 0.5% of sigma_u) uses narrow local polynomial fits; noisier data
     additionally smooths the field along both axes first and widens the fit
-    windows.
+    windows.  A field left as None is set by `resolve`.
     """
 
     method: str = "auto"  # auto | finite_difference | poly_fit
-    space_width: int = 9
-    space_degree: int = 4
-    time_width: int = 5
-    time_degree: int = 3
+    space_width: int | None = None
+    space_degree: int | None = None
+    time_width: int | None = None
+    time_degree: int | None = None
     prefilter_time: tuple[int, int] | None = None  # (window, degree) SG along time
     prefilter_space: tuple[int, int] | None = None
 
     def resolve(self, noise_level: float, filtered: bool = False) -> "DifferentiationSpec":
-        if self.method != "auto":
-            return self
-        if noise_level == 0:
-            return replace(self, method="finite_difference")
-        if filtered:
-            # data already denoised upstream: widen the fit slightly, no prefilter
-            return replace(self, method="poly_fit", space_width=19, space_degree=4)
-        if noise_level < SMOOTHING_NOISE_LEVEL:
-            return replace(self, method="poly_fit")
-        return replace(
-            self,
-            method="poly_fit",
-            space_width=17,
-            space_degree=4,
-            time_width=9,
-            time_degree=3,
-            prefilter_time=(21, 3),
-            prefilter_space=(9, 4),
-        )
+        """Every field set: POLY_FIT_DEFAULTS, overridden by the tier of the data (for the
+        `auto` method only), overridden by the fields set here."""
+        given = {name: value for name, value in asdict(self).items()
+                 if value is not None and name != "method"}
+        tier = _tier(noise_level, filtered) if self.method == "auto" else {"method": self.method}
+        return DifferentiationSpec(**{**POLY_FIT_DEFAULTS, **tier, **given})
+
+
+def _resolved_differentiation(dataset: Dataset,
+                              diff: DifferentiationSpec | None) -> DifferentiationSpec:
+    """`diff` (all automatic when None) resolved for the dataset's noise level and filtering."""
+    return (diff or DifferentiationSpec()).resolve(dataset.noise_level,
+                                                   bool(dataset.metadata.get("filters")))
 
 
 def build_system(
@@ -140,8 +149,7 @@ def build_system(
     The design is allocated once, step-major, and normalized in place.
     """
     library = library or LibrarySpec.standard()
-    already_filtered = bool(dataset.metadata.get("filters"))
-    diff = (diff or DifferentiationSpec()).resolve(dataset.noise_level, already_filtered)
+    diff = _resolved_differentiation(dataset, diff)
     field_used = dataset.field
     if diff.prefilter_time is not None:
         w, d = diff.prefilter_time
@@ -190,9 +198,7 @@ def discover(dataset: Dataset, method_config: MethodConfig, system: GroupedLinea
     """
     resolved_diff = None
     if system is None:
-        resolved_diff = (diff or DifferentiationSpec()).resolve(
-            dataset.noise_level, bool(dataset.metadata.get("filters"))
-        )
+        resolved_diff = _resolved_differentiation(dataset, diff)
         system = build_system(dataset, library=library, diff=resolved_diff)
     provenance = {
         "dataset_id": dataset.dataset_id(),

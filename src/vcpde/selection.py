@@ -50,7 +50,7 @@ class MethodConfig:
     update_iterations: int = 200  # screening chains
     update_burnin: int = 50
     final_chains: int = 1
-    with_ci: bool = False  # bootstrap confidence intervals in the report
+    with_ci: bool = False  # bootstrap intervals of the posterior medians in the report
     keep_final_ensemble: bool = False
     # sgtr / group_lasso: fixed parameter, or None to select by lowest loss over a grid
     sgtr_threshold: float | None = None

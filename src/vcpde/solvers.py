@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -408,7 +408,8 @@ def make_scenario(family: str, n_x: int | None = None, n_t: int | None = None,
 
 
 def scenario_from_metadata(metadata: dict) -> PdeScenario:
-    """Rebuild a built-in scenario from dataset metadata (for ground truth)."""
+    """Rebuild a built-in scenario from dataset metadata (for ground truth): its grid, domain,
+    retained window and solver options are the recorded ones, the built-in ones if absent."""
     family = metadata.get("family")
     if family not in FAMILIES:
         raise ValueError(f"cannot rebuild scenario for family {family!r}")
@@ -417,8 +418,11 @@ def scenario_from_metadata(metadata: dict) -> PdeScenario:
         metadata.get("initial_condition") != reference.ic_formula
     ):
         raise ValueError("ground truth is only available for the built-in scenario coefficients")
-    return make_scenario(family, metadata["n_x"], metadata["n_t"],
-                         tuple(metadata["x_span"]), tuple(metadata["t_span"]))
+    recorded = {key: metadata[key] for key in ("n_x", "n_t", "retain_t_from") if key in metadata}
+    recorded.update({key: tuple(metadata[key]) for key in ("x_span", "t_span") if key in metadata})
+    if "solver_options" in metadata:
+        recorded["solver_options"] = dict(metadata["solver_options"])
+    return replace(reference, **recorded)
 
 
 def solve(scenario: PdeScenario) -> SpatioTemporalField:

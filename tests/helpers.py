@@ -1,5 +1,7 @@
-"""Dense, least-squares, Monte Carlo and reference-sampler oracles that the tests check the
-package against, and a driver for the thresholding loop."""
+"""Dense, subsystem, least-squares, Monte Carlo and reference-sampler oracles that the tests
+check the package against, and a driver for the thresholding loop."""
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import expit
@@ -17,6 +19,19 @@ def dense(system: GroupedLinearSystem) -> np.ndarray:
     for i in range(m):
         out[i * n : (i + 1) * n, i * g : (i + 1) * g] = system.blocks[i]
     return out
+
+
+def subsystem(system: GroupedLinearSystem, indices) -> GroupedLinearSystem:
+    """The groups `indices` of `system` as a system of their own: blocks, descriptors and
+    scales indexed out of `system`'s.  It computes its own Gram and Theta^T y from those
+    blocks, the independent computation that `system.group_products(indices)` must equal."""
+    indices = np.asarray(indices, dtype=int)
+    return replace(
+        system,
+        blocks=system.blocks[:, :, indices],
+        descriptors=tuple(system.descriptors[i] for i in indices),
+        scales=None if system.scales is None else system.scales[:, indices],
+    )
 
 
 def lstsq_trajectories(system: GroupedLinearSystem) -> np.ndarray:

@@ -14,7 +14,7 @@ from vcpde.baselines import (
 from vcpde.library import GroupedLinearSystem, normalize_columns
 
 from conftest import random_grouped_system
-from helpers import lstsq_trajectories
+from helpers import lstsq_trajectories, subsystem
 
 
 def noiseless_system(seed=0, n_steps=4, n_rows=16, n_groups=6):
@@ -71,7 +71,7 @@ class TestSgtr:
         system, _ = noiseless_system()
         config = SgtrConfig(threshold=0.05)
         first = sgtr(system, config)
-        again = sgtr(system.subsystem(np.flatnonzero(first.active)), config)
+        again = sgtr(subsystem(system, np.flatnonzero(first.active)), config)
         np.testing.assert_allclose(again.values, first.values[:, first.active], atol=1e-10)
 
     def test_singular_gram_suggests_ridge(self):

@@ -301,6 +301,18 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "tbglss_burgers_noise0_seed0.json").read_text())
         assert report["provenance"]["dataset"]["family"] == "burgers"
 
+    def test_discover_records_a_width_given_with_auto(self, small_burgers_clean, tmp_path):
+        # at 1% noise the tier smooths first and widens the fits, but the width given wins
+        path = save_dataset(noisy_dataset(small_burgers_clean, 0.01, seed=0), tmp_path / "d.json")
+        code = self.run("discover", "--dataset", str(path), "--method", "sgtr",
+                        "--sgtr-threshold", "0.05", "--space-width", "13",
+                        "--output", str(tmp_path / "out"))
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "sgtr_burgers_noise0.01_seed0.json").read_text())
+        assert report["provenance"]["differentiation"] == {
+            "method": "poly_fit", "space_width": 13, "space_degree": 4, "time_width": 9,
+            "time_degree": 3, "prefilter_time": [21, 3], "prefilter_space": [9, 4]}
+
     @pytest.mark.parametrize("extra,says", [
         ([], []),
         (["--dump-trace", "trace.npz"], ["no trace written: no terms selected"]),
@@ -355,14 +367,17 @@ class TestCli:
                          "--axis", "t_rms", "--range", "0.05:0.2:0", "--output", str(tmp_path / "sw"))
         assert empty == 1
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in log10")
     def test_sweep_rejects_a_non_finite_grid(self, tmp_path, capsys):
+        # a log range with a bound at or below 0 is rejected before numpy takes its log
         self.run("simulate", "--family", "burgers", "--nx", "64", "--nt", "48",
                  "--t-span", "0:4", "--output", str(tmp_path))
-        code = self.run("sweep", "--dataset", str(tmp_path / "burgers_noise0_seed0.json"),
-                        "--axis", "t_ge", "--log", "--range=-1:1:3", "--output", str(tmp_path / "sw"))
-        assert code == 1
-        assert "sweep grid values must be finite" in capsys.readouterr().err
+        for bounds in ("-1:1:3", "0:1:3", "0.1:0:3"):
+            code = self.run("sweep", "--dataset", str(tmp_path / "burgers_noise0_seed0.json"),
+                            "--axis", "t_ge", "--log", f"--range={bounds}",
+                            "--output", str(tmp_path / "sw"))
+            assert code == 1
+            assert (f"error: --range with --log expects positive bounds, got '{bounds}'"
+                    in capsys.readouterr().err)
         assert not (tmp_path / "sw" / "sweep_t_ge_burgers_noise0_seed0.csv").exists()
 
     def test_discover_every_grid_point_failing_exits_two(self, monkeypatch, tmp_path, capsys):

@@ -12,7 +12,7 @@ from vcpde.tbglss import ThresholdSpec, run_tbglss
 from vcpde.uncertainty import ensemble_bootstrap_cis
 
 from conftest import random_grouped_system
-from helpers import posterior_variance, reference_chain
+from helpers import posterior_variance, reference_chain, subsystem
 
 
 def single_group_system(beta_ls, n_rows=8, seed=7):
@@ -160,7 +160,7 @@ class TestSupportSampling:
         config = BglssConfig(n_iterations=30, n_burnin=10, seed=5, **settings)
         for support in supports:
             got = sample_posterior(burgers_system, config, groups=support)
-            want = sample_posterior(burgers_system.subsystem(support), config)
+            want = sample_posterior(subsystem(burgers_system, support), config)
             for name in self.FIELDS:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.shape == b.shape, (support, name)
@@ -255,7 +255,7 @@ def run_on_draws(monkeypatch, system, draws):
     the subsystem being the chain's groups; t_rms = 0 removes only the groups whose median is
     exactly zero."""
     def sample(root, config, groups):
-        sub = root.subsystem(groups)
+        sub = subsystem(root, groups)
         return synthetic_ensemble(draws(sub), scales=sub.scales)
 
     monkeypatch.setattr(tbglss, "sample_posterior", sample)
@@ -393,7 +393,7 @@ class TestKernelMatchesReference:
         if request.param == 20:
             return burgers_system
         names = ("u", "u*u_x", "u_xx")
-        return burgers_system.subsystem([burgers_system.descriptors.index(d) for d in names])
+        return subsystem(burgers_system, [burgers_system.descriptors.index(d) for d in names])
 
     @staticmethod
     def assert_same_draws(got: PosteriorEnsemble, want: PosteriorEnsemble):

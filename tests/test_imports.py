@@ -1,8 +1,11 @@
 """Import hygiene of the package: imports sit at module top, criteria is a leaf, tbglss does
 not import selection at run time, only the CLI prints, and the package runs on numpy alone:
-neither importing the CLI nor running it loads any scipy module."""
+neither importing the CLI nor running it loads any scipy module.  Every vcpde name the
+benchmark in perfbench/ imports or traces exists."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -101,3 +104,68 @@ def test_simulate_and_discover_with_ci_load_no_scipy_module(tmp_path):
                         .read_text())
     assert report["bootstrap_cis"]["intervals"]  # the bootstrap ran
     assert not loaded, f"simulate and discover --with-ci load {loaded}"
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def _perfbench_tree(name):
+    return ast.parse((PERFBENCH / name).read_text(), filename=name)
+
+
+def _vcpde_imports(tree):
+    """(module, name) of every `from vcpde... import name` in `tree`."""
+    return [(node.module, alias.name) for node in _imports(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vcpde"
+            for alias in node.names]
+
+
+def test_every_vcpde_name_perfbench_imports_exists():
+    # the benchmark imports these names; deleting one breaks its checks or its setup timing
+    setup = next(node.value.value for node in ast.walk(_perfbench_tree("run.py"))
+                 if isinstance(node, ast.Assign)
+                 and [target.id for target in node.targets] == ["SETUP_CODE"])
+    trees = [_perfbench_tree(name) for name in ("checks.py", "run.py", "traced.py")]
+    names = [pair for tree in [*trees, ast.parse(setup)] for pair in _vcpde_imports(tree)]
+    assert ("vcpde.cli", "make_scenario") in names
+    missing = []
+    for module, name in names:
+        try:
+            importlib.import_module(f"{module}.{name}")
+        except ModuleNotFoundError:
+            if not hasattr(importlib.import_module(module), name):
+                missing.append(f"{module}.{name}")
+    assert not missing, f"perfbench imports names vcpde no longer has: {missing}"
+
+
+def test_every_function_perfbench_traces_exists():
+    # a traced layer metric reads the spans named <module>.<function>; if that function is
+    # gone, nothing records the span and the metric silently reads 0
+    tree = _perfbench_tree("traced.py")
+    constants = {target.id: node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    layers = ast.literal_eval(constants["LAYERS"])
+    spans = {key.value for key in constants["COUNTERS"].keys}
+    spans |= {node.slice.value for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+              and isinstance(node.value, ast.Name) and node.value.id == "total"
+              and isinstance(node.slice, ast.Constant)}
+    spans = {span for span in spans if span.split(".")[0] in layers}
+    # methods traced.py wraps by hand, by span name: `_wrap(tracer, name, Class.method, ...)`
+    methods = {call.args[1].value: call.args[2] for call in ast.walk(tree)
+               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_wrap"
+               and isinstance(call.args[2], ast.Attribute)}
+    assert {"gibbs.sample_posterior", "tbglss.run_tbglss", "library.gram"} <= spans
+    missing = []
+    for span in sorted(spans):
+        layer, name = span.split(".")
+        module = importlib.import_module(f"vcpde.{layer}")
+        if span in methods:
+            owner = getattr(module, methods[span].value.id, None)
+            found = inspect.isfunction(getattr(owner, methods[span].attr, None))
+        else:  # traced.py wraps the public functions a layer defines
+            fn = getattr(module, name, None)
+            found = (not name.startswith("_") and inspect.isfunction(fn)
+                     and fn.__module__ == module.__name__)
+        if not found:
+            missing.append(span)
+    assert not missing, f"perfbench traces functions vcpde no longer has: {missing}"

@@ -18,7 +18,7 @@ from vcpde.library import (
     normalize_columns,
 )
 
-from helpers import dense, lstsq_trajectories
+from helpers import dense, lstsq_trajectories, subsystem
 
 
 def analytic_stack(u_fn, ut_fn, derivs, x, t):
@@ -206,16 +206,17 @@ class TestBlockStructure:
         np.testing.assert_allclose(system.matvec(beta).reshape(-1), expected, atol=1e-10)
 
     def test_subsystem_group_bookkeeping(self):
+        # the tests' subsystem oracle holds exactly the kept groups
         system, lib = manufactured_exponential_system(normalize=True)
         keep = np.array([1, 3])
-        sub = system.subsystem(keep)
+        sub = subsystem(system, keep)
         assert sub.descriptors == (lib.descriptors[1], lib.descriptors[3])
         np.testing.assert_array_equal(sub.blocks, system.blocks[:, :, keep])
         np.testing.assert_array_equal(sub.scales, system.scales[:, keep])
 
 
 class TestGramCache:
-    """The Gram and Theta^T y each system computes once, and its subsystems slice."""
+    """The Gram and Theta^T y each system computes once, and the slices `group_products` takes."""
 
     @staticmethod
     def products_of_own_blocks(system):
@@ -225,7 +226,8 @@ class TestGramCache:
 
     @pytest.mark.parametrize("source", ["burgers", "one_step_last_chunk"])
     def test_subsystem_products_bitwise_equal_its_own(self, burgers_system, source):
-        # equal to einsum over the subsystem's own (indexed) blocks, for every support
+        # a slice of the system's products equals the subsystem's own, computed from its
+        # indexed blocks both as the package does and by one plain einsum, for every support
         rng = np.random.default_rng(0)
         system = burgers_system
         if source == "one_step_last_chunk":
@@ -238,14 +240,14 @@ class TestGramCache:
         supports += [np.sort(rng.choice(20, size=rng.integers(1, 20), replace=False))
                      for _ in range(30)]
         for support in supports:
-            sub = system.subsystem(support)
-            gram, cty = self.products_of_own_blocks(sub)
-            assert sub.gram().tobytes() == gram.tobytes()
-            assert sub.design_target().tobytes() == cty.tobytes()
-            nested = sub.subsystem(np.arange(0, support.size, 2))
-            gram, cty = self.products_of_own_blocks(nested)
-            assert nested.gram().tobytes() == gram.tobytes()
-            assert nested.design_target().tobytes() == cty.tobytes()
+            for parent, groups in ((system, support), (subsystem(system, support),
+                                                       np.arange(0, support.size, 2))):
+                gram, cty = parent.group_products(groups)
+                sub = subsystem(parent, groups)
+                for own_gram, own_cty in ((sub.gram(), sub.design_target()),
+                                          self.products_of_own_blocks(sub)):
+                    assert gram.tobytes() == own_gram.tobytes()
+                    assert cty.tobytes() == own_cty.tobytes()
 
     def test_products_close_to_step_major_sums(self, burgers_system):
         gram, cty = self.products_of_own_blocks(burgers_system)
@@ -253,7 +255,7 @@ class TestGramCache:
         np.testing.assert_allclose(burgers_system.design_target(), cty, rtol=1e-12, atol=1e-14)
 
     def test_products_are_computed_once_and_read_only(self, burgers_system):
-        sub = burgers_system.subsystem([0, 3])
+        sub = subsystem(burgers_system, [0, 3])
         assert sub.gram() is sub.gram()
         assert sub.gram_eigh() is sub.gram_eigh()
         for array in (sub.gram(), sub.design_target(), burgers_system.gram(), *sub.gram_eigh()):
@@ -261,11 +263,11 @@ class TestGramCache:
                 array[0, 0] = 1.0
 
     def test_eigendecomposition_is_the_systems_own(self, burgers_system):
-        # a subsystem slices its parent's Gram but decomposes it itself
+        # every system decomposes its own Gram
         eigvals, eigvecs = burgers_system.gram_eigh()
         for array, expected in zip((eigvals, eigvecs), np.linalg.eigh(burgers_system.gram())):
             assert array.tobytes() == expected.tobytes()
-        sub = burgers_system.subsystem([0, 3])
+        sub = subsystem(burgers_system, [0, 3])
         assert sub.gram_eigh()[0].shape == (burgers_system.n_steps, 2)
         assert replace(burgers_system).gram_eigh()[1] is not eigvecs
 

@@ -86,6 +86,29 @@ class TestDifferentiationPolicy:
         spec = DifferentiationSpec(method="poly_fit", space_width=11).resolve(0.05)
         assert spec.space_width == 11
 
+    @pytest.mark.parametrize("noise, filtered, expected", [
+        (0.0, False, ("finite_difference", 9, 4, 5, 3, None, None)),
+        (0.0001, False, ("poly_fit", 9, 4, 5, 3, None, None)),
+        (0.01, False, ("poly_fit", 17, 4, 9, 3, (21, 3), (9, 4))),
+        (0.05, True, ("poly_fit", 19, 4, 5, 3, None, None)),
+    ], ids=["clean", "trace", "smoothing", "filtered"])
+    def test_unset_fields_take_the_tier(self, noise, filtered, expected):
+        # every field resolved, as the reports have recorded it
+        spec = DifferentiationSpec().resolve(noise, filtered)
+        assert tuple(vars(spec).values()) == expected
+        assert spec.resolve(noise, filtered) == spec
+
+    @pytest.mark.parametrize("noise, filtered", [(0.01, False), (0.05, True)],
+                             ids=["smoothing", "filtered"])
+    def test_fields_given_with_auto_survive_the_tier(self, noise, filtered):
+        tier = DifferentiationSpec().resolve(noise, filtered)
+        for given in ({"space_width": 13}, {"space_degree": 3}, {"time_width": 7},
+                      {"time_degree": 2}, {"space_width": 13, "time_degree": 2}):
+            spec = DifferentiationSpec(**given).resolve(noise, filtered)
+            assert spec == replace(tier, **given)
+        assert DifferentiationSpec(space_width=13).resolve(0.01).prefilter_time == (21, 3)
+        assert DifferentiationSpec(space_width=13).resolve(0.01).prefilter_space == (9, 4)
+
 
 class TestBuildSystem:
     def test_varying_axis_orientation(self, small_burgers_clean):

@@ -17,7 +17,7 @@ from vcpde.selection import MethodConfig, SelectionCurve, default_grid, fit, swe
 from vcpde.tbglss import ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
-from helpers import lstsq_trajectories, run_threshold_loop
+from helpers import lstsq_trajectories, run_threshold_loop, subsystem
 
 
 def perfect_fit_system(seed=0, n_steps=3, n_rows=8, n_groups=4):
@@ -65,7 +65,7 @@ class TestAicLoss:
             idx = list(true_idx)
             if extra is not None:
                 idx.append(library20.descriptors.index(extra))
-            sub = burgers_system.subsystem(np.array(sorted(idx)))
+            sub = subsystem(burgers_system, np.array(sorted(idx)))
             beta_sub = lstsq_trajectories(sub)
             beta = np.zeros((m, burgers_system.n_groups))
             beta[:, sorted(idx)] = beta_sub

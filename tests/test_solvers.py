@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -282,9 +283,19 @@ class TestFamilyTable:
             make_scenario("wave")
 
     def test_scenario_from_metadata_round_trip(self):
-        sc = make_scenario("ks", n_x=64, n_t=32, t_span=(0.0, 50.0))
-        rebuilt = scenario_from_metadata(sc.metadata())
-        assert rebuilt.metadata() == sc.metadata()
+        # every recorded field comes back: grid, domain, retained window and solver options
+        scenarios = [make_scenario("ks", n_x=64, n_t=32, t_span=(0.0, 50.0)),
+                     ks_scenario(n_x=64, n_t=64, t_span=(0.0, 40.0), retain_t_from=20.0,
+                                 dt=0.025),
+                     burgers_scenario(n_x=64, n_t=48, rtol=1e-8)]
+        for sc in scenarios:
+            rebuilt = scenario_from_metadata(json.loads(json.dumps(sc.metadata())))
+            assert rebuilt.metadata() == sc.metadata()
+        # a key left out takes the built-in value
+        metadata = scenarios[1].metadata()
+        del metadata["retain_t_from"], metadata["solver_options"]
+        rebuilt = scenario_from_metadata(metadata)
+        assert (rebuilt.retain_t_from, rebuilt.solver_options) == (100.0, {})
 
     @pytest.mark.parametrize("name, grid", [
         ("burgers", {}), ("burgers", {"n_x": 64, "n_t": 48, "t_span": (0.0, 4.0)}),

@@ -34,9 +34,7 @@ from .selection import MethodConfig, SweepFailedError, fit, sweep
 from .solvers import (
     PdeScenario,
     add_noise,
-    advection_diffusion_scenario,
-    burgers_scenario,
-    ks_scenario,
+    make_scenario,
     solve,
     true_coefficients,
 )

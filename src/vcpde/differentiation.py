@@ -30,6 +30,8 @@ _FD_STENCILS = {
 }
 
 MAX_SPACE_ORDER = 4
+# The poly_fit method's windows and degrees where the caller sets none.
+POLY_FIT_DEFAULTS = {"space_width": 9, "space_degree": 4, "time_width": 5, "time_degree": 3}
 
 
 def polyfit_kernel(width: int, degree: int, order: int, h: float) -> np.ndarray:
@@ -127,10 +129,10 @@ def build_derivative_stack(
     field: SpatioTemporalField,
     max_space_order: int = MAX_SPACE_ORDER,
     method: str = "finite_difference",
-    space_width: int = 9,
-    space_degree: int = 4,
-    time_width: int = 5,
-    time_degree: int = 3,
+    space_width: int = POLY_FIT_DEFAULTS["space_width"],
+    space_degree: int = POLY_FIT_DEFAULTS["space_degree"],
+    time_width: int = POLY_FIT_DEFAULTS["time_width"],
+    time_degree: int = POLY_FIT_DEFAULTS["time_degree"],
 ) -> DerivativeStack:
     """Estimate u_t and u_x..u_(x^max) and trim all to a common valid region.
 

@@ -99,8 +99,6 @@ def sample_posterior(system: GroupedLinearSystem, config: BglssConfig,
     """Run the block Gibbs sampler on a normalized grouped system, on its groups `groups` alone
     (every group when None).  The draws are bit for bit those of a system of those groups'
     blocks alone, but no block is copied: the sampler reads `system.group_products(groups)`."""
-    if not system.normalized:
-        raise ValueError("sample_posterior requires a column-normalized system")
     groups = np.arange(system.n_groups) if groups is None else np.asarray(groups, dtype=int)
     if groups.ndim != 1 or len(set(groups.tolist()) & set(range(system.n_groups))) != groups.size:
         raise ValueError(f"groups must be distinct indices below {system.n_groups}, got {groups}")

@@ -8,7 +8,7 @@ design that is never materialized densely; all downstream solvers work on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,7 +128,7 @@ class GroupedLinearSystem:
     descriptors: tuple[str, ...]
     varying_axis: str
     step_coords: np.ndarray
-    scales: np.ndarray | None = None  # (n_steps, n_groups) column norms, set by normalize
+    scales: np.ndarray  # (n_steps, n_groups) the column norms the blocks were divided by
     # The Gram and Theta^T y once computed (`_products`), and the Gram's eigendecomposition
     # (`gram_eigh`).  Not an init field, so `replace` starts every derived system with an
     # empty cache.
@@ -142,11 +142,12 @@ class GroupedLinearSystem:
             raise ValueError("descriptor count does not match group count")
         if self.step_coords.shape != (m,):
             raise ValueError("step coordinate count does not match step count")
-        if self.scales is not None:
-            if self.scales.shape != (m, g):
-                raise ValueError("scales shape does not match blocks")
-            if np.any(self.scales <= 0):
-                raise ValueError("stored column scales must be strictly positive")
+        if self.scales.shape != (m, g):
+            raise ValueError("scales shape does not match blocks")
+        if np.any(self.scales <= 0):  # a scale is a column's norm
+            step, group = np.argwhere(self.scales <= 0)[0]
+            raise ZeroColumnError(f"term {self.descriptors[group]!r} has a zero column at step "
+                                  f"{self.step_coords[step]:g}")
 
     @property
     def n_steps(self) -> int:
@@ -163,10 +164,6 @@ class GroupedLinearSystem:
     @property
     def n_observations(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
-
-    @property
-    def normalized(self) -> bool:
-        return self.scales is not None
 
     def matvec(self, beta: np.ndarray) -> np.ndarray:
         """Apply the block-diagonal design to step-major coefficients (m, G) -> (m, n)."""
@@ -255,35 +252,33 @@ def assemble_grouped_system(
     if target.shape != blocks.shape[:2]:
         raise ValueError(f"u_t shape {u_t.shape} does not match the {varying_axis}-varying "
                          f"blocks {blocks.shape[:2]}")
-    step_coords = np.asarray(step_coords, dtype=float)
-    raw = GroupedLinearSystem(blocks, target, tuple(descriptors), varying_axis, step_coords)
-    return _normalize_in_place(raw)
+    return _normalized_system(blocks, target, descriptors, varying_axis, step_coords)
 
 
-def normalize_columns(system: GroupedLinearSystem) -> GroupedLinearSystem:
-    """Rescale every design column to unit L2 norm, remembering the scales.
+def normalize_columns(blocks: np.ndarray, target: np.ndarray, descriptors: tuple[str, ...],
+                      varying_axis: str, step_coords: np.ndarray) -> GroupedLinearSystem:
+    """The system on a copy of step-major `blocks` (n_steps, n_rows, n_groups) with every column
+    rescaled to unit L2 norm, remembering the scales.
 
-    For a system built by hand; `system` itself is left as it is.
+    For a system built by hand; `blocks` itself is left as it is.
     """
-    return _normalize_in_place(replace(system, blocks=system.blocks.copy(order="K")))
+    return _normalized_system(np.array(blocks, dtype=float, order="K"), np.asarray(target),
+                              descriptors, varying_axis, step_coords)
 
 
-def _normalize_in_place(system: GroupedLinearSystem) -> GroupedLinearSystem:
-    """Divide `system`'s blocks by their column norms in place; the system with those scales.
+def _normalized_system(blocks: np.ndarray, target: np.ndarray, descriptors: tuple[str, ...],
+                       varying_axis: str, step_coords: np.ndarray) -> GroupedLinearSystem:
+    """The system on `blocks` divided by their column norms in place, those norms its scales.
 
     The norms are summed over the blocks in their own memory layout, which
-    `normalize_columns`' copy keeps.
+    `normalize_columns`' copy keeps.  The system checks its shapes and its
+    scales (a zero column) before the blocks are divided.
     """
-    blocks = system.blocks
     norms = np.sqrt(np.einsum("mng,mng->mg", blocks, blocks))
-    if np.any(norms == 0):
-        i, g = np.argwhere(norms == 0)[0]
-        raise ZeroColumnError(
-            f"term {system.descriptors[g]!r} has a zero column at step "
-            f"{system.step_coords[i]:g}"
-        )
+    system = GroupedLinearSystem(blocks, target, tuple(descriptors), varying_axis,
+                                 np.asarray(step_coords, dtype=float), norms)
     blocks /= norms[:, None, :]
-    return replace(system, scales=norms)
+    return system
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .differentiation import build_derivative_stack
+from .differentiation import POLY_FIT_DEFAULTS, build_derivative_stack
 from .fields import SpatioTemporalField
 from .filters import FilterSpec, apply_filter
 from .library import (
@@ -25,7 +25,7 @@ from .library import (
     evaluate_terms,
 )
 from .selection import MethodConfig, SweepFailedError, default_grid, fit, sweep
-from .solvers import PdeScenario, add_noise, check_noise_level, solve
+from .solvers import PdeScenario, add_noise, solve
 from .tbglss import DiscoveryReport
 
 NOISE_DOUBLING_LEVEL = 0.02  # chain lengths double at and above this noise level
@@ -73,10 +73,9 @@ def noisy_dataset(clean: Dataset, noise_level: float, seed: int) -> Dataset:
     return Dataset(field, {**clean.metadata, "noise_level": noise_level, "seed": seed})
 
 
-def simulate_dataset(scenario: PdeScenario, noise_level: float = 0.0, seed: int = 0) -> Dataset:
-    """Solve the scenario and optionally add white noise (seed-derived)."""
-    check_noise_level(noise_level)
-    return noisy_dataset(Dataset(solve(scenario), scenario.metadata()), noise_level, seed)
+def simulate_dataset(scenario: PdeScenario, seed: int = 0) -> Dataset:
+    """Solve the scenario into its clean dataset, recorded at noise level 0 with `seed`."""
+    return noisy_dataset(Dataset(solve(scenario), scenario.metadata()), 0.0, seed)
 
 
 def filter_dataset(dataset: Dataset, spec: FilterSpec) -> Dataset:
@@ -88,8 +87,6 @@ def filter_dataset(dataset: Dataset, spec: FilterSpec) -> Dataset:
 
 
 SMOOTHING_NOISE_LEVEL = 0.005  # heavy-smoothing tier starts here
-# The fit windows and degrees that neither the tier nor the caller sets.
-POLY_FIT_DEFAULTS = {"space_width": 9, "space_degree": 4, "time_width": 5, "time_degree": 3}
 
 
 def _tier(noise_level: float, filtered: bool) -> dict:

@@ -3,19 +3,19 @@
 Each equation is stated once, as a term table: u_t = sum_k xi_k(s) Theta_k(u),
 with s the varying coordinate (t or x) and Theta_k a library term.  The
 solver integrates that table and `true_coefficients` reports it as the
-discovery's ground truth.  Each family's factory returns its one built-in
-scenario on the grid, domain and solver options it is given.  Any other
-equation is a `PdeScenario` (or a `dataclasses.replace` of a built-in one)
-that states its terms and their formulas together, because
-`scenario_from_metadata` trusts a dataset's recorded formulas for its ground
-truth.  All three families are posed on periodic spatial domains and
-integrated pseudo-spectrally: one right-hand side takes Fourier derivatives
-in space and sums the table.  The non-stiff equations are advanced in time by
-the adaptive Dormand-Prince 5(4) pair with Shampine's quartic dense output,
-run operation for operation as `scipy.integrate.solve_ivp`'s RK45 runs it, so
-a solve returns scipy's bits without importing scipy.  The stiff
-fourth-derivative one is advanced by a fixed-step exponential fourth-order
-Runge-Kutta scheme (ETDRK4).
+discovery's ground truth.  Each family has one built-in scenario in
+`SCENARIOS`; `make_scenario` returns it on the grid, domain, retained window
+and solver options it is given.  Any other equation is a `PdeScenario` (or a
+`dataclasses.replace` of a built-in one) that states its terms and their
+formulas together, because `scenario_from_metadata` trusts a dataset's
+recorded formulas for its ground truth.  All three families are posed on
+periodic spatial domains and integrated pseudo-spectrally: one right-hand
+side takes Fourier derivatives in space and sums the table.  The non-stiff
+equations are advanced in time by the adaptive Dormand-Prince 5(4) pair with
+Shampine's quartic dense output, run operation for operation as
+`scipy.integrate.solve_ivp`'s RK45 runs it, so a solve returns scipy's bits
+without importing scipy.  The stiff fourth-derivative one is advanced by a
+fixed-step exponential fourth-order Runge-Kutta scheme (ETDRK4).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -61,9 +62,12 @@ class PdeScenario:
     solver_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # read-only views: every scenario make_scenario returns shares the built-in one's tables
+        for name in ("true_terms", "coefficient_formulas", "solver_options"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        read = list(inspect.signature(FAMILIES[self.family][1]).parameters)[1:]
+        read = list(inspect.signature(FAMILIES[self.family]).parameters)[1:]
         unknown = sorted(set(self.solver_options) - set(read))
         if unknown:
             raise ValueError(f"the {self.family} solver does not read {unknown}; it reads {read}")
@@ -101,56 +105,6 @@ class PdeScenario:
             "retain_t_from": self.retain_t_from,
             "solver_options": dict(self.solver_options),
         }
-
-
-def burgers_scenario(x_span: tuple[float, float] = (-8.0, 8.0),
-                     t_span: tuple[float, float] = (0.0, 10.0),
-                     n_x: int = 256, n_t: int = 256, **solver_options) -> PdeScenario:
-    """u_t + mu(t) u u_x = nu u_xx, written as u_t = -mu(t) u u_x + nu u_xx."""
-    return PdeScenario(
-        family="burgers", x_span=x_span, t_span=t_span, n_x=n_x, n_t=n_t,
-        true_terms={"u*u_x": lambda t: -(1.0 + np.sin(t) / 4.0), "u_xx": lambda t: 0.1},
-        coefficient_formulas={"mu": "1 + sin(t)/4", "nu": "0.1"},
-        initial_condition=lambda x: np.exp(-((x + 1.0) ** 2)),
-        ic_formula="exp(-(x+1)^2)", varying_axis="time",
-        solver_options=solver_options,
-    )
-
-
-def advection_diffusion_scenario(x_span: tuple[float, float] = (-5.0, 5.0),
-                                 t_span: tuple[float, float] = (0.0, 5.0),
-                                 n_x: int = 256, n_t: int = 256,
-                                 **solver_options) -> PdeScenario:
-    """u_t = (mu(x) u)_x + nu u_xx = mu_x u + mu u_x + nu u_xx."""
-    return PdeScenario(
-        family="advection_diffusion", x_span=x_span, t_span=t_span, n_x=n_x, n_t=n_t,
-        true_terms={"u": lambda x: -0.4 * np.pi * np.sin(0.4 * np.pi * x),
-                    "u_x": lambda x: -1.5 + np.cos(0.4 * np.pi * x),
-                    "u_xx": lambda x: 0.1},
-        coefficient_formulas={"mu": "-1.5 + cos(0.4*pi*x)", "nu": "0.1"},
-        initial_condition=lambda x: np.cos(0.4 * np.pi * x),
-        ic_formula="cos(0.4*pi*x)", varying_axis="space",
-        solver_options=solver_options,
-    )
-
-
-def ks_scenario(x_span: tuple[float, float] = (-20.0, 20.0),
-                t_span: tuple[float, float] = (0.0, 200.0),
-                n_x: int = 256, n_t: int = 256, retain_t_from: float | None = 100.0,
-                **solver_options) -> PdeScenario:
-    """u_t = alpha(x) u u_x + beta(x) u_xx + gamma(x) u_xxxx (chaotic)."""
-    return PdeScenario(
-        family="kuramoto_sivashinsky", x_span=x_span, t_span=t_span, n_x=n_x, n_t=n_t,
-        true_terms={"u*u_x": lambda x: 1.0 + 0.25 * np.sin(0.1 * np.pi * x),
-                    "u_xx": lambda x: -1.0 + 0.25 * np.exp(-((x - 2.0) ** 2) / 5.0),
-                    "u_xxxx": lambda x: -1.0 - 0.25 * np.exp(-((x + 2.0) ** 2) / 5.0)},
-        coefficient_formulas={"alpha": "1 + 0.25*sin(0.1*pi*x)",
-                              "beta": "-1 + 0.25*exp(-(x-2)^2/5)",
-                              "gamma": "-1 - 0.25*exp(-(x+2)^2/5)"},
-        initial_condition=lambda x: np.exp(-(x**2)),
-        ic_formula="exp(-x^2)", varying_axis="space",
-        retain_t_from=retain_t_from, solver_options=solver_options,
-    )
 
 
 # Each term's factors as (derivative order, power) pairs, by descriptor.
@@ -381,12 +335,12 @@ def _solve_etdrk4(scenario: PdeScenario, dt: float = 0.05) -> SpatioTemporalFiel
     return SpatioTemporalField(values, x, t)
 
 
-# The one table of equation families: each name's scenario factory and integrator.  An
-# integrator's keyword arguments are the solver options its families accept.
+# The one table of equation families: each name's integrator.  An integrator's keyword
+# arguments are the solver options its families accept.
 FAMILIES = {
-    "burgers": (burgers_scenario, _solve_rk),
-    "advection_diffusion": (advection_diffusion_scenario, _solve_rk),
-    "kuramoto_sivashinsky": (ks_scenario, _solve_etdrk4),
+    "burgers": _solve_rk,
+    "advection_diffusion": _solve_rk,
+    "kuramoto_sivashinsky": _solve_etdrk4,
 }
 # Other names make_scenario accepts for a family.
 FAMILY_ALIASES = {
@@ -396,38 +350,75 @@ FAMILY_ALIASES = {
     "ks": "kuramoto_sivashinsky",
 }
 
+# Each family's built-in scenario.
+SCENARIOS = {
+    # u_t + mu(t) u u_x = nu u_xx, written as u_t = -mu(t) u u_x + nu u_xx
+    "burgers": PdeScenario(
+        family="burgers", x_span=(-8.0, 8.0), t_span=(0.0, 10.0), n_x=256, n_t=256,
+        true_terms={"u*u_x": lambda t: -(1.0 + np.sin(t) / 4.0), "u_xx": lambda t: 0.1},
+        coefficient_formulas={"mu": "1 + sin(t)/4", "nu": "0.1"},
+        initial_condition=lambda x: np.exp(-((x + 1.0) ** 2)),
+        ic_formula="exp(-(x+1)^2)", varying_axis="time",
+    ),
+    # u_t = (mu(x) u)_x + nu u_xx = mu_x u + mu u_x + nu u_xx
+    "advection_diffusion": PdeScenario(
+        family="advection_diffusion", x_span=(-5.0, 5.0), t_span=(0.0, 5.0), n_x=256, n_t=256,
+        true_terms={"u": lambda x: -0.4 * np.pi * np.sin(0.4 * np.pi * x),
+                    "u_x": lambda x: -1.5 + np.cos(0.4 * np.pi * x),
+                    "u_xx": lambda x: 0.1},
+        coefficient_formulas={"mu": "-1.5 + cos(0.4*pi*x)", "nu": "0.1"},
+        initial_condition=lambda x: np.cos(0.4 * np.pi * x),
+        ic_formula="cos(0.4*pi*x)", varying_axis="space",
+    ),
+    # u_t = alpha(x) u u_x + beta(x) u_xx + gamma(x) u_xxxx (chaotic)
+    "kuramoto_sivashinsky": PdeScenario(
+        family="kuramoto_sivashinsky", x_span=(-20.0, 20.0), t_span=(0.0, 200.0),
+        n_x=256, n_t=256,
+        true_terms={"u*u_x": lambda x: 1.0 + 0.25 * np.sin(0.1 * np.pi * x),
+                    "u_xx": lambda x: -1.0 + 0.25 * np.exp(-((x - 2.0) ** 2) / 5.0),
+                    "u_xxxx": lambda x: -1.0 - 0.25 * np.exp(-((x + 2.0) ** 2) / 5.0)},
+        coefficient_formulas={"alpha": "1 + 0.25*sin(0.1*pi*x)",
+                              "beta": "-1 + 0.25*exp(-(x-2)^2/5)",
+                              "gamma": "-1 - 0.25*exp(-(x+2)^2/5)"},
+        initial_condition=lambda x: np.exp(-(x**2)),
+        ic_formula="exp(-x^2)", varying_axis="space", retain_t_from=100.0,
+    ),
+}
+# The fields of a built-in scenario that make_scenario sets: its grid, domain, retained
+# window and solver options.  The equation itself is fixed.
+SCENARIO_SETTINGS = ("n_x", "n_t", "x_span", "t_span", "retain_t_from", "solver_options")
 
-def make_scenario(family: str, n_x: int | None = None, n_t: int | None = None,
-                  x_span=None, t_span=None) -> PdeScenario:
-    """The built-in scenario of a family (name or alias), with any grid argument given."""
+
+def make_scenario(family: str, /, **settings) -> PdeScenario:
+    """The built-in scenario of a family (name or alias) with any of SCENARIO_SETTINGS given."""
     name = FAMILY_ALIASES.get(family.lower(), family.lower())
-    if name not in FAMILIES:
+    if name not in SCENARIOS:
         raise ValueError(f"unknown family; choose one of {sorted([*FAMILIES, *FAMILY_ALIASES])}")
-    grid = {"n_x": n_x, "n_t": n_t, "x_span": x_span, "t_span": t_span}
-    return FAMILIES[name][0](**{key: value for key, value in grid.items() if value is not None})
+    unknown = sorted(set(settings) - set(SCENARIO_SETTINGS))
+    if unknown:
+        raise ValueError(f"a built-in scenario sets only {list(SCENARIO_SETTINGS)}, not {unknown}")
+    return replace(SCENARIOS[name], **settings)
 
 
 def scenario_from_metadata(metadata: dict) -> PdeScenario:
     """Rebuild a built-in scenario from dataset metadata (for ground truth): its grid, domain,
     retained window and solver options are the recorded ones, the built-in ones if absent."""
     family = metadata.get("family")
-    if family not in FAMILIES:
+    if family not in SCENARIOS:
         raise ValueError(f"cannot rebuild scenario for family {family!r}")
-    reference = make_scenario(family)
+    reference = SCENARIOS[family]
     if metadata.get("coefficients") != reference.coefficient_formulas or (
         metadata.get("initial_condition") != reference.ic_formula
     ):
         raise ValueError("ground truth is only available for the built-in scenario coefficients")
-    recorded = {key: metadata[key] for key in ("n_x", "n_t", "retain_t_from") if key in metadata}
-    recorded.update({key: tuple(metadata[key]) for key in ("x_span", "t_span") if key in metadata})
-    if "solver_options" in metadata:
-        recorded["solver_options"] = dict(metadata["solver_options"])
-    return replace(reference, **recorded)
+    recorded = {key: metadata[key] for key in SCENARIO_SETTINGS if key in metadata}
+    recorded.update({key: tuple(recorded[key]) for key in ("x_span", "t_span") if key in recorded})
+    return make_scenario(family, **recorded)
 
 
 def solve(scenario: PdeScenario) -> SpatioTemporalField:
     """Integrate the scenario's equation with its family's integrator."""
-    return FAMILIES[scenario.family][1](scenario, **scenario.solver_options)
+    return FAMILIES[scenario.family](scenario, **scenario.solver_options)
 
 
 def check_noise_level(level: float) -> None:

@@ -267,8 +267,6 @@ def threshold_loop(system: GroupedLinearSystem, mc: MethodConfig, chains: dict):
     """
     if mc.method != "tbglss":
         raise ValueError(f"run_tbglss needs a tbglss MethodConfig, got method {mc.method!r}")
-    if not system.normalized:
-        raise ValueError("run_tbglss requires a column-normalized system")
 
     config = mc.bglss
     hyper = {"pi0": config.pi0, "lam": float(config.lam), "final_iterations": config.n_iterations,

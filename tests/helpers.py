@@ -30,7 +30,7 @@ def subsystem(system: GroupedLinearSystem, indices) -> GroupedLinearSystem:
         system,
         blocks=system.blocks[:, :, indices],
         descriptors=tuple(system.descriptors[i] for i in indices),
-        scales=None if system.scales is None else system.scales[:, indices],
+        scales=system.scales[:, indices],
     )
 
 

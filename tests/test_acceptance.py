@@ -13,7 +13,7 @@ from vcpde.baselines import GroupLassoConfig, group_lasso, group_lasso_null_thre
 from vcpde.criteria import aic_loss, coefficient_mse, group_error_bar, rms_criterion, total_error_bar
 from vcpde.filters import FilterSpec, data_mse, filter_sweep
 from vcpde.gibbs import BglssConfig, sample_posterior
-from vcpde.library import GroupedLinearSystem, LibrarySpec, normalize_columns
+from vcpde.library import LibrarySpec, normalize_columns
 from vcpde.pipeline import (
     MethodConfig,
     build_system,
@@ -233,9 +233,8 @@ class TestCriterion6SamplerCorrectness:
         cols = rng.standard_normal((m, self.N_ROWS))
         cols *= np.sqrt(self.N_ROWS) / np.linalg.norm(cols, axis=1, keepdims=True)
         target = cols * self.BETA_LS[:, None]
-        system = GroupedLinearSystem(cols[:, :, None], target, ("u",), "time",
-                                     np.arange(m, dtype=float))
-        return normalize_columns(system)
+        return normalize_columns(cols[:, :, None], target, ("u",), "time",
+                                 np.arange(m, dtype=float))
 
     def test_group_conditional_matches_analytic(self):
         system = self.orthonormal_single_group()
@@ -339,8 +338,7 @@ class TestCriterion9CriterionFormulas:
         # AIC-like loss on a 3-row single-step system
         block = np.array([[1.0], [0.0], [0.0]])[None, :, :]
         target = np.array([[2.0, 1.0, 0.0]])
-        system = GroupedLinearSystem(block, target, ("u",), "time", np.array([0.0]))
-        system = normalize_columns(system)
+        system = normalize_columns(block, target, ("u",), "time", np.array([0.0]))
         beta_norm = np.array([[1.0]])
         loss = aic_loss(system, beta_norm, k=3, epsilon=1e-6)
         expected_loss = 3.0 * math.log(2.0 / (5.0 * 3.0) + 1e-6) + 6.0

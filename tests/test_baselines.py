@@ -11,7 +11,7 @@ from vcpde.baselines import (
     group_lasso_null_threshold,
     sgtr,
 )
-from vcpde.library import GroupedLinearSystem, normalize_columns
+from vcpde.library import normalize_columns
 
 from conftest import random_grouped_system
 from helpers import lstsq_trajectories, subsystem
@@ -24,9 +24,9 @@ def noiseless_system(seed=0, n_steps=4, n_rows=16, n_groups=6):
     beta_true[:, 1] = 2.0 + np.sin(np.arange(n_steps))
     beta_true[:, 4] = -1.5
     target = np.einsum("mng,mg->mn", blocks, beta_true)
-    system = GroupedLinearSystem(blocks, target, tuple(f"g{i}" for i in range(n_groups)),
-                                 "time", np.arange(float(n_steps)))
-    return normalize_columns(system), beta_true
+    system = normalize_columns(blocks, target, tuple(f"g{i}" for i in range(n_groups)),
+                               "time", np.arange(float(n_steps)))
+    return system, beta_true
 
 
 def collinear_system(seed, collinearity, second_weight):
@@ -36,8 +36,8 @@ def collinear_system(seed, collinearity, second_weight):
     blocks[:, :, 1] = blocks[:, :, 0] + collinearity * rng.standard_normal((4, 30))
     target = 2.0 * blocks[:, :, 0] + second_weight * blocks[:, :, 1] - blocks[:, :, 3]
     target += 0.01 * rng.standard_normal((4, 30))
-    return normalize_columns(GroupedLinearSystem(
-        blocks, target, tuple(f"g{i}" for i in range(5)), "time", np.arange(4.0)))
+    return normalize_columns(blocks, target, tuple(f"g{i}" for i in range(5)), "time",
+                             np.arange(4.0))
 
 
 def assert_group_lasso_kkt(system, beta, lam, tol):
@@ -80,19 +80,16 @@ class TestSgtr:
         col = rng.standard_normal((3, 8, 1))
         blocks = np.concatenate([col, col], axis=2)
         target = col[:, :, 0] * 2.0
-        system = normalize_columns(GroupedLinearSystem(
-            blocks, target, ("a", "b"), "time", np.arange(3.0)))
+        system = normalize_columns(blocks, target, ("a", "b"), "time", np.arange(3.0))
         with pytest.raises(np.linalg.LinAlgError, match="ridge"):
             sgtr(system, SgtrConfig(threshold=0.01, ridge=0.0))
 
-    def test_raw_system_rejected(self):
+    def test_single_true_group_selected(self):
         rng = np.random.default_rng(5)
         blocks = rng.standard_normal((3, 10, 4))
         target = 3.0 * blocks[:, :, 2]
-        raw = GroupedLinearSystem(blocks, target, ("a", "b", "c", "d"), "time", np.arange(3.0))
-        with pytest.raises(ValueError, match="sgtr requires a column-normalized system"):
-            sgtr(raw, SgtrConfig(threshold=0.05))
-        assert sgtr(normalize_columns(raw), SgtrConfig(threshold=0.05)).selected == ("c",)
+        system = normalize_columns(blocks, target, ("a", "b", "c", "d"), "time", np.arange(3.0))
+        assert sgtr(system, SgtrConfig(threshold=0.05)).selected == ("c",)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -176,13 +173,6 @@ class TestGroupLasso:
         system, _, _ = random_grouped_system(rng)
         with pytest.warns(RuntimeWarning, match="converge"):
             group_lasso(system, GroupLassoConfig(lam=0.01, tolerance=1e-14, max_sweeps=2))
-
-    def test_requires_normalized(self):
-        rng = np.random.default_rng(2)
-        raw = GroupedLinearSystem(rng.standard_normal((3, 8, 2)), rng.standard_normal((3, 8)),
-                                  ("a", "b"), "time", np.arange(3.0))
-        with pytest.raises(ValueError, match="normalized"):
-            group_lasso(raw, GroupLassoConfig(lam=1.0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from vcpde.gibbs import BglssConfig
 from vcpde.library import LibrarySpec
 from vcpde.pipeline import DifferentiationSpec, filter_dataset, noisy_dataset, simulate_dataset
 from vcpde.selection import MethodConfig
-from vcpde.solvers import burgers_scenario
+from vcpde.solvers import make_scenario
 from vcpde.tbglss import ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
@@ -122,7 +122,7 @@ class TestCli:
         assert self.run("simulate", "--family", "burgers", "--noise", "0.05", "--seed", "1",
                         "--nx", "64", "--nt", "32", "--output", str(tmp_path)) == 0
         assert solved == ["burgers"]
-        expected = simulate_dataset(burgers_scenario(n_x=64, n_t=32), 0.0, seed=1)
+        expected = simulate_dataset(make_scenario("burgers", n_x=64, n_t=32), seed=1)
         clean = load_dataset(tmp_path / "burgers_noise0.05_seed1_clean.json")
         noisy = load_dataset(tmp_path / "burgers_noise0.05_seed1.json")
         np.testing.assert_array_equal(clean.field.values, expected.field.values)
@@ -161,9 +161,9 @@ class TestCli:
     @pytest.mark.parametrize("noise", ["-0.05", "nan"])
     def test_simulate_checks_noise_before_solving(self, monkeypatch, tmp_path, capsys, noise):
         solved = []
-        for family, (factory, solver) in list(solvers.FAMILIES.items()):
-            monkeypatch.setitem(solvers.FAMILIES, family, (
-                factory, lambda scenario, solver=solver: solved.append(scenario) or solver(scenario)))
+        for family, solver in list(solvers.FAMILIES.items()):
+            monkeypatch.setitem(solvers.FAMILIES, family, lambda scenario, solver=solver: (
+                solved.append(scenario) or solver(scenario)))
         code = self.run("simulate", "--family", "ks", "--noise", noise, "--output", str(tmp_path))
         assert code == 1
         assert capsys.readouterr().err.startswith("error: noise level must be nonnegative")
@@ -595,6 +595,28 @@ class TestCli:
         assert fitted == [(family, noise, "sgtr")
                           for family, spec in cli.BENCHMARK_CELLS.items()
                           for noise in spec["noises"]]
+
+    def test_reproduce_fits_each_dataset_and_config_once(self, monkeypatch, tmp_path):
+        # the filter study's unfiltered arm is the 5% Burgers tbglss cell: one fit, written to
+        # both directories; its filtered arm takes that cell's thresholds
+        fitted, saved = [], {}
+
+        class Report:
+            def rendered_equation(self):
+                return "u_t = 0"
+
+        def recording_discover(dataset, method_config):
+            fitted.append((dataset.dataset_id(), repr(method_config)))
+            return Report()
+
+        monkeypatch.setattr(cli, "discover", recording_discover)
+        monkeypatch.setattr(cli, "save_report",
+                            lambda report, path: saved.update({path.name: report}))
+        assert self.run("reproduce-paper", "--only", "burgers", "--output", str(tmp_path)) == 0
+        assert len(fitted) == len(set(fitted)) == 10  # nine cells and the filtered arm
+        assert saved["burgers_5pct_unfiltered"] is saved["burgers_noise0.05_tbglss"]
+        thresholds = repr(ThresholdSpec(*cli.BENCHMARK_CELLS["burgers"]["thresholds"][0.05]))
+        assert thresholds in fitted[-1][1]
 
     def test_numerical_failure_exits_two(self, monkeypatch, tmp_path):
         from vcpde import cli

@@ -165,9 +165,9 @@ class TestDerivativeStack:
         # clean smooth data: u_x from width-7 and width-9 quartic windows agree closely
         from dataclasses import replace
 
-        from vcpde.solvers import burgers_scenario, solve
+        from vcpde.solvers import make_scenario, solve
 
-        smooth = solve(replace(burgers_scenario(),
+        smooth = solve(replace(make_scenario("burgers"),
                                true_terms={"u*u_x": lambda t: 0.0, "u_xx": lambda t: 0.1},
                                coefficient_formulas={"mu": "0", "nu": "0.1"}))
         s7 = build_derivative_stack(smooth, method="poly_fit", space_width=7, space_degree=4)

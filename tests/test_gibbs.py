@@ -6,7 +6,7 @@ import pytest
 
 from vcpde import tbglss
 from vcpde.gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
-from vcpde.library import GroupedLinearSystem, normalize_columns
+from vcpde.library import normalize_columns
 from vcpde.selection import MethodConfig
 from vcpde.tbglss import ThresholdSpec, run_tbglss
 from vcpde.uncertainty import ensemble_bootstrap_cis
@@ -22,9 +22,7 @@ def single_group_system(beta_ls, n_rows=8, seed=7):
     cols = rng.standard_normal((m, n_rows))
     cols /= np.linalg.norm(cols, axis=1, keepdims=True)
     target = cols * np.asarray(beta_ls)[:, None]
-    system = GroupedLinearSystem(cols[:, :, None], target, ("u",), "time",
-                                 np.arange(m, dtype=float))
-    return normalize_columns(system)
+    return normalize_columns(cols[:, :, None], target, ("u",), "time", np.arange(m, dtype=float))
 
 
 def synthetic_ensemble(beta, spike=None, scales=None):
@@ -121,13 +119,6 @@ class TestSamplerLimits:
         b = sample_posterior(system, config)
         np.testing.assert_array_equal(a.beta, b.beta)
         np.testing.assert_array_equal(a.sigma2, b.sigma2)
-
-    def test_requires_normalized_system(self):
-        rng = np.random.default_rng(0)
-        system = GroupedLinearSystem(rng.standard_normal((3, 5, 2)), rng.standard_normal((3, 5)),
-                                     ("a", "b"), "time", np.arange(3.0))
-        with pytest.raises(ValueError, match="normalized"):
-            sample_posterior(system, BglssConfig(n_iterations=60, n_burnin=10, lam=1.0))
 
     @pytest.mark.parametrize("field", ["lam"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
@@ -240,8 +231,7 @@ class TestSpikeSlabExclusivity:
         rng = np.random.default_rng(5)
         blocks = rng.standard_normal((4, 12, 5))
         target = blocks[:, :, 0] * 2.0 + 0.05 * rng.standard_normal((4, 12))
-        system = normalize_columns(GroupedLinearSystem(
-            blocks, target, tuple("abcde"), "time", np.arange(4.0)))
+        system = normalize_columns(blocks, target, tuple("abcde"), "time", np.arange(4.0))
         ens = sample_posterior(system, BglssConfig(n_iterations=400, n_burnin=100,
                                                    lam=1.0, seed=9))
         zero_groups = np.all(ens.beta == 0.0, axis=1)
@@ -345,8 +335,8 @@ class TestPosteriorContraction:
             m = 6
             blocks = rng.standard_normal((m, n_rows, 3))
             target = blocks[:, :, 1] * 2.0 + 1e-4 * rng.standard_normal((m, n_rows))
-            system = normalize_columns(GroupedLinearSystem(
-                blocks, target, ("a", "u", "c"), "time", np.arange(float(m))))
+            system = normalize_columns(blocks, target, ("a", "u", "c"), "time",
+                                       np.arange(float(m)))
             ens = sample_posterior(system, BglssConfig(n_iterations=500, n_burnin=150,
                                                        lam=1.0, seed=2))
             median_u = np.median(ens.beta[:, :, 1], axis=0) / ens.scales[:, 1]

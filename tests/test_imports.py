@@ -1,13 +1,15 @@
 """Import hygiene of the package: imports sit at module top, criteria is a leaf, tbglss does
 not import selection at run time, only the CLI prints, and the package runs on numpy alone:
 neither importing the CLI nor running it loads any scipy module.  Every vcpde name the
-benchmark in perfbench/ imports or traces exists."""
+benchmark in perfbench/ imports or traces, and every one the README's examples import,
+exists."""
 
 import ast
 import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +130,23 @@ def test_every_vcpde_name_perfbench_imports_exists():
     trees = [_perfbench_tree(name) for name in ("checks.py", "run.py", "traced.py")]
     names = [pair for tree in [*trees, ast.parse(setup)] for pair in _vcpde_imports(tree)]
     assert ("vcpde.cli", "make_scenario") in names
+    missing = _unresolved(names)
+    assert not missing, f"perfbench imports names vcpde no longer has: {missing}"
+
+
+def test_every_vcpde_name_the_readme_imports_exists():
+    # a reader runs the README's python examples as they stand
+    text = (PACKAGE.parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    names = [pair for block in blocks for pair in _vcpde_imports(ast.parse(block))]
+    assert ("vcpde", "discover") in names
+    missing = _unresolved(names)
+    assert not missing, f"README.md imports names vcpde no longer has: {missing}"
+
+
+def _unresolved(names):
+    """The `module.name` of every (module, name) pair that is neither a submodule nor an
+    attribute of its module."""
     missing = []
     for module, name in names:
         try:
@@ -135,7 +154,7 @@ def test_every_vcpde_name_perfbench_imports_exists():
         except ModuleNotFoundError:
             if not hasattr(importlib.import_module(module), name):
                 missing.append(f"{module}.{name}")
-    assert not missing, f"perfbench imports names vcpde no longer has: {missing}"
+    return missing
 
 
 def test_every_function_perfbench_traces_exists():

@@ -84,8 +84,9 @@ class TestEvaluateTerms:
             evaluate_terms(stack, LibrarySpec.standard(1, 1), "both")
 
 
-def manufactured_exponential_system(n_x=24, n_t=12, normalize=False):
-    """Field with u_t = 2 u exactly: u = exp(2 t) * (2 + sin x)."""
+def manufactured_exponential_terms(n_x=24, n_t=12):
+    """Field with u_t = 2 u exactly: u = exp(2 t) * (2 + sin x).  Its time-varying blocks
+    (`evaluate_terms`), its u_t, its t and the library."""
     x = np.linspace(-3.0, 3.0, n_x)
     t = np.linspace(0.0, 0.5, n_t)
     lib = LibrarySpec.standard(max_poly_power=2, max_deriv_order=1)
@@ -95,17 +96,20 @@ def manufactured_exponential_system(n_x=24, n_t=12, normalize=False):
         {1: lambda xx, tt: np.exp(2 * tt) * np.cos(xx)},
         x, t,
     )
-    blocks = evaluate_terms(stack, lib, "time")
-    if normalize:
-        return assemble_grouped_system(blocks, stack.u_t, "time", t, lib.descriptors), lib
-    return GroupedLinearSystem(blocks, np.ascontiguousarray(stack.u_t.T), lib.descriptors,
-                               "time", t), lib
+    return evaluate_terms(stack, lib, "time"), stack.u_t, t, lib
+
+
+def manufactured_exponential_system(n_x=24, n_t=12):
+    """The manufactured field's grouped system, as the pipeline assembles it, and its library."""
+    blocks, u_t, t, lib = manufactured_exponential_terms(n_x, n_t)
+    return assemble_grouped_system(blocks, u_t, "time", t, lib.descriptors), lib
 
 
 class TestAssembly:
     def test_manufactured_least_squares_oracle(self):
-        system, lib = manufactured_exponential_system()
-        beta = lstsq_trajectories(system)
+        blocks, u_t, _, lib = manufactured_exponential_terms()
+        beta = np.array([np.linalg.lstsq(block, y, rcond=None)[0]
+                         for block, y in zip(blocks, u_t.T)])
         g_u = lib.descriptors.index("u")
         np.testing.assert_allclose(beta[:, g_u], 2.0, atol=1e-8)
         others = [g for g in range(len(lib.terms)) if g != g_u]
@@ -133,12 +137,14 @@ class TestAssembly:
                                    rtol=1e-14)
 
     def test_assembly_normalizes_the_blocks_it_is_given_in_place(self):
-        system, _ = manufactured_exponential_system()
-        blocks = system.blocks.copy()
-        assembled = assemble_grouped_system(blocks, system.target.T, "time", system.step_coords,
-                                            system.descriptors)
+        # normalize_columns divides a copy and leaves the caller's blocks as they were
+        blocks, u_t, t, lib = manufactured_exponential_terms()
+        raw = blocks.copy()
+        expected = normalize_columns(blocks, u_t.T, lib.descriptors, "time", t)
+        assert expected.blocks is not blocks
+        assert blocks.tobytes() == raw.tobytes()
+        assembled = assemble_grouped_system(blocks, u_t, "time", t, lib.descriptors)
         assert assembled.blocks is blocks
-        expected = normalize_columns(system)
         for name in ("blocks", "target", "scales"):
             assert getattr(assembled, name).tobytes() == getattr(expected, name).tobytes()
 
@@ -152,6 +158,9 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_grouped_system(np.ones((4, 3, 2)), np.ones((3, 3)), "time",
                                     np.arange(3.0), ("a", "b"))
+        # the shapes are checked before a zero column is looked up
+        with pytest.raises(ValueError, match="descriptor count"):
+            normalize_columns(np.zeros((3, 4, 2)), np.ones((3, 4)), ("a",), "time", np.arange(3.0))
 
     def test_burgers_system_dimensions(self, burgers_system):
         # 256^2 grid, FD valid-region trims: space 2/side, time 1/side
@@ -165,18 +174,17 @@ class TestAssembly:
 
 class TestNormalization:
     def test_unit_columns(self):
-        system, _ = manufactured_exponential_system(normalize=True)
+        system, _ = manufactured_exponential_system()
         norms = np.sqrt(np.einsum("mng,mng->mg", system.blocks, system.blocks))
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_constant_column_scale(self):
         system, lib = manufactured_exponential_system()
-        normalized = normalize_columns(system)
         g = lib.descriptors.index("1")
-        np.testing.assert_allclose(normalized.scales[:, g], np.sqrt(system.n_rows))
+        np.testing.assert_allclose(system.scales[:, g], np.sqrt(system.n_rows))
 
     def test_round_trip_denormalization(self):
-        system, lib = manufactured_exponential_system(normalize=True)
+        system, lib = manufactured_exponential_system()
         beta_norm = lstsq_trajectories(system)
         beta_phys = beta_norm / system.scales
         g_u = lib.descriptors.index("u")
@@ -187,9 +195,13 @@ class TestNormalization:
         blocks[1, :, 1] = 0.0
         with pytest.raises(ZeroColumnError, match="'b' has a zero column at step 1"):
             assemble_grouped_system(blocks, np.ones((3, 4)), "space", np.arange(3.0), ("a", "b"))
-        raw = GroupedLinearSystem(blocks, np.ones((3, 4)), ("a", "b"), "space", np.arange(3.0))
         with pytest.raises(ZeroColumnError, match="'b' has a zero column at step 1"):
-            normalize_columns(raw)
+            normalize_columns(blocks, np.ones((3, 4)), ("a", "b"), "space", np.arange(3.0))
+
+    def test_system_without_scales_cannot_be_built(self):
+        with pytest.raises(TypeError, match="scales"):
+            GroupedLinearSystem(np.ones((1, 4, 2)), np.ones((1, 4)), ("a", "b"), "time",
+                                np.zeros(1))
 
 
 class TestBlockStructure:
@@ -199,15 +211,15 @@ class TestBlockStructure:
         rng = np.random.default_rng(seed)
         m, n, g = 3, 5, 4
         blocks = rng.standard_normal((m, n, g))
-        system = GroupedLinearSystem(blocks, rng.standard_normal((m, n)),
-                                     tuple("abcd"), "time", np.arange(float(m)))
+        system = normalize_columns(blocks, rng.standard_normal((m, n)), tuple("abcd"), "time",
+                                   np.arange(float(m)))
         beta = rng.standard_normal((m, g))
         expected = dense(system) @ beta.reshape(-1)
         np.testing.assert_allclose(system.matvec(beta).reshape(-1), expected, atol=1e-10)
 
     def test_subsystem_group_bookkeeping(self):
         # the tests' subsystem oracle holds exactly the kept groups
-        system, lib = manufactured_exponential_system(normalize=True)
+        system, lib = manufactured_exponential_system()
         keep = np.array([1, 3])
         sub = subsystem(system, keep)
         assert sub.descriptors == (lib.descriptors[1], lib.descriptors[3])
@@ -232,10 +244,10 @@ class TestGramCache:
         system = burgers_system
         if source == "one_step_last_chunk":
             m = CHUNK_STEPS + 1
-            system = GroupedLinearSystem(rng.standard_normal((m, 30, 20)),
-                                         rng.standard_normal((m, 30)),
-                                         tuple(f"g{i}" for i in range(20)), "time",
-                                         np.arange(float(m)))
+            system = normalize_columns(rng.standard_normal((m, 30, 20)),
+                                       rng.standard_normal((m, 30)),
+                                       tuple(f"g{i}" for i in range(20)), "time",
+                                       np.arange(float(m)))
         supports = [np.arange(20), np.array([7])]
         supports += [np.sort(rng.choice(20, size=rng.integers(1, 20), replace=False))
                      for _ in range(30)]
@@ -272,16 +284,16 @@ class TestGramCache:
         assert replace(burgers_system).gram_eigh()[1] is not eigvecs
 
     def test_derived_systems_start_without_cache(self):
-        raw, _ = manufactured_exponential_system()
-        raw_gram, raw_cty = raw.gram(), raw.design_target()
-        normalized = normalize_columns(raw)
-        gram, cty = self.products_of_own_blocks(normalized)
-        np.testing.assert_allclose(normalized.gram(), gram, rtol=1e-12)
-        np.testing.assert_allclose(normalized.design_target(), cty, rtol=1e-12)
-        assert not np.allclose(normalized.gram(), raw_gram)
-        retargeted = replace(raw, target=2.0 * raw.target)
-        np.testing.assert_allclose(retargeted.design_target(), 2.0 * raw_cty, rtol=1e-12)
-        np.testing.assert_array_equal(retargeted.gram(), raw_gram)
+        system, _ = manufactured_exponential_system()
+        system_gram, system_cty = system.gram(), system.design_target()
+        rescaled = replace(system, blocks=2.0 * system.blocks)
+        gram, cty = self.products_of_own_blocks(rescaled)
+        np.testing.assert_allclose(rescaled.gram(), gram, rtol=1e-12)
+        np.testing.assert_allclose(rescaled.design_target(), cty, rtol=1e-12)
+        assert not np.allclose(rescaled.gram(), system_gram)
+        retargeted = replace(system, target=2.0 * system.target)
+        np.testing.assert_allclose(retargeted.design_target(), 2.0 * system_cty, rtol=1e-12)
+        np.testing.assert_array_equal(retargeted.gram(), system_gram)
 
 
 class TestExactRecoveryInvariant:

@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vcpde import pool, selection, solvers
+from vcpde import library, pipeline, pool, selection, solvers
 from vcpde.baselines import group_lasso
 from vcpde.filters import FilterSpec
 from vcpde.gibbs import BglssConfig
-from vcpde.library import GroupedLinearSystem, normalize_columns
+from vcpde.library import normalize_columns
 from vcpde.pipeline import (
     DifferentiationSpec,
     MethodConfig,
@@ -20,7 +20,7 @@ from vcpde.pipeline import (
     stage_seed,
 )
 from vcpde.selection import SweepFailedError, default_grid
-from vcpde.solvers import burgers_scenario, ks_scenario
+from vcpde.solvers import make_scenario
 from vcpde.tbglss import ThresholdSpec
 
 from conftest import random_grouped_system
@@ -38,9 +38,9 @@ class TestSeeds:
         assert stage_seed(1, "noise") != stage_seed(2, "noise")
 
     def test_simulation_deterministic(self):
-        scenario = burgers_scenario(n_x=64, n_t=32)
-        a = simulate_dataset(scenario, 0.05, seed=4)
-        b = simulate_dataset(scenario, 0.05, seed=4)
+        scenario = make_scenario("burgers", n_x=64, n_t=32)
+        a = noisy_dataset(simulate_dataset(scenario, seed=4), 0.05, seed=4)
+        b = noisy_dataset(simulate_dataset(scenario, seed=4), 0.05, seed=4)
         np.testing.assert_array_equal(a.field.values, b.field.values)
         assert a.dataset_id() == b.dataset_id()
 
@@ -51,12 +51,14 @@ class TestSeeds:
 
     @pytest.mark.parametrize("level", [-0.05, float("nan")])
     def test_bad_noise_level_rejected_before_the_solve(self, monkeypatch, level):
+        # noise is added by noisy_dataset alone: simulate_dataset takes no level to spend a
+        # solve on
         solved = []
-        factory, solver = solvers.FAMILIES["burgers"]
+        solver = solvers.FAMILIES["burgers"]
         monkeypatch.setitem(solvers.FAMILIES, "burgers",
-                            (factory, lambda scenario: solved.append(scenario) or solver(scenario)))
-        with pytest.raises(ValueError, match="noise level must be nonnegative"):
-            simulate_dataset(burgers_scenario(n_x=64, n_t=32), level, seed=1)
+                            lambda scenario: solved.append(scenario) or solver(scenario))
+        with pytest.raises(TypeError, match="noise_level"):
+            simulate_dataset(make_scenario("burgers", n_x=64, n_t=32), noise_level=level, seed=1)
         assert solved == []
 
 
@@ -118,8 +120,8 @@ class TestBuildSystem:
         assert system.n_steps == 46  # 48 minus one time trim per side
 
     def test_ks_retained_window(self):
-        scenario = ks_scenario(n_x=64, n_t=64, t_span=(0.0, 40.0), retain_t_from=20.0)
-        ds = simulate_dataset(scenario, 0.0, seed=0)
+        scenario = make_scenario("ks", n_x=64, n_t=64, t_span=(0.0, 40.0), retain_t_from=20.0)
+        ds = simulate_dataset(scenario, seed=0)
         system = build_system(ds)
         assert system.varying_axis == "space"
         # steps index space; rows are the retained time samples only
@@ -137,6 +139,23 @@ class TestBuildSystem:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * system.blocks.nbytes
+
+    def test_build_never_calls_the_public_normalize_columns(self, monkeypatch,
+                                                            small_build_datasets):
+        # normalize_columns copies the blocks; and perfbench's library.system_s adds its spans
+        # to assemble_grouped_system's, so a call nested in the build would count twice
+        calls = []
+        original = library.normalize_columns
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (library, pipeline):
+            monkeypatch.setattr(module, "normalize_columns", recording, raising=False)
+        for dataset in small_build_datasets.values():
+            build_system(dataset)
+        assert calls == []
 
     def test_filtered_metadata_feeds_policy(self, small_noisy_dataset):
         filtered = filter_dataset(small_noisy_dataset, FilterSpec.of("moving_average", 5))
@@ -194,9 +213,8 @@ class TestDiscover:
     def test_every_grid_point_failing_raises_typed_error(self, small_noisy_dataset):
         # duplicated columns + zero ridge make every sgtr point singular
         col = np.random.default_rng(3).standard_normal((3, 8, 1))
-        system = normalize_columns(GroupedLinearSystem(
-            np.concatenate([col, col], axis=2), col[:, :, 0] * 2.0, ("a", "b"), "time",
-            np.arange(3.0)))
+        system = normalize_columns(np.concatenate([col, col], axis=2), col[:, :, 0] * 2.0,
+                                   ("a", "b"), "time", np.arange(3.0))
         with pytest.raises(SweepFailedError, match="LinAlgError"):
             discover(small_noisy_dataset, MethodConfig(method="sgtr", sgtr_ridge=0.0), system=system)
 

@@ -11,7 +11,7 @@ from vcpde import pool, selection, tbglss
 from vcpde.baselines import GroupLassoConfig, group_lasso, group_lasso_null_threshold
 from vcpde.criteria import aic_loss, coefficient_mse, empty_model_scores, total_error_bar
 from vcpde.gibbs import BglssConfig
-from vcpde.library import CoefficientTrajectories, GroupedLinearSystem, normalize_columns
+from vcpde.library import CoefficientTrajectories, normalize_columns
 from vcpde.pipeline import build_system, noisy_dataset
 from vcpde.selection import MethodConfig, SelectionCurve, default_grid, fit, sweep
 from vcpde.tbglss import ThresholdSpec, run_tbglss
@@ -26,8 +26,7 @@ def perfect_fit_system(seed=0, n_steps=3, n_rows=8, n_groups=4):
     beta = np.zeros((n_steps, n_groups))
     beta[:, 2] = 1.7
     target = np.einsum("mng,mg->mn", blocks, beta)
-    system = normalize_columns(GroupedLinearSystem(
-        blocks, target, tuple("abcd"), "time", np.arange(float(n_steps))))
+    system = normalize_columns(blocks, target, tuple("abcd"), "time", np.arange(float(n_steps)))
     return system, beta * system.scales  # normalized-scale coefficients
 
 
@@ -220,8 +219,8 @@ class TestSweep:
         rng = np.random.default_rng(3)
         col = rng.standard_normal((3, 8, 1))
         blocks = np.concatenate([col, col], axis=2)
-        system = normalize_columns(GroupedLinearSystem(
-            blocks, col[:, :, 0] * 2.0, ("a", "b"), "time", np.arange(3.0)))
+        system = normalize_columns(blocks, col[:, :, 0] * 2.0, ("a", "b"), "time",
+                                   np.arange(3.0))
         curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.1]),
                       MethodConfig(method="sgtr", sgtr_ridge=0.0))
         assert all(p.error is not None for p in curve.points)

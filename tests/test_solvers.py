@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import json
 from dataclasses import replace
 
@@ -13,11 +12,9 @@ from vcpde.library import CoefficientTrajectories, LibrarySpec
 from vcpde.pipeline import build_system, noisy_dataset
 from vcpde.selection import MethodConfig, fit
 from vcpde.solvers import (
+    SCENARIO_SETTINGS,
     PdeScenario,
     add_noise,
-    advection_diffusion_scenario,
-    burgers_scenario,
-    ks_scenario,
     make_scenario,
     scenario_from_metadata,
     solve,
@@ -45,12 +42,12 @@ class TestBurgers:
         assert last > first + 1.0
 
     def test_zero_initial_data(self):
-        f = solve(zero_start(burgers_scenario(n_x=64, n_t=32)))
+        f = solve(zero_start(make_scenario("burgers", n_x=64, n_t=32)))
         assert np.abs(f.values).max() < 1e-12
 
     def test_heat_kernel_oracle(self):
         # mu == 0 reduces to the heat equation; the Gaussian widens analytically
-        sc = replace(burgers_scenario(n_x=128, n_t=64),
+        sc = replace(make_scenario("burgers", n_x=128, n_t=64),
                      true_terms={"u*u_x": lambda t: 0.0, "u_xx": lambda t: 0.1},
                      coefficient_formulas={"mu": "0", "nu": "0.1"})
         f = solve(sc)
@@ -66,13 +63,13 @@ class TestBurgers:
 
 class TestAdvectionDiffusion:
     def test_zero_initial_data(self):
-        f = solve(zero_start(advection_diffusion_scenario(n_x=64, n_t=32)))
+        f = solve(zero_start(make_scenario("ad", n_x=64, n_t=32)))
         assert np.abs(f.values).max() < 1e-12
 
     def test_constant_advection_translation_oracle(self):
         c = -1.5
         sc = replace(
-            advection_diffusion_scenario(n_x=128, n_t=64, t_span=(0.0, 2.0)),
+            make_scenario("ad", n_x=128, n_t=64, t_span=(0.0, 2.0)),
             true_terms={"u": lambda x: np.zeros_like(np.asarray(x, float)),
                         "u_x": lambda x: np.full_like(np.asarray(x, float), c),
                         "u_xx": lambda x: 0.0},
@@ -87,15 +84,15 @@ class TestAdvectionDiffusion:
             assert rel_l2(f.values[:, j], np.exp(-(wrapped**2))) <= 1e-3
 
     def test_benchmark_profile_decays(self):
-        sc = advection_diffusion_scenario(n_x=128, n_t=64)
+        sc = make_scenario("ad", n_x=128, n_t=64)
         f = solve(sc)
         assert np.abs(f.values[:, -1]).max() < np.abs(f.values[:, 0]).max()
 
 
 class TestKuramotoSivashinsky:
     def test_zero_initial_data(self):
-        f = solve(zero_start(ks_scenario(n_x=64, n_t=32, t_span=(0.0, 10.0),
-                                         retain_t_from=None)))
+        f = solve(zero_start(make_scenario("ks", n_x=64, n_t=32, t_span=(0.0, 10.0),
+                                           retain_t_from=None)))
         assert np.abs(f.values).max() < 1e-12
 
     def test_chaotic_amplitude_late(self, ks_clean):
@@ -106,8 +103,8 @@ class TestKuramotoSivashinsky:
 
     def test_step_refinement_self_convergence(self):
         # halving the step changes the early retained window by under 1%
-        coarse = solve(ks_scenario(dt=0.05))
-        fine = solve(ks_scenario(dt=0.025))
+        coarse = solve(make_scenario("ks", solver_options={"dt": 0.05}))
+        fine = solve(make_scenario("ks", solver_options={"dt": 0.025}))
         window = (coarse.t_coords >= 100.0) & (coarse.t_coords <= 110.0)
         assert rel_l2(coarse.values[:, window], fine.values[:, window]) <= 0.01
 
@@ -130,7 +127,7 @@ class TestBlowupDiagnostics:
     def test_antidiffusion_blowup_named(self, monkeypatch):
         from vcpde.solvers import SolverBlowupError
 
-        sc = advection_diffusion_scenario(n_x=64, n_t=32, t_span=(0.0, 2.0))
+        sc = make_scenario("ad", n_x=64, n_t=32, t_span=(0.0, 2.0))
         sc = replace(sc, true_terms={**sc.true_terms, "u_xx": lambda x: -5.0},
                      coefficient_formulas={**sc.coefficient_formulas, "nu": "-5.0"})
         calls = capture_rk45(monkeypatch)
@@ -166,19 +163,21 @@ class TestRk45MatchesScipy:
     @pytest.mark.parametrize("tolerances", [{}, {"rtol": 1e-5, "atol": 1e-7}],
                              ids=["default", "loose"])
     @pytest.mark.parametrize("make", [
-        lambda **options: burgers_scenario(n_x=64, n_t=33, t_span=(0.0, 3.0), **options),
-        lambda **options: advection_diffusion_scenario(n_x=64, n_t=33, t_span=(0.0, 2.0),
-                                                       **options),
+        lambda options: make_scenario("burgers", n_x=64, n_t=33, t_span=(0.0, 3.0),
+                                      solver_options=options),
+        lambda options: make_scenario("ad", n_x=64, n_t=33, t_span=(0.0, 2.0),
+                                      solver_options=options),
     ], ids=["burgers-time-varying", "ad-space-varying"])
     def test_solve_is_solve_ivp_bit_for_bit(self, monkeypatch, make, tolerances):
         calls = capture_rk45(monkeypatch)
-        field = solve(make(**tolerances))
+        field = solve(make(tolerances))
         res = scipy_rk45(*calls[0])
         assert res.success
         assert np.array_equal(field.values, res.y)
 
     def test_last_step_clipped_to_the_end(self, monkeypatch):
-        sc = advection_diffusion_scenario(n_x=32, n_t=9, t_span=(0.0, 1.0), rtol=1e-2, atol=1e-4)
+        sc = make_scenario("ad", n_x=32, n_t=9, t_span=(0.0, 1.0),
+                           solver_options={"rtol": 1e-2, "atol": 1e-4})
         calls = capture_rk45(monkeypatch)
         field = solve(sc)
         rhs, t, y0, rtol, atol = calls[0]
@@ -196,7 +195,7 @@ class TestGridRefinement:
         errs = []
         prev = None
         for n in (64, 128, 256):
-            f = solve(burgers_scenario(n_x=n, n_t=65))
+            f = solve(make_scenario("burgers", n_x=n, n_t=65))
             if prev is not None:
                 errs.append(rel_l2(prev, f.values[::2]))
             prev = f.values
@@ -248,13 +247,13 @@ class TestTrueCoefficients:
         assert np.all(truth.values[:, g] == 0.0)
 
     def test_ks_fourth_derivative_pointwise(self, library20):
-        sc = ks_scenario()
+        sc = make_scenario("ks")
         truth = true_coefficients(sc, library20, step_coords=np.array([-2.0, 0.0]))
         g = library20.descriptors.index("u_xxxx")
         assert truth.values[0, g] == pytest.approx(-1.25)
 
     def test_equation_terms_are_the_active_groups(self, library20):
-        truth = true_coefficients(advection_diffusion_scenario(), library20)
+        truth = true_coefficients(make_scenario("ad"), library20)
         assert isinstance(truth, CoefficientTrajectories)
         assert truth.selected == ("u", "u_x", "u_xx")
         assert truth.varying_axis == "space"
@@ -277,6 +276,14 @@ class TestFamilyTable:
     def test_make_scenario_grid_arguments(self):
         sc = make_scenario("burgers", n_x=64, t_span=(0.0, 4.0))
         assert (sc.n_x, sc.n_t, sc.x_span, sc.t_span) == (64, 256, (-8.0, 8.0), (0.0, 4.0))
+        settings = {"n_x": 32, "n_t": 48, "x_span": (-4.0, 4.0), "t_span": (0.0, 2.0),
+                    "retain_t_from": 1.0, "solver_options": {"rtol": 1e-6}}
+        assert set(settings) == set(SCENARIO_SETTINGS)
+        sc = make_scenario("ad", **settings)
+        assert {name: getattr(sc, name) for name in settings} == settings
+        assert make_scenario("ks").retain_t_from == 100.0
+        with pytest.raises(TypeError):  # every call shares the built-in scenario's tables
+            make_scenario("burgers").solver_options["rtol"] = 1e-3
 
     def test_unknown_family_names_the_choices(self):
         with pytest.raises(ValueError, match="'ad', 'advection-diffusion'"):
@@ -285,9 +292,12 @@ class TestFamilyTable:
     def test_scenario_from_metadata_round_trip(self):
         # every recorded field comes back: grid, domain, retained window and solver options
         scenarios = [make_scenario("ks", n_x=64, n_t=32, t_span=(0.0, 50.0)),
-                     ks_scenario(n_x=64, n_t=64, t_span=(0.0, 40.0), retain_t_from=20.0,
-                                 dt=0.025),
-                     burgers_scenario(n_x=64, n_t=48, rtol=1e-8)]
+                     make_scenario("ks", n_x=64, n_t=64, t_span=(0.0, 40.0), retain_t_from=20.0,
+                                   solver_options={"dt": 0.025}),
+                     make_scenario("burgers", n_x=64, n_t=48, retain_t_from=2.0,
+                                   solver_options={"rtol": 1e-8}),
+                     make_scenario("ad", n_x=32, x_span=(-10.0, 10.0),
+                                   solver_options={"rtol": 1e-6, "atol": 1e-9})]
         for sc in scenarios:
             rebuilt = scenario_from_metadata(json.loads(json.dumps(sc.metadata())))
             assert rebuilt.metadata() == sc.metadata()
@@ -323,40 +333,41 @@ class TestFamilyTable:
 class TestScenarioValidation:
     def test_grid_minimum(self):
         with pytest.raises(ValueError):
-            burgers_scenario(n_x=4)
+            make_scenario("burgers", n_x=4)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             PdeScenario("wave", (-1, 1), (0, 1), 16, 16, {}, {}, lambda x: x, "x", "time")
 
-    @pytest.mark.parametrize("factory,option", [
-        (burgers_scenario, "rtoll"), (advection_diffusion_scenario, "dt"),
-        (ks_scenario, "d_t"), (ks_scenario, "rtol"),
-        # each factory is its family's one built-in scenario: a coefficient or initial
-        # condition is not an option, and another equation is a replace() of terms and formulas
-        *[(burgers_scenario, name) for name in
-          ("mu", "nu", "initial_condition", "mu_formula", "ic_formula")],
-        *[(advection_diffusion_scenario, name) for name in
-          ("mu", "mu_x", "nu", "initial_condition", "mu_formula", "ic_formula")],
-        *[(ks_scenario, name) for name in ("alpha", "beta", "gamma", "initial_condition")],
+    @pytest.mark.parametrize("family,option", [
+        ("burgers", "rtoll"), ("ad", "dt"), ("ks", "d_t"), ("ks", "rtol"),
     ])
-    def test_option_the_integrator_does_not_read_rejected(self, factory, option):
+    def test_option_the_integrator_does_not_read_rejected(self, family, option):
         # RK45 (Burgers, advection-diffusion) reads rtol and atol; ETDRK4 (KS) reads dt
         with pytest.raises(ValueError, match=f"does not read \\['{option}'\\]"):
-            factory(**{option: 0.5})
+            make_scenario(family, solver_options={option: 0.5})
 
-    @pytest.mark.parametrize("factory, extra", [
-        (burgers_scenario, []), (advection_diffusion_scenario, []),
-        (ks_scenario, ["retain_t_from"]),
-    ], ids=["burgers", "advection_diffusion", "ks"])
-    def test_factories_take_only_grid_domain_and_solver_options(self, factory, extra):
-        assert list(inspect.signature(factory).parameters) == [
-            "x_span", "t_span", "n_x", "n_t", *extra, "solver_options"]
+    @pytest.mark.parametrize("family,name", [
+        # each family has one built-in equation: a coefficient or initial condition is not a
+        # setting, and another equation is a replace() of terms and formulas
+        *[("burgers", name) for name in
+          ("mu", "nu", "initial_condition", "mu_formula", "ic_formula")],
+        *[("ad", name) for name in
+          ("mu", "mu_x", "nu", "initial_condition", "mu_formula", "ic_formula")],
+        *[("ks", name) for name in ("alpha", "beta", "gamma", "initial_condition")],
+        # nor are the other scenario fields, and a solver option goes in solver_options
+        *[("burgers", name) for name in
+          ("family", "true_terms", "coefficient_formulas", "varying_axis", "rtol")],
+    ])
+    def test_make_scenario_sets_only_grid_domain_window_and_solver_options(self, family, name):
+        with pytest.raises(ValueError, match=f"not \\['{name}'\\]"):
+            make_scenario(family, **{name: 0.5})
 
     def test_options_the_integrator_reads_recorded(self):
-        assert burgers_scenario(rtol=1e-6, atol=1e-9).metadata()["solver_options"] == {
-            "rtol": 1e-6, "atol": 1e-9}
-        assert ks_scenario(dt=0.025).metadata()["solver_options"] == {"dt": 0.025}
+        assert make_scenario("burgers", solver_options={"rtol": 1e-6, "atol": 1e-9}).metadata()[
+            "solver_options"] == {"rtol": 1e-6, "atol": 1e-9}
+        assert make_scenario("ks", solver_options={"dt": 0.025}).metadata()[
+            "solver_options"] == {"dt": 0.025}
         assert all(make_scenario(name).metadata()["solver_options"] == {}
                    for name in ("burgers", "ad", "ks"))
 
@@ -403,7 +414,7 @@ class TestEquationResidual:
 
     def test_kuramoto_sivashinsky(self):
         # a short fine-step KS solve, past the initial transient
-        sc = ks_scenario(n_x=128, n_t=401, t_span=(0.0, 4.0), retain_t_from=None)
+        sc = make_scenario("ks", n_x=128, n_t=401, t_span=(0.0, 4.0), retain_t_from=None)
         assert equation_residual(solve(sc), sc, t_from=1.0) <= 1e-2
 
 

@@ -3,11 +3,13 @@ regression and group lasso.
 
 Both reuse the block-diagonal per-step decomposition.  Ridge solves batch over
 steps.  Group lasso starts from a batched ADMM solve, whose per-step linear
-systems share one eigendecomposition of each step's Gram, and finishes with
-block coordinate descent, which alone decides convergence.  A group's block
-X_g^T X_g is the identity on the normalized system (each column has unit norm
-and a group holds one column per step), so the descent's block update is the
-exact closed-form group soft threshold.
+systems share one eigendecomposition of each step's Gram; once ADMM's support
+has settled, a Newton solve of the problem restricted to that support replaces
+ADMM's slow linear tail.  It finishes with block coordinate descent, which
+alone decides convergence.  A group's block X_g^T X_g is the identity on the
+normalized system (each column has unit norm and a group holds one column per
+step), so the descent's block update is the exact closed-form group soft
+threshold.
 """
 
 from __future__ import annotations
@@ -96,18 +98,30 @@ def sgtr(system: GroupedLinearSystem, config: SgtrConfig) -> CoefficientTrajecto
 # The ADMM start (Boyd et al. 2011).  Residual balancing (section 3.4.1) scales
 # rho by ADMM_RHO_STEP whenever the primal and dual residuals differ by more than
 # a factor ADMM_RHO_BALANCE; 3 took fewer iterations than the book's 10 on the
-# KS, advection-diffusion and Burgers lambda paths.  ADMM stops once both
-# residuals are at most ADMM_RTOL x lam.  The default lambda paths of those
-# cells took at most 2,514 iterations, so ADMM_MAX_ITERATIONS is about twice
-# that.  A start that has not met the rule by then is replaced by zero: with
+# KS, advection-diffusion and Burgers lambda paths.  ADMM converges linearly,
+# but its support settles long before its residuals reach ADMM_RTOL x lam, so
+# once max(primal, dual) is at most ADMM_POLISH_FROM x lam, and again at every
+# further decade, the start is polished: the group lasso restricted to the
+# support of z is solved exactly (`_polish`, the support polish of Stellato et
+# al. 2020, OSQP, section 4).  A polished point is taken only if its KKT
+# residual is at most ADMM_RTOL; otherwise ADMM goes on from where it stopped,
+# and stops once both residuals are at most ADMM_RTOL x lam.  On the default
+# lambda paths of the eight reproduce-paper cells and the benchmark's KS cell,
+# every point took a polish, after at most 603 iterations (2,477 when ADMM ran
+# to its own stop), so ADMM_MAX_ITERATIONS leaves room for points that never
+# polish.  A start that has met neither rule by then is replaced by zero: with
 # two groups at 1e-3 collinearity, one of them zero at the optimum, ADMM
-# stalls splitting weight between them, and block descent from its last
-# iterate stays unconverged after 100,000 sweeps where from zero it converges
-# in 10 (`test_stalled_admm_start_falls_back_to_zero`).
+# stalls splitting weight between them, so every polish keeps the wrong group
+# and fails, and block descent from ADMM's last iterate stays unconverged
+# after 100,000 sweeps where from zero it converges in 10
+# (`test_stalled_admm_start_falls_back_to_zero`).
 ADMM_RHO_BALANCE = 3.0
 ADMM_RHO_STEP = 2.0
 ADMM_RTOL = 1e-8
+ADMM_POLISH_FROM = 1e-2
 ADMM_MAX_ITERATIONS = 5000
+POLISH_NEWTON_STEPS = 20
+POLISH_TOL = 1e-12  # Newton's stop: each active group's stationarity violation relative to lam
 
 
 @dataclass(frozen=True)
@@ -118,26 +132,28 @@ class GroupLassoResult:
     converged: bool
     n_sweeps: int  # block-descent sweeps
     admm_iterations: int
+    start: str  # the descent's start: "polished", "admm" or "zero" (see `_admm_start`)
     kkt_residual: float
 
 
 def group_lasso(system: GroupedLinearSystem, config: GroupLassoConfig) -> GroupLassoResult:
     """Minimize 0.5 ||y - X beta||^2 + lam * sum_g ||beta_g|| on a normalized system.
 
-    ADMM supplies the starting point (`_admm_start`).  Block coordinate descent
-    then sweeps the groups from there: each block minimization is exact,
-    beta_g <- max(0, 1 - lam/||c_g||) c_g with c_g the group's residual
-    correlation, so the objective never increases.  The fit has converged when
-    one sweep moves no group by `tolerance` or more; otherwise it stops after
-    `max_sweeps` and warns.  `kkt_residual` certifies the result: its largest
-    group stationarity violation relative to lam (`_kkt_residual`).
+    ADMM, polished on its support, supplies the starting point (`_admm_start`).
+    Block coordinate descent then sweeps the groups from there: each block
+    minimization is exact, beta_g <- max(0, 1 - lam/||c_g||) c_g with c_g the
+    group's residual correlation, so the objective never increases.  The fit
+    has converged when one sweep moves no group by `tolerance` or more;
+    otherwise it stops after `max_sweeps` and warns.  `kkt_residual` certifies
+    the result: its largest group stationarity violation relative to lam
+    (`_kkt_residual`).
     """
     m, _, n_groups = system.blocks.shape
     gram = system.gram()
     cty = system.design_target()
     yty = float((system.target**2).sum())
 
-    beta, admm_iterations = _admm_start(system.gram_eigh(), cty, config.lam)
+    beta, admm_iterations, start = _admm_start(gram, system.gram_eigh(), cty, config.lam)
     v_cache = np.matmul(gram, beta[:, :, None])[:, :, 0]
     objective = []
     converged = False
@@ -171,19 +187,22 @@ def group_lasso(system: GroupedLinearSystem, config: GroupLassoConfig) -> GroupL
         values, active, system.descriptors, system.step_coords, system.varying_axis
     )
     return GroupLassoResult(trajectories, beta.copy(), np.asarray(objective), converged, sweeps,
-                            admm_iterations, _kkt_residual(system, beta, config.lam))
+                            admm_iterations, start, _kkt_residual(gram, cty, beta, config.lam))
 
 
-def _admm_start(gram_eigh: tuple[np.ndarray, np.ndarray], cty: np.ndarray,
-                lam: float) -> tuple[np.ndarray, int]:
-    """Scaled-form ADMM on beta = z with residual-balancing rho; returns (start, iterations).
+def _admm_start(gram: np.ndarray, gram_eigh: tuple[np.ndarray, np.ndarray], cty: np.ndarray,
+                lam: float) -> tuple[np.ndarray, int, str]:
+    """Scaled-form ADMM on beta = z with residual-balancing rho and support polishing.
 
-    The beta update solves (Gram_i + rho I) beta_i = X_i^T y_i + rho (z_i - u_i)
-    for every step at once.  The inverses come from the eigendecomposition
+    Returns (beta, iterations, start).  The beta update solves
+    (Gram_i + rho I) beta_i = X_i^T y_i + rho (z_i - u_i) for every step at
+    once.  The inverses come from the eigendecomposition
     Gram_i = Q_i diag(w_i) Q_i^T that the system computes once for its whole
     lambda path (`gram_eigh`), so a new rho costs a batched product, no
-    factorization.  The z update is the group soft threshold at lam/rho, so
-    the start z is exactly group-sparse; it is zero if ADMM did not converge.
+    factorization.  The z update is the group soft threshold at lam/rho, so z
+    is exactly group-sparse.  beta is the first accepted polish of z (start
+    "polished"), else z once ADMM meets its own stopping rule ("admm"), else
+    zero ("zero").
     """
     eigvals, eigvecs = gram_eigh
     eigvecs_t = eigvecs.transpose(0, 2, 1)
@@ -195,6 +214,7 @@ def _admm_start(gram_eigh: tuple[np.ndarray, np.ndarray], cty: np.ndarray,
     solve = inverse(rho)
     z = np.zeros_like(cty)
     u = np.zeros_like(cty)
+    polish_at = ADMM_POLISH_FROM * lam
     for iterations in range(1, ADMM_MAX_ITERATIONS + 1):
         beta = np.matmul(solve, (cty + rho * (z - u))[:, :, None])[:, :, 0]
         v = beta + u
@@ -205,8 +225,15 @@ def _admm_start(gram_eigh: tuple[np.ndarray, np.ndarray], cty: np.ndarray,
         primal = float(np.linalg.norm(beta - z_new))
         dual = rho * float(np.linalg.norm(z_new - z))
         z = z_new
-        if max(primal, dual) <= ADMM_RTOL * lam:
-            return z, iterations
+        residual = max(primal, dual)
+        if residual <= ADMM_RTOL * lam:
+            return z, iterations, "admm"
+        if residual <= polish_at:
+            polished = _polish(gram, cty, z, lam)
+            if polished is not None:
+                return polished, iterations, "polished"
+            while polish_at >= residual:
+                polish_at /= 10.0
         if primal > ADMM_RHO_BALANCE * dual:
             step = ADMM_RHO_STEP
         elif dual > ADMM_RHO_BALANCE * primal:
@@ -216,16 +243,59 @@ def _admm_start(gram_eigh: tuple[np.ndarray, np.ndarray], cty: np.ndarray,
         rho *= step
         u /= step
         solve = inverse(rho)
-    return np.zeros_like(cty), ADMM_MAX_ITERATIONS
+    return np.zeros_like(cty), ADMM_MAX_ITERATIONS, "zero"
 
 
-def _kkt_residual(system: GroupedLinearSystem, beta: np.ndarray, lam: float) -> float:
+def _polish(gram: np.ndarray, cty: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray | None:
+    """The group lasso solved exactly on the support of `z`, or None if that fails KKT.
+
+    On the support A the optimum satisfies, at every step i,
+    (Gram_i,AA + lam diag(1/n)) beta_i = c_i,A with n_g = ||beta_g||, so the
+    group norms n solve F(n) = ||beta_g(n)|| - n_g = 0.  Newton's method on F
+    starts from the norms of z; its Jacobian needs
+    d||beta_g||/dn_h = lam / (||beta_g|| n_h^2) sum_i beta_ig (M_i^-1)_gh beta_ih
+    with M_i = Gram_i,AA + lam diag(1/n).  A step is cut so that no norm
+    falls by more than half, which keeps n > 0.  The active groups' stationarity
+    violation relative to lam is |F_g| / n_g, so Newton stops once that is
+    at most POLISH_TOL.  The result, zero off A, is returned only if its
+    `_kkt_residual` is at most ADMM_RTOL.
+    """
+    norms = np.sqrt(np.einsum("mg,mg->g", z, z))
+    support = np.flatnonzero(norms)
+    gram_aa = gram[:, support[:, None], support]
+    c = cty[:, support, None]
+    n = norms[support]
+    eye = np.eye(support.size)
+    for _ in range(POLISH_NEWTON_STEPS):
+        inv = np.linalg.inv(gram_aa + lam * eye / n)
+        beta_a = np.matmul(inv, c)[:, :, 0]
+        beta_norms = np.sqrt(np.einsum("mg,mg->g", beta_a, beta_a))
+        f = beta_norms - n
+        if np.all(np.abs(f) <= POLISH_TOL * n) or not np.all(beta_norms > 0):
+            break
+        jac = np.einsum("mg,mgh,mh->gh", beta_a, inv, beta_a)
+        jac *= lam / (beta_norms[:, None] * n[None, :] ** 2)
+        try:
+            step = np.linalg.solve(jac - eye, -f)
+        except np.linalg.LinAlgError:
+            return None
+        shrinking = step < 0
+        if shrinking.any():
+            step *= min(1.0, 0.5 * float(np.min(n[shrinking] / -step[shrinking])))
+        n = n + step
+    beta = np.zeros_like(z)
+    beta[:, support] = beta_a
+    return beta if _kkt_residual(gram, cty, beta, lam) <= ADMM_RTOL else None
+
+
+def _kkt_residual(gram: np.ndarray, cty: np.ndarray, beta: np.ndarray, lam: float) -> float:
     """Largest group stationarity violation of `beta` relative to lam.
 
     An active group contributes ||X_g^T r - lam beta_g/||beta_g|| || / lam, a
-    zero group max(||X_g^T r|| - lam, 0) / lam, with r = y - X beta.
+    zero group max(||X_g^T r|| - lam, 0) / lam, with X^T r = X^T y - Gram beta
+    computed from the system's products.
     """
-    grad = np.einsum("mng,mn->mg", system.blocks, system.target - system.matvec(beta))
+    grad = cty - np.matmul(gram, beta[:, :, None])[:, :, 0]
     norms = np.sqrt(np.einsum("mg,mg->g", beta, beta))
     active = norms > 0
     violation = np.maximum(np.sqrt(np.einsum("mg,mg->g", grad, grad)) - lam, 0.0)

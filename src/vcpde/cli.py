@@ -165,7 +165,12 @@ def cmd_simulate(args) -> int:
     grid = _given(args, {"nx": "n_x", "nt": "n_t"})
     grid.update({name: _parse_span(text, "--" + name.replace("_", "-"))
                  for name, text in (("x_span", args.x_span), ("t_span", args.t_span)) if text})
-    clean = simulate_dataset(make_scenario(args.family, **grid), seed=args.seed)
+    scenario = make_scenario(args.family, **grid)
+    if scenario.retain_t_from is not None and scenario.t_span[1] < scenario.retain_t_from:
+        raise ValueError(f"--t-span ends at {scenario.t_span[1]!r}, before the {scenario.family} "
+                         f"scenario's retain_t_from={scenario.retain_t_from!r}: discovery "
+                         f"would keep no time samples")
+    clean = simulate_dataset(scenario, seed=args.seed)
     dataset = noisy_dataset(clean, args.noise, args.seed)
     outdir = _out_root(args.output)
     stem = _dataset_stem(dataset.metadata)

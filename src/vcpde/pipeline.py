@@ -168,6 +168,12 @@ def build_system(
     if retain is not None:
         # t is increasing, so the samples at or after `retain` are a suffix: views, no copies
         first = int(np.searchsorted(stack.t_coords, retain - 1e-12))
+        if first == stack.t_coords.size:
+            raise ValueError(
+                f"retain_t_from={retain!r} keeps no time samples: the data's last time is "
+                f"{float(dataset.field.t_coords[-1])!r} (the last with derivatives "
+                f"{float(stack.t_coords[-1])!r})"
+            )
         stack = replace(
             stack,
             u=stack.u[:, first:],

@@ -95,6 +95,7 @@ def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryRe
                                   {"lam": mc.lasso_lam, "converged": result.converged,
                                    "sweeps": result.n_sweeps,
                                    "admm_iterations": result.admm_iterations,
+                                   "start": result.start,
                                    "kkt_residual": result.kkt_residual})
         if not result.converged:
             return replace(report, unscored=f"NotConverged: group lasso did not converge "

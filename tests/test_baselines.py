@@ -40,6 +40,11 @@ def collinear_system(seed, collinearity, second_weight):
                              np.arange(4.0))
 
 
+def zero_start(gram, gram_eigh, cty, lam):
+    """An `_admm_start` stand-in: block descent from zero."""
+    return np.zeros_like(cty), 0, "zero"
+
+
 def assert_group_lasso_kkt(system, beta, lam, tol):
     """Criterion 7: per-group stationarity within 10 tol, zero groups within lam."""
     residual = system.target - system.matvec(beta)
@@ -132,13 +137,41 @@ class TestGroupLasso:
         assert_group_lasso_kkt(system, result.beta_normalized, lam, tol)
 
     @pytest.mark.parametrize("seed", range(8))
+    def test_polished_start_is_accepted(self, seed):
+        rng = np.random.default_rng(seed)
+        system, _, _ = random_grouped_system(rng, n_steps=4, n_rows=10, n_groups=5)
+        lam = 0.3 * group_lasso_null_threshold(system)
+        gram, cty = system.gram(), system.design_target()
+        beta, iterations, start = baselines._admm_start(gram, system.gram_eigh(), cty, lam)
+        assert start == "polished" and iterations < baselines.ADMM_MAX_ITERATIONS
+        assert baselines._kkt_residual(gram, cty, beta, lam) <= baselines.ADMM_RTOL
+        result = group_lasso(system, GroupLassoConfig(lam=lam, tolerance=1e-8))
+        assert result.start == "polished" and result.converged and result.n_sweeps == 1
+        np.testing.assert_array_equal(result.trajectories.active, np.any(beta != 0.0, axis=0))
+
+    def test_kkt_residual_matches_the_residual_form(self):
+        # the products form X^T y - Gram beta against the residual form X^T (y - X beta)
+        rng = np.random.default_rng(4)
+        system, _, _ = random_grouped_system(rng, n_steps=4, n_rows=10, n_groups=5)
+        beta = rng.standard_normal((4, 5))
+        beta[:, 2] = 0.0
+        lam = 0.3 * group_lasso_null_threshold(system)
+        grad = np.einsum("mng,mn->mg", system.blocks, system.target - system.matvec(beta))
+        norms = np.linalg.norm(beta, axis=0)
+        expected = max(
+            max(np.linalg.norm(grad[:, g] - lam * beta[:, g] / norms[g]) for g in (0, 1, 3, 4)),
+            max(np.linalg.norm(grad[:, 2]) - lam, 0.0),
+        ) / lam
+        kkt = baselines._kkt_residual(system.gram(), system.design_target(), beta, lam)
+        assert kkt == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
     def test_matches_block_descent_from_zero(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         system, _, _ = random_grouped_system(rng, n_steps=4, n_rows=10, n_groups=5)
         config = GroupLassoConfig(lam=0.3 * group_lasso_null_threshold(system), tolerance=1e-8)
         result = group_lasso(system, config)
-        monkeypatch.setattr(baselines, "_admm_start",
-                            lambda gram, cty, lam: (np.zeros_like(cty), 0))
+        monkeypatch.setattr(baselines, "_admm_start", zero_start)
         reference = group_lasso(system, replace(config, tolerance=1e-12))
         assert reference.admm_iterations == 0 and reference.converged
         np.testing.assert_array_equal(result.trajectories.active, reference.trajectories.active)
@@ -164,13 +197,15 @@ class TestGroupLasso:
         tol = 1e-8
         result = group_lasso(system, GroupLassoConfig(lam=lam, tolerance=tol, max_sweeps=200))
         assert result.admm_iterations == baselines.ADMM_MAX_ITERATIONS
-        assert result.converged
+        assert result.start == "zero" and result.converged
         assert result.trajectories.selected == ("g0", "g3")
         assert_group_lasso_kkt(system, result.beta_normalized, lam, tol)
 
-    def test_nonconvergence_warns(self):
+    def test_nonconvergence_warns(self, monkeypatch):
+        # from the polished start two sweeps meet even 1e-14, so descend from zero
         rng = np.random.default_rng(9)
         system, _, _ = random_grouped_system(rng)
+        monkeypatch.setattr(baselines, "_admm_start", zero_start)
         with pytest.warns(RuntimeWarning, match="converge"):
             group_lasso(system, GroupLassoConfig(lam=0.01, tolerance=1e-14, max_sweeps=2))
 
@@ -209,3 +244,51 @@ class TestBaselinesOnCleanBurgers:
         for name in spurious:
             rms = np.linalg.norm(traj.group(name)) / np.sqrt(m)
             assert rms < 0.01  # constantly close to zero
+
+
+class TestKsLambdaPath:
+    """The default lambda path on KS 0.01% (noise seed 2), the `baselines` benchmark cell."""
+
+    # every point's selected terms and the loss argmin, as ADMM without polishing found them
+    ALL_TERMS = ("1", "u", "u^2", "u^3", "u_x", "u*u_x", "u^2*u_x", "u^3*u_x", "u_xx", "u*u_xx",
+                 "u^2*u_xx", "u^3*u_xx", "u_xxx", "u*u_xxx", "u^2*u_xxx", "u^3*u_xxx", "u_xxxx",
+                 "u*u_xxxx", "u^2*u_xxxx", "u^3*u_xxxx")
+    SELECTED = 9 * [ALL_TERMS] + [
+        ("1", "u", "u^2", "u^3", "u_x", "u*u_x", "u^2*u_x", "u^3*u_x", "u_xx", "u*u_xx",
+         "u^3*u_xx", "u_xxx", "u*u_xxx", "u^2*u_xxx", "u^3*u_xxx", "u_xxxx", "u*u_xxxx",
+         "u^2*u_xxxx", "u^3*u_xxxx"),
+        ("1", "u", "u^2", "u^3", "u_x", "u*u_x", "u^2*u_x", "u^3*u_x", "u_xx", "u^3*u_xx",
+         "u_xxx", "u*u_xxx", "u^2*u_xxx", "u^3*u_xxx", "u_xxxx", "u*u_xxxx", "u^2*u_xxxx",
+         "u^3*u_xxxx"),
+        ("1", "u", "u^2", "u^3", "u_x", "u*u_x", "u^2*u_x", "u^3*u_x", "u_xx", "u^3*u_xx",
+         "u_xxx", "u*u_xxx", "u^2*u_xxx", "u^3*u_xxx", "u_xxxx", "u*u_xxxx", "u^2*u_xxxx",
+         "u^3*u_xxxx"),
+        ("1", "u", "u^2", "u^3", "u_x", "u*u_x", "u^3*u_x", "u_xx", "u^3*u_xx", "u_xxx",
+         "u*u_xxx", "u^2*u_xxx", "u^3*u_xxx", "u_xxxx", "u*u_xxxx", "u^2*u_xxxx", "u^3*u_xxxx"),
+        ("1", "u", "u^2", "u_x", "u*u_x", "u^2*u_x", "u^3*u_x", "u_xx", "u*u_xx", "u_xxx",
+         "u*u_xxx", "u^2*u_xxx", "u^3*u_xxx", "u_xxxx", "u*u_xxxx"),
+        ("1", "u", "u_x", "u*u_x", "u^2*u_x", "u_xx", "u*u_xx", "u^2*u_xx", "u_xxx", "u*u_xxx",
+         "u_xxxx"),
+        ("u", "u_x", "u*u_x", "u^2*u_x", "u_xx", "u^2*u_xx", "u_xxx", "u_xxxx"),
+        ("u", "u_x", "u*u_x", "u^2*u_x", "u^3*u_x", "u_xxxx"),
+        ("u_x", "u*u_x", "u^2*u_x", "u^3*u_x", "u_xxxx"),
+        ("u*u_x",),
+        ("u*u_x",),
+    ]
+    LOSS_ARGMIN = 0  # index into the grid: the smallest penalty
+    # ADMM without polishing took 12,713 iterations over this path
+    MAX_ADMM_ITERATIONS = 4000
+
+    def test_path_selects_the_same_terms_in_fewer_admm_iterations(self, ks_clean):
+        from vcpde.pipeline import MethodConfig, build_system, noisy_dataset
+        from vcpde.selection import default_grid, sweep
+
+        system = build_system(noisy_dataset(ks_clean, 0.0001, seed=2))
+        grid = default_grid("lambda", system)
+        curve = sweep(system, "lambda", grid, MethodConfig(method="group_lasso"))
+        assert [p.error for p in curve.points] == [None] * 20
+        assert [p.selected for p in curve.points] == self.SELECTED
+        assert curve.argmin["loss"] == grid[self.LOSS_ARGMIN]
+        hypers = [p.report.hyperparameters for p in curve.points]
+        assert all(h["converged"] and h["sweeps"] == 1 for h in hypers)
+        assert sum(h["admm_iterations"] for h in hypers) <= self.MAX_ADMM_ITERATIONS

@@ -170,6 +170,34 @@ class TestCli:
         assert solved == []
         assert not list(tmp_path.iterdir())
 
+    def test_simulate_rejects_a_span_before_the_retained_window(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        solved = []
+        monkeypatch.setitem(solvers.FAMILIES, "kuramoto_sivashinsky",
+                            lambda scenario: solved.append(scenario))
+        code = self.run("simulate", "--family", "ks", "--nx", "64", "--nt", "32",
+                        "--t-span", "0:50", "--output", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --t-span ends at 50.0, before the kuramoto_sivashinsky scenario's "
+            "retain_t_from=100.0: discovery would keep no time samples\n")
+        assert solved == []
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("method", ["tbglss", "sgtr"])
+    def test_discover_names_an_empty_retained_window(self, tmp_path, capsys, method):
+        # a dataset made before simulate checked its span
+        dataset = simulate_dataset(make_scenario("ks", n_x=64, n_t=32, t_span=(0.0, 50.0)))
+        path = save_dataset(dataset, tmp_path / "ks.json")
+        code = self.run("discover", "--dataset", str(path), "--method", method,
+                        *(["--t-rms", "0.1"] if method == "tbglss" else []),
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: retain_t_from=100.0 keeps no time samples: the data's last time is 50.0 "
+            "(the last with derivatives 48.387096774193544)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_discover_nan_threshold_is_validation_error(self, small_dataset, tmp_path, capsys):
         path = save_dataset(small_dataset, tmp_path / "d.json")
         code = self.run("discover", "--dataset", str(path), "--t-ge", "nan",

@@ -171,6 +171,7 @@ class TestFit:
         lam = 0.3 * group_lasso_null_threshold(system)
         hyper = fit(system, MethodConfig(method="group_lasso", lasso_lam=lam)).hyperparameters
         assert hyper["converged"] and hyper["admm_iterations"] >= 1
+        assert hyper["start"] == "polished"
         assert 0.0 <= hyper["kkt_residual"] <= 10 * GroupLassoConfig(lam=lam).tolerance / lam
 
     def test_unconverged_lasso_fit_is_reported_unscored(self, monkeypatch):

@@ -2,14 +2,16 @@
 regression and group lasso.
 
 Both reuse the block-diagonal per-step decomposition.  Ridge solves batch over
-steps.  Group lasso starts from a batched ADMM solve, whose per-step linear
-systems share one eigendecomposition of each step's Gram; once ADMM's support
-has settled, a Newton solve of the problem restricted to that support replaces
-ADMM's slow linear tail.  It finishes with block coordinate descent, which
-alone decides convergence.  A group's block X_g^T X_g is the identity on the
-normalized system (each column has unit norm and a group holds one column per
-step), so the descent's block update is the exact closed-form group soft
-threshold.
+steps, and SGTR runs at several thresholds can share one memo of them: a
+threshold grid solves each active set it reaches once, in the calling process,
+since those few solves cost less than forking workers for the grid.  Group
+lasso starts from a batched ADMM solve, whose per-step linear systems share
+one eigendecomposition of each step's Gram; once ADMM's support has settled, a
+Newton solve of the problem restricted to that support replaces ADMM's slow
+linear tail.  It finishes with block coordinate descent, which alone decides
+convergence.  A group's block X_g^T X_g is the identity on the normalized
+system (each column has unit norm and a group holds one column per step), so
+the descent's block update is the exact closed-form group soft threshold.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ import numpy as np
 
 from .criteria import rms_criterion
 from .library import CoefficientTrajectories, GroupedLinearSystem
-
-SGTR_MAX_ITERATIONS = 50  # ridge refits before thresholding gives up on a fixed point
-
 
 @dataclass(frozen=True)
 class SgtrConfig:
@@ -69,24 +68,32 @@ def _ridge_fit(system: GroupedLinearSystem, active: np.ndarray, ridge: float) ->
         ) from exc
 
 
-def sgtr(system: GroupedLinearSystem, config: SgtrConfig) -> CoefficientTrajectories:
+def sgtr(system: GroupedLinearSystem, config: SgtrConfig,
+         fits: dict | None = None) -> CoefficientTrajectories:
     """Per-step ridge fits with iterative group-rms thresholding to a fixed point, on a
-    normalized system."""
-    n_groups = system.n_groups
-    active = np.arange(n_groups)
-    beta_active = _ridge_fit(system, active, config.ridge)
-    for _ in range(SGTR_MAX_ITERATIONS):
-        rms = np.array([rms_criterion(beta_active[:, j]) for j in range(active.size)])
+    normalized system.
+
+    Each refit that does not stop removes at least one group, so the loop ends within
+    n_groups refits.  `fits` memoizes each ridge fit and its group rms values, keyed by
+    (active groups, ridge): SGTR runs at several thresholds that share one memo solve each
+    active set they reach once (`selection` passes one per threshold grid).  A fit that
+    raises is not memoized, so every run that reaches it raises its own error.
+    """
+    fits = {} if fits is None else fits
+    active = np.arange(system.n_groups)
+    while active.size:
+        key = (tuple(active.tolist()), config.ridge)
+        if key not in fits:
+            beta = _ridge_fit(system, active, config.ridge)
+            fits[key] = beta, np.array([rms_criterion(beta[:, j]) for j in range(active.size)])
+        beta_active, rms = fits[key]
         keep = rms >= config.threshold
         if keep.all():
             break
         active = active[keep]
-        if active.size == 0:
-            break
-        beta_active = _ridge_fit(system, active, config.ridge)
 
-    values = np.zeros((system.n_steps, n_groups))
-    mask = np.zeros(n_groups, dtype=bool)
+    values = np.zeros((system.n_steps, system.n_groups))
+    mask = np.zeros(system.n_groups, dtype=bool)
     if active.size:
         values[:, active] = beta_active / system.scales[:, active]
         mask[active] = True

@@ -102,11 +102,19 @@ def evaluate_terms(stack: DerivativeStack, spec: LibrarySpec, varying_axis: str)
     n_x, n_t = stack.u.shape
     steps_rows = (n_t, n_x) if varying_axis == "time" else (n_x, n_t)
     blocks = np.empty((*steps_rows, len(spec.terms)))
-    for g, term in enumerate(spec.terms):
+    # A power of 3 or more runs numpy's general pow loop, about 80x slower than the square
+    # and product fast paths.  Each is computed once, and kept only while the terms using it
+    # are evaluated (they are visited together), so at most one extra field-sized array lives.
+    slow = {g: tuple((q, p) for q, p in term.factors if p >= 3)
+            for g, term in enumerate(spec.terms)}
+    power: dict = {}
+    for g in sorted(slow, key=slow.get):
         col = np.ones((n_x, n_t))
-        for q, p in term.factors:
+        for q, p in spec.terms[g].factors:
             base = stack.u if q == 0 else stack.space[q]
-            col = col * base**p
+            if p >= 3 and (q, p) not in power:
+                power = {(q, p): base**p}
+            col = col * (power[q, p] if p >= 3 else base**p)
         blocks[:, :, g] = col.T if varying_axis == "time" else col
     return blocks
 

@@ -3,8 +3,11 @@
 `fit` runs tbglss, SGTR or group lasso at fixed parameters on a grouped system
 and scores the result with the AIC-inspired loss.  `sweep` fits once per value
 of one parameter and records every criterion (see `criteria`), keeping each
-point's report so a parameter chosen on a grid needs no second fit.  A sweep
-runs its work on worker processes forked from this one, one per CPU it may use.
+point's report so a parameter chosen on a grid needs no second fit.  A tbglss
+or lambda sweep runs its work on worker processes forked from this one, one per
+CPU it may use.  An SGTR threshold grid is one path in this process, sharing
+its ridge fits and losses between thresholds; a fixed-threshold SGTR `fit` is
+that path with one threshold.
 """
 
 from __future__ import annotations
@@ -84,9 +87,10 @@ def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryRe
     elif mc.method == "sgtr":
         if mc.sgtr_threshold is None:
             raise ValueError("fit needs a fixed sgtr_threshold")
-        trajectories = sgtr(system, SgtrConfig(threshold=mc.sgtr_threshold, ridge=mc.sgtr_ridge))
-        report = _baseline_report(trajectories, trajectories.values * system.scales, "sgtr",
-                                  {"threshold": mc.sgtr_threshold, "ridge": mc.sgtr_ridge})
+        [(report, error)] = _sgtr_path(system, [mc.sgtr_threshold], mc.sgtr_ridge)
+        if error is not None:
+            raise error
+        return report
     else:
         if mc.lasso_lam is None:
             raise ValueError("fit needs a fixed lasso_lam")
@@ -101,6 +105,32 @@ def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryRe
             return replace(report, unscored=f"NotConverged: group lasso did not converge "
                                             f"in {result.n_sweeps} sweeps")
     return _scored(system, report)
+
+
+def _sgtr_path(system: GroupedLinearSystem, thresholds: list, ridge: float,
+               outcome=lambda threshold, report: report) -> list:
+    """SGTR fitted and scored at each threshold: (outcome(threshold, report), None), or
+    (None, error) where the fit or `outcome` raised one of POINT_ERRORS.
+
+    The thresholds share one memo of ridge fits (`sgtr`'s `fits`), so each distinct
+    active set is solved once, and one loss per final support: the same support has the
+    same coefficients, so the same `aic_loss`.  Both memos live for this call only.
+    """
+    fits: dict = {}
+    losses: dict = {}
+    results = []
+    for threshold in thresholds:
+        try:
+            trajectories = sgtr(system, SgtrConfig(threshold=threshold, ridge=ridge), fits)
+            report = _baseline_report(trajectories, trajectories.values * system.scales, "sgtr",
+                                      {"threshold": threshold, "ridge": ridge})
+            support = tuple(np.flatnonzero(trajectories.active).tolist())
+            if support not in losses:
+                losses[support] = _scored(system, report).loss
+            results.append((outcome(threshold, replace(report, loss=losses[support])), None))
+        except POINT_ERRORS as exc:
+            results.append((None, exc))
+    return results
 
 
 def _scored(system: GroupedLinearSystem, report: DiscoveryReport) -> DiscoveryReport:
@@ -199,11 +229,14 @@ def sweep(
     recorded on the curve as failed and no argmin uses it.  A point whose
     tbglss run keeps no group scores as the empty model.
 
-    The work runs on worker processes forked once per sweep (`pool.Workers`):
-    each distinct tbglss chain is one task, and so is each SGTR or group-lasso
-    point.  Points come back in grid order, warnings raised in a worker are
-    raised again here, and every report is the same as when run in this
-    process.
+    An SGTR threshold grid runs here as one path (`_sgtr_path`): each
+    distinct ridge fit and each distinct final support's loss is computed
+    once.  Those few fits take less time than forking workers and sending the
+    reports back would.  Other sweeps run on worker processes forked once per
+    sweep (`pool.Workers`): each distinct tbglss chain is one task, and so is
+    each group-lasso point.  Points come back in grid order, warnings raised
+    in a worker are raised again here, and every report is the same as when
+    run in this process.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -217,11 +250,18 @@ def sweep(
     if base.method != AXIS_METHODS[axis]:
         raise ValueError(f"axis {axis!r} applies to the {AXIS_METHODS[axis]} method")
     values = [float(v) for v in grid]
-    chains: dict = {}
-    loops = [_point_loop(system, _point_config(base, axis, v), v, truth, chains) for v in values]
-    system.gram()  # cached before the workers fork, so each inherits it
-    with Workers(partial(_work, system, truth), len(values)) as workers:
-        points = _drive(loops, workers)
+    if axis == "sgtr_threshold":
+        path = _sgtr_path(system, values, base.sgtr_ridge,
+                          lambda v, report: _sweep_point(system, report, v, truth))
+        points = [point if error is None else _failed_point(v, error)
+                  for v, (point, error) in zip(values, path)]
+    else:
+        chains: dict = {}
+        loops = [_point_loop(system, _point_config(base, axis, v), v, truth, chains)
+                 for v in values]
+        system.gram()  # cached before the workers fork, so each inherits it
+        with Workers(partial(_work, system, truth), len(values)) as workers:
+            points = _drive(loops, workers)
     argmin = {}
     for crit in ("loss", "total_error_bar", "coefficient_mse"):
         best = [(getattr(p, crit), p.value) for p in points if getattr(p, crit) is not None]
@@ -234,14 +274,18 @@ def _point_loop(system: GroupedLinearSystem, config: MethodConfig, value: float,
                 truth: CoefficientTrajectories | None, chains: dict):
     """One sweep point as a generator: yields (key, keep_ensemble) for the work it needs and
     returns its SweepPoint, failed if the point raised one of POINT_ERRORS.  A tbglss point
-    asks for its chains; any other point is one task."""
+    asks for its chains; a group-lasso point is one task."""
     try:
         if config.method != "tbglss":
             return (yield (value, config), False)
         report = yield from threshold_loop(system, config, chains)
         return _sweep_point(system, _scored(system, report), value, truth)
     except POINT_ERRORS as exc:
-        return SweepPoint(value, None, None, None, (), error=f"{type(exc).__name__}: {exc}")
+        return _failed_point(value, exc)
+
+
+def _failed_point(value: float, error: Exception) -> SweepPoint:
+    return SweepPoint(value, None, None, None, (), error=f"{type(error).__name__}: {error}")
 
 
 def _sweep_point(system: GroupedLinearSystem, report: DiscoveryReport, value: float,
@@ -256,7 +300,7 @@ def _sweep_point(system: GroupedLinearSystem, report: DiscoveryReport, value: fl
 
 
 def _work(system: GroupedLinearSystem, truth: CoefficientTrajectories | None, task: tuple):
-    """One task (key, keep_ensemble): a tbglss memo entry, or a whole SGTR or group-lasso point
+    """One task (key, keep_ensemble): a tbglss memo entry, or a whole group-lasso point
     (key = (value, config))."""
     key, keep_ensemble = task
     if isinstance(key[1], MethodConfig):

@@ -411,7 +411,7 @@ class TestCli:
     def test_discover_every_grid_point_failing_exits_two(self, monkeypatch, tmp_path, capsys):
         from vcpde import selection
 
-        def singular(system, config):
+        def singular(system, config, fits=None):
             raise np.linalg.LinAlgError("singular per-step Gram")
 
         self.run("simulate", "--family", "burgers", "--nx", "64", "--nt", "48",

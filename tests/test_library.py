@@ -74,6 +74,24 @@ class TestEvaluateTerms:
         np.testing.assert_allclose(cols["u_x"], 0.0)
         np.testing.assert_allclose(cols["1"], 1.0)
 
+    def test_each_column_is_its_factors_product_in_library_order(self):
+        # the powers of 3 and more, computed once each, are shared by interleaved terms
+        x, t = np.linspace(-1, 1, 9), np.linspace(0, 1, 7)
+        stack = analytic_stack(lambda xx, tt: np.sin(3 * xx) + tt, lambda xx, tt: xx,
+                               {1: lambda xx, tt: np.cos(xx * tt), 2: lambda xx, tt: xx - tt},
+                               x, t)
+        terms = [((0, 3), (1, 1)), ((1, 3),), ((0, 2),), ((0, 3), (1, 3)), (), ((0, 3),),
+                 ((0, 4), (2, 3)), ((1, 3), (2, 1)), ((0, 4),)]
+        lib = LibrarySpec(tuple(Term(f) for f in terms))
+        for axis in ("time", "space"):
+            values = evaluate_terms(stack, lib, axis)
+            for g, factors in enumerate(terms):
+                col = np.ones_like(stack.u)
+                for q, p in factors:
+                    col = col * (stack.u if q == 0 else stack.space[q]) ** p
+                expected = col.T if axis == "time" else col
+                assert values[:, :, g].tobytes() == np.ascontiguousarray(expected).tobytes()
+
     def test_unavailable_derivative_rejected(self):
         x = np.linspace(0, 1, 8)
         stack = analytic_stack(lambda xx, tt: xx, lambda xx, tt: xx,

@@ -189,26 +189,37 @@ class TestDiscover:
         assert report.hyperparameters["lam"] == 0.5
 
     def test_grid_choice_reuses_the_point_fit(self, small_noisy_dataset, monkeypatch):
-        # the points run on two workers: count each fit here and each point dispatched to them
-        thresholds = []
-        original, submit = selection.sgtr, pool.Workers.submit
+        # SGTR's grid runs here and the lambda path's points on two workers: count each fit
+        # here and each point dispatched to them
+        fitted = {"sgtr": [], "group_lasso": []}
+        original_sgtr, original_lasso, submit = selection.sgtr, selection.group_lasso, \
+            pool.Workers.submit
 
-        def counted(system, config):
-            thresholds.append(config.threshold)
-            return original(system, config)
+        def counted_sgtr(system, config, fits=None):
+            fitted["sgtr"].append(config.threshold)
+            return original_sgtr(system, config, fits)
+
+        def counted_lasso(system, config):
+            fitted["group_lasso"].append(config.lam)
+            return original_lasso(system, config)
 
         def dispatched(workers, task):
             (_, config), _ = task
-            thresholds.append(config.sgtr_threshold)
+            fitted[config.method].append(config.lasso_lam)
             return submit(workers, task)
 
-        monkeypatch.setattr(selection, "sgtr", counted)
+        monkeypatch.setattr(selection, "sgtr", counted_sgtr)
+        monkeypatch.setattr(selection, "group_lasso", counted_lasso)
         monkeypatch.setattr(pool.Workers, "submit", dispatched)
         monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 2)
-        report = discover(small_noisy_dataset, MethodConfig(method="sgtr"))
-        assert len(thresholds) == len(default_grid("sgtr_threshold"))  # no refit
-        assert report.hyperparameters["threshold"] in thresholds
-        assert report.provenance["selected_by"] == "lowest loss over sgtr_threshold grid"
+        sgtr_report = discover(small_noisy_dataset, MethodConfig(method="sgtr"))
+        lasso_report = discover(small_noisy_dataset, MethodConfig(method="group_lasso"))
+        assert fitted["sgtr"] == default_grid("sgtr_threshold").tolist()  # here, no refit
+        assert sgtr_report.hyperparameters["threshold"] in fitted["sgtr"]
+        assert len(fitted["group_lasso"]) == 20  # dispatched, no refit
+        assert lasso_report.hyperparameters["lam"] in fitted["group_lasso"]
+        for axis, report in (("sgtr_threshold", sgtr_report), ("lambda", lasso_report)):
+            assert report.provenance["selected_by"] == f"lowest loss over {axis} grid"
 
     def test_every_grid_point_failing_raises_typed_error(self, small_noisy_dataset):
         # duplicated columns + zero ridge make every sgtr point singular

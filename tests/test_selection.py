@@ -1,3 +1,4 @@
+import re
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcpde import pool, selection, tbglss
+from vcpde import baselines, pool, selection, tbglss
 from vcpde.baselines import GroupLassoConfig, group_lasso, group_lasso_null_threshold
 from vcpde.criteria import aic_loss, coefficient_mse, empty_model_scores, total_error_bar
 from vcpde.gibbs import BglssConfig
@@ -227,14 +228,20 @@ class TestSweep:
         assert all(p.error is not None for p in curve.points)
         assert curve.argmin == {}
 
-    def test_undocumented_point_error_propagates(self, monkeypatch):
-        def broken(system, config):
+    def test_undocumented_point_error_propagates(self, monkeypatch, pooled):
+        # an SGTR grid runs here, a lambda path's points on two workers
+        def broken(*args):
             raise KeyError("a fault, not a documented point failure")
 
         monkeypatch.setattr(selection, "sgtr", broken)
+        monkeypatch.setattr(selection, "group_lasso", broken)
         system, _ = perfect_fit_system(seed=8)
         with pytest.raises(KeyError, match="a fault"):
             sweep(system, "sgtr_threshold", np.array([0.01, 0.1]), MethodConfig(method="sgtr"))
+        with pytest.raises(KeyError, match="a fault") as raised:
+            sweep(system, "lambda", default_grid("lambda", system)[::10],
+                  MethodConfig(method="group_lasso"))
+        assert "raised in a worker process" in raised.value.__notes__[-1]
 
     def test_unconverged_lasso_point_is_flagged_not_chosen(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -364,7 +371,8 @@ class TestSweepSharesChains:
         ("t_rms", np.logspace(-3, 0, 6), {}),
         ("t_ge", np.linspace(0.02, 0.22, 4),
          {"final_chains": 2, "with_ci": True, "keep_final_ensemble": True}),
-    ], ids=["t_ge", "t_rms", "t_ge-two-chains-ci"])
+        ("sgtr_threshold", default_grid("sgtr_threshold"), {"method": "sgtr", "thresholds": None}),
+    ], ids=["t_ge", "t_rms", "t_ge-two-chains-ci", "sgtr"])
     def test_every_point_matches_a_standalone_fit(self, burgers_one_percent, sampled,
                                                   axis, grid, options):
         base = replace(self.BASE, **options)
@@ -380,9 +388,55 @@ class TestSweepSharesChains:
                 np.testing.assert_array_equal(point.report.final_ensemble.beta,
                                               alone.final_ensemble.beta)
         assert len(supports) > 1  # the grid crosses support changes
-        assert len(set(sampled)) == shared < len(sampled)
+        if base.method == "tbglss":
+            assert len(set(sampled)) == shared < len(sampled)
         if base.with_ci:
             assert any(p.report.bootstrap_cis for p in curve.points)
+
+    def test_sgtr_grid_fits_each_active_set_and_scores_each_support_once(
+            self, burgers_one_percent, monkeypatch):
+        fitted, scored = [], []
+        ridge_fit, loss = baselines._ridge_fit, selection.aic_loss
+
+        def counted_fit(system, active, ridge):
+            fitted.append((tuple(active.tolist()), ridge))
+            return ridge_fit(system, active, ridge)
+
+        def counted_loss(system, beta, k):
+            scored.append(tuple(np.flatnonzero(beta.any(axis=0)).tolist()))
+            return loss(system, beta, k)
+
+        monkeypatch.setattr(baselines, "_ridge_fit", counted_fit)
+        monkeypatch.setattr(selection, "aic_loss", counted_loss)
+        system = burgers_one_percent
+        curve = sweep(system, "sgtr_threshold", default_grid("sgtr_threshold"),
+                      MethodConfig(method="sgtr"))
+        full = (tuple(range(system.n_groups)), MethodConfig.sgtr_ridge)
+        assert fitted[0] == full and len(fitted) == len(set(fitted))
+        supports = {tuple(np.flatnonzero(p.report.trajectories.active).tolist())
+                    for p in curve.points}
+        assert sorted(scored) == sorted(supports)
+        assert len(curve.points) == 20 and 1 < len(supports) <= len(fitted) < 20
+
+    def test_singular_active_set_fails_each_point_reaching_it(self, monkeypatch):
+        system, _ = perfect_fit_system(seed=5)
+        fitted, ridge_fit = [], baselines._ridge_fit
+
+        def singular_on_c(system, active, ridge):
+            fitted.append(tuple(active.tolist()))
+            if fitted[-1] == (2,):
+                raise np.linalg.LinAlgError("singular per-step Gram")
+            return ridge_fit(system, active, ridge)
+
+        monkeypatch.setattr(baselines, "_ridge_fit", singular_on_c)
+        curve = sweep(system, "sgtr_threshold", np.array([1e-12, 0.01, 0.1, 1e6]),
+                      MethodConfig(method="sgtr"))
+        assert [p.error for p in curve.points] == [
+            None, "LinAlgError: singular per-step Gram", "LinAlgError: singular per-step Gram",
+            None]
+        assert [p.selected for p in curve.points] == [("a", "b", "c", "d"), (), (), ()]
+        assert fitted == [(0, 1, 2, 3), (2,), (2,)]  # a failed fit is tried again, not reused
+        assert curve.argmin["loss"] == 1e-12
 
     def test_runs_sharing_a_memo_keep_same_size_supports_apart(self, burgers_one_percent):
         """Two runs whose first updates remove as many groups but not the same ones."""
@@ -496,35 +550,58 @@ class TestParallelSweep:
         assert submitted == [("chain", False), ("chain", True)]
 
     def test_worker_warnings_are_raised_again_here(self, monkeypatch, pooled):
-        def warning_sgtr(system, config):
-            warnings.warn(f"sgtr at {config.threshold!r}", UserWarning)
-            return selection_sgtr(system, config)
+        # the lambda path's points run on two workers; an SGTR grid runs here
+        def warning_lasso(system, config):
+            warnings.warn(f"lasso at {config.lam!r}", UserWarning)
+            return selection_lasso(system, config)
 
-        selection_sgtr = selection.sgtr
+        def warning_sgtr(system, config, fits=None):
+            warnings.warn(f"sgtr at {config.threshold!r}", UserWarning)
+            return selection_sgtr(system, config, fits)
+
+        selection_lasso, selection_sgtr = selection.group_lasso, selection.sgtr
+        monkeypatch.setattr(selection, "group_lasso", warning_lasso)
         monkeypatch.setattr(selection, "sgtr", warning_sgtr)
         system, _ = perfect_fit_system(seed=5)
-        grid = np.array([0.01, 0.1, 1e6])
-        with pytest.warns(UserWarning, match="sgtr at") as caught:
-            sweep(system, "sgtr_threshold", grid, MethodConfig(method="sgtr"))
-        assert sorted(str(w.message) for w in caught) == [f"sgtr at {v!r}" for v in grid.tolist()]
-        assert {w.filename for w in caught} == {__file__}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            warnings.filterwarnings("error", "sgtr at 0.1")
-            with pytest.raises(UserWarning, match="sgtr at 0.1"):
-                sweep(system, "sgtr_threshold", grid, MethodConfig(method="sgtr"))
+        for axis, name, grid, base in (
+                ("lambda", "lasso", default_grid("lambda", system)[::5],
+                 MethodConfig(method="group_lasso")),
+                ("sgtr_threshold", "sgtr", np.array([0.01, 0.1, 1e6]), MethodConfig(method="sgtr"))):
+            with pytest.warns(UserWarning, match=f"{name} at") as caught:
+                sweep(system, axis, grid, base)
+            assert sorted(str(w.message) for w in caught) == sorted(
+                f"{name} at {v!r}" for v in grid.tolist())
+            assert {w.filename for w in caught} == {__file__}
+            message = re.escape(f"{name} at {grid.tolist()[1]!r}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                warnings.filterwarnings("error", message)
+                with pytest.raises(UserWarning, match=message):
+                    sweep(system, axis, grid, base)
 
     def test_worker_point_error_is_recorded_on_its_point(self, monkeypatch, pooled):
-        def singular_at_one(system, config):
+        # the lambda path's points run on two workers; an SGTR grid runs here
+        system, _ = perfect_fit_system(seed=5)
+        lams = default_grid("lambda", system)[::5]
+
+        def singular_lasso_at_one(system, config):
+            if config.lam == lams[1]:
+                raise np.linalg.LinAlgError("singular per-step Gram")
+            return selection_lasso(system, config)
+
+        def singular_sgtr_at_one(system, config, fits=None):
             if config.threshold == 0.1:
                 raise np.linalg.LinAlgError("singular per-step Gram")
-            return selection_sgtr(system, config)
+            return selection_sgtr(system, config, fits)
 
-        selection_sgtr = selection.sgtr
-        monkeypatch.setattr(selection, "sgtr", singular_at_one)
-        system, _ = perfect_fit_system(seed=5)
-        curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.1, 1e6]),
-                      MethodConfig(method="sgtr"))
-        assert [p.error for p in curve.points] == [
-            None, "LinAlgError: singular per-step Gram", None]
-        assert curve.points[0].selected == ("c",)
+        selection_lasso, selection_sgtr = selection.group_lasso, selection.sgtr
+        monkeypatch.setattr(selection, "group_lasso", singular_lasso_at_one)
+        monkeypatch.setattr(selection, "sgtr", singular_sgtr_at_one)
+        for axis, grid, base in (("lambda", lams, MethodConfig(method="group_lasso")),
+                                 ("sgtr_threshold", np.array([0.01, 0.1, 1e6]),
+                                  MethodConfig(method="sgtr"))):
+            curve = sweep(system, axis, grid, base)
+            errors = [p.error for p in curve.points]
+            assert errors[1] == "LinAlgError: singular per-step Gram"
+            assert errors[:1] + errors[2:] == [None] * (len(grid) - 1)
+            assert curve.points[0].selected == ("c",)

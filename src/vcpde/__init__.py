@@ -30,7 +30,7 @@ from .pipeline import (
     noisy_dataset,
     simulate_dataset,
 )
-from .selection import MethodConfig, SweepFailedError, fit, sweep
+from .selection import SweepFailedError, fit, sweep
 from .solvers import (
     PdeScenario,
     add_noise,
@@ -38,7 +38,7 @@ from .solvers import (
     solve,
     true_coefficients,
 )
-from .tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
+from .tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec, run_tbglss
 from .uncertainty import BootstrapCI, bootstrap_median_ci
 
 __version__ = "0.1.0"

@@ -28,12 +28,12 @@ from .library import CoefficientTrajectories, GroupedLinearSystem
 class SgtrConfig:
     """Group-rms threshold and ridge penalty."""
 
-    threshold: float
+    threshold: float | None = None  # None: `selection.fit` chooses it by loss on a grid
     ridge: float = 1e-5
 
     def __post_init__(self):
         # negated comparisons, so that NaN fails them too
-        if not self.threshold > 0:
+        if self.threshold is not None and not self.threshold > 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if not self.ridge >= 0:
             raise ValueError(f"ridge penalty must be nonnegative, got {self.ridge}")
@@ -43,13 +43,13 @@ class SgtrConfig:
 class GroupLassoConfig:
     """Penalty and block-coordinate-descent stopping rule."""
 
-    lam: float
+    lam: float | None = None  # None: `selection.fit` chooses it by loss on a grid
     tolerance: float = 1e-6
     max_sweeps: int = 10000
 
     def __post_init__(self):
         # negated comparisons, so that NaN fails them too
-        if not self.lam > 0:
+        if self.lam is not None and not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
@@ -79,6 +79,8 @@ def sgtr(system: GroupedLinearSystem, config: SgtrConfig,
     active set they reach once (`selection` passes one per threshold grid).  A fit that
     raises is not memoized, so every run that reaches it raises its own error.
     """
+    if config.threshold is None:
+        raise ValueError("sgtr needs a threshold: selection.fit chooses one left None")
     fits = {} if fits is None else fits
     active = np.arange(system.n_groups)
     while active.size:
@@ -155,6 +157,8 @@ def group_lasso(system: GroupedLinearSystem, config: GroupLassoConfig) -> GroupL
     the result: its largest group stationarity violation relative to lam
     (`_kkt_residual`).
     """
+    if config.lam is None:
+        raise ValueError("group_lasso needs a penalty lam: selection.fit chooses one left None")
     m, _, n_groups = system.blocks.shape
     gram = system.gram()
     cty = system.design_target()

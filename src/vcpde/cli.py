@@ -3,8 +3,10 @@
 The commands parse options, call the library and print; the library holds the
 decisions.  Configuration precedence is command line > --config file >
 built-in defaults; the sampler, method, differentiation, library and filter
-options default to BglssConfig, MethodConfig, DifferentiationSpec,
-LibrarySpec.standard and FilterSpec.of.  The config file is a flat JSON
+options default to BglssConfig, the method's own config (selection.METHODS),
+DifferentiationSpec, LibrarySpec.standard and FilterSpec.of.  An option the
+chosen method does not read is a validation error, except --seed, which every
+method accepts and only tbglss reads.  The config file is a flat JSON
 object whose keys are the long option names with dashes replaced by
 underscores, and a key that no subcommand declares is a validation error.
 Every output embeds the options and seeds needed to reproduce it bit-for-bit.
@@ -37,8 +39,7 @@ from .pipeline import (
     noisy_dataset,
     simulate_dataset,
 )
-from .selection import (AXIS_METHODS, METHODS, SWEEP_AXES, MethodConfig, SweepFailedError,
-                        default_grid, sweep)
+from .selection import AXIS_METHODS, METHODS, SWEEP_AXES, SweepFailedError, default_grid, sweep
 from .solvers import (
     SolverBlowupError,
     check_noise_level,
@@ -46,7 +47,7 @@ from .solvers import (
     scenario_from_metadata,
     true_coefficients,
 )
-from .tbglss import ThresholdSpec
+from .tbglss import TbglssConfig, ThresholdSpec
 
 OUTPUT_ROOT_ENV = "VCPDE_OUTPUT_ROOT"
 
@@ -98,8 +99,14 @@ def _dataset_stem(metadata: dict) -> str:
 # Options whose default is the library's: option dest -> the field it sets.
 BGLSS_OPTIONS = {"iterations": "n_iterations", "burnin": "n_burnin", "lam": "lam", "pi0": "pi0",
                  "seed": "seed"}
-METHOD_OPTIONS = {name: name for name in ("update_iterations", "update_burnin", "final_chains",
-                                          "with_ci", "sgtr_threshold", "sgtr_ridge", "lasso_lam")}
+THRESHOLD_OPTIONS = ("t_rms", "t_ge")  # tbglss's ThresholdSpec, with BGLSS_OPTIONS its sampler
+# Each method's own options: option dest -> the field of its config (selection.METHODS).
+METHOD_OPTIONS = {
+    "tbglss": {name: name for name in ("update_iterations", "update_burnin", "final_chains",
+                                       "with_ci")},
+    "sgtr": {"sgtr_threshold": "threshold", "sgtr_ridge": "ridge"},
+    "group_lasso": {"lasso_lam": "lam"},
+}
 DIFF_OPTIONS = {"diff_method": "method", "space_width": "space_width",
                 "space_degree": "space_degree", "time_width": "time_width",
                 "time_degree": "time_degree"}
@@ -134,23 +141,29 @@ SAMPLER_OPTIONS = (
 )
 
 
-def _thresholds(args, method: str, swept: str | None = None) -> ThresholdSpec | None:
-    """--t-rms and --t-ge as a ThresholdSpec, 0.0 holding a swept one's place: always for
-    tbglss, and for another method only when either is given, for MethodConfig to reject."""
-    values = {"t_rms": args.t_rms, "t_ge": args.t_ge}
-    if swept in values:
-        values[swept] = 0.0
-    if method != "tbglss" and all(value is None for value in values.values()):
-        return None
-    return ThresholdSpec(**values)
-
-
-def _method_config(args, method: str, thresholds: ThresholdSpec | None = None,
-                   **fields) -> MethodConfig:
-    """The MethodConfig of every command, from the BGLSS_OPTIONS and METHOD_OPTIONS `args` sets."""
-    return MethodConfig(method=method, thresholds=thresholds,
-                        bglss=BglssConfig(**_given(args, BGLSS_OPTIONS)),
-                        **_given(args, METHOD_OPTIONS), **fields)
+def _method_config(args, method: str, swept: str | None = None, **fields):
+    """`method`'s config (selection.METHODS) from the options `args` sets, plus `fields`.  Each
+    option `method` does not read (`others`, named as the error names it) is an error.  On a
+    sweep of the threshold `swept`, 0.0 holds its place: --range, not its option, sets it."""
+    others = {dest: dest for name, table in METHOD_OPTIONS.items() if name != method
+              for dest in table}
+    if method != "tbglss":
+        others.update({dest: "thresholds" for dest in THRESHOLD_OPTIONS},
+                      **{dest: dest for dest in BGLSS_OPTIONS if dest != "seed"})
+    unused = _given(args, others)
+    if unused:
+        raise ValueError(f"{method} does not use {' or '.join(unused)}")
+    config = {**_given(args, METHOD_OPTIONS[method]), **fields}
+    if method != "tbglss":
+        return METHODS[method](**config)
+    thresholds = {dest: getattr(args, dest) for dest in THRESHOLD_OPTIONS}
+    if swept in thresholds:
+        if thresholds[swept] is not None:
+            raise ValueError(f"--axis {swept} sweeps {swept}: give its values with --range, "
+                             f"not --{swept.replace('_', '-')}")
+        thresholds[swept] = 0.0
+    return TbglssConfig(ThresholdSpec(**thresholds), BglssConfig(**_given(args, BGLSS_OPTIONS)),
+                        **config)
 
 
 def _require(value, name: str):
@@ -203,14 +216,13 @@ def cmd_filter(args) -> int:
 
 def cmd_discover(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
-    method = args.method or MethodConfig.method
+    method = args.method or "tbglss"
     if args.dump_trace and method != "tbglss":
         raise ValueError(f"--dump-trace needs the tbglss method: {method} samples no draws")
-    method_config = _method_config(args, method, _thresholds(args, method),
-                                   keep_final_ensemble=bool(args.dump_trace))
+    fields = {"keep_final_ensemble": True} if args.dump_trace else {}
     report = discover(
         dataset,
-        method_config,
+        _method_config(args, method, **fields),
         library=_library_from_args(args),
         diff=_diff_spec_from_args(args),
     )
@@ -242,6 +254,9 @@ def cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     if args.filter:
+        if args.axis_name is not None:
+            raise ValueError("--axis sweeps a method parameter and --filter a filter parameter: "
+                             "give one of them")
         if not args.clean:
             raise ValueError("filter sweeps need --clean for the reference field")
         clean = load_dataset(args.clean)
@@ -264,8 +279,7 @@ def cmd_sweep(args) -> int:
     if axis not in SWEEP_AXES:
         raise ValueError(f"--axis must be one of {SWEEP_AXES} (or use --filter)")
     grid = _parse_range(args.range, "--range", log=args.log) if args.range else None
-    method = AXIS_METHODS[axis]
-    method_config = _method_config(args, method, _thresholds(args, method, swept=axis))
+    method_config = _method_config(args, AXIS_METHODS[axis], swept=axis)
     system = build_system(dataset, library=_library_from_args(args), diff=_diff_spec_from_args(args))
     grid = default_grid(axis, system) if grid is None else grid
     truth = _truth(dataset, _library_from_args(args), system) if args.with_truth else None
@@ -312,8 +326,8 @@ def cmd_reproduce(args) -> int:
         dataset = data(family, noise)
         dataset = dataset if denoiser is None else filter_dataset(dataset, denoiser)
         thresholds = ThresholdSpec(*BENCHMARK_CELLS[family]["thresholds"][noise])
-        return discover(dataset, _method_config(args, method,
-                                                thresholds if method == "tbglss" else None))
+        return discover(dataset, TbglssConfig(thresholds, BglssConfig(seed=args.seed))
+                        if method == "tbglss" else METHODS[method]())
 
     for family, spec in BENCHMARK_CELLS.items():
         for noise in spec["noises"]:
@@ -331,7 +345,7 @@ def cmd_reproduce(args) -> int:
         system = build_system(dataset)
         truth = _truth(dataset, LibrarySpec.standard(), system)
         t_rms, _ = BENCHMARK_CELLS["advection_diffusion"]["thresholds"][0.02]
-        base = _method_config(args, "tbglss", ThresholdSpec(t_rms=t_rms))
+        base = TbglssConfig(ThresholdSpec(t_rms=t_rms), BglssConfig(seed=args.seed))
         curve = sweep(system, "t_ge", default_grid("t_ge"), base, truth=truth)
         curve.to_csv(outdir / "ad_tge_sweep.csv")
         curve.to_json(outdir / "ad_tge_sweep.json")
@@ -435,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discover", help="run one discovery method on a dataset")
     p.add_argument("--dataset", default=None)
-    p.add_argument("--with-ci", action="store_true",
+    p.add_argument("--with-ci", action="store_true", default=None,
                    help="embed bootstrap intervals of each posterior median: its Monte Carlo "
                         "error, not a band for the true coefficient (that is stdev)")
     p.add_argument("--dump-trace", default=None, metavar="FILE",
@@ -475,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-paper",
                        help="run the full benchmark grid and the filter study")
     p.add_argument("--only", default=None, help="substring filter for cells, e.g. burgers_noise0")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="the data (noise) seed of every cell and the tbglss sampler seed")
     add_output(p)
     p.set_defaults(func=cmd_reproduce)
 

@@ -1,5 +1,9 @@
 """End-to-end wiring: dataset -> derivatives -> grouped system -> discovery.
 
+`discover` builds the system, doubles tbglss's chains on noisy data and
+records provenance; `selection.fit`, the one method dispatch, runs the method
+its config's type names and chooses a baseline parameter left None.
+
 A Dataset bundles the field with the provenance needed to reproduce it
 (scenario metadata, noise level, seeds, any filtering applied).  Randomness is
 derived, never shared: the dataset's noise stream comes from
@@ -24,9 +28,10 @@ from .library import (
     assemble_grouped_system,
     evaluate_terms,
 )
-from .selection import MethodConfig, SweepFailedError, default_grid, fit, sweep
+from .baselines import GroupLassoConfig, SgtrConfig
+from .selection import fit
 from .solvers import PdeScenario, add_noise, solve
-from .tbglss import DiscoveryReport
+from .tbglss import DiscoveryReport, TbglssConfig
 
 NOISE_DOUBLING_LEVEL = 0.02  # chain lengths double at and above this noise level
 
@@ -189,15 +194,16 @@ def build_system(
     return assemble_grouped_system(blocks, stack.u_t, varying, step_coords, library.descriptors)
 
 
-def discover(dataset: Dataset, method_config: MethodConfig, system: GroupedLinearSystem | None = None,
-             library: LibrarySpec | None = None, diff: DifferentiationSpec | None = None) -> DiscoveryReport:
-    """Fit one method to a dataset and record the provenance to reproduce it.
+def discover(dataset: Dataset, config: TbglssConfig | SgtrConfig | GroupLassoConfig,
+             system: GroupedLinearSystem | None = None, library: LibrarySpec | None = None,
+             diff: DifferentiationSpec | None = None) -> DiscoveryReport:
+    """Fit the method `config`'s type names (`selection.fit`) to a dataset and record the
+    provenance to reproduce it.
 
     tbglss chains double in length at and above NOISE_DOUBLING_LEVEL.  An SGTR
-    threshold or group-lasso penalty left as None is chosen by the lowest loss
-    over its default grid, and the report fitted at that grid point is
-    returned.  The differentiation spec is recorded only when the system is
-    built here from the dataset.
+    threshold or group-lasso penalty left as None is chosen by `fit`, on its
+    default grid.  The differentiation spec is recorded only when the system
+    is built here from the dataset.
     """
     resolved_diff = None
     if system is None:
@@ -211,25 +217,10 @@ def discover(dataset: Dataset, method_config: MethodConfig, system: GroupedLinea
         "differentiation": None if resolved_diff is None else asdict(resolved_diff),
     }
 
-    mc = method_config
-    if mc.method == "tbglss" and dataset.noise_level >= NOISE_DOUBLING_LEVEL:
-        bglss = replace(mc.bglss, n_iterations=2 * mc.bglss.n_iterations,
-                        n_burnin=2 * mc.bglss.n_burnin)
-        mc = replace(mc, bglss=bglss, update_iterations=2 * mc.update_iterations,
-                     update_burnin=2 * mc.update_burnin)
-    axis = None
-    if mc.method == "sgtr" and mc.sgtr_threshold is None:
-        axis = "sgtr_threshold"
-    elif mc.method == "group_lasso" and mc.lasso_lam is None:
-        axis = "lambda"
-    if axis is None:
-        report = fit(system, mc)
-    else:
-        curve = sweep(system, axis, default_grid(axis, system), mc)
-        if "loss" not in curve.argmin:
-            raise SweepFailedError(
-                f"every point of the {axis} grid failed; the first with {curve.points[0].error}"
-            )
-        report = curve.point_at(curve.argmin["loss"]).report
-        provenance["selected_by"] = f"lowest loss over {axis} grid"
+    if isinstance(config, TbglssConfig) and dataset.noise_level >= NOISE_DOUBLING_LEVEL:
+        bglss = replace(config.bglss, n_iterations=2 * config.bglss.n_iterations,
+                        n_burnin=2 * config.bglss.n_burnin)
+        config = replace(config, bglss=bglss, update_iterations=2 * config.update_iterations,
+                         update_burnin=2 * config.update_burnin)
+    report = fit(system, config)
     return replace(report, provenance={**provenance, **report.provenance})

@@ -1,13 +1,15 @@
 """One method dispatch, and the parameter sweeps built on it.
 
-`fit` runs tbglss, SGTR or group lasso at fixed parameters on a grouped system
-and scores the result with the AIC-inspired loss.  `sweep` fits once per value
-of one parameter and records every criterion (see `criteria`), keeping each
-point's report so a parameter chosen on a grid needs no second fit.  A tbglss
-or lambda sweep runs its work on worker processes forked from this one, one per
-CPU it may use.  An SGTR threshold grid is one path in this process, sharing
-its ridge fits and losses between thresholds; a fixed-threshold SGTR `fit` is
-that path with one threshold.
+Each method has its own config type (`METHODS`), and the type says which
+method runs.  `fit` runs tbglss, SGTR or group lasso on a grouped system and
+scores the result with the AIC-inspired loss; a baseline's parameter left None
+is chosen by the lowest loss over its default grid.  `sweep` fits once per
+value of one parameter and records every criterion (see `criteria`), keeping
+each point's report so a parameter chosen on a grid needs no second fit.  A
+tbglss or lambda sweep runs its work on worker processes forked from this one,
+one per CPU it may use.  An SGTR threshold grid is one path in this process,
+sharing its ridge fits and losses between thresholds; a fixed-threshold SGTR
+`fit` is that path with one threshold.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import numpy as np
 
 from .baselines import GroupLassoConfig, SgtrConfig, group_lasso, group_lasso_null_threshold, sgtr
 from .criteria import aic_loss, coefficient_mse, empty_model_scores
-from .gibbs import BglssConfig, SamplerError
+from .gibbs import SamplerError
 from .library import CoefficientTrajectories, GroupedLinearSystem
 from .pool import Workers
-from .tbglss import DiscoveryReport, ThresholdSpec, _chain, run_tbglss, threshold_loop
+from .tbglss import DiscoveryReport, TbglssConfig, _chain, run_tbglss, threshold_loop
 
-METHODS = ("tbglss", "sgtr", "group_lasso")
+# Each method's config type: a config's type is the method it runs.
+METHODS = {"tbglss": TbglssConfig, "sgtr": SgtrConfig, "group_lasso": GroupLassoConfig}
 # Each sweep axis is a parameter of one method.
 AXIS_METHODS = {"t_rms": "tbglss", "t_ge": "tbglss", "lambda": "group_lasso", "sgtr_threshold": "sgtr"}
 SWEEP_AXES = tuple(AXIS_METHODS)
@@ -42,68 +45,46 @@ class SweepFailedError(RuntimeError):
     """Every point of a sweep failed, so no parameter value can be chosen."""
 
 
-@dataclass(frozen=True)
-class MethodConfig:
-    """Method choice plus its parameters for one discovery run."""
-
-    method: str = "tbglss"  # one of METHODS
-    # tbglss only: the thresholding loop (`tbglss.run_tbglss`) reads these
-    thresholds: ThresholdSpec | None = None
-    bglss: BglssConfig = field(default_factory=BglssConfig)  # the final chain
-    update_iterations: int = 200  # screening chains
-    update_burnin: int = 50
-    final_chains: int = 1
-    with_ci: bool = False  # bootstrap intervals of the posterior medians in the report
-    keep_final_ensemble: bool = False
-    # sgtr / group_lasso: fixed parameter, or None to select by lowest loss over a grid
-    sgtr_threshold: float | None = None
-    sgtr_ridge: float = SgtrConfig.ridge
-    lasso_lam: float | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {', '.join(METHODS)}")
-        if self.method == "tbglss" and self.thresholds is None:
-            raise ValueError("tbglss needs thresholds")
-        tbglss_only = {"thresholds": self.thresholds is not None, "with_ci": self.with_ci,
-                       "keep_final_ensemble": self.keep_final_ensemble,
-                       "final_chains": self.final_chains != 1}
-        unused = [name for name, is_set in tbglss_only.items() if is_set]
-        if self.method != "tbglss" and unused:
-            raise ValueError(f"{self.method} does not use {' or '.join(unused)}")
-
-
-def fit(system: GroupedLinearSystem, method_config: MethodConfig) -> DiscoveryReport:
-    """Run one method at fixed parameters and score it.
+def fit(system: GroupedLinearSystem,
+        config: TbglssConfig | SgtrConfig | GroupLassoConfig) -> DiscoveryReport:
+    """Run the method `config`'s type names and score it.
 
     The loss is `aic_loss` of the normalized-scale coefficients with k =
     active groups x steps.  A tbglss run that keeps no group has no loss;
     SGTR and group lasso report the zero fit's.  A group-lasso fit that
-    stopped unconverged has no loss either, and says so in `unscored`.
+    stopped unconverged has no loss either, and says so in `unscored`.  An
+    SGTR threshold or group-lasso penalty left None is chosen by the lowest
+    loss over its default grid: the report is that grid point's, and its
+    provenance's `selected_by` says so.
     """
-    mc = method_config
-    if mc.method == "tbglss":
-        report = run_tbglss(system, mc)
-    elif mc.method == "sgtr":
-        if mc.sgtr_threshold is None:
-            raise ValueError("fit needs a fixed sgtr_threshold")
-        [(report, error)] = _sgtr_path(system, [mc.sgtr_threshold], mc.sgtr_ridge)
+    if isinstance(config, TbglssConfig):
+        return _scored(system, run_tbglss(system, config))
+    axis, value = (("sgtr_threshold", config.threshold) if isinstance(config, SgtrConfig)
+                   else ("lambda", config.lam))
+    if value is None:
+        curve = sweep(system, axis, default_grid(axis, system), config)
+        if "loss" not in curve.argmin:
+            raise SweepFailedError(
+                f"every point of the {axis} grid failed; the first with {curve.points[0].error}"
+            )
+        report = curve.point_at(curve.argmin["loss"]).report
+        return replace(report, provenance={**report.provenance,
+                                           "selected_by": f"lowest loss over {axis} grid"})
+    if isinstance(config, SgtrConfig):
+        [(report, error)] = _sgtr_path(system, [value], config.ridge)
         if error is not None:
             raise error
         return report
-    else:
-        if mc.lasso_lam is None:
-            raise ValueError("fit needs a fixed lasso_lam")
-        result = group_lasso(system, GroupLassoConfig(lam=mc.lasso_lam))
-        report = _baseline_report(result.trajectories, result.beta_normalized, "group_lasso",
-                                  {"lam": mc.lasso_lam, "converged": result.converged,
-                                   "sweeps": result.n_sweeps,
-                                   "admm_iterations": result.admm_iterations,
-                                   "start": result.start,
-                                   "kkt_residual": result.kkt_residual})
-        if not result.converged:
-            return replace(report, unscored=f"NotConverged: group lasso did not converge "
-                                            f"in {result.n_sweeps} sweeps")
+    result = group_lasso(system, config)
+    report = _baseline_report(result.trajectories, result.beta_normalized, "group_lasso",
+                              {"lam": config.lam, "converged": result.converged,
+                               "sweeps": result.n_sweeps,
+                               "admm_iterations": result.admm_iterations,
+                               "start": result.start,
+                               "kkt_residual": result.kkt_residual})
+    if not result.converged:
+        return replace(report, unscored=f"NotConverged: group lasso did not converge "
+                                        f"in {result.n_sweeps} sweeps")
     return _scored(system, report)
 
 
@@ -215,13 +196,13 @@ def sweep(
     system: GroupedLinearSystem,
     axis: str,
     grid: np.ndarray,
-    base: MethodConfig,
+    base: TbglssConfig | SgtrConfig | GroupLassoConfig,
     truth: CoefficientTrajectories | None = None,
 ) -> SelectionCurve:
     """Fit `base` once per grid value of `axis` and record all criteria.
 
-    The axis implies the method, which `base` must use; `base` holds the
-    parameters that are not swept, e.g. t_rms while sweeping t_ge.  The
+    The axis implies the method, whose config type `base` must have; `base` holds
+    the parameters that are not swept, e.g. t_rms while sweeping t_ge.  The
     tbglss points share one memo of chains, so a chain that several threshold
     values run (the screening chains on the full support, say) is sampled once
     and every point's report is the same as a standalone `fit`'s.  A point
@@ -247,11 +228,11 @@ def sweep(
         raise ValueError("sweep grid must be strictly increasing")
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
-    if base.method != AXIS_METHODS[axis]:
+    if not isinstance(base, METHODS[AXIS_METHODS[axis]]):
         raise ValueError(f"axis {axis!r} applies to the {AXIS_METHODS[axis]} method")
     values = [float(v) for v in grid]
     if axis == "sgtr_threshold":
-        path = _sgtr_path(system, values, base.sgtr_ridge,
+        path = _sgtr_path(system, values, base.ridge,
                           lambda v, report: _sweep_point(system, report, v, truth))
         points = [point if error is None else _failed_point(v, error)
                   for v, (point, error) in zip(values, path)]
@@ -270,13 +251,13 @@ def sweep(
     return SelectionCurve(axis, tuple(points), argmin)
 
 
-def _point_loop(system: GroupedLinearSystem, config: MethodConfig, value: float,
-                truth: CoefficientTrajectories | None, chains: dict):
+def _point_loop(system: GroupedLinearSystem, config: TbglssConfig | GroupLassoConfig,
+                value: float, truth: CoefficientTrajectories | None, chains: dict):
     """One sweep point as a generator: yields (key, keep_ensemble) for the work it needs and
     returns its SweepPoint, failed if the point raised one of POINT_ERRORS.  A tbglss point
     asks for its chains; a group-lasso point is one task."""
     try:
-        if config.method != "tbglss":
+        if isinstance(config, GroupLassoConfig):
             return (yield (value, config), False)
         report = yield from threshold_loop(system, config, chains)
         return _sweep_point(system, _scored(system, report), value, truth)
@@ -303,7 +284,7 @@ def _work(system: GroupedLinearSystem, truth: CoefficientTrajectories | None, ta
     """One task (key, keep_ensemble): a tbglss memo entry, or a whole group-lasso point
     (key = (value, config))."""
     key, keep_ensemble = task
-    if isinstance(key[1], MethodConfig):
+    if isinstance(key[1], GroupLassoConfig):
         value, config = key
         return _sweep_point(system, fit(system, config), value, truth)
     return _chain(system, key, keep_ensemble)
@@ -348,12 +329,11 @@ def _drive(loops: list, workers: Workers) -> list:
     return points
 
 
-def _point_config(base: MethodConfig, axis: str, value: float) -> MethodConfig:
+def _point_config(base: TbglssConfig | GroupLassoConfig, axis: str,
+                  value: float) -> TbglssConfig | GroupLassoConfig:
     """`base` with the swept parameter set to `value`."""
     if axis == "lambda":
-        return replace(base, lasso_lam=value)
-    if axis == "sgtr_threshold":
-        return replace(base, sgtr_threshold=value)
+        return replace(base, lam=value)
     return replace(base, thresholds=replace(base.thresholds, **{axis: value}))
 
 

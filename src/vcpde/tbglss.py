@@ -10,7 +10,8 @@ long chain and its statistics are reported.
 
 Criteria are evaluated on normalized-scale coefficients so thresholds stay
 unitless across heterogeneous terms; reported trajectories and error bands are
-mapped back to physical units.
+mapped back to physical units.  `TbglssConfig` holds every setting the loop
+reads; `selection.fit` runs it and scores the report like the baselines'.
 """
 
 from __future__ import annotations
@@ -18,17 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .criteria import group_error_bar, rms_criterion, total_error_bar
-from .gibbs import PosteriorEnsemble, sample_posterior
+from .gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
 from .library import CHUNK_STEPS, CoefficientTrajectories, GroupedLinearSystem
 from .uncertainty import ensemble_bootstrap_cis
-
-if TYPE_CHECKING:  # selection imports this module
-    from .selection import MethodConfig
 
 
 @dataclass(frozen=True)
@@ -46,6 +43,19 @@ class ThresholdSpec:
             raise ValueError(f"t_rms must be nonnegative, got {self.t_rms}")
         if self.t_ge is not None and not self.t_ge >= 0:
             raise ValueError(f"t_ge must be nonnegative, got {self.t_ge}")
+
+
+@dataclass(frozen=True)
+class TbglssConfig:
+    """Everything the thresholding loop (`run_tbglss`) reads."""
+
+    thresholds: ThresholdSpec
+    bglss: BglssConfig = field(default_factory=BglssConfig)  # the final chain
+    update_iterations: int = 200  # screening chains
+    update_burnin: int = 50
+    final_chains: int = 1
+    with_ci: bool = False  # bootstrap intervals of the posterior medians in the report
+    keep_final_ensemble: bool = False
 
 
 @dataclass(frozen=True)
@@ -234,18 +244,18 @@ def _entry(chains: dict, key: tuple, keep_ensemble: bool = False):
     return entry
 
 
-def run_tbglss(system: GroupedLinearSystem, mc: MethodConfig) -> DiscoveryReport:
+def run_tbglss(system: GroupedLinearSystem, config: TbglssConfig) -> DiscoveryReport:
     """Threshold the spike-and-slab sampler until the sparsity pattern is stable.
 
-    `mc.bglss` describes the final (reported) chain; intermediate screening
-    updates use the shorter `mc.update_iterations`/`mc.update_burnin` chain.
+    `config.bglss` describes the final (reported) chain; intermediate screening
+    updates use the shorter `config.update_iterations`/`config.update_burnin` chain.
     When a screening update removes nothing, the same support is re-run at the
     final length; only that confirmed update is committed, so every committed
     update except the last removes at least one group.  The report's loss is
     left to `selection.fit`, which scores every method alike.  This runs
     `threshold_loop`, computing each chain it asks for here.
     """
-    loop = threshold_loop(system, mc, {})
+    loop = threshold_loop(system, config, {})
     try:
         request = next(loop)
         while True:
@@ -254,7 +264,7 @@ def run_tbglss(system: GroupedLinearSystem, mc: MethodConfig) -> DiscoveryReport
         return done.value
 
 
-def threshold_loop(system: GroupedLinearSystem, mc: MethodConfig, chains: dict):
+def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig, chains: dict):
     """`run_tbglss` as a generator that leaves the sampling to its driver.
 
     `chains`, a dict shared by runs on this same system, memoizes the chains:
@@ -265,31 +275,28 @@ def threshold_loop(system: GroupedLinearSystem, mc: MethodConfig, chains: dict):
     `selection.sweep` drives many such loops on one memo and computes their
     entries on worker processes.
     """
-    if mc.method != "tbglss":
-        raise ValueError(f"run_tbglss needs a tbglss MethodConfig, got method {mc.method!r}")
-
-    config = mc.bglss
-    hyper = {"pi0": config.pi0, "lam": float(config.lam), "final_iterations": config.n_iterations,
-             "final_burnin": config.n_burnin, "update_iterations": mc.update_iterations,
-             "update_burnin": mc.update_burnin}
+    bglss = config.bglss
+    hyper = {"pi0": bglss.pi0, "lam": float(bglss.lam), "final_iterations": bglss.n_iterations,
+             "final_burnin": bglss.n_burnin, "update_iterations": config.update_iterations,
+             "update_burnin": config.update_burnin}
 
     full_descriptors = system.descriptors
     active = np.arange(system.n_groups)
     history: list[UpdateRecord] = []
     update_idx = 0
     long_run = False
-    keep_ensemble = mc.keep_final_ensemble or mc.with_ci
+    keep_ensemble = config.keep_final_ensemble or config.with_ci
 
     while active.size:
-        n_it, n_burn = ((config.n_iterations, config.n_burnin) if long_run
-                        else (mc.update_iterations, mc.update_burnin))
-        seed = int(np.random.SeedSequence((config.seed, update_idx)).generate_state(1)[0])
+        n_it, n_burn = ((bglss.n_iterations, bglss.n_burnin) if long_run
+                        else (config.update_iterations, config.update_burnin))
+        seed = int(np.random.SeedSequence((bglss.seed, update_idx)).generate_state(1)[0])
         key = (tuple(active.tolist()),
-               replace(config, n_iterations=n_it, n_burnin=n_burn, seed=seed))
+               replace(bglss, n_iterations=n_it, n_burnin=n_burn, seed=seed))
         summary = yield from _entry(chains, key, keep_ensemble and long_run)
         descriptors = tuple(full_descriptors[g] for g in active)
         criteria, failing = _evaluate_criteria(summary.median, summary.variance, descriptors,
-                                               mc.thresholds)
+                                               config.thresholds)
         update_idx += 1
         if failing:
             if summary.ensemble is not None:
@@ -326,16 +333,16 @@ def threshold_loop(system: GroupedLinearSystem, mc: MethodConfig, chains: dict):
         # contiguous, and BLAS sums a contiguous dot product in another order (other last bits)
         total_eb = total_error_bar(beta_full_norm, s2_full)
 
-        if mc.final_chains > 1:
+        if config.final_chains > 1:
             medians = [values[:, active]]
-            for c in range(1, mc.final_chains):
+            for c in range(1, config.final_chains):
                 seed = int(
-                    np.random.SeedSequence((config.seed, update_idx, c)).generate_state(1)[0]
+                    np.random.SeedSequence((bglss.seed, update_idx, c)).generate_state(1)[0]
                 )
-                extra_key = (tuple(active.tolist()), replace(config, seed=seed))
+                extra_key = (tuple(active.tolist()), replace(bglss, seed=seed))
                 extra = yield from _entry(chains, extra_key)
                 medians.append(extra.median / sub_scales)
-            chain_medians = np.zeros((mc.final_chains, *shape))
+            chain_medians = np.zeros((config.final_chains, *shape))
             chain_medians[:, :, active] = np.stack(medians)
 
     active_mask = np.zeros(system.n_groups, dtype=bool)
@@ -348,13 +355,13 @@ def threshold_loop(system: GroupedLinearSystem, mc: MethodConfig, chains: dict):
         loss=None,
         total_error_bar=total_eb,
         update_history=tuple(history),
-        thresholds=mc.thresholds,
+        thresholds=config.thresholds,
         method="tbglss",
         hyperparameters=hyper,
-        provenance={"seed": config.seed},
+        provenance={"seed": bglss.seed},
         chain_medians=chain_medians,
-        bootstrap_cis=ensemble_bootstrap_cis(ensemble) if mc.with_ci and ensemble is not None
+        bootstrap_cis=ensemble_bootstrap_cis(ensemble) if config.with_ci and ensemble is not None
         else None,
-        final_ensemble=ensemble if mc.keep_final_ensemble else None,
+        final_ensemble=ensemble if config.keep_final_ensemble else None,
         beta_normalized=beta_full_norm,
     )

@@ -9,7 +9,6 @@ from scipy.special import expit
 from vcpde import tbglss
 from vcpde.gibbs import SIGMA2_PRIOR, BglssConfig, PosteriorEnsemble, SamplerError
 from vcpde.library import GroupedLinearSystem
-from vcpde.selection import MethodConfig
 
 
 def dense(system: GroupedLinearSystem) -> np.ndarray:
@@ -169,10 +168,10 @@ def reference_chain(system: GroupedLinearSystem, config: BglssConfig,
     )
 
 
-def run_threshold_loop(system: GroupedLinearSystem, mc: MethodConfig, chains: dict):
+def run_threshold_loop(system: GroupedLinearSystem, config: tbglss.TbglssConfig, chains: dict):
     """`tbglss.threshold_loop` run to its report here, each chain it asks for computed in this
     process and kept in the memo `chains`: `run_tbglss` with a memo that outlives the run."""
-    loop = tbglss.threshold_loop(system, mc, chains)
+    loop = tbglss.threshold_loop(system, config, chains)
     try:
         request = next(loop)
         while True:

@@ -15,15 +15,14 @@ from vcpde.filters import FilterSpec, data_mse, filter_sweep
 from vcpde.gibbs import BglssConfig, sample_posterior
 from vcpde.library import LibrarySpec, normalize_columns
 from vcpde.pipeline import (
-    MethodConfig,
     build_system,
     discover,
     filter_dataset,
     noisy_dataset,
 )
-from vcpde.selection import MethodConfig, sweep
+from vcpde.selection import METHODS, sweep
 from vcpde.solvers import true_coefficients
-from vcpde.tbglss import ThresholdSpec, run_tbglss
+from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
 from helpers import reference_chain
@@ -51,7 +50,7 @@ class TestCriterion1BurgersClean:
         system = build_system(burgers_dataset)
         report = discover(
             burgers_dataset,
-            MethodConfig(method="tbglss", thresholds=ThresholdSpec(t_rms=0.02, t_ge=0.1),
+            TbglssConfig(thresholds=ThresholdSpec(t_rms=0.02, t_ge=0.1),
                          bglss=BglssConfig(seed=11, lam=1.0)),
             system=system,
         )
@@ -73,7 +72,7 @@ class TestCriterion2AdvectionDiffusion:
         system = build_system(dataset)
         report = discover(
             dataset,
-            MethodConfig(method="tbglss", thresholds=ThresholdSpec(t_rms=0.02, t_ge=0.08),
+            TbglssConfig(thresholds=ThresholdSpec(t_rms=0.02, t_ge=0.08),
                          bglss=BglssConfig(seed=5, lam=1.0)),
             system=system,
         )
@@ -100,14 +99,13 @@ class TestCriterion3RobustnessOrdering:
             system = build_system(dataset)
             report = discover(
                 dataset,
-                MethodConfig(method="tbglss", thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.08),
+                TbglssConfig(thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.08),
                              bglss=BglssConfig(seed=100 + seed, lam=1.0)),
                 system=system,
             )
             tbglss_hits += set(report.selected) == true_support
             for method, bump in (("sgtr", 0), ("group_lasso", 0)):
-                got = set(discover(dataset, MethodConfig(method=method, thresholds=None),
-                                   system=system).selected)
+                got = set(discover(dataset, METHODS[method](), system=system).selected)
                 failed = ("u_xx" not in got) or bool(got - true_support)
                 if method == "sgtr":
                     sgtr_fails += failed
@@ -129,7 +127,7 @@ class TestCriterion4KuramotoSivashinsky:
         assert system.n_rows <= 128
         report = discover(
             dataset,
-            MethodConfig(method="tbglss", thresholds=ThresholdSpec(t_rms=0.1, t_ge=0.05),
+            TbglssConfig(thresholds=ThresholdSpec(t_rms=0.1, t_ge=0.05),
                          bglss=BglssConfig(seed=7, lam=1.0)),
             system=system,
         )
@@ -143,7 +141,7 @@ class TestCriterion4KuramotoSivashinsky:
         dataset = noisy_dataset(ks_clean, 0.01, seed=2)
         report = discover(
             dataset,
-            MethodConfig(method="tbglss", thresholds=ThresholdSpec(t_rms=0.1, t_ge=0.05),
+            TbglssConfig(thresholds=ThresholdSpec(t_rms=0.1, t_ge=0.05),
                          bglss=BglssConfig(seed=7, lam=1.0)),
         )
         assert report.to_json()  # serializable report regardless of outcome
@@ -189,7 +187,7 @@ class TestCriterion5FilterStudy:
 
     def test_filtering_restores_discovery(self, burgers_5pct, burgers_scenario_full):
         noisy, _ = burgers_5pct
-        config = MethodConfig(method="tbglss", thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.1),
+        config = TbglssConfig(thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.1),
                               bglss=BglssConfig(seed=13, lam=1.0))
         unfiltered_mse = []
         filtered_mse = []
@@ -302,7 +300,7 @@ class TestCriterion8LoopProperties:
             rng = np.random.default_rng(2000 + seed)
             system, _, _ = random_grouped_system(rng, n_steps=4, n_rows=12, n_groups=5)
             config = BglssConfig(n_iterations=300, n_burnin=80, lam=1.0, seed=seed)
-            report = run_tbglss(system, MethodConfig(
+            report = run_tbglss(system, TbglssConfig(
                 thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5), bglss=config,
                 update_iterations=120, update_burnin=30))
             assert report.n_updates <= system.n_groups + 1
@@ -313,7 +311,7 @@ class TestCriterion8LoopProperties:
                 assert not (removed & set(record.support_before))
                 removed |= set(record.removed)
             if seed < 3:
-                again = run_tbglss(system, MethodConfig(
+                again = run_tbglss(system, TbglssConfig(
                     thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5), bglss=config,
                     update_iterations=120, update_burnin=30))
                 assert again.selected == report.selected
@@ -353,7 +351,7 @@ class TestCriterion10ModelSelectionSweep:
         system = build_system(dataset)
         truth = true_coefficients(ad_scenario, LIB, step_coords=system.step_coords)
         grid = np.linspace(0.02, 0.22, 11)
-        base = MethodConfig(thresholds=ThresholdSpec(t_rms=0.01), bglss=BglssConfig(seed=4, lam=1.0))
+        base = TbglssConfig(thresholds=ThresholdSpec(t_rms=0.01), bglss=BglssConfig(seed=4, lam=1.0))
         curve = sweep(system, "t_ge", grid, base, truth=truth)
         teb = {p.value: p.total_error_bar for p in curve.points}
         assert teb[0.22] > teb[0.02]

@@ -220,21 +220,27 @@ class TestGroupLasso:
             GroupLassoConfig(lam=1.0, tolerance=float("nan"))
 
 
+def test_solvers_refuse_an_unset_parameter():
+    system, _, _ = random_grouped_system(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^sgtr needs a threshold: selection.fit chooses"):
+        sgtr(system, SgtrConfig())
+    with pytest.raises(ValueError, match="^group_lasso needs a penalty lam: selection.fit chooses"):
+        group_lasso(system, GroupLassoConfig())
+
+
 class TestBaselinesOnCleanBurgers:
     """Loss-selected baseline models on the clean benchmark dataset."""
 
     def test_sgtr_selects_true_pair(self, burgers_dataset, burgers_system):
-        from vcpde.pipeline import MethodConfig, discover
+        from vcpde.pipeline import discover
 
-        report = discover(burgers_dataset, MethodConfig(method="sgtr", thresholds=None),
-                          system=burgers_system)
+        report = discover(burgers_dataset, SgtrConfig(), system=burgers_system)
         assert set(report.selected) == {"u*u_x", "u_xx"}
 
     def test_group_lasso_keeps_near_zero_spurious_groups(self, burgers_dataset, burgers_system):
-        from vcpde.pipeline import MethodConfig, discover
+        from vcpde.pipeline import discover
 
-        report = discover(burgers_dataset, MethodConfig(method="group_lasso", thresholds=None),
-                          system=burgers_system)
+        report = discover(burgers_dataset, GroupLassoConfig(), system=burgers_system)
         selected = set(report.selected)
         assert {"u*u_x", "u_xx"} <= selected
         spurious = selected - {"u*u_x", "u_xx"}
@@ -280,12 +286,12 @@ class TestKsLambdaPath:
     MAX_ADMM_ITERATIONS = 4000
 
     def test_path_selects_the_same_terms_in_fewer_admm_iterations(self, ks_clean):
-        from vcpde.pipeline import MethodConfig, build_system, noisy_dataset
+        from vcpde.pipeline import build_system, noisy_dataset
         from vcpde.selection import default_grid, sweep
 
         system = build_system(noisy_dataset(ks_clean, 0.0001, seed=2))
         grid = default_grid("lambda", system)
-        curve = sweep(system, "lambda", grid, MethodConfig(method="group_lasso"))
+        curve = sweep(system, "lambda", grid, GroupLassoConfig())
         assert [p.error for p in curve.points] == [None] * 20
         assert [p.selected for p in curve.points] == self.SELECTED
         assert curve.argmin["loss"] == grid[self.LOSS_ARGMIN]

@@ -1,18 +1,19 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from vcpde import cli, pipeline, solvers
+from vcpde import cli, pipeline, selection, solvers
+from vcpde.baselines import SgtrConfig
 from vcpde.cli import main
 from vcpde.dataio import load_dataset, save_dataset, save_report
 from vcpde.filters import DEFAULT_GRIDS, FilterSpec
 from vcpde.gibbs import BglssConfig
 from vcpde.library import LibrarySpec
 from vcpde.pipeline import DifferentiationSpec, filter_dataset, noisy_dataset, simulate_dataset
-from vcpde.selection import MethodConfig
 from vcpde.solvers import make_scenario
-from vcpde.tbglss import ThresholdSpec, run_tbglss
+from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
 
@@ -84,7 +85,7 @@ class TestReportFiles:
     def test_report_bundle_written(self, tmp_path):
         rng = np.random.default_rng(4)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        report = run_tbglss(system, MethodConfig(
+        report = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
             bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3)))
         paths = save_report(report, tmp_path, stem="run")
@@ -229,16 +230,38 @@ class TestCli:
         (["--method", "sgtr", "--t-rms", "0.02"], "sgtr does not use thresholds"),
         (["--method", "group_lasso", "--t-ge", "0.1"], "group_lasso does not use thresholds"),
         (["--method", "group_lasso", "--with-ci"], "group_lasso does not use with_ci"),
+        (["--method", "sgtr", "--iterations", "50"], "sgtr does not use iterations\n"),
+        (["--method", "group_lasso", "--sgtr-ridge", "5"], "group_lasso does not use sgtr_ridge\n"),
+        (["--t-rms", "0.1", "--lasso-lam", "0.5"], "tbglss does not use lasso_lam\n"),
+        (["sweep", "--axis", "lambda", "--range", "0.01:0.1:2", "--sgtr-ridge", "7"],
+         "group_lasso does not use sgtr_ridge\n"),
     ], ids=["sgtr-with-ci", "sgtr-dump-trace", "sgtr-final-chains", "sgtr-t-rms",
-            "group_lasso-t-ge", "group_lasso-with-ci"])
+            "group_lasso-t-ge", "group_lasso-with-ci", "sgtr-iterations",
+            "group_lasso-sgtr-ridge", "tbglss-lasso-lam", "lambda-sweep-sgtr-ridge"])
     def test_discover_option_only_tbglss_reads_is_validation_error(self, small_dataset,
                                                                    tmp_path, capsys, argv, message):
+        command, argv = (argv[0], argv[1:]) if argv[0] == "sweep" else ("discover", argv)
         path = save_dataset(small_dataset, tmp_path / "d.json")
-        code = self.run("discover", "--dataset", str(path), *argv,
+        code = self.run(command, "--dataset", str(path), *argv,
                         "--output", str(tmp_path / "out"))
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
-        assert not (tmp_path / "out").exists()
+        if command == "discover":
+            assert not (tmp_path / "out").exists()
+        else:  # sweep makes its output directory first
+            assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("method, seed", [("sgtr", "3"), ("group_lasso", "0")])
+    def test_baseline_discover_accepts_and_ignores_seed(self, small_dataset, tmp_path, method,
+                                                        seed):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        written = []
+        for argv in ([], ["--seed", seed]):
+            out = tmp_path / str(len(argv))
+            assert self.run("discover", "--dataset", str(path), "--method", method, *argv,
+                            "--output", str(out)) == 0
+            written.append({file.name: file.read_bytes() for file in out.iterdir()})
+        assert written[0] == written[1]
 
     def test_filter_option_its_kind_ignores_is_validation_error(self, small_dataset, tmp_path,
                                                                  capsys):
@@ -303,6 +326,25 @@ class TestCli:
                         "--output", str(tmp_path / "out"))
         assert code == 1
         assert capsys.readouterr().err == f"error: {method} does not use thresholds\n"
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_sweep_rejects_the_swept_thresholds_option(self, small_dataset, tmp_path, capsys):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("sweep", "--dataset", str(path), "--axis", "t_rms", "--t-rms", "0.5",
+                        "--range", "0.01:0.1:2", "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --axis t_rms sweeps t_rms: give its values with --range, not --t-rms\n")
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_sweep_rejects_axis_with_filter(self, small_dataset, tmp_path, capsys):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("sweep", "--dataset", str(path), "--filter", "moving_average",
+                        "--clean", str(path), "--axis", "t_ge", "--t-rms", "0.3",
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == ("error: --axis sweeps a method parameter and --filter "
+                                           "a filter parameter: give one of them\n")
         assert not list((tmp_path / "out").iterdir())
 
     def test_simulate_clean_no_twin(self, tmp_path, capsys):
@@ -495,14 +537,14 @@ class TestCli:
             return caught.value.args
 
         args, kwargs = called("discover", "--t-rms", "0.02")
-        assert args[1] == MethodConfig(thresholds=ThresholdSpec(t_rms=0.02))
+        assert args[1] == TbglssConfig(thresholds=ThresholdSpec(t_rms=0.02))
         assert kwargs == {"library": LibrarySpec.standard(), "diff": DifferentiationSpec()}
         args, _ = called("discover", "--method", "sgtr")
-        assert args[1] == MethodConfig(method="sgtr")
+        assert args[1] == SgtrConfig()
         args, _ = called("sweep", "--axis", "t_ge", "--t-rms", "0.01")
-        assert args[3] == MethodConfig(thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.0))
+        assert args[3] == TbglssConfig(thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.0))
         args, _ = called("sweep", "--axis", "sgtr_threshold")
-        assert args[3] == MethodConfig(method="sgtr")
+        assert args[3] == SgtrConfig()
 
     def test_filter_options_left_unset_take_filter_spec_defaults(self, monkeypatch, tmp_path):
         self.run("simulate", "--family", "burgers", "--noise", "0.05", "--nx", "64", "--nt", "32",
@@ -611,8 +653,8 @@ class TestCli:
             def rendered_equation(self):
                 return "u_t = 0"
 
-        def recording_discover(dataset, method_config):
-            fitted.append((dataset.metadata["family"], dataset.noise_level, method_config.method))
+        def recording_discover(dataset, config):
+            fitted.append((dataset.metadata["family"], dataset.noise_level, type(config)))
             return Report()
 
         monkeypatch.setattr(pipeline, "solve", counting_solve)
@@ -620,7 +662,7 @@ class TestCli:
         monkeypatch.setattr(cli, "save_report", lambda report, path: None)
         assert self.run("reproduce-paper", "--only", "sgtr", "--output", str(tmp_path)) == 0
         assert solved == ["burgers", "advection_diffusion", "kuramoto_sivashinsky"]
-        assert fitted == [(family, noise, "sgtr")
+        assert fitted == [(family, noise, SgtrConfig)
                           for family, spec in cli.BENCHMARK_CELLS.items()
                           for noise in spec["noises"]]
 
@@ -633,8 +675,8 @@ class TestCli:
             def rendered_equation(self):
                 return "u_t = 0"
 
-        def recording_discover(dataset, method_config):
-            fitted.append((dataset.dataset_id(), repr(method_config)))
+        def recording_discover(dataset, config):
+            fitted.append((dataset.dataset_id(), repr(config)))
             return Report()
 
         monkeypatch.setattr(cli, "discover", recording_discover)
@@ -671,3 +713,23 @@ class TestCli:
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
         with pytest.raises(KeyError, match="a fault"):
             main(["simulate", "--family", "burgers", "--output", str(tmp_path)])
+
+
+# Options every discover and sweep run reads, whatever the method: --seed is BGLSS_OPTIONS',
+# which every method accepts and only tbglss reads.
+SHARED_OPTIONS = {"dataset", "output", "method", "dump_trace", *cli.DIFF_OPTIONS,
+                  *cli.LIBRARY_OPTIONS, "axis_name", "range", "log", "with_truth",
+                  "filter", "windows", "cutoffs", "clean", *cli.FILTER_OPTIONS}
+
+
+def test_every_method_option_sets_its_config_and_has_one_owner():
+    # an option that no table names would be silently ignored by every method
+    for method, table in cli.METHOD_OPTIONS.items():
+        fields = {field.name for field in dataclasses.fields(selection.METHODS[method])}
+        assert set(table.values()) <= fields, method
+    owners = [*cli.METHOD_OPTIONS.values(), {*cli.THRESHOLD_OPTIONS, *cli.BGLSS_OPTIONS},
+              SHARED_OPTIONS]
+    for command in ("discover", "sweep"):
+        for action in cli.build_parser().subcommand_parsers[command]._actions:
+            if action.dest != "help":
+                assert sum(action.dest in owner for owner in owners) == 1, (command, action.dest)

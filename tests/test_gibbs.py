@@ -7,8 +7,7 @@ import pytest
 from vcpde import tbglss
 from vcpde.gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
 from vcpde.library import normalize_columns
-from vcpde.selection import MethodConfig
-from vcpde.tbglss import ThresholdSpec, run_tbglss
+from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
 from vcpde.uncertainty import ensemble_bootstrap_cis
 
 from conftest import random_grouped_system
@@ -249,7 +248,7 @@ def run_on_draws(monkeypatch, system, draws):
         return synthetic_ensemble(draws(sub), scales=sub.scales)
 
     monkeypatch.setattr(tbglss, "sample_posterior", sample)
-    return run_tbglss(system, MethodConfig(
+    return run_tbglss(system, TbglssConfig(
         thresholds=ThresholdSpec(t_rms=0.0), bglss=BglssConfig(n_iterations=200, n_burnin=60)))
 
 
@@ -353,7 +352,7 @@ class TestBurgersMedianTracksTruth:
         # posterior median follows the oscillating advective coefficient
         from vcpde.solvers import true_coefficients
 
-        report = run_tbglss(burgers_system, MethodConfig(
+        report = run_tbglss(burgers_system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.02, t_ge=0.1),
             bglss=BglssConfig(n_iterations=600, n_burnin=150, lam=1.0, seed=21)))
         truth = true_coefficients(burgers_scenario_full, library20,

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from vcpde import library, pipeline, pool, selection, solvers
-from vcpde.baselines import group_lasso
+from vcpde.baselines import GroupLassoConfig, SgtrConfig, group_lasso
 from vcpde.filters import FilterSpec
 from vcpde.gibbs import BglssConfig
 from vcpde.library import normalize_columns
 from vcpde.pipeline import (
     DifferentiationSpec,
-    MethodConfig,
     build_system,
     discover,
     filter_dataset,
@@ -21,7 +20,7 @@ from vcpde.pipeline import (
 )
 from vcpde.selection import SweepFailedError, default_grid
 from vcpde.solvers import make_scenario
-from vcpde.tbglss import ThresholdSpec
+from vcpde.tbglss import TbglssConfig, ThresholdSpec
 
 from conftest import random_grouped_system
 
@@ -167,10 +166,10 @@ class TestBuildSystem:
 
 class TestDiscover:
     def test_tbglss_report_provenance(self, small_noisy_dataset):
-        mc = MethodConfig(method="tbglss", thresholds=ThresholdSpec(0.05, 0.5),
-                          bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=2),
-                          update_iterations=80, update_burnin=20)
-        report = discover(small_noisy_dataset, mc)
+        config = TbglssConfig(thresholds=ThresholdSpec(0.05, 0.5),
+                              bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=2),
+                              update_iterations=80, update_burnin=20)
+        report = discover(small_noisy_dataset, config)
         assert report.provenance["dataset_id"] == small_noisy_dataset.dataset_id()
         assert report.provenance["dataset"]["family"] == "burgers"
         # noise >= 2% doubles the chains
@@ -178,14 +177,13 @@ class TestDiscover:
         assert report.hyperparameters["update_iterations"] == 160
 
     def test_sgtr_auto_selection_records_choice(self, small_noisy_dataset):
-        report = discover(small_noisy_dataset, MethodConfig(method="sgtr", thresholds=None))
+        report = discover(small_noisy_dataset, SgtrConfig())
         assert report.method == "sgtr"
         assert "threshold" in report.hyperparameters
         assert report.loss is not None
 
     def test_group_lasso_fixed_penalty(self, small_noisy_dataset):
-        report = discover(small_noisy_dataset,
-                          MethodConfig(method="group_lasso", thresholds=None, lasso_lam=0.5))
+        report = discover(small_noisy_dataset, GroupLassoConfig(lam=0.5))
         assert report.hyperparameters["lam"] == 0.5
 
     def test_grid_choice_reuses_the_point_fit(self, small_noisy_dataset, monkeypatch):
@@ -205,15 +203,15 @@ class TestDiscover:
 
         def dispatched(workers, task):
             (_, config), _ = task
-            fitted[config.method].append(config.lasso_lam)
+            fitted["group_lasso"].append(config.lam)
             return submit(workers, task)
 
         monkeypatch.setattr(selection, "sgtr", counted_sgtr)
         monkeypatch.setattr(selection, "group_lasso", counted_lasso)
         monkeypatch.setattr(pool.Workers, "submit", dispatched)
         monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 2)
-        sgtr_report = discover(small_noisy_dataset, MethodConfig(method="sgtr"))
-        lasso_report = discover(small_noisy_dataset, MethodConfig(method="group_lasso"))
+        sgtr_report = discover(small_noisy_dataset, SgtrConfig())
+        lasso_report = discover(small_noisy_dataset, GroupLassoConfig())
         assert fitted["sgtr"] == default_grid("sgtr_threshold").tolist()  # here, no refit
         assert sgtr_report.hyperparameters["threshold"] in fitted["sgtr"]
         assert len(fitted["group_lasso"]) == 20  # dispatched, no refit
@@ -227,7 +225,7 @@ class TestDiscover:
         system = normalize_columns(np.concatenate([col, col], axis=2), col[:, :, 0] * 2.0,
                                    ("a", "b"), "time", np.arange(3.0))
         with pytest.raises(SweepFailedError, match="LinAlgError"):
-            discover(small_noisy_dataset, MethodConfig(method="sgtr", sgtr_ridge=0.0), system=system)
+            discover(small_noisy_dataset, SgtrConfig(ridge=0.0), system=system)
 
     def test_every_grid_point_unconverged_raises_typed_error(self, small_noisy_dataset, monkeypatch):
         def unconverged(system, config):
@@ -236,15 +234,15 @@ class TestDiscover:
         monkeypatch.setattr(selection, "group_lasso", unconverged)
         system, _, _ = random_grouped_system(np.random.default_rng(4), n_rows=16)
         with pytest.raises(SweepFailedError, match="did not converge in 10000 sweeps"):
-            discover(small_noisy_dataset, MethodConfig(method="group_lasso"), system=system)
+            discover(small_noisy_dataset, GroupLassoConfig(), system=system)
 
     def test_supplied_system_records_no_differentiation(self, small_noisy_dataset):
-        mc = MethodConfig(method="group_lasso", lasso_lam=0.5)
-        supplied = discover(small_noisy_dataset, mc, system=build_system(small_noisy_dataset))
+        config = GroupLassoConfig(lam=0.5)
+        supplied = discover(small_noisy_dataset, config, system=build_system(small_noisy_dataset))
         assert supplied.provenance["differentiation"] is None
-        built = discover(small_noisy_dataset, mc)
+        built = discover(small_noisy_dataset, config)
         assert built.provenance["differentiation"]["method"] == "poly_fit"
 
     def test_tbglss_requires_thresholds(self):
-        with pytest.raises(ValueError):
-            MethodConfig(method="tbglss", thresholds=None)
+        with pytest.raises(TypeError, match="thresholds"):
+            TbglssConfig()

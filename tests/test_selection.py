@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcpde import baselines, pool, selection, tbglss
-from vcpde.baselines import GroupLassoConfig, group_lasso, group_lasso_null_threshold
+from vcpde.baselines import GroupLassoConfig, SgtrConfig, group_lasso, group_lasso_null_threshold
 from vcpde.criteria import aic_loss, coefficient_mse, empty_model_scores, total_error_bar
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, normalize_columns
 from vcpde.pipeline import build_system, noisy_dataset
-from vcpde.selection import MethodConfig, SelectionCurve, default_grid, fit, sweep
-from vcpde.tbglss import ThresholdSpec, run_tbglss
+from vcpde.selection import SelectionCurve, default_grid, fit, sweep
+from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
 from helpers import lstsq_trajectories, run_threshold_loop, subsystem
@@ -133,25 +133,22 @@ class TestCoefficientMse:
 
 
 class TestFit:
-    def test_baselines_need_a_fixed_parameter(self):
+    @pytest.mark.parametrize("axis, config", [("sgtr_threshold", SgtrConfig()),
+                                              ("lambda", GroupLassoConfig())],
+                             ids=["sgtr", "group_lasso"])
+    def test_baseline_parameter_left_unset_is_chosen_on_its_grid(self, axis, config):
         system, _ = perfect_fit_system(seed=10)
-        with pytest.raises(ValueError, match="sgtr_threshold"):
-            fit(system, MethodConfig(method="sgtr"))
-        with pytest.raises(ValueError, match="lasso_lam"):
-            fit(system, MethodConfig(method="group_lasso"))
-
-    @pytest.mark.parametrize("method", ["sgtr", "group_lasso"])
-    @pytest.mark.parametrize("name, value", [
-        ("thresholds", ThresholdSpec(t_rms=0.1)), ("with_ci", True),
-        ("keep_final_ensemble", True), ("final_chains", 2),
-    ], ids=["thresholds", "with_ci", "keep_final_ensemble", "final_chains"])
-    def test_baselines_reject_tbglss_settings(self, method, name, value):
-        with pytest.raises(ValueError, match=f"^{method} does not use {name}$"):
-            MethodConfig(method=method, **{name: value})
+        curve = sweep(system, axis, default_grid(axis, system), config)
+        chosen = curve.point_at(curve.argmin["loss"]).report
+        report = fit(system, config)
+        assert report.provenance == {**chosen.provenance,
+                                     "selected_by": f"lowest loss over {axis} grid"}
+        assert replace(report, provenance=chosen.provenance).to_json() == chosen.to_json()
+        assert report.beta_normalized.tobytes() == chosen.beta_normalized.tobytes()
 
     def test_loss_counts_active_groups_times_steps(self):
         system, _ = perfect_fit_system(seed=11)
-        report = fit(system, MethodConfig(method="sgtr", sgtr_threshold=0.01))
+        report = fit(system, SgtrConfig(threshold=0.01))
         assert report.selected == ("c",)
         beta = report.trajectories.values * system.scales
         assert report.loss == aic_loss(system, beta, system.n_steps)
@@ -159,7 +156,7 @@ class TestFit:
     def test_tbglss_loss_scores_the_normalized_median(self):
         rng = np.random.default_rng(12)
         system, _, _ = random_grouped_system(rng, n_rows=16)
-        report = fit(system, MethodConfig(
+        report = fit(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
             bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=0)))
         k = len(report.selected) * system.n_steps
@@ -170,7 +167,7 @@ class TestFit:
         rng = np.random.default_rng(13)
         system, _, _ = random_grouped_system(rng, n_rows=16)
         lam = 0.3 * group_lasso_null_threshold(system)
-        hyper = fit(system, MethodConfig(method="group_lasso", lasso_lam=lam)).hyperparameters
+        hyper = fit(system, GroupLassoConfig(lam=lam)).hyperparameters
         assert hyper["converged"] and hyper["admm_iterations"] >= 1
         assert hyper["start"] == "polished"
         assert 0.0 <= hyper["kkt_residual"] <= 10 * GroupLassoConfig(lam=lam).tolerance / lam
@@ -183,7 +180,7 @@ class TestFit:
         rng = np.random.default_rng(13)
         system, _, _ = random_grouped_system(rng, n_rows=16)
         lam = 0.3 * group_lasso_null_threshold(system)
-        report = fit(system, MethodConfig(method="group_lasso", lasso_lam=lam))
+        report = fit(system, GroupLassoConfig(lam=lam))
         assert report.selected and report.hyperparameters["converged"] is False
         assert report.loss is None
         assert report.unscored == "NotConverged: group lasso did not converge in 10000 sweeps"
@@ -193,7 +190,7 @@ class TestSweep:
     def test_single_point_grid(self):
         rng = np.random.default_rng(1)
         system, _, _ = random_grouped_system(rng, n_rows=16)
-        base = MethodConfig(thresholds=ThresholdSpec(t_ge=0.5),
+        base = TbglssConfig(thresholds=ThresholdSpec(t_ge=0.5),
                             bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=0))
         curve = sweep(system, "t_rms", np.array([0.05]), base)
         assert len(curve.points) == 1
@@ -203,7 +200,7 @@ class TestSweep:
         rng = np.random.default_rng(2)
         system, _, active_truth = random_grouped_system(rng, n_rows=24)
         grid = np.array([0.02, 0.05])  # both below every true group's scale
-        base = MethodConfig(thresholds=ThresholdSpec(t_ge=10.0),
+        base = TbglssConfig(thresholds=ThresholdSpec(t_ge=10.0),
                             bglss=BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=1))
         curve = sweep(system, "t_rms", grid, base)
         supports = {p.selected for p in curve.points}
@@ -214,7 +211,7 @@ class TestSweep:
         system, _, _ = random_grouped_system(rng)
         with pytest.raises(ValueError, match="group_lasso"):
             sweep(system, "lambda", np.array([0.5, 1.0]),
-                  MethodConfig(thresholds=ThresholdSpec(t_rms=0.1)))
+                  TbglssConfig(thresholds=ThresholdSpec(t_rms=0.1)))
 
     def test_point_failures_recorded_not_fatal(self):
         # duplicated columns + zero ridge make every sgtr point singular
@@ -224,7 +221,7 @@ class TestSweep:
         system = normalize_columns(blocks, col[:, :, 0] * 2.0, ("a", "b"), "time",
                                    np.arange(3.0))
         curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.1]),
-                      MethodConfig(method="sgtr", sgtr_ridge=0.0))
+                      SgtrConfig(ridge=0.0))
         assert all(p.error is not None for p in curve.points)
         assert curve.argmin == {}
 
@@ -237,17 +234,17 @@ class TestSweep:
         monkeypatch.setattr(selection, "group_lasso", broken)
         system, _ = perfect_fit_system(seed=8)
         with pytest.raises(KeyError, match="a fault"):
-            sweep(system, "sgtr_threshold", np.array([0.01, 0.1]), MethodConfig(method="sgtr"))
+            sweep(system, "sgtr_threshold", np.array([0.01, 0.1]), SgtrConfig())
         with pytest.raises(KeyError, match="a fault") as raised:
             sweep(system, "lambda", default_grid("lambda", system)[::10],
-                  MethodConfig(method="group_lasso"))
+                  GroupLassoConfig())
         assert "raised in a worker process" in raised.value.__notes__[-1]
 
     def test_unconverged_lasso_point_is_flagged_not_chosen(self, monkeypatch):
         rng = np.random.default_rng(4)
         system, _, _ = random_grouped_system(rng, n_rows=16)
         grid = default_grid("lambda", system)[::4]
-        base = MethodConfig(method="group_lasso")
+        base = GroupLassoConfig()
         chosen = sweep(system, "lambda", grid, base).argmin["loss"]
 
         def unconverged_at_chosen(system, config):
@@ -267,7 +264,7 @@ class TestSweep:
     def test_empty_tbglss_point_scores_as_zero_fit(self):
         rng = np.random.default_rng(9)
         system, _, _ = random_grouped_system(rng, n_rows=16)
-        base = MethodConfig(thresholds=ThresholdSpec(t_rms=1e6),
+        base = TbglssConfig(thresholds=ThresholdSpec(t_rms=1e6),
                             bglss=BglssConfig(n_iterations=120, n_burnin=30, lam=1.0, seed=0))
         point = sweep(system, "t_rms", np.array([1e6]), base).points[0]
         assert point.selected == ()
@@ -278,7 +275,7 @@ class TestSweep:
         rng = np.random.default_rng(4)
         system, _, _ = random_grouped_system(rng, n_rows=16)
         grid = default_grid("lambda", system)[::5]
-        curve = sweep(system, "lambda", grid, MethodConfig(method="group_lasso"))
+        curve = sweep(system, "lambda", grid, GroupLassoConfig())
         ok = [p for p in curve.points if p.error is None]
         assert ok and all(p.loss is not None for p in ok)
         assert all(p.total_error_bar is None for p in ok)
@@ -286,13 +283,13 @@ class TestSweep:
     def test_lambda_path_decomposes_the_gram_once(self, monkeypatch):
         monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
         system, _, _ = random_grouped_system(np.random.default_rng(4), n_rows=16)
-        base = MethodConfig(method="group_lasso")
+        base = GroupLassoConfig()
         eigh, decomposed = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: decomposed.append(a.shape) or eigh(a))
         curve = sweep(system, "lambda", default_grid("lambda", system), base)
         assert len(curve.points) == 20 and decomposed == [system.gram().shape]
         for point in curve.points:
-            alone = fit(replace(system), replace(base, lasso_lam=point.value))  # a fresh cache
+            alone = fit(replace(system), replace(base, lam=point.value))  # a fresh cache
             assert point.error == alone.unscored
             if point.report is not None:
                 assert point.report.to_json() == alone.to_json()
@@ -301,7 +298,7 @@ class TestSweep:
 
     def test_sgtr_threshold_sweep(self):
         system, beta_norm = perfect_fit_system(seed=5)
-        curve = sweep(system, "sgtr_threshold", np.array([0.01, 1e6]), MethodConfig(method="sgtr"))
+        curve = sweep(system, "sgtr_threshold", np.array([0.01, 1e6]), SgtrConfig())
         assert curve.points[0].selected == ("c",)
         assert curve.points[1].selected == ()
 
@@ -310,17 +307,17 @@ class TestSweep:
         system, _, _ = random_grouped_system(rng)
         with pytest.raises(ValueError):
             sweep(system, "t_rms", np.array([0.2, 0.1]),
-                  MethodConfig(thresholds=ThresholdSpec(t_ge=0.5)))
+                  TbglssConfig(thresholds=ThresholdSpec(t_ge=0.5)))
 
     @pytest.mark.parametrize("grid", [[np.nan, 0.1], [0.1, np.inf], [np.nan] * 3, [-np.inf, 0.1]])
     def test_grid_must_be_finite(self, grid):
         system, _ = perfect_fit_system(seed=6)
         with pytest.raises(ValueError, match="must be finite"):
-            sweep(system, "sgtr_threshold", np.array(grid), MethodConfig(method="sgtr"))
+            sweep(system, "sgtr_threshold", np.array(grid), SgtrConfig())
 
     def test_csv_and_json_outputs(self, tmp_path):
         system, _ = perfect_fit_system(seed=7)
-        curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.5]), MethodConfig(method="sgtr"))
+        curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.5]), SgtrConfig())
         curve.to_csv(tmp_path / "curve.csv")
         curve.to_json(tmp_path / "curve.json")
         text = (tmp_path / "curve.csv").read_text()
@@ -362,35 +359,37 @@ def sampled(monkeypatch, pooled):
 class TestSweepSharesChains:
     """A sweep samples each distinct chain once; every point still reports what `fit` reports."""
 
-    BASE = MethodConfig(thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.1),
+    BASE = TbglssConfig(thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.1),
                         bglss=BglssConfig(n_iterations=300, n_burnin=100, seed=4),
                         update_iterations=120, update_burnin=40)
 
-    @pytest.mark.parametrize("axis,grid,options", [
-        ("t_ge", np.linspace(0.02, 0.22, 6), {}),
-        ("t_rms", np.logspace(-3, 0, 6), {}),
+    @pytest.mark.parametrize("axis,grid,base", [
+        ("t_ge", np.linspace(0.02, 0.22, 6), BASE),
+        ("t_rms", np.logspace(-3, 0, 6), BASE),
         ("t_ge", np.linspace(0.02, 0.22, 4),
-         {"final_chains": 2, "with_ci": True, "keep_final_ensemble": True}),
-        ("sgtr_threshold", default_grid("sgtr_threshold"), {"method": "sgtr", "thresholds": None}),
+         replace(BASE, final_chains=2, with_ci=True, keep_final_ensemble=True)),
+        ("sgtr_threshold", default_grid("sgtr_threshold"), SgtrConfig()),
     ], ids=["t_ge", "t_rms", "t_ge-two-chains-ci", "sgtr"])
     def test_every_point_matches_a_standalone_fit(self, burgers_one_percent, sampled,
-                                                  axis, grid, options):
-        base = replace(self.BASE, **options)
+                                                  axis, grid, base):
         curve = sweep(burgers_one_percent, axis, grid, base)
         shared = len(sampled)
         sampled.clear()
         supports = set()
+        tbglss_base = isinstance(base, TbglssConfig)
         for point in curve.points:
-            alone = fit(burgers_one_percent, selection._point_config(base, axis, point.value))
+            alone = fit(burgers_one_percent,
+                        selection._point_config(base, axis, point.value) if tbglss_base
+                        else replace(base, threshold=point.value))
             assert point.report.to_json() == alone.to_json()
             supports.add(point.selected)
-            if base.keep_final_ensemble and alone.final_ensemble is not None:
+            if tbglss_base and base.keep_final_ensemble and alone.final_ensemble is not None:
                 np.testing.assert_array_equal(point.report.final_ensemble.beta,
                                               alone.final_ensemble.beta)
         assert len(supports) > 1  # the grid crosses support changes
-        if base.method == "tbglss":
+        if tbglss_base:
             assert len(set(sampled)) == shared < len(sampled)
-        if base.with_ci:
+        if tbglss_base and base.with_ci:
             assert any(p.report.bootstrap_cis for p in curve.points)
 
     def test_sgtr_grid_fits_each_active_set_and_scores_each_support_once(
@@ -410,8 +409,8 @@ class TestSweepSharesChains:
         monkeypatch.setattr(selection, "aic_loss", counted_loss)
         system = burgers_one_percent
         curve = sweep(system, "sgtr_threshold", default_grid("sgtr_threshold"),
-                      MethodConfig(method="sgtr"))
-        full = (tuple(range(system.n_groups)), MethodConfig.sgtr_ridge)
+                      SgtrConfig())
+        full = (tuple(range(system.n_groups)), SgtrConfig.ridge)
         assert fitted[0] == full and len(fitted) == len(set(fitted))
         supports = {tuple(np.flatnonzero(p.report.trajectories.active).tolist())
                     for p in curve.points}
@@ -430,7 +429,7 @@ class TestSweepSharesChains:
 
         monkeypatch.setattr(baselines, "_ridge_fit", singular_on_c)
         curve = sweep(system, "sgtr_threshold", np.array([1e-12, 0.01, 0.1, 1e6]),
-                      MethodConfig(method="sgtr"))
+                      SgtrConfig())
         assert [p.error for p in curve.points] == [
             None, "LinAlgError: singular per-step Gram", "LinAlgError: singular per-step Gram",
             None]
@@ -453,11 +452,11 @@ class TestSweepSharesChains:
                    for spec in (ThresholdSpec(t_rms=(rms[k - 1] + rms[k]) / 2),
                                 ThresholdSpec(t_ge=(ge[k - 1] + ge[k]) / 2))]
         chains: dict = {}
-        shared = [run_threshold_loop(system, mc, chains) for mc in configs]
+        shared = [run_threshold_loop(system, config, chains) for config in configs]
         first, second = (r.update_history[0].removed for r in shared)
         assert len(first) == len(second) and set(first) != set(second)
-        for mc, report in zip(configs, shared):
-            assert report.to_json() == run_tbglss(system, mc).to_json()
+        for config, report in zip(configs, shared):
+            assert report.to_json() == run_tbglss(system, config).to_json()
 
     def test_back_to_back_sweeps_share_nothing(self, burgers_one_percent, sampled):
         grid = np.linspace(0.02, 0.22, 4)
@@ -496,17 +495,16 @@ class TestParallelSweep:
         assert sum(key[0] == full for key in sampled) == 1
         assert set(Counter(sampled).values()) == {1}
 
-    @pytest.mark.parametrize("axis,grid,options", [
-        ("t_ge", np.linspace(0.02, 0.22, 5), {}),
+    @pytest.mark.parametrize("axis,grid,base", [
+        ("t_ge", np.linspace(0.02, 0.22, 5), BASE),
         ("t_ge", np.linspace(0.02, 0.22, 3),
-         {"final_chains": 2, "with_ci": True, "keep_final_ensemble": True}),
-        ("sgtr_threshold", np.logspace(-3, 0, 6), {"method": "sgtr", "thresholds": None}),
-        ("lambda", None, {"method": "group_lasso", "thresholds": None}),
+         replace(BASE, final_chains=2, with_ci=True, keep_final_ensemble=True)),
+        ("sgtr_threshold", np.logspace(-3, 0, 6), SgtrConfig()),
+        ("lambda", None, GroupLassoConfig()),
     ], ids=["t_ge", "t_ge-two-chains-ci", "sgtr", "lambda"])
     def test_inline_and_pooled_sweeps_report_the_same_bytes(self, burgers_one_percent, monkeypatch,
-                                                            tmp_path, axis, grid, options):
+                                                            tmp_path, axis, grid, base):
         system = burgers_one_percent
-        base = replace(self.BASE, **options)
         grid = default_grid(axis, system)[::4] if grid is None else grid
         curves = {}
         for workers in (1, 2):
@@ -515,7 +513,7 @@ class TestParallelSweep:
             (tmp_path / str(workers)).mkdir()
         assert (sweep_outputs(curves[1], tmp_path / "1")
                 == sweep_outputs(curves[2], tmp_path / "2"))
-        if not base.keep_final_ensemble:
+        if not (isinstance(base, TbglssConfig) and base.keep_final_ensemble):
             return
         reported = 0
         for inline_point, pooled_point in zip(curves[1].points, curves[2].points):
@@ -565,8 +563,8 @@ class TestParallelSweep:
         system, _ = perfect_fit_system(seed=5)
         for axis, name, grid, base in (
                 ("lambda", "lasso", default_grid("lambda", system)[::5],
-                 MethodConfig(method="group_lasso")),
-                ("sgtr_threshold", "sgtr", np.array([0.01, 0.1, 1e6]), MethodConfig(method="sgtr"))):
+                 GroupLassoConfig()),
+                ("sgtr_threshold", "sgtr", np.array([0.01, 0.1, 1e6]), SgtrConfig())):
             with pytest.warns(UserWarning, match=f"{name} at") as caught:
                 sweep(system, axis, grid, base)
             assert sorted(str(w.message) for w in caught) == sorted(
@@ -597,9 +595,9 @@ class TestParallelSweep:
         selection_lasso, selection_sgtr = selection.group_lasso, selection.sgtr
         monkeypatch.setattr(selection, "group_lasso", singular_lasso_at_one)
         monkeypatch.setattr(selection, "sgtr", singular_sgtr_at_one)
-        for axis, grid, base in (("lambda", lams, MethodConfig(method="group_lasso")),
+        for axis, grid, base in (("lambda", lams, GroupLassoConfig()),
                                  ("sgtr_threshold", np.array([0.01, 0.1, 1e6]),
-                                  MethodConfig(method="sgtr"))):
+                                  SgtrConfig())):
             curve = sweep(system, axis, grid, base)
             errors = [p.error for p in curve.points]
             assert errors[1] == "LinAlgError: singular per-step Gram"

@@ -10,7 +10,7 @@ from vcpde import solvers
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, LibrarySpec
 from vcpde.pipeline import build_system, noisy_dataset
-from vcpde.selection import MethodConfig, fit
+from vcpde.selection import fit
 from vcpde.solvers import (
     SCENARIO_SETTINGS,
     PdeScenario,
@@ -20,7 +20,7 @@ from vcpde.solvers import (
     solve,
     true_coefficients,
 )
-from vcpde.tbglss import ThresholdSpec
+from vcpde.tbglss import TbglssConfig, ThresholdSpec
 
 
 def rel_l2(a, b):
@@ -469,7 +469,7 @@ TBGLSS_REPORT_SHA256 = {
 
 def test_tbglss_report_is_bit_for_bit_pinned(small_burgers_clean):
     system = build_system(noisy_dataset(small_burgers_clean, 0.01, seed=3))
-    report = fit(system, MethodConfig(
+    report = fit(system, TbglssConfig(
         thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.1),
         bglss=BglssConfig(n_iterations=300, n_burnin=100, seed=4),
         update_iterations=120, update_burnin=40, final_chains=2, with_ci=True,

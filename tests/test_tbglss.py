@@ -10,8 +10,7 @@ from vcpde.criteria import ZeroNormGroupError, group_error_bar, rms_criterion
 from vcpde import tbglss
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CHUNK_STEPS
-from vcpde.selection import MethodConfig
-from vcpde.tbglss import DiscoveryReport, ThresholdSpec, run_tbglss
+from vcpde.tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
 
@@ -76,7 +75,7 @@ class TestLoopProperties:
         rng = np.random.default_rng(seed)
         system, _, active_truth = random_grouped_system(rng, n_steps=4, n_rows=12, n_groups=5)
         config = BglssConfig(n_iterations=300, n_burnin=80, lam=1.0, seed=seed)
-        report = run_tbglss(system, MethodConfig(
+        report = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5), bglss=config, update_iterations=120,
             update_burnin=30))
         g = system.n_groups
@@ -97,9 +96,9 @@ class TestLoopProperties:
         rng = np.random.default_rng(seed + 50)
         system, _, _ = random_grouped_system(rng)
         config = BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=7)
-        a = run_tbglss(system, MethodConfig(
+        a = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5), bglss=config))
-        b = run_tbglss(system, MethodConfig(
+        b = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5), bglss=config))
         np.testing.assert_array_equal(a.trajectories.values, b.trajectories.values)
         np.testing.assert_array_equal(a.stdev, b.stdev)
@@ -110,7 +109,7 @@ class TestLoopProperties:
         rng = np.random.default_rng(seed + 11)
         system, _, _ = random_grouped_system(rng)
         thresholds = ThresholdSpec(t_rms=0.05, t_ge=0.5)
-        report = run_tbglss(system, MethodConfig(
+        report = run_tbglss(system, TbglssConfig(
             thresholds=thresholds,
             bglss=BglssConfig(n_iterations=300, n_burnin=80, lam=1.0, seed=seed)))
         for name in report.selected:
@@ -123,7 +122,7 @@ class TestLoopProperties:
         for seed in range(5):
             rng = np.random.default_rng(seed + 200)
             system, _, active_truth = random_grouped_system(rng, n_rows=24)
-            report = run_tbglss(system, MethodConfig(
+            report = run_tbglss(system, TbglssConfig(
                 thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
                 bglss=BglssConfig(n_iterations=300, n_burnin=80, lam=1.0, seed=seed)))
             expected = {f"g{i}" for i in sorted(active_truth)}
@@ -133,21 +132,16 @@ class TestLoopProperties:
     def test_zero_rms_threshold_terminates_quickly(self):
         rng = np.random.default_rng(3)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        report = run_tbglss(system, MethodConfig(
+        report = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.0),
             bglss=BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=1)))
         assert report.n_updates <= 2
-
-    def test_needs_a_tbglss_config(self):
-        system, _, _ = random_grouped_system(np.random.default_rng(4))
-        with pytest.raises(ValueError, match="needs a tbglss MethodConfig, got method 'sgtr'"):
-            run_tbglss(system, MethodConfig(method="sgtr"))
 
     def test_all_groups_removed_flagged(self):
         rng = np.random.default_rng(4)
         system, _, _ = random_grouped_system(rng)
         # a threshold above every group's scale removes everything
-        report = run_tbglss(system, MethodConfig(
+        report = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=1e6),
             bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=2)))
         assert report.empty_model
@@ -203,7 +197,7 @@ class TestReportSerialization:
     def test_json_round_trip_fields(self, tmp_path):
         rng = np.random.default_rng(8)
         system, _, _ = random_grouped_system(rng)
-        report = run_tbglss(system, MethodConfig(
+        report = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
             bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3)))
         path = tmp_path / "report.json"
@@ -219,7 +213,7 @@ class TestReportSerialization:
     def test_rendered_equation(self):
         rng = np.random.default_rng(9)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        report = run_tbglss(system, MethodConfig(
+        report = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
             bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3)))
         eq = report.rendered_equation()
@@ -232,7 +226,7 @@ class TestMultiChainMode:
     def test_chain_medians_recorded(self):
         rng = np.random.default_rng(12)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        report = run_tbglss(system, MethodConfig(
+        report = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
             bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3), final_chains=3))
         assert report.chain_medians is not None
@@ -252,7 +246,7 @@ class TestMultiChainMode:
             return sample(system, config, groups)
 
         monkeypatch.setattr(tbglss, "sample_posterior", recording)
-        report = run_tbglss(system, MethodConfig(
+        report = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
             bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3), final_chains=3))
         medians = report.chain_medians

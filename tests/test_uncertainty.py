@@ -204,13 +204,12 @@ class TestReportIntegration:
         import numpy as np
 
         from vcpde.gibbs import BglssConfig, dump_ensemble
-        from vcpde.selection import MethodConfig
-        from vcpde.tbglss import ThresholdSpec, run_tbglss
+        from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
         from conftest import random_grouped_system
 
         rng = np.random.default_rng(14)
         system, _, _ = random_grouped_system(rng, n_rows=24)
-        report = run_tbglss(system, MethodConfig(
+        report = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
             bglss=BglssConfig(n_iterations=200, n_burnin=60, lam=1.0, seed=6),
             keep_final_ensemble=True, with_ci=True))

@@ -5,10 +5,11 @@ decisions.  Configuration precedence is command line > --config file >
 built-in defaults; the sampler, method, differentiation, library and filter
 options default to BglssConfig, the method's own config (selection.METHODS),
 DifferentiationSpec, LibrarySpec.standard and FilterSpec.of.  An option the
-chosen method does not read is a validation error, except --seed, which every
-method accepts and only tbglss reads.  The config file is a flat JSON
-object whose keys are the long option names with dashes replaced by
-underscores, and a key that no subcommand declares is a validation error.
+chosen method, or the chosen kind of sweep (--axis or --filter), does not read
+is a validation error, except that every method accepts --seed, which only
+tbglss reads.  The config file is a flat JSON object whose keys are the long
+option names with dashes replaced by underscores, and a key that no subcommand
+declares is a validation error.
 Every output embeds the options and seeds needed to reproduce it bit-for-bit.
 Exit codes: 0 success (including documented expected-failure scenarios and
 --help), 1 validation error (including a usage error, which also prints the
@@ -112,12 +113,26 @@ DIFF_OPTIONS = {"diff_method": "method", "space_width": "space_width",
                 "time_degree": "time_degree"}
 LIBRARY_OPTIONS = {"max_power": "max_poly_power", "max_derivative": "max_deriv_order"}
 FILTER_OPTIONS = {"polyorder": "polyorder", "order": "butterworth_order", "axis": "axis"}
+# The sweep options that only one kind of sweep reads: option dest -> its flag.
+METHOD_SWEEP_OPTIONS = {dest: "--" + dest.replace("_", "-") for dest in (
+    *THRESHOLD_OPTIONS, *BGLSS_OPTIONS, "sgtr_ridge", "range", "log", "with_truth",
+    *DIFF_OPTIONS, *LIBRARY_OPTIONS)}
+FILTER_SWEEP_OPTIONS = {"windows": "--windows", "cutoffs": "--cutoffs", "clean": "--clean",
+                        "polyorder": "--polyorder", "order": "--order", "axis": "--axis-direction"}
 
 
 def _given(args, options: dict) -> dict:
     """The fields set by the options in `args` that have a value; unset ones keep their default."""
     return {field: getattr(args, dest) for dest, field in options.items()
             if getattr(args, dest, None) is not None}
+
+
+def _reject(args, options: dict, reader: str) -> None:
+    """Each of `options` (dest -> the name the error gives it) that `args` sets is an error:
+    `reader` does not use it."""
+    unused = _given(args, options)
+    if unused:
+        raise ValueError(f"{reader} does not use {' or '.join(unused)}")
 
 
 def _diff_spec_from_args(args) -> DifferentiationSpec:
@@ -150,9 +165,7 @@ def _method_config(args, method: str, swept: str | None = None, **fields):
     if method != "tbglss":
         others.update({dest: "thresholds" for dest in THRESHOLD_OPTIONS},
                       **{dest: dest for dest in BGLSS_OPTIONS if dest != "seed"})
-    unused = _given(args, others)
-    if unused:
-        raise ValueError(f"{method} does not use {' or '.join(unused)}")
+    _reject(args, others, method)
     config = {**_given(args, METHOD_OPTIONS[method]), **fields}
     if method != "tbglss":
         return METHODS[method](**config)
@@ -257,6 +270,7 @@ def cmd_sweep(args) -> int:
         if args.axis_name is not None:
             raise ValueError("--axis sweeps a method parameter and --filter a filter parameter: "
                              "give one of them")
+        _reject(args, METHOD_SWEEP_OPTIONS, "a --filter sweep")
         if not args.clean:
             raise ValueError("filter sweeps need --clean for the reference field")
         clean = load_dataset(args.clean)
@@ -278,6 +292,7 @@ def cmd_sweep(args) -> int:
     axis = args.axis_name
     if axis not in SWEEP_AXES:
         raise ValueError(f"--axis must be one of {SWEEP_AXES} (or use --filter)")
+    _reject(args, FILTER_SWEEP_OPTIONS, "an --axis sweep")
     grid = _parse_range(args.range, "--range", log=args.log) if args.range else None
     method_config = _method_config(args, AXIS_METHODS[axis], swept=axis)
     system = build_system(dataset, library=_library_from_args(args), diff=_diff_spec_from_args(args))
@@ -465,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {', '.join(SWEEP_AXES)}")
     p.add_argument("--range", default=None,
                    help="lo:hi:count; write --range=lo:hi:count when lo is negative")
-    p.add_argument("--log", action="store_true", help="logarithmic range spacing")
-    p.add_argument("--with-truth", action="store_true",
+    p.add_argument("--log", action="store_true", default=None, help="logarithmic range spacing")
+    p.add_argument("--with-truth", action="store_true", default=None,
                    help="also record coefficient MSE against the built-in scenario truth")
     add_sampler_options(p)
     p.add_argument("--filter", default=None, choices=FILTER_KINDS,

@@ -127,11 +127,15 @@ class DifferentiationSpec:
 
     def resolve(self, noise_level: float, filtered: bool = False) -> "DifferentiationSpec":
         """Every field set: POLY_FIT_DEFAULTS, overridden by the tier of the data (for the
-        `auto` method only), overridden by the fields set here."""
+        `auto` method only), overridden by the fields set here.  Finite differences read no
+        poly-fit width or degree, so those stay None."""
         given = {name: value for name, value in asdict(self).items()
                  if value is not None and name != "method"}
         tier = _tier(noise_level, filtered) if self.method == "auto" else {"method": self.method}
-        return DifferentiationSpec(**{**POLY_FIT_DEFAULTS, **tier, **given})
+        resolved = {**POLY_FIT_DEFAULTS, **tier, **given}
+        if resolved["method"] == "finite_difference":
+            resolved.update(dict.fromkeys(POLY_FIT_DEFAULTS))
+        return DifferentiationSpec(**resolved)
 
 
 def _resolved_differentiation(dataset: Dataset,

@@ -57,6 +57,15 @@ class TbglssConfig:
     with_ci: bool = False  # bootstrap intervals of the posterior medians in the report
     keep_final_ensemble: bool = False
 
+    def __post_init__(self):
+        if self.final_chains < 1:
+            raise ValueError(f"final_chains must be at least 1, got {self.final_chains}")
+        if self.update_iterations < 1:
+            raise ValueError(f"update_iterations must be at least 1, got {self.update_iterations}")
+        if not 0 <= self.update_burnin < self.update_iterations:
+            raise ValueError(f"update_burnin must be at least 0 and below update_iterations "
+                             f"({self.update_iterations}), got {self.update_burnin}")
+
 
 @dataclass(frozen=True)
 class UpdateRecord:

@@ -162,9 +162,9 @@ class TestCli:
     @pytest.mark.parametrize("noise", ["-0.05", "nan"])
     def test_simulate_checks_noise_before_solving(self, monkeypatch, tmp_path, capsys, noise):
         solved = []
-        for family, solver in list(solvers.FAMILIES.items()):
-            monkeypatch.setitem(solvers.FAMILIES, family, lambda scenario, solver=solver: (
-                solved.append(scenario) or solver(scenario)))
+        solver = solvers._solve_etdrk4
+        monkeypatch.setattr(solvers, "_solve_etdrk4",
+                            lambda scenario: solved.append(scenario) or solver(scenario))
         code = self.run("simulate", "--family", "ks", "--noise", noise, "--output", str(tmp_path))
         assert code == 1
         assert capsys.readouterr().err.startswith("error: noise level must be nonnegative")
@@ -174,8 +174,7 @@ class TestCli:
     def test_simulate_rejects_a_span_before_the_retained_window(self, monkeypatch, tmp_path,
                                                                  capsys):
         solved = []
-        monkeypatch.setitem(solvers.FAMILIES, "kuramoto_sivashinsky",
-                            lambda scenario: solved.append(scenario))
+        monkeypatch.setattr(solvers, "_solve_etdrk4", lambda scenario: solved.append(scenario))
         code = self.run("simulate", "--family", "ks", "--nx", "64", "--nt", "32",
                         "--t-span", "0:50", "--output", str(tmp_path))
         assert code == 1
@@ -213,7 +212,17 @@ class TestCli:
         (["--method", "sgtr", "--sgtr-threshold", "0.1", "--sgtr-ridge", "nan"],
          "ridge penalty must be nonnegative, got nan"),
         (["--method", "group_lasso", "--lasso-lam", "nan"], "lam must be positive, got nan"),
-    ], ids=["lam", "sgtr_threshold", "sgtr_ridge", "lasso_lam"])
+        (["--t-rms", "0.1", "--final-chains", "0"], "final_chains must be at least 1, got 0\n"),
+        (["--t-rms", "0.1", "--final-chains", "-2"], "final_chains must be at least 1, got -2\n"),
+        (["--t-rms", "0.1", "--update-iterations", "0"],
+         "update_iterations must be at least 1, got 0\n"),
+        (["--t-rms", "0.1", "--update-burnin", "300"],
+         "update_burnin must be at least 0 and below update_iterations (200), got 300\n"),
+        (["--t-rms", "0.1", "--update-burnin", "-1"],
+         "update_burnin must be at least 0 and below update_iterations (200), got -1\n"),
+    ], ids=["lam", "sgtr_threshold", "sgtr_ridge", "lasso_lam", "final_chains_zero",
+            "final_chains_negative", "update_iterations_zero", "update_burnin_too_long",
+            "update_burnin_negative"])
     def test_discover_nan_option_is_validation_error(self, small_dataset, tmp_path, capsys,
                                                      argv, message):
         path = save_dataset(small_dataset, tmp_path / "d.json")
@@ -345,6 +354,37 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == ("error: --axis sweeps a method parameter and --filter "
                                            "a filter parameter: give one of them\n")
+        assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["--windows", "5:9:2", "--polyorder", "2"], "--windows or --polyorder"),
+        (["--cutoffs", "0.1:0.2:2"], "--cutoffs"), (["--order", "4"], "--order"),
+        (["--clean", "{path}"], "--clean"), (["--axis-direction", "space"], "--axis-direction"),
+    ], ids=["windows-polyorder", "cutoffs", "order", "clean", "axis-direction"])
+    def test_axis_sweep_rejects_the_filter_sweep_options(self, small_dataset, tmp_path, capsys,
+                                                         argv, flags):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("sweep", "--dataset", str(path), "--axis", "t_ge", "--t-rms", "0.02",
+                        "--range", "0.05:0.1:2", *[a.format(path=path) for a in argv],
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: an --axis sweep does not use {flags}\n"
+        assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["--t-rms", "0.3", "--seed", "4"], "--t-rms or --seed"),
+        (["--sgtr-ridge", "1e-5"], "--sgtr-ridge"), (["--iterations", "50"], "--iterations"),
+        (["--range", "0.1:0.2:2", "--log"], "--range or --log"), (["--with-truth"], "--with-truth"),
+        (["--diff-method", "poly_fit"], "--diff-method"), (["--max-power", "2"], "--max-power"),
+    ], ids=["thresholds-seed", "sgtr-ridge", "iterations", "range-log", "with-truth",
+            "diff-method", "max-power"])
+    def test_filter_sweep_rejects_the_method_sweep_options(self, small_dataset, tmp_path, capsys,
+                                                           argv, flags):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("sweep", "--dataset", str(path), "--filter", "moving_average",
+                        "--clean", str(path), *argv, "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: a --filter sweep does not use {flags}\n"
         assert not list((tmp_path / "out").iterdir())
 
     def test_simulate_clean_no_twin(self, tmp_path, capsys):
@@ -693,7 +733,7 @@ class TestCli:
         from vcpde.solvers import SolverBlowupError
 
         def exploding(args):
-            raise SolverBlowupError("burgers", 1.0, 2.0)
+            raise SolverBlowupError("burgers", 2.0)
 
         monkeypatch.setattr(cli, "cmd_simulate", exploding)
         parser = cli.build_parser()
@@ -720,6 +760,18 @@ class TestCli:
 SHARED_OPTIONS = {"dataset", "output", "method", "dump_trace", *cli.DIFF_OPTIONS,
                   *cli.LIBRARY_OPTIONS, "axis_name", "range", "log", "with_truth",
                   "filter", "windows", "cutoffs", "clean", *cli.FILTER_OPTIONS}
+
+
+def test_every_sweep_option_is_read_by_one_kind_of_sweep_or_both():
+    # an option that neither table names is read by both kinds, so it must be one of these
+    both = {"help", "dataset", "output", "axis_name", "filter"}
+    kinds = [cli.METHOD_SWEEP_OPTIONS, cli.FILTER_SWEEP_OPTIONS, both]
+    parser = cli.build_parser().subcommand_parsers["sweep"]
+    flags = {action.dest: action.option_strings for action in parser._actions}
+    for dest in flags:
+        assert sum(dest in kind for kind in kinds) == 1, dest
+    for table in kinds[:2]:  # each error names the flag as it is written
+        assert all(flag in flags[dest] for dest, flag in table.items())
 
 
 def test_every_method_option_sets_its_config_and_has_one_owner():

@@ -53,8 +53,8 @@ class TestSeeds:
         # noise is added by noisy_dataset alone: simulate_dataset takes no level to spend a
         # solve on
         solved = []
-        solver = solvers.FAMILIES["burgers"]
-        monkeypatch.setitem(solvers.FAMILIES, "burgers",
+        solver = solvers._solve_etdrk4
+        monkeypatch.setattr(solvers, "_solve_etdrk4",
                             lambda scenario: solved.append(scenario) or solver(scenario))
         with pytest.raises(TypeError, match="noise_level"):
             simulate_dataset(make_scenario("burgers", n_x=64, n_t=32), noise_level=level, seed=1)
@@ -88,7 +88,7 @@ class TestDifferentiationPolicy:
         assert spec.space_width == 11
 
     @pytest.mark.parametrize("noise, filtered, expected", [
-        (0.0, False, ("finite_difference", 9, 4, 5, 3, None, None)),
+        (0.0, False, ("finite_difference", None, None, None, None, None, None)),
         (0.0001, False, ("poly_fit", 9, 4, 5, 3, None, None)),
         (0.01, False, ("poly_fit", 17, 4, 9, 3, (21, 3), (9, 4))),
         (0.05, True, ("poly_fit", 19, 4, 5, 3, None, None)),
@@ -98,6 +98,15 @@ class TestDifferentiationPolicy:
         spec = DifferentiationSpec().resolve(noise, filtered)
         assert tuple(vars(spec).values()) == expected
         assert spec.resolve(noise, filtered) == spec
+
+    def test_finite_differences_record_no_poly_fit_setting(self):
+        # a finite-difference run reads no width or degree, given or from the defaults
+        for spec, noise in ((DifferentiationSpec(method="finite_difference", space_width=13), 0.01),
+                            (DifferentiationSpec(space_width=13, time_degree=2), 0.0)):
+            resolved = spec.resolve(noise)
+            assert resolved.method == "finite_difference"
+            assert (resolved.space_width, resolved.space_degree, resolved.time_width,
+                    resolved.time_degree) == (None, None, None, None)
 
     @pytest.mark.parametrize("noise, filtered", [(0.01, False), (0.05, True)],
                              ids=["smoothing", "filtered"])

@@ -31,6 +31,15 @@ class TestThresholdSpec:
         assert getattr(ThresholdSpec(**{field: float("inf")}), field) == float("inf")
 
 
+class TestTbglssConfig:
+    def test_count_bounds(self):
+        # the CLI tests reject counts below the bounds; these are the bounds themselves
+        TbglssConfig(ThresholdSpec(t_rms=0.1), update_iterations=1, update_burnin=0,
+                     final_chains=1)
+        with pytest.raises(ValueError, match="^update_burnin must be at least 0 and below"):
+            TbglssConfig(ThresholdSpec(t_rms=0.1), update_iterations=40, update_burnin=40)
+
+
 class TestRmsCriterion:
     def test_zero_vector(self):
         assert rms_criterion(np.zeros(5)) == 0.0

@@ -116,7 +116,7 @@ def sgtr(system: GroupedLinearSystem, config: SgtrConfig,
 # residual is at most ADMM_RTOL; otherwise ADMM goes on from where it stopped,
 # and stops once both residuals are at most ADMM_RTOL x lam.  On the default
 # lambda paths of the eight reproduce-paper cells and the benchmark's KS cell,
-# every point took a polish, after at most 603 iterations (2,477 when ADMM ran
+# every point took a polish, after at most 603 iterations (2,338 when ADMM ran
 # to its own stop), so ADMM_MAX_ITERATIONS leaves room for points that never
 # polish.  A start that has met neither rule by then is replaced by zero: with
 # two groups at 1e-3 collinearity, one of them zero at the optimum, ADMM

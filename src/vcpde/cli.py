@@ -136,6 +136,9 @@ def _reject(args, options: dict, reader: str) -> None:
 
 
 def _diff_spec_from_args(args) -> DifferentiationSpec:
+    if args.diff_method == "finite_difference":  # DifferentiationSpec's own check, by flag
+        _reject(args, {dest: "--" + dest.replace("_", "-") for dest in DIFF_OPTIONS
+                       if dest != "diff_method"}, "--diff-method finite_difference")
     return DifferentiationSpec(**_given(args, DIFF_OPTIONS))
 
 

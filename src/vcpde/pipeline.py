@@ -114,7 +114,9 @@ class DifferentiationSpec:
     Tiers: clean data uses centered finite differences; barely-noisy data
     (below 0.5% of sigma_u) uses narrow local polynomial fits; noisier data
     additionally smooths the field along both axes first and widens the fit
-    windows.  A field left as None is set by `resolve`.
+    windows.  A field left as None is set by `resolve`.  Finite differences
+    read no poly-fit width or degree, so setting one with that method is a
+    ValueError; a prefilter smooths the field before either method.
     """
 
     method: str = "auto"  # auto | finite_difference | poly_fit
@@ -124,6 +126,12 @@ class DifferentiationSpec:
     time_degree: int | None = None
     prefilter_time: tuple[int, int] | None = None  # (window, degree) SG along time
     prefilter_space: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.method == "finite_difference":
+            unread = [name for name in POLY_FIT_DEFAULTS if getattr(self, name) is not None]
+            if unread:
+                raise ValueError(f"finite differences read no {' or '.join(unread)}")
 
     def resolve(self, noise_level: float, filtered: bool = False) -> "DifferentiationSpec":
         """Every field set: POLY_FIT_DEFAULTS, overridden by the tier of the data (for the

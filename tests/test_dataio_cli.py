@@ -174,7 +174,9 @@ class TestCli:
     def test_simulate_rejects_a_span_before_the_retained_window(self, monkeypatch, tmp_path,
                                                                  capsys):
         solved = []
-        monkeypatch.setattr(solvers, "_solve_etdrk4", lambda scenario: solved.append(scenario))
+        # the fake reads dt, as the integrator does, so the scenario's options validate
+        monkeypatch.setattr(solvers, "_solve_etdrk4",
+                            lambda scenario, dt=0.05: solved.append(scenario))
         code = self.run("simulate", "--family", "ks", "--nx", "64", "--nt", "32",
                         "--t-span", "0:50", "--output", str(tmp_path))
         assert code == 1
@@ -196,6 +198,19 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: retain_t_from=100.0 keeps no time samples: the data's last time is 50.0 "
             "(the last with derivatives 48.387096774193544)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--space-width", "--space-degree", "--time-width",
+                                      "--time-degree"])
+    def test_finite_differences_reject_a_poly_fit_option(self, small_dataset, tmp_path, capsys,
+                                                         flag):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("discover", "--dataset", str(path), "--method", "sgtr",
+                        "--sgtr-threshold", "0.05", "--diff-method", "finite_difference", flag,
+                        "5", "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --diff-method finite_difference does not use {flag}\n")
         assert not (tmp_path / "out").exists()
 
     def test_discover_nan_threshold_is_validation_error(self, small_dataset, tmp_path, capsys):

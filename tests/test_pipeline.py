@@ -100,13 +100,27 @@ class TestDifferentiationPolicy:
         assert spec.resolve(noise, filtered) == spec
 
     def test_finite_differences_record_no_poly_fit_setting(self):
-        # a finite-difference run reads no width or degree, given or from the defaults
-        for spec, noise in ((DifferentiationSpec(method="finite_difference", space_width=13), 0.01),
+        # a finite-difference run reads no width or degree, given with auto or from the defaults
+        for spec, noise in ((DifferentiationSpec(method="finite_difference"), 0.01),
                             (DifferentiationSpec(space_width=13, time_degree=2), 0.0)):
             resolved = spec.resolve(noise)
             assert resolved.method == "finite_difference"
             assert (resolved.space_width, resolved.space_degree, resolved.time_width,
                     resolved.time_degree) == (None, None, None, None)
+
+    @pytest.mark.parametrize("name", ["space_width", "space_degree", "time_width",
+                                      "time_degree"])
+    def test_finite_differences_reject_a_poly_fit_setting(self, name):
+        with pytest.raises(ValueError, match=f"^finite differences read no {name}$"):
+            DifferentiationSpec(method="finite_difference", **{name: 5})
+
+    def test_finite_differences_keep_a_prefilter(self, small_burgers_clean):
+        # the prefilter smooths the field before any differentiation method
+        spec = DifferentiationSpec(method="finite_difference", prefilter_time=(9, 3))
+        assert spec.resolve(0.0).prefilter_time == (9, 3)
+        plain = build_system(small_burgers_clean, diff=replace(spec, prefilter_time=None))
+        assert not np.array_equal(build_system(small_burgers_clean, diff=spec).target,
+                                  plain.target)
 
     @pytest.mark.parametrize("noise, filtered", [(0.01, False), (0.05, True)],
                              ids=["smoothing", "filtered"])

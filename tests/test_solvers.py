@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp  # the reference of the integrator-accuracy tests only
 
+from vcpde import solvers
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, LibrarySpec
 from vcpde.pipeline import build_system, noisy_dataset
@@ -120,11 +121,23 @@ class TestKuramotoSivashinsky:
         assert np.all(np.isfinite(f.values))
 
     def test_step_refinement_self_convergence(self):
-        # halving the step changes the early retained window by under 1%
+        # at steps of 0.05 and 0.025 the early retained window agrees to 1%
         coarse = solve(make_scenario("ks", solver_options={"dt": 0.05}))
         fine = solve(make_scenario("ks", solver_options={"dt": 0.025}))
         window = (coarse.t_coords >= 100.0) & (coarse.t_coords <= 110.0)
         assert rel_l2(coarse.values[:, window], fine.values[:, window]) <= 0.01
+
+    def test_default_step_local_error(self, ks_clean):
+        # one sample interval from the first retained state (t ~ 100) at the default step and
+        # at a step 16 times finer; sigma_u of the retained window is about 1.27
+        t = ks_clean.field.t_coords
+        j = int(np.searchsorted(t, 100.0))
+        state = ks_clean.field.values[:, j].copy()
+        # a grid needs 8 samples; only the first interval is compared
+        sc = replace(make_scenario("ks"), t_span=(t[j], t[j + 7]), n_t=8, retain_t_from=None,
+                     initial_condition=lambda x: state, ic_formula="the state at t ~ 100")
+        fine = replace(sc, solver_options={"dt": sc.solver_options["dt"] / 16.0})
+        assert np.abs(solve(sc).values[:, 1] - solve(fine).values[:, 1]).max() <= 1e-3
 
 
 def reference_solve(scenario):
@@ -175,6 +188,28 @@ class TestIntegratorAccuracy:
         # each halving divides the error by about 2^4 = 16
         for coarse, fine in zip(errors, errors[1:]):
             assert 12.0 <= coarse / fine <= 20.0
+
+
+@pytest.mark.parametrize("family, substeps", [("burgers", 1), ("ad", 1), ("ks", 4)])
+def test_default_step_takes_at_most_four_substeps_per_sample(monkeypatch, family, substeps):
+    # the solve's cost as right-hand-side calls, four per ETDRK4 substep
+    calls = []
+    spectral_rhs = solvers._spectral_rhs
+
+    def counted_rhs(scenario):
+        rhs, multipliers = spectral_rhs(scenario)
+
+        def counted(*args):
+            calls.append(None)
+            return rhs(*args)
+
+        return counted, multipliers
+
+    monkeypatch.setattr(solvers, "_spectral_rhs", counted_rhs)
+    sc = make_scenario(family)
+    solve(sc)
+    per_sample = len(calls) / (4 * (sc.n_t - 1))
+    assert per_sample == substeps <= 4
 
 
 class TestBlowupDiagnostics:
@@ -307,7 +342,7 @@ class TestFamilyTable:
         metadata = scenarios[1].metadata()
         del metadata["retain_t_from"], metadata["solver_options"]
         rebuilt = scenario_from_metadata(metadata)
-        assert (rebuilt.retain_t_from, rebuilt.solver_options) == (100.0, {})
+        assert (rebuilt.retain_t_from, rebuilt.solver_options) == (100.0, {"dt": 0.2})
 
     @pytest.mark.parametrize("name, grid", [
         ("burgers", {}), ("burgers", {"n_x": 64, "n_t": 48, "t_span": (0.0, 4.0)}),
@@ -369,8 +404,10 @@ class TestScenarioValidation:
         for name in ("burgers", "ad", "ks"):
             assert make_scenario(name, solver_options={"dt": 0.025}).metadata()[
                 "solver_options"] == {"dt": 0.025}
-        assert all(make_scenario(name).metadata()["solver_options"] == {}
-                   for name in ("burgers", "ad", "ks"))
+        # the built-in defaults: KS sets its step, Burgers and AD take the integrator's
+        assert {name: make_scenario(name).metadata()["solver_options"]
+                for name in ("burgers", "ad", "ks")} == {"burgers": {}, "ad": {},
+                                                         "ks": {"dt": 0.2}}
 
 
 def equation_residual(field, scenario, t_from=None):
@@ -424,7 +461,7 @@ class TestEquationResidual:
 DEFAULT_SOLVE_SHA256 = {
     "burgers_clean": "9156fee17751d932cda4e20b2fb6eaf91938f729305ad4c7fd97f28413db8159",
     "ad_clean": "b43be1c18e3b89eff1ec8a321fdc40fbd4880afef3a16b0c96d586dc8a4896b2",
-    "ks_clean": "bbef1d04634619d931abd46414570f5a5f6dc7e1e4c71bf1acb470da1a0a5951",
+    "ks_clean": "8daf4b8226f697265d0fe87fe0739af41b740d69c28e8343bccbe6635856a9f8",
 }
 
 
@@ -444,7 +481,7 @@ def test_default_solve_is_bit_for_bit_pinned(request, clean):
 BUILD_SYSTEM_SHA256 = {
     "burgers": "95cf11917b2d28ceebbf7aecac5fc6244766ef87beea9dd69e401491e9fc0b54",
     "ad_prefiltered": "9379eef510e588395fd309f319f5059c0827b867586fd1b2f9d428a4b553e392",
-    "ks_retained": "6a4a8d6bf13f06ebe6b82c35f89d6b9f45bb10e2b04f6a8a28c79d258ad4e4eb",
+    "ks_retained": "59a967e4267067c2ebc60ff9851cbdb498de259528a35f753fc6507e6d5ce9d0",
 }
 
 

@@ -1,15 +1,21 @@
 """Command-line interface: simulate, filter, discover, sweep, reproduce-paper.
 
 The commands parse options, call the library and print; the library holds the
-decisions.  Configuration precedence is command line > --config file >
-built-in defaults; the sampler, method, differentiation, library and filter
-options default to BglssConfig, the method's own config (selection.METHODS),
-DifferentiationSpec, LibrarySpec.standard and FilterSpec.of.  An option the
-chosen method, or the chosen kind of sweep (--axis or --filter), does not read
-is a validation error, except that every method accepts --seed, which only
-tbglss reads.  The config file is a flat JSON object whose keys are the long
-option names with dashes replaced by underscores, and a key that no subcommand
-declares is a validation error.
+decisions.  Every option is one entry of OPTIONS, which names the commands
+that declare it, the config field it sets and the modes that read it (a
+method, a --diff-method, a filter kind, or a filter sweep); each command's
+parser is built from that table.  Configuration precedence is command line >
+--config file > built-in defaults; the sampler, method, differentiation,
+library and filter options default to BglssConfig, the method's own config
+(selection.METHODS), DifferentiationSpec, LibrarySpec.standard and
+FilterSpec.of.  An option that the path a command takes does not read is a
+validation error naming its flag, except that every method accepts --seed,
+which only tbglss reads.  `filter` filters with one value of its kind's
+parameter (--window or --cutoff) and sweeps the parameter over a range, or
+over the kind's default grid when --clean is given without it.  The config
+file is a flat JSON object whose keys are the long option names with dashes
+replaced by underscores, and a key that no command declares is a validation
+error.
 Every output embeds the options and seeds needed to reproduce it bit-for-bit.
 Exit codes: 0 success (including documented expected-failure scenarios and
 --help), 1 validation error (including a usage error, which also prints the
@@ -24,6 +30,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,89 +104,161 @@ def _dataset_stem(metadata: dict) -> str:
     return f"{metadata['family']}_noise{noise:g}_seed{metadata.get('seed', 0)}"
 
 
-# Options whose default is the library's: option dest -> the field it sets.
-BGLSS_OPTIONS = {"iterations": "n_iterations", "burnin": "n_burnin", "lam": "lam", "pi0": "pi0",
-                 "seed": "seed"}
-THRESHOLD_OPTIONS = ("t_rms", "t_ge")  # tbglss's ThresholdSpec, with BGLSS_OPTIONS its sampler
-# Each method's own options: option dest -> the field of its config (selection.METHODS).
-METHOD_OPTIONS = {
-    "tbglss": {name: name for name in ("update_iterations", "update_burnin", "final_chains",
-                                       "with_ci")},
-    "sgtr": {"sgtr_threshold": "threshold", "sgtr_ridge": "ridge"},
-    "group_lasso": {"lasso_lam": "lam"},
-}
-DIFF_OPTIONS = {"diff_method": "method", "space_width": "space_width",
-                "space_degree": "space_degree", "time_width": "time_width",
-                "time_degree": "time_degree"}
-LIBRARY_OPTIONS = {"max_power": "max_poly_power", "max_derivative": "max_deriv_order"}
-FILTER_OPTIONS = {"polyorder": "polyorder", "order": "butterworth_order", "axis": "axis"}
-# The sweep options that only one kind of sweep reads: option dest -> its flag.
-METHOD_SWEEP_OPTIONS = {dest: "--" + dest.replace("_", "-") for dest in (
-    *THRESHOLD_OPTIONS, *BGLSS_OPTIONS, "sgtr_ridge", "range", "log", "with_truth",
-    *DIFF_OPTIONS, *LIBRARY_OPTIONS)}
-FILTER_SWEEP_OPTIONS = {"windows": "--windows", "cutoffs": "--cutoffs", "clean": "--clean",
-                        "polyorder": "--polyorder", "order": "--order", "axis": "--axis-direction"}
+DIFF_METHODS = ("auto", "finite_difference", "poly_fit")
+FILTER_MODES = ("filter", "filter sweep")  # `filter` with one parameter value, or a sweep
 
 
-def _given(args, options: dict) -> dict:
-    """The fields set by the options in `args` that have a value; unset ones keep their default."""
-    return {field: getattr(args, dest) for dest, field in options.items()
-            if getattr(args, dest, None) is not None}
+class Option(NamedTuple):
+    """One command-line option.
+
+    `field` is the config field it sets as "<config>.<field>" (None: the command reads it
+    itself).  `readers` are the modes of one kind (METHODS, DIFF_METHODS, FILTER_KINDS or
+    FILTER_MODES) that read it; a path in another mode of that kind rejects it, and a
+    command with no mode of that kind, like every command when `readers` is empty, reads it.
+    """
+
+    flag: str
+    commands: tuple[str, ...]
+    field: str | None
+    readers: tuple[str, ...]
+    settings: dict  # add_argument's keywords
+
+    @property
+    def dest(self) -> str:
+        return self.settings.get("dest", self.flag[2:].replace("-", "_"))
 
 
-def _reject(args, options: dict, reader: str) -> None:
-    """Each of `options` (dest -> the name the error gives it) that `args` sets is an error:
-    `reader` does not use it."""
-    unused = _given(args, options)
-    if unused:
-        raise ValueError(f"{reader} does not use {' or '.join(unused)}")
+def _option(flag: str, commands: str, field: str | None = None, readers: tuple = (),
+            **settings) -> Option:
+    return Option(flag, tuple(commands.split()), field, readers, {"default": None, **settings})
 
 
-def _diff_spec_from_args(args) -> DifferentiationSpec:
-    if args.diff_method == "finite_difference":  # DifferentiationSpec's own check, by flag
-        _reject(args, {dest: "--" + dest.replace("_", "-") for dest in DIFF_OPTIONS
-                       if dest != "diff_method"}, "--diff-method finite_difference")
-    return DifferentiationSpec(**_given(args, DIFF_OPTIONS))
-
-
-def _library_from_args(args) -> LibrarySpec:
-    return LibrarySpec.standard(**_given(args, LIBRARY_OPTIONS))
-
-
-# Sampler and SGTR options that discover and sweep share: flag, type, help.
-SAMPLER_OPTIONS = (
-    ("--t-rms", float, "group RMS threshold"),
-    ("--t-ge", float, "group error bar threshold"),
-    ("--lam", float, f"group-lasso rate (default {BglssConfig.lam})"),
-    ("--pi0", float, f"fixed spike weight (default: {BglssConfig.pi0})"),
-    ("--iterations", int, "final chain length"),
-    ("--burnin", int, None),
-    ("--seed", int, "sampler seed"),
-    ("--sgtr-ridge", float, None),
+FIT = "discover sweep"
+TBGLSS, POLY_FIT = ("tbglss",), ("auto", "poly_fit")
+OPTIONS = (
+    _option("--family", "simulate", help="burgers | ad | ks"),
+    _option("--noise", "simulate", type=float, default=0.0,
+            help="white noise level as a fraction of sigma_u"),
+    _option("--seed", "simulate reproduce-paper", type=int, default=0,
+            help="the data (noise) seed; reproduce-paper also seeds the tbglss sampler with it"),
+    _option("--nx", "simulate", "scenario.n_x", type=int),
+    _option("--nt", "simulate", "scenario.n_t", type=int),
+    _option("--x-span", "simulate", "scenario.x_span", help="lo:hi"),
+    _option("--t-span", "simulate", "scenario.t_span", help="lo:hi"),
+    _option("--write-clean", "simulate", action=argparse.BooleanOptionalAction, default=True,
+            help="also write the clean twin when noise > 0"),
+    _option("--dataset", "filter discover sweep"),
+    _option("--kind", "filter", choices=FILTER_KINDS),
+    # type=str, so that a config file may give a number
+    _option("--window", "filter", readers=("moving_average", "savitzky_golay"), type=str,
+            help="odd window width, or start:stop:step to sweep those widths"),
+    _option("--cutoff", "filter", readers=("zero_phase_lowpass",), type=str,
+            help="normalized lowpass cutoff, or lo:hi:count to sweep that grid (write "
+                 "--cutoff=lo:hi:count when lo is negative)"),
+    _option("--polyorder", "filter", "filter.polyorder", ("savitzky_golay",), type=int),
+    _option("--order", "filter", "filter.butterworth_order", ("zero_phase_lowpass",), type=int,
+            help="butterworth order"),
+    _option("--axis", "filter", "filter.axis", choices=("time", "space"),
+            help="grid axis the filter runs along"),
+    _option("--clean", "filter", help="clean dataset: the data-MSE printout of one filter, and "
+                                      "the reference a sweep scores against"),
+    _option("--format", "simulate filter", readers=("filter",), choices=("json", "csv"),
+            help="dataset archive format (default: json)"),
+    _option("--method", "discover", choices=METHODS),
+    _option("--axis", "sweep", dest="axis_name", choices=SWEEP_AXES,
+            help="the method parameter to sweep"),
+    _option("--range", "sweep", help="lo:hi:count (default: the axis's built-in grid); write "
+                                     "--range=lo:hi:count when lo is negative"),
+    _option("--log", "sweep", action="store_true", help="logarithmic --range spacing"),
+    _option("--with-truth", "sweep", action="store_true",
+            help="also record coefficient MSE against the built-in scenario truth"),
+    _option("--t-rms", FIT, "thresholds.t_rms", TBGLSS, type=float, help="group RMS threshold"),
+    _option("--t-ge", FIT, "thresholds.t_ge", TBGLSS, type=float,
+            help="group error bar threshold"),
+    _option("--lam", FIT, "bglss.lam", TBGLSS, type=float,
+            help=f"group-lasso rate (default {BglssConfig.lam})"),
+    _option("--pi0", FIT, "bglss.pi0", TBGLSS, type=float,
+            help=f"fixed spike weight (default: {BglssConfig.pi0})"),
+    _option("--iterations", FIT, "bglss.n_iterations", TBGLSS, type=int,
+            help="final chain length"),
+    _option("--burnin", FIT, "bglss.n_burnin", TBGLSS, type=int),
+    # Every method accepts --seed and only tbglss reads it: perfbench passes it to each job.
+    _option("--seed", FIT, "bglss.seed", type=int, help="sampler seed"),
+    _option("--update-iterations", "discover", "tbglss.update_iterations", TBGLSS, type=int,
+            help="screening chain length"),
+    _option("--update-burnin", "discover", "tbglss.update_burnin", TBGLSS, type=int),
+    _option("--final-chains", "discover", "tbglss.final_chains", TBGLSS, type=int),
+    _option("--with-ci", "discover", "tbglss.with_ci", TBGLSS, action="store_true",
+            help="embed bootstrap intervals of each posterior median: its Monte Carlo "
+                 "error, not a band for the true coefficient (that is stdev)"),
+    _option("--dump-trace", "discover", None, TBGLSS, metavar="FILE",
+            help="also dump the final chain's retained draws (.npz or .csv); "
+                 "nothing is written when no term is selected"),
+    _option("--sgtr-threshold", "discover", "sgtr.threshold", ("sgtr",), type=float),
+    _option("--sgtr-ridge", FIT, "sgtr.ridge", ("sgtr",), type=float),
+    _option("--lasso-lam", "discover", "group_lasso.lam", ("group_lasso",), type=float),
+    _option("--diff-method", FIT, "diff.method", choices=DIFF_METHODS),
+    _option("--space-width", FIT, "diff.space_width", POLY_FIT, type=int),
+    _option("--space-degree", FIT, "diff.space_degree", POLY_FIT, type=int),
+    _option("--time-width", FIT, "diff.time_width", POLY_FIT, type=int),
+    _option("--time-degree", FIT, "diff.time_degree", POLY_FIT, type=int),
+    _option("--max-power", FIT, "library.max_poly_power", type=int, help="highest power of u"),
+    _option("--max-derivative", FIT, "library.max_deriv_order", type=int,
+            help="highest x-derivative order"),
+    _option("--only", "reproduce-paper", help="substring filter for cells, e.g. burgers_noise0"),
+    _option("--output", "simulate filter discover sweep reproduce-paper",
+            help=f"output directory (default: ${OUTPUT_ROOT_ENV} or '.')"),
 )
 
 
+def _declared(args) -> list[Option]:
+    """The options of the command `args` was parsed for."""
+    return [option for option in OPTIONS if args.command in option.commands]
+
+
+def _given(args, config: str) -> dict:
+    """The fields of `config` set by the options in `args` that have a value; unset ones keep
+    their default."""
+    return {option.field.partition(".")[2]: getattr(args, option.dest)
+            for option in _declared(args) if option.field
+            and option.field.partition(".")[0] == config and getattr(args, option.dest) is not None}
+
+
+def _reject(args, mode: str, modes: tuple, reader: str | None = None) -> None:
+    """Each option `args` sets that some of `modes` read but `mode` does not is an error that
+    names its flag and says `reader` (default `mode`) does not use it."""
+    unused = [option.flag for option in _declared(args)
+              if option.readers and set(option.readers) <= set(modes)
+              and mode not in option.readers and getattr(args, option.dest) is not None]
+    if unused:
+        raise ValueError(f"{reader or mode} does not use {' or '.join(unused)}")
+
+
+def _diff_spec_from_args(args) -> DifferentiationSpec:
+    method = args.diff_method or "auto"
+    _reject(args, method, DIFF_METHODS, f"--diff-method {method}")
+    return DifferentiationSpec(**_given(args, "diff"))
+
+
+def _library_from_args(args) -> LibrarySpec:
+    return LibrarySpec.standard(**_given(args, "library"))
+
+
 def _method_config(args, method: str, swept: str | None = None, **fields):
-    """`method`'s config (selection.METHODS) from the options `args` sets, plus `fields`.  Each
-    option `method` does not read (`others`, named as the error names it) is an error.  On a
-    sweep of the threshold `swept`, 0.0 holds its place: --range, not its option, sets it."""
-    others = {dest: dest for name, table in METHOD_OPTIONS.items() if name != method
-              for dest in table}
+    """`method`'s config (selection.METHODS) from the options `args` sets, plus `fields`; an
+    option `method` does not read is an error.  On a sweep of the threshold `swept`, 0.0
+    holds its place: --range, not its option, sets it."""
+    _reject(args, method, tuple(METHODS))
     if method != "tbglss":
-        others.update({dest: "thresholds" for dest in THRESHOLD_OPTIONS},
-                      **{dest: dest for dest in BGLSS_OPTIONS if dest != "seed"})
-    _reject(args, others, method)
-    config = {**_given(args, METHOD_OPTIONS[method]), **fields}
-    if method != "tbglss":
-        return METHODS[method](**config)
-    thresholds = {dest: getattr(args, dest) for dest in THRESHOLD_OPTIONS}
-    if swept in thresholds:
-        if thresholds[swept] is not None:
+        return METHODS[method](**_given(args, method), **fields)
+    thresholds = _given(args, "thresholds")
+    if swept in ("t_rms", "t_ge"):
+        if swept in thresholds:
             raise ValueError(f"--axis {swept} sweeps {swept}: give its values with --range, "
                              f"not --{swept.replace('_', '-')}")
         thresholds[swept] = 0.0
-    return TbglssConfig(ThresholdSpec(**thresholds), BglssConfig(**_given(args, BGLSS_OPTIONS)),
-                        **config)
+    return TbglssConfig(ThresholdSpec(**thresholds), BglssConfig(**_given(args, "bglss")),
+                        **_given(args, "tbglss"), **fields)
 
 
 def _require(value, name: str):
@@ -191,9 +270,10 @@ def _require(value, name: str):
 def cmd_simulate(args) -> int:
     _require(args.family, "family")
     check_noise_level(args.noise)
-    grid = _given(args, {"nx": "n_x", "nt": "n_t"})
-    grid.update({name: _parse_span(text, "--" + name.replace("_", "-"))
-                 for name, text in (("x_span", args.x_span), ("t_span", args.t_span)) if text})
+    grid = _given(args, "scenario")
+    for name in ("x_span", "t_span"):
+        if name in grid:
+            grid[name] = _parse_span(grid[name], "--" + name.replace("_", "-"))
     scenario = make_scenario(args.family, **grid)
     if scenario.retain_t_from is not None and scenario.t_span[1] < scenario.retain_t_from:
         raise ValueError(f"--t-span ends at {scenario.t_span[1]!r}, before the {scenario.family} "
@@ -203,42 +283,68 @@ def cmd_simulate(args) -> int:
     dataset = noisy_dataset(clean, args.noise, args.seed)
     outdir = _out_root(args.output)
     stem = _dataset_stem(dataset.metadata)
-    ext = ".json" if args.format == "json" else ""
-    path = save_dataset(dataset, outdir / f"{stem}{ext}", fmt=args.format)
+    fmt = args.format or "json"
+    ext = ".json" if fmt == "json" else ""
+    path = save_dataset(dataset, outdir / f"{stem}{ext}", fmt=fmt)
     print(f"wrote {path}")
     if args.noise > 0:
         print(f"data MSE vs clean: {data_mse(dataset.field, clean.field)!r}")
         if args.write_clean:
-            clean_path = save_dataset(clean, outdir / f"{stem}_clean{ext}", fmt=args.format)
+            clean_path = save_dataset(clean, outdir / f"{stem}_clean{ext}", fmt=fmt)
             print(f"wrote {clean_path}")
     return 0
 
 
 def cmd_filter(args) -> int:
+    """Filter with one value of the kind's parameter, or sweep it over a range (the kind's
+    default grid when --clean is given without it)."""
     dataset = load_dataset(_require(args.dataset, "dataset"))
-    name = parameter_name(_require(args.kind, "kind"))
-    spec = FilterSpec.of(args.kind, _require(getattr(args, name), name), **_given(args, FILTER_OPTIONS))
-    filtered = filter_dataset(dataset, spec)
-    ext = ".json" if args.format == "json" else ""
-    tag = f"{spec.kind}{spec.parameter:g}"
-    out = _out_root(args.output) / f"{_dataset_stem(dataset.metadata)}_{tag}{ext}"
-    path = save_dataset(filtered, out, fmt=args.format)
-    print(f"wrote {path}")
-    if args.clean:
-        clean = load_dataset(args.clean)
-        print(f"data MSE vs clean: {data_mse(filtered.field, clean.field)!r}")
+    kind = _require(args.kind, "kind")
+    name = parameter_name(kind)
+    flag, text = "--" + name, getattr(args, name)
+    if not args.clean:
+        _require(text, name)
+    _reject(args, kind, FILTER_KINDS, f"a {kind} filter")
+    options = _given(args, "filter")
+    clean = load_dataset(args.clean) if args.clean else None
+    if text is not None and ":" not in text:
+        value, = _split(text, flag, "one value or a range", int if name == "window" else float)
+        spec = FilterSpec.of(kind, value, **options)
+        filtered = filter_dataset(dataset, spec)
+        fmt = args.format or "json"
+        ext = ".json" if fmt == "json" else ""
+        tag = f"{spec.kind}{spec.parameter:g}"
+        out = _out_root(args.output) / f"{_dataset_stem(dataset.metadata)}_{tag}{ext}"
+        path = save_dataset(filtered, out, fmt=fmt)
+        print(f"wrote {path}")
+        if clean is not None:
+            print(f"data MSE vs clean: {data_mse(filtered.field, clean.field)!r}")
+        return 0
+
+    _reject(args, "filter sweep", FILTER_MODES, "a filter sweep")
+    if clean is None:
+        raise ValueError("a filter sweep needs --clean for the reference field")
+    grid = None if text is None else (
+        _parse_range(text, flag) if name == "cutoff" else _parse_int_range(text, flag))
+    curve = filter_sweep(dataset.field, clean.field, kind, grid, **options)
+    outdir = _out_root(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    stem = outdir / f"filter_sweep_{kind}"
+    curve.to_csv(f"{stem}.csv")
+    Path(f"{stem}.json").write_text(json.dumps(
+        {"kind": kind, "axis": curve.axis, "argmin": curve.argmin, "min_mse": curve.min_mse},
+        indent=2, sort_keys=True))
+    print(f"wrote {stem}.csv")
+    print(f"argmin: {curve.argmin!r}  min data MSE: {curve.min_mse!r}")
     return 0
 
 
 def cmd_discover(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
-    method = args.method or "tbglss"
-    if args.dump_trace and method != "tbglss":
-        raise ValueError(f"--dump-trace needs the tbglss method: {method} samples no draws")
     fields = {"keep_final_ensemble": True} if args.dump_trace else {}
     report = discover(
         dataset,
-        _method_config(args, method, **fields),
+        _method_config(args, args.method or "tbglss", **fields),
         library=_library_from_args(args),
         diff=_diff_spec_from_args(args),
     )
@@ -268,34 +374,9 @@ def cmd_sweep(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
     outdir = _out_root(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    if args.filter:
-        if args.axis_name is not None:
-            raise ValueError("--axis sweeps a method parameter and --filter a filter parameter: "
-                             "give one of them")
-        _reject(args, METHOD_SWEEP_OPTIONS, "a --filter sweep")
-        if not args.clean:
-            raise ValueError("filter sweeps need --clean for the reference field")
-        clean = load_dataset(args.clean)
-        kind = args.filter
-        if parameter_name(kind) == "cutoff":
-            grid = _parse_range(args.cutoffs, "--cutoffs") if args.cutoffs else None
-        else:
-            grid = _parse_int_range(args.windows, "--windows") if args.windows else None
-        curve = filter_sweep(dataset.field, clean.field, kind, grid, **_given(args, FILTER_OPTIONS))
-        stem = outdir / f"filter_sweep_{kind}"
-        curve.to_csv(f"{stem}.csv")
-        Path(f"{stem}.json").write_text(json.dumps(
-            {"kind": kind, "axis": curve.axis, "argmin": curve.argmin, "min_mse": curve.min_mse},
-            indent=2, sort_keys=True))
-        print(f"wrote {stem}.csv")
-        print(f"argmin: {curve.argmin!r}  min data MSE: {curve.min_mse!r}")
-        return 0
-
-    axis = args.axis_name
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"--axis must be one of {SWEEP_AXES} (or use --filter)")
-    _reject(args, FILTER_SWEEP_OPTIONS, "an --axis sweep")
+    axis = _require(args.axis_name, "axis")
+    if args.log and not args.range:
+        raise ValueError("--log spaces --range: give --range with it")
     grid = _parse_range(args.range, "--range", log=args.log) if args.range else None
     method_config = _method_config(args, AXIS_METHODS[axis], swept=axis)
     system = build_system(dataset, library=_library_from_args(args), diff=_diff_spec_from_args(args))
@@ -398,6 +479,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+
+
+COMMANDS = {  # name: (function, help)
+    "simulate": (cmd_simulate, "solve a scenario and write a dataset archive"),
+    "filter": (cmd_filter, "denoise a dataset with one of the preprocessing filters; a range "
+                           "for --window or --cutoff, or --clean without either, sweeps the "
+                           "parameter against the clean field instead"),
+    "discover": (cmd_discover, "run one discovery method on a dataset"),
+    "sweep": (cmd_sweep, "sweep a threshold or penalty of one method"),
+    "reproduce-paper": (cmd_reproduce, "run the full benchmark grid and the filter study"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vcpde",
@@ -405,152 +499,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file of default option values (CLI overrides it)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
-        p.add_argument("--output", default=None,
-                       help=f"output directory (default: ${OUTPUT_ROOT_ENV} or '.')")
-
-    def add_sampler_options(p):
-        for flag, kind, text in SAMPLER_OPTIONS:
-            p.add_argument(flag, type=kind, default=None, help=text)
-
-    def add_method_options(p):
-        p.add_argument("--method", default=None, choices=METHODS)
-        add_sampler_options(p)
-        p.add_argument("--update-iterations", type=int, default=None, help="screening chain length")
-        p.add_argument("--update-burnin", type=int, default=None)
-        p.add_argument("--final-chains", type=int, default=None)
-        p.add_argument("--sgtr-threshold", type=float, default=None)
-        p.add_argument("--lasso-lam", type=float, default=None)
-        add_diff_options(p)
-        add_library_options(p)
-
-    def add_diff_options(p):
-        p.add_argument("--diff-method", default=None,
-                       choices=("auto", "finite_difference", "poly_fit"))
-        p.add_argument("--space-width", type=int, default=None)
-        p.add_argument("--space-degree", type=int, default=None)
-        p.add_argument("--time-width", type=int, default=None)
-        p.add_argument("--time-degree", type=int, default=None)
-
-    def add_library_options(p):
-        p.add_argument("--max-power", type=int, default=None, help="highest power of u")
-        p.add_argument("--max-derivative", type=int, default=None,
-                       help="highest x-derivative order")
-
-    p = sub.add_parser("simulate", help="solve a scenario and write a dataset archive")
-    p.add_argument("--family", default=None)
-    p.add_argument("--noise", type=float, default=0.0, help="white noise level as a fraction of sigma_u")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--nt", type=int, default=None)
-    p.add_argument("--x-span", default=None, help="lo:hi")
-    p.add_argument("--t-span", default=None, help="lo:hi")
-    p.add_argument("--format", default="json", choices=("json", "csv"))
-    p.add_argument("--write-clean", action=argparse.BooleanOptionalAction, default=True,
-                   help="also write the clean twin when noise > 0")
-    add_output(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("filter", help="denoise a dataset with one of the preprocessing filters")
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--kind", default=None, choices=FILTER_KINDS)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--polyorder", type=int, default=None)
-    p.add_argument("--cutoff", type=float, default=None)
-    p.add_argument("--order", type=int, default=None, help="butterworth order")
-    p.add_argument("--axis", default=None, choices=("time", "space"))
-    p.add_argument("--clean", default=None, help="clean dataset for the data-MSE printout")
-    p.add_argument("--format", default="json", choices=("json", "csv"))
-    add_output(p)
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("discover", help="run one discovery method on a dataset")
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--with-ci", action="store_true", default=None,
-                   help="embed bootstrap intervals of each posterior median: its Monte Carlo "
-                        "error, not a band for the true coefficient (that is stdev)")
-    p.add_argument("--dump-trace", default=None, metavar="FILE",
-                   help="also dump the final chain's retained draws (.npz or .csv); "
-                        "nothing is written when no term is selected")
-    add_method_options(p)
-    add_output(p)
-    p.set_defaults(func=cmd_discover)
-
-    p = sub.add_parser("sweep", help="sweep a threshold/penalty or a filter parameter")
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--axis", dest="axis_name", default=None,
-                   help=f"one of {', '.join(SWEEP_AXES)}")
-    p.add_argument("--range", default=None,
-                   help="lo:hi:count; write --range=lo:hi:count when lo is negative")
-    p.add_argument("--log", action="store_true", default=None, help="logarithmic range spacing")
-    p.add_argument("--with-truth", action="store_true", default=None,
-                   help="also record coefficient MSE against the built-in scenario truth")
-    add_sampler_options(p)
-    p.add_argument("--filter", default=None, choices=FILTER_KINDS,
-                   help="sweep a filter parameter instead of a method parameter")
-    p.add_argument("--windows", default=None,
-                   help="start:stop:step (odd windows; default: the kind's built-in grid)")
-    p.add_argument("--cutoffs", default=None,
-                   help="lo:hi:count for the lowpass cutoff (default: the built-in grid); "
-                        "write --cutoffs=lo:hi:count when lo is negative")
-    p.add_argument("--polyorder", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--clean", default=None)
-    p.add_argument("--axis-direction", dest="axis", default=None, choices=("time", "space"),
-                   help="grid axis the filter runs along")
-    add_diff_options(p)
-    add_library_options(p)
-    add_output(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("reproduce-paper",
-                       help="run the full benchmark grid and the filter study")
-    p.add_argument("--only", default=None, help="substring filter for cells, e.g. burgers_noise0")
-    p.add_argument("--seed", type=int, default=0,
-                   help="the data (noise) seed of every cell and the tbglss sampler seed")
-    add_output(p)
-    p.set_defaults(func=cmd_reproduce)
-
+    for name, (func, text) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, description=text)
+        for option in OPTIONS:
+            if name in option.commands:
+                p.add_argument(option.flag, **option.settings)
+        p.set_defaults(func=func)
     parser.subcommand_parsers = dict(sub.choices)
     return parser
 
 
 def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
-    """Make the --config file's values the defaults of every subcommand that declares them."""
+    """Make the --config file's values the defaults of every command that declares them."""
     try:
         overrides = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    declared = {action.dest for sub in parser.subcommand_parsers.values()
-                for action in sub._actions}
-    unknown = sorted(set(overrides) - declared)
+    unknown = sorted(set(overrides) - {option.dest for option in OPTIONS})
     if unknown:
         raise ValueError(f"config file {path} has keys no command declares: {', '.join(unknown)}")
-    for sub in parser.subcommand_parsers.values():
-        sub.set_defaults(**{action.dest: _config_value(action, overrides[action.dest], path)
-                            for action in sub._actions if action.dest in overrides})
+    for option in OPTIONS:
+        value = _config_value(option, overrides.get(option.dest), path)
+        if value is not None:  # null leaves the option at its built-in default
+            for command in option.commands:
+                parser.subcommand_parsers[command].set_defaults(**{option.dest: value})
 
 
-def _config_value(action: argparse.Action, value, path: str):
-    """A config file's `value` for `action`, checked and converted as the command line would."""
-    if value is None:  # null leaves the option at its built-in default
+def _config_value(option: Option, value, path: str):
+    """A config file's `value` for `option`, checked and converted as the command line would."""
+    if value is None:
         return None
+    settings = option.settings
     try:
-        if action.nargs == 0:  # a flag: the file says whether it is set
+        if "action" in settings:  # a flag: the file says whether it is set
             if not isinstance(value, bool):
                 raise ValueError("expected true or false")
             return value
-        if action.type is None and not isinstance(value, str):
+        if "type" not in settings and not isinstance(value, str):
             raise ValueError("expected a string")
-        parsed = value if action.type is None else action.type(str(value))
-        if action.choices is not None and parsed not in action.choices:
-            raise ValueError(f"expected one of {', '.join(map(str, action.choices))}")
+        parsed = settings.get("type", str)(str(value))
+        if "choices" in settings and parsed not in settings["choices"]:
+            raise ValueError(f"expected one of {', '.join(map(str, settings['choices']))}")
         return parsed
     except ValueError as exc:
-        raise ValueError(f"config file {path} sets {action.dest} to {value!r}: {exc}") from None
+        raise ValueError(f"config file {path} sets {option.dest} to {value!r}: {exc}") from None
 
 
 def main(argv=None) -> int:

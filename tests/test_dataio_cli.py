@@ -1,5 +1,6 @@
-import dataclasses
+import inspect
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from vcpde import cli, pipeline, selection, solvers
 from vcpde.baselines import SgtrConfig
 from vcpde.cli import main
 from vcpde.dataio import load_dataset, save_dataset, save_report
-from vcpde.filters import DEFAULT_GRIDS, FilterSpec
+from vcpde.filters import DEFAULT_GRIDS, FILTER_KINDS, FilterSpec, parameter_name
 from vcpde.gibbs import BglssConfig
 from vcpde.library import LibrarySpec
 from vcpde.pipeline import DifferentiationSpec, filter_dataset, noisy_dataset, simulate_dataset
+from vcpde.selection import AXIS_METHODS, METHODS
 from vcpde.solvers import make_scenario
 from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
 
@@ -248,17 +250,18 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--method", "sgtr", "--with-ci"], "sgtr does not use with_ci"),
-        (["--method", "sgtr", "--dump-trace", "trace.npz"], "--dump-trace needs the tbglss method"),
-        (["--method", "sgtr", "--final-chains", "3"], "sgtr does not use final_chains"),
-        (["--method", "sgtr", "--t-rms", "0.02"], "sgtr does not use thresholds"),
-        (["--method", "group_lasso", "--t-ge", "0.1"], "group_lasso does not use thresholds"),
-        (["--method", "group_lasso", "--with-ci"], "group_lasso does not use with_ci"),
-        (["--method", "sgtr", "--iterations", "50"], "sgtr does not use iterations\n"),
-        (["--method", "group_lasso", "--sgtr-ridge", "5"], "group_lasso does not use sgtr_ridge\n"),
-        (["--t-rms", "0.1", "--lasso-lam", "0.5"], "tbglss does not use lasso_lam\n"),
+        (["--method", "sgtr", "--with-ci"], "sgtr does not use --with-ci"),
+        (["--method", "sgtr", "--dump-trace", "trace.npz"], "sgtr does not use --dump-trace"),
+        (["--method", "sgtr", "--final-chains", "3"], "sgtr does not use --final-chains"),
+        (["--method", "sgtr", "--t-rms", "0.02"], "sgtr does not use --t-rms"),
+        (["--method", "group_lasso", "--t-ge", "0.1"], "group_lasso does not use --t-ge"),
+        (["--method", "group_lasso", "--with-ci"], "group_lasso does not use --with-ci"),
+        (["--method", "sgtr", "--iterations", "50"], "sgtr does not use --iterations\n"),
+        (["--method", "group_lasso", "--sgtr-ridge", "5"],
+         "group_lasso does not use --sgtr-ridge\n"),
+        (["--t-rms", "0.1", "--lasso-lam", "0.5"], "tbglss does not use --lasso-lam\n"),
         (["sweep", "--axis", "lambda", "--range", "0.01:0.1:2", "--sgtr-ridge", "7"],
-         "group_lasso does not use sgtr_ridge\n"),
+         "group_lasso does not use --sgtr-ridge\n"),
     ], ids=["sgtr-with-ci", "sgtr-dump-trace", "sgtr-final-chains", "sgtr-t-rms",
             "group_lasso-t-ge", "group_lasso-with-ci", "sgtr-iterations",
             "group_lasso-sgtr-ridge", "tbglss-lasso-lam", "lambda-sweep-sgtr-ridge"])
@@ -287,14 +290,37 @@ class TestCli:
             written.append({file.name: file.read_bytes() for file in out.iterdir()})
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize("kind, argv, flags", [
+        ("moving_average", ["--window", "5", "--order", "6"], "--order"),
+        ("moving_average", ["--window", "13", "--cutoff", "0.1"], "--cutoff"),
+        ("zero_phase_lowpass", ["--cutoff", "0.1", "--window", "13"], "--window"),
+        ("savitzky_golay", ["--window", "7", "--cutoff", "0.1", "--order", "2"],
+         "--cutoff or --order"),
+        # a range for the other kind's parameter, beside a sweep of the kind's own or its grid
+        ("moving_average", ["--cutoff", "0.1:0.2:3", "--clean", "{path}"], "--cutoff"),
+        ("zero_phase_lowpass", ["--window", "3:9:2", "--clean", "{path}"], "--window"),
+        ("zero_phase_lowpass", ["--cutoff", "0.1:0.2:3", "--window", "3:9:2", "--clean",
+                                "{path}"], "--window"),
+    ], ids=["order", "cutoff", "window", "cutoff-order", "cutoff-range", "window-range",
+            "window-range-beside-cutoff-range"])
     def test_filter_option_its_kind_ignores_is_validation_error(self, small_dataset, tmp_path,
-                                                                 capsys):
+                                                                 capsys, kind, argv, flags):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("filter", "--dataset", str(path), "--kind", kind,
+                        *[arg.format(path=path) for arg in argv],
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: a {kind} filter does not use {flags}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_filter_sweep_rejects_format(self, small_dataset, tmp_path, capsys):
+        # a sweep writes its curve as CSV and JSON, never a dataset archive
         path = save_dataset(small_dataset, tmp_path / "d.json")
         code = self.run("filter", "--dataset", str(path), "--kind", "moving_average",
-                        "--window", "5", "--order", "6", "--output", str(tmp_path / "out"))
+                        "--window", "3:9:2", "--clean", str(path), "--format", "csv",
+                        "--output", str(tmp_path / "out"))
         assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "error: a moving_average filter does not use butterworth_order")
+        assert capsys.readouterr().err == "error: a filter sweep does not use --format\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("option, text, message", [
@@ -310,7 +336,6 @@ class TestCli:
 
     def test_malformed_range_names_its_option(self, small_dataset, tmp_path, capsys):
         path = save_dataset(small_dataset, tmp_path / "d.json")
-        lowpass = ["--filter", "zero_phase_lowpass", "--clean", str(path)]
         for argv, message in [
             (["--axis", "t_rms", "--range", "0.02:0.2:x"],
              "--range expects lo:hi:count, got '0.02:0.2:x'"),
@@ -318,8 +343,7 @@ class TestCli:
              "--range expects a positive count, got '0.1:0.2:0'"),
             (["--axis", "t_rms", "--range=0.1:0.2:-1"],
              "--range expects a positive count, got '0.1:0.2:-1'"),
-            ([*lowpass, "--cutoffs=0.1:0.2:0"],
-             "--cutoffs expects a positive count, got '0.1:0.2:0'"),
+            (["--axis", "t_ge", "--log"], "--log spaces --range: give --range with it"),
         ]:
             code = self.run("sweep", "--dataset", str(path), *argv,
                             "--output", str(tmp_path / "out"))
@@ -327,17 +351,22 @@ class TestCli:
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not list((tmp_path / "out").iterdir())
 
-    def test_malformed_window_range_names_its_option(self, small_dataset, tmp_path, capsys):
+    def test_malformed_filter_parameter_names_its_option(self, small_dataset, tmp_path, capsys):
         path = save_dataset(small_dataset, tmp_path / "d.json")
-        for text, expects in [("3:9", "start:stop:step"),
-                              ("3:9:0", "start <= stop and a positive step"),
-                              ("9:3:2", "start <= stop and a positive step")]:
-            code = self.run("sweep", "--dataset", str(path), "--filter", "moving_average",
-                            "--clean", str(path), "--windows", text,
-                            "--output", str(tmp_path / "out"))
+        for kind, option, text, expects in [
+            ("moving_average", "--window", "3:9", "start:stop:step"),
+            ("moving_average", "--window", "3:9:0", "start <= stop and a positive step"),
+            ("moving_average", "--window", "9:3:2", "start <= stop and a positive step"),
+            ("moving_average", "--window", "5.5", "one value or a range"),
+            ("zero_phase_lowpass", "--cutoff", "0.1:0.2:0", "a positive count"),
+            ("zero_phase_lowpass", "--cutoff", "0.1:0.2", "lo:hi:count"),
+            ("zero_phase_lowpass", "--cutoff", "low", "one value or a range"),
+        ]:
+            code = self.run("filter", "--dataset", str(path), "--kind", kind, "--clean", str(path),
+                            f"{option}={text}", "--output", str(tmp_path / "out"))
             assert code == 1
-            assert capsys.readouterr().err == f"error: --windows expects {expects}, got {text!r}\n"
-        assert not list((tmp_path / "out").iterdir())
+            assert capsys.readouterr().err == f"error: {option} expects {expects}, got {text!r}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("axis, method", [("sgtr_threshold", "sgtr"),
                                               ("lambda", "group_lasso")])
@@ -349,7 +378,7 @@ class TestCli:
                         "--range", "0.01:0.1:2", "--t-ge", "0.1",
                         "--output", str(tmp_path / "out"))
         assert code == 1
-        assert capsys.readouterr().err == f"error: {method} does not use thresholds\n"
+        assert capsys.readouterr().err == f"error: {method} does not use --t-ge\n"
         assert not list((tmp_path / "out").iterdir())
 
     def test_sweep_rejects_the_swept_thresholds_option(self, small_dataset, tmp_path, capsys):
@@ -361,46 +390,27 @@ class TestCli:
             "error: --axis t_rms sweeps t_rms: give its values with --range, not --t-rms\n")
         assert not list((tmp_path / "out").iterdir())
 
-    def test_sweep_rejects_axis_with_filter(self, small_dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("command, argv, flag", [
+        ("sweep", ["--axis", "t_ge", "--t-rms", "0.02", "--filter", "moving_average"], "--filter"),
+        *[("sweep", ["--axis", "t_ge", "--t-rms", "0.02", flag, value], flag) for flag, value in (
+            ("--windows", "5:9:2"), ("--cutoffs", "0.1:0.2:2"), ("--polyorder", "2"),
+            ("--order", "4"), ("--clean", "{path}"), ("--axis-direction", "space"))],
+        *[("filter", ["--kind", "moving_average", "--clean", "{path}", *argv], argv[0])
+          for argv in (["--t-rms", "0.3"], ["--seed", "4"], ["--sgtr-ridge", "1e-5"],
+                       ["--iterations", "50"], ["--range", "0.1:0.2:2"], ["--log"],
+                       ["--with-truth"], ["--diff-method", "poly_fit"], ["--max-power", "2"])],
+    ])
+    def test_method_sweep_and_filter_sweep_reject_each_others_options(
+            self, small_dataset, tmp_path, capsys, command, argv, flag):
+        # sweep sweeps only method parameters and filter only its kind's parameter
         path = save_dataset(small_dataset, tmp_path / "d.json")
-        code = self.run("sweep", "--dataset", str(path), "--filter", "moving_average",
-                        "--clean", str(path), "--axis", "t_ge", "--t-rms", "0.3",
+        code = self.run(command, "--dataset", str(path), *[a.format(path=path) for a in argv],
                         "--output", str(tmp_path / "out"))
         assert code == 1
-        assert capsys.readouterr().err == ("error: --axis sweeps a method parameter and --filter "
-                                           "a filter parameter: give one of them\n")
-        assert not list((tmp_path / "out").iterdir())
-
-    @pytest.mark.parametrize("argv, flags", [
-        (["--windows", "5:9:2", "--polyorder", "2"], "--windows or --polyorder"),
-        (["--cutoffs", "0.1:0.2:2"], "--cutoffs"), (["--order", "4"], "--order"),
-        (["--clean", "{path}"], "--clean"), (["--axis-direction", "space"], "--axis-direction"),
-    ], ids=["windows-polyorder", "cutoffs", "order", "clean", "axis-direction"])
-    def test_axis_sweep_rejects_the_filter_sweep_options(self, small_dataset, tmp_path, capsys,
-                                                         argv, flags):
-        path = save_dataset(small_dataset, tmp_path / "d.json")
-        code = self.run("sweep", "--dataset", str(path), "--axis", "t_ge", "--t-rms", "0.02",
-                        "--range", "0.05:0.1:2", *[a.format(path=path) for a in argv],
-                        "--output", str(tmp_path / "out"))
-        assert code == 1
-        assert capsys.readouterr().err == f"error: an --axis sweep does not use {flags}\n"
-        assert not list((tmp_path / "out").iterdir())
-
-    @pytest.mark.parametrize("argv, flags", [
-        (["--t-rms", "0.3", "--seed", "4"], "--t-rms or --seed"),
-        (["--sgtr-ridge", "1e-5"], "--sgtr-ridge"), (["--iterations", "50"], "--iterations"),
-        (["--range", "0.1:0.2:2", "--log"], "--range or --log"), (["--with-truth"], "--with-truth"),
-        (["--diff-method", "poly_fit"], "--diff-method"), (["--max-power", "2"], "--max-power"),
-    ], ids=["thresholds-seed", "sgtr-ridge", "iterations", "range-log", "with-truth",
-            "diff-method", "max-power"])
-    def test_filter_sweep_rejects_the_method_sweep_options(self, small_dataset, tmp_path, capsys,
-                                                           argv, flags):
-        path = save_dataset(small_dataset, tmp_path / "d.json")
-        code = self.run("sweep", "--dataset", str(path), "--filter", "moving_average",
-                        "--clean", str(path), *argv, "--output", str(tmp_path / "out"))
-        assert code == 1
-        assert capsys.readouterr().err == f"error: a --filter sweep does not use {flags}\n"
-        assert not list((tmp_path / "out").iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vcpde ")
+        assert f"\nerror: unrecognized arguments: {flag}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_clean_no_twin(self, tmp_path, capsys):
         assert self.run("simulate", "--family", "ad", "--nx", "64", "--nt", "32",
@@ -536,32 +546,43 @@ class TestCli:
     def test_filter_sweep_command(self, tmp_path, capsys):
         self.run("simulate", "--family", "burgers", "--noise", "0.05", "--seed", "2",
                  "--nx", "64", "--nt", "48", "--t-span", "0:4", "--output", str(tmp_path))
-        code = self.run("sweep", "--dataset", str(tmp_path / "burgers_noise0.05_seed2.json"),
-                        "--filter", "moving_average", "--windows", "3:9:2",
+        code = self.run("filter", "--dataset", str(tmp_path / "burgers_noise0.05_seed2.json"),
+                        "--kind", "moving_average", "--window", "3:9:2",
                         "--clean", str(tmp_path / "burgers_noise0.05_seed2_clean.json"),
                         "--output", str(tmp_path / "sw"))
         assert code == 0
-        assert (tmp_path / "sw" / "filter_sweep_moving_average.csv").exists()
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2] == f"wrote {tmp_path / 'sw' / 'filter_sweep_moving_average.csv'}"
+        assert out[-1].startswith("argmin: ")
+        rows = (tmp_path / "sw" / "filter_sweep_moving_average.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["parameter", "3.0", "5.0", "7.0", "9.0"]
+        assert json.loads((tmp_path / "sw" / "filter_sweep_moving_average.json").read_text())[
+            "kind"] == "moving_average"
 
     def test_filter_sweep_default_grid(self, tmp_path):
         self.run("simulate", "--family", "burgers", "--noise", "0.05", "--seed", "2",
                  "--nx", "64", "--nt", "48", "--t-span", "0:4", "--output", str(tmp_path))
-        code = self.run("sweep", "--dataset", str(tmp_path / "burgers_noise0.05_seed2.json"),
-                        "--filter", "savitzky_golay",
+        code = self.run("filter", "--dataset", str(tmp_path / "burgers_noise0.05_seed2.json"),
+                        "--kind", "savitzky_golay",
                         "--clean", str(tmp_path / "burgers_noise0.05_seed2_clean.json"),
                         "--output", str(tmp_path / "sw"))
         assert code == 0
         rows = (tmp_path / "sw" / "filter_sweep_savitzky_golay.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == list(DEFAULT_GRIDS["savitzky_golay"])
 
-    def test_filter_needs_its_parameter(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "zero_phase_lowpass", "--window", "5"], "--cutoff is required"),
+        (["--kind", "moving_average", "--window", "5:9:2"],
+         "a filter sweep needs --clean for the reference field"),
+    ], ids=["parameter", "sweep-clean"])
+    def test_filter_needs_its_parameter(self, tmp_path, capsys, argv, message):
         self.run("simulate", "--family", "burgers", "--nx", "64", "--nt", "32",
                  "--output", str(tmp_path))
         code = self.run("filter", "--dataset", str(tmp_path / "burgers_noise0_seed0.json"),
-                        "--kind", "zero_phase_lowpass", "--window", "5",
-                        "--output", str(tmp_path))
+                        *argv, "--output", str(tmp_path / "out"))
         assert code == 1
-        assert "--cutoff is required" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["--config", "{dir}", "simulate", "--family", "burgers"],
@@ -620,7 +641,7 @@ class TestCli:
             return real_sweep(*args, **options)
 
         monkeypatch.setattr(cli, "filter_sweep", recording_sweep)
-        assert self.run("sweep", "--dataset", dataset, "--filter", "savitzky_golay",
+        assert self.run("filter", "--dataset", dataset, "--kind", "savitzky_golay",
                         "--clean", str(tmp_path / "burgers_noise0.05_seed0_clean.json"),
                         "--output", str(tmp_path / "sw")) == 0
         assert swept == [{}]
@@ -650,6 +671,9 @@ class TestCli:
         ("simulate", "[1, 2]", "must hold a JSON object"),
         ("simulate", '{"family": "burgers", "iteration": 5000}',
          "keys no command declares: iteration"),
+        # filter's --window and --cutoff take a range: no command declares windows or cutoffs
+        ("simulate", '{"family": "burgers", "windows": "5:9:2", "cutoffs": "0.1:0.2:3"}',
+         "keys no command declares: cutoffs, windows"),
         # values are checked as the command line checks them
         ("discover", '{"iterations": 300.5}', "sets iterations to 300.5"),
         ("discover", '{"seed": 1.5}', "sets seed to 1.5"),
@@ -658,9 +682,9 @@ class TestCli:
         ("discover", '{"with_ci": 1}', "sets with_ci to 1: expected true or false"),
         ("simulate", '{"family": "burgers", "noise": "abc"}', "sets noise to 'abc'"),
         ("simulate", '{"family": ["burgers"]}', "sets family to ['burgers']: expected a string"),
-    ], ids=["missing", "malformed", "not_an_object", "unknown_key", "float_iterations",
-            "float_seed", "list_lam", "unknown_method", "non_bool_flag", "text_noise",
-            "list_family"])
+    ], ids=["missing", "malformed", "not_an_object", "unknown_key", "sweep_grids",
+            "float_iterations", "float_seed", "list_lam", "unknown_method", "non_bool_flag",
+            "text_noise", "list_family"])
     def test_bad_config_file_is_validation_error(self, tmp_path, capsys, command, text, message):
         config = tmp_path / "cfg.json"
         if text is not None:
@@ -672,6 +696,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(config) in err and message in err
         assert not list(tmp_path.glob("burgers*"))
+
+    def test_config_null_keeps_the_built_in_default(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"family": "burgers", "nx": 64, "nt": 32, "noise": None,
+                                      "seed": None}))
+        assert self.run("--config", str(config), "simulate", "--output", str(tmp_path)) == 0
+        assert load_dataset(tmp_path / "burgers_noise0_seed0.json").metadata["noise_level"] == 0
 
     def test_config_key_of_another_command_accepted(self, tmp_path):
         # "iterations" belongs to discover and sweep; simulate ignores it
@@ -770,33 +801,119 @@ class TestCli:
             main(["simulate", "--family", "burgers", "--output", str(tmp_path)])
 
 
-# Options every discover and sweep run reads, whatever the method: --seed is BGLSS_OPTIONS',
-# which every method accepts and only tbglss reads.
-SHARED_OPTIONS = {"dataset", "output", "method", "dump_trace", *cli.DIFF_OPTIONS,
-                  *cli.LIBRARY_OPTIONS, "axis_name", "range", "log", "with_truth",
-                  "filter", "windows", "cutoffs", "clean", *cli.FILTER_OPTIONS}
+# A value for each option that differs from its default and from every path's own argv.
+OPTION_VALUES = {
+    "family": ["--family", "ad"], "noise": ["--noise", "0.02"], "seed": ["--seed", "3"],
+    "nx": ["--nx", "48"], "nt": ["--nt", "24"], "x_span": ["--x-span", "0:3"],
+    "t_span": ["--t-span", "0:2"], "write_clean": ["--no-write-clean"],
+    "format": ["--format", "csv"], "dataset": ["--dataset", "{clean}"],
+    "window": ["--window", "7"], "cutoff": ["--cutoff", "0.15"], "polyorder": ["--polyorder", "2"],
+    "order": ["--order", "2"], "axis": ["--axis", "space"], "clean": ["--clean", "{data}"],
+    "range": ["--range", "0.3:0.4:3"], "log": ["--log"], "with_truth": ["--with-truth"],
+    "t_rms": ["--t-rms", "0.05"], "t_ge": ["--t-ge", "0.2"], "lam": ["--lam", "2.0"],
+    "pi0": ["--pi0", "0.3"], "iterations": ["--iterations", "300"], "burnin": ["--burnin", "10"],
+    "update_iterations": ["--update-iterations", "300"], "update_burnin": ["--update-burnin", "20"],
+    "final_chains": ["--final-chains", "2"], "with_ci": ["--with-ci"],
+    "dump_trace": ["--dump-trace", "trace.npz"], "sgtr_threshold": ["--sgtr-threshold", "0.05"],
+    "sgtr_ridge": ["--sgtr-ridge", "1e-3"], "lasso_lam": ["--lasso-lam", "0.5"],
+    "space_width": ["--space-width", "11"], "space_degree": ["--space-degree", "3"],
+    "time_width": ["--time-width", "11"], "time_degree": ["--time-degree", "2"],
+    "max_power": ["--max-power", "2"], "max_derivative": ["--max-derivative", "3"],
+    "only": ["--only", "burgers_noise0_group_lasso"], "output": ["--output", "{other}"],
+}
+# Options that pick the path; every path reads them.
+SELECTORS = {"kind", "method", "axis_name", "diff_method"}
+BASELINES = ("sgtr", "group_lasso")
 
 
-def test_every_sweep_option_is_read_by_one_kind_of_sweep_or_both():
-    # an option that neither table names is read by both kinds, so it must be one of these
-    both = {"help", "dataset", "output", "axis_name", "filter"}
-    kinds = [cli.METHOD_SWEEP_OPTIONS, cli.FILTER_SWEEP_OPTIONS, both]
-    parser = cli.build_parser().subcommand_parsers["sweep"]
-    flags = {action.dest: action.option_strings for action in parser._actions}
-    for dest in flags:
-        assert sum(dest in kind for kind in kinds) == 1, dest
-    for table in kinds[:2]:  # each error names the flag as it is written
-        assert all(flag in flags[dest] for dest, flag in table.items())
+def command_paths(command: str):
+    """(modes, argv) of each path `command` can take: its mode of each kind an option's
+    readers can name (cli.Option), and the options that take it."""
+    if command in ("simulate", "reproduce-paper"):
+        yield (), {"simulate": ["--family", "burgers", "--noise", "0.05", "--nx", "64",
+                                "--nt", "32"],
+                   "reproduce-paper": ["--only", "burgers_noise0_sgtr"]}[command]
+    for kind in FILTER_KINDS if command == "filter" else ():
+        flag = "--" + parameter_name(kind)
+        one, grid = ("0.1", "0.1:0.2:3") if flag == "--cutoff" else ("5", "5:9:2")
+        argv = ["--dataset", "{data}", "--kind", kind]
+        yield (kind, "filter"), [*argv, flag, one]
+        yield (kind, "filter sweep"), [*argv, flag, grid, "--clean", "{clean}"]
+        yield (kind, "filter sweep"), [*argv, "--clean", "{clean}"]  # the default grid
+    for diff in cli.DIFF_METHODS if command in ("discover", "sweep") else ():
+        argv = ["--dataset", "{data}", "--diff-method", diff]
+        if command == "discover":
+            for method in METHODS:
+                yield (method, diff), [*argv, "--method", method,
+                                       *(["--t-rms", "0.1"] if method == "tbglss" else [])]
+        else:
+            for axis, method in AXIS_METHODS.items():
+                yield (method, diff), [*argv, "--axis", axis, "--range", "0.1:0.2:3"]
 
 
-def test_every_method_option_sets_its_config_and_has_one_owner():
-    # an option that no table names would be silently ignored by every method
-    for method, table in cli.METHOD_OPTIONS.items():
-        fields = {field.name for field in dataclasses.fields(selection.METHODS[method])}
-        assert set(table.values()) <= fields, method
-    owners = [*cli.METHOD_OPTIONS.values(), {*cli.THRESHOLD_OPTIONS, *cli.BGLSS_OPTIONS},
-              SHARED_OPTIONS]
-    for command in ("discover", "sweep"):
-        for action in cli.build_parser().subcommand_parsers[command]._actions:
-            if action.dest != "help":
-                assert sum(action.dest in owner for owner in owners) == 1, (command, action.dest)
+def table_reads(option, modes) -> bool:
+    """Whether the option table says a path in `modes` reads `option`."""
+    if not option.readers:
+        return True
+    kind = next(kind for kind in (METHODS, cli.DIFF_METHODS, FILTER_KINDS, cli.FILTER_MODES)
+                if set(option.readers) <= set(kind))
+    mode = [mode for mode in modes if mode in kind]
+    return not mode or mode[0] in option.readers
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_option_is_read_on_every_path_or_rejected_by_flag(
+        small_burgers_clean, monkeypatch, tmp_path, capsys, command):
+    # Run each path alone and with each option set: the option is read (the calls into the
+    # library or the printout change) or the run exits 1 naming its flag, as the table says.
+    # The one exception: sgtr and group_lasso accept --seed and ignore it, because perfbench
+    # passes --seed to every discover job, baselines included.
+    files = {"data": str(save_dataset(noisy_dataset(small_burgers_clean, 0.02, seed=5),
+                                      tmp_path / "d.json")),
+             "clean": str(save_dataset(small_burgers_clean, tmp_path / "c.json")),
+             "other": str(tmp_path / "other")}
+    monkeypatch.setenv("VCPDE_OUTPUT_ROOT", str(tmp_path / "out"))
+    # the cheap calls run for real, the fits and the system build are recorded only
+    real = ("load_dataset", "save_dataset", "filter_dataset", "filter_sweep", "simulate_dataset")
+    stubs = {name: mock.MagicMock(wraps=getattr(cli, name) if name in real else None)
+             for name in (*real, "discover", "save_report", "dump_ensemble", "build_system",
+                          "default_grid", "_truth", "sweep")}
+    stubs["sweep"].return_value.points = [mock.MagicMock(error=None)]
+    for name, stub in stubs.items():
+        monkeypatch.setattr(cli, name, stub)
+
+    def run(argv):
+        for stub in stubs.values():
+            stub.reset_mock()
+        code = main([command, *[arg.format(**files) for arg in argv]])
+        out, err = capsys.readouterr()
+        return code, err, out + repr([stub.mock_calls for stub in stubs.values()])
+
+    options = [option for option in cli.OPTIONS if command in option.commands]
+    assert {option.dest for option in options} <= set(OPTION_VALUES) | SELECTORS
+    for modes, argv in command_paths(command):
+        code, err, base = run(argv)
+        assert code == 0, (argv, err)
+        for option in options:
+            if option.dest in SELECTORS:
+                continue
+            code, err, seen = run([*argv, *OPTION_VALUES[option.dest]])
+            swept = command == "sweep" and option.dest == argv[argv.index("--axis") + 1]
+            if option.dest == "seed" and set(modes) & set(BASELINES):
+                assert (code, seen) == (0, base), (argv, option.flag)
+            elif table_reads(option, modes) and not swept:
+                assert code == 0 and seen != base, (argv, option.flag, err)
+            else:
+                assert code == 1 and err.startswith("error: ") and option.flag in err, (
+                    argv, option.flag, err)
+
+
+def test_every_option_field_is_a_field_of_its_config():
+    # a field no config has would fail only when its option is given
+    configs = {"scenario": solvers.PdeScenario, "filter": FilterSpec, "thresholds": ThresholdSpec,
+               "bglss": BglssConfig, **selection.METHODS, "diff": DifferentiationSpec,
+               "library": LibrarySpec.standard}
+    for option in cli.OPTIONS:
+        if option.field:
+            config, _, name = option.field.partition(".")
+            assert name in inspect.signature(configs[config]).parameters, option.flag

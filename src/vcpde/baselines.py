@@ -118,17 +118,20 @@ def sgtr(system: GroupedLinearSystem, config: SgtrConfig,
 # lambda paths of the eight reproduce-paper cells and the benchmark's KS cell,
 # every point took a polish, after at most 603 iterations (2,338 when ADMM ran
 # to its own stop), so ADMM_MAX_ITERATIONS leaves room for points that never
-# polish.  A start that has met neither rule by then is replaced by zero: with
-# two groups at 1e-3 collinearity, one of them zero at the optimum, ADMM
-# stalls splitting weight between them, so every polish keeps the wrong group
-# and fails, and block descent from ADMM's last iterate stays unconverged
-# after 100,000 sweeps where from zero it converges in 10
-# (`test_stalled_admm_start_falls_back_to_zero`).
+# polish.  A start that has met neither rule by then is replaced by zero, and
+# so is one whose residual has gone ADMM_STALL_ITERATIONS iterations without
+# falling to a tenth of where it last did (on those paths the longest such run
+# was 297 iterations): with two groups at 1e-3 collinearity, one of them zero
+# at the optimum, ADMM stalls splitting weight between them after 18
+# iterations, so every polish keeps the wrong group and fails, and block
+# descent from ADMM's last iterate stays unconverged after 100,000 sweeps where
+# from zero it converges in 10 (`test_stalled_admm_start_falls_back_to_zero`).
 ADMM_RHO_BALANCE = 3.0
 ADMM_RHO_STEP = 2.0
 ADMM_RTOL = 1e-8
 ADMM_POLISH_FROM = 1e-2
 ADMM_MAX_ITERATIONS = 5000
+ADMM_STALL_ITERATIONS = 1000
 POLISH_NEWTON_STEPS = 20
 POLISH_TOL = 1e-12  # Newton's stop: each active group's stationarity violation relative to lam
 
@@ -213,7 +216,7 @@ def _admm_start(gram: np.ndarray, gram_eigh: tuple[np.ndarray, np.ndarray], cty:
     factorization.  The z update is the group soft threshold at lam/rho, so z
     is exactly group-sparse.  beta is the first accepted polish of z (start
     "polished"), else z once ADMM meets its own stopping rule ("admm"), else
-    zero ("zero").
+    zero ("zero") once ADMM stalls or reaches ADMM_MAX_ITERATIONS.
     """
     eigvals, eigvecs = gram_eigh
     eigvecs_t = eigvecs.transpose(0, 2, 1)
@@ -226,6 +229,7 @@ def _admm_start(gram: np.ndarray, gram_eigh: tuple[np.ndarray, np.ndarray], cty:
     z = np.zeros_like(cty)
     u = np.zeros_like(cty)
     polish_at = ADMM_POLISH_FROM * lam
+    next_decade, reached_at = np.inf, 0  # a tenth of the residual when it last got there
     for iterations in range(1, ADMM_MAX_ITERATIONS + 1):
         beta = np.matmul(solve, (cty + rho * (z - u))[:, :, None])[:, :, 0]
         v = beta + u
@@ -245,6 +249,10 @@ def _admm_start(gram: np.ndarray, gram_eigh: tuple[np.ndarray, np.ndarray], cty:
                 return polished, iterations, "polished"
             while polish_at >= residual:
                 polish_at /= 10.0
+        if residual <= next_decade:
+            next_decade, reached_at = residual / 10.0, iterations
+        elif iterations - reached_at >= ADMM_STALL_ITERATIONS:
+            break
         if primal > ADMM_RHO_BALANCE * dual:
             step = ADMM_RHO_STEP
         elif dual > ADMM_RHO_BALANCE * primal:
@@ -254,7 +262,7 @@ def _admm_start(gram: np.ndarray, gram_eigh: tuple[np.ndarray, np.ndarray], cty:
         rho *= step
         u /= step
         solve = inverse(rho)
-    return np.zeros_like(cty), ADMM_MAX_ITERATIONS, "zero"
+    return np.zeros_like(cty), iterations, "zero"
 
 
 def _polish(gram: np.ndarray, cty: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray | None:

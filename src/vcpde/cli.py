@@ -145,8 +145,8 @@ OPTIONS = (
     _option("--nt", "simulate", "scenario.n_t", type=int),
     _option("--x-span", "simulate", "scenario.x_span", help="lo:hi"),
     _option("--t-span", "simulate", "scenario.t_span", help="lo:hi"),
-    _option("--write-clean", "simulate", action=argparse.BooleanOptionalAction, default=True,
-            help="also write the clean twin when noise > 0"),
+    _option("--write-clean", "simulate", action=argparse.BooleanOptionalAction,
+            help="write the clean twin beside the noisy dataset (default: yes); needs --noise > 0"),
     _option("--dataset", "filter discover sweep"),
     _option("--kind", "filter", choices=FILTER_KINDS),
     # type=str, so that a config file may give a number
@@ -270,6 +270,9 @@ def _require(value, name: str):
 def cmd_simulate(args) -> int:
     _require(args.family, "family")
     check_noise_level(args.noise)
+    if args.noise == 0 and args.write_clean is not None:
+        raise ValueError("--write-clean and --no-write-clean need --noise > 0: "
+                         "a clean dataset has no clean twin")
     grid = _given(args, "scenario")
     for name in ("x_span", "t_span"):
         if name in grid:
@@ -289,7 +292,7 @@ def cmd_simulate(args) -> int:
     print(f"wrote {path}")
     if args.noise > 0:
         print(f"data MSE vs clean: {data_mse(dataset.field, clean.field)!r}")
-        if args.write_clean:
+        if args.write_clean is not False:
             clean_path = save_dataset(clean, outdir / f"{stem}_clean{ext}", fmt=fmt)
             print(f"wrote {clean_path}")
     return 0
@@ -372,8 +375,6 @@ def _truth(dataset, library: LibrarySpec, system):
 
 def cmd_sweep(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
-    outdir = _out_root(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     axis = _require(args.axis_name, "axis")
     if args.log and not args.range:
         raise ValueError("--log spaces --range: give --range with it")
@@ -383,6 +384,8 @@ def cmd_sweep(args) -> int:
     grid = default_grid(axis, system) if grid is None else grid
     truth = _truth(dataset, _library_from_args(args), system) if args.with_truth else None
     curve = sweep(system, axis, grid, method_config, truth=truth)
+    outdir = _out_root(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
     stem = outdir / f"sweep_{axis}_{_dataset_stem(dataset.metadata)}"
     curve.to_csv(f"{stem}.csv")
     curve.to_json(f"{stem}.json")

@@ -217,7 +217,8 @@ def sweep(
     sweep (`pool.Workers`): each distinct tbglss chain is one task, and so is
     each group-lasso point.  Points come back in grid order, warnings raised
     in a worker are raised again here, and every report is the same as when
-    run in this process.
+    run in this process.  A sweep keeps no posterior draws, so a tbglss `base`
+    must leave `with_ci` and `keep_final_ensemble` unset.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -230,6 +231,10 @@ def sweep(
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     if not isinstance(base, METHODS[AXIS_METHODS[axis]]):
         raise ValueError(f"axis {axis!r} applies to the {AXIS_METHODS[axis]} method")
+    for name in ("with_ci", "keep_final_ensemble"):
+        if getattr(base, name, False):
+            raise ValueError(f"a sweep keeps no posterior draws: set {name} only for fit "
+                             f"or run_tbglss")
     values = [float(v) for v in grid]
     if axis == "sgtr_threshold":
         path = _sgtr_path(system, values, base.ridge,
@@ -253,12 +258,12 @@ def sweep(
 
 def _point_loop(system: GroupedLinearSystem, config: TbglssConfig | GroupLassoConfig,
                 value: float, truth: CoefficientTrajectories | None, chains: dict):
-    """One sweep point as a generator: yields (key, keep_ensemble) for the work it needs and
-    returns its SweepPoint, failed if the point raised one of POINT_ERRORS.  A tbglss point
-    asks for its chains; a group-lasso point is one task."""
+    """One sweep point as a generator: yields the key of each task it needs and returns its
+    SweepPoint, failed if the point raised one of POINT_ERRORS.  A tbglss point asks for its
+    chains; a group-lasso point is one task."""
     try:
         if isinstance(config, GroupLassoConfig):
-            return (yield (value, config), False)
+            return (yield value, config)
         report = yield from threshold_loop(system, config, chains)
         return _sweep_point(system, _scored(system, report), value, truth)
     except POINT_ERRORS as exc:
@@ -280,14 +285,12 @@ def _sweep_point(system: GroupedLinearSystem, report: DiscoveryReport, value: fl
     return SweepPoint(value, loss, teb, mse, report.selected, report=report)
 
 
-def _work(system: GroupedLinearSystem, truth: CoefficientTrajectories | None, task: tuple):
-    """One task (key, keep_ensemble): a tbglss memo entry, or a whole group-lasso point
-    (key = (value, config))."""
-    key, keep_ensemble = task
+def _work(system: GroupedLinearSystem, truth: CoefficientTrajectories | None, key: tuple):
+    """One task: a tbglss memo entry, or a whole group-lasso point (key = (value, config))."""
     if isinstance(key[1], GroupLassoConfig):
         value, config = key
         return _sweep_point(system, fit(system, config), value, truth)
-    return _chain(system, key, keep_ensemble)
+    return _chain(system, key)
 
 
 def _drive(loops: list, workers: Workers) -> list:
@@ -298,34 +301,28 @@ def _drive(loops: list, workers: Workers) -> list:
     each of them; any other error of a task is raised here.
     """
     points: list = [None] * len(loops)
-    waiting: dict = {}  # key in flight -> [(loop index, keep_ensemble)]
+    waiting: dict = {}  # key in flight -> indices of the loops waiting on it
 
     def resume(index, value=None, error=None):
         loop = loops[index]
         try:
-            key, keep = loop.send(value) if error is None else loop.throw(error)
+            key = loop.send(value) if error is None else loop.throw(error)
         except StopIteration as done:
             points[index] = done.value
             return
-        wait_on(index, key, keep)
-
-    def wait_on(index, key, keep):
         if key not in waiting:
             waiting[key] = []
-            workers.submit((key, keep))
-        waiting[key].append((index, keep))
+            workers.submit(key)
+        waiting[key].append(index)
 
     for index in range(len(loops)):
         resume(index)
     while waiting:
-        for (key, _), value, error in workers.collect():
+        for key, value, error in workers.collect():
             if error is not None and not isinstance(error, POINT_ERRORS):
                 raise error
-            for index, keep in waiting.pop(key):
-                if keep and error is None and value.ensemble is None:
-                    wait_on(index, key, keep)  # it joined a chain submitted without its draws
-                else:
-                    resume(index, value, error)
+            for index in waiting.pop(key):
+                resume(index, value, error)
     return points
 
 

@@ -203,12 +203,12 @@ class ChainSummary:
         return ChainSummary, (self.median, self.variance, self.ensemble)
 
 
-def _chain(system: GroupedLinearSystem, key: tuple, keep_ensemble: bool = False) -> ChainSummary:
-    """The `ChainSummary` of the chain `key` = (support, config) names on `system`: its draws
-    depend only on the system, the support and the config."""
-    support, config = key
+def _chain(system: GroupedLinearSystem, key: tuple) -> ChainSummary:
+    """The `ChainSummary` of the chain `key` = (support, config, keep_draws) names on `system`:
+    its draws depend only on the system, the support and the config; it keeps them if asked."""
+    support, config, keep_draws = key
     ensemble = sample_posterior(system, config, support)
-    return ChainSummary(*_summarize(ensemble.beta), ensemble if keep_ensemble else None)
+    return ChainSummary(*_summarize(ensemble.beta), ensemble if keep_draws else None)
 
 
 def _median(draws: np.ndarray) -> np.ndarray:
@@ -245,11 +245,11 @@ def _summarize(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return median, variance
 
 
-def _entry(chains: dict, key: tuple, keep_ensemble: bool = False):
-    """The memo's entry for `key`; on a miss, yield (key, keep_ensemble) and store what comes back."""
+def _entry(chains: dict, key: tuple):
+    """The memo's entry for `key`; on a miss, yield `key` and store what comes back."""
     entry = chains.get(key)
-    if entry is None or (keep_ensemble and entry.ensemble is None):
-        entry = chains[key] = yield key, keep_ensemble
+    if entry is None:
+        entry = chains[key] = yield key
     return entry
 
 
@@ -266,9 +266,9 @@ def run_tbglss(system: GroupedLinearSystem, config: TbglssConfig) -> DiscoveryRe
     """
     loop = threshold_loop(system, config, {})
     try:
-        request = next(loop)
+        key = next(loop)
         while True:
-            request = loop.send(_chain(system, *request))
+            key = loop.send(_chain(system, key))
     except StopIteration as done:
         return done.value
 
@@ -278,11 +278,11 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig, chains: di
 
     `chains`, a dict shared by runs on this same system, memoizes the chains:
     a run finds there what an earlier run already sampled, and its report is
-    the same as without.  For each entry missing from `chains` it yields
-    (key, keep_ensemble) and expects the entry `_chain(system, key,
-    keep_ensemble)` computes sent back; it returns the report.
-    `selection.sweep` drives many such loops on one memo and computes their
-    entries on worker processes.
+    the same as without.  For each entry missing from `chains` it yields its
+    key and expects `_chain(system, key)` sent back; it returns the report.
+    Only the confirming chain keeps its draws, and only for `with_ci` or
+    `keep_final_ensemble`, which `selection.sweep` rejects: a sweep drives many
+    such loops on one memo and computes their entries on worker processes.
     """
     bglss = config.bglss
     hyper = {"pi0": bglss.pi0, "lam": float(bglss.lam), "final_iterations": bglss.n_iterations,
@@ -294,15 +294,15 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig, chains: di
     history: list[UpdateRecord] = []
     update_idx = 0
     long_run = False
-    keep_ensemble = config.keep_final_ensemble or config.with_ci
+    keep_draws = config.keep_final_ensemble or config.with_ci
 
     while active.size:
         n_it, n_burn = ((bglss.n_iterations, bglss.n_burnin) if long_run
                         else (config.update_iterations, config.update_burnin))
         seed = int(np.random.SeedSequence((bglss.seed, update_idx)).generate_state(1)[0])
-        key = (tuple(active.tolist()),
-               replace(bglss, n_iterations=n_it, n_burnin=n_burn, seed=seed))
-        summary = yield from _entry(chains, key, keep_ensemble and long_run)
+        chain_config = replace(bglss, n_iterations=n_it, n_burnin=n_burn, seed=seed)
+        key = (tuple(active.tolist()), chain_config, keep_draws and long_run)
+        summary = yield from _entry(chains, key)
         descriptors = tuple(full_descriptors[g] for g in active)
         criteria, failing = _evaluate_criteria(summary.median, summary.variance, descriptors,
                                                config.thresholds)
@@ -326,7 +326,7 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig, chains: di
     # The loop stops on a support only once a final-length update removed nothing, and every
     # group whose median is all zero fails, so each group left in `active` is in the model.
     shape = (system.n_steps, system.n_groups)
-    values, stdev, beta_full_norm, s2_full = (np.zeros(shape) for _ in range(4))
+    values, stdev, beta_full_norm = (np.zeros(shape) for _ in range(3))
     final_criteria: dict = {}
     chain_medians = total_eb = ensemble = None
 
@@ -336,11 +336,9 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig, chains: di
         values[:, active] = summary.median / sub_scales
         stdev[:, active] = np.sqrt(summary.variance) / sub_scales
         beta_full_norm[:, active] = summary.median
-        s2_full[:, active] = summary.variance
         final_criteria = history[-1].criteria
-        # summed on full-width columns: a one-group support's own (n_steps, 1) column is
-        # contiguous, and BLAS sums a contiguous dot product in another order (other last bits)
-        total_eb = total_error_bar(beta_full_norm, s2_full)
+        # on the columns `final_criteria` scored, so it sums their group error bars bit for bit
+        total_eb = total_error_bar(summary.median, summary.variance)
 
         if config.final_chains > 1:
             medians = [values[:, active]]
@@ -348,7 +346,7 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig, chains: di
                 seed = int(
                     np.random.SeedSequence((bglss.seed, update_idx, c)).generate_state(1)[0]
                 )
-                extra_key = (tuple(active.tolist()), replace(bglss, seed=seed))
+                extra_key = (tuple(active.tolist()), replace(bglss, seed=seed), False)
                 extra = yield from _entry(chains, extra_key)
                 medians.append(extra.median / sub_scales)
             chain_medians = np.zeros((config.final_chains, *shape))

@@ -173,8 +173,8 @@ def run_threshold_loop(system: GroupedLinearSystem, config: tbglss.TbglssConfig,
     process and kept in the memo `chains`: `run_tbglss` with a memo that outlives the run."""
     loop = tbglss.threshold_loop(system, config, chains)
     try:
-        request = next(loop)
+        key = next(loop)
         while True:
-            request = loop.send(tbglss._chain(system, *request))
+            key = loop.send(tbglss._chain(system, key))
     except StopIteration as done:
         return done.value

@@ -1,5 +1,7 @@
 import inspect
 import json
+import runpy
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -273,10 +275,7 @@ class TestCli:
                         "--output", str(tmp_path / "out"))
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
-        if command == "discover":
-            assert not (tmp_path / "out").exists()
-        else:  # sweep makes its output directory first
-            assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method, seed", [("sgtr", "3"), ("group_lasso", "0")])
     def test_baseline_discover_accepts_and_ignores_seed(self, small_dataset, tmp_path, method,
@@ -349,7 +348,7 @@ class TestCli:
                             "--output", str(tmp_path / "out"))
             assert code == 1
             assert capsys.readouterr().err == f"error: {message}\n"
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_filter_parameter_names_its_option(self, small_dataset, tmp_path, capsys):
         path = save_dataset(small_dataset, tmp_path / "d.json")
@@ -379,7 +378,7 @@ class TestCli:
                         "--output", str(tmp_path / "out"))
         assert code == 1
         assert capsys.readouterr().err == f"error: {method} does not use --t-ge\n"
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_rejects_the_swept_thresholds_option(self, small_dataset, tmp_path, capsys):
         path = save_dataset(small_dataset, tmp_path / "d.json")
@@ -388,7 +387,7 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: --axis t_rms sweeps t_rms: give its values with --range, not --t-rms\n")
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, argv, flag", [
         ("sweep", ["--axis", "t_ge", "--t-rms", "0.02", "--filter", "moving_average"], "--filter"),
@@ -418,6 +417,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "data MSE" not in out
         assert (tmp_path / "advection_diffusion_noise0_seed0.json").exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--write-clean"], None), (["--no-write-clean"], None), ([], True), ([], False),
+    ], ids=["write-clean", "no-write-clean", "config-true", "config-false"])
+    def test_simulate_write_clean_at_zero_noise_is_validation_error(
+            self, monkeypatch, tmp_path, capsys, argv, config):
+        # the option table cannot see this rule: it depends on the --noise value
+        solved = []
+        monkeypatch.setattr(solvers, "_solve_etdrk4", lambda scenario: solved.append(scenario))
+        given_config = []
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps({"write_clean": config}))
+            given_config = ["--config", str(tmp_path / "config.json")]
+        code = self.run(*given_config, "simulate", "--family", "ad", "--noise", "0", *argv,
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --write-clean and --no-write-clean "
+                                                  "need --noise > 0")
+        assert solved == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, twin", [([], True), (["--write-clean"], True),
+                                            (["--no-write-clean"], False)])
+    def test_simulate_write_clean_with_noise(self, tmp_path, argv, twin):
+        assert self.run("simulate", "--family", "burgers", "--noise", "0.05", "--nx", "64",
+                        "--nt", "32", *argv, "--output", str(tmp_path)) == 0
+        assert (tmp_path / "burgers_noise0.05_seed0.json").exists()
+        assert (tmp_path / "burgers_noise0.05_seed0_clean.json").exists() == twin
 
     def test_unknown_family_is_validation_error(self, tmp_path):
         assert self.run("simulate", "--family", "wave", "--output", str(tmp_path)) == 1
@@ -917,3 +944,34 @@ def test_every_option_field_is_a_field_of_its_config():
         if option.field:
             config, _, name = option.field.partition(".")
             assert name in inspect.signature(configs[config]).parameters, option.flag
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_benchmark_job_parses_and_builds_its_configs(tmp_path, seed):
+    # The benchmark runs these argvs through cli.main; an option renamed, removed or newly
+    # rejected would fail its run.  Each argv is parsed, and its configs are built as its
+    # command builds them, without solving or fitting.
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    parser = cli.build_parser()
+    commands = set()
+    for workload in workloads["WORKLOADS"]:
+        for job in workloads["jobs_for"](workload, seed):
+            args = parser.parse_args(job.argv(tmp_path))
+            commands.add(args.command)
+            if args.command == "simulate":
+                solvers.check_noise_level(args.noise)
+                assert args.noise > 0 or args.write_clean is None  # as cmd_simulate checks
+                make_scenario(args.family, **cli._given(args, "scenario"))
+                continue
+            if args.command == "discover":
+                method, swept = args.method or "tbglss", None
+            else:
+                method, swept = AXIS_METHODS[args.axis_name], args.axis_name
+                cli._parse_range(args.range, "--range", log=args.log)
+            assert isinstance(cli._method_config(args, method, swept=swept), METHODS[method])
+            cli._diff_spec_from_args(args)
+            cli._library_from_args(args)
+    assert commands == {"simulate", "discover", "sweep"}

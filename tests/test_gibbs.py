@@ -188,7 +188,7 @@ class TestSupportSampling:
         burgers_system.gram()  # the root's products are computed once per system, not per chain
         tracemalloc.start()
         try:
-            tbglss._chain(burgers_system, (tuple(support), config))
+            tbglss._chain(burgers_system, (tuple(support), config, False))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -224,10 +224,10 @@ class TestDiscover:
             fitted["group_lasso"].append(config.lam)
             return original_lasso(system, config)
 
-        def dispatched(workers, task):
-            (_, config), _ = task
+        def dispatched(workers, key):
+            _, config = key
             fitted["group_lasso"].append(config.lam)
-            return submit(workers, task)
+            return submit(workers, key)
 
         monkeypatch.setattr(selection, "sgtr", counted_sgtr)
         monkeypatch.setattr(selection, "group_lasso", counted_lasso)

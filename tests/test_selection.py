@@ -1,7 +1,7 @@
 import re
 import warnings
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +213,14 @@ class TestSweep:
             sweep(system, "lambda", np.array([0.5, 1.0]),
                   TbglssConfig(thresholds=ThresholdSpec(t_rms=0.1)))
 
+    @pytest.mark.parametrize("field", ["with_ci", "keep_final_ensemble"])
+    def test_a_config_asking_for_draws_is_rejected_by_name(self, monkeypatch, field):
+        system, _, _ = random_grouped_system(np.random.default_rng(3))
+        monkeypatch.setattr(tbglss, "sample_posterior", None)  # rejected before any chain
+        base = TbglssConfig(thresholds=ThresholdSpec(t_rms=0.1), **{field: True})
+        with pytest.raises(ValueError, match=f"^a sweep keeps no posterior draws: set {field} "):
+            sweep(system, "t_ge", np.array([0.1, 0.2]), base)
+
     def test_point_failures_recorded_not_fatal(self):
         # duplicated columns + zero ridge make every sgtr point singular
         rng = np.random.default_rng(3)
@@ -343,13 +351,13 @@ def sampled(monkeypatch, pooled):
     keys = []
     compute, submit = tbglss._chain, pool.Workers.submit
 
-    def computing(system, key, keep_ensemble=False):
+    def computing(system, key):
         keys.append(key)
-        return compute(system, key, keep_ensemble)
+        return compute(system, key)
 
-    def dispatching(workers, task):
-        keys.append(task[0])
-        return submit(workers, task)
+    def dispatching(workers, key):
+        keys.append(key)
+        return submit(workers, key)
 
     monkeypatch.setattr(tbglss, "_chain", computing)
     monkeypatch.setattr(pool.Workers, "submit", dispatching)
@@ -366,10 +374,9 @@ class TestSweepSharesChains:
     @pytest.mark.parametrize("axis,grid,base", [
         ("t_ge", np.linspace(0.02, 0.22, 6), BASE),
         ("t_rms", np.logspace(-3, 0, 6), BASE),
-        ("t_ge", np.linspace(0.02, 0.22, 4),
-         replace(BASE, final_chains=2, with_ci=True, keep_final_ensemble=True)),
+        ("t_ge", np.linspace(0.02, 0.22, 4), replace(BASE, final_chains=2)),
         ("sgtr_threshold", default_grid("sgtr_threshold"), SgtrConfig()),
-    ], ids=["t_ge", "t_rms", "t_ge-two-chains-ci", "sgtr"])
+    ], ids=["t_ge", "t_rms", "t_ge-two-chains", "sgtr"])
     def test_every_point_matches_a_standalone_fit(self, burgers_one_percent, sampled,
                                                   axis, grid, base):
         curve = sweep(burgers_one_percent, axis, grid, base)
@@ -383,14 +390,9 @@ class TestSweepSharesChains:
                         else replace(base, threshold=point.value))
             assert point.report.to_json() == alone.to_json()
             supports.add(point.selected)
-            if tbglss_base and base.keep_final_ensemble and alone.final_ensemble is not None:
-                np.testing.assert_array_equal(point.report.final_ensemble.beta,
-                                              alone.final_ensemble.beta)
         assert len(supports) > 1  # the grid crosses support changes
         if tbglss_base:
             assert len(set(sampled)) == shared < len(sampled)
-        if tbglss_base and base.with_ci:
-            assert any(p.report.bootstrap_cis for p in curve.points)
 
     def test_sgtr_grid_fits_each_active_set_and_scores_each_support_once(
             self, burgers_one_percent, monkeypatch):
@@ -477,11 +479,6 @@ def sweep_outputs(curve: SelectionCurve, tmp_path) -> list:
             + [(tmp_path / name).read_bytes() for name in ("curve.csv", "curve.json")])
 
 
-def assert_same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-
-
 class TestParallelSweep:
     """Worker processes change no report, and what a worker raises reaches the parent."""
 
@@ -497,11 +494,10 @@ class TestParallelSweep:
 
     @pytest.mark.parametrize("axis,grid,base", [
         ("t_ge", np.linspace(0.02, 0.22, 5), BASE),
-        ("t_ge", np.linspace(0.02, 0.22, 3),
-         replace(BASE, final_chains=2, with_ci=True, keep_final_ensemble=True)),
+        ("t_ge", np.linspace(0.02, 0.22, 3), replace(BASE, final_chains=2)),
         ("sgtr_threshold", np.logspace(-3, 0, 6), SgtrConfig()),
         ("lambda", None, GroupLassoConfig()),
-    ], ids=["t_ge", "t_ge-two-chains-ci", "sgtr", "lambda"])
+    ], ids=["t_ge", "t_ge-two-chains", "sgtr", "lambda"])
     def test_inline_and_pooled_sweeps_report_the_same_bytes(self, burgers_one_percent, monkeypatch,
                                                             tmp_path, axis, grid, base):
         system = burgers_one_percent
@@ -513,39 +509,6 @@ class TestParallelSweep:
             (tmp_path / str(workers)).mkdir()
         assert (sweep_outputs(curves[1], tmp_path / "1")
                 == sweep_outputs(curves[2], tmp_path / "2"))
-        if not (isinstance(base, TbglssConfig) and base.keep_final_ensemble):
-            return
-        reported = 0
-        for inline_point, pooled_point in zip(curves[1].points, curves[2].points):
-            ensembles = inline_point.report.final_ensemble, pooled_point.report.final_ensemble
-            if ensembles[0] is None:
-                assert ensembles[1] is None
-                continue
-            reported += 1
-            for f in fields(ensembles[0]):
-                assert_same_bits(*(getattr(e, f.name) for e in ensembles))
-            assert_same_bits(inline_point.report.chain_medians, pooled_point.report.chain_medians)
-            assert pooled_point.report.bootstrap_cis == inline_point.report.bootstrap_cis
-        assert reported
-
-    def test_a_loop_needing_draws_gets_them_from_a_key_in_flight_without(self, monkeypatch):
-        # two points can ask for one chain, one as a screening and one as a confirming chain,
-        # when the update and final lengths are equal
-        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
-        submitted = []
-
-        def sample(task):
-            submitted.append(task)
-            _, keep_ensemble = task
-            return tbglss.ChainSummary(np.zeros(1), np.zeros(1), "draws" if keep_ensemble else None)
-
-        def loop(keep_ensemble):
-            return (yield "chain", keep_ensemble)
-
-        with pool.Workers(sample, 2) as workers:
-            entries = selection._drive([loop(False), loop(True)], workers)
-        assert [entry.ensemble for entry in entries] == [None, "draws"]
-        assert submitted == [("chain", False), ("chain", True)]
 
     def test_worker_warnings_are_raised_again_here(self, monkeypatch, pooled):
         # the lambda path's points run on two workers; an SGTR grid runs here

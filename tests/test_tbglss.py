@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from vcpde.criteria import ZeroNormGroupError, group_error_bar, rms_criterion
 from vcpde import tbglss
 from vcpde.gibbs import BglssConfig
-from vcpde.library import CHUNK_STEPS
+from vcpde.library import CHUNK_STEPS, normalize_columns
 from vcpde.tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
@@ -156,6 +156,25 @@ class TestLoopProperties:
         assert report.empty_model
         assert report.selected == ()
         assert np.all(report.trajectories.values == 0.0)
+
+
+class TestTotalErrorBar:
+    def test_one_group_total_is_its_group_error_bar(self):
+        """The total error bar sums the report's own group error bars, also for one group."""
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            blocks = rng.standard_normal((32, 20, 5))
+            # g0 is strong; g1..g4 are weak, far below t_rms on the normalized scale
+            weights = np.column_stack([2.0 + rng.random(32), np.full((32, 4), 0.05)])
+            target = np.einsum("mng,mg->mn", blocks, weights) + 0.1 * rng.standard_normal((32, 20))
+            system = normalize_columns(blocks, target, tuple(f"g{i}" for i in range(5)), "time",
+                                       np.arange(32.0))
+            report = run_tbglss(system, TbglssConfig(
+                thresholds=ThresholdSpec(t_rms=1.0),
+                bglss=BglssConfig(n_iterations=200, n_burnin=50, seed=seed),
+                update_iterations=100, update_burnin=20))
+            assert report.selected == ("g0",)
+            assert report.total_error_bar == report.criteria["g0"]["group_error_bar"]
 
 
 class TestChainSummary:

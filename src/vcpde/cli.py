@@ -1,21 +1,22 @@
 """Command-line interface: simulate, filter, discover, sweep, reproduce-paper.
 
-The commands parse options, call the library and print; the library holds the
-decisions.  Every option is one entry of OPTIONS, which names the commands
-that declare it, the config field it sets and the modes that read it (a
-method, a --diff-method, a filter kind, or a filter sweep); each command's
-parser is built from that table.  Configuration precedence is command line >
---config file > built-in defaults; the sampler, method, differentiation,
-library and filter options default to BglssConfig, the method's own config
-(selection.METHODS), DifferentiationSpec, LibrarySpec.standard and
-FilterSpec.of.  An option that the path a command takes does not read is a
-validation error naming its flag, except that every method accepts --seed,
-which only tbglss reads.  `filter` filters with one value of its kind's
-parameter (--window or --cutoff) and sweeps the parameter over a range, or
-over the kind's default grid when --clean is given without it.  The config
-file is a flat JSON object whose keys are the long option names with dashes
-replaced by underscores, and a key that no command declares is a validation
-error.
+The commands parse options, call the library, and write and print what it
+returns; the library holds the decisions (reproduce-paper's grid is
+pipeline.paper_grid, written once all of it has run).  Every option is one
+entry of OPTIONS, which names the commands that declare it, the config field
+it sets and the modes that read it (a method, a --diff-method, a filter kind,
+or a filter sweep); each command's parser is built from that table.
+Configuration precedence is command line > --config file > built-in defaults;
+the sampler, method, differentiation, library and filter options default to
+BglssConfig, the method's own config (selection.METHODS), DifferentiationSpec,
+LibrarySpec.standard and FilterSpec.of.  An option that the path a command
+takes does not read is a validation error naming its flag, except that every
+method accepts --seed, which only tbglss reads.  `filter` filters with one
+value of its kind's parameter (--window or --cutoff) and sweeps the parameter
+over a range, or over the kind's default grid when --clean is given without
+it.  The config file is a flat JSON object whose keys are the long option
+names with dashes replaced by underscores, and a key that no command declares
+is a validation error.
 Every output embeds the options and seeds needed to reproduce it bit-for-bit.
 Exit codes: 0 success (including documented expected-failure scenarios and
 --help), 1 validation error (including a usage error, which also prints the
@@ -25,7 +26,6 @@ usage line, and a path that cannot be read), 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -36,26 +36,16 @@ import numpy as np
 
 from .dataio import load_dataset, save_dataset, save_report
 from .fields import GridError
-from .filters import FILTER_KINDS, FilterSpec, data_mse, filter_sweep, parameter_name
+from .filters import (FILTER_KINDS, FilterSpec, FilterSweepCurve, data_mse, filter_sweep,
+                      parameter_name)
 from .gibbs import BglssConfig, SamplerError, dump_ensemble
 from .library import LibrarySpec, ZeroColumnError
-from .pipeline import (
-    DifferentiationSpec,
-    build_system,
-    discover,
-    filter_dataset,
-    noisy_dataset,
-    simulate_dataset,
-)
-from .selection import AXIS_METHODS, METHODS, SWEEP_AXES, SweepFailedError, default_grid, sweep
-from .solvers import (
-    SolverBlowupError,
-    check_noise_level,
-    make_scenario,
-    scenario_from_metadata,
-    true_coefficients,
-)
-from .tbglss import TbglssConfig, ThresholdSpec
+from .pipeline import (DifferentiationSpec, build_system, discover, filter_dataset, noisy_dataset,
+                       paper_grid, simulate_dataset, truth_on)
+from .selection import (AXIS_METHODS, METHODS, SWEEP_AXES, SelectionCurve, SweepFailedError,
+                        default_grid, sweep)
+from .solvers import SolverBlowupError, check_noise_level, make_scenario
+from .tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec
 
 OUTPUT_ROOT_ENV = "VCPDE_OUTPUT_ROOT"
 
@@ -257,6 +247,8 @@ def _method_config(args, method: str, swept: str | None = None, **fields):
             raise ValueError(f"--axis {swept} sweeps {swept}: give its values with --range, "
                              f"not --{swept.replace('_', '-')}")
         thresholds[swept] = 0.0
+    if not thresholds:
+        raise ValueError("at least one threshold must be given: --t-rms or --t-ge")
     return TbglssConfig(ThresholdSpec(**thresholds), BglssConfig(**_given(args, "bglss")),
                         **_given(args, "tbglss"), **fields)
 
@@ -367,12 +359,6 @@ def cmd_discover(args) -> int:
     return 0
 
 
-def _truth(dataset, library: LibrarySpec, system):
-    """The built-in ground truth of the scenario `dataset` records, on `system`'s steps."""
-    return true_coefficients(scenario_from_metadata(dataset.metadata), library,
-                             step_coords=system.step_coords)
-
-
 def cmd_sweep(args) -> int:
     dataset = load_dataset(_require(args.dataset, "dataset"))
     axis = _require(args.axis_name, "axis")
@@ -382,7 +368,7 @@ def cmd_sweep(args) -> int:
     method_config = _method_config(args, AXIS_METHODS[axis], swept=axis)
     system = build_system(dataset, library=_library_from_args(args), diff=_diff_spec_from_args(args))
     grid = default_grid(axis, system) if grid is None else grid
-    truth = _truth(dataset, _library_from_args(args), system) if args.with_truth else None
+    truth = truth_on(dataset, _library_from_args(args), system) if args.with_truth else None
     curve = sweep(system, axis, grid, method_config, truth=truth)
     outdir = _out_root(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -395,82 +381,29 @@ def cmd_sweep(args) -> int:
     return 0 if n_ok else 2
 
 
-BENCHMARK_CELLS = {
-    "burgers": {"noises": (0.0, 0.01, 0.05), "thresholds": {0.0: (0.02, 0.1), 0.01: (0.02, 0.1), 0.05: (0.01, 0.1)}},
-    "advection_diffusion": {"noises": (0.0, 0.01, 0.02), "thresholds": {0.0: (0.02, 0.08), 0.01: (0.02, 0.08), 0.02: (0.01, 0.08)}},
-    "kuramoto_sivashinsky": {"noises": (0.0, 0.0001), "thresholds": {0.0: (0.1, 0.05), 0.0001: (0.1, 0.05)}},
-}
-
-
 def cmd_reproduce(args) -> int:
-    """Run the benchmark grid: three equations x noise levels x three methods,
-    the t_GE model-selection sweep, and the 5% Burgers filter study.  Each
-    family is solved once; every dataset of it adds its noise to that solve.
-    Each (dataset, method) is fitted once: the study's unfiltered arm is the
-    5% Burgers tbglss cell."""
+    """Run the paper's grid (`pipeline.paper_grid`), then write and print each output."""
     outdir = _out_root(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    done = []
-
-    def wanted(cell: str) -> bool:
-        return args.only is None or args.only in cell
-
-    @functools.cache
-    def solved(family: str):
-        return simulate_dataset(make_scenario(family), seed=args.seed)
-
-    def data(family: str, noise: float):
-        return noisy_dataset(solved(family), noise, args.seed)
-
-    @functools.cache
-    def fitted(family: str, noise: float, method: str, denoiser: FilterSpec | None):
-        """The report of `method` on the cell's data, filtered by `denoiser` unless None."""
-        dataset = data(family, noise)
-        dataset = dataset if denoiser is None else filter_dataset(dataset, denoiser)
-        thresholds = ThresholdSpec(*BENCHMARK_CELLS[family]["thresholds"][noise])
-        return discover(dataset, TbglssConfig(thresholds, BglssConfig(seed=args.seed))
-                        if method == "tbglss" else METHODS[method]())
-
-    for family, spec in BENCHMARK_CELLS.items():
-        for noise in spec["noises"]:
-            for method in METHODS:
-                cell = f"{family}_noise{noise:g}_{method}"
-                if not wanted(cell):
-                    continue
-                report = fitted(family, noise, method, None)
-                save_report(report, outdir / cell)
-                done.append(cell)
-                print(f"[{cell}] {report.rendered_equation()}")
-
-    if wanted("ad_tge_sweep"):
-        dataset = data("advection_diffusion", 0.02)
-        system = build_system(dataset)
-        truth = _truth(dataset, LibrarySpec.standard(), system)
-        t_rms, _ = BENCHMARK_CELLS["advection_diffusion"]["thresholds"][0.02]
-        base = TbglssConfig(ThresholdSpec(t_rms=t_rms), BglssConfig(seed=args.seed))
-        curve = sweep(system, "t_ge", default_grid("t_ge"), base, truth=truth)
-        curve.to_csv(outdir / "ad_tge_sweep.csv")
-        curve.to_json(outdir / "ad_tge_sweep.json")
-        done.append("ad_tge_sweep")
-        print(f"[ad_tge_sweep] argmin {curve.argmin!r}")
-
-    if wanted("burgers_filter_study"):
-        clean, noisy = data("burgers", 0.0), data("burgers", 0.05)
-        print(f"[burgers_filter_study] 5% data MSE {data_mse(noisy.field, clean.field)!r}")
-        for kind in FILTER_KINDS:
-            curve = filter_sweep(noisy.field, clean.field, kind)
-            curve.to_csv(outdir / f"burgers_filter_{kind}.csv")
-            print(f"[burgers_filter_study] {kind}: argmin {curve.argmin!r} min {curve.min_mse!r}")
-        for tag, denoiser in (("unfiltered", None),
-                              ("moving_average_13", FilterSpec.of("moving_average", 13))):
-            report = fitted("burgers", 0.05, "tbglss", denoiser)
-            save_report(report, outdir / f"burgers_5pct_{tag}")
-            print(f"[burgers_filter_study] {tag}: {report.rendered_equation()}")
-        done.append("burgers_filter_study")
-
-    if not done:
+    results = paper_grid(args.seed, args.only)
+    if not results:
         raise ValueError(f"--only {args.only!r} matched no cells")
-    print(f"completed {len(done)} cells under {outdir}")
+    for cell, name, result in results:
+        # an output of the filter study, burgers_<part>_<label>, prints its label
+        label = f"[{cell}]" if name == cell else f"[{cell}] {name.split('_', 2)[2]}:"
+        if isinstance(result, DiscoveryReport):
+            save_report(result, outdir / name)
+            print(f"{label} {result.rendered_equation()}")
+        elif isinstance(result, SelectionCurve):
+            result.to_csv(outdir / f"{name}.csv")
+            result.to_json(outdir / f"{name}.json")
+            print(f"{label} argmin {result.argmin!r}")
+        elif isinstance(result, FilterSweepCurve):
+            result.to_csv(outdir / f"{name}.csv")
+            print(f"{label} argmin {result.argmin!r} min {result.min_mse!r}")
+        else:
+            print(f"[{cell}] 5% data MSE {result!r}")
+    print(f"completed {len(dict.fromkeys(cell for cell, _, _ in results))} cells under {outdir}")
     return 0
 
 
@@ -480,8 +413,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValueError(message)
-
-
 
 
 COMMANDS = {  # name: (function, help)

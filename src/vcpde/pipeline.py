@@ -3,6 +3,8 @@
 `discover` builds the system, doubles tbglss's chains on noisy data and
 records provenance; `selection.fit`, the one method dispatch, runs the method
 its config's type names and chooses a baseline parameter left None.
+`paper_grid` runs the paper's benchmark grid (PAPER_CELLS) on worker
+processes and returns its outputs.
 
 A Dataset bundles the field with the provenance needed to reproduce it
 (scenario metadata, noise level, seeds, any filtering applied).  Randomness is
@@ -16,22 +18,22 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .differentiation import POLY_FIT_DEFAULTS, build_derivative_stack
 from .fields import SpatioTemporalField
-from .filters import FilterSpec, apply_filter
-from .library import (
-    GroupedLinearSystem,
-    LibrarySpec,
-    assemble_grouped_system,
-    evaluate_terms,
-)
+from .filters import FILTER_KINDS, FilterSpec, apply_filter, data_mse, filter_sweep
+from .gibbs import BglssConfig
+from .library import (CoefficientTrajectories, GroupedLinearSystem, LibrarySpec,
+                      assemble_grouped_system, evaluate_terms)
 from .baselines import GroupLassoConfig, SgtrConfig
-from .selection import fit
-from .solvers import PdeScenario, add_noise, solve
-from .tbglss import DiscoveryReport, TbglssConfig
+from .pool import Workers
+from .selection import METHODS, default_grid, drive, fit, sweep
+from .solvers import (PdeScenario, add_noise, make_scenario, scenario_from_metadata, solve,
+                      true_coefficients)
+from .tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec
 
 NOISE_DOUBLING_LEVEL = 0.02  # chain lengths double at and above this noise level
 
@@ -236,3 +238,79 @@ def discover(dataset: Dataset, config: TbglssConfig | SgtrConfig | GroupLassoCon
                          update_burnin=2 * config.update_burnin)
     report = fit(system, config)
     return replace(report, provenance={**provenance, **report.provenance})
+
+
+def truth_on(dataset: Dataset, library: LibrarySpec, system: GroupedLinearSystem
+             ) -> CoefficientTrajectories:
+    """The built-in ground truth of the scenario `dataset` records, on `system`'s steps."""
+    return true_coefficients(scenario_from_metadata(dataset.metadata), library,
+                             step_coords=system.step_coords)
+
+
+# The paper's grid: each family's noise levels, and tbglss's (t_rms, t_ge) at each.
+PAPER_CELLS = {
+    "burgers": {"noises": (0.0, 0.01, 0.05), "thresholds": {0.0: (0.02, 0.1), 0.01: (0.02, 0.1), 0.05: (0.01, 0.1)}},
+    "advection_diffusion": {"noises": (0.0, 0.01, 0.02), "thresholds": {0.0: (0.02, 0.08), 0.01: (0.02, 0.08), 0.02: (0.01, 0.08)}},
+    "kuramoto_sivashinsky": {"noises": (0.0, 0.0001), "thresholds": {0.0: (0.1, 0.05), 0.0001: (0.1, 0.05)}},
+}
+
+
+def paper_grid(seed: int, only: str | None = None) -> list:
+    """(cell, name, result) of each output of the cells whose name contains `only` (all
+    when None), in print order; `seed` seeds every dataset's noise and tbglss sampler.
+
+    The cells are each PAPER_CELLS family x noise level x method (a report named
+    after its cell), `ad_tge_sweep` (the t_ge sweep on 2% advection-diffusion, a
+    SelectionCurve) and `burgers_filter_study` on 5% Burgers, whose outputs are
+    named `burgers_<part>_<label>`: the data MSE (a float), each filter kind's
+    sweep (a FilterSweepCurve), and the tbglss report on the data unfiltered and
+    moving-averaged over 13 points.  Each family the cells need is solved once,
+    here; each distinct task runs once on `pool.Workers` (`selection.drive`), so
+    the unfiltered arm is the `burgers_noise0.05_tbglss` report itself.
+    """
+    fits = [(f"{family}_noise{noise:g}_{method}", ("fit", family, noise, method, None))
+            for family, cells in PAPER_CELLS.items() for noise in cells["noises"]
+            for method in METHODS]
+    rows = [(cell, cell, key) for cell, key in fits]  # (cell, output name, task key)
+    rows.append(("ad_tge_sweep", "ad_tge_sweep", ("t_ge sweep", "advection_diffusion", 0.02)))
+    study = "burgers_filter_study"
+    rows.append((study, "burgers_5pct_data_mse", ("data mse", "burgers", 0.05)))
+    rows += [(study, f"burgers_filter_{kind}", ("filter sweep", "burgers", 0.05, kind))
+             for kind in FILTER_KINDS]
+    rows += [(study, f"burgers_5pct_{tag}", ("fit", "burgers", 0.05, "tbglss", denoiser))
+             for tag, denoiser in (("unfiltered", None),
+                                   ("moving_average_13", FilterSpec.of("moving_average", 13)))]
+    rows = [row for row in rows if only is None or only in row[0]]
+    solved = {family: simulate_dataset(make_scenario(family), seed=seed)
+              for family in dict.fromkeys(key[1] for _, _, key in rows)}
+    keys = [key for _, _, key in rows]
+    with Workers(partial(_paper_task, solved, seed), len(set(keys))) as workers:
+        results = drive([_ask(key) for key in keys], workers)
+    return [(cell, name, result) for (cell, name, _), result in zip(rows, results)]
+
+
+def _ask(key: tuple):
+    """A loop for `selection.drive` that needs the one task `key` and returns its result."""
+    return (yield key)
+
+
+def _paper_task(solved: dict, seed: int, key: tuple):
+    """One task of `paper_grid`: key = (task, family, noise level, *its arguments)."""
+    task, family, noise, *arguments = key
+    dataset = noisy_dataset(solved[family], noise, seed)
+    t_rms, t_ge = PAPER_CELLS[family]["thresholds"][noise]
+    if task == "fit":
+        method, denoiser = arguments
+        if denoiser is not None:
+            dataset = filter_dataset(dataset, denoiser)
+        return discover(dataset, TbglssConfig(ThresholdSpec(t_rms, t_ge), BglssConfig(seed=seed))
+                        if method == "tbglss" else METHODS[method]())
+    if task == "t_ge sweep":
+        system = build_system(dataset)
+        base = TbglssConfig(ThresholdSpec(t_rms=t_rms), BglssConfig(seed=seed))
+        return sweep(system, "t_ge", default_grid("t_ge"), base,
+                     truth=truth_on(dataset, LibrarySpec.standard(), system))
+    clean = solved[family].field
+    if task == "data mse":
+        return data_mse(dataset.field, clean)
+    return filter_sweep(dataset.field, clean, *arguments)

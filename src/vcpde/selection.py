@@ -203,10 +203,10 @@ def sweep(
 
     The axis implies the method, whose config type `base` must have; `base` holds
     the parameters that are not swept, e.g. t_rms while sweeping t_ge.  The
-    tbglss points share one memo of chains, so a chain that several threshold
-    values run (the screening chains on the full support, say) is sampled once
-    and every point's report is the same as a standalone `fit`'s.  A point
-    failing with one of POINT_ERRORS, or whose report is `unscored`, is
+    tbglss points share their chains through `drive`, so a chain that several
+    threshold values run (the screening chains on the full support, say) is
+    sampled once and every point's report is the same as a standalone `fit`'s.
+    A point failing with one of POINT_ERRORS, or whose report is `unscored`, is
     recorded on the curve as failed and no argmin uses it.  A point whose
     tbglss run keeps no group scores as the empty model.
 
@@ -242,12 +242,10 @@ def sweep(
         points = [point if error is None else _failed_point(v, error)
                   for v, (point, error) in zip(values, path)]
     else:
-        chains: dict = {}
-        loops = [_point_loop(system, _point_config(base, axis, v), v, truth, chains)
-                 for v in values]
+        loops = [_point_loop(system, _point_config(base, axis, v), v, truth) for v in values]
         system.gram()  # cached before the workers fork, so each inherits it
         with Workers(partial(_work, system, truth), len(values)) as workers:
-            points = _drive(loops, workers)
+            points = drive(loops, workers)
     argmin = {}
     for crit in ("loss", "total_error_bar", "coefficient_mse"):
         best = [(getattr(p, crit), p.value) for p in points if getattr(p, crit) is not None]
@@ -257,14 +255,14 @@ def sweep(
 
 
 def _point_loop(system: GroupedLinearSystem, config: TbglssConfig | GroupLassoConfig,
-                value: float, truth: CoefficientTrajectories | None, chains: dict):
+                value: float, truth: CoefficientTrajectories | None):
     """One sweep point as a generator: yields the key of each task it needs and returns its
     SweepPoint, failed if the point raised one of POINT_ERRORS.  A tbglss point asks for its
     chains; a group-lasso point is one task."""
     try:
         if isinstance(config, GroupLassoConfig):
             return (yield value, config)
-        report = yield from threshold_loop(system, config, chains)
+        report = yield from threshold_loop(system, config)
         return _sweep_point(system, _scored(system, report), value, truth)
     except POINT_ERRORS as exc:
         return _failed_point(value, exc)
@@ -286,29 +284,34 @@ def _sweep_point(system: GroupedLinearSystem, report: DiscoveryReport, value: fl
 
 
 def _work(system: GroupedLinearSystem, truth: CoefficientTrajectories | None, key: tuple):
-    """One task: a tbglss memo entry, or a whole group-lasso point (key = (value, config))."""
+    """One task: a tbglss chain, or a whole group-lasso point (key = (value, config))."""
     if isinstance(key[1], GroupLassoConfig):
         value, config = key
         return _sweep_point(system, fit(system, config), value, truth)
     return _chain(system, key)
 
 
-def _drive(loops: list, workers: Workers) -> list:
-    """Run every point's loop (`_point_loop`) to its SweepPoint, in this thread.
+def drive(loops: list, workers: Workers) -> list:
+    """Run each loop, a generator that yields the key of each task it needs and is sent
+    its result, to the value it returns, in this thread; the values in loop order.
 
-    A key in flight is submitted once; every loop waiting on it resumes when
-    it completes, in the order they asked.  A task's point error is raised in
-    each of them; any other error of a task is raised here.
+    Each key is one task of `workers`, run once: a loop asking for a finished key gets
+    its result at once, and the loops waiting on a key in flight resume when it
+    completes, in the order they asked.  A task's error is not kept: one of
+    POINT_ERRORS is raised in each loop waiting on it, any other here.
     """
-    points: list = [None] * len(loops)
+    returned: list = [None] * len(loops)
+    results: dict = {}  # finished key -> its result
     waiting: dict = {}  # key in flight -> indices of the loops waiting on it
 
     def resume(index, value=None, error=None):
         loop = loops[index]
         try:
             key = loop.send(value) if error is None else loop.throw(error)
+            while key in results:
+                key = loop.send(results[key])
         except StopIteration as done:
-            points[index] = done.value
+            returned[index] = done.value
             return
         if key not in waiting:
             waiting[key] = []
@@ -321,9 +324,11 @@ def _drive(loops: list, workers: Workers) -> list:
         for key, value, error in workers.collect():
             if error is not None and not isinstance(error, POINT_ERRORS):
                 raise error
+            if error is None:
+                results[key] = value
             for index in waiting.pop(key):
                 resume(index, value, error)
-    return points
+    return returned
 
 
 def _point_config(base: TbglssConfig | GroupLassoConfig, axis: str,

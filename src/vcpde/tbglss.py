@@ -245,14 +245,6 @@ def _summarize(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return median, variance
 
 
-def _entry(chains: dict, key: tuple):
-    """The memo's entry for `key`; on a miss, yield `key` and store what comes back."""
-    entry = chains.get(key)
-    if entry is None:
-        entry = chains[key] = yield key
-    return entry
-
-
 def run_tbglss(system: GroupedLinearSystem, config: TbglssConfig) -> DiscoveryReport:
     """Threshold the spike-and-slab sampler until the sparsity pattern is stable.
 
@@ -261,10 +253,10 @@ def run_tbglss(system: GroupedLinearSystem, config: TbglssConfig) -> DiscoveryRe
     When a screening update removes nothing, the same support is re-run at the
     final length; only that confirmed update is committed, so every committed
     update except the last removes at least one group.  The report's loss is
-    left to `selection.fit`, which scores every method alike.  This runs
-    `threshold_loop`, computing each chain it asks for here.
+    left to `selection.fit`, which scores every method alike.  Each chain
+    `threshold_loop` asks for is sampled here; its seed derives from its update, so none repeats.
     """
-    loop = threshold_loop(system, config, {})
+    loop = threshold_loop(system, config)
     try:
         key = next(loop)
         while True:
@@ -273,16 +265,14 @@ def run_tbglss(system: GroupedLinearSystem, config: TbglssConfig) -> DiscoveryRe
         return done.value
 
 
-def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig, chains: dict):
+def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig):
     """`run_tbglss` as a generator that leaves the sampling to its driver.
 
-    `chains`, a dict shared by runs on this same system, memoizes the chains:
-    a run finds there what an earlier run already sampled, and its report is
-    the same as without.  For each entry missing from `chains` it yields its
-    key and expects `_chain(system, key)` sent back; it returns the report.
-    Only the confirming chain keeps its draws, and only for `with_ci` or
-    `keep_final_ensemble`, which `selection.sweep` rejects: a sweep drives many
-    such loops on one memo and computes their entries on worker processes.
+    For each chain it yields the chain's key and expects `_chain(system, key)`
+    sent back; it returns the report.  Only the confirming chain keeps its
+    draws, and only for `with_ci` or `keep_final_ensemble`, which
+    `selection.sweep` rejects: a sweep drives many such loops on one system
+    and samples each distinct key once (`selection.drive`).
     """
     bglss = config.bglss
     hyper = {"pi0": bglss.pi0, "lam": float(bglss.lam), "final_iterations": bglss.n_iterations,
@@ -301,16 +291,12 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig, chains: di
                         else (config.update_iterations, config.update_burnin))
         seed = int(np.random.SeedSequence((bglss.seed, update_idx)).generate_state(1)[0])
         chain_config = replace(bglss, n_iterations=n_it, n_burnin=n_burn, seed=seed)
-        key = (tuple(active.tolist()), chain_config, keep_draws and long_run)
-        summary = yield from _entry(chains, key)
+        summary = yield (tuple(active.tolist()), chain_config, keep_draws and long_run)
         descriptors = tuple(full_descriptors[g] for g in active)
         criteria, failing = _evaluate_criteria(summary.median, summary.variance, descriptors,
                                                config.thresholds)
         update_idx += 1
         if failing:
-            if summary.ensemble is not None:
-                # only a confirming chain's entry holds its draws
-                chains[key] = replace(summary, ensemble=None)
             removed = tuple(descriptors[g] for g in failing)
             history.append(UpdateRecord(descriptors, removed, criteria, n_it))
             keep = np.setdiff1d(np.arange(active.size), failing)
@@ -346,8 +332,7 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig, chains: di
                 seed = int(
                     np.random.SeedSequence((bglss.seed, update_idx, c)).generate_state(1)[0]
                 )
-                extra_key = (tuple(active.tolist()), replace(bglss, seed=seed), False)
-                extra = yield from _entry(chains, extra_key)
+                extra = yield (tuple(active.tolist()), replace(bglss, seed=seed), False)
                 medians.append(extra.median / sub_scales)
             chain_medians = np.zeros((config.final_chains, *shape))
             chain_medians[:, :, active] = np.stack(medians)

@@ -1,12 +1,11 @@
 """Dense, subsystem, least-squares, Monte Carlo and reference-sampler oracles that the tests
-check the package against, and a driver for the thresholding loop."""
+check the package against."""
 
 from dataclasses import replace
 
 import numpy as np
 from scipy.special import expit
 
-from vcpde import tbglss
 from vcpde.gibbs import SIGMA2_PRIOR, BglssConfig, PosteriorEnsemble, SamplerError
 from vcpde.library import GroupedLinearSystem
 
@@ -166,15 +165,3 @@ def reference_chain(system: GroupedLinearSystem, config: BglssConfig,
         lam_used=lam,
         seed=config.seed,
     )
-
-
-def run_threshold_loop(system: GroupedLinearSystem, config: tbglss.TbglssConfig, chains: dict):
-    """`tbglss.threshold_loop` run to its report here, each chain it asks for computed in this
-    process and kept in the memo `chains`: `run_tbglss` with a memo that outlives the run."""
-    loop = tbglss.threshold_loop(system, config, chains)
-    try:
-        key = next(loop)
-        while True:
-            key = loop.send(tbglss._chain(system, key))
-    except StopIteration as done:
-        return done.value

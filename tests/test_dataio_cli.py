@@ -7,17 +7,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from vcpde import cli, pipeline, selection, solvers
+from vcpde import cli, pipeline, pool, selection, solvers
 from vcpde.baselines import SgtrConfig
 from vcpde.cli import main
 from vcpde.dataio import load_dataset, save_dataset, save_report
 from vcpde.filters import DEFAULT_GRIDS, FILTER_KINDS, FilterSpec, parameter_name
-from vcpde.gibbs import BglssConfig
+from vcpde.gibbs import BglssConfig, SamplerError
 from vcpde.library import LibrarySpec
 from vcpde.pipeline import DifferentiationSpec, filter_dataset, noisy_dataset, simulate_dataset
 from vcpde.selection import AXIS_METHODS, METHODS
 from vcpde.solvers import make_scenario
-from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
+from vcpde.tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
 
@@ -101,6 +101,13 @@ class TestReportFiles:
         for name in report.selected:
             assert name in header and f"{name}_std" in header
         assert "equation: u_t =" in paths["summary"].read_text()
+
+
+def stub_report():
+    """A report the CLI writes and prints as it would a real one."""
+    report = mock.MagicMock(spec=DiscoveryReport)
+    report.rendered_equation.return_value = "u_t = 0"
+    return report
 
 
 class TestCli:
@@ -215,6 +222,15 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: --diff-method finite_difference does not use {flag}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_discover_without_a_threshold_names_both_flags(self, small_dataset, tmp_path,
+                                                           capsys):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("discover", "--dataset", str(path), "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: at least one threshold must be given: --t-rms or --t-ge\n")
         assert not (tmp_path / "out").exists()
 
     def test_discover_nan_threshold_is_validation_error(self, small_dataset, tmp_path, capsys):
@@ -762,21 +778,19 @@ class TestCli:
             solved.append(scenario.family)
             return solvers.solve(scenario)
 
-        class Report:
-            def rendered_equation(self):
-                return "u_t = 0"
-
         def recording_discover(dataset, config):
             fitted.append((dataset.metadata["family"], dataset.noise_level, type(config)))
-            return Report()
+            return stub_report()
 
+        # one worker, so the grid's tasks run in this process, where the fits are recorded
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
         monkeypatch.setattr(pipeline, "solve", counting_solve)
-        monkeypatch.setattr(cli, "discover", recording_discover)
+        monkeypatch.setattr(pipeline, "discover", recording_discover)
         monkeypatch.setattr(cli, "save_report", lambda report, path: None)
         assert self.run("reproduce-paper", "--only", "sgtr", "--output", str(tmp_path)) == 0
         assert solved == ["burgers", "advection_diffusion", "kuramoto_sivashinsky"]
         assert fitted == [(family, noise, SgtrConfig)
-                          for family, spec in cli.BENCHMARK_CELLS.items()
+                          for family, spec in pipeline.PAPER_CELLS.items()
                           for noise in spec["noises"]]
 
     def test_reproduce_fits_each_dataset_and_config_once(self, monkeypatch, tmp_path):
@@ -784,22 +798,47 @@ class TestCli:
         # both directories; its filtered arm takes that cell's thresholds
         fitted, saved = [], {}
 
-        class Report:
-            def rendered_equation(self):
-                return "u_t = 0"
-
         def recording_discover(dataset, config):
             fitted.append((dataset.dataset_id(), repr(config)))
-            return Report()
+            return stub_report()
 
-        monkeypatch.setattr(cli, "discover", recording_discover)
+        # one worker, so the grid's tasks run in this process, where the fits are recorded
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
+        monkeypatch.setattr(pipeline, "discover", recording_discover)
         monkeypatch.setattr(cli, "save_report",
                             lambda report, path: saved.update({path.name: report}))
         assert self.run("reproduce-paper", "--only", "burgers", "--output", str(tmp_path)) == 0
         assert len(fitted) == len(set(fitted)) == 10  # nine cells and the filtered arm
         assert saved["burgers_5pct_unfiltered"] is saved["burgers_noise0.05_tbglss"]
-        thresholds = repr(ThresholdSpec(*cli.BENCHMARK_CELLS["burgers"]["thresholds"][0.05]))
+        thresholds = repr(ThresholdSpec(*pipeline.PAPER_CELLS["burgers"]["thresholds"][0.05]))
         assert thresholds in fitted[-1][1]
+
+    def test_reproduce_failing_cell_writes_no_file(self, monkeypatch, tmp_path, capsys):
+        def failing_discover(dataset, config):
+            if isinstance(config, SgtrConfig):
+                raise SamplerError("sigma2 diverged")
+            return stub_report()
+
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
+        monkeypatch.setattr(pipeline, "discover", failing_discover)
+        assert self.run("reproduce-paper", "--only", "burgers_noise0_",
+                        "--output", str(tmp_path)) == 2
+        assert "sigma2 diverged" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.*"))
+
+    def test_reproduce_writes_the_same_bytes_inline_and_on_workers(self, monkeypatch, tmp_path,
+                                                                   capsys):
+        written = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "worker_count", lambda n_tasks: workers)
+            out = tmp_path / str(workers)
+            assert self.run("reproduce-paper", "--only", "noise0_sgtr", "--output", str(out)) == 0
+            files = {path.relative_to(out): path.read_bytes()
+                     for path in sorted(out.rglob("*")) if path.is_file()}
+            written[workers] = files, capsys.readouterr().out.replace(str(out), "OUT")
+        assert written[1] == written[2]
+        files, printed = written[1]
+        assert len(files) == 3 * 3 and printed.count("_noise0_sgtr] ") == 3  # three reports
 
     def test_numerical_failure_exits_two(self, monkeypatch, tmp_path):
         from vcpde import cli
@@ -904,7 +943,7 @@ def test_every_option_is_read_on_every_path_or_rejected_by_flag(
     real = ("load_dataset", "save_dataset", "filter_dataset", "filter_sweep", "simulate_dataset")
     stubs = {name: mock.MagicMock(wraps=getattr(cli, name) if name in real else None)
              for name in (*real, "discover", "save_report", "dump_ensemble", "build_system",
-                          "default_grid", "_truth", "sweep")}
+                          "default_grid", "truth_on", "sweep")}
     stubs["sweep"].return_value.points = [mock.MagicMock(error=None)]
     for name, stub in stubs.items():
         monkeypatch.setattr(cli, name, stub)

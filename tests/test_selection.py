@@ -2,6 +2,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from vcpde.selection import SelectionCurve, default_grid, fit, sweep
 from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
-from helpers import lstsq_trajectories, run_threshold_loop, subsystem
+from helpers import lstsq_trajectories, subsystem
 
 
 def perfect_fit_system(seed=0, n_steps=3, n_rows=8, n_groups=4):
@@ -440,7 +441,8 @@ class TestSweepSharesChains:
         assert curve.argmin["loss"] == 1e-12
 
     def test_runs_sharing_a_memo_keep_same_size_supports_apart(self, burgers_one_percent):
-        """Two runs whose first updates remove as many groups but not the same ones."""
+        """Two runs, sharing their chains through the driver, whose first updates remove as
+        many groups but not the same ones."""
         system, base = burgers_one_percent, self.BASE
         probe = run_tbglss(system, replace(base, thresholds=ThresholdSpec(t_ge=np.inf)))
         crit = probe.update_history[0].criteria
@@ -453,12 +455,20 @@ class TestSweepSharesChains:
         configs = [replace(base, thresholds=spec)
                    for spec in (ThresholdSpec(t_rms=(rms[k - 1] + rms[k]) / 2),
                                 ThresholdSpec(t_ge=(ge[k - 1] + ge[k]) / 2))]
-        chains: dict = {}
-        shared = [run_threshold_loop(system, config, chains) for config in configs]
+        with pool.Workers(partial(tbglss._chain, system), len(configs)) as workers:
+            shared = selection.drive([tbglss.threshold_loop(system, config)
+                                      for config in configs], workers)
         first, second = (r.update_history[0].removed for r in shared)
         assert len(first) == len(second) and set(first) != set(second)
         for config, report in zip(configs, shared):
             assert report.to_json() == run_tbglss(system, config).to_json()
+
+    def test_a_run_never_asks_for_a_key_twice(self, burgers_one_percent, sampled):
+        # each chain's seed derives from its update's index, so run_tbglss needs no memo
+        report = run_tbglss(burgers_one_percent,
+                            replace(self.BASE, final_chains=2, with_ci=True))
+        assert report.chain_medians.shape[0] == 2 and report.bootstrap_cis is not None
+        assert report.n_updates > 1 and len(sampled) == len(set(sampled)) > report.n_updates
 
     def test_back_to_back_sweeps_share_nothing(self, burgers_one_percent, sampled):
         grid = np.linspace(0.02, 0.22, 4)
@@ -469,6 +479,55 @@ class TestSweepSharesChains:
         assert Counter(sampled) == Counter(once + once)
         assert [p.report.to_json() for p in first.points] == [
             p.report.to_json() for p in second.points]
+
+
+def asking(*keys):
+    """A loop for `selection.drive` that asks for `keys` in turn and returns what it was sent
+    for each, or the message of the point error raised in it."""
+    answers = []
+    for key in keys:
+        try:
+            answers.append((yield key))
+        except ValueError as exc:
+            answers.append(str(exc))
+    return answers
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """The key of each task the driver submits."""
+    keys, submit = [], pool.Workers.submit
+    monkeypatch.setattr(pool.Workers, "submit",
+                        lambda workers, key: keys.append(key) or submit(workers, key))
+    return keys
+
+
+class TestDrive:
+    """`selection.drive` runs each task once and keeps only what succeeded."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_a_finished_key_is_answered_without_a_second_task(self, monkeypatch, submitted,
+                                                              n_workers):
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: n_workers)
+        loops = [asking("a", "b"), asking("b", "a"), asking("a"), asking("b", "b")]
+        with pool.Workers(str.upper, 2) as workers:
+            answers = selection.drive(loops, workers)
+        assert answers == [["A", "B"], ["B", "A"], ["A"], ["B", "B"]]
+        assert sorted(submitted) == ["a", "b"]
+
+    def test_a_key_whose_task_failed_is_submitted_again(self, monkeypatch, submitted):
+        # inline, so the second loop asks for "bad" after its first task failed
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
+
+        def run(key):
+            if key == "bad":
+                raise ValueError("no result for bad")
+            return key.upper()
+
+        with pool.Workers(run, 2) as workers:
+            answers = selection.drive([asking("bad"), asking("ok", "bad")], workers)
+        assert answers == [["no result for bad"], ["OK", "no result for bad"]]
+        assert submitted == ["bad", "ok", "bad"]
 
 
 def sweep_outputs(curve: SelectionCurve, tmp_path) -> list:

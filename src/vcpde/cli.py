@@ -40,8 +40,8 @@ from .filters import (FILTER_KINDS, FilterSpec, FilterSweepCurve, data_mse, filt
                       parameter_name)
 from .gibbs import BglssConfig, SamplerError, dump_ensemble
 from .library import LibrarySpec, ZeroColumnError
-from .pipeline import (DifferentiationSpec, build_system, discover, filter_dataset, noisy_dataset,
-                       paper_grid, simulate_dataset, truth_on)
+from .pipeline import (Dataset, DifferentiationSpec, build_system, discover, filter_dataset,
+                       noisy_dataset, paper_grid, simulate_dataset, truth_on)
 from .selection import (AXIS_METHODS, METHODS, SWEEP_AXES, SelectionCurve, SweepFailedError,
                         default_grid, sweep)
 from .solvers import SolverBlowupError, check_noise_level, make_scenario
@@ -224,10 +224,16 @@ def _reject(args, mode: str, modes: tuple, reader: str | None = None) -> None:
         raise ValueError(f"{reader or mode} does not use {' or '.join(unused)}")
 
 
-def _diff_spec_from_args(args) -> DifferentiationSpec:
+def _diff_spec_from_args(args, dataset: Dataset) -> DifferentiationSpec:
+    """The differentiation spec `args` sets.  An option its method does not read is an error
+    naming its flag, and so is one the method `auto` picks for `dataset` does not read."""
     method = args.diff_method or "auto"
     _reject(args, method, DIFF_METHODS, f"--diff-method {method}")
-    return DifferentiationSpec(**_given(args, "diff"))
+    spec = DifferentiationSpec(**_given(args, "diff"))
+    picked = spec.resolve(dataset.noise_level, bool(dataset.metadata.get("filters"))).method
+    _reject(args, picked, DIFF_METHODS,
+            f"--diff-method auto, which picks {picked} at noise level {dataset.noise_level:g},")
+    return spec
 
 
 def _library_from_args(args) -> LibrarySpec:
@@ -341,7 +347,7 @@ def cmd_discover(args) -> int:
         dataset,
         _method_config(args, args.method or "tbglss", **fields),
         library=_library_from_args(args),
-        diff=_diff_spec_from_args(args),
+        diff=_diff_spec_from_args(args, dataset),
     )
     outdir = _out_root(args.output)
     paths = save_report(report, outdir, stem=f"{report.method}_{_dataset_stem(dataset.metadata)}")
@@ -366,7 +372,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("--log spaces --range: give --range with it")
     grid = _parse_range(args.range, "--range", log=args.log) if args.range else None
     method_config = _method_config(args, AXIS_METHODS[axis], swept=axis)
-    system = build_system(dataset, library=_library_from_args(args), diff=_diff_spec_from_args(args))
+    system = build_system(dataset, library=_library_from_args(args),
+                          diff=_diff_spec_from_args(args, dataset))
     grid = default_grid(axis, system) if grid is None else grid
     truth = truth_on(dataset, _library_from_args(args), system) if args.with_truth else None
     curve = sweep(system, axis, grid, method_config, truth=truth)

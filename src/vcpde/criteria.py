@@ -69,11 +69,6 @@ def aic_loss(system: GroupedLinearSystem, beta: np.ndarray, k: int,
     return float(n_obs * np.log(rss / (yty * n_obs) + epsilon) + 2 * k)
 
 
-def empty_model_scores(system: GroupedLinearSystem) -> tuple[float, float]:
-    """Loss and total error bar of a model with no terms: the zero fit's loss, and 0."""
-    return aic_loss(system, np.zeros((system.n_steps, system.n_groups)), 0), 0.0
-
-
 def coefficient_mse(estimated: CoefficientTrajectories, truth: CoefficientTrajectories) -> float:
     """Mean squared coefficient error over every (term, step) pair."""
     if estimated.descriptors != truth.descriptors:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import GroupLassoConfig, SgtrConfig, group_lasso, group_lasso_null_threshold, sgtr
-from .criteria import aic_loss, coefficient_mse, empty_model_scores
+from .criteria import aic_loss, coefficient_mse
 from .gibbs import SamplerError
 from .library import CoefficientTrajectories, GroupedLinearSystem
 from .pool import Workers
@@ -50,9 +50,9 @@ def fit(system: GroupedLinearSystem,
     """Run the method `config`'s type names and score it.
 
     The loss is `aic_loss` of the normalized-scale coefficients with k =
-    active groups x steps.  A tbglss run that keeps no group has no loss;
-    SGTR and group lasso report the zero fit's.  A group-lasso fit that
-    stopped unconverged has no loss either, and says so in `unscored`.  An
+    active groups x steps (`_scored`), for every method: a fit that keeps no
+    group has the zero fit's loss.  Only a group-lasso fit that stopped
+    unconverged has no loss, and says so in `unscored`.  An
     SGTR threshold or group-lasso penalty left None is chosen by the lowest
     loss over its default grid: the report is that grid point's, and its
     provenance's `selected_by` says so.
@@ -115,9 +115,8 @@ def _sgtr_path(system: GroupedLinearSystem, thresholds: list, ridge: float,
 
 
 def _scored(system: GroupedLinearSystem, report: DiscoveryReport) -> DiscoveryReport:
-    """`report` with its loss, unless it is a tbglss run that kept no group."""
-    if report.method == "tbglss" and report.empty_model:
-        return report
+    """`report` with its loss, the one scoring rule of every method (a model with no term
+    gets the zero fit's)."""
     k = int(report.trajectories.active.sum()) * system.n_steps
     return replace(report, loss=aic_loss(system, report.beta_normalized, k))
 
@@ -207,8 +206,9 @@ def sweep(
     threshold values run (the screening chains on the full support, say) is
     sampled once and every point's report is the same as a standalone `fit`'s.
     A point failing with one of POINT_ERRORS, or whose report is `unscored`, is
-    recorded on the curve as failed and no argmin uses it.  A point whose
-    tbglss run keeps no group scores as the empty model.
+    recorded on the curve as failed and no argmin uses it.  Every other point
+    takes its scores from its report, so a model with no term has no total
+    error bar and is never the total-error-bar argmin.
 
     An SGTR threshold grid runs here as one path (`_sgtr_path`): each
     distinct ridge fit and each distinct final support's loss is computed
@@ -238,7 +238,7 @@ def sweep(
     values = [float(v) for v in grid]
     if axis == "sgtr_threshold":
         path = _sgtr_path(system, values, base.ridge,
-                          lambda v, report: _sweep_point(system, report, v, truth))
+                          lambda v, report: _sweep_point(report, v, truth))
         points = [point if error is None else _failed_point(v, error)
                   for v, (point, error) in zip(values, path)]
     else:
@@ -263,7 +263,7 @@ def _point_loop(system: GroupedLinearSystem, config: TbglssConfig | GroupLassoCo
         if isinstance(config, GroupLassoConfig):
             return (yield value, config)
         report = yield from threshold_loop(system, config)
-        return _sweep_point(system, _scored(system, report), value, truth)
+        return _sweep_point(_scored(system, report), value, truth)
     except POINT_ERRORS as exc:
         return _failed_point(value, exc)
 
@@ -272,22 +272,20 @@ def _failed_point(value: float, error: Exception) -> SweepPoint:
     return SweepPoint(value, None, None, None, (), error=f"{type(error).__name__}: {error}")
 
 
-def _sweep_point(system: GroupedLinearSystem, report: DiscoveryReport, value: float,
+def _sweep_point(report: DiscoveryReport, value: float,
                  truth: CoefficientTrajectories | None) -> SweepPoint:
     if report.unscored:
         return SweepPoint(value, None, None, None, (), error=report.unscored)
-    loss, teb = report.loss, report.total_error_bar
-    if loss is None:
-        loss, teb = empty_model_scores(system)
     mse = None if truth is None else coefficient_mse(report.trajectories, truth)
-    return SweepPoint(value, loss, teb, mse, report.selected, report=report)
+    return SweepPoint(value, report.loss, report.total_error_bar, mse, report.selected,
+                      report=report)
 
 
 def _work(system: GroupedLinearSystem, truth: CoefficientTrajectories | None, key: tuple):
     """One task: a tbglss chain, or a whole group-lasso point (key = (value, config))."""
     if isinstance(key[1], GroupLassoConfig):
         value, config = key
-        return _sweep_point(system, fit(system, config), value, truth)
+        return _sweep_point(fit(system, config), value, truth)
     return _chain(system, key)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import group_error_bar, rms_criterion, total_error_bar
-from .gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
+from .gibbs import MIN_RETAINED_DRAWS, BglssConfig, PosteriorEnsemble, sample_posterior
 from .library import CHUNK_STEPS, CoefficientTrajectories, GroupedLinearSystem
 from .uncertainty import ensemble_bootstrap_cis
 
@@ -65,6 +65,10 @@ class TbglssConfig:
         if not 0 <= self.update_burnin < self.update_iterations:
             raise ValueError(f"update_burnin must be at least 0 and below update_iterations "
                              f"({self.update_iterations}), got {self.update_burnin}")
+        if self.with_ci and self.bglss.n_iterations - self.bglss.n_burnin < MIN_RETAINED_DRAWS:
+            raise ValueError(f"with_ci bootstraps at least {MIN_RETAINED_DRAWS} retained draws: "
+                             f"bglss.n_iterations - bglss.n_burnin is "
+                             f"{self.bglss.n_iterations} - {self.bglss.n_burnin}")
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from vcpde import cli, pipeline, pool, selection, solvers
+from vcpde import cli, pipeline, pool, selection, solvers, tbglss
 from vcpde.baselines import SgtrConfig
 from vcpde.cli import main
 from vcpde.dataio import load_dataset, save_dataset, save_report
 from vcpde.filters import DEFAULT_GRIDS, FILTER_KINDS, FilterSpec, parameter_name
 from vcpde.gibbs import BglssConfig, SamplerError
 from vcpde.library import LibrarySpec
-from vcpde.pipeline import DifferentiationSpec, filter_dataset, noisy_dataset, simulate_dataset
+from vcpde.pipeline import (Dataset, DifferentiationSpec, filter_dataset, noisy_dataset,
+                            simulate_dataset)
 from vcpde.selection import AXIS_METHODS, METHODS
 from vcpde.solvers import make_scenario
 from vcpde.tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec, run_tbglss
@@ -222,6 +223,35 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: --diff-method finite_difference does not use {flag}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["discover", "sweep"])
+    def test_auto_on_clean_data_rejects_each_poly_fit_option(self, small_burgers_clean,
+                                                             monkeypatch, tmp_path, capsys,
+                                                             command):
+        # the option table cannot see this rule: the noise level that picks the tier is data
+        monkeypatch.setattr(cli, "build_system", None)  # rejected before any system is built
+        path = save_dataset(small_burgers_clean, tmp_path / "c.json")
+        argv = ["--axis", "sgtr_threshold"] if command == "sweep" else ["--method", "sgtr"]
+        code = self.run(command, "--dataset", str(path), *argv, "--space-width", "11",
+                        "--time-degree", "2", "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --diff-method auto, which picks finite_difference at noise level 0, "
+            "does not use --space-width or --time-degree\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_with_ci_on_a_final_chain_too_short_to_bootstrap_samples_no_chain(
+            self, small_dataset, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(tbglss, "sample_posterior", None)  # rejected before any chain
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("discover", "--dataset", str(path), "--t-rms", "0.02",
+                        "--iterations", "40", "--burnin", "20", "--with-ci",
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: with_ci bootstraps at least 30 retained draws: bglss.n_iterations - "
+            "bglss.n_burnin is 40 - 20\n")
         assert not (tmp_path / "out").exists()
 
     def test_discover_without_a_threshold_names_both_flags(self, small_dataset, tmp_path,
@@ -1011,6 +1041,7 @@ def test_every_benchmark_job_parses_and_builds_its_configs(tmp_path, seed):
                 method, swept = AXIS_METHODS[args.axis_name], args.axis_name
                 cli._parse_range(args.range, "--range", log=args.log)
             assert isinstance(cli._method_config(args, method, swept=swept), METHODS[method])
-            cli._diff_spec_from_args(args)
+            # the dataset is written by an earlier job; its noise level picks the auto tier
+            cli._diff_spec_from_args(args, Dataset(None, {"noise_level": job.data.noise}))
             cli._library_from_args(args)
     assert commands == {"simulate", "discover", "sweep"}

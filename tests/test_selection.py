@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vcpde import baselines, pool, selection, tbglss
 from vcpde.baselines import GroupLassoConfig, SgtrConfig, group_lasso, group_lasso_null_threshold
-from vcpde.criteria import aic_loss, coefficient_mse, empty_model_scores, total_error_bar
+from vcpde.criteria import aic_loss, coefficient_mse, total_error_bar
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, normalize_columns
 from vcpde.pipeline import build_system, noisy_dataset
@@ -164,6 +164,16 @@ class TestFit:
         assert report.selected
         assert report.loss == aic_loss(system, report.beta_normalized, k)
 
+    def test_tbglss_fit_keeping_no_group_scores_the_zero_fit(self):
+        rng = np.random.default_rng(12)
+        system, _, _ = random_grouped_system(rng, n_rows=16)
+        report = fit(system, TbglssConfig(
+            thresholds=ThresholdSpec(t_rms=1e6),
+            bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=0)))
+        assert report.empty_model and report.unscored is None
+        assert report.loss == aic_loss(system, np.zeros((system.n_steps, system.n_groups)), 0)
+        assert report.total_error_bar is None
+
     def test_group_lasso_report_certifies_the_fit(self):
         rng = np.random.default_rng(13)
         system, _, _ = random_grouped_system(rng, n_rows=16)
@@ -277,8 +287,25 @@ class TestSweep:
                             bglss=BglssConfig(n_iterations=120, n_burnin=30, lam=1.0, seed=0))
         point = sweep(system, "t_rms", np.array([1e6]), base).points[0]
         assert point.selected == ()
-        assert (point.loss, point.total_error_bar) == empty_model_scores(system)
-        assert point.report.loss is None
+        zero_fit = aic_loss(system, np.zeros((system.n_steps, system.n_groups)), 0)
+        assert point.loss == point.report.loss == zero_fit
+        assert point.total_error_bar is None and point.error is None
+
+    def test_a_grid_reaching_the_empty_model_never_chooses_it(self, tmp_path):
+        rng = np.random.default_rng(5)
+        system, beta_true, _ = random_grouped_system(rng, n_rows=24)
+        base = TbglssConfig(thresholds=ThresholdSpec(t_rms=0.05),
+                            bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=0))
+        curve = sweep(system, "t_rms", np.array([0.05, 1e6]), base,
+                      truth=make_trajectories(beta_true))
+        kept, empty = curve.points
+        assert kept.selected and empty.selected == ()
+        assert empty.total_error_bar is None and empty.loss is not None
+        assert set(curve.argmin) == {"loss", "total_error_bar", "coefficient_mse"}
+        assert set(curve.argmin.values()) == {0.05}
+        curve.to_csv(tmp_path / "curve.csv")
+        empty_row = (tmp_path / "curve.csv").read_text().splitlines()[2].split(",")
+        assert empty_row[2] == "" and empty_row[1] == repr(empty.loss)
 
     def test_lambda_sweep_records_loss(self):
         rng = np.random.default_rng(4)

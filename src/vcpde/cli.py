@@ -1,11 +1,12 @@
 """Command-line interface: simulate, filter, discover, sweep, reproduce-paper.
 
-The commands parse options, call the library, and write and print what it
-returns; the library holds the decisions (reproduce-paper's grid is
-pipeline.paper_grid, written once all of it has run).  Every option is one
-entry of OPTIONS, which names the commands that declare it, the config field
-it sets and the modes that read it (a method, a --diff-method, a filter kind,
-or a filter sweep); each command's parser is built from that table.
+The commands parse options, call the library, print what it returns and write
+it through `dataio`, which formats every file; the library holds the decisions
+(reproduce-paper's grid is pipeline.paper_grid, written once all of it has
+run).  Every option is one entry of OPTIONS, which names the commands that
+declare it, the config field it sets and the modes that read it (a method, a
+--diff-method, a filter kind, or a filter sweep); each command's parser is
+built from that table.
 Configuration precedence is command line > --config file > built-in defaults;
 the sampler, method, differentiation, library and filter options default to
 BglssConfig, the method's own config (selection.METHODS), DifferentiationSpec,
@@ -34,11 +35,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import load_dataset, save_dataset, save_report
+from .dataio import (load_dataset, save_dataset, save_filter_sweep, save_report, save_sweep,
+                     save_trace)
 from .fields import GridError
 from .filters import (FILTER_KINDS, FilterSpec, FilterSweepCurve, data_mse, filter_sweep,
                       parameter_name)
-from .gibbs import BglssConfig, SamplerError, dump_ensemble
+from .gibbs import BglssConfig, SamplerError
 from .library import LibrarySpec, ZeroColumnError
 from .pipeline import (Dataset, DifferentiationSpec, build_system, discover, filter_dataset,
                        noisy_dataset, paper_grid, simulate_dataset, truth_on)
@@ -182,8 +184,9 @@ OPTIONS = (
             help="embed bootstrap intervals of each posterior median: its Monte Carlo "
                  "error, not a band for the true coefficient (that is stdev)"),
     _option("--dump-trace", "discover", None, TBGLSS, metavar="FILE",
-            help="also dump the final chain's retained draws (.npz or .csv); "
-                 "nothing is written when no term is selected"),
+            help="also dump the final chain's retained draws: a CSV for a .csv name, else an "
+                 ".npz archive (.npz is appended if missing); nothing is written when no "
+                 "term is selected"),
     _option("--sgtr-threshold", "discover", "sgtr.threshold", ("sgtr",), type=float),
     _option("--sgtr-ridge", FIT, "sgtr.ridge", ("sgtr",), type=float),
     _option("--lasso-lam", "discover", "group_lasso.lam", ("group_lasso",), type=float),
@@ -328,14 +331,8 @@ def cmd_filter(args) -> int:
     grid = None if text is None else (
         _parse_range(text, flag) if name == "cutoff" else _parse_int_range(text, flag))
     curve = filter_sweep(dataset.field, clean.field, kind, grid, **options)
-    outdir = _out_root(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stem = outdir / f"filter_sweep_{kind}"
-    curve.to_csv(f"{stem}.csv")
-    Path(f"{stem}.json").write_text(json.dumps(
-        {"kind": kind, "axis": curve.axis, "argmin": curve.argmin, "min_mse": curve.min_mse},
-        indent=2, sort_keys=True))
-    print(f"wrote {stem}.csv")
+    paths = save_filter_sweep(curve, _out_root(args.output) / f"filter_sweep_{kind}")
+    print(f"wrote {paths['csv']}")
     print(f"argmin: {curve.argmin!r}  min data MSE: {curve.min_mse!r}")
     return 0
 
@@ -355,10 +352,7 @@ def cmd_discover(args) -> int:
     if args.dump_trace and report.final_ensemble is None:
         print("no trace written: no terms selected")
     elif args.dump_trace:
-        trace_path = outdir / args.dump_trace
-        dump_ensemble(report.final_ensemble, trace_path,
-                      fmt="csv" if str(trace_path).endswith(".csv") else "npz")
-        print(f"wrote {trace_path}")
+        print(f"wrote {save_trace(report.final_ensemble, outdir / args.dump_trace)}")
     print(report.rendered_equation())
     if report.empty_model:
         print("status: no terms selected")
@@ -377,13 +371,10 @@ def cmd_sweep(args) -> int:
     grid = default_grid(axis, system) if grid is None else grid
     truth = truth_on(dataset, _library_from_args(args), system) if args.with_truth else None
     curve = sweep(system, axis, grid, method_config, truth=truth)
-    outdir = _out_root(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stem = outdir / f"sweep_{axis}_{_dataset_stem(dataset.metadata)}"
-    curve.to_csv(f"{stem}.csv")
-    curve.to_json(f"{stem}.json")
+    paths = save_sweep(curve,
+                       _out_root(args.output) / f"sweep_{axis}_{_dataset_stem(dataset.metadata)}")
     n_ok = sum(1 for p in curve.points if p.error is None)
-    print(f"wrote {stem}.csv ({n_ok}/{len(curve.points)} points succeeded)")
+    print(f"wrote {paths['csv']} ({n_ok}/{len(curve.points)} points succeeded)")
     print(f"argmin: {curve.argmin!r}")
     return 0 if n_ok else 2
 
@@ -391,7 +382,6 @@ def cmd_sweep(args) -> int:
 def cmd_reproduce(args) -> int:
     """Run the paper's grid (`pipeline.paper_grid`), then write and print each output."""
     outdir = _out_root(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     results = paper_grid(args.seed, args.only)
     if not results:
         raise ValueError(f"--only {args.only!r} matched no cells")
@@ -402,11 +392,10 @@ def cmd_reproduce(args) -> int:
             save_report(result, outdir / name)
             print(f"{label} {result.rendered_equation()}")
         elif isinstance(result, SelectionCurve):
-            result.to_csv(outdir / f"{name}.csv")
-            result.to_json(outdir / f"{name}.json")
+            save_sweep(result, outdir / name)
             print(f"{label} argmin {result.argmin!r}")
         elif isinstance(result, FilterSweepCurve):
-            result.to_csv(outdir / f"{name}.csv")
+            save_filter_sweep(result, outdir / name)
             print(f"{label} argmin {result.argmin!r} min {result.min_mse!r}")
         else:
             print(f"[{cell}] 5% data MSE {result!r}")

@@ -1,10 +1,22 @@
-"""On-disk formats: dataset archives, discovery reports, sweep curves.
+"""Every file vcpde writes, and the dataset reader.
 
-Datasets serialize either as one JSON document with a base64 float64 payload
-or as a CSV triplet (values / x_coords / t_coords) next to a metadata JSON.
-All writers are deterministic: rerunning the same command produces
-byte-identical files.  Loading checks the format name and version both
-writers record.
+- Datasets (`save_dataset`): one JSON document with a base64 float64 payload,
+  or a CSV triplet (values / x_coords / t_coords, `%.17g`) next to a metadata
+  JSON.  Loading checks the format name and version both forms record.
+- Discovery reports (`save_report`): the report JSON (`DiscoveryReport.to_json`),
+  a trajectory CSV with each selected term's values and posterior sd per step,
+  and a text summary.
+- Sweep curves (`save_sweep`): one CSV row per grid value and a JSON summary
+  (`SelectionCurve.summary`).
+- Filter sweeps (`save_filter_sweep`): one CSV row per parameter value and a
+  JSON summary of the kind, axis, argmin and least data MSE.
+- Posterior draws (`save_trace`): an npz archive, or a CSV for a `.csv` path.
+
+Every JSON file is indented by 2 with sorted keys.  A CSV has a header row;
+each cell is text as it is, a number by its repr, or empty for None.  All
+writers are deterministic: rerunning the same command produces byte-identical
+files.  Each creates its target directory and returns the path of each file it
+wrote (of a CSV dataset, its metadata JSON: the path to load it from).
 """
 
 from __future__ import annotations
@@ -17,11 +29,34 @@ from pathlib import Path
 import numpy as np
 
 from .fields import SpatioTemporalField
+from .filters import FilterSweepCurve
+from .gibbs import PosteriorEnsemble
 from .pipeline import Dataset
+from .selection import SelectionCurve
 from .tbglss import DiscoveryReport
 
 DATASET_FORMAT = "vcpde-dataset"
 DATASET_VERSION = 1
+
+
+def _write_json(path: Path, doc) -> Path:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    return path
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(float(value))
+
+
+def _write_csv(path: Path, header: list[str], rows, lineterminator: str = "\r\n") -> Path:
+    """A header row, then one row per item of `rows`, each cell written by `_cell`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+    return path
 
 
 def _float_list(arr: np.ndarray) -> list[float]:
@@ -32,7 +67,8 @@ def save_dataset(dataset: Dataset, path: str | Path, fmt: str = "json") -> Path:
     """Write a dataset archive; returns the path to load it back from."""
     path = Path(path)
     if fmt == "json":
-        doc = {
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return _write_json(path, {
             "format": DATASET_FORMAT,
             "version": DATASET_VERSION,
             "metadata": dataset.metadata,
@@ -42,25 +78,15 @@ def save_dataset(dataset: Dataset, path: str | Path, fmt: str = "json") -> Path:
             "values_base64": base64.b64encode(
                 np.ascontiguousarray(dataset.field.values, dtype="<f8").tobytes()
             ).decode("ascii"),
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
-        return path
+        })
     if fmt == "csv":
         stem = path.with_suffix("") if path.suffix == ".json" else path
         stem.parent.mkdir(parents=True, exist_ok=True)
         np.savetxt(f"{stem}.values.csv", dataset.field.values, delimiter=",", fmt="%.17g")
         np.savetxt(f"{stem}.x_coords.csv", dataset.field.x_coords, delimiter=",", fmt="%.17g")
         np.savetxt(f"{stem}.t_coords.csv", dataset.field.t_coords, delimiter=",", fmt="%.17g")
-        meta_path = Path(f"{stem}.meta.json")
-        meta_path.write_text(
-            json.dumps(
-                {"format": DATASET_FORMAT, "version": DATASET_VERSION, "metadata": dataset.metadata},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return meta_path
+        return _write_json(Path(f"{stem}.meta.json"), {
+            "format": DATASET_FORMAT, "version": DATASET_VERSION, "metadata": dataset.metadata})
     raise ValueError("fmt must be 'json' or 'csv'")
 
 
@@ -111,23 +137,16 @@ def save_report(report: DiscoveryReport, directory: str | Path, stem: str = "rep
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     json_path = directory / f"{stem}.json"
-    report.to_json(json_path)
+    json_path.write_text(report.to_json())
 
-    csv_path = directory / f"{stem}_trajectories.csv"
     traj = report.trajectories
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        axis_name = "t" if traj.varying_axis == "time" else "x"
-        header = [axis_name]
-        for name in traj.selected:
-            header += [name, f"{name}_std"]
-        writer.writerow(header)
-        sel_idx = [traj.descriptors.index(n) for n in traj.selected]
-        for i, coord in enumerate(traj.step_coords):
-            row = [repr(float(coord))]
-            for g in sel_idx:
-                row += [repr(float(traj.values[i, g])), repr(float(report.stdev[i, g]))]
-            writer.writerow(row)
+    header = ["t" if traj.varying_axis == "time" else "x"]
+    for name in traj.selected:
+        header += [name, f"{name}_std"]
+    sel_idx = [traj.descriptors.index(n) for n in traj.selected]
+    rows = ([coord, *(v for g in sel_idx for v in (traj.values[i, g], report.stdev[i, g]))]
+            for i, coord in enumerate(traj.step_coords))
+    csv_path = _write_csv(directory / f"{stem}_trajectories.csv", header, rows)
 
     summary_path = directory / f"{stem}_summary.txt"
     lines = [
@@ -144,3 +163,62 @@ def save_report(report: DiscoveryReport, directory: str | Path, stem: str = "rep
     lines.append(f"dataset: {report.provenance.get('dataset_id', 'unknown')}")
     summary_path.write_text("\n".join(lines) + "\n")
     return {"json": json_path, "csv": csv_path, "summary": summary_path}
+
+
+def _save_curve(stem: str | Path, header: list[str], rows, summary: dict) -> dict:
+    """`<stem>.csv` of `header` and `rows`, and `<stem>.json` of `summary`."""
+    Path(stem).parent.mkdir(parents=True, exist_ok=True)
+    return {"csv": _write_csv(Path(f"{stem}.csv"), header, rows),
+            "json": _write_json(Path(f"{stem}.json"), summary)}
+
+
+def save_sweep(curve: SelectionCurve, stem: str | Path) -> dict:
+    """Write each point's criteria, support and error as `<stem>.csv`, and the curve's
+    summary as `<stem>.json`."""
+    return _save_curve(
+        stem, [curve.axis, "loss", "total_error_bar", "coefficient_mse", "selected", "error"],
+        ([p.value, p.loss, p.total_error_bar, p.coefficient_mse, "+".join(p.selected), p.error]
+         for p in curve.points),
+        curve.summary())
+
+
+def save_filter_sweep(curve: FilterSweepCurve, stem: str | Path) -> dict:
+    """Write each parameter value's data MSE and error as `<stem>.csv`, and the kind, axis,
+    argmin and least MSE as `<stem>.json`."""
+    return _save_curve(
+        stem, ["parameter", "data_mse", "error"],
+        ([p.parameter, p.mse, p.error] for p in curve.points),
+        {"kind": curve.kind, "axis": curve.axis, "argmin": curve.argmin,
+         "min_mse": curve.min_mse})
+
+
+def save_trace(ensemble: PosteriorEnsemble, path: str | Path) -> Path:
+    """Write the retained draws for external diagnostics: a CSV of sigma2, pi0 and every
+    coefficient per draw when `path` ends in .csv, else an npz archive of every field,
+    at `path` with .npz appended unless it ends in .npz.  Returns the path written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.name.endswith(".csv"):
+        n, m, g = ensemble.beta.shape
+        header = ["draw", "sigma2", "pi0"] + [
+            f"{d}@{i}" for d in ensemble.descriptors for i in range(m)]
+        flat = ensemble.beta.transpose(0, 2, 1).reshape(n, m * g)
+        rows = ([str(k), ensemble.sigma2[k], ensemble.pi0[k], *flat[k].tolist()]
+                for k in range(n))
+        return _write_csv(path, header, rows, lineterminator="\n")  # the others end in \r\n
+    if not path.name.endswith(".npz"):
+        path = Path(f"{path}.npz")
+    np.savez_compressed(
+        path,
+        beta=ensemble.beta,
+        tau2=ensemble.tau2,
+        sigma2=ensemble.sigma2,
+        pi0=ensemble.pi0,
+        spike=ensemble.spike,
+        scales=ensemble.scales,
+        step_coords=ensemble.step_coords,
+        descriptors=np.array(ensemble.descriptors),
+        lam_used=ensemble.lam_used,
+        seed=ensemble.seed,
+    )
+    return path

@@ -17,9 +17,7 @@ for a batch of cutoffs at once.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -272,13 +270,6 @@ class FilterSweepCurve:
     points: tuple[FilterSweepPoint, ...]
     argmin: float
     min_mse: float
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", "data_mse", "error"])
-            for p in self.points:
-                writer.writerow([repr(p.parameter), "" if p.mse is None else repr(p.mse), p.error or ""])
 
 
 def filter_sweep(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -245,37 +244,3 @@ def _run_chain(system: GroupedLinearSystem, config: BglssConfig,
         seed=config.seed,
     )
 
-
-def dump_ensemble(ensemble: PosteriorEnsemble, path, fmt: str = "npz") -> None:
-    """Write the retained draws for external diagnostics (binary or CSV)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "npz":
-        np.savez_compressed(
-            path,
-            beta=ensemble.beta,
-            tau2=ensemble.tau2,
-            sigma2=ensemble.sigma2,
-            pi0=ensemble.pi0,
-            spike=ensemble.spike,
-            scales=ensemble.scales,
-            step_coords=ensemble.step_coords,
-            descriptors=np.array(ensemble.descriptors),
-            lam_used=ensemble.lam_used,
-            seed=ensemble.seed,
-        )
-        return
-    if fmt == "csv":
-        n, m, g = ensemble.beta.shape
-        header = ["draw", "sigma2", "pi0"] + [
-            f"{d}@{i}" for d in ensemble.descriptors for i in range(m)
-        ]
-        flat = ensemble.beta.transpose(0, 2, 1).reshape(n, m * g)
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for k in range(n):
-                row = [str(k), repr(float(ensemble.sigma2[k])), repr(float(ensemble.pi0[k]))]
-                row += [repr(float(v)) for v in flat[k]]
-                fh.write(",".join(row) + "\n")
-        return
-    raise ValueError("fmt must be 'npz' or 'csv'")

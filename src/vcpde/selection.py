@@ -14,11 +14,8 @@ sharing its ridge fits and losses between thresholds; a fixed-threshold SGTR
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field, replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -155,24 +152,6 @@ class SelectionCurve:
     points: tuple[SweepPoint, ...]
     argmin: dict  # criterion name -> swept value
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [self.axis, "loss", "total_error_bar", "coefficient_mse", "selected", "error"]
-            )
-            for p in self.points:
-                writer.writerow(
-                    [
-                        repr(p.value),
-                        "" if p.loss is None else repr(p.loss),
-                        "" if p.total_error_bar is None else repr(p.total_error_bar),
-                        "" if p.coefficient_mse is None else repr(p.coefficient_mse),
-                        "+".join(p.selected),
-                        p.error or "",
-                    ]
-                )
-
     def summary(self) -> dict:
         return {
             "axis": self.axis,
@@ -180,9 +159,6 @@ class SelectionCurve:
             "argmin": self.argmin,
             "n_failed": sum(1 for p in self.points if p.error),
         }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.summary(), indent=2, sort_keys=True))
 
     def point_at(self, value: float) -> SweepPoint:
         for p in self.points:

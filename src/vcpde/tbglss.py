@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -159,11 +158,8 @@ class DiscoveryReport:
             "chain_medians": None if self.chain_medians is None else self.chain_medians.tolist(),
         }
 
-    def to_json(self, path: str | Path | None = None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _evaluate_criteria(

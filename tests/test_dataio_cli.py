@@ -616,6 +616,21 @@ class TestCli:
         assert report["bootstrap_cis"]["level"] == 0.95
         assert (tmp_path / "ci_out" / "trace.npz").exists()
 
+    def test_dump_trace_prints_the_path_it_wrote(self, small_burgers_clean, tmp_path, capsys):
+        # an npz archive gets .npz appended unless its name ends in it; a .csv name is a CSV
+        data = str(save_dataset(small_burgers_clean, tmp_path / "d.json"))
+        for name, written in (("trace", "trace.npz"), ("t.txt", "t.txt.npz"),
+                              ("t.npz", "t.npz"), ("t.csv", "t.csv")):
+            out = tmp_path / f"out_{name}"
+            assert self.run("discover", "--dataset", data, "--t-rms", "0.02", "--t-ge", "0.1",
+                            "--iterations", "120", "--burnin", "30", "--update-iterations", "60",
+                            "--update-burnin", "15", "--dump-trace", name,
+                            "--output", str(out)) == 0
+            printed = capsys.readouterr().out.splitlines()
+            assert printed[1] == f"wrote {out / written}"
+            assert sorted(path.name for path in out.iterdir()
+                          if not path.name.startswith("tbglss_")) == [written]
+
     def test_filter_sweep_command(self, tmp_path, capsys):
         self.run("simulate", "--family", "burgers", "--noise", "0.05", "--seed", "2",
                  "--nx", "64", "--nt", "48", "--t-span", "0:4", "--output", str(tmp_path))
@@ -642,6 +657,29 @@ class TestCli:
         assert code == 0
         rows = (tmp_path / "sw" / "filter_sweep_savitzky_golay.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == list(DEFAULT_GRIDS["savitzky_golay"])
+
+    def test_filter_sweep_writes_what_the_paper_filter_study_writes(self, monkeypatch, tmp_path):
+        # `filter --clean` on its kind's default grid and reproduce-paper's filter study
+        # write the same CSV and JSON summary, here on a small 5% Burgers grid
+        small = {"n_x": 64, "n_t": 48, "t_span": (0.0, 4.0)}
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
+        monkeypatch.setattr(pipeline, "make_scenario",
+                            lambda family: make_scenario(family, **small))
+        monkeypatch.setattr(pipeline, "discover", lambda dataset, config: stub_report())
+        monkeypatch.setattr(cli, "save_report", lambda report, path: None)
+        assert self.run("reproduce-paper", "--only", "burgers_filter_study",
+                        "--output", str(tmp_path / "paper")) == 0
+        assert self.run("simulate", "--family", "burgers", "--noise", "0.05", "--nx", "64",
+                        "--nt", "48", "--t-span", "0:4", "--output", str(tmp_path)) == 0
+        for kind in FILTER_KINDS:
+            assert self.run("filter", "--dataset", str(tmp_path / "burgers_noise0.05_seed0.json"),
+                            "--kind", kind,
+                            "--clean", str(tmp_path / "burgers_noise0.05_seed0_clean.json"),
+                            "--output", str(tmp_path / "cli")) == 0
+            for suffix in (".csv", ".json"):
+                paper = tmp_path / "paper" / f"burgers_filter_{kind}{suffix}"
+                assert (tmp_path / "cli" / f"filter_sweep_{kind}{suffix}").read_bytes() == (
+                    paper.read_bytes())
 
     @pytest.mark.parametrize("argv, message", [
         (["--kind", "zero_phase_lowpass", "--window", "5"], "--cutoff is required"),
@@ -972,8 +1010,8 @@ def test_every_option_is_read_on_every_path_or_rejected_by_flag(
     # the cheap calls run for real, the fits and the system build are recorded only
     real = ("load_dataset", "save_dataset", "filter_dataset", "filter_sweep", "simulate_dataset")
     stubs = {name: mock.MagicMock(wraps=getattr(cli, name) if name in real else None)
-             for name in (*real, "discover", "save_report", "dump_ensemble", "build_system",
-                          "default_grid", "truth_on", "sweep")}
+             for name in (*real, "discover", "save_report", "save_trace", "build_system",
+                          "default_grid", "truth_on", "sweep", "save_sweep")}
     stubs["sweep"].return_value.points = [mock.MagicMock(error=None)]
     for name, stub in stubs.items():
         monkeypatch.setattr(cli, name, stub)

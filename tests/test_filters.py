@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal  # the oracle of the bit-for-bit tests only
 
+from vcpde.dataio import save_filter_sweep
 from vcpde.fields import GridError, SpatioTemporalField
 from vcpde.filters import DEFAULT_GRIDS, FilterSpec, apply_filter, data_mse, filter_sweep
 
@@ -250,5 +251,5 @@ class TestFilterSweep:
     def test_csv_export(self, tmp_path):
         noisy, clean = noisy_sine()
         curve = filter_sweep(noisy, clean, "zero_phase_lowpass", [0.1, 0.3], axis="space")
-        curve.to_csv(tmp_path / "c.csv")
+        save_filter_sweep(curve, tmp_path / "c")
         assert (tmp_path / "c.csv").read_text().startswith("parameter,")

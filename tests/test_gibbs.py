@@ -155,7 +155,7 @@ class TestSupportSampling:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.shape == b.shape, (support, name)
                 assert a.tobytes() == b.tobytes(), (support, name)
-                # as the subsystem path's copy was: dump_ensemble's npz records the layout
+                # as the subsystem path's copy was: save_trace's npz records the layout
                 assert a.flags.c_contiguous, (support, name)
             assert got.descriptors == want.descriptors
             assert (got.varying_axis, got.lam_used, got.seed) == (

@@ -1,5 +1,6 @@
 """Import hygiene of the package: imports sit at module top, criteria is a leaf, tbglss does
-not import selection at run time, only the CLI prints, and the package runs on numpy alone:
+not import selection at run time, only the CLI prints, only dataio writes files (and only it
+and the CLI import csv or pathlib), and the package runs on numpy alone:
 neither importing the CLI nor running it loads any scipy module.  Every vcpde name the
 benchmark in perfbench/ imports or traces, and every one the README's examples import,
 exists."""
@@ -71,6 +72,45 @@ def test_only_the_cli_prints():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
     )
     assert not calls, f"print calls outside cli.py: {calls}"
+
+
+def _file_write(call: ast.Call) -> str | None:
+    """The name of the function `call` writes a file with, if it does: open or Path.open with
+    a writing mode (or one not spelled out), write_text, write_bytes, np.save* or
+    csv.writer."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+    if name == "open":
+        # open(file, mode) or path.open(mode); "r" when the mode is left out
+        given = call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+        given += [k.value for k in call.keywords if k.arg == "mode"]
+        mode = given[0] if given else ast.Constant("r")
+        writes = not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+        return name if writes else None
+    if (name in ("write_text", "write_bytes")
+            or (owner in ("np", "numpy") and name.startswith("save"))
+            or (owner == "csv" and name in ("writer", "DictWriter"))):
+        return name
+    return None
+
+
+def test_only_dataio_writes_files():
+    # dataio owns every output format; the rest of the package may make a directory or read
+    # a file (the CLI's --config) but writes none
+    writes = {path.name: sorted(f"{name}:{node.lineno}"
+                                for node in ast.walk(ast.parse(path.read_text()))
+                                if isinstance(node, ast.Call) and (name := _file_write(node)))
+              for path in MODULES}
+    outside = {name: found for name, found in writes.items() if found and name != "dataio.py"}
+    assert not outside, f"file writes outside dataio.py: {outside}"
+    assert {"open", "write_text", "savetxt", "savez_compressed", "writer"} <= {
+        write.split(":")[0] for write in writes["dataio.py"]}  # the check sees dataio's writes
+    io_imports = sorted(f"{path.name}:{node.lineno}" for path in MODULES
+                        if path.name not in ("dataio.py", "cli.py")
+                        for node in _imports(ast.parse(path.read_text()))
+                        if {"csv", "pathlib"} & {name.split(".")[0] for name in _modules(node)})
+    assert not io_imports, f"csv or pathlib imported outside dataio.py and cli.py: {io_imports}"
 
 
 def _scipy_modules_after(code, *args):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from vcpde import baselines, pool, selection, tbglss
 from vcpde.baselines import GroupLassoConfig, SgtrConfig, group_lasso, group_lasso_null_threshold
 from vcpde.criteria import aic_loss, coefficient_mse, total_error_bar
+from vcpde.dataio import save_sweep
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, normalize_columns
 from vcpde.pipeline import build_system, noisy_dataset
@@ -303,7 +304,7 @@ class TestSweep:
         assert empty.total_error_bar is None and empty.loss is not None
         assert set(curve.argmin) == {"loss", "total_error_bar", "coefficient_mse"}
         assert set(curve.argmin.values()) == {0.05}
-        curve.to_csv(tmp_path / "curve.csv")
+        save_sweep(curve, tmp_path / "curve")
         empty_row = (tmp_path / "curve.csv").read_text().splitlines()[2].split(",")
         assert empty_row[2] == "" and empty_row[1] == repr(empty.loss)
 
@@ -354,8 +355,7 @@ class TestSweep:
     def test_csv_and_json_outputs(self, tmp_path):
         system, _ = perfect_fit_system(seed=7)
         curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.5]), SgtrConfig())
-        curve.to_csv(tmp_path / "curve.csv")
-        curve.to_json(tmp_path / "curve.json")
+        save_sweep(curve, tmp_path / "curve")
         text = (tmp_path / "curve.csv").read_text()
         assert "sgtr_threshold" in text.splitlines()[0]
         assert (tmp_path / "curve.json").exists()
@@ -559,8 +559,7 @@ class TestDrive:
 
 def sweep_outputs(curve: SelectionCurve, tmp_path) -> list:
     """Every byte a sweep reports: each point's report, and the curve's CSV and summary."""
-    curve.to_csv(tmp_path / "curve.csv")
-    curve.to_json(tmp_path / "curve.json")
+    save_sweep(curve, tmp_path / "curve")
     return ([None if p.report is None else p.report.to_json() for p in curve.points]
             + [(tmp_path / name).read_bytes() for name in ("curve.csv", "curve.json")])
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcpde.criteria import ZeroNormGroupError, group_error_bar, rms_criterion
+from vcpde.dataio import save_report
 from vcpde import tbglss
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CHUNK_STEPS, normalize_columns
@@ -228,8 +229,7 @@ class TestReportSerialization:
         report = run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
             bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3)))
-        path = tmp_path / "report.json"
-        report.to_json(path)
+        path = save_report(report, tmp_path)["json"]
         doc = json.loads(path.read_text())
         assert doc["method"] == "tbglss"
         assert doc["provenance"] == {"seed": 3}

@@ -203,7 +203,8 @@ class TestReportIntegration:
     def test_bootstrap_cis_and_trace_dump(self, tmp_path):
         import numpy as np
 
-        from vcpde.gibbs import BglssConfig, dump_ensemble
+        from vcpde.dataio import save_trace
+        from vcpde.gibbs import BglssConfig
         from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
         from conftest import random_grouped_system
 
@@ -223,11 +224,11 @@ class TestReportIntegration:
         assert '"bootstrap_cis"' in report.to_json()
 
         npz = tmp_path / "trace.npz"
-        dump_ensemble(report.final_ensemble, npz)
+        save_trace(report.final_ensemble, npz)
         loaded = np.load(npz)
         np.testing.assert_array_equal(loaded["beta"], report.final_ensemble.beta)
 
         csv_path = tmp_path / "trace.csv"
-        dump_ensemble(report.final_ensemble, csv_path, fmt="csv")
+        save_trace(report.final_ensemble, csv_path)
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("draw,sigma2,pi0")

@@ -50,10 +50,11 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows, lineterminator: str = "\r\n") -> Path:
-    """A header row, then one row per item of `rows`, each cell written by `_cell`."""
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """A header row, then one row per item of `rows`, each cell written by `_cell`; every
+    row ends in \r\n."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_cell(value) for value in row] for row in rows)
     return path
@@ -195,30 +196,33 @@ def save_filter_sweep(curve: FilterSweepCurve, stem: str | Path) -> dict:
 def save_trace(ensemble: PosteriorEnsemble, path: str | Path) -> Path:
     """Write the retained draws for external diagnostics: a CSV of sigma2, pi0 and every
     coefficient per draw when `path` ends in .csv, else an npz archive of every field,
-    at `path` with .npz appended unless it ends in .npz.  Returns the path written."""
+    at `path` with .npz appended unless it ends in .npz; either suffix in any case.  Returns
+    the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.name.endswith(".csv"):
+    name = path.name.lower()
+    if name.endswith(".csv"):
         n, m, g = ensemble.beta.shape
         header = ["draw", "sigma2", "pi0"] + [
             f"{d}@{i}" for d in ensemble.descriptors for i in range(m)]
         flat = ensemble.beta.transpose(0, 2, 1).reshape(n, m * g)
         rows = ([str(k), ensemble.sigma2[k], ensemble.pi0[k], *flat[k].tolist()]
                 for k in range(n))
-        return _write_csv(path, header, rows, lineterminator="\n")  # the others end in \r\n
-    if not path.name.endswith(".npz"):
+        return _write_csv(path, header, rows)
+    if not name.endswith(".npz"):
         path = Path(f"{path}.npz")
-    np.savez_compressed(
-        path,
-        beta=ensemble.beta,
-        tau2=ensemble.tau2,
-        sigma2=ensemble.sigma2,
-        pi0=ensemble.pi0,
-        spike=ensemble.spike,
-        scales=ensemble.scales,
-        step_coords=ensemble.step_coords,
-        descriptors=np.array(ensemble.descriptors),
-        lam_used=ensemble.lam_used,
-        seed=ensemble.seed,
-    )
+    with open(path, "wb") as fh:  # given a name, numpy appends .npz to one ending in .NPZ
+        np.savez_compressed(
+            fh,
+            beta=ensemble.beta,
+            tau2=ensemble.tau2,
+            sigma2=ensemble.sigma2,
+            pi0=ensemble.pi0,
+            spike=ensemble.spike,
+            scales=ensemble.scales,
+            step_coords=ensemble.step_coords,
+            descriptors=np.array(ensemble.descriptors),
+            lam_used=ensemble.lam_used,
+            seed=ensemble.seed,
+        )
     return path

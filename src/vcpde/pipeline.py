@@ -29,8 +29,8 @@ from .gibbs import BglssConfig
 from .library import (CoefficientTrajectories, GroupedLinearSystem, LibrarySpec,
                       assemble_grouped_system, evaluate_terms)
 from .baselines import GroupLassoConfig, SgtrConfig
-from .pool import Workers
-from .selection import METHODS, default_grid, drive, fit, sweep
+from .pool import drive
+from .selection import METHODS, default_grid, fit, sweep
 from .solvers import (PdeScenario, add_noise, make_scenario, scenario_from_metadata, solve,
                       true_coefficients)
 from .tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec
@@ -265,7 +265,7 @@ def paper_grid(seed: int, only: str | None = None) -> list:
     named `burgers_<part>_<label>`: the data MSE (a float), each filter kind's
     sweep (a FilterSweepCurve), and the tbglss report on the data unfiltered and
     moving-averaged over 13 points.  Each family the cells need is solved once,
-    here; each distinct task runs once on `pool.Workers` (`selection.drive`), so
+    here; each distinct task runs once on worker processes (`pool.drive`), so
     the unfiltered arm is the `burgers_noise0.05_tbglss` report itself.
     """
     fits = [(f"{family}_noise{noise:g}_{method}", ("fit", family, noise, method, None))
@@ -284,13 +284,13 @@ def paper_grid(seed: int, only: str | None = None) -> list:
     solved = {family: simulate_dataset(make_scenario(family), seed=seed)
               for family in dict.fromkeys(key[1] for _, _, key in rows)}
     keys = [key for _, _, key in rows]
-    with Workers(partial(_paper_task, solved, seed), len(set(keys))) as workers:
-        results = drive([_ask(key) for key in keys], workers)
+    results = drive([_ask(key) for key in keys], partial(_paper_task, solved, seed),
+                    len(set(keys)))
     return [(cell, name, result) for (cell, name, _), result in zip(rows, results)]
 
 
 def _ask(key: tuple):
-    """A loop for `selection.drive` that needs the one task `key` and returns its result."""
+    """A loop for `pool.drive` that needs the one task `key` and returns its result."""
     return (yield key)
 
 

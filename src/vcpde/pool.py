@@ -1,12 +1,14 @@
 """Worker processes forked from this one, for independent tasks on shared inputs.
 
-`Workers(run, n_tasks)` forks its workers once.  Each inherits `run` and what
-it holds (a sweep's system with its Gram cached, say), so a task sends only
-its own small description and its result comes back pickled.  With one CPU,
-one task, no `fork` start method, another thread running or inside a worker,
-each task runs in this process when it is submitted.  No thread is started:
-results are read in the caller's thread, so they are allocated where an inline
-run would allocate them.
+`drive(loops, run, n_tasks)` is the one way a task runs: each loop is a
+generator that yields the key of each task it needs, and each distinct key runs
+once as `run(key)` on `Workers(run, n_tasks)`.  Those fork their workers once.
+Each inherits `run` and what it holds (a sweep's system with its Gram cached,
+say), so a task sends only its own small description and its result comes back
+pickled.  With one CPU, one task, no `fork` start method, another thread
+running or inside a worker, each task runs in this process when it is
+submitted.  No thread is started: results are read in the caller's thread, so
+they are allocated where an inline run would allocate them.
 """
 
 from __future__ import annotations
@@ -98,6 +100,45 @@ class Workers:
             self._send()
         finished, self.finished = self.finished, []
         return finished
+
+
+def drive(loops: list, run: Callable, n_tasks: int) -> list:
+    """Run each loop, a generator that yields the key of each task it needs and is sent
+    its result, to the value it returns, in this thread; the values in loop order.
+
+    Each key is one task `run(key)` of `Workers(run, n_tasks)`, run once: a loop asking
+    for a finished key gets its result at once, and the loops waiting on a key in flight
+    resume when it completes, in the order they asked.  A task's error is not kept: it is
+    thrown into each loop waiting on it, and one a loop does not catch is raised here.
+    """
+    returned: list = [None] * len(loops)
+    results: dict = {}  # finished key -> its result
+    waiting: dict = {}  # key in flight -> indices of the loops waiting on it
+    with Workers(run, n_tasks) as workers:
+
+        def resume(index, value=None, error=None):
+            loop = loops[index]
+            try:
+                key = loop.send(value) if error is None else loop.throw(error)
+                while key in results:
+                    key = loop.send(results[key])
+            except StopIteration as done:
+                returned[index] = done.value
+                return
+            if key not in waiting:
+                waiting[key] = []
+                workers.submit(key)
+            waiting[key].append(index)
+
+        for index in range(len(loops)):
+            resume(index)
+        while waiting:
+            for key, value, error in workers.collect():
+                if error is None:
+                    results[key] = value
+                for index in waiting.pop(key):
+                    resume(index, value, error)
+    return returned
 
 
 def _outcome(run: Callable, task) -> tuple:

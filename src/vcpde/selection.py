@@ -5,11 +5,11 @@ method runs.  `fit` runs tbglss, SGTR or group lasso on a grouped system and
 scores the result with the AIC-inspired loss; a baseline's parameter left None
 is chosen by the lowest loss over its default grid.  `sweep` fits once per
 value of one parameter and records every criterion (see `criteria`), keeping
-each point's report so a parameter chosen on a grid needs no second fit.  A
-tbglss or lambda sweep runs its work on worker processes forked from this one,
-one per CPU it may use.  An SGTR threshold grid is one path in this process,
-sharing its ridge fits and losses between thresholds; a fixed-threshold SGTR
-`fit` is that path with one threshold.
+each point's report so a parameter chosen on a grid needs no second fit.  Every
+point is a loop on `pool.drive`: a tbglss or lambda sweep runs its tasks on
+worker processes forked from this one, one per CPU it may use, while an SGTR
+point asks for no task and fits in this process, sharing the sweep's ridge fits
+and losses with the other thresholds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .baselines import GroupLassoConfig, SgtrConfig, group_lasso, group_lasso_nu
 from .criteria import aic_loss, coefficient_mse
 from .gibbs import SamplerError
 from .library import CoefficientTrajectories, GroupedLinearSystem
-from .pool import Workers
+from .pool import drive
 from .tbglss import DiscoveryReport, TbglssConfig, _chain, run_tbglss, threshold_loop
 
 # Each method's config type: a config's type is the method it runs.
@@ -68,10 +68,7 @@ def fit(system: GroupedLinearSystem,
         return replace(report, provenance={**report.provenance,
                                            "selected_by": f"lowest loss over {axis} grid"})
     if isinstance(config, SgtrConfig):
-        [(report, error)] = _sgtr_path(system, [value], config.ridge)
-        if error is not None:
-            raise error
-        return report
+        return _sgtr_report(system, config, {}, {})
     result = group_lasso(system, config)
     report = _baseline_report(result.trajectories, result.beta_normalized, "group_lasso",
                               {"lam": config.lam, "converged": result.converged,
@@ -85,30 +82,22 @@ def fit(system: GroupedLinearSystem,
     return _scored(system, report)
 
 
-def _sgtr_path(system: GroupedLinearSystem, thresholds: list, ridge: float,
-               outcome=lambda threshold, report: report) -> list:
-    """SGTR fitted and scored at each threshold: (outcome(threshold, report), None), or
-    (None, error) where the fit or `outcome` raised one of POINT_ERRORS.
+def _sgtr_report(system: GroupedLinearSystem, config: SgtrConfig, fits: dict,
+                 losses: dict) -> DiscoveryReport:
+    """SGTR fitted at `config`'s threshold and scored.
 
-    The thresholds share one memo of ridge fits (`sgtr`'s `fits`), so each distinct
-    active set is solved once, and one loss per final support: the same support has the
-    same coefficients, so the same `aic_loss`.  Both memos live for this call only.
+    `fits` is `sgtr`'s memo of ridge fits, so each distinct active set is solved
+    once, and `losses` holds one loss per final support: the same support has the
+    same coefficients, so the same `aic_loss`.  A sweep shares both between its
+    thresholds.
     """
-    fits: dict = {}
-    losses: dict = {}
-    results = []
-    for threshold in thresholds:
-        try:
-            trajectories = sgtr(system, SgtrConfig(threshold=threshold, ridge=ridge), fits)
-            report = _baseline_report(trajectories, trajectories.values * system.scales, "sgtr",
-                                      {"threshold": threshold, "ridge": ridge})
-            support = tuple(np.flatnonzero(trajectories.active).tolist())
-            if support not in losses:
-                losses[support] = _scored(system, report).loss
-            results.append((outcome(threshold, replace(report, loss=losses[support])), None))
-        except POINT_ERRORS as exc:
-            results.append((None, exc))
-    return results
+    trajectories = sgtr(system, config, fits)
+    report = _baseline_report(trajectories, trajectories.values * system.scales, "sgtr",
+                              {"threshold": config.threshold, "ridge": config.ridge})
+    support = tuple(np.flatnonzero(trajectories.active).tolist())
+    if support not in losses:
+        losses[support] = _scored(system, report).loss
+    return replace(report, loss=losses[support])
 
 
 def _scored(system: GroupedLinearSystem, report: DiscoveryReport) -> DiscoveryReport:
@@ -177,24 +166,25 @@ def sweep(
     """Fit `base` once per grid value of `axis` and record all criteria.
 
     The axis implies the method, whose config type `base` must have; `base` holds
-    the parameters that are not swept, e.g. t_rms while sweeping t_ge.  The
-    tbglss points share their chains through `drive`, so a chain that several
-    threshold values run (the screening chains on the full support, say) is
-    sampled once and every point's report is the same as a standalone `fit`'s.
-    A point failing with one of POINT_ERRORS, or whose report is `unscored`, is
-    recorded on the curve as failed and no argmin uses it.  Every other point
-    takes its scores from its report, so a model with no term has no total
-    error bar and is never the total-error-bar argmin.
+    the parameters that are not swept, e.g. t_rms while sweeping t_ge.  Each
+    point's config is built before any fit, so a grid value its config rejects
+    (a threshold or lambda <= 0, say) raises that ValueError.  The points are
+    loops on `pool.drive`, which runs each distinct task once, so a chain that
+    several threshold values run (the screening chains on the full support,
+    say) is sampled once and every point's report is the same as a standalone
+    `fit`'s.  A point failing with one of POINT_ERRORS, or whose report is
+    `unscored`, is recorded on the curve as failed and no argmin uses it.  Every
+    other point takes its scores from its report, so a model with no term has no
+    total error bar and is never the total-error-bar argmin.
 
-    An SGTR threshold grid runs here as one path (`_sgtr_path`): each
-    distinct ridge fit and each distinct final support's loss is computed
-    once.  Those few fits take less time than forking workers and sending the
-    reports back would.  Other sweeps run on worker processes forked once per
-    sweep (`pool.Workers`): each distinct tbglss chain is one task, and so is
-    each group-lasso point.  Points come back in grid order, warnings raised
-    in a worker are raised again here, and every report is the same as when
-    run in this process.  A sweep keeps no posterior draws, so a tbglss `base`
-    must leave `with_ci` and `keep_final_ensemble` unset.
+    An SGTR point asks for no task: it fits here, on the sweep's memos of ridge
+    fits and losses (`_sgtr_report`), and those few fits take less time than
+    forking would, so an SGTR sweep asks `drive` for one worker.  Other sweeps
+    fork their workers once: each distinct tbglss chain is one task, and so is
+    each group-lasso point, keyed by its config.  Points come back in grid order,
+    warnings raised in a worker are raised again here, and every report is the
+    same as when run in this process.  A sweep keeps no posterior draws, so a
+    tbglss `base` must leave `with_ci` and `keep_final_ensemble` unset.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -212,16 +202,12 @@ def sweep(
             raise ValueError(f"a sweep keeps no posterior draws: set {name} only for fit "
                              f"or run_tbglss")
     values = [float(v) for v in grid]
-    if axis == "sgtr_threshold":
-        path = _sgtr_path(system, values, base.ridge,
-                          lambda v, report: _sweep_point(report, v, truth))
-        points = [point if error is None else _failed_point(v, error)
-                  for v, (point, error) in zip(values, path)]
-    else:
-        loops = [_point_loop(system, _point_config(base, axis, v), v, truth) for v in values]
-        system.gram()  # cached before the workers fork, so each inherits it
-        with Workers(partial(_work, system, truth), len(values)) as workers:
-            points = drive(loops, workers)
+    fits, losses = {}, {}  # the SGTR points' memos, shared by the sweep
+    loops = [_point_loop(system, _point_config(base, axis, v), v, truth, fits, losses)
+             for v in values]
+    system.gram()  # cached before the workers fork, so each inherits it
+    points = drive(loops, partial(_work, system),
+                   1 if axis == "sgtr_threshold" else len(values))
     argmin = {}
     for crit in ("loss", "total_error_bar", "coefficient_mse"):
         best = [(getattr(p, crit), p.value) for p in points if getattr(p, crit) is not None]
@@ -230,16 +216,21 @@ def sweep(
     return SelectionCurve(axis, tuple(points), argmin)
 
 
-def _point_loop(system: GroupedLinearSystem, config: TbglssConfig | GroupLassoConfig,
-                value: float, truth: CoefficientTrajectories | None):
-    """One sweep point as a generator: yields the key of each task it needs and returns its
-    SweepPoint, failed if the point raised one of POINT_ERRORS.  A tbglss point asks for its
-    chains; a group-lasso point is one task."""
+def _point_loop(system: GroupedLinearSystem,
+                config: TbglssConfig | SgtrConfig | GroupLassoConfig, value: float,
+                truth: CoefficientTrajectories | None, fits: dict, losses: dict):
+    """One sweep point as a loop for `pool.drive`: yields the key of each task it needs and
+    returns its SweepPoint, failed if the point raised one of POINT_ERRORS.  A tbglss point
+    asks for its chains, a group-lasso point for its config's report; an SGTR point fits
+    here, on the sweep's memos, and asks for nothing."""
     try:
-        if isinstance(config, GroupLassoConfig):
-            return (yield value, config)
-        report = yield from threshold_loop(system, config)
-        return _sweep_point(_scored(system, report), value, truth)
+        if isinstance(config, SgtrConfig):
+            report = _sgtr_report(system, config, fits, losses)
+        elif isinstance(config, GroupLassoConfig):
+            report = yield config
+        else:
+            report = _scored(system, (yield from threshold_loop(system, config)))
+        return _sweep_point(report, value, truth)
     except POINT_ERRORS as exc:
         return _failed_point(value, exc)
 
@@ -257,59 +248,20 @@ def _sweep_point(report: DiscoveryReport, value: float,
                       report=report)
 
 
-def _work(system: GroupedLinearSystem, truth: CoefficientTrajectories | None, key: tuple):
-    """One task: a tbglss chain, or a whole group-lasso point (key = (value, config))."""
-    if isinstance(key[1], GroupLassoConfig):
-        value, config = key
-        return _sweep_point(fit(system, config), value, truth)
+def _work(system: GroupedLinearSystem, key):
+    """One task: a group-lasso point's report (key = its config), or a tbglss chain."""
+    if isinstance(key, GroupLassoConfig):
+        return fit(system, key)
     return _chain(system, key)
 
 
-def drive(loops: list, workers: Workers) -> list:
-    """Run each loop, a generator that yields the key of each task it needs and is sent
-    its result, to the value it returns, in this thread; the values in loop order.
-
-    Each key is one task of `workers`, run once: a loop asking for a finished key gets
-    its result at once, and the loops waiting on a key in flight resume when it
-    completes, in the order they asked.  A task's error is not kept: one of
-    POINT_ERRORS is raised in each loop waiting on it, any other here.
-    """
-    returned: list = [None] * len(loops)
-    results: dict = {}  # finished key -> its result
-    waiting: dict = {}  # key in flight -> indices of the loops waiting on it
-
-    def resume(index, value=None, error=None):
-        loop = loops[index]
-        try:
-            key = loop.send(value) if error is None else loop.throw(error)
-            while key in results:
-                key = loop.send(results[key])
-        except StopIteration as done:
-            returned[index] = done.value
-            return
-        if key not in waiting:
-            waiting[key] = []
-            workers.submit(key)
-        waiting[key].append(index)
-
-    for index in range(len(loops)):
-        resume(index)
-    while waiting:
-        for key, value, error in workers.collect():
-            if error is not None and not isinstance(error, POINT_ERRORS):
-                raise error
-            if error is None:
-                results[key] = value
-            for index in waiting.pop(key):
-                resume(index, value, error)
-    return returned
-
-
-def _point_config(base: TbglssConfig | GroupLassoConfig, axis: str,
-                  value: float) -> TbglssConfig | GroupLassoConfig:
+def _point_config(base: TbglssConfig | SgtrConfig | GroupLassoConfig, axis: str,
+                  value: float) -> TbglssConfig | SgtrConfig | GroupLassoConfig:
     """`base` with the swept parameter set to `value`."""
     if axis == "lambda":
         return replace(base, lam=value)
+    if axis == "sgtr_threshold":
+        return replace(base, threshold=value)
     return replace(base, thresholds=replace(base.thresholds, **{axis: value}))
 
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .criteria import group_error_bar, rms_criterion, total_error_bar
 from .gibbs import MIN_RETAINED_DRAWS, BglssConfig, PosteriorEnsemble, sample_posterior
 from .library import CHUNK_STEPS, CoefficientTrajectories, GroupedLinearSystem
+from .pool import drive
 from .uncertainty import ensemble_bootstrap_cis
 
 
@@ -253,26 +255,21 @@ def run_tbglss(system: GroupedLinearSystem, config: TbglssConfig) -> DiscoveryRe
     When a screening update removes nothing, the same support is re-run at the
     final length; only that confirmed update is committed, so every committed
     update except the last removes at least one group.  The report's loss is
-    left to `selection.fit`, which scores every method alike.  Each chain
-    `threshold_loop` asks for is sampled here; its seed derives from its update, so none repeats.
+    left to `selection.fit`, which scores every method alike.  `threshold_loop`
+    is driven on one worker (`pool.drive`), so each chain is sampled in this
+    process; its seed derives from its update, so none repeats.
     """
-    loop = threshold_loop(system, config)
-    try:
-        key = next(loop)
-        while True:
-            key = loop.send(_chain(system, key))
-    except StopIteration as done:
-        return done.value
+    return drive([threshold_loop(system, config)], partial(_chain, system), 1)[0]
 
 
 def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig):
-    """`run_tbglss` as a generator that leaves the sampling to its driver.
+    """`run_tbglss` as a loop for `pool.drive`, which does the sampling.
 
     For each chain it yields the chain's key and expects `_chain(system, key)`
     sent back; it returns the report.  Only the confirming chain keeps its
     draws, and only for `with_ci` or `keep_final_ensemble`, which
-    `selection.sweep` rejects: a sweep drives many such loops on one system
-    and samples each distinct key once (`selection.drive`).
+    `selection.sweep` rejects: a sweep drives many such loops on one system,
+    so each distinct key is sampled once.
     """
     bglss = config.bglss
     hyper = {"pi0": bglss.pi0, "lam": float(bglss.lam), "final_iterations": bglss.n_iterations,

@@ -426,6 +426,19 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {method} does not use --t-ge\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("axis, message", [
+        ("sgtr_threshold", "threshold must be positive, got 0.0"),
+        ("lambda", "lam must be positive, got 0.0"),
+    ])
+    def test_sweep_rejects_a_grid_value_at_zero(self, small_dataset, tmp_path, capsys, axis,
+                                                message):
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("sweep", "--dataset", str(path), "--axis", axis,
+                        "--range", "0:0.1:2", "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("sweep_*"))
+
     def test_sweep_rejects_the_swept_thresholds_option(self, small_dataset, tmp_path, capsys):
         path = save_dataset(small_dataset, tmp_path / "d.json")
         code = self.run("sweep", "--dataset", str(path), "--axis", "t_rms", "--t-rms", "0.5",
@@ -617,10 +630,12 @@ class TestCli:
         assert (tmp_path / "ci_out" / "trace.npz").exists()
 
     def test_dump_trace_prints_the_path_it_wrote(self, small_burgers_clean, tmp_path, capsys):
-        # an npz archive gets .npz appended unless its name ends in it; a .csv name is a CSV
+        # an npz archive gets .npz appended unless its name ends in it; a .csv name is a CSV,
+        # either suffix in any case
         data = str(save_dataset(small_burgers_clean, tmp_path / "d.json"))
         for name, written in (("trace", "trace.npz"), ("t.txt", "t.txt.npz"),
-                              ("t.npz", "t.npz"), ("t.csv", "t.csv")):
+                              ("t.npz", "t.npz"), ("t.csv", "t.csv"), ("t.CSV", "t.CSV"),
+                              ("t.NPZ", "t.NPZ")):
             out = tmp_path / f"out_{name}"
             assert self.run("discover", "--dataset", data, "--t-rms", "0.02", "--t-ge", "0.1",
                             "--iterations", "120", "--burnin", "30", "--update-iterations", "60",
@@ -898,7 +913,7 @@ class TestCli:
                                                                    capsys):
         written = {}
         for workers in (1, 2):
-            monkeypatch.setattr(pool, "worker_count", lambda n_tasks: workers)
+            monkeypatch.setattr(pool, "worker_count", lambda n_tasks: min(workers, n_tasks))
             out = tmp_path / str(workers)
             assert self.run("reproduce-paper", "--only", "noise0_sgtr", "--output", str(out)) == 0
             files = {path.relative_to(out): path.read_bytes()

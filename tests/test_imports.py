@@ -1,6 +1,6 @@
 """Import hygiene of the package: imports sit at module top, criteria is a leaf, tbglss does
 not import selection at run time, only the CLI prints, only dataio writes files (and only it
-and the CLI import csv or pathlib), and the package runs on numpy alone:
+and the CLI import csv or pathlib), only pool runs tasks, and the package runs on numpy alone:
 neither importing the CLI nor running it loads any scipy module.  Every vcpde name the
 benchmark in perfbench/ imports or traces, and every one the README's examples import,
 exists."""
@@ -111,6 +111,24 @@ def test_only_dataio_writes_files():
                         for node in _imports(ast.parse(path.read_text()))
                         if {"csv", "pathlib"} & {name.split(".")[0] for name in _modules(node)})
     assert not io_imports, f"csv or pathlib imported outside dataio.py and cli.py: {io_imports}"
+
+
+def _runs_tasks(node) -> bool:
+    """Whether `node` imports a module that starts processes or threads, or names `Workers`."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = _modules(node)
+        return (bool({"multiprocessing", "threading", "concurrent"}
+                     & {name.split(".")[0] for name in names})
+                or any(name.split(".")[-1] == "Workers" for name in names))
+    return "Workers" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def test_only_pool_runs_tasks():
+    # `pool.drive` is the one way a task runs: no other module starts a process or a thread,
+    # or opens workers of its own
+    found = sorted(f"{path.name}:{node.lineno}" for path in MODULES if path.name != "pool.py"
+                   for node in ast.walk(ast.parse(path.read_text())) if _runs_tasks(node))
+    assert not found, f"processes, threads or Workers outside pool.py: {found}"
 
 
 def _scipy_modules_after(code, *args):

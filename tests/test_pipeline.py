@@ -211,7 +211,7 @@ class TestDiscover:
 
     def test_grid_choice_reuses_the_point_fit(self, small_noisy_dataset, monkeypatch):
         # SGTR's grid runs here and the lambda path's points on two workers: count each fit
-        # here and each point dispatched to them
+        # here and each point (keyed by its config) dispatched to them
         fitted = {"sgtr": [], "group_lasso": []}
         original_sgtr, original_lasso, submit = selection.sgtr, selection.group_lasso, \
             pool.Workers.submit
@@ -224,15 +224,14 @@ class TestDiscover:
             fitted["group_lasso"].append(config.lam)
             return original_lasso(system, config)
 
-        def dispatched(workers, key):
-            _, config = key
+        def dispatched(workers, config):
             fitted["group_lasso"].append(config.lam)
-            return submit(workers, key)
+            return submit(workers, config)
 
         monkeypatch.setattr(selection, "sgtr", counted_sgtr)
         monkeypatch.setattr(selection, "group_lasso", counted_lasso)
         monkeypatch.setattr(pool.Workers, "submit", dispatched)
-        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 2)
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: min(2, n_tasks))
         sgtr_report = discover(small_noisy_dataset, SgtrConfig())
         lasso_report = discover(small_noisy_dataset, GroupLassoConfig())
         assert fitted["sgtr"] == default_grid("sgtr_threshold").tolist()  # here, no refit

@@ -117,3 +117,70 @@ class TestWorkers:
             n_nested, pid, nested_done = result
             assert n_nested == 0 and pid != os.getpid()
             assert nested_done == {task: ((task, pid), None), task + 10: ((task + 10, pid), None)}
+
+
+def asking(*keys):
+    """A loop for `pool.drive` that asks for `keys` in turn and returns what it was sent for
+    each, or the message of the ValueError thrown into it."""
+    answers = []
+    for key in keys:
+        try:
+            answers.append((yield key))
+        except ValueError as exc:
+            answers.append(str(exc))
+    return answers
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """The key of each task the driver submits."""
+    keys, submit = [], pool.Workers.submit
+    monkeypatch.setattr(pool.Workers, "submit",
+                        lambda workers, key: keys.append(key) or submit(workers, key))
+    return keys
+
+
+class TestDrive:
+    """`pool.drive` runs each task once, keeps only what succeeded, and throws a task's error
+    into each loop waiting on it."""
+
+    @pytest.fixture(params=[1, 2], ids=["inline", "forked"])
+    def n_workers(self, request, monkeypatch):
+        # at most one worker per task, as `worker_count` gives, so a one-task drive runs here
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: min(request.param, n_tasks))
+        return request.param
+
+    def test_a_finished_key_is_answered_without_a_second_task(self, n_workers, submitted):
+        loops = [asking("a", "b"), asking("b", "a"), asking("a"), asking("b", "b")]
+        answers = pool.drive(loops, str.upper, 2)
+        assert answers == [["A", "B"], ["B", "A"], ["A"], ["B", "B"]]
+        assert sorted(submitted) == ["a", "b"]
+
+    def test_a_key_whose_task_failed_is_submitted_again(self, monkeypatch, submitted):
+        # inline, so the second loop asks for "bad" after its first task failed
+        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
+
+        def run(key):
+            if key == "bad":
+                raise ValueError("no result for bad")
+            return key.upper()
+
+        answers = pool.drive([asking("bad"), asking("ok", "bad")], run, 2)
+        assert answers == [["no result for bad"], ["OK", "no result for bad"]]
+        assert submitted == ["bad", "ok", "bad"]
+
+    def test_a_loop_decides_what_a_task_error_means(self, n_workers):
+        # every error is thrown into the loops waiting on it; one a loop lets through is raised
+        def run(key):
+            raise KeyError(key)
+
+        def catching(key):
+            try:
+                yield key
+            except KeyError as exc:
+                return exc.args
+
+        assert pool.drive([catching("a"), catching("a")], run, 2) == [("a",), ("a",)]
+        with pytest.raises(KeyError) as raised:
+            pool.drive([asking("b"), asking("c")], run, 2)
+        assert raised.value.args in {("b",), ("c",)}

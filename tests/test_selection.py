@@ -352,6 +352,21 @@ class TestSweep:
         with pytest.raises(ValueError, match="must be finite"):
             sweep(system, "sgtr_threshold", np.array(grid), SgtrConfig())
 
+    @pytest.mark.parametrize("axis,grid,base,message", [
+        ("sgtr_threshold", [0.0, 0.1], SgtrConfig(), "threshold must be positive, got 0.0"),
+        ("lambda", [0.0, 0.1], GroupLassoConfig(), "lam must be positive, got 0.0"),
+        ("t_rms", [-0.1, 0.1], TbglssConfig(thresholds=ThresholdSpec(t_ge=0.1)),
+         "t_rms must be nonnegative, got -0.1"),
+    ], ids=["sgtr", "lambda", "t_rms"])
+    def test_a_value_its_config_rejects_raises_before_any_fit(self, monkeypatch, axis, grid,
+                                                              base, message):
+        for module, name in ((selection, "sgtr"), (selection, "group_lasso"),
+                             (tbglss, "sample_posterior")):
+            monkeypatch.setattr(module, name, None)  # a fit would raise TypeError
+        system, _ = perfect_fit_system(seed=6)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(system, axis, np.array(grid), base)
+
     def test_csv_and_json_outputs(self, tmp_path):
         system, _ = perfect_fit_system(seed=7)
         curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.5]), SgtrConfig())
@@ -368,27 +383,18 @@ def burgers_one_percent(small_burgers_clean):
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Sweeps run on two worker processes, however many CPUs this machine has."""
-    monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 2)
+    """Runs with two or more tasks use two worker processes, however many CPUs this machine
+    has; one that asks for one worker, like `run_tbglss` or an SGTR sweep, runs here."""
+    monkeypatch.setattr(pool, "worker_count", lambda n_tasks: min(2, n_tasks))
 
 
 @pytest.fixture
 def sampled(monkeypatch, pooled):
-    """The key of each chain in order: computed here by a standalone run, or dispatched to a
-    worker by a sweep."""
-    keys = []
-    compute, submit = tbglss._chain, pool.Workers.submit
-
-    def computing(system, key):
-        keys.append(key)
-        return compute(system, key)
-
-    def dispatching(workers, key):
-        keys.append(key)
-        return submit(workers, key)
-
-    monkeypatch.setattr(tbglss, "_chain", computing)
-    monkeypatch.setattr(pool.Workers, "submit", dispatching)
+    """The key of each task `pool.drive` submits, in order: a chain run here by a standalone
+    run, or dispatched to a worker by a sweep."""
+    keys, submit = [], pool.Workers.submit
+    monkeypatch.setattr(pool.Workers, "submit",
+                        lambda workers, key: keys.append(key) or submit(workers, key))
     return keys
 
 
@@ -482,20 +488,33 @@ class TestSweepSharesChains:
         configs = [replace(base, thresholds=spec)
                    for spec in (ThresholdSpec(t_rms=(rms[k - 1] + rms[k]) / 2),
                                 ThresholdSpec(t_ge=(ge[k - 1] + ge[k]) / 2))]
-        with pool.Workers(partial(tbglss._chain, system), len(configs)) as workers:
-            shared = selection.drive([tbglss.threshold_loop(system, config)
-                                      for config in configs], workers)
+        shared = pool.drive([tbglss.threshold_loop(system, config) for config in configs],
+                            partial(tbglss._chain, system), len(configs))
         first, second = (r.update_history[0].removed for r in shared)
         assert len(first) == len(second) and set(first) != set(second)
         for config, report in zip(configs, shared):
             assert report.to_json() == run_tbglss(system, config).to_json()
 
-    def test_a_run_never_asks_for_a_key_twice(self, burgers_one_percent, sampled):
-        # each chain's seed derives from its update's index, so run_tbglss needs no memo
+    def test_a_run_never_asks_for_a_key_twice(self, burgers_one_percent, monkeypatch):
+        # each chain's seed derives from its update's index, so run_tbglss needs no memo; the
+        # keys are those the loop asks for, as `pool.drive` would answer a repeat from its own
+        asked, loop = [], tbglss.threshold_loop
+
+        def asking_loop(system, config):
+            run = loop(system, config)
+            key = next(run)
+            while True:
+                asked.append(key)
+                try:
+                    key = run.send((yield key))
+                except StopIteration as done:
+                    return done.value
+
+        monkeypatch.setattr(tbglss, "threshold_loop", asking_loop)
         report = run_tbglss(burgers_one_percent,
                             replace(self.BASE, final_chains=2, with_ci=True))
         assert report.chain_medians.shape[0] == 2 and report.bootstrap_cis is not None
-        assert report.n_updates > 1 and len(sampled) == len(set(sampled)) > report.n_updates
+        assert report.n_updates > 1 and len(asked) == len(set(asked)) > report.n_updates
 
     def test_back_to_back_sweeps_share_nothing(self, burgers_one_percent, sampled):
         grid = np.linspace(0.02, 0.22, 4)
@@ -506,55 +525,6 @@ class TestSweepSharesChains:
         assert Counter(sampled) == Counter(once + once)
         assert [p.report.to_json() for p in first.points] == [
             p.report.to_json() for p in second.points]
-
-
-def asking(*keys):
-    """A loop for `selection.drive` that asks for `keys` in turn and returns what it was sent
-    for each, or the message of the point error raised in it."""
-    answers = []
-    for key in keys:
-        try:
-            answers.append((yield key))
-        except ValueError as exc:
-            answers.append(str(exc))
-    return answers
-
-
-@pytest.fixture
-def submitted(monkeypatch):
-    """The key of each task the driver submits."""
-    keys, submit = [], pool.Workers.submit
-    monkeypatch.setattr(pool.Workers, "submit",
-                        lambda workers, key: keys.append(key) or submit(workers, key))
-    return keys
-
-
-class TestDrive:
-    """`selection.drive` runs each task once and keeps only what succeeded."""
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_a_finished_key_is_answered_without_a_second_task(self, monkeypatch, submitted,
-                                                              n_workers):
-        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: n_workers)
-        loops = [asking("a", "b"), asking("b", "a"), asking("a"), asking("b", "b")]
-        with pool.Workers(str.upper, 2) as workers:
-            answers = selection.drive(loops, workers)
-        assert answers == [["A", "B"], ["B", "A"], ["A"], ["B", "B"]]
-        assert sorted(submitted) == ["a", "b"]
-
-    def test_a_key_whose_task_failed_is_submitted_again(self, monkeypatch, submitted):
-        # inline, so the second loop asks for "bad" after its first task failed
-        monkeypatch.setattr(pool, "worker_count", lambda n_tasks: 1)
-
-        def run(key):
-            if key == "bad":
-                raise ValueError("no result for bad")
-            return key.upper()
-
-        with pool.Workers(run, 2) as workers:
-            answers = selection.drive([asking("bad"), asking("ok", "bad")], workers)
-        assert answers == [["no result for bad"], ["OK", "no result for bad"]]
-        assert submitted == ["bad", "ok", "bad"]
 
 
 def sweep_outputs(curve: SelectionCurve, tmp_path) -> list:
@@ -589,11 +559,27 @@ class TestParallelSweep:
         grid = default_grid(axis, system)[::4] if grid is None else grid
         curves = {}
         for workers in (1, 2):
-            monkeypatch.setattr(pool, "worker_count", lambda n_tasks: workers)
+            monkeypatch.setattr(pool, "worker_count", lambda n_tasks: min(workers, n_tasks))
             curves[workers] = sweep(system, axis, grid, base)
             (tmp_path / str(workers)).mkdir()
         assert (sweep_outputs(curves[1], tmp_path / "1")
                 == sweep_outputs(curves[2], tmp_path / "2"))
+
+    def test_sgtr_runs_open_no_worker_process(self, burgers_one_percent, monkeypatch, pooled):
+        # an SGTR sweep, and the grid of a fit choosing its threshold, ask for one worker
+        opened, init = [], pool.Workers.__init__
+
+        def counted(workers, run, n_tasks):
+            init(workers, run, n_tasks)
+            opened.append(len(workers.processes))
+
+        monkeypatch.setattr(pool.Workers, "__init__", counted)
+        system = burgers_one_percent
+        sweep(system, "sgtr_threshold", default_grid("sgtr_threshold"), SgtrConfig())
+        assert fit(system, SgtrConfig()).provenance["selected_by"]
+        assert opened == [0, 0]
+        sweep(system, "lambda", default_grid("lambda", system)[::10], GroupLassoConfig())
+        assert opened == [0, 0, 2]  # the lambda path's two points run on two workers
 
     def test_worker_warnings_are_raised_again_here(self, monkeypatch, pooled):
         # the lambda path's points run on two workers; an SGTR grid runs here

@@ -203,8 +203,10 @@ class TestReportIntegration:
     def test_bootstrap_cis_and_trace_dump(self, tmp_path):
         import numpy as np
 
-        from vcpde.dataio import save_trace
+        from vcpde.baselines import SgtrConfig
+        from vcpde.dataio import save_sweep, save_trace
         from vcpde.gibbs import BglssConfig
+        from vcpde.selection import sweep
         from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
         from conftest import random_grouped_system
 
@@ -232,3 +234,11 @@ class TestReportIntegration:
         save_trace(report.final_ensemble, csv_path)
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("draw,sigma2,pi0")
+        # every CSV the package writes ends its rows alike
+        save_sweep(sweep(system, "sgtr_threshold", np.array([0.01, 0.1]), SgtrConfig()),
+                   tmp_path / "curve")
+        n_draws = report.final_ensemble.beta.shape[0]
+        for name, n_rows in (("trace.csv", n_draws), ("curve.csv", 2)):
+            *rows, last = (tmp_path / name).read_bytes().split(b"\r\n")
+            assert len(rows) == 1 + n_rows and last == b""
+            assert not any(b"\n" in row for row in rows)

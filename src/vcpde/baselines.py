@@ -41,11 +41,10 @@ class SgtrConfig:
 
 @dataclass(frozen=True)
 class GroupLassoConfig:
-    """Penalty and block-coordinate-descent stopping rule."""
+    """Penalty and block-coordinate-descent tolerance (`group_lasso` stops after MAX_SWEEPS)."""
 
     lam: float | None = None  # None: `selection.fit` chooses it by loss on a grid
     tolerance: float = 1e-6
-    max_sweeps: int = 10000
 
     def __post_init__(self):
         # negated comparisons, so that NaN fails them too
@@ -134,6 +133,7 @@ ADMM_MAX_ITERATIONS = 5000
 ADMM_STALL_ITERATIONS = 1000
 POLISH_NEWTON_STEPS = 20
 POLISH_TOL = 1e-12  # Newton's stop: each active group's stationarity violation relative to lam
+MAX_SWEEPS = 10000  # block-descent sweeps before `group_lasso` stops unconverged and warns
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def group_lasso(system: GroupedLinearSystem, config: GroupLassoConfig) -> GroupL
     minimization is exact, beta_g <- max(0, 1 - lam/||c_g||) c_g with c_g the
     group's residual correlation, so the objective never increases.  The fit
     has converged when one sweep moves no group by `tolerance` or more;
-    otherwise it stops after `max_sweeps` and warns.  `kkt_residual` certifies
+    otherwise it stops after MAX_SWEEPS and warns.  `kkt_residual` certifies
     the result: its largest group stationarity violation relative to lam
     (`_kkt_residual`).
     """
@@ -171,8 +171,7 @@ def group_lasso(system: GroupedLinearSystem, config: GroupLassoConfig) -> GroupL
     v_cache = np.matmul(gram, beta[:, :, None])[:, :, 0]
     objective = []
     converged = False
-    sweeps = 0
-    for sweeps in range(1, config.max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         max_change = 0.0
         for g in range(n_groups):
             c = cty[:, g] - v_cache[:, g] + beta[:, g]
@@ -192,7 +191,7 @@ def group_lasso(system: GroupedLinearSystem, config: GroupLassoConfig) -> GroupL
             break
     if not converged:
         warnings.warn(
-            f"group lasso did not converge in {config.max_sweeps} sweeps", RuntimeWarning
+            f"group lasso did not converge in {MAX_SWEEPS} sweeps", RuntimeWarning
         )
 
     active = ~np.all(beta == 0.0, axis=0)

@@ -209,26 +209,24 @@ def build_system(
 
 
 def discover(dataset: Dataset, config: TbglssConfig | SgtrConfig | GroupLassoConfig,
-             system: GroupedLinearSystem | None = None, library: LibrarySpec | None = None,
+             library: LibrarySpec | None = None,
              diff: DifferentiationSpec | None = None) -> DiscoveryReport:
-    """Fit the method `config`'s type names (`selection.fit`) to a dataset and record the
-    provenance to reproduce it.
+    """Build the dataset's system, fit the method `config`'s type names to it
+    (`selection.fit`) and record the provenance to reproduce it.
 
     tbglss chains double in length at and above NOISE_DOUBLING_LEVEL.  An SGTR
     threshold or group-lasso penalty left as None is chosen by `fit`, on its
-    default grid.  The differentiation spec is recorded only when the system
-    is built here from the dataset.
+    default grid.  The provenance records the resolved differentiation spec the
+    system was built with.
     """
-    resolved_diff = None
-    if system is None:
-        resolved_diff = _resolved_differentiation(dataset, diff)
-        system = build_system(dataset, library=library, diff=resolved_diff)
+    diff = _resolved_differentiation(dataset, diff)
+    system = build_system(dataset, library=library, diff=diff)
     provenance = {
         "dataset_id": dataset.dataset_id(),
         "dataset": dataset.metadata,
         "n_steps": system.n_steps,
         "n_rows": system.n_rows,
-        "differentiation": None if resolved_diff is None else asdict(resolved_diff),
+        "differentiation": asdict(diff),
     }
 
     if isinstance(config, TbglssConfig) and dataset.noise_level >= NOISE_DOUBLING_LEVEL:

@@ -142,9 +142,9 @@ def _spectral_rhs(scenario: PdeScenario):
     return rhs, multipliers
 
 
-def _etdrk4_tables(lin: np.ndarray, dt: float, n_contour: int = 32):
-    """Kassam-Trefethen contour quadrature for the exponential-RK4 weights."""
-    roots = np.exp(1j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+def _etdrk4_tables(lin: np.ndarray, dt: float):
+    """Kassam-Trefethen quadrature for the exponential-RK4 weights: 32 points on a half circle."""
+    roots = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
     lr = dt * lin[:, None] + roots[None, :]
     exp_lr = np.exp(lr)
     q = dt * np.real(np.mean((np.exp(lr / 2.0) - 1.0) / lr, axis=1))

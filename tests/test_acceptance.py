@@ -52,7 +52,6 @@ class TestCriterion1BurgersClean:
             burgers_dataset,
             TbglssConfig(thresholds=ThresholdSpec(t_rms=0.02, t_ge=0.1),
                          bglss=BglssConfig(seed=11, lam=1.0)),
-            system=system,
         )
         elapsed = time.time() - started
         truth = true_coefficients(burgers_scenario_full, LIB, step_coords=system.step_coords)
@@ -74,7 +73,6 @@ class TestCriterion2AdvectionDiffusion:
             dataset,
             TbglssConfig(thresholds=ThresholdSpec(t_rms=0.02, t_ge=0.08),
                          bglss=BglssConfig(seed=5, lam=1.0)),
-            system=system,
         )
         truth = true_coefficients(ad_scenario, LIB, step_coords=system.step_coords)
         names = ("u", "u_x", "u_xx")
@@ -96,16 +94,14 @@ class TestCriterion3RobustnessOrdering:
         lasso_fails = 0
         for seed in range(10):
             dataset = noisy_dataset(ad_clean, 0.02, seed=seed)
-            system = build_system(dataset)
             report = discover(
                 dataset,
                 TbglssConfig(thresholds=ThresholdSpec(t_rms=0.01, t_ge=0.08),
                              bglss=BglssConfig(seed=100 + seed, lam=1.0)),
-                system=system,
             )
             tbglss_hits += set(report.selected) == true_support
             for method, bump in (("sgtr", 0), ("group_lasso", 0)):
-                got = set(discover(dataset, METHODS[method](), system=system).selected)
+                got = set(discover(dataset, METHODS[method]()).selected)
                 failed = ("u_xx" not in got) or bool(got - true_support)
                 if method == "sgtr":
                     sgtr_fails += failed
@@ -129,7 +125,6 @@ class TestCriterion4KuramotoSivashinsky:
             dataset,
             TbglssConfig(thresholds=ThresholdSpec(t_rms=0.1, t_ge=0.05),
                          bglss=BglssConfig(seed=7, lam=1.0)),
-            system=system,
         )
         assert set(report.selected) == {"u*u_x", "u_xx", "u_xxxx"}
         print(f"\n[criterion 4] PASS: selected {report.selected} from the t>=100 window "

@@ -12,6 +12,7 @@ from vcpde.baselines import (
     sgtr,
 )
 from vcpde.library import normalize_columns
+from vcpde.selection import fit
 
 from conftest import random_grouped_system
 from helpers import lstsq_trajectories, subsystem
@@ -183,8 +184,9 @@ class TestGroupLasso:
         system = collinear_system(0, collinearity=0.03, second_weight=1.0)
         lam = 0.02 * group_lasso_null_threshold(system)
         tol = 1e-8
-        result = group_lasso(system, GroupLassoConfig(lam=lam, tolerance=tol, max_sweeps=200))
-        assert result.converged and result.admm_iterations < baselines.ADMM_MAX_ITERATIONS
+        result = group_lasso(system, GroupLassoConfig(lam=lam, tolerance=tol))
+        assert result.converged and result.n_sweeps <= 200
+        assert result.admm_iterations < baselines.ADMM_MAX_ITERATIONS
         assert_group_lasso_kkt(system, result.beta_normalized, lam, tol)
         assert np.all(np.diff(result.objective_history) <= 1e-9)
 
@@ -195,10 +197,10 @@ class TestGroupLasso:
         system = collinear_system(21, collinearity=1e-3, second_weight=0.0)
         lam = 0.01 * group_lasso_null_threshold(system)
         tol = 1e-8
-        result = group_lasso(system, GroupLassoConfig(lam=lam, tolerance=tol, max_sweeps=200))
+        result = group_lasso(system, GroupLassoConfig(lam=lam, tolerance=tol))
         assert result.admm_iterations == 18 + baselines.ADMM_STALL_ITERATIONS
         assert result.admm_iterations < baselines.ADMM_MAX_ITERATIONS // 4
-        assert result.start == "zero" and result.converged
+        assert result.start == "zero" and result.converged and result.n_sweeps <= 200
         assert result.trajectories.selected == ("g0", "g3")
         assert_group_lasso_kkt(system, result.beta_normalized, lam, tol)
 
@@ -207,8 +209,11 @@ class TestGroupLasso:
         rng = np.random.default_rng(9)
         system, _, _ = random_grouped_system(rng)
         monkeypatch.setattr(baselines, "_admm_start", zero_start)
-        with pytest.warns(RuntimeWarning, match="converge"):
-            group_lasso(system, GroupLassoConfig(lam=0.01, tolerance=1e-14, max_sweeps=2))
+        monkeypatch.setattr(baselines, "MAX_SWEEPS", 2)
+        with pytest.warns(RuntimeWarning, match="^group lasso did not converge in 2 sweeps$"):
+            result = group_lasso(system, GroupLassoConfig(lam=0.01, tolerance=1e-14))
+        assert not result.converged and result.n_sweeps == 2
+        assert len(result.objective_history) == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -232,16 +237,12 @@ def test_solvers_refuse_an_unset_parameter():
 class TestBaselinesOnCleanBurgers:
     """Loss-selected baseline models on the clean benchmark dataset."""
 
-    def test_sgtr_selects_true_pair(self, burgers_dataset, burgers_system):
-        from vcpde.pipeline import discover
-
-        report = discover(burgers_dataset, SgtrConfig(), system=burgers_system)
+    def test_sgtr_selects_true_pair(self, burgers_system):
+        report = fit(burgers_system, SgtrConfig())
         assert set(report.selected) == {"u*u_x", "u_xx"}
 
-    def test_group_lasso_keeps_near_zero_spurious_groups(self, burgers_dataset, burgers_system):
-        from vcpde.pipeline import discover
-
-        report = discover(burgers_dataset, GroupLassoConfig(), system=burgers_system)
+    def test_group_lasso_keeps_near_zero_spurious_groups(self, burgers_system):
+        report = fit(burgers_system, GroupLassoConfig())
         selected = set(report.selected)
         assert {"u*u_x", "u_xx"} <= selected
         spurious = selected - {"u*u_x", "u_xx"}

@@ -1,10 +1,11 @@
+import inspect
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from vcpde import library, pipeline, pool, selection, solvers
+from vcpde import baselines, library, pipeline, pool, selection, solvers
 from vcpde.baselines import GroupLassoConfig, SgtrConfig, group_lasso
 from vcpde.filters import FilterSpec
 from vcpde.gibbs import BglssConfig
@@ -241,29 +242,38 @@ class TestDiscover:
         for axis, report in (("sgtr_threshold", sgtr_report), ("lambda", lasso_report)):
             assert report.provenance["selected_by"] == f"lowest loss over {axis} grid"
 
-    def test_every_grid_point_failing_raises_typed_error(self, small_noisy_dataset):
+    def test_every_grid_point_failing_raises_typed_error(self):
         # duplicated columns + zero ridge make every sgtr point singular
         col = np.random.default_rng(3).standard_normal((3, 8, 1))
         system = normalize_columns(np.concatenate([col, col], axis=2), col[:, :, 0] * 2.0,
                                    ("a", "b"), "time", np.arange(3.0))
         with pytest.raises(SweepFailedError, match="LinAlgError"):
-            discover(small_noisy_dataset, SgtrConfig(ridge=0.0), system=system)
+            selection.fit(system, SgtrConfig(ridge=0.0))
 
-    def test_every_grid_point_unconverged_raises_typed_error(self, small_noisy_dataset, monkeypatch):
+    def test_every_grid_point_unconverged_raises_typed_error(self, monkeypatch):
         def unconverged(system, config):
-            return replace(group_lasso(system, config), converged=False, n_sweeps=config.max_sweeps)
+            return replace(group_lasso(system, config), converged=False,
+                           n_sweeps=baselines.MAX_SWEEPS)
 
         monkeypatch.setattr(selection, "group_lasso", unconverged)
         system, _, _ = random_grouped_system(np.random.default_rng(4), n_rows=16)
         with pytest.raises(SweepFailedError, match="did not converge in 10000 sweeps"):
-            discover(small_noisy_dataset, GroupLassoConfig(), system=system)
+            selection.fit(system, GroupLassoConfig())
 
-    def test_supplied_system_records_no_differentiation(self, small_noisy_dataset):
-        config = GroupLassoConfig(lam=0.5)
-        supplied = discover(small_noisy_dataset, config, system=build_system(small_noisy_dataset))
-        assert supplied.provenance["differentiation"] is None
-        built = discover(small_noisy_dataset, config)
-        assert built.provenance["differentiation"]["method"] == "poly_fit"
+    def test_takes_no_system(self):
+        # discover always builds the system it fits from the dataset, so that its report
+        # records how the derivatives were made
+        assert "system" not in inspect.signature(discover).parameters
+
+    def test_every_method_records_the_resolved_differentiation(self, small_noisy_dataset):
+        resolved = asdict(DifferentiationSpec().resolve(small_noisy_dataset.noise_level))
+        assert resolved["method"] == "poly_fit"
+        configs = (TbglssConfig(thresholds=ThresholdSpec(0.05, 0.5),
+                                bglss=BglssConfig(n_iterations=150, n_burnin=40, seed=2),
+                                update_iterations=80, update_burnin=20),
+                   SgtrConfig(threshold=0.1), GroupLassoConfig(lam=0.5))
+        for config in configs:
+            assert discover(small_noisy_dataset, config).provenance["differentiation"] == resolved
 
     def test_tbglss_requires_thresholds(self):
         with pytest.raises(TypeError, match="thresholds"):

@@ -186,7 +186,8 @@ class TestFit:
 
     def test_unconverged_lasso_fit_is_reported_unscored(self, monkeypatch):
         def unconverged(system, config):
-            return replace(group_lasso(system, config), converged=False, n_sweeps=config.max_sweeps)
+            return replace(group_lasso(system, config), converged=False,
+                           n_sweeps=baselines.MAX_SWEEPS)
 
         monkeypatch.setattr(selection, "group_lasso", unconverged)
         rng = np.random.default_rng(13)
@@ -271,7 +272,7 @@ class TestSweep:
             result = group_lasso(system, config)
             if config.lam != chosen:
                 return result
-            return replace(result, converged=False, n_sweeps=config.max_sweeps)
+            return replace(result, converged=False, n_sweeps=baselines.MAX_SWEEPS)
 
         monkeypatch.setattr(selection, "group_lasso", unconverged_at_chosen)
         curve = sweep(system, "lambda", grid, base)

@@ -3,7 +3,7 @@
 - Datasets (`save_dataset`): one JSON document with a base64 float64 payload,
   or a CSV triplet (values / x_coords / t_coords, `%.17g`) next to a metadata
   JSON.  Loading checks the format name and version both forms record.
-- Discovery reports (`save_report`): the report JSON (`DiscoveryReport.to_json`),
+- Discovery reports (`save_report`): the report JSON (`DiscoveryReport.to_dict`),
   a trajectory CSV with each selected term's values and posterior sd per step,
   and a text summary.
 - Sweep curves (`save_sweep`): one CSV row per grid value and a JSON summary
@@ -137,8 +137,7 @@ def save_report(report: DiscoveryReport, directory: str | Path, stem: str = "rep
     """Write report JSON, per-term trajectory/band CSV and a text summary."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    json_path = directory / f"{stem}.json"
-    json_path.write_text(report.to_json())
+    json_path = _write_json(directory / f"{stem}.json", report.to_dict())
 
     traj = report.trajectories
     header = ["t" if traj.varying_axis == "time" else "x"]

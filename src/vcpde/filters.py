@@ -105,16 +105,6 @@ class FilterSpec:
     def parameter(self):
         return getattr(self, parameter_name(self.kind))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "window": self.window,
-            "polyorder": self.polyorder,
-            "cutoff": self.cutoff,
-            "butterworth_order": self.butterworth_order,
-            "axis": self.axis,
-        }
-
 
 def apply_filter(field: SpatioTemporalField, spec: FilterSpec) -> SpatioTemporalField:
     """Filter the field along spec.axis; moving average shrinks that axis."""

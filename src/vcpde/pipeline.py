@@ -89,7 +89,7 @@ def filter_dataset(dataset: Dataset, spec: FilterSpec) -> Dataset:
     filtered = apply_filter(dataset.field, spec)
     metadata = dict(dataset.metadata)
     metadata.setdefault("filters", [])
-    metadata["filters"] = list(metadata["filters"]) + [spec.to_dict()]
+    metadata["filters"] = list(metadata["filters"]) + [asdict(spec)]
     return Dataset(filtered, metadata)
 
 

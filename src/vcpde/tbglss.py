@@ -16,8 +16,7 @@ reads; `selection.fit` runs it and scores the report like the baselines'.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -139,29 +138,16 @@ class DiscoveryReport:
             "criteria": self.criteria,
             "loss": self.loss,
             "total_error_bar": self.total_error_bar,
-            "thresholds": None
-            if self.thresholds is None
-            else {"t_rms": self.thresholds.t_rms, "t_ge": self.thresholds.t_ge},
+            "thresholds": None if self.thresholds is None else asdict(self.thresholds),
             # direction convention: rms removes below its threshold, the group
             # error bar removes above (uncertainty: larger is worse)
             "threshold_convention": {"rms": "remove_below", "group_error_bar": "remove_above"},
             "bootstrap_cis": self.bootstrap_cis,
-            "update_history": [
-                {
-                    "support_before": list(u.support_before),
-                    "removed": list(u.removed),
-                    "criteria": u.criteria,
-                    "n_iterations": u.n_iterations,
-                }
-                for u in self.update_history
-            ],
+            "update_history": [asdict(u) for u in self.update_history],
             "hyperparameters": self.hyperparameters,
             "provenance": self.provenance,
             "chain_medians": None if self.chain_medians is None else self.chain_medians.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _evaluate_criteria(

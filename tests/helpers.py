@@ -1,6 +1,7 @@
 """Dense, subsystem, least-squares, Monte Carlo and reference-sampler oracles that the tests
 check the package against."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,12 @@ from scipy.special import expit
 
 from vcpde.gibbs import SIGMA2_PRIOR, BglssConfig, PosteriorEnsemble, SamplerError
 from vcpde.library import GroupedLinearSystem
+from vcpde.tbglss import DiscoveryReport
+
+
+def report_json(report: DiscoveryReport) -> str:
+    """The report as `save_report` writes it: indented by 2 with sorted keys."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
 def dense(system: GroupedLinearSystem) -> np.ndarray:

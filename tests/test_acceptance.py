@@ -25,7 +25,7 @@ from vcpde.solvers import true_coefficients
 from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
-from helpers import reference_chain
+from helpers import reference_chain, report_json
 
 LIB = LibrarySpec.standard()
 
@@ -139,7 +139,7 @@ class TestCriterion4KuramotoSivashinsky:
             TbglssConfig(thresholds=ThresholdSpec(t_rms=0.1, t_ge=0.05),
                          bglss=BglssConfig(seed=7, lam=1.0)),
         )
-        assert report.to_json()  # serializable report regardless of outcome
+        assert report_json(report)  # serializable report regardless of outcome
         assert set(report.selected) != {"u*u_x", "u_xx", "u_xxxx"}
         print(f"\n[criterion 4 supplement] PASS: 1% noise run completed; selected "
               f"{report.selected or '(none)'} (expected failure, documented)")

@@ -150,6 +150,21 @@ class TestGroupLasso:
         assert result.start == "polished" and result.converged and result.n_sweeps == 1
         np.testing.assert_array_equal(result.trajectories.active, np.any(beta != 0.0, axis=0))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_admm_start_when_no_polish_is_accepted(self, seed, monkeypatch):
+        # with every polish refused, ADMM runs to its own stopping rule and block descent
+        # starts from its iterate
+        monkeypatch.setattr(baselines, "_polish", lambda gram, cty, z, lam: None)
+        rng = np.random.default_rng(seed)
+        system, _, _ = random_grouped_system(rng)
+        lam = 0.3 * group_lasso_null_threshold(system)
+        tol = 1e-8
+        result = group_lasso(system, GroupLassoConfig(lam=lam, tolerance=tol))
+        assert result.start == "admm" and result.converged and result.n_sweeps <= 5
+        assert result.admm_iterations < baselines.ADMM_MAX_ITERATIONS
+        assert result.kkt_residual <= 1e-9
+        assert_group_lasso_kkt(system, result.beta_normalized, lam, tol)
+
     def test_kkt_residual_matches_the_residual_form(self):
         # the products form X^T y - Gram beta against the residual form X^T (y - X beta)
         rng = np.random.default_rng(4)

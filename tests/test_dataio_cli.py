@@ -1,6 +1,7 @@
 import inspect
 import json
 import runpy
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -758,7 +759,7 @@ class TestCli:
                             "--output", str(tmp_path / kind)) == 0
             written, = (tmp_path / kind).iterdir()
             assert load_dataset(written).metadata["filters"] == [
-                FilterSpec.of(kind, float(value)).to_dict()]
+                asdict(FilterSpec.of(kind, float(value)))]
 
         swept, real_sweep = [], cli.filter_sweep
 

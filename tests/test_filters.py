@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy import signal  # the oracle of the bit-for-bit tests only
 
 from vcpde.dataio import save_filter_sweep
 from vcpde.fields import GridError, SpatioTemporalField
-from vcpde.filters import DEFAULT_GRIDS, FilterSpec, apply_filter, data_mse, filter_sweep
+from vcpde.filters import DEFAULT_GRIDS, FILTER_KINDS, FilterSpec, apply_filter, data_mse, filter_sweep
 
 
 def field_from(values):
@@ -65,15 +67,21 @@ class TestFilterSpecValidation:
     def test_only_lowpass_carries_an_order(self, kind, parameter):
         spec = FilterSpec.of(kind, parameter)
         assert spec.butterworth_order is None
-        assert spec.to_dict()["butterworth_order"] is None
-        assert FilterSpec.of("zero_phase_lowpass", 0.25).to_dict()["butterworth_order"] == 4
+        assert asdict(spec)["butterworth_order"] is None
+        assert asdict(FilterSpec.of("zero_phase_lowpass", 0.25))["butterworth_order"] == 4
         with pytest.raises(ValueError, match=f"a {kind} filter does not use butterworth_order"):
             FilterSpec(kind, window=parameter, polyorder=spec.polyorder, butterworth_order=4)
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_fields_rebuild_the_spec(self, kind):
+        # a dataset's provenance records asdict(spec), so its fields must rebuild the filter
+        spec = FilterSpec.of(kind, DEFAULT_GRIDS[kind][0], axis="space")
+        assert FilterSpec(**asdict(spec)) == spec
 
     def test_constructor_fills_the_kinds_defaults(self):
         assert FilterSpec("zero_phase_lowpass", cutoff=0.25) == FilterSpec.of("zero_phase_lowpass", 0.25)
         assert FilterSpec("savitzky_golay", window=7) == FilterSpec.of("savitzky_golay", 7)
-        assert FilterSpec("moving_average", window=5).to_dict()["butterworth_order"] is None
+        assert asdict(FilterSpec("moving_average", window=5))["butterworth_order"] is None
         assert FilterSpec("zero_phase_lowpass", cutoff=0.25, butterworth_order=2).butterworth_order == 2
 
     def test_of_rejects_unknown_kind(self):

@@ -1,9 +1,9 @@
 """Import hygiene of the package: imports sit at module top, criteria is a leaf, tbglss does
-not import selection at run time, only the CLI prints, only dataio writes files (and only it
-and the CLI import csv or pathlib), only pool runs tasks, and the package runs on numpy alone:
-neither importing the CLI nor running it loads any scipy module.  Every vcpde name the
-benchmark in perfbench/ imports or traces, and every one the README's examples import,
-exists."""
+not import selection at run time, only the CLI prints, only dataio writes files or encodes
+JSON (and only it and the CLI import csv or pathlib), only pool runs tasks, and the package
+runs on numpy alone: neither importing the CLI nor running it loads any scipy module.  Every
+vcpde name the benchmark in perfbench/ imports or traces, and every one the README's
+examples import, exists."""
 
 import ast
 import importlib
@@ -111,6 +111,18 @@ def test_only_dataio_writes_files():
                         for node in _imports(ast.parse(path.read_text()))
                         if {"csv", "pathlib"} & {name.split(".")[0] for name in _modules(node)})
     assert not io_imports, f"csv or pathlib imported outside dataio.py and cli.py: {io_imports}"
+
+
+def test_only_dataio_encodes_json():
+    # one encoder states the JSON layout (indent 2, sorted keys) of every file
+    calls = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in MODULES if path.name != "dataio.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps") and getattr(node.func.value, "id", None) == "json"
+    )
+    assert not calls, f"json.dump or json.dumps outside dataio.py: {calls}"
 
 
 def _runs_tasks(node) -> bool:

@@ -20,7 +20,7 @@ from vcpde.selection import SelectionCurve, default_grid, fit, sweep
 from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
-from helpers import lstsq_trajectories, subsystem
+from helpers import lstsq_trajectories, report_json, subsystem
 
 
 def perfect_fit_system(seed=0, n_steps=3, n_rows=8, n_groups=4):
@@ -145,7 +145,7 @@ class TestFit:
         report = fit(system, config)
         assert report.provenance == {**chosen.provenance,
                                      "selected_by": f"lowest loss over {axis} grid"}
-        assert replace(report, provenance=chosen.provenance).to_json() == chosen.to_json()
+        assert report_json(replace(report, provenance=chosen.provenance)) == report_json(chosen)
         assert report.beta_normalized.tobytes() == chosen.beta_normalized.tobytes()
 
     def test_loss_counts_active_groups_times_steps(self):
@@ -330,7 +330,7 @@ class TestSweep:
             alone = fit(replace(system), replace(base, lam=point.value))  # a fresh cache
             assert point.error == alone.unscored
             if point.report is not None:
-                assert point.report.to_json() == alone.to_json()
+                assert report_json(point.report) == report_json(alone)
                 assert point.report.beta_normalized.tobytes() == alone.beta_normalized.tobytes()
         assert len(decomposed) == 21
 
@@ -423,7 +423,7 @@ class TestSweepSharesChains:
             alone = fit(burgers_one_percent,
                         selection._point_config(base, axis, point.value) if tbglss_base
                         else replace(base, threshold=point.value))
-            assert point.report.to_json() == alone.to_json()
+            assert report_json(point.report) == report_json(alone)
             supports.add(point.selected)
         assert len(supports) > 1  # the grid crosses support changes
         if tbglss_base:
@@ -494,7 +494,7 @@ class TestSweepSharesChains:
         first, second = (r.update_history[0].removed for r in shared)
         assert len(first) == len(second) and set(first) != set(second)
         for config, report in zip(configs, shared):
-            assert report.to_json() == run_tbglss(system, config).to_json()
+            assert report_json(report) == report_json(run_tbglss(system, config))
 
     def test_a_run_never_asks_for_a_key_twice(self, burgers_one_percent, monkeypatch):
         # each chain's seed derives from its update's index, so run_tbglss needs no memo; the
@@ -524,14 +524,14 @@ class TestSweepSharesChains:
         second = sweep(burgers_one_percent, "t_ge", grid, self.BASE)
         assert once  # workers finish in any order, so the keys are compared as multisets
         assert Counter(sampled) == Counter(once + once)
-        assert [p.report.to_json() for p in first.points] == [
-            p.report.to_json() for p in second.points]
+        assert [report_json(p.report) for p in first.points] == [
+            report_json(p.report) for p in second.points]
 
 
 def sweep_outputs(curve: SelectionCurve, tmp_path) -> list:
     """Every byte a sweep reports: each point's report, and the curve's CSV and summary."""
     save_sweep(curve, tmp_path / "curve")
-    return ([None if p.report is None else p.report.to_json() for p in curve.points]
+    return ([None if p.report is None else report_json(p.report) for p in curve.points]
             + [(tmp_path / name).read_bytes() for name in ("curve.csv", "curve.json")])
 
 

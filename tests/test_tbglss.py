@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from vcpde.dataio import save_report
 from vcpde import tbglss
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CHUNK_STEPS, normalize_columns
-from vcpde.tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec, run_tbglss
+from vcpde.tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec, UpdateRecord, run_tbglss
 
 from conftest import random_grouped_system
+from helpers import report_json
 
 
 class TestThresholdSpec:
@@ -223,12 +225,16 @@ class TestChainSummary:
 
 
 class TestReportSerialization:
-    def test_json_round_trip_fields(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def fitted(self):
         rng = np.random.default_rng(8)
         system, _, _ = random_grouped_system(rng)
-        report = run_tbglss(system, TbglssConfig(
+        return system, run_tbglss(system, TbglssConfig(
             thresholds=ThresholdSpec(t_rms=0.05, t_ge=0.5),
             bglss=BglssConfig(n_iterations=150, n_burnin=40, lam=1.0, seed=3)))
+
+    def test_json_round_trip_fields(self, fitted, tmp_path):
+        system, report = fitted
         path = save_report(report, tmp_path)["json"]
         doc = json.loads(path.read_text())
         assert doc["method"] == "tbglss"
@@ -237,6 +243,19 @@ class TestReportSerialization:
         assert len(doc["trajectories"]) == system.n_steps
         assert doc["selected"] == list(report.selected)
         assert doc["update_history"][0]["support_before"]
+
+    def test_saved_json_is_report_json(self, fitted, tmp_path):
+        # the tests compare reports through report_json, so it must be the file's text
+        _, report = fitted
+        assert save_report(report, tmp_path)["json"].read_text() == report_json(report)
+
+    def test_update_history_entries_carry_exactly_the_record_fields(self, fitted, tmp_path):
+        _, report = fitted
+        names = {f.name for f in fields(UpdateRecord)}
+        doc = json.loads(save_report(report, tmp_path)["json"].read_text())
+        assert report.update_history
+        for entry in [*report.to_dict()["update_history"], *doc["update_history"]]:
+            assert set(entry) == names
 
     def test_rendered_equation(self):
         rng = np.random.default_rng(9)
@@ -287,5 +306,5 @@ class TestMultiChainMode:
         assert len(set(seeds[-3:])) == 3
         for c in (1, 2):
             assert not np.array_equal(medians[c][:, active], medians[0][:, active])
-        doc = json.loads(report.to_json())
+        doc = json.loads(report_json(report))
         np.testing.assert_array_equal(np.array(doc["chain_medians"]), medians)

@@ -15,7 +15,7 @@ from vcpde.uncertainty import (
     median_rank_weights,
 )
 
-from helpers import monte_carlo_median_ci
+from helpers import monte_carlo_median_ci, report_json
 from test_gibbs import synthetic_ensemble
 
 
@@ -223,7 +223,7 @@ class TestReportIntegration:
             traj = report.trajectories.group(name)
             assert np.all(intervals[:, 0] <= traj + 1e-12)
             assert np.all(traj <= intervals[:, 1] + 1e-12)
-        assert '"bootstrap_cis"' in report.to_json()
+        assert '"bootstrap_cis"' in report_json(report)
 
         npz = tmp_path / "trace.npz"
         save_trace(report.final_ensemble, npz)

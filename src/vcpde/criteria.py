@@ -13,7 +13,7 @@ import numpy as np
 
 from .library import CoefficientTrajectories, GroupedLinearSystem
 
-DEFAULT_EPSILON = 1e-6
+EPSILON = 1e-6  # keeps the log finite at a perfect fit
 
 
 class ZeroNormGroupError(ValueError):
@@ -50,8 +50,7 @@ def total_error_bar(beta: np.ndarray, s2: np.ndarray) -> float:
     return float(total)
 
 
-def aic_loss(system: GroupedLinearSystem, beta: np.ndarray, k: int,
-             epsilon: float = DEFAULT_EPSILON) -> float:
+def aic_loss(system: GroupedLinearSystem, beta: np.ndarray, k: int) -> float:
     """N * ln(mean squared residual of the fully normalized system + eps) + 2k.
 
     `beta` is in the normalized column scaling of `system`; the target is
@@ -59,14 +58,12 @@ def aic_loss(system: GroupedLinearSystem, beta: np.ndarray, k: int,
     nonzero coefficients (active groups x steps), and N is the row count of
     the assembled system.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     if beta.shape != (system.n_steps, system.n_groups):
         raise ValueError("beta shape does not match the system")
     n_obs = system.n_observations
     rss = system.residual_norm_sq(beta)
     yty = float((system.target**2).sum())
-    return float(n_obs * np.log(rss / (yty * n_obs) + epsilon) + 2 * k)
+    return float(n_obs * np.log(rss / (yty * n_obs) + EPSILON) + 2 * k)
 
 
 def coefficient_mse(estimated: CoefficientTrajectories, truth: CoefficientTrajectories) -> float:

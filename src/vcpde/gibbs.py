@@ -54,8 +54,9 @@ class BglssConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_burnin >= self.n_iterations:
-            raise ValueError("n_burnin must be smaller than n_iterations")
+        if not 0 <= self.n_burnin < self.n_iterations:
+            raise ValueError(f"n_burnin must be at least 0 and below n_iterations "
+                             f"({self.n_iterations}), got {self.n_burnin}")
         if not self.lam > 0:  # also rejects NaN
             raise ValueError(f"lam must be positive, got {self.lam}")
         if isinstance(self.pi0, str):
@@ -87,10 +88,6 @@ class PosteriorEnsemble:
             raise ValueError("spike bookkeeping disagrees with exact-zero group draws")
         if np.any(self.sigma2 <= 0) or np.any(self.tau2 <= 0):
             raise ValueError("variance draws must be strictly positive")
-
-    @property
-    def n_draws(self) -> int:
-        return self.beta.shape[0]
 
 
 def sample_posterior(system: GroupedLinearSystem, config: BglssConfig,

@@ -281,9 +281,7 @@ def paper_grid(seed: int, only: str | None = None) -> list:
     rows = [row for row in rows if only is None or only in row[0]]
     solved = {family: simulate_dataset(make_scenario(family), seed=seed)
               for family in dict.fromkeys(key[1] for _, _, key in rows)}
-    keys = [key for _, _, key in rows]
-    results = drive([_ask(key) for key in keys], partial(_paper_task, solved, seed),
-                    len(set(keys)))
+    results = drive([_ask(key) for _, _, key in rows], partial(_paper_task, solved, seed))
     return [(cell, name, result) for (cell, name, _), result in zip(rows, results)]
 
 

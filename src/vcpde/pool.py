@@ -1,14 +1,16 @@
 """Worker processes forked from this one, for independent tasks on shared inputs.
 
-`drive(loops, run, n_tasks)` is the one way a task runs: each loop is a
-generator that yields the key of each task it needs, and each distinct key runs
-once as `run(key)` on `Workers(run, n_tasks)`.  Those fork their workers once.
-Each inherits `run` and what it holds (a sweep's system with its Gram cached,
-say), so a task sends only its own small description and its result comes back
-pickled.  With one CPU, one task, no `fork` start method, another thread
-running or inside a worker, each task runs in this process when it is
-submitted.  No thread is started: results are read in the caller's thread, so
-they are allocated where an inline run would allocate them.
+`drive(loops, run)` is the one way a task runs: each loop is a generator that
+yields the key of each task it needs, and each distinct key runs once as
+`run(key)` on `Workers(run, len(loops))`, at most one worker per loop.  Those
+fork their workers once, when the first task is submitted, so loops that ask
+for no task fork nothing.  Each worker inherits `run` and what it holds (a
+sweep's system with its Gram cached, say), so a task sends only its own small
+description and its result comes back pickled.  With one CPU, one loop, no
+`fork` start method, another thread running or inside a worker, each task runs
+in this process when it is submitted.  No thread is started: results are read
+in the caller's thread, so they are allocated where an inline run would
+allocate them.
 """
 
 from __future__ import annotations
@@ -41,19 +43,19 @@ class Workers:
 
     def __init__(self, run: Callable, n_tasks: int):
         self.run = run
+        self.n_workers = worker_count(n_tasks)
         self.queued: deque = deque()  # tasks not yet sent
         self.idle: list = []  # connections to workers without a task
         self.busy: dict = {}  # connection -> the task its worker runs
         self.finished: list = []  # (task, result, exception) not yet collected
         self.processes: list = []
-        n_workers = worker_count(n_tasks)
-        if n_workers < 2:
-            return
+
+    def _fork(self) -> None:
         context = multiprocessing.get_context("fork")
-        for _ in range(n_workers):
+        for _ in range(self.n_workers):
             here, there = context.Pipe()
             # the worker closes the parent's ends it inherits, so each sees its own pipe close
-            process = context.Process(target=_serve, args=(run, there, [here, *self.idle]),
+            process = context.Process(target=_serve, args=(self.run, there, [here, *self.idle]),
                                       daemon=True)
             process.start()
             there.close()
@@ -72,10 +74,13 @@ class Workers:
             process.join()
 
     def submit(self, task) -> None:
-        """Start `task` on an idle worker, or queue it for the next; with no workers, run it now."""
-        if not self.processes:
+        """Start `task` on an idle worker, or queue it for the next; with one worker, run it now.
+        The workers fork at the first task, so a `Workers` given none forks nothing."""
+        if self.n_workers < 2:
             self.finished.append((task, *_outcome(self.run, task)))
             return
+        if not self.processes:
+            self._fork()
         self.queued.append(task)
         self._send()
 
@@ -102,11 +107,11 @@ class Workers:
         return finished
 
 
-def drive(loops: list, run: Callable, n_tasks: int) -> list:
+def drive(loops: list, run: Callable) -> list:
     """Run each loop, a generator that yields the key of each task it needs and is sent
     its result, to the value it returns, in this thread; the values in loop order.
 
-    Each key is one task `run(key)` of `Workers(run, n_tasks)`, run once: a loop asking
+    Each key is one task `run(key)` of `Workers(run, len(loops))`, run once: a loop asking
     for a finished key gets its result at once, and the loops waiting on a key in flight
     resume when it completes, in the order they asked.  A task's error is not kept: it is
     thrown into each loop waiting on it, and one a loop does not catch is raised here.
@@ -114,7 +119,7 @@ def drive(loops: list, run: Callable, n_tasks: int) -> list:
     returned: list = [None] * len(loops)
     results: dict = {}  # finished key -> its result
     waiting: dict = {}  # key in flight -> indices of the loops waiting on it
-    with Workers(run, n_tasks) as workers:
+    with Workers(run, len(loops)) as workers:
 
         def resume(index, value=None, error=None):
             loop = loops[index]

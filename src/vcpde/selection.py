@@ -7,9 +7,10 @@ is chosen by the lowest loss over its default grid.  `sweep` fits once per
 value of one parameter and records every criterion (see `criteria`), keeping
 each point's report so a parameter chosen on a grid needs no second fit.  Every
 point is a loop on `pool.drive`: a tbglss or lambda sweep runs its tasks on
-worker processes forked from this one, one per CPU it may use, while an SGTR
-point asks for no task and fits in this process, sharing the sweep's ridge fits
-and losses with the other thresholds.
+worker processes forked from this one, one per CPU it may use and at most one
+per point, while an SGTR point asks for no task and fits in this process,
+sharing the sweep's ridge fits and losses with the other thresholds, so an
+SGTR sweep forks nothing.
 """
 
 from __future__ import annotations
@@ -70,12 +71,11 @@ def fit(system: GroupedLinearSystem,
     if isinstance(config, SgtrConfig):
         return _sgtr_report(system, config, {}, {})
     result = group_lasso(system, config)
-    report = _baseline_report(result.trajectories, result.beta_normalized, "group_lasso",
-                              {"lam": config.lam, "converged": result.converged,
-                               "sweeps": result.n_sweeps,
-                               "admm_iterations": result.admm_iterations,
-                               "start": result.start,
-                               "kkt_residual": result.kkt_residual})
+    report = DiscoveryReport(
+        result.trajectories, np.zeros_like(result.trajectories.values), "group_lasso",
+        {"lam": config.lam, "converged": result.converged, "sweeps": result.n_sweeps,
+         "admm_iterations": result.admm_iterations, "start": result.start,
+         "kkt_residual": result.kkt_residual}, beta_normalized=result.beta_normalized)
     if not result.converged:
         return replace(report, unscored=f"NotConverged: group lasso did not converge "
                                         f"in {result.n_sweeps} sweeps")
@@ -92,8 +92,9 @@ def _sgtr_report(system: GroupedLinearSystem, config: SgtrConfig, fits: dict,
     thresholds.
     """
     trajectories = sgtr(system, config, fits)
-    report = _baseline_report(trajectories, trajectories.values * system.scales, "sgtr",
-                              {"threshold": config.threshold, "ridge": config.ridge})
+    report = DiscoveryReport(trajectories, np.zeros_like(trajectories.values), "sgtr",
+                             {"threshold": config.threshold, "ridge": config.ridge},
+                             beta_normalized=trajectories.values * system.scales)
     support = tuple(np.flatnonzero(trajectories.active).tolist())
     if support not in losses:
         losses[support] = _scored(system, report).loss
@@ -105,23 +106,6 @@ def _scored(system: GroupedLinearSystem, report: DiscoveryReport) -> DiscoveryRe
     gets the zero fit's)."""
     k = int(report.trajectories.active.sum()) * system.n_steps
     return replace(report, loss=aic_loss(system, report.beta_normalized, k))
-
-
-def _baseline_report(trajectories: CoefficientTrajectories, beta_normalized: np.ndarray,
-                     method: str, hyperparameters: dict) -> DiscoveryReport:
-    return DiscoveryReport(
-        trajectories=trajectories,
-        stdev=np.zeros_like(trajectories.values),
-        criteria={},
-        loss=None,
-        total_error_bar=None,
-        update_history=(),
-        thresholds=None,
-        method=method,
-        hyperparameters=hyperparameters,
-        provenance={},
-        beta_normalized=beta_normalized,
-    )
 
 
 @dataclass(frozen=True)
@@ -178,13 +162,13 @@ def sweep(
     total error bar and is never the total-error-bar argmin.
 
     An SGTR point asks for no task: it fits here, on the sweep's memos of ridge
-    fits and losses (`_sgtr_report`), and those few fits take less time than
-    forking would, so an SGTR sweep asks `drive` for one worker.  Other sweeps
-    fork their workers once: each distinct tbglss chain is one task, and so is
-    each group-lasso point, keyed by its config.  Points come back in grid order,
-    warnings raised in a worker are raised again here, and every report is the
-    same as when run in this process.  A sweep keeps no posterior draws, so a
-    tbglss `base` must leave `with_ci` and `keep_final_ensemble` unset.
+    fits and losses (`_sgtr_report`), and `drive` forks its workers at the first
+    task, so an SGTR sweep forks none.  Other sweeps fork them once: each
+    distinct tbglss chain is one task, and so is each group-lasso point, keyed
+    by its config.  Points come back in grid order, warnings raised in a worker
+    are raised again here, and every report is the same as when run in this
+    process.  A sweep keeps no posterior draws, so a tbglss `base` must leave
+    `with_ci` and `keep_final_ensemble` unset.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -201,13 +185,11 @@ def sweep(
         if getattr(base, name, False):
             raise ValueError(f"a sweep keeps no posterior draws: set {name} only for fit "
                              f"or run_tbglss")
-    values = [float(v) for v in grid]
     fits, losses = {}, {}  # the SGTR points' memos, shared by the sweep
     loops = [_point_loop(system, _point_config(base, axis, v), v, truth, fits, losses)
-             for v in values]
+             for v in grid.tolist()]
     system.gram()  # cached before the workers fork, so each inherits it
-    points = drive(loops, partial(_work, system),
-                   1 if axis == "sgtr_threshold" else len(values))
+    points = drive(loops, partial(_work, system))
     argmin = {}
     for crit in ("loss", "total_error_bar", "coefficient_mse"):
         best = [(getattr(p, crit), p.value) for p in points if getattr(p, crit) is not None]

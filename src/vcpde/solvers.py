@@ -65,6 +65,13 @@ class PdeScenario:
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in self.true_terms:
+            if name not in _TERM_FACTORS:
+                raise ValueError(f"true term {name!r} is not a term of the standard library")
+            orders = sorted({q for q, _ in _TERM_FACTORS[name]} - {0, *_SPECTRAL_ORDERS})
+            if orders:
+                raise ValueError(f"true term {name!r} takes derivative order {orders[0]}; the "
+                                 f"solver integrates orders {_SPECTRAL_ORDERS}")
         read = list(inspect.signature(_solve_etdrk4).parameters)[1:]
         unknown = sorted(set(self.solver_options) - set(read))
         if unknown:
@@ -107,6 +114,8 @@ class PdeScenario:
 
 # Each term's factors as (derivative order, power) pairs, by descriptor.
 _TERM_FACTORS = {term.descriptor: term.factors for term in LibrarySpec.standard().terms}
+# The derivative orders `_spectral_rhs` has a Fourier multiplier for.
+_SPECTRAL_ORDERS = (1, 2, 4)
 
 
 def _spectral_rhs(scenario: PdeScenario):
@@ -121,7 +130,7 @@ def _spectral_rhs(scenario: PdeScenario):
     ik = 1j * k
     if n % 2 == 0:
         ik[-1] = 0.0  # zero the Nyquist mode for odd derivatives
-    multipliers = {1: ik, 2: -k**2, 4: k**4}
+    multipliers = dict(zip(_SPECTRAL_ORDERS, (ik, -k**2, k**4)))
     # each term as the derivative orders it multiplies, one entry per power
     terms = [[q for q, p in _TERM_FACTORS[name] for _ in range(p)] for name in scenario.true_terms]
     orders = sorted({q for term in terms for q in term} - {0})

@@ -87,14 +87,15 @@ class DiscoveryReport:
 
     trajectories: CoefficientTrajectories  # physical units, full library width
     stdev: np.ndarray  # (n_steps, n_groups) physical posterior stdevs, 0 for excluded
-    criteria: dict  # final normalized rms / group error bar per surviving descriptor
-    loss: float | None
-    total_error_bar: float | None
-    update_history: tuple[UpdateRecord, ...]
-    thresholds: ThresholdSpec | None
     method: str
     hyperparameters: dict
-    provenance: dict
+    # final normalized rms / group error bar per surviving descriptor
+    criteria: dict = field(default_factory=dict)
+    update_history: tuple[UpdateRecord, ...] = ()
+    thresholds: ThresholdSpec | None = None
+    total_error_bar: float | None = None
+    loss: float | None = None
+    provenance: dict = field(default_factory=dict)
     chain_medians: np.ndarray | None = None  # (n_chains, n_steps, n_groups), multi-chain mode
     bootstrap_cis: dict | None = None  # level, and descriptor -> per-step [low, high]
     final_ensemble: PosteriorEnsemble | None = field(default=None, repr=False, compare=False)
@@ -242,10 +243,10 @@ def run_tbglss(system: GroupedLinearSystem, config: TbglssConfig) -> DiscoveryRe
     final length; only that confirmed update is committed, so every committed
     update except the last removes at least one group.  The report's loss is
     left to `selection.fit`, which scores every method alike.  `threshold_loop`
-    is driven on one worker (`pool.drive`), so each chain is sampled in this
-    process; its seed derives from its update, so none repeats.
+    is the one loop `pool.drive` runs, so each chain is sampled in this process;
+    its seed derives from its update, so none repeats.
     """
-    return drive([threshold_loop(system, config)], partial(_chain, system), 1)[0]
+    return drive([threshold_loop(system, config)], partial(_chain, system))[0]
 
 
 def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig):
@@ -327,7 +328,6 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig):
                                              system.step_coords, system.varying_axis),
         stdev=stdev,
         criteria=final_criteria,
-        loss=None,
         total_error_bar=total_eb,
         update_history=tuple(history),
         thresholds=config.thresholds,

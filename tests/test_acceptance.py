@@ -242,7 +242,7 @@ class TestCriterion6SamplerCorrectness:
             (1 - shrink) * n * float(self.BETA_LS @ self.BETA_LS) / (2 * self.SIGMA2)))
 
         freq = float(ens.spike.mean())
-        se_freq = math.sqrt(l_spike * (1 - l_spike) / ens.n_draws)
+        se_freq = math.sqrt(l_spike * (1 - l_spike) / ens.beta.shape[0])
         assert abs(freq - l_spike) <= 3 * se_freq
 
         slab_phys = ens.beta[~ens.spike[:, 0], :, 0] / ens.scales[None, :, 0]
@@ -333,7 +333,7 @@ class TestCriterion9CriterionFormulas:
         target = np.array([[2.0, 1.0, 0.0]])
         system = normalize_columns(block, target, ("u",), "time", np.array([0.0]))
         beta_norm = np.array([[1.0]])
-        loss = aic_loss(system, beta_norm, k=3, epsilon=1e-6)
+        loss = aic_loss(system, beta_norm, k=3)
         expected_loss = 3.0 * math.log(2.0 / (5.0 * 3.0) + 1e-6) + 6.0
         assert abs(loss - expected_loss) <= 1e-12
         print("\n[criterion 9] PASS: rms / group error bar / total error bar / loss match "

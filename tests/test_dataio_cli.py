@@ -83,6 +83,11 @@ class TestDatasetArchive:
         with pytest.raises(ValueError, match=message):
             load_dataset(path)
 
+    def test_unknown_format_rejected(self, small_dataset, tmp_path):
+        with pytest.raises(ValueError, match="^fmt must be 'json' or 'csv'$"):
+            save_dataset(small_dataset, tmp_path / "d.json", fmt="npz")
+        assert not any(tmp_path.iterdir())
+
     def test_dataset_id_stable(self, small_dataset):
         assert small_dataset.dataset_id() == small_dataset.dataset_id()
 
@@ -255,6 +260,16 @@ class TestCli:
             "bglss.n_burnin is 40 - 20\n")
         assert not (tmp_path / "out").exists()
 
+    def test_negative_burnin_samples_no_chain(self, small_dataset, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(tbglss, "sample_posterior", None)  # rejected before any chain
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("discover", "--dataset", str(path), "--t-rms", "0.02", "--burnin", "-5",
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: n_burnin must be at least 0 and below n_iterations (1000), got -5\n")
+        assert not (tmp_path / "out").exists()
+
     def test_discover_without_a_threshold_names_both_flags(self, small_dataset, tmp_path,
                                                            capsys):
         path = save_dataset(small_dataset, tmp_path / "d.json")
@@ -286,9 +301,13 @@ class TestCli:
          "update_burnin must be at least 0 and below update_iterations (200), got 300\n"),
         (["--t-rms", "0.1", "--update-burnin", "-1"],
          "update_burnin must be at least 0 and below update_iterations (200), got -1\n"),
+        (["--t-rms", "0.1", "--burnin", "-5"],
+         "n_burnin must be at least 0 and below n_iterations (1000), got -5\n"),
+        (["--t-rms", "0.1", "--iterations", "100", "--burnin", "100"],
+         "n_burnin must be at least 0 and below n_iterations (100), got 100\n"),
     ], ids=["lam", "sgtr_threshold", "sgtr_ridge", "lasso_lam", "final_chains_zero",
             "final_chains_negative", "update_iterations_zero", "update_burnin_too_long",
-            "update_burnin_negative"])
+            "update_burnin_negative", "burnin_negative", "burnin_too_long"])
     def test_discover_nan_option_is_validation_error(self, small_dataset, tmp_path, capsys,
                                                      argv, message):
         path = save_dataset(small_dataset, tmp_path / "d.json")
@@ -854,6 +873,20 @@ class TestCli:
         assert code == 0
         assert "completed 1 cells" in capsys.readouterr().out
         assert (tmp_path / "burgers_noise0_sgtr" / "report.json").exists()
+
+    def test_reproduce_tge_sweep_writes_what_the_sweep_command_writes(self, tmp_path, capsys):
+        paper = tmp_path / "paper"
+        assert self.run("reproduce-paper", "--only", "ad_tge_sweep", "--seed", "0",
+                        "--output", str(paper)) == 0
+        assert "[ad_tge_sweep] argmin {'loss': " in capsys.readouterr().out
+        assert self.run("simulate", "--family", "ad", "--noise", "0.02", "--seed", "0",
+                        "--output", str(tmp_path)) == 0
+        dataset = tmp_path / "advection_diffusion_noise0.02_seed0.json"
+        assert self.run("sweep", "--dataset", str(dataset), "--axis", "t_ge", "--t-rms", "0.01",
+                        "--seed", "0", "--with-truth", "--output", str(tmp_path / "cli")) == 0
+        for suffix in (".csv", ".json"):
+            cli_file = tmp_path / "cli" / f"sweep_t_ge_advection_diffusion_noise0.02_seed0{suffix}"
+            assert cli_file.read_bytes() == (paper / f"ad_tge_sweep{suffix}").read_bytes()
 
     def test_reproduce_solves_each_family_once(self, monkeypatch, tmp_path):
         solved, fitted = [], []

@@ -6,6 +6,7 @@ from scipy import ndimage, signal  # the oracle of the bit-for-bit tests only
 
 from vcpde.differentiation import (
     _FD_STENCILS,
+    DerivativeStack,
     build_derivative_stack,
     correlate1d,
     polyfit_kernel,
@@ -188,6 +189,12 @@ class TestDerivativeStack:
         sx, st = slice(*stack.valid_x), slice(*stack.valid_t)
         assert not np.array_equal(stack.u, noisy[sx, st])
         assert stack.u.std() < noisy[sx, st].std()
+
+    def test_derivative_off_the_valid_region_rejected(self):
+        x, t = np.arange(4.0), np.arange(3.0)
+        with pytest.raises(ValueError, match=r"^d2 shape \(3, 3\) != valid region \(4, 3\)$"):
+            DerivativeStack(np.zeros((4, 3)), np.zeros((4, 3)),
+                            {1: np.zeros((4, 3)), 2: np.zeros((3, 3))}, x, t, (0, 4), (0, 3))
 
     def test_degree_must_reach_order(self, burgers_field):
         with pytest.raises(ValueError):

@@ -30,6 +30,13 @@ def test_nonuniform_axis_rejected():
         SpatioTemporalField(np.zeros((4, 4)), x, np.linspace(0, 1, 4))
 
 
+@pytest.mark.parametrize("x", [np.array([0.0]), np.zeros((2, 2))], ids=["one-point", "2-d"])
+def test_axis_of_fewer_than_two_points_or_dimensions_rejected(x):
+    with pytest.raises(GridError,
+                       match="^x_coords must be one-dimensional with at least two points$"):
+        SpatioTemporalField(np.zeros((x.size, 4)), x, np.linspace(0, 1, 4))
+
+
 def test_decreasing_axis_rejected():
     with pytest.raises(GridError):
         SpatioTemporalField(np.zeros((4, 4)), np.array([0.0, 1.0, 0.5, 2.0]), np.linspace(0, 1, 4))

@@ -44,6 +44,10 @@ class TestFilterSpecValidation:
         with pytest.raises(ValueError):
             FilterSpec.of("zero_phase_lowpass", 1.5)
 
+    def test_butterworth_order_at_least_one(self):
+        with pytest.raises(ValueError, match="^butterworth_order must be at least 1$"):
+            FilterSpec.of("zero_phase_lowpass", 0.2, butterworth_order=0)
+
     @pytest.mark.parametrize("kind,parameter,fields", [
         ("moving_average", 5, {"window": 5}),
         ("savitzky_golay", 7, {"window": 7, "polyorder": 2}),
@@ -220,6 +224,12 @@ class TestDataMse:
         with pytest.raises(GridError):
             data_mse(a, b)
 
+    def test_misaligned_grids_rejected(self):
+        a = field_from(np.zeros((4, 4)))
+        b = SpatioTemporalField(np.zeros((4, 4)), np.arange(4.0) + 0.5, np.arange(4.0))
+        with pytest.raises(GridError, match="^x grids are not aligned$"):
+            data_mse(a, b)
+
 
 class TestFilterSweep:
     def test_argmin_reported(self):
@@ -255,6 +265,11 @@ class TestFilterSweep:
         noisy, clean = noisy_sine()
         with pytest.raises(ValueError, match="kind must be one of"):
             filter_sweep(noisy, clean, "median", [3, 5])
+
+    def test_empty_grid_rejected(self):
+        noisy, clean = noisy_sine()
+        with pytest.raises(ValueError, match="^filter sweep grid must be nonempty$"):
+            filter_sweep(noisy, clean, "moving_average", [])
 
     def test_csv_export(self, tmp_path):
         noisy, clean = noisy_sine()

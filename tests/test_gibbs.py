@@ -1,5 +1,8 @@
 import math
+import re
 import tracemalloc
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,7 +75,7 @@ class TestGroupConditionalOracle:
     def test_spike_frequency(self, fixed_variance_chain):
         l_spike, _, _ = self.analytic()
         freq = fixed_variance_chain.spike.mean()
-        se = np.sqrt(l_spike * (1 - l_spike) / fixed_variance_chain.n_draws)
+        se = np.sqrt(l_spike * (1 - l_spike) / fixed_variance_chain.beta.shape[0])
         assert abs(freq - l_spike) <= 3 * se
 
     def test_slab_mean(self, fixed_variance_chain):
@@ -129,6 +132,27 @@ class TestSamplerLimits:
         # lam has no string form: the sampler never estimates it
         with pytest.raises(TypeError):
             BglssConfig(lam="estimate_mc_em")
+
+    @pytest.mark.parametrize("settings,message", [
+        # a negative burn-in would leave kept draws unfilled
+        ({"n_iterations": 10, "n_burnin": -5},
+         "n_burnin must be at least 0 and below n_iterations (10), got -5"),
+        ({"n_burnin": -1}, "n_burnin must be at least 0 and below n_iterations (1000), got -1"),
+        ({"n_iterations": 10, "n_burnin": 10},
+         "n_burnin must be at least 0 and below n_iterations (10), got 10"),
+        ({"pi0": "fixed"}, "pi0 must be a probability or 'estimate'"),
+        ({"pi0": 1.5}, "fixed pi0 must lie in [0, 1]"),
+        ({"pi0": -0.1}, "fixed pi0 must lie in [0, 1]"),
+    ], ids=["burnin-negative", "burnin-minus-one", "burnin-whole-chain", "pi0-name",
+            "pi0-above-one", "pi0-negative"])
+    def test_invalid_setting_rejected(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BglssConfig(**settings)
+
+    def test_zero_burnin_keeps_every_draw(self):
+        ens = sample_posterior(single_group_system(BETA_LS), BglssConfig(n_iterations=10,
+                                                                         n_burnin=0))
+        assert ens.beta.shape[0] == 10 and np.isfinite(ens.beta).all()
 
 
 class TestSupportSampling:
@@ -210,6 +234,14 @@ class TestSpikeBookkeeping:
             wrong[draw, group] = not wrong[draw, group]
             with pytest.raises(ValueError, match="spike bookkeeping"):
                 synthetic_ensemble(beta, spike=wrong)
+
+    @pytest.mark.parametrize("name", ["sigma2", "tau2"])
+    def test_nonpositive_variance_draw_rejected(self, name):
+        ensemble = synthetic_ensemble(np.ones((3, 4, 2)))
+        values = getattr(ensemble, name).copy()
+        values[1] = 0.0
+        with pytest.raises(ValueError, match="^variance draws must be strictly positive$"):
+            replace(ensemble, **{name: values})
 
     def test_check_allocates_nothing_the_size_of_the_draws(self):
         beta = np.ones((200, 240, 12))

@@ -51,6 +51,15 @@ class TestLibrarySpec:
         with pytest.raises(ValueError):
             LibrarySpec((Term(((0, 1),)), Term(((0, 1),))))
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Term(((1, 1), (1, 2))), "duplicate derivative order in term factors"),
+        (lambda: Term(((0, 0),)), "factor powers must be positive"),
+        (lambda: LibrarySpec(()), "library must contain at least one term"),
+    ], ids=["duplicate-order", "zero-power", "empty-library"])
+    def test_invalid_term_or_library_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_descriptor_format(self):
         assert Term(((0, 2), (3, 1))).descriptor == "u^2*u_xxx"
         assert Term().descriptor == "1"
@@ -179,6 +188,26 @@ class TestAssembly:
         # the shapes are checked before a zero column is looked up
         with pytest.raises(ValueError, match="descriptor count"):
             normalize_columns(np.zeros((3, 4, 2)), np.ones((3, 4)), ("a",), "time", np.arange(3.0))
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"target": np.ones((2, 3))}, "target shape does not match blocks"),
+        ({"step_coords": np.arange(3.0)}, "step coordinate count does not match step count"),
+        ({"scales": np.ones((2, 3))}, "scales shape does not match blocks"),
+    ], ids=["target", "step-coords", "scales"])
+    def test_system_of_inconsistent_shapes_rejected(self, changes, message):
+        fields = {"blocks": np.ones((2, 4, 2)), "target": np.ones((2, 4)),
+                  "descriptors": ("a", "b"), "varying_axis": "time",
+                  "step_coords": np.arange(2.0), "scales": np.ones((2, 2))}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GroupedLinearSystem(**{**fields, **changes})
+
+    @pytest.mark.parametrize("blocks,axis,message", [
+        (np.ones((4, 3)), "time", r"blocks must be \(n_steps, n_rows, n_terms\)"),
+        (np.ones((3, 3, 2)), "both", "varying_axis must be 'time' or 'space'"),
+    ], ids=["2-d-blocks", "varying-axis"])
+    def test_assembly_of_unknown_layout_rejected(self, blocks, axis, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            assemble_grouped_system(blocks, np.ones((3, 3)), axis, np.arange(3.0), ("a", "b"))
 
     def test_burgers_system_dimensions(self, burgers_system):
         # 256^2 grid, FD valid-region trims: space 2/side, time 1/side
@@ -352,6 +381,15 @@ class TestCoefficientTrajectories:
         with pytest.raises(ValueError):
             CoefficientTrajectories(values, np.array([True, False]), ("a", "b"),
                                     np.arange(3.0), "time")
+
+    @pytest.mark.parametrize("descriptors,active,coords", [
+        (("a",), np.array([True, True]), np.arange(3.0)),
+        (("a", "b"), np.array([True]), np.arange(3.0)),
+        (("a", "b"), np.array([True, True]), np.arange(2.0)),
+    ], ids=["descriptors", "active", "step-coords"])
+    def test_inconsistent_shapes_rejected(self, descriptors, active, coords):
+        with pytest.raises(ValueError, match="^inconsistent trajectory shapes$"):
+            CoefficientTrajectories(np.ones((3, 2)), active, descriptors, coords, "time")
 
     def test_selected_and_group_access(self):
         values = np.zeros((3, 2))

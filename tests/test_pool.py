@@ -23,6 +23,12 @@ def run_all(workers, tasks):
 
 
 class TestWorkers:
+    def test_workers_fork_at_the_first_task(self, n_workers):
+        with Workers(str.upper, 2) as workers:
+            assert workers.processes == []  # so workers given no task fork nothing
+            assert run_all(workers, ["a", "b"]) == {"a": ("A", None), "b": ("B", None)}
+            assert len(workers.processes) == (2 if n_workers == 2 else 0)
+
     def test_each_task_comes_back_once_with_its_result(self, n_workers):
         shared = list(range(1000))  # inherited by the workers, never sent
 
@@ -146,13 +152,13 @@ class TestDrive:
 
     @pytest.fixture(params=[1, 2], ids=["inline", "forked"])
     def n_workers(self, request, monkeypatch):
-        # at most one worker per task, as `worker_count` gives, so a one-task drive runs here
+        # at most one worker per loop, as `worker_count` gives, so a one-loop drive runs here
         monkeypatch.setattr(pool, "worker_count", lambda n_tasks: min(request.param, n_tasks))
         return request.param
 
     def test_a_finished_key_is_answered_without_a_second_task(self, n_workers, submitted):
         loops = [asking("a", "b"), asking("b", "a"), asking("a"), asking("b", "b")]
-        answers = pool.drive(loops, str.upper, 2)
+        answers = pool.drive(loops, str.upper)
         assert answers == [["A", "B"], ["B", "A"], ["A"], ["B", "B"]]
         assert sorted(submitted) == ["a", "b"]
 
@@ -165,7 +171,7 @@ class TestDrive:
                 raise ValueError("no result for bad")
             return key.upper()
 
-        answers = pool.drive([asking("bad"), asking("ok", "bad")], run, 2)
+        answers = pool.drive([asking("bad"), asking("ok", "bad")], run)
         assert answers == [["no result for bad"], ["OK", "no result for bad"]]
         assert submitted == ["bad", "ok", "bad"]
 
@@ -180,7 +186,7 @@ class TestDrive:
             except KeyError as exc:
                 return exc.args
 
-        assert pool.drive([catching("a"), catching("a")], run, 2) == [("a",), ("a",)]
+        assert pool.drive([catching("a"), catching("a")], run) == [("a",), ("a",)]
         with pytest.raises(KeyError) as raised:
-            pool.drive([asking("b"), asking("c")], run, 2)
+            pool.drive([asking("b"), asking("c")], run)
         assert raised.value.args in {("b",), ("c",)}

@@ -6,17 +6,15 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from vcpde import baselines, pool, selection, tbglss
+from vcpde import baselines, criteria, pool, selection, tbglss
 from vcpde.baselines import GroupLassoConfig, SgtrConfig, group_lasso, group_lasso_null_threshold
 from vcpde.criteria import aic_loss, coefficient_mse, total_error_bar
 from vcpde.dataio import save_sweep
 from vcpde.gibbs import BglssConfig
 from vcpde.library import CoefficientTrajectories, normalize_columns
 from vcpde.pipeline import build_system, noisy_dataset
-from vcpde.selection import SelectionCurve, default_grid, fit, sweep
+from vcpde.selection import SWEEP_AXES, SelectionCurve, default_grid, fit, sweep
 from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
 
 from conftest import random_grouped_system
@@ -37,8 +35,8 @@ class TestAicLoss:
     def test_perfect_fit_floor(self):
         system, beta_norm = perfect_fit_system()
         n_obs = system.n_observations
-        loss = aic_loss(system, beta_norm, k=0, epsilon=1e-6)
-        assert loss == pytest.approx(n_obs * np.log(1e-6), rel=1e-9)
+        loss = aic_loss(system, beta_norm, k=0)
+        assert loss == pytest.approx(n_obs * np.log(criteria.EPSILON), rel=1e-9)
 
     def test_k_additivity(self):
         system, beta_norm = perfect_fit_system()
@@ -47,17 +45,13 @@ class TestAicLoss:
         bigger = aic_loss(system, beta_norm, k=2 * m)
         assert bigger - base == pytest.approx(2 * m)
 
-    @settings(max_examples=25, deadline=None)
-    @given(eps1=st.floats(1e-8, 1e-2), eps2=st.floats(1e-8, 1e-2))
-    def test_epsilon_decomposition(self, eps1, eps2):
+    def test_imperfect_fit_value(self):
         system, beta_norm = perfect_fit_system(seed=3)
-        beta = 0.5 * beta_norm  # imperfect fit
+        beta = 0.5 * beta_norm
         n_obs = system.n_observations
         rss = system.residual_norm_sq(beta) / float((system.target**2).sum())
-        l1 = aic_loss(system, beta, k=0, epsilon=eps1)
-        l2 = aic_loss(system, beta, k=0, epsilon=eps2)
-        expected = n_obs * (np.log(rss / n_obs + eps1) - np.log(rss / n_obs + eps2))
-        assert l1 - l2 == pytest.approx(expected, rel=1e-9)
+        expected = n_obs * np.log(rss / n_obs + criteria.EPSILON)
+        assert aic_loss(system, beta, k=0) == pytest.approx(expected, rel=1e-12)
 
     def test_true_support_beats_supersets_on_clean_burgers(self, burgers_system, library20):
         m = burgers_system.n_steps
@@ -74,10 +68,10 @@ class TestAicLoss:
             losses[extra] = aic_loss(burgers_system, beta, k=len(idx) * m)
         assert all(losses[None] < v for k, v in losses.items() if k is not None)
 
-    def test_epsilon_positive_required(self):
+    def test_beta_of_another_shape_rejected(self):
         system, beta_norm = perfect_fit_system()
-        with pytest.raises(ValueError):
-            aic_loss(system, beta_norm, k=0, epsilon=0.0)
+        with pytest.raises(ValueError, match="^beta shape does not match the system$"):
+            aic_loss(system, beta_norm[:, :-1], k=0)
 
 
 class TestTotalErrorBar:
@@ -99,6 +93,10 @@ class TestTotalErrorBar:
         right[:, :2] = 0.0
         assert total_error_bar(beta, s2) == pytest.approx(
             total_error_bar(left, s2) + total_error_bar(right, s2))
+
+    def test_variances_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="^beta and s2 shapes differ$"):
+            total_error_bar(np.ones((4, 3)), np.ones((4, 2)))
 
 
 def make_trajectories(values, coords=None):
@@ -131,6 +129,12 @@ class TestCoefficientMse:
         est = make_trajectories([[1.0], [2.0]], coords=np.array([0.0, 1.0]))
         truth = make_trajectories([[1.0], [2.0]], coords=np.array([0.0, 2.0]))
         with pytest.raises(ValueError, match="grids"):
+            coefficient_mse(est, truth)
+
+    def test_library_mismatch_rejected(self):
+        est = make_trajectories([[1.0, 0.0], [2.0, 0.0]])
+        truth = replace(est, descriptors=("g0", "other"))
+        with pytest.raises(ValueError, match="^term libraries differ between estimate and truth$"):
             coefficient_mse(est, truth)
 
 
@@ -353,6 +357,44 @@ class TestSweep:
         with pytest.raises(ValueError, match="must be finite"):
             sweep(system, "sgtr_threshold", np.array(grid), SgtrConfig())
 
+    @pytest.mark.parametrize("axis,grid,message", [
+        ("sgtr_threshold", [], "sweep grid must be nonempty"),
+        ("threshold", [0.1, 0.2], f"axis must be one of {SWEEP_AXES}"),
+    ], ids=["empty-grid", "unknown-axis"])
+    def test_grid_and_axis_rejected(self, axis, grid, message):
+        system, _ = perfect_fit_system(seed=6)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(system, axis, np.array(grid), SgtrConfig())
+
+    # each axis's default grid: its size and ends, lambda's times the system's null threshold
+    DEFAULT_GRIDS = {"t_rms": (20, 1e-3, 1.0), "t_ge": (11, 0.02, 0.22),
+                     "lambda": (20, 1e-4, 1.0), "sgtr_threshold": (20, 1e-3, 1.0)}
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_default_grid(self, axis):
+        size, low, high = self.DEFAULT_GRIDS[axis]
+        system, _ = perfect_fit_system(seed=6)
+        grid = default_grid(axis, system)
+        scale = group_lasso_null_threshold(system) if axis == "lambda" else 1.0
+        assert grid.size == size and np.all(np.diff(grid) > 0)
+        assert (grid[0], grid[-1]) == pytest.approx((low * scale, high * scale), rel=1e-12)
+        if axis != "lambda":
+            assert default_grid(axis).tolist() == grid.tolist()  # needs no system
+
+    @pytest.mark.parametrize("axis,message", [
+        ("lambda", "lambda grid needs the system for its null threshold"),
+        ("threshold", "unknown axis 'threshold'"),
+    ])
+    def test_default_grid_rejections(self, axis, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_grid(axis)
+
+    def test_point_at_a_value_off_the_curve_raises(self):
+        system, _ = perfect_fit_system(seed=7)
+        curve = sweep(system, "sgtr_threshold", np.array([0.01, 0.5]), SgtrConfig())
+        with pytest.raises(KeyError, match="no sweep point at 0.2"):
+            curve.point_at(0.2)
+
     @pytest.mark.parametrize("axis,grid,base,message", [
         ("sgtr_threshold", [0.0, 0.1], SgtrConfig(), "threshold must be positive, got 0.0"),
         ("lambda", [0.0, 0.1], GroupLassoConfig(), "lam must be positive, got 0.0"),
@@ -384,8 +426,8 @@ def burgers_one_percent(small_burgers_clean):
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Runs with two or more tasks use two worker processes, however many CPUs this machine
-    has; one that asks for one worker, like `run_tbglss` or an SGTR sweep, runs here."""
+    """Drives of two or more loops use two worker processes, however many CPUs this machine
+    has; one of one loop, like `run_tbglss`, runs here."""
     monkeypatch.setattr(pool, "worker_count", lambda n_tasks: min(2, n_tasks))
 
 
@@ -490,7 +532,7 @@ class TestSweepSharesChains:
                    for spec in (ThresholdSpec(t_rms=(rms[k - 1] + rms[k]) / 2),
                                 ThresholdSpec(t_ge=(ge[k - 1] + ge[k]) / 2))]
         shared = pool.drive([tbglss.threshold_loop(system, config) for config in configs],
-                            partial(tbglss._chain, system), len(configs))
+                            partial(tbglss._chain, system))
         first, second = (r.update_history[0].removed for r in shared)
         assert len(first) == len(second) and set(first) != set(second)
         for config, report in zip(configs, shared):
@@ -567,20 +609,23 @@ class TestParallelSweep:
                 == sweep_outputs(curves[2], tmp_path / "2"))
 
     def test_sgtr_runs_open_no_worker_process(self, burgers_one_percent, monkeypatch, pooled):
-        # an SGTR sweep, and the grid of a fit choosing its threshold, ask for one worker
-        opened, init = [], pool.Workers.__init__
+        # counted as each drive closes its workers, which fork at the first task: an SGTR
+        # grid asks for none, and a lone run_tbglss loop samples its chains here
+        forked, close = [], pool.Workers.__exit__
 
-        def counted(workers, run, n_tasks):
-            init(workers, run, n_tasks)
-            opened.append(len(workers.processes))
+        def counted(workers, *fault):
+            forked.append(len(workers.processes))
+            close(workers, *fault)
 
-        monkeypatch.setattr(pool.Workers, "__init__", counted)
+        monkeypatch.setattr(pool.Workers, "__exit__", counted)
         system = burgers_one_percent
+        run_tbglss(system, self.BASE)
         sweep(system, "sgtr_threshold", default_grid("sgtr_threshold"), SgtrConfig())
         assert fit(system, SgtrConfig()).provenance["selected_by"]
-        assert opened == [0, 0]
+        assert forked == [0, 0, 0]
         sweep(system, "lambda", default_grid("lambda", system)[::10], GroupLassoConfig())
-        assert opened == [0, 0, 2]  # the lambda path's two points run on two workers
+        sweep(system, "t_ge", np.array([0.05, 0.15, 0.25]), self.BASE)
+        assert forked == [0, 0, 0, 2, 2]  # min(CPUs, points), on two CPUs
 
     def test_worker_warnings_are_raised_again_here(self, monkeypatch, pooled):
         # the lambda path's points run on two workers; an SGTR grid runs here

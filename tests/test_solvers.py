@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -388,6 +389,22 @@ class TestScenarioValidation:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             PdeScenario("wave", (-1, 1), (0, 1), 16, 16, {}, {}, lambda x: x, "x", "time")
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"varying_axis": "both"}, "varying_axis must be 'time' or 'space'"),
+        ({"x_span": (1.0, -1.0)}, "domain spans must be increasing"),
+        ({"t_span": (0.0, 0.0)}, "domain spans must be increasing"),
+        ({"true_terms": {"u_xxx": lambda t: 0.1}},
+         "true term 'u_xxx' takes derivative order 3; the solver integrates orders (1, 2, 4)"),
+        ({"true_terms": {"u*u_x": lambda t: 1.0, "u^2*u_xxx": lambda t: 0.1}},
+         "true term 'u^2*u_xxx' takes derivative order 3; the solver integrates orders (1, 2, 4)"),
+        ({"true_terms": {"foo": lambda t: 0.1}},
+         "true term 'foo' is not a term of the standard library"),
+    ], ids=["varying-axis", "x-span", "t-span", "order-3", "order-3-product", "unknown-term"])
+    def test_scenario_the_solver_cannot_integrate_rejected(self, changes, message):
+        # rejected when built, not as a KeyError inside the solve
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(make_scenario("burgers", n_x=32, n_t=16), **changes)
 
     @pytest.mark.parametrize("family,option", [
         ("burgers", "rtol"), ("ad", "atol"), ("ks", "d_t"), ("ks", "rtol"),

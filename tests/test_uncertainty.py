@@ -177,6 +177,11 @@ class TestBootstrapMedianCi:
         with pytest.raises(ValueError):
             bootstrap_median_ci(np.ones(MIN_RETAINED_DRAWS - 1))
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, float("nan")])
+    def test_level_outside_the_unit_interval_rejected(self, level):
+        with pytest.raises(ValueError, match=r"^level must be in \(0, 1\)$"):
+            bootstrap_median_ci(np.ones(MIN_RETAINED_DRAWS), level=level)
+
     def test_interval_must_bracket_point(self):
         with pytest.raises(ValueError):
             BootstrapCI(point=1.0, lower=1.1, upper=1.2, level=0.95)

@@ -58,6 +58,14 @@ def _out_root(value: str | None) -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
 
 
+def finite(text: str) -> float:  # argparse names it: "invalid finite value"
+    """An option's number; NaN and infinity are refused here, as outputs are strict JSON."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _split(text: str, option: str, form: str, *types) -> list:
     """The ':'-separated fields of `text`, one per type in `types`, for `option` of `form`."""
     fields = text.split(":")
@@ -69,12 +77,8 @@ def _split(text: str, option: str, form: str, *types) -> list:
     raise ValueError(f"{option} expects {form}, got {text!r}")
 
 
-def _parse_span(text: str, option: str) -> tuple[float, float]:
-    return tuple(_split(text, option, "lo:hi", float, float))
-
-
 def _parse_range(text: str, option: str, log: bool = False) -> np.ndarray:
-    lo, hi, count = _split(text, option, "lo:hi:count", float, float, int)
+    lo, hi, count = _split(text, option, "lo:hi:count", finite, finite, int)
     if count < 1:
         raise ValueError(f"{option} expects a positive count, got {text!r}")
     if log:
@@ -164,12 +168,12 @@ OPTIONS = (
     _option("--log", "sweep", action="store_true", help="logarithmic --range spacing"),
     _option("--with-truth", "sweep", action="store_true",
             help="also record coefficient MSE against the built-in scenario truth"),
-    _option("--t-rms", FIT, "thresholds.t_rms", TBGLSS, type=float, help="group RMS threshold"),
-    _option("--t-ge", FIT, "thresholds.t_ge", TBGLSS, type=float,
+    _option("--t-rms", FIT, "thresholds.t_rms", TBGLSS, type=finite, help="group RMS threshold"),
+    _option("--t-ge", FIT, "thresholds.t_ge", TBGLSS, type=finite,
             help="group error bar threshold"),
-    _option("--lam", FIT, "bglss.lam", TBGLSS, type=float,
+    _option("--lam", FIT, "bglss.lam", TBGLSS, type=finite,
             help=f"group-lasso rate (default {BglssConfig.lam})"),
-    _option("--pi0", FIT, "bglss.pi0", TBGLSS, type=float,
+    _option("--pi0", FIT, "bglss.pi0", TBGLSS, type=finite,
             help=f"fixed spike weight (default: {BglssConfig.pi0})"),
     _option("--iterations", FIT, "bglss.n_iterations", TBGLSS, type=int,
             help="final chain length"),
@@ -187,9 +191,9 @@ OPTIONS = (
             help="also dump the final chain's retained draws: a CSV for a .csv name, else an "
                  ".npz archive (.npz is appended if missing); nothing is written when no "
                  "term is selected"),
-    _option("--sgtr-threshold", "discover", "sgtr.threshold", ("sgtr",), type=float),
-    _option("--sgtr-ridge", FIT, "sgtr.ridge", ("sgtr",), type=float),
-    _option("--lasso-lam", "discover", "group_lasso.lam", ("group_lasso",), type=float),
+    _option("--sgtr-threshold", "discover", "sgtr.threshold", ("sgtr",), type=finite),
+    _option("--sgtr-ridge", FIT, "sgtr.ridge", ("sgtr",), type=finite),
+    _option("--lasso-lam", "discover", "group_lasso.lam", ("group_lasso",), type=finite),
     _option("--diff-method", FIT, "diff.method", choices=DIFF_METHODS),
     _option("--space-width", FIT, "diff.space_width", POLY_FIT, type=int),
     _option("--space-degree", FIT, "diff.space_degree", POLY_FIT, type=int),
@@ -277,13 +281,9 @@ def cmd_simulate(args) -> int:
     grid = _given(args, "scenario")
     for name in ("x_span", "t_span"):
         if name in grid:
-            grid[name] = _parse_span(grid[name], "--" + name.replace("_", "-"))
-    scenario = make_scenario(args.family, **grid)
-    if scenario.retain_t_from is not None and scenario.t_span[1] < scenario.retain_t_from:
-        raise ValueError(f"--t-span ends at {scenario.t_span[1]!r}, before the {scenario.family} "
-                         f"scenario's retain_t_from={scenario.retain_t_from!r}: discovery "
-                         f"would keep no time samples")
-    clean = simulate_dataset(scenario, seed=args.seed)
+            flag = "--" + name.replace("_", "-")
+            grid[name] = tuple(_split(grid[name], flag, "lo:hi", finite, finite))
+    clean = simulate_dataset(make_scenario(args.family, **grid), seed=args.seed)
     dataset = noisy_dataset(clean, args.noise, args.seed)
     outdir = _out_root(args.output)
     stem = _dataset_stem(dataset.metadata)
@@ -312,7 +312,7 @@ def cmd_filter(args) -> int:
     options = _given(args, "filter")
     clean = load_dataset(args.clean) if args.clean else None
     if text is not None and ":" not in text:
-        value, = _split(text, flag, "one value or a range", int if name == "window" else float)
+        value, = _split(text, flag, "one value or a range", int if name == "window" else finite)
         spec = FilterSpec.of(kind, value, **options)
         filtered = filter_dataset(dataset, spec)
         fmt = args.format or "json"

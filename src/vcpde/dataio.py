@@ -40,7 +40,8 @@ DATASET_VERSION = 1
 
 
 def _write_json(path: Path, doc) -> Path:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    """`doc` as strict JSON: a NaN or infinite float raises before the file is made."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     return path
 
 

@@ -6,7 +6,8 @@ stencil or the weights of a least-squares local polynomial (`polyfit_kernel`),
 and correlates the field with them, along space first and then time.  Only
 points where the widest kernel fits inside the grid are kept; edge strips are
 dropped from the valid region instead of being extrapolated, since biased edge
-derivatives would contaminate the regression.
+derivatives would contaminate the regression.  A retained time window (`t_from`)
+is cut here too: only the columns its samples read are correlated.
 
 `correlate1d` is the one correlation of the package: the derivative stack, the
 moving average and the Savitzky-Golay filter all run through it.
@@ -109,8 +110,6 @@ class DerivativeStack:
     space: dict[int, np.ndarray]  # derivative order -> values
     x_coords: np.ndarray
     t_coords: np.ndarray
-    valid_x: tuple[int, int]  # half-open index range into the source grid
-    valid_t: tuple[int, int]
 
     def __post_init__(self):
         shape = (self.x_coords.size, self.t_coords.size)
@@ -133,8 +132,13 @@ def build_derivative_stack(
     space_degree: int = POLY_FIT_DEFAULTS["space_degree"],
     time_width: int = POLY_FIT_DEFAULTS["time_width"],
     time_degree: int = POLY_FIT_DEFAULTS["time_degree"],
+    t_from: float | None = None,
 ) -> DerivativeStack:
     """Estimate u_t and u_x..u_(x^max) and trim all to a common valid region.
+
+    With `t_from` (a dataset's `retain_t_from`) the region starts at the first
+    time sample at or after it, to within 1e-12; a `t_from` past the last
+    sample with derivatives is a ValueError.
 
     With the poly_fit method every stack entry is a derivative of the same
     locally fitted polynomial surface: the window's order-zero smoothing is
@@ -163,11 +167,19 @@ def build_derivative_stack(
             raise ValueError(f"grid too small along {axis}: {n} points for a {size}-point stencil")
         trims.append(size // 2)
     trim_x, trim_t = trims
+    end = field.n_t - trim_t  # one past the last time sample with derivatives
+    first = trim_t if t_from is None else max(
+        trim_t, int(np.searchsorted(field.t_coords, t_from - 1e-12)))
+    if first >= end:  # so t_from is set: without it first = trim_t < end
+        raise ValueError(f"retain_t_from={t_from!r} keeps no time samples: the data's last "
+                         f"time is {float(field.t_coords[-1])!r} (the last with derivatives "
+                         f"{float(field.t_coords[end - 1])!r})")
+    read = field.values[:, first - trim_t:]  # the columns the kept samples' kernels read
     sx = slice(trim_x, field.n_x - trim_x)
-    st = slice(trim_t, field.n_t - trim_t)
+    st = slice(trim_t, read.shape[1] - trim_t)
 
     def apply(kx: np.ndarray | None, kt: np.ndarray | None) -> np.ndarray:
-        out = field.values
+        out = read
         if kx is not None:
             out = correlate1d(out, kx, axis=0)
         if kt is not None:
@@ -179,7 +191,5 @@ def build_derivative_stack(
         u_t=apply(space[0], time[1]),
         space={q: apply(space[q], time[0]) for q in orders[1:]},
         x_coords=field.x_coords[sx],
-        t_coords=field.t_coords[st],
-        valid_x=(trim_x, field.n_x - trim_x),
-        valid_t=(trim_t, field.n_t - trim_t),
+        t_coords=field.t_coords[first:end],
     )

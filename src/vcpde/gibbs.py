@@ -185,7 +185,8 @@ def _run_chain(system: GroupedLinearSystem, config: BglssConfig,
                 np.subtract(c, beta_g, delta)
                 np.copyto(beta_g, c)
                 spike[g] = False
-            np.multiply(gram_g, delta, product_t)
+            np.copyto(product_t, delta)
+            np.multiply(product_t, gram_g, product_t)
             np.add(v_t, product_t, v_t)
 
         beta = np.ascontiguousarray(beta_t.T)

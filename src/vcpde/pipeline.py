@@ -58,10 +58,6 @@ class Dataset:
     def varying_axis(self) -> str:
         return self.metadata.get("varying_axis", "time")
 
-    @property
-    def retain_t_from(self) -> float | None:
-        return self.metadata.get("retain_t_from")
-
     def dataset_id(self) -> str:
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.field.values).tobytes())
@@ -167,12 +163,10 @@ def build_system(
     library = library or LibrarySpec.standard()
     diff = _resolved_differentiation(dataset, diff)
     field_used = dataset.field
-    if diff.prefilter_time is not None:
-        w, d = diff.prefilter_time
-        field_used = apply_filter(field_used, FilterSpec.of("savitzky_golay", w, d, axis="time"))
-    if diff.prefilter_space is not None:
-        w, d = diff.prefilter_space
-        field_used = apply_filter(field_used, FilterSpec.of("savitzky_golay", w, d, axis="space"))
+    for axis, prefilter in (("time", diff.prefilter_time), ("space", diff.prefilter_space)):
+        if prefilter is not None:  # (window, degree)
+            field_used = apply_filter(field_used, FilterSpec.of("savitzky_golay", *prefilter,
+                                                                axis=axis))
     stack = build_derivative_stack(
         field_used,
         max_space_order=library.max_derivative,
@@ -181,26 +175,9 @@ def build_system(
         space_degree=diff.space_degree,
         time_width=diff.time_width,
         time_degree=diff.time_degree,
+        t_from=dataset.metadata.get("retain_t_from"),
     )
     del field_used  # a prefiltered copy is not needed past the derivatives
-    retain = dataset.retain_t_from
-    if retain is not None:
-        # t is increasing, so the samples at or after `retain` are a suffix: views, no copies
-        first = int(np.searchsorted(stack.t_coords, retain - 1e-12))
-        if first == stack.t_coords.size:
-            raise ValueError(
-                f"retain_t_from={retain!r} keeps no time samples: the data's last time is "
-                f"{float(dataset.field.t_coords[-1])!r} (the last with derivatives "
-                f"{float(stack.t_coords[-1])!r})"
-            )
-        stack = replace(
-            stack,
-            u=stack.u[:, first:],
-            u_t=stack.u_t[:, first:],
-            space={q: values[:, first:] for q, values in stack.space.items()},
-            t_coords=stack.t_coords[first:],
-            valid_t=(stack.valid_t[0] + first, stack.valid_t[1]),
-        )
 
     varying = dataset.varying_axis
     step_coords = stack.t_coords if varying == "time" else stack.x_coords

@@ -82,6 +82,10 @@ class PdeScenario:
             raise ValueError("varying_axis must be 'time' or 'space'")
         if self.x_span[1] <= self.x_span[0] or self.t_span[1] <= self.t_span[0]:
             raise ValueError("domain spans must be increasing")
+        if self.retain_t_from is not None and self.t_span[1] < self.retain_t_from:
+            raise ValueError(f"t_span ends at {self.t_span[1]!r}, before the {self.family} "
+                             f"scenario's retain_t_from={self.retain_t_from!r}: discovery "
+                             f"would keep no time samples")
 
     @property
     def x_coords(self) -> np.ndarray:

@@ -60,11 +60,17 @@ class TbglssConfig:
     def __post_init__(self):
         if self.final_chains < 1:
             raise ValueError(f"final_chains must be at least 1, got {self.final_chains}")
-        if self.update_iterations < 1:
-            raise ValueError(f"update_iterations must be at least 1, got {self.update_iterations}")
         if not 0 <= self.update_burnin < self.update_iterations:
             raise ValueError(f"update_burnin must be at least 0 and below update_iterations "
                              f"({self.update_iterations}), got {self.update_burnin}")
+        # a chain's summary takes the ddof=1 variance of its retained draws (`_summarize`)
+        for fields, n_iterations, n_burnin in (
+                ("update_iterations - update_burnin", self.update_iterations, self.update_burnin),
+                ("bglss.n_iterations - bglss.n_burnin", self.bglss.n_iterations,
+                 self.bglss.n_burnin)):
+            if n_iterations - n_burnin < 2:
+                raise ValueError(f"a chain keeps at least 2 retained draws: {fields} is "
+                                 f"{n_iterations} - {n_burnin}")
         if self.with_ci and self.bglss.n_iterations - self.bglss.n_burnin < MIN_RETAINED_DRAWS:
             raise ValueError(f"with_ci bootstraps at least {MIN_RETAINED_DRAWS} retained draws: "
                              f"bglss.n_iterations - bglss.n_burnin is "

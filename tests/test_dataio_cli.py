@@ -8,10 +8,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from vcpde import cli, pipeline, pool, selection, solvers, tbglss
+from vcpde import cli, dataio, pipeline, pool, selection, solvers, tbglss
 from vcpde.baselines import SgtrConfig
 from vcpde.cli import main
 from vcpde.dataio import load_dataset, save_dataset, save_report
+from vcpde.fields import SpatioTemporalField
 from vcpde.filters import DEFAULT_GRIDS, FILTER_KINDS, FilterSpec, parameter_name
 from vcpde.gibbs import BglssConfig, SamplerError
 from vcpde.library import LibrarySpec
@@ -53,6 +54,13 @@ class TestDatasetArchive:
         path = save_dataset(filtered, tmp_path / "f.json")
         loaded = load_dataset(path)
         assert loaded.metadata["filters"][0]["kind"] == "moving_average"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_float_is_written_to_no_file(self, tmp_path, value):
+        # strict JSON has no NaN or Infinity token
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dataio._write_json(tmp_path / "doc.json", {"rms": [0.5, value]})
+        assert not list(tmp_path.iterdir())
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -157,7 +165,24 @@ class TestCli:
         (["sweep", "--dataset", "x.json", "--range", "-1:1:3"],
          "argument --range: expected one argument"),
         (["simulate", "--nx", "64", "--bogus"], "unrecognized arguments: --bogus"),
-    ], ids=["bad_int", "bad_choice", "bare_negative_range", "unknown_argument"])
+        # outputs are strict JSON, so a fit's numbers are finite
+        (["discover", "--dataset", "x.json", "--t-ge", "inf"],
+         "argument --t-ge: invalid finite value: 'inf'"),
+        (["discover", "--dataset", "x.json", "--t-rms=-inf"],
+         "argument --t-rms: invalid finite value: '-inf'"),
+        (["discover", "--dataset", "x.json", "--lam", "nan"],
+         "argument --lam: invalid finite value: 'nan'"),
+        (["discover", "--dataset", "x.json", "--pi0", "inf"],
+         "argument --pi0: invalid finite value: 'inf'"),
+        (["discover", "--dataset", "x.json", "--method", "sgtr", "--sgtr-threshold", "nan"],
+         "argument --sgtr-threshold: invalid finite value: 'nan'"),
+        (["discover", "--dataset", "x.json", "--method", "sgtr", "--sgtr-ridge", "nan"],
+         "argument --sgtr-ridge: invalid finite value: 'nan'"),
+        (["discover", "--dataset", "x.json", "--method", "group_lasso", "--lasso-lam", "nan"],
+         "argument --lasso-lam: invalid finite value: 'nan'"),
+    ], ids=["bad_int", "bad_choice", "bare_negative_range", "unknown_argument", "infinite_t_ge",
+            "infinite_t_rms", "nan_lam", "infinite_pi0", "nan_sgtr_threshold",
+            "nan_sgtr_ridge", "nan_lasso_lam"])
     def test_usage_error_is_validation_error(self, tmp_path, capsys, argv, message):
         assert self.run(*argv, "--output", str(tmp_path)) == 1
         err = capsys.readouterr().err
@@ -199,16 +224,19 @@ class TestCli:
                         "--t-span", "0:50", "--output", str(tmp_path))
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: --t-span ends at 50.0, before the kuramoto_sivashinsky scenario's "
+            "error: t_span ends at 50.0, before the kuramoto_sivashinsky scenario's "
             "retain_t_from=100.0: discovery would keep no time samples\n")
         assert solved == []
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("method", ["tbglss", "sgtr"])
     def test_discover_names_an_empty_retained_window(self, tmp_path, capsys, method):
-        # a dataset made before simulate checked its span
-        dataset = simulate_dataset(make_scenario("ks", n_x=64, n_t=32, t_span=(0.0, 50.0)))
-        path = save_dataset(dataset, tmp_path / "ks.json")
+        # no scenario ends before its retained window, but a dataset's metadata is only data
+        x, t = np.linspace(0.0, 2 * np.pi, 64, endpoint=False), np.linspace(0.0, 50.0, 32)
+        field = SpatioTemporalField(np.sin(x)[:, None] * np.exp(-0.01 * t)[None, :], x, t)
+        metadata = {"family": "kuramoto_sivashinsky", "varying_axis": "space",
+                    "retain_t_from": 100.0, "noise_level": 0.0}
+        path = save_dataset(Dataset(field, metadata), tmp_path / "ks.json")
         code = self.run("discover", "--dataset", str(path), "--method", method,
                         *(["--t-rms", "0.1"] if method == "tbglss" else []),
                         "--output", str(tmp_path / "out"))
@@ -260,6 +288,24 @@ class TestCli:
             "bglss.n_burnin is 40 - 20\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, fields", [
+        (["--update-iterations", "5", "--update-burnin", "4"],
+         "update_iterations - update_burnin is 5 - 4"),
+        (["--iterations", "100", "--burnin", "99"],
+         "bglss.n_iterations - bglss.n_burnin is 100 - 99"),
+    ], ids=["screening", "final"])
+    def test_a_chain_keeping_one_draw_samples_no_chain(self, small_dataset, monkeypatch, tmp_path,
+                                                        capsys, argv, fields):
+        # one draw has no ddof=1 variance: its group error bars would be NaN
+        monkeypatch.setattr(tbglss, "sample_posterior", None)  # rejected before any chain
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        code = self.run("discover", "--dataset", str(path), "--t-rms", "0.02", *argv,
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: a chain keeps at least 2 retained draws: {fields}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_burnin_samples_no_chain(self, small_dataset, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(tbglss, "sample_posterior", None)  # rejected before any chain
         path = save_dataset(small_dataset, tmp_path / "d.json")
@@ -284,19 +330,16 @@ class TestCli:
         code = self.run("discover", "--dataset", str(path), "--t-ge", "nan",
                         "--output", str(tmp_path / "out"))
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: t_ge must be nonnegative, got nan")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vcpde ")
+        assert err.endswith("\nerror: argument --t-ge: invalid finite value: 'nan'\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--t-rms", "0.1", "--lam", "nan"], "lam must be positive, got nan"),
-        (["--method", "sgtr", "--sgtr-threshold", "nan"], "threshold must be positive, got nan"),
-        (["--method", "sgtr", "--sgtr-threshold", "0.1", "--sgtr-ridge", "nan"],
-         "ridge penalty must be nonnegative, got nan"),
-        (["--method", "group_lasso", "--lasso-lam", "nan"], "lam must be positive, got nan"),
         (["--t-rms", "0.1", "--final-chains", "0"], "final_chains must be at least 1, got 0\n"),
         (["--t-rms", "0.1", "--final-chains", "-2"], "final_chains must be at least 1, got -2\n"),
         (["--t-rms", "0.1", "--update-iterations", "0"],
-         "update_iterations must be at least 1, got 0\n"),
+         "update_burnin must be at least 0 and below update_iterations (0), got 50\n"),
         (["--t-rms", "0.1", "--update-burnin", "300"],
          "update_burnin must be at least 0 and below update_iterations (200), got 300\n"),
         (["--t-rms", "0.1", "--update-burnin", "-1"],
@@ -305,9 +348,9 @@ class TestCli:
          "n_burnin must be at least 0 and below n_iterations (1000), got -5\n"),
         (["--t-rms", "0.1", "--iterations", "100", "--burnin", "100"],
          "n_burnin must be at least 0 and below n_iterations (100), got 100\n"),
-    ], ids=["lam", "sgtr_threshold", "sgtr_ridge", "lasso_lam", "final_chains_zero",
-            "final_chains_negative", "update_iterations_zero", "update_burnin_too_long",
-            "update_burnin_negative", "burnin_negative", "burnin_too_long"])
+    ], ids=["final_chains_zero", "final_chains_negative", "update_iterations_zero",
+            "update_burnin_too_long", "update_burnin_negative", "burnin_negative",
+            "burnin_too_long"])
     def test_discover_nan_option_is_validation_error(self, small_dataset, tmp_path, capsys,
                                                      argv, message):
         path = save_dataset(small_dataset, tmp_path / "d.json")
@@ -392,7 +435,8 @@ class TestCli:
         ("--x-span", "5", "--x-span expects lo:hi, got '5'"),
         ("--t-span", "0:1:2", "--t-span expects lo:hi, got '0:1:2'"),
         ("--t-span", "0:b", "--t-span expects lo:hi, got '0:b'"),
-    ], ids=["too_few", "too_many", "not_a_number"])
+        ("--t-span", "0:inf", "--t-span expects lo:hi, got '0:inf'"),
+    ], ids=["too_few", "too_many", "not_a_number", "infinite"])
     def test_malformed_span_names_its_option(self, tmp_path, capsys, option, text, message):
         code = self.run("simulate", "--family", "burgers", option, text, "--output", str(tmp_path))
         assert code == 1
@@ -404,6 +448,10 @@ class TestCli:
         for argv, message in [
             (["--axis", "t_rms", "--range", "0.02:0.2:x"],
              "--range expects lo:hi:count, got '0.02:0.2:x'"),
+            (["--axis", "t_ge", "--range", "0:inf:3"],
+             "--range expects lo:hi:count, got '0:inf:3'"),
+            (["--axis", "t_ge", "--range", "nan:1:3"],
+             "--range expects lo:hi:count, got 'nan:1:3'"),
             (["--axis", "t_rms", "--range", "0.1:0.2:0"],
              "--range expects a positive count, got '0.1:0.2:0'"),
             (["--axis", "t_rms", "--range=0.1:0.2:-1"],
@@ -824,13 +872,14 @@ class TestCli:
         ("discover", '{"iterations": 300.5}', "sets iterations to 300.5"),
         ("discover", '{"seed": 1.5}', "sets seed to 1.5"),
         ("discover", '{"lam": [1]}', "sets lam to [1]"),
+        ("discover", '{"t_ge": Infinity}', "sets t_ge to inf: not a finite number"),
         ("discover", '{"method": "lasso"}', "sets method to 'lasso': expected one of"),
         ("discover", '{"with_ci": 1}', "sets with_ci to 1: expected true or false"),
         ("simulate", '{"family": "burgers", "noise": "abc"}', "sets noise to 'abc'"),
         ("simulate", '{"family": ["burgers"]}', "sets family to ['burgers']: expected a string"),
     ], ids=["missing", "malformed", "not_an_object", "unknown_key", "sweep_grids",
-            "float_iterations", "float_seed", "list_lam", "unknown_method", "non_bool_flag",
-            "text_noise", "list_family"])
+            "float_iterations", "float_seed", "list_lam", "infinite_t_ge", "unknown_method",
+            "non_bool_flag", "text_noise", "list_family"])
     def test_bad_config_file_is_validation_error(self, tmp_path, capsys, command, text, message):
         config = tmp_path / "cfg.json"
         if text is not None:

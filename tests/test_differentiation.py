@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,13 +54,13 @@ class TestDifferentiate:
         # the widest kernel sets the trim: 5-point stencils from order 3 on, 3-point below
         for max_order, trim_x in ((2, 1), (4, 2)):
             stack = build_derivative_stack(f, max_space_order=max_order)
-            assert stack.valid_x == (trim_x, f.n_x - trim_x) and stack.valid_t == (1, f.n_t - 1)
             np.testing.assert_array_equal(stack.x_coords, f.x_coords[trim_x:-trim_x])
             np.testing.assert_array_equal(stack.t_coords, f.t_coords[1:-1])
             np.testing.assert_array_equal(stack.u, f.values[trim_x:-trim_x, 1:-1])
             assert all(np.isfinite(a).all() for a in stack.space.values())
         stack = build_derivative_stack(f, method="poly_fit", space_width=7, time_width=5)
-        assert stack.valid_x == (3, f.n_x - 3) and stack.valid_t == (2, f.n_t - 2)
+        np.testing.assert_array_equal(stack.x_coords, f.x_coords[3:-3])
+        np.testing.assert_array_equal(stack.t_coords, f.t_coords[2:-2])
 
     def test_time_derivative(self):
         x = np.linspace(0, 1, 8)
@@ -154,7 +156,8 @@ class TestDerivativeStack:
         stack = build_derivative_stack(burgers_field)
         assert set(stack.space) == {1, 2, 3, 4}
         assert stack.u.shape == (252, 254)  # 256 minus FD trims (2 space, 1 time per side)
-        assert stack.valid_x == (2, 254) and stack.valid_t == (1, 255)
+        np.testing.assert_array_equal(stack.x_coords, burgers_field.x_coords[2:254])
+        np.testing.assert_array_equal(stack.t_coords, burgers_field.t_coords[1:255])
 
     def test_constant_field_all_zero(self):
         f = grid_field(lambda x: np.full_like(x, 2.0), n_x=32)
@@ -186,15 +189,41 @@ class TestDerivativeStack:
         noisy = noisy + 0.1 * rng.standard_normal(noisy.shape)
         f = SpatioTemporalField(noisy, x, t)
         stack = build_derivative_stack(f, method="poly_fit")
-        sx, st = slice(*stack.valid_x), slice(*stack.valid_t)
-        assert not np.array_equal(stack.u, noisy[sx, st])
-        assert stack.u.std() < noisy[sx, st].std()
+        kept = noisy[4:-4, 2:-2]  # the default 9- and 5-point windows trim 4 and 2 points
+        np.testing.assert_array_equal(stack.x_coords, x[4:-4])
+        np.testing.assert_array_equal(stack.t_coords, t[2:-2])
+        assert not np.array_equal(stack.u, kept)
+        assert stack.u.std() < kept.std()
+
+    @pytest.mark.parametrize("method", ["finite_difference", "poly_fit"])
+    def test_a_retained_window_is_the_full_stack_sliced_bit_for_bit(self, method):
+        rng = np.random.default_rng(2)
+        x, t = np.linspace(0.0, 1.0, 40), np.linspace(0.0, 2.0, 30)
+        values = np.sin(2 * np.pi * x)[:, None] * np.cos(t)[None, :]
+        f = SpatioTemporalField(values + 0.01 * rng.standard_normal(values.shape), x, t)
+        full = build_derivative_stack(f, method=method)
+        # before the first sample with derivatives, on a sample, between two, on the last
+        for t_from in (t[0], t[12], 0.5 * (t[12] + t[13]), full.t_coords[-1]):
+            cut = build_derivative_stack(f, method=method, t_from=t_from)
+            first = np.flatnonzero(full.t_coords >= t_from)[0]
+            assert_same_bits(cut.t_coords, full.t_coords[first:], "t_coords")
+            assert_same_bits(cut.x_coords, full.x_coords, "x_coords")
+            assert_same_bits(cut.u, full.u[:, first:], "u")
+            assert_same_bits(cut.u_t, full.u_t[:, first:], "u_t")
+            assert set(cut.space) == set(full.space)
+            for q, values in full.space.items():
+                assert_same_bits(cut.space[q], values[:, first:], f"d{q}")
+        for t_from in (0.5 * (full.t_coords[-1] + t[-1]), t[-1], 3.0):
+            message = (f"retain_t_from={t_from!r} keeps no time samples: the data's last time "
+                       f"is 2.0 (the last with derivatives {float(full.t_coords[-1])!r})")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build_derivative_stack(f, method=method, t_from=t_from)
 
     def test_derivative_off_the_valid_region_rejected(self):
         x, t = np.arange(4.0), np.arange(3.0)
         with pytest.raises(ValueError, match=r"^d2 shape \(3, 3\) != valid region \(4, 3\)$"):
             DerivativeStack(np.zeros((4, 3)), np.zeros((4, 3)),
-                            {1: np.zeros((4, 3)), 2: np.zeros((3, 3))}, x, t, (0, 4), (0, 3))
+                            {1: np.zeros((4, 3)), 2: np.zeros((3, 3))}, x, t)
 
     def test_degree_must_reach_order(self, burgers_field):
         with pytest.raises(ValueError):

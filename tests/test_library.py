@@ -30,8 +30,6 @@ def analytic_stack(u_fn, ut_fn, derivs, x, t):
         space={q: fn(xx, tt) for q, fn in derivs.items()},
         x_coords=x,
         t_coords=t,
-        valid_x=(0, x.size),
-        valid_t=(0, t.size),
     )
 
 

@@ -342,7 +342,7 @@ class TestFamilyTable:
 
     def test_scenario_from_metadata_round_trip(self):
         # every recorded field comes back: grid, domain, retained window and solver options
-        scenarios = [make_scenario("ks", n_x=64, n_t=32, t_span=(0.0, 50.0)),
+        scenarios = [make_scenario("ks", n_x=64, n_t=32, t_span=(0.0, 150.0)),
                      make_scenario("ks", n_x=64, n_t=64, t_span=(0.0, 40.0), retain_t_from=20.0,
                                    solver_options={"dt": 0.025}),
                      make_scenario("burgers", n_x=64, n_t=48, retain_t_from=2.0,
@@ -354,14 +354,15 @@ class TestFamilyTable:
             assert rebuilt.metadata() == sc.metadata()
         # a key left out takes the built-in value
         metadata = scenarios[1].metadata()
-        del metadata["retain_t_from"], metadata["solver_options"]
+        del metadata["t_span"], metadata["retain_t_from"], metadata["solver_options"]
         rebuilt = scenario_from_metadata(metadata)
-        assert (rebuilt.retain_t_from, rebuilt.solver_options) == (100.0, {"dt": 0.2})
+        assert (rebuilt.t_span, rebuilt.retain_t_from, rebuilt.solver_options) == (
+            (0.0, 200.0), 100.0, {"dt": 0.2})
 
     @pytest.mark.parametrize("name, grid", [
         ("burgers", {}), ("burgers", {"n_x": 64, "n_t": 48, "t_span": (0.0, 4.0)}),
         ("ad", {}), ("ad", {"n_x": 128, "n_t": 64, "x_span": (-10.0, 10.0)}),
-        ("ks", {}), ("ks", {"n_x": 64, "n_t": 64, "t_span": (0.0, 40.0)}),
+        ("ks", {}), ("ks", {"n_x": 64, "n_t": 64, "t_span": (0.0, 40.0), "retain_t_from": 20.0}),
     ])
     def test_scenario_from_metadata_gives_the_truth_bit_for_bit(self, name, grid, library20):
         sc = make_scenario(name, **grid)
@@ -394,13 +395,17 @@ class TestScenarioValidation:
         ({"varying_axis": "both"}, "varying_axis must be 'time' or 'space'"),
         ({"x_span": (1.0, -1.0)}, "domain spans must be increasing"),
         ({"t_span": (0.0, 0.0)}, "domain spans must be increasing"),
+        ({"t_span": (0.0, 1.5), "retain_t_from": 2.0},
+         "t_span ends at 1.5, before the burgers scenario's retain_t_from=2.0: discovery would "
+         "keep no time samples"),
         ({"true_terms": {"u_xxx": lambda t: 0.1}},
          "true term 'u_xxx' takes derivative order 3; the solver integrates orders (1, 2, 4)"),
         ({"true_terms": {"u*u_x": lambda t: 1.0, "u^2*u_xxx": lambda t: 0.1}},
          "true term 'u^2*u_xxx' takes derivative order 3; the solver integrates orders (1, 2, 4)"),
         ({"true_terms": {"foo": lambda t: 0.1}},
          "true term 'foo' is not a term of the standard library"),
-    ], ids=["varying-axis", "x-span", "t-span", "order-3", "order-3-product", "unknown-term"])
+    ], ids=["varying-axis", "x-span", "t-span", "retained-window", "order-3", "order-3-product",
+            "unknown-term"])
     def test_scenario_the_solver_cannot_integrate_rejected(self, changes, message):
         # rejected when built, not as a KeyError inside the solve
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -37,10 +38,26 @@ class TestThresholdSpec:
 class TestTbglssConfig:
     def test_count_bounds(self):
         # the CLI tests reject counts below the bounds; these are the bounds themselves
-        TbglssConfig(ThresholdSpec(t_rms=0.1), update_iterations=1, update_burnin=0,
-                     final_chains=1)
+        TbglssConfig(ThresholdSpec(t_rms=0.1), BglssConfig(n_iterations=2, n_burnin=0),
+                     update_iterations=2, update_burnin=0, final_chains=1)
         with pytest.raises(ValueError, match="^update_burnin must be at least 0 and below"):
             TbglssConfig(ThresholdSpec(t_rms=0.1), update_iterations=40, update_burnin=40)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"update_iterations": 1, "update_burnin": 0},
+         "update_iterations - update_burnin is 1 - 0"),
+        ({"update_iterations": 40, "update_burnin": 39},
+         "update_iterations - update_burnin is 40 - 39"),
+        ({"bglss": BglssConfig(n_iterations=1, n_burnin=0)},
+         "bglss.n_iterations - bglss.n_burnin is 1 - 0"),
+        ({"bglss": BglssConfig(n_iterations=300, n_burnin=299)},
+         "bglss.n_iterations - bglss.n_burnin is 300 - 299"),
+    ])
+    def test_a_chain_keeping_one_draw_rejected(self, changes, message):
+        # a chain's summary takes the ddof=1 variance of its retained draws
+        with pytest.raises(ValueError, match=re.escape(
+                f"a chain keeps at least 2 retained draws: {message}") + "$"):
+            TbglssConfig(ThresholdSpec(t_rms=0.1), **changes)
 
 
 class TestRmsCriterion:

@@ -33,10 +33,10 @@ class SgtrConfig:
 
     def __post_init__(self):
         # negated comparisons, so that NaN fails them too
-        if self.threshold is not None and not self.threshold > 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if not self.ridge >= 0:
-            raise ValueError(f"ridge penalty must be nonnegative, got {self.ridge}")
+        if self.threshold is not None and not 0 < self.threshold < np.inf:
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge penalty must be nonnegative and finite, got {self.ridge}")
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,10 @@ class GroupLassoConfig:
 
     def __post_init__(self):
         # negated comparisons, so that NaN fails them too
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 def _ridge_fit(system: GroupedLinearSystem, active: np.ndarray, ridge: float) -> np.ndarray:
@@ -93,14 +93,10 @@ def sgtr(system: GroupedLinearSystem, config: SgtrConfig,
             break
         active = active[keep]
 
-    values = np.zeros((system.n_steps, system.n_groups))
-    mask = np.zeros(system.n_groups, dtype=bool)
+    beta = np.zeros((system.n_steps, system.n_groups))
     if active.size:
-        values[:, active] = beta_active / system.scales[:, active]
-        mask[active] = True
-    return CoefficientTrajectories(
-        values, mask, system.descriptors, system.step_coords, system.varying_axis
-    )
+        beta[:, active] = beta_active
+    return system.trajectories(beta)
 
 
 # The ADMM start (Boyd et al. 2011).  Residual balancing (section 3.4.1) scales
@@ -194,13 +190,9 @@ def group_lasso(system: GroupedLinearSystem, config: GroupLassoConfig) -> GroupL
             f"group lasso did not converge in {MAX_SWEEPS} sweeps", RuntimeWarning
         )
 
-    active = ~np.all(beta == 0.0, axis=0)
-    values = np.where(active[None, :], beta / system.scales, 0.0)
-    trajectories = CoefficientTrajectories(
-        values, active, system.descriptors, system.step_coords, system.varying_axis
-    )
-    return GroupLassoResult(trajectories, beta.copy(), np.asarray(objective), converged, sweeps,
-                            admm_iterations, start, _kkt_residual(gram, cty, beta, config.lam))
+    return GroupLassoResult(system.trajectories(beta), beta, np.asarray(objective), converged,
+                            sweeps, admm_iterations, start,
+                            _kkt_residual(gram, cty, beta, config.lam))
 
 
 def _admm_start(gram: np.ndarray, gram_eigh: tuple[np.ndarray, np.ndarray], cty: np.ndarray,

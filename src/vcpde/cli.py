@@ -58,14 +58,6 @@ def _out_root(value: str | None) -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
 
 
-def finite(text: str) -> float:  # argparse names it: "invalid finite value"
-    """An option's number; NaN and infinity are refused here, as outputs are strict JSON."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
-
-
 def _split(text: str, option: str, form: str, *types) -> list:
     """The ':'-separated fields of `text`, one per type in `types`, for `option` of `form`."""
     fields = text.split(":")
@@ -78,9 +70,9 @@ def _split(text: str, option: str, form: str, *types) -> list:
 
 
 def _parse_range(text: str, option: str, log: bool = False) -> np.ndarray:
-    lo, hi, count = _split(text, option, "lo:hi:count", finite, finite, int)
-    if count < 1:
-        raise ValueError(f"{option} expects a positive count, got {text!r}")
+    lo, hi, count = _split(text, option, "lo:hi:count", float, float, int)
+    if count < 1 or not np.isfinite([lo, hi]).all():  # no config sees the grid first
+        raise ValueError(f"{option} expects finite bounds and a positive count, got {text!r}")
     if log:
         if not (lo > 0 and hi > 0):
             raise ValueError(f"{option} with --log expects positive bounds, got {text!r}")
@@ -95,9 +87,9 @@ def _parse_int_range(text: str, option: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
-def _dataset_stem(metadata: dict) -> str:
-    noise = metadata.get("noise_level", 0.0)
-    return f"{metadata['family']}_noise{noise:g}_seed{metadata.get('seed', 0)}"
+def _dataset_stem(dataset: Dataset) -> str:
+    metadata = dataset.metadata
+    return f"{metadata['family']}_noise{dataset.noise_level:g}_seed{metadata.get('seed', 0)}"
 
 
 DIFF_METHODS = ("auto", "finite_difference", "poly_fit")
@@ -168,12 +160,12 @@ OPTIONS = (
     _option("--log", "sweep", action="store_true", help="logarithmic --range spacing"),
     _option("--with-truth", "sweep", action="store_true",
             help="also record coefficient MSE against the built-in scenario truth"),
-    _option("--t-rms", FIT, "thresholds.t_rms", TBGLSS, type=finite, help="group RMS threshold"),
-    _option("--t-ge", FIT, "thresholds.t_ge", TBGLSS, type=finite,
+    _option("--t-rms", FIT, "thresholds.t_rms", TBGLSS, type=float, help="group RMS threshold"),
+    _option("--t-ge", FIT, "thresholds.t_ge", TBGLSS, type=float,
             help="group error bar threshold"),
-    _option("--lam", FIT, "bglss.lam", TBGLSS, type=finite,
+    _option("--lam", FIT, "bglss.lam", TBGLSS, type=float,
             help=f"group-lasso rate (default {BglssConfig.lam})"),
-    _option("--pi0", FIT, "bglss.pi0", TBGLSS, type=finite,
+    _option("--pi0", FIT, "bglss.pi0", TBGLSS, type=float,
             help=f"fixed spike weight (default: {BglssConfig.pi0})"),
     _option("--iterations", FIT, "bglss.n_iterations", TBGLSS, type=int,
             help="final chain length"),
@@ -191,9 +183,9 @@ OPTIONS = (
             help="also dump the final chain's retained draws: a CSV for a .csv name, else an "
                  ".npz archive (.npz is appended if missing); nothing is written when no "
                  "term is selected"),
-    _option("--sgtr-threshold", "discover", "sgtr.threshold", ("sgtr",), type=finite),
-    _option("--sgtr-ridge", FIT, "sgtr.ridge", ("sgtr",), type=finite),
-    _option("--lasso-lam", "discover", "group_lasso.lam", ("group_lasso",), type=finite),
+    _option("--sgtr-threshold", "discover", "sgtr.threshold", ("sgtr",), type=float),
+    _option("--sgtr-ridge", FIT, "sgtr.ridge", ("sgtr",), type=float),
+    _option("--lasso-lam", "discover", "group_lasso.lam", ("group_lasso",), type=float),
     _option("--diff-method", FIT, "diff.method", choices=DIFF_METHODS),
     _option("--space-width", FIT, "diff.space_width", POLY_FIT, type=int),
     _option("--space-degree", FIT, "diff.space_degree", POLY_FIT, type=int),
@@ -282,11 +274,11 @@ def cmd_simulate(args) -> int:
     for name in ("x_span", "t_span"):
         if name in grid:
             flag = "--" + name.replace("_", "-")
-            grid[name] = tuple(_split(grid[name], flag, "lo:hi", finite, finite))
+            grid[name] = tuple(_split(grid[name], flag, "lo:hi", float, float))
     clean = simulate_dataset(make_scenario(args.family, **grid), seed=args.seed)
     dataset = noisy_dataset(clean, args.noise, args.seed)
     outdir = _out_root(args.output)
-    stem = _dataset_stem(dataset.metadata)
+    stem = _dataset_stem(dataset)
     fmt = args.format or "json"
     ext = ".json" if fmt == "json" else ""
     path = save_dataset(dataset, outdir / f"{stem}{ext}", fmt=fmt)
@@ -312,13 +304,13 @@ def cmd_filter(args) -> int:
     options = _given(args, "filter")
     clean = load_dataset(args.clean) if args.clean else None
     if text is not None and ":" not in text:
-        value, = _split(text, flag, "one value or a range", int if name == "window" else finite)
+        value, = _split(text, flag, "one value or a range", int if name == "window" else float)
         spec = FilterSpec.of(kind, value, **options)
         filtered = filter_dataset(dataset, spec)
         fmt = args.format or "json"
         ext = ".json" if fmt == "json" else ""
         tag = f"{spec.kind}{spec.parameter:g}"
-        out = _out_root(args.output) / f"{_dataset_stem(dataset.metadata)}_{tag}{ext}"
+        out = _out_root(args.output) / f"{_dataset_stem(dataset)}_{tag}{ext}"
         path = save_dataset(filtered, out, fmt=fmt)
         print(f"wrote {path}")
         if clean is not None:
@@ -347,7 +339,7 @@ def cmd_discover(args) -> int:
         diff=_diff_spec_from_args(args, dataset),
     )
     outdir = _out_root(args.output)
-    paths = save_report(report, outdir, stem=f"{report.method}_{_dataset_stem(dataset.metadata)}")
+    paths = save_report(report, outdir, stem=f"{report.method}_{_dataset_stem(dataset)}")
     print(f"wrote {paths['json']}")
     if args.dump_trace and report.final_ensemble is None:
         print("no trace written: no terms selected")
@@ -372,7 +364,7 @@ def cmd_sweep(args) -> int:
     truth = truth_on(dataset, _library_from_args(args), system) if args.with_truth else None
     curve = sweep(system, axis, grid, method_config, truth=truth)
     paths = save_sweep(curve,
-                       _out_root(args.output) / f"sweep_{axis}_{_dataset_stem(dataset.metadata)}")
+                       _out_root(args.output) / f"sweep_{axis}_{_dataset_stem(dataset)}")
     n_ok = sum(1 for p in curve.points if p.error is None)
     print(f"wrote {paths['csv']} ({n_ok}/{len(curve.points)} points succeeded)")
     print(f"argmin: {curve.argmin!r}")
@@ -466,7 +458,8 @@ def _config_value(option: Option, value, path: str):
         if "action" in settings:  # a flag: the file says whether it is set
             if not isinstance(value, bool):
                 raise ValueError("expected true or false")
-            return value
+            # false is --no-... for a flag that has that form, and a store_true flag not given
+            return value if value or settings["action"] != "store_true" else None
         if "type" not in settings and not isinstance(value, str):
             raise ValueError("expected a string")
         parsed = settings.get("type", str)(str(value))

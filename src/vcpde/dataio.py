@@ -33,6 +33,7 @@ from .filters import FilterSweepCurve
 from .gibbs import PosteriorEnsemble
 from .pipeline import Dataset
 from .selection import SelectionCurve
+from .solvers import check_noise_level
 from .tbglss import DiscoveryReport
 
 DATASET_FORMAT = "vcpde-dataset"
@@ -98,6 +99,19 @@ def _require_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
         raise ValueError(f"{where} lacks required key(s): {', '.join(missing)}")
 
 
+def _require_metadata(metadata: dict, where: str) -> None:
+    """The metadata names its family, and a noise level it records is a real number that
+    `check_noise_level` accepts."""
+    _require_keys(metadata, ("family",), where)
+    noise = metadata.get("noise_level", 0.0)
+    if isinstance(noise, bool) or not isinstance(noise, (int, float)):
+        raise ValueError(f"{where} sets noise_level to {noise!r}: expected a number")
+    try:
+        check_noise_level(noise)
+    except ValueError as exc:
+        raise ValueError(f"{where} sets noise_level to {noise!r}: {exc}") from None
+
+
 def _require_format(doc: dict, where: str) -> None:
     if doc.get("format") != DATASET_FORMAT:
         raise ValueError(f"{where} is not a {DATASET_FORMAT} file")
@@ -117,7 +131,7 @@ def load_dataset(path: str | Path) -> Dataset:
         meta = json.loads(path.read_text())
         _require_format(meta, str(path))
         _require_keys(meta, ("metadata",), str(path))
-        _require_keys(meta["metadata"], ("family",), f"{path} metadata")
+        _require_metadata(meta["metadata"], f"{path} metadata")
         values = np.loadtxt(f"{stem}.values.csv", delimiter=",", ndmin=2)
         x = np.loadtxt(f"{stem}.x_coords.csv", delimiter=",")
         t = np.loadtxt(f"{stem}.t_coords.csv", delimiter=",")
@@ -125,7 +139,7 @@ def load_dataset(path: str | Path) -> Dataset:
     doc = json.loads(path.read_text())
     _require_format(doc, str(path))
     _require_keys(doc, ("shape", "values_base64", "x_coords", "t_coords", "metadata"), str(path))
-    _require_keys(doc["metadata"], ("family",), f"{path} metadata")
+    _require_metadata(doc["metadata"], f"{path} metadata")
     n_x, n_t = doc["shape"]
     values = np.frombuffer(base64.b64decode(doc["values_base64"]), dtype="<f8").reshape(n_x, n_t)
     return Dataset(

@@ -57,8 +57,8 @@ class BglssConfig:
         if not 0 <= self.n_burnin < self.n_iterations:
             raise ValueError(f"n_burnin must be at least 0 and below n_iterations "
                              f"({self.n_iterations}), got {self.n_burnin}")
-        if not self.lam > 0:  # also rejects NaN
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:  # also rejects NaN
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if isinstance(self.pi0, str):
             if self.pi0 != ESTIMATE:
                 raise ValueError(f"pi0 must be a probability or {ESTIMATE!r}")

@@ -144,6 +144,8 @@ class GroupedLinearSystem:
 
     def __post_init__(self):
         m, n, g = self.blocks.shape
+        if self.varying_axis not in ("time", "space"):
+            raise ValueError("varying_axis must be 'time' or 'space'")
         if self.target.shape != (m, n):
             raise ValueError("target shape does not match blocks")
         if len(self.descriptors) != g:
@@ -172,6 +174,13 @@ class GroupedLinearSystem:
     @property
     def n_observations(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
+
+    def trajectories(self, beta: np.ndarray) -> CoefficientTrajectories:
+        """Step-major coefficients `beta` (m, G) of this normalized system in physical units,
+        divided by the scales; a group whose coefficients are all zero is excluded."""
+        active = ~np.all(beta == 0.0, axis=0)
+        return CoefficientTrajectories(np.where(active, beta / self.scales, 0.0), active,
+                                       self.descriptors, self.step_coords, self.varying_axis)
 
     def matvec(self, beta: np.ndarray) -> np.ndarray:
         """Apply the block-diagonal design to step-major coefficients (m, G) -> (m, n)."""
@@ -235,58 +244,31 @@ def _group_major_products(blocks: np.ndarray, target: np.ndarray) -> tuple[np.nd
     return gram, cty
 
 
-def assemble_grouped_system(
-    blocks: np.ndarray,
-    u_t: np.ndarray,
-    varying_axis: str,
-    step_coords: np.ndarray,
-    descriptors: tuple[str, ...],
-) -> GroupedLinearSystem:
-    """The column-normalized grouped system on step-major `blocks` (`evaluate_terms`).
+def assemble_grouped_system(blocks: np.ndarray, target: np.ndarray, descriptors: tuple[str, ...],
+                            varying_axis: str, step_coords: np.ndarray) -> GroupedLinearSystem:
+    """The system on step-major `blocks` (n_steps, n_rows, n_groups) and `target`
+    (n_steps, n_rows), every column divided by its L2 norm, those norms its scales.
 
-    Takes ownership of `blocks`: they are divided by their column norms in
-    place and become the system's blocks.  The target u_t is given (n_x, n_t)
-    and laid out like the blocks: transposed when time varies, so steps index
-    time, and as it is when space varies.
+    Takes ownership of `blocks`: they are divided in place and become the
+    system's blocks.  The norms are summed over the blocks in their own memory
+    layout.  The system checks its shapes, its axis and its scales (a zero
+    column) before the blocks are divided.
     """
     if blocks.ndim != 3:
         raise ValueError("blocks must be (n_steps, n_rows, n_terms)")
-    if varying_axis == "time":
-        target = np.ascontiguousarray(u_t.T)
-    elif varying_axis == "space":
-        target = np.ascontiguousarray(u_t)
-    else:
-        raise ValueError("varying_axis must be 'time' or 'space'")
-    if target.shape != blocks.shape[:2]:
-        raise ValueError(f"u_t shape {u_t.shape} does not match the {varying_axis}-varying "
-                         f"blocks {blocks.shape[:2]}")
-    return _normalized_system(blocks, target, descriptors, varying_axis, step_coords)
+    norms = np.sqrt(np.einsum("mng,mng->mg", blocks, blocks))
+    system = GroupedLinearSystem(blocks, np.asarray(target), tuple(descriptors), varying_axis,
+                                 np.asarray(step_coords, dtype=float), norms)
+    blocks /= norms[:, None, :]
+    return system
 
 
 def normalize_columns(blocks: np.ndarray, target: np.ndarray, descriptors: tuple[str, ...],
                       varying_axis: str, step_coords: np.ndarray) -> GroupedLinearSystem:
-    """The system on a copy of step-major `blocks` (n_steps, n_rows, n_groups) with every column
-    rescaled to unit L2 norm, remembering the scales.
-
-    For a system built by hand; `blocks` itself is left as it is.
-    """
-    return _normalized_system(np.array(blocks, dtype=float, order="K"), np.asarray(target),
-                              descriptors, varying_axis, step_coords)
-
-
-def _normalized_system(blocks: np.ndarray, target: np.ndarray, descriptors: tuple[str, ...],
-                       varying_axis: str, step_coords: np.ndarray) -> GroupedLinearSystem:
-    """The system on `blocks` divided by their column norms in place, those norms its scales.
-
-    The norms are summed over the blocks in their own memory layout, which
-    `normalize_columns`' copy keeps.  The system checks its shapes and its
-    scales (a zero column) before the blocks are divided.
-    """
-    norms = np.sqrt(np.einsum("mng,mng->mg", blocks, blocks))
-    system = GroupedLinearSystem(blocks, target, tuple(descriptors), varying_axis,
-                                 np.asarray(step_coords, dtype=float), norms)
-    blocks /= norms[:, None, :]
-    return system
+    """`assemble_grouped_system` on a copy of `blocks`, which is left as it is; the copy
+    keeps their memory layout, so the norms are summed alike."""
+    return assemble_grouped_system(np.array(blocks, dtype=float, order="K"), target, descriptors,
+                                   varying_axis, step_coords)
 
 
 @dataclass(frozen=True)

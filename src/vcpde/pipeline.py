@@ -158,7 +158,9 @@ def build_system(
 ) -> GroupedLinearSystem:
     """Differentiate, evaluate the library, assemble and normalize the system.
 
-    The design is allocated once, step-major, and normalized in place.
+    The design is allocated once, step-major, and normalized in place.  The
+    pointwise target u_t (n_x, n_t) is laid out like it: transposed when time
+    varies, so steps index time, and as it is when space varies.
     """
     library = library or LibrarySpec.standard()
     diff = _resolved_differentiation(dataset, diff)
@@ -180,9 +182,11 @@ def build_system(
     del field_used  # a prefiltered copy is not needed past the derivatives
 
     varying = dataset.varying_axis
-    step_coords = stack.t_coords if varying == "time" else stack.x_coords
-    blocks = evaluate_terms(stack, library, varying)
-    return assemble_grouped_system(blocks, stack.u_t, varying, step_coords, library.descriptors)
+    target, step_coords = ((stack.u_t.T, stack.t_coords) if varying == "time"
+                           else (stack.u_t, stack.x_coords))
+    return assemble_grouped_system(evaluate_terms(stack, library, varying),
+                                   np.ascontiguousarray(target), library.descriptors, varying,
+                                   step_coords)
 
 
 def discover(dataset: Dataset, config: TbglssConfig | SgtrConfig | GroupLassoConfig,

@@ -80,12 +80,13 @@ class PdeScenario:
             raise ValueError("grid must have at least 8 points per axis")
         if self.varying_axis not in ("time", "space"):
             raise ValueError("varying_axis must be 'time' or 'space'")
-        if self.x_span[1] <= self.x_span[0] or self.t_span[1] <= self.t_span[0]:
-            raise ValueError("domain spans must be increasing")
-        if self.retain_t_from is not None and self.t_span[1] < self.retain_t_from:
-            raise ValueError(f"t_span ends at {self.t_span[1]!r}, before the {self.family} "
-                             f"scenario's retain_t_from={self.retain_t_from!r}: discovery "
-                             f"would keep no time samples")
+        if not all(-math.inf < lo < hi < math.inf for lo, hi in (self.x_span, self.t_span)):
+            raise ValueError(f"domain spans must be increasing and finite, got "
+                             f"x_span={self.x_span!r} and t_span={self.t_span!r}")
+        if self.retain_t_from is not None and not -math.inf < self.retain_t_from <= self.t_span[1]:
+            raise ValueError(f"t_span ends at {self.t_span[1]!r}, so the {self.family} scenario's "
+                             f"retain_t_from={self.retain_t_from!r} must be finite and at most "
+                             f"that, or discovery would keep no time samples")
 
     @property
     def x_coords(self) -> np.ndarray:
@@ -315,9 +316,9 @@ def solve(scenario: PdeScenario) -> SpatioTemporalField:
 
 
 def check_noise_level(level: float) -> None:
-    """Reject a noise level below 0 or NaN; callers check it before they spend a solve on it."""
-    if not level >= 0:
-        raise ValueError(f"noise level must be nonnegative, got {level}")
+    """Reject a noise level below 0, infinite or NaN; callers check it before any solve."""
+    if not 0 <= level < math.inf:
+        raise ValueError(f"noise level must be nonnegative and finite, got {level}")
 
 
 def add_noise(field: SpatioTemporalField, level: float, seed: int) -> SpatioTemporalField:

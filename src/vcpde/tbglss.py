@@ -38,11 +38,11 @@ class ThresholdSpec:
     def __post_init__(self):
         if self.t_rms is None and self.t_ge is None:
             raise ValueError("at least one threshold must be given")
-        # NaN compares false, so a NaN threshold would never remove a group
-        if self.t_rms is not None and not self.t_rms >= 0:
-            raise ValueError(f"t_rms must be nonnegative, got {self.t_rms}")
-        if self.t_ge is not None and not self.t_ge >= 0:
-            raise ValueError(f"t_ge must be nonnegative, got {self.t_ge}")
+        # negated comparisons, so that NaN fails them too (it would never remove a group)
+        if self.t_rms is not None and not 0 <= self.t_rms < np.inf:
+            raise ValueError(f"t_rms must be nonnegative and finite, got {self.t_rms}")
+        if self.t_ge is not None and not 0 <= self.t_ge < np.inf:
+            raise ValueError(f"t_ge must be nonnegative and finite, got {self.t_ge}")
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,6 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig):
              "final_burnin": bglss.n_burnin, "update_iterations": config.update_iterations,
              "update_burnin": config.update_burnin}
 
-    full_descriptors = system.descriptors
     active = np.arange(system.n_groups)
     history: list[UpdateRecord] = []
     update_idx = 0
@@ -282,7 +281,7 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig):
         seed = int(np.random.SeedSequence((bglss.seed, update_idx)).generate_state(1)[0])
         chain_config = replace(bglss, n_iterations=n_it, n_burnin=n_burn, seed=seed)
         summary = yield (tuple(active.tolist()), chain_config, keep_draws and long_run)
-        descriptors = tuple(full_descriptors[g] for g in active)
+        descriptors = tuple(system.descriptors[g] for g in active)
         criteria, failing = _evaluate_criteria(summary.median, summary.variance, descriptors,
                                                config.thresholds)
         update_idx += 1
@@ -300,16 +299,16 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig):
         long_run = True
 
     # The loop stops on a support only once a final-length update removed nothing, and every
-    # group whose median is all zero fails, so each group left in `active` is in the model.
+    # group whose median is all zero fails, so each group left in `active` has a nonzero median
+    # and `system.trajectories` keeps it.
     shape = (system.n_steps, system.n_groups)
-    values, stdev, beta_full_norm = (np.zeros(shape) for _ in range(3))
+    stdev, beta_full_norm = np.zeros(shape), np.zeros(shape)
     final_criteria: dict = {}
     chain_medians = total_eb = ensemble = None
 
     if active.size:
         ensemble = summary.ensemble
         sub_scales = system.scales[:, active]
-        values[:, active] = summary.median / sub_scales
         stdev[:, active] = np.sqrt(summary.variance) / sub_scales
         beta_full_norm[:, active] = summary.median
         final_criteria = history[-1].criteria
@@ -317,21 +316,18 @@ def threshold_loop(system: GroupedLinearSystem, config: TbglssConfig):
         total_eb = total_error_bar(summary.median, summary.variance)
 
         if config.final_chains > 1:
-            medians = [values[:, active]]
+            medians = [summary.median]
             for c in range(1, config.final_chains):
                 seed = int(
                     np.random.SeedSequence((bglss.seed, update_idx, c)).generate_state(1)[0]
                 )
                 extra = yield (tuple(active.tolist()), replace(bglss, seed=seed), False)
-                medians.append(extra.median / sub_scales)
+                medians.append(extra.median)
             chain_medians = np.zeros((config.final_chains, *shape))
-            chain_medians[:, :, active] = np.stack(medians)
+            chain_medians[:, :, active] = np.stack(medians) / sub_scales
 
-    active_mask = np.zeros(system.n_groups, dtype=bool)
-    active_mask[active] = True
     return DiscoveryReport(
-        trajectories=CoefficientTrajectories(values, active_mask, full_descriptors,
-                                             system.step_coords, system.varying_axis),
+        trajectories=system.trajectories(beta_full_norm),
         stdev=stdev,
         criteria=final_criteria,
         total_error_bar=total_eb,

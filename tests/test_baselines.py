@@ -102,10 +102,13 @@ class TestSgtr:
             SgtrConfig(threshold=0.0)
         with pytest.raises(ValueError):
             SgtrConfig(threshold=0.1, ridge=-1.0)
-        with pytest.raises(ValueError, match="threshold must be positive, got nan"):
-            SgtrConfig(threshold=float("nan"))
-        with pytest.raises(ValueError, match="ridge penalty must be nonnegative, got nan"):
-            SgtrConfig(threshold=0.1, ridge=float("nan"))
+        for value in ("nan", "inf"):
+            with pytest.raises(ValueError,
+                               match=f"threshold must be positive and finite, got {value}"):
+                SgtrConfig(threshold=float(value))
+            with pytest.raises(ValueError,
+                               match=f"ridge penalty must be nonnegative and finite, got {value}"):
+                SgtrConfig(threshold=0.1, ridge=float(value))
 
 
 class TestGroupLasso:
@@ -235,10 +238,12 @@ class TestGroupLasso:
             GroupLassoConfig(lam=0.0)
         with pytest.raises(ValueError):
             GroupLassoConfig(lam=1.0, tolerance=0.0)
-        with pytest.raises(ValueError, match="lam must be positive, got nan"):
-            GroupLassoConfig(lam=float("nan"))
-        with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
-            GroupLassoConfig(lam=1.0, tolerance=float("nan"))
+        for value in ("nan", "inf"):
+            with pytest.raises(ValueError, match=f"lam must be positive and finite, got {value}"):
+                GroupLassoConfig(lam=float(value))
+            with pytest.raises(ValueError,
+                               match=f"tolerance must be positive and finite, got {value}"):
+                GroupLassoConfig(lam=1.0, tolerance=float(value))
 
 
 def test_solvers_refuse_an_unset_parameter():

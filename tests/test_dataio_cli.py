@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import runpy
 from dataclasses import asdict
 from pathlib import Path
@@ -91,6 +92,26 @@ class TestDatasetArchive:
         with pytest.raises(ValueError, match=message):
             load_dataset(path)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value,message", [
+        (None, "expected a number"), ("0.01", "expected a number"), (True, "expected a number"),
+        (-0.1, "noise level must be nonnegative and finite, got -0.1"),
+    ], ids=["null", "text", "bool", "negative"])
+    def test_a_noise_level_that_is_not_a_level_is_rejected_on_load(
+            self, small_dataset, tmp_path, capsys, fmt, value, message):
+        # the noise level picks the differentiation tier and names the output files
+        path = save_dataset(small_dataset, tmp_path / "d.json", fmt=fmt)
+        doc = json.loads(path.read_text())
+        doc["metadata"]["noise_level"] = value
+        path.write_text(json.dumps(doc))
+        expected = f"{path} metadata sets noise_level to {value!r}: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            load_dataset(path)
+        assert main(["discover", "--dataset", str(path), "--t-rms", "0.1",
+                     "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_format_rejected(self, small_dataset, tmp_path):
         with pytest.raises(ValueError, match="^fmt must be 'json' or 'csv'$"):
             save_dataset(small_dataset, tmp_path / "d.json", fmt="npz")
@@ -165,29 +186,59 @@ class TestCli:
         (["sweep", "--dataset", "x.json", "--range", "-1:1:3"],
          "argument --range: expected one argument"),
         (["simulate", "--nx", "64", "--bogus"], "unrecognized arguments: --bogus"),
-        # outputs are strict JSON, so a fit's numbers are finite
-        (["discover", "--dataset", "x.json", "--t-ge", "inf"],
-         "argument --t-ge: invalid finite value: 'inf'"),
-        (["discover", "--dataset", "x.json", "--t-rms=-inf"],
-         "argument --t-rms: invalid finite value: '-inf'"),
-        (["discover", "--dataset", "x.json", "--lam", "nan"],
-         "argument --lam: invalid finite value: 'nan'"),
-        (["discover", "--dataset", "x.json", "--pi0", "inf"],
-         "argument --pi0: invalid finite value: 'inf'"),
-        (["discover", "--dataset", "x.json", "--method", "sgtr", "--sgtr-threshold", "nan"],
-         "argument --sgtr-threshold: invalid finite value: 'nan'"),
-        (["discover", "--dataset", "x.json", "--method", "sgtr", "--sgtr-ridge", "nan"],
-         "argument --sgtr-ridge: invalid finite value: 'nan'"),
-        (["discover", "--dataset", "x.json", "--method", "group_lasso", "--lasso-lam", "nan"],
-         "argument --lasso-lam: invalid finite value: 'nan'"),
-    ], ids=["bad_int", "bad_choice", "bare_negative_range", "unknown_argument", "infinite_t_ge",
-            "infinite_t_rms", "nan_lam", "infinite_pi0", "nan_sgtr_threshold",
-            "nan_sgtr_ridge", "nan_lasso_lam"])
+    ], ids=["bad_int", "bad_choice", "bare_negative_range", "unknown_argument"])
     def test_usage_error_is_validation_error(self, tmp_path, capsys, argv, message):
         assert self.run(*argv, "--output", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: vcpde ") and f"\nerror: {message}" in err
         assert not list(tmp_path.iterdir())
+
+    # Outputs are strict JSON, so every number a run takes is finite: the config or the
+    # scenario that owns it says so, and the range parser for a grid built before either.
+    @pytest.mark.parametrize("config,command,argv,message", [
+        (None, "discover", ["--t-ge", "inf"], "t_ge must be nonnegative and finite, got inf"),
+        (None, "discover", ["--t-rms=-inf"], "t_rms must be nonnegative and finite, got -inf"),
+        (None, "discover", ["--t-rms", "0.1", "--lam", "nan"],
+         "lam must be positive and finite, got nan"),
+        (None, "discover", ["--t-rms", "0.1", "--pi0", "inf"], "fixed pi0 must lie in [0, 1]"),
+        (None, "discover", ["--method", "sgtr", "--sgtr-threshold", "nan"],
+         "threshold must be positive and finite, got nan"),
+        (None, "discover", ["--method", "sgtr", "--sgtr-ridge", "inf"],
+         "ridge penalty must be nonnegative and finite, got inf"),
+        (None, "discover", ["--method", "group_lasso", "--lasso-lam", "nan"],
+         "lam must be positive and finite, got nan"),
+        ('{"t_ge": Infinity}', "discover", [], "t_ge must be nonnegative and finite, got inf"),
+        (None, "sweep", ["--axis", "t_ge", "--t-rms", "0.1", "--range", "0:inf:5"],
+         "--range expects finite bounds and a positive count, got '0:inf:5'"),
+        (None, "simulate", ["--t-span", "0:inf"],
+         "domain spans must be increasing and finite, got x_span=(-8.0, 8.0) and "
+         "t_span=(0.0, inf)"),
+        (None, "simulate", ["--x-span=-inf:8"],
+         "domain spans must be increasing and finite, got x_span=(-inf, 8.0) and "
+         "t_span=(0.0, 10.0)"),
+        (None, "simulate", ["--noise", "inf"],
+         "noise level must be nonnegative and finite, got inf"),
+    ], ids=["infinite_t_ge", "infinite_t_rms", "nan_lam", "infinite_pi0", "nan_sgtr_threshold",
+            "infinite_sgtr_ridge", "nan_lasso_lam", "config_infinite_t_ge", "infinite_range",
+            "infinite_t_span", "infinite_x_span", "infinite_noise"])
+    def test_a_non_finite_number_is_rejected_before_any_solve_or_chain(
+            self, monkeypatch, small_dataset, tmp_path, capsys, config, command, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a solve or a chain ran")
+
+        monkeypatch.setattr(pipeline, "solve", never)
+        monkeypatch.setattr(tbglss, "sample_posterior", never)
+        given = ["--family", "burgers", "--nx", "64", "--nt", "32"]
+        if command != "simulate":
+            given = ["--dataset", str(save_dataset(small_dataset, tmp_path / "d.json"))]
+        prefix = []
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            prefix = ["--config", str(tmp_path / "cfg.json")]
+        code = self.run(*prefix, command, *given, *argv, "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -202,7 +253,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: noise level must be nonnegative")
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("noise", ["-0.05", "nan"])
+    @pytest.mark.parametrize("noise", ["-0.05", "nan", "inf"])
     def test_simulate_checks_noise_before_solving(self, monkeypatch, tmp_path, capsys, noise):
         solved = []
         solver = solvers._solve_etdrk4
@@ -224,8 +275,9 @@ class TestCli:
                         "--t-span", "0:50", "--output", str(tmp_path))
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: t_span ends at 50.0, before the kuramoto_sivashinsky scenario's "
-            "retain_t_from=100.0: discovery would keep no time samples\n")
+            "error: t_span ends at 50.0, so the kuramoto_sivashinsky scenario's "
+            "retain_t_from=100.0 must be finite and at most that, or discovery would keep no "
+            "time samples\n")
         assert solved == []
         assert not list(tmp_path.iterdir())
 
@@ -330,9 +382,7 @@ class TestCli:
         code = self.run("discover", "--dataset", str(path), "--t-ge", "nan",
                         "--output", str(tmp_path / "out"))
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage: vcpde ")
-        assert err.endswith("\nerror: argument --t-ge: invalid finite value: 'nan'\n")
+        assert capsys.readouterr().err == "error: t_ge must be nonnegative and finite, got nan\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -435,7 +485,8 @@ class TestCli:
         ("--x-span", "5", "--x-span expects lo:hi, got '5'"),
         ("--t-span", "0:1:2", "--t-span expects lo:hi, got '0:1:2'"),
         ("--t-span", "0:b", "--t-span expects lo:hi, got '0:b'"),
-        ("--t-span", "0:inf", "--t-span expects lo:hi, got '0:inf'"),
+        ("--t-span", "0:inf", "domain spans must be increasing and finite, got "
+                              "x_span=(-8.0, 8.0) and t_span=(0.0, inf)"),
     ], ids=["too_few", "too_many", "not_a_number", "infinite"])
     def test_malformed_span_names_its_option(self, tmp_path, capsys, option, text, message):
         code = self.run("simulate", "--family", "burgers", option, text, "--output", str(tmp_path))
@@ -449,13 +500,13 @@ class TestCli:
             (["--axis", "t_rms", "--range", "0.02:0.2:x"],
              "--range expects lo:hi:count, got '0.02:0.2:x'"),
             (["--axis", "t_ge", "--range", "0:inf:3"],
-             "--range expects lo:hi:count, got '0:inf:3'"),
+             "--range expects finite bounds and a positive count, got '0:inf:3'"),
             (["--axis", "t_ge", "--range", "nan:1:3"],
-             "--range expects lo:hi:count, got 'nan:1:3'"),
+             "--range expects finite bounds and a positive count, got 'nan:1:3'"),
             (["--axis", "t_rms", "--range", "0.1:0.2:0"],
-             "--range expects a positive count, got '0.1:0.2:0'"),
+             "--range expects finite bounds and a positive count, got '0.1:0.2:0'"),
             (["--axis", "t_rms", "--range=0.1:0.2:-1"],
-             "--range expects a positive count, got '0.1:0.2:-1'"),
+             "--range expects finite bounds and a positive count, got '0.1:0.2:-1'"),
             (["--axis", "t_ge", "--log"], "--log spaces --range: give --range with it"),
         ]:
             code = self.run("sweep", "--dataset", str(path), *argv,
@@ -471,7 +522,7 @@ class TestCli:
             ("moving_average", "--window", "3:9:0", "start <= stop and a positive step"),
             ("moving_average", "--window", "9:3:2", "start <= stop and a positive step"),
             ("moving_average", "--window", "5.5", "one value or a range"),
-            ("zero_phase_lowpass", "--cutoff", "0.1:0.2:0", "a positive count"),
+            ("zero_phase_lowpass", "--cutoff", "0.1:0.2:0", "finite bounds and a positive count"),
             ("zero_phase_lowpass", "--cutoff", "0.1:0.2", "lo:hi:count"),
             ("zero_phase_lowpass", "--cutoff", "low", "one value or a range"),
         ]:
@@ -495,8 +546,8 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("axis, message", [
-        ("sgtr_threshold", "threshold must be positive, got 0.0"),
-        ("lambda", "lam must be positive, got 0.0"),
+        ("sgtr_threshold", "threshold must be positive and finite, got 0.0"),
+        ("lambda", "lam must be positive and finite, got 0.0"),
     ])
     def test_sweep_rejects_a_grid_value_at_zero(self, small_dataset, tmp_path, capsys, axis,
                                                 message):
@@ -872,13 +923,12 @@ class TestCli:
         ("discover", '{"iterations": 300.5}', "sets iterations to 300.5"),
         ("discover", '{"seed": 1.5}', "sets seed to 1.5"),
         ("discover", '{"lam": [1]}', "sets lam to [1]"),
-        ("discover", '{"t_ge": Infinity}', "sets t_ge to inf: not a finite number"),
         ("discover", '{"method": "lasso"}', "sets method to 'lasso': expected one of"),
         ("discover", '{"with_ci": 1}', "sets with_ci to 1: expected true or false"),
         ("simulate", '{"family": "burgers", "noise": "abc"}', "sets noise to 'abc'"),
         ("simulate", '{"family": ["burgers"]}', "sets family to ['burgers']: expected a string"),
     ], ids=["missing", "malformed", "not_an_object", "unknown_key", "sweep_grids",
-            "float_iterations", "float_seed", "list_lam", "infinite_t_ge", "unknown_method",
+            "float_iterations", "float_seed", "list_lam", "unknown_method",
             "non_bool_flag", "text_noise", "list_family"])
     def test_bad_config_file_is_validation_error(self, tmp_path, capsys, command, text, message):
         config = tmp_path / "cfg.json"
@@ -898,6 +948,21 @@ class TestCli:
                                       "seed": None}))
         assert self.run("--config", str(config), "simulate", "--output", str(tmp_path)) == 0
         assert load_dataset(tmp_path / "burgers_noise0_seed0.json").metadata["noise_level"] == 0
+
+    def test_config_false_leaves_a_flag_unset(self, small_dataset, tmp_path):
+        # false for a store_true flag is the flag not given, so sgtr, which does not use
+        # --with-ci, runs as it does without the file
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"with_ci": False}))
+        argv = ["discover", "--dataset", str(path), "--method", "sgtr", "--output"]
+        assert self.run(*argv, str(tmp_path / "plain")) == 0
+        assert self.run("--config", str(config), *argv, str(tmp_path / "config")) == 0
+        written = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert written and written == sorted(p.name for p in (tmp_path / "config").iterdir())
+        for name in written:
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "config" / name).read_bytes())
 
     def test_config_key_of_another_command_accepted(self, tmp_path):
         # "iterations" belongs to discover and sweep; simulate ignores it

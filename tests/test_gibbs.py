@@ -123,9 +123,9 @@ class TestSamplerLimits:
         np.testing.assert_array_equal(a.sigma2, b.sigma2)
 
     @pytest.mark.parametrize("field", ["lam"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_or_nan_value_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be positive, got {value}"):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
             BglssConfig(**{field: value})
 
     def test_requires_numeric_lam(self):

@@ -1,9 +1,10 @@
 """Import hygiene of the package: imports sit at module top, criteria is a leaf, tbglss does
 not import selection at run time, only the CLI prints, only dataio writes files or encodes
-JSON (and only it and the CLI import csv or pathlib), only pool runs tasks, and the package
-runs on numpy alone: neither importing the CLI nor running it loads any scipy module.  Every
-vcpde name the benchmark in perfbench/ imports or traces, and every one the README's
-examples import, exists."""
+JSON (and only it and the CLI import csv or pathlib), only pool runs tasks, only the system
+and the true solution build coefficient trajectories, and the package runs on numpy alone:
+neither importing the CLI nor running it loads any scipy module.  Every vcpde name the
+benchmark in perfbench/ imports or traces, and every one the README's examples import,
+exists."""
 
 import ast
 import importlib
@@ -123,6 +124,28 @@ def test_only_dataio_encodes_json():
         and node.func.attr in ("dump", "dumps") and getattr(node.func.value, "id", None) == "json"
     )
     assert not calls, f"json.dump or json.dumps outside dataio.py: {calls}"
+
+
+def _calls(tree, name):
+    """Every call in `tree` of a function or method called `name`."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_the_system_and_the_true_solution_build_trajectories():
+    # every method's fit reaches physical units through `GroupedLinearSystem.trajectories`;
+    # the solvers' closed-form truth is the one other maker of trajectories
+    makers = {("library.py", "trajectories"), ("solvers.py", "true_coefficients")}
+    found, inside = set(), set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {(path.name, call.lineno) for call in _calls(tree, "CoefficientTrajectories")}
+        inside |= {(path.name, call.lineno) for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef) and (path.name, function.name) in makers
+                   for call in _calls(function, "CoefficientTrajectories")}
+    outside = sorted(f"{name}:{line}" for name, line in found - inside)
+    assert not outside, f"CoefficientTrajectories built outside its two makers: {outside}"
+    assert {name for name, _ in inside} == {"library.py", "solvers.py"}  # the check sees both
 
 
 def _runs_tasks(node) -> bool:

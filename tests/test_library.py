@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcpde.baselines import (GroupLassoConfig, SgtrConfig, group_lasso,
+                             group_lasso_null_threshold, sgtr)
 from vcpde.differentiation import DerivativeStack
+from vcpde.gibbs import BglssConfig
 from vcpde.library import (
     CHUNK_STEPS,
     CoefficientTrajectories,
@@ -17,7 +21,9 @@ from vcpde.library import (
     evaluate_terms,
     normalize_columns,
 )
+from vcpde.tbglss import TbglssConfig, ThresholdSpec, run_tbglss
 
+from conftest import random_grouped_system
 from helpers import dense, lstsq_trajectories, subsystem
 
 
@@ -111,7 +117,7 @@ class TestEvaluateTerms:
 
 def manufactured_exponential_terms(n_x=24, n_t=12):
     """Field with u_t = 2 u exactly: u = exp(2 t) * (2 + sin x).  Its time-varying blocks
-    (`evaluate_terms`), its u_t, its t and the library."""
+    (`evaluate_terms`), its u_t laid out like them (n_t, n_x), its t and the library."""
     x = np.linspace(-3.0, 3.0, n_x)
     t = np.linspace(0.0, 0.5, n_t)
     lib = LibrarySpec.standard(max_poly_power=2, max_deriv_order=1)
@@ -121,20 +127,20 @@ def manufactured_exponential_terms(n_x=24, n_t=12):
         {1: lambda xx, tt: np.exp(2 * tt) * np.cos(xx)},
         x, t,
     )
-    return evaluate_terms(stack, lib, "time"), stack.u_t, t, lib
+    return evaluate_terms(stack, lib, "time"), np.ascontiguousarray(stack.u_t.T), t, lib
 
 
 def manufactured_exponential_system(n_x=24, n_t=12):
     """The manufactured field's grouped system, as the pipeline assembles it, and its library."""
-    blocks, u_t, t, lib = manufactured_exponential_terms(n_x, n_t)
-    return assemble_grouped_system(blocks, u_t, "time", t, lib.descriptors), lib
+    blocks, target, t, lib = manufactured_exponential_terms(n_x, n_t)
+    return assemble_grouped_system(blocks, target, lib.descriptors, "time", t), lib
 
 
 class TestAssembly:
     def test_manufactured_least_squares_oracle(self):
-        blocks, u_t, _, lib = manufactured_exponential_terms()
+        blocks, target, _, lib = manufactured_exponential_terms()
         beta = np.array([np.linalg.lstsq(block, y, rcond=None)[0]
-                         for block, y in zip(blocks, u_t.T)])
+                         for block, y in zip(blocks, target)])
         g_u = lib.descriptors.index("u")
         np.testing.assert_allclose(beta[:, g_u], 2.0, atol=1e-8)
         others = [g for g in range(len(lib.terms)) if g != g_u]
@@ -152,10 +158,9 @@ class TestAssembly:
         assert space_blocks.shape == (6, 4, 2) and space_blocks.flags.c_contiguous
         np.testing.assert_array_equal(time_blocks[:, :, 1], stack.u.T**2)
         np.testing.assert_array_equal(space_blocks[:, :, 1], stack.u**2)
-        time_sys = assemble_grouped_system(time_blocks, stack.u_t, "time", t, lib.descriptors)
-        space_sys = assemble_grouped_system(space_blocks, stack.u_t, "space", x, lib.descriptors)
-        np.testing.assert_array_equal(time_sys.target, stack.u_t.T)
-        np.testing.assert_array_equal(space_sys.target, stack.u_t)
+        # the target's layout is `build_system`'s (test_pipeline's TestBuildSystem)
+        time_sys = assemble_grouped_system(time_blocks, stack.u_t.T, lib.descriptors, "time", t)
+        space_sys = assemble_grouped_system(space_blocks, stack.u_t, lib.descriptors, "space", x)
         np.testing.assert_allclose(time_sys.scales[:, 0], np.linalg.norm(stack.u, axis=0),
                                    rtol=1e-14)
         np.testing.assert_allclose(space_sys.scales[:, 0], np.linalg.norm(stack.u, axis=1),
@@ -163,26 +168,26 @@ class TestAssembly:
 
     def test_assembly_normalizes_the_blocks_it_is_given_in_place(self):
         # normalize_columns divides a copy and leaves the caller's blocks as they were
-        blocks, u_t, t, lib = manufactured_exponential_terms()
+        blocks, target, t, lib = manufactured_exponential_terms()
         raw = blocks.copy()
-        expected = normalize_columns(blocks, u_t.T, lib.descriptors, "time", t)
+        expected = normalize_columns(blocks, target, lib.descriptors, "time", t)
         assert expected.blocks is not blocks
         assert blocks.tobytes() == raw.tobytes()
-        assembled = assemble_grouped_system(blocks, u_t, "time", t, lib.descriptors)
+        assembled = assemble_grouped_system(blocks, target, lib.descriptors, "time", t)
         assert assembled.blocks is blocks
         for name in ("blocks", "target", "scales"):
             assert getattr(assembled, name).tobytes() == getattr(expected, name).tobytes()
 
     def test_single_step_degenerate(self):
         blocks = np.ones((1, 5, 3))
-        u_t = np.ones((5, 1))
-        system = assemble_grouped_system(blocks, u_t, "time", np.array([0.0]), ("a", "b", "c"))
+        system = assemble_grouped_system(blocks, np.ones((1, 5)), ("a", "b", "c"), "time",
+                                         np.array([0.0]))
         assert system.n_steps == 1 and system.n_groups == 3
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_grouped_system(np.ones((4, 3, 2)), np.ones((3, 3)), "time",
-                                    np.arange(3.0), ("a", "b"))
+        with pytest.raises(ValueError, match="^target shape does not match blocks$"):
+            assemble_grouped_system(np.ones((4, 3, 2)), np.ones((3, 3)), ("a", "b"), "time",
+                                    np.arange(4.0))
         # the shapes are checked before a zero column is looked up
         with pytest.raises(ValueError, match="descriptor count"):
             normalize_columns(np.zeros((3, 4, 2)), np.ones((3, 4)), ("a",), "time", np.arange(3.0))
@@ -191,7 +196,8 @@ class TestAssembly:
         ({"target": np.ones((2, 3))}, "target shape does not match blocks"),
         ({"step_coords": np.arange(3.0)}, "step coordinate count does not match step count"),
         ({"scales": np.ones((2, 3))}, "scales shape does not match blocks"),
-    ], ids=["target", "step-coords", "scales"])
+        ({"varying_axis": "both"}, "varying_axis must be 'time' or 'space'"),
+    ], ids=["target", "step-coords", "scales", "varying-axis"])
     def test_system_of_inconsistent_shapes_rejected(self, changes, message):
         fields = {"blocks": np.ones((2, 4, 2)), "target": np.ones((2, 4)),
                   "descriptors": ("a", "b"), "varying_axis": "time",
@@ -203,9 +209,10 @@ class TestAssembly:
         (np.ones((4, 3)), "time", r"blocks must be \(n_steps, n_rows, n_terms\)"),
         (np.ones((3, 3, 2)), "both", "varying_axis must be 'time' or 'space'"),
     ], ids=["2-d-blocks", "varying-axis"])
-    def test_assembly_of_unknown_layout_rejected(self, blocks, axis, message):
+    @pytest.mark.parametrize("build", [assemble_grouped_system, normalize_columns])
+    def test_assembly_of_unknown_layout_rejected(self, build, blocks, axis, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            assemble_grouped_system(blocks, np.ones((3, 3)), axis, np.arange(3.0), ("a", "b"))
+            build(blocks, np.ones((3, 3)), ("a", "b"), axis, np.arange(3.0))
 
     def test_burgers_system_dimensions(self, burgers_system):
         # 256^2 grid, FD valid-region trims: space 2/side, time 1/side
@@ -239,7 +246,7 @@ class TestNormalization:
         blocks = np.ones((3, 4, 2))
         blocks[1, :, 1] = 0.0
         with pytest.raises(ZeroColumnError, match="'b' has a zero column at step 1"):
-            assemble_grouped_system(blocks, np.ones((3, 4)), "space", np.arange(3.0), ("a", "b"))
+            assemble_grouped_system(blocks, np.ones((3, 4)), ("a", "b"), "space", np.arange(3.0))
         with pytest.raises(ZeroColumnError, match="'b' has a zero column at step 1"):
             normalize_columns(blocks, np.ones((3, 4)), ("a", "b"), "space", np.arange(3.0))
 
@@ -350,8 +357,8 @@ class TestExactRecoveryInvariant:
 
         lib = LibrarySpec.standard(max_poly_power=2, max_deriv_order=2)
         stack = build_derivative_stack(burgers_dataset.field, max_space_order=2)
-        system = assemble_grouped_system(evaluate_terms(stack, lib, "time"), stack.u_t, "time",
-                                         stack.t_coords, lib.descriptors)
+        system = assemble_grouped_system(evaluate_terms(stack, lib, "time"), stack.u_t.T,
+                                         lib.descriptors, "time", stack.t_coords)
         truth = true_coefficients(burgers_scenario_full, lib, step_coords=system.step_coords)
         beta = lstsq_trajectories(system) / system.scales
         for name in ("u*u_x", "u_xx"):
@@ -396,3 +403,58 @@ class TestCoefficientTrajectories:
                                        np.arange(3.0), "time")
         assert traj.selected == ("a",)
         np.testing.assert_array_equal(traj.group("a"), 2.0 * np.ones(3))
+
+
+def shaped_digest(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(repr(array.shape).encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+class TestSystemTrajectories:
+    """`GroupedLinearSystem.trajectories`, the one map of every method's fit to physical units."""
+
+    def test_kept_groups_are_beta_over_scales_bit_for_bit(self):
+        system, _, _ = random_grouped_system(np.random.default_rng(3))
+        beta = np.random.default_rng(4).standard_normal((system.n_steps, system.n_groups))
+        beta[:, 1] = 0.0
+        beta[:, 3] = -0.0
+        beta[0, 4] = 0.0  # a zero at one step leaves the group in
+        traj = system.trajectories(beta)
+        np.testing.assert_array_equal(traj.active, [True, False, True, False, True])
+        kept = traj.active
+        assert traj.values[:, kept].tobytes() == (beta / system.scales)[:, kept].tobytes()
+        assert traj.values[:, ~kept].tobytes() == np.zeros((system.n_steps, 2)).tobytes()
+        assert (traj.descriptors, traj.varying_axis) == (system.descriptors, system.varying_axis)
+        assert traj.step_coords is system.step_coords
+
+    # SHA-256 of each method's trajectories (values, then mask) on one random system, and for
+    # tBGL-SS its chain medians too, each as its shape and bytes: the values they took when each
+    # method built its own trajectories.
+    FIT_SHA256 = {
+        "sgtr": "b04214fe55f27979dd09017e04eb3375ecaef6fe3d817996ad6720bf39cb2bde",
+        "group_lasso": "f75ae88395727d15719fde703371b7061e8573f825b3b558c66bc73272065e0e",
+        "tbglss": "3b9a142982e5a52b346ce7fa40d4079a1deeb3789ccd709954b9316f8b101baf",
+    }
+
+    @pytest.mark.parametrize("method", list(FIT_SHA256))
+    def test_every_method_maps_its_fit_as_before(self, method):
+        system, _, truth = random_grouped_system(np.random.default_rng(5), n_steps=6, n_rows=24,
+                                                 n_groups=6)
+        extra = ()
+        if method == "sgtr":
+            traj = sgtr(system, SgtrConfig(threshold=0.05))
+        elif method == "group_lasso":
+            lam = 0.05 * group_lasso_null_threshold(system)
+            traj = group_lasso(system, GroupLassoConfig(lam=lam)).trajectories
+        else:
+            report = run_tbglss(system, TbglssConfig(
+                thresholds=ThresholdSpec(t_rms=0.05),
+                bglss=BglssConfig(n_iterations=120, n_burnin=40, seed=2),
+                update_iterations=60, update_burnin=20, final_chains=2))
+            traj, extra = report.trajectories, (report.chain_medians,)
+            assert report.chain_medians.shape == (2, system.n_steps, system.n_groups)
+        assert traj.selected == tuple(f"g{g}" for g in sorted(truth))
+        assert shaped_digest(traj.values, traj.active, *extra) == self.FIT_SHA256[method]

@@ -151,6 +151,28 @@ class TestBuildSystem:
         assert np.all(ds.field.t_coords[ds.field.t_coords >= 20.0][:system.n_rows] >= 20.0)
         assert system.n_rows < 40
 
+    @pytest.mark.parametrize("name,axis", [("burgers", "time"), ("ad_prefiltered", "space")])
+    def test_target_is_laid_out_like_the_blocks(self, monkeypatch, small_build_datasets, name,
+                                                axis):
+        # the pointwise u_t (n_x, n_t) is transposed when time varies, so steps index time
+        stacks = []
+
+        def recording(*args, **kwargs):
+            stacks.append(original(*args, **kwargs))
+            return stacks[-1]
+
+        original = pipeline.build_derivative_stack
+        monkeypatch.setattr(pipeline, "build_derivative_stack", recording)
+        system = build_system(small_build_datasets[name])
+        (stack,) = stacks
+        assert system.varying_axis == axis and system.target.flags.c_contiguous
+        if axis == "time":
+            np.testing.assert_array_equal(system.target, stack.u_t.T)
+            np.testing.assert_array_equal(system.step_coords, stack.t_coords)
+        else:
+            np.testing.assert_array_equal(system.target, stack.u_t)
+            np.testing.assert_array_equal(system.step_coords, stack.x_coords)
+
     @pytest.mark.parametrize("name", ["burgers", "ad_prefiltered"])
     def test_build_holds_one_copy_of_the_design(self, small_build_datasets, name):
         # the design is the largest array of a run: the build allocates it once, in its final

@@ -396,10 +396,11 @@ class TestSweep:
             curve.point_at(0.2)
 
     @pytest.mark.parametrize("axis,grid,base,message", [
-        ("sgtr_threshold", [0.0, 0.1], SgtrConfig(), "threshold must be positive, got 0.0"),
-        ("lambda", [0.0, 0.1], GroupLassoConfig(), "lam must be positive, got 0.0"),
+        ("sgtr_threshold", [0.0, 0.1], SgtrConfig(),
+         "threshold must be positive and finite, got 0.0"),
+        ("lambda", [0.0, 0.1], GroupLassoConfig(), "lam must be positive and finite, got 0.0"),
         ("t_rms", [-0.1, 0.1], TbglssConfig(thresholds=ThresholdSpec(t_ge=0.1)),
-         "t_rms must be nonnegative, got -0.1"),
+         "t_rms must be nonnegative and finite, got -0.1"),
     ], ids=["sgtr", "lambda", "t_rms"])
     def test_a_value_its_config_rejects_raises_before_any_fit(self, monkeypatch, axis, grid,
                                                               base, message):
@@ -520,7 +521,8 @@ class TestSweepSharesChains:
         """Two runs, sharing their chains through the driver, whose first updates remove as
         many groups but not the same ones."""
         system, base = burgers_one_percent, self.BASE
-        probe = run_tbglss(system, replace(base, thresholds=ThresholdSpec(t_ge=np.inf)))
+        probe = run_tbglss(system,
+                           replace(base, thresholds=ThresholdSpec(t_ge=np.finfo(float).max)))
         crit = probe.update_history[0].criteria
         live = [name for name, c in crit.items() if not c["median_zero"]]
         rms = sorted(crit[name]["rms"] for name in live)

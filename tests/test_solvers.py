@@ -393,19 +393,32 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("changes,message", [
         ({"varying_axis": "both"}, "varying_axis must be 'time' or 'space'"),
-        ({"x_span": (1.0, -1.0)}, "domain spans must be increasing"),
-        ({"t_span": (0.0, 0.0)}, "domain spans must be increasing"),
+        ({"x_span": (1.0, -1.0)},
+         "domain spans must be increasing and finite, got x_span=(1.0, -1.0) and "
+         "t_span=(0.0, 10.0)"),
+        ({"t_span": (0.0, 0.0)},
+         "domain spans must be increasing and finite, got x_span=(-8.0, 8.0) and "
+         "t_span=(0.0, 0.0)"),
+        ({"x_span": (-np.inf, 8.0)},
+         "domain spans must be increasing and finite, got x_span=(-inf, 8.0) and "
+         "t_span=(0.0, 10.0)"),
+        ({"t_span": (0.0, np.nan)},
+         "domain spans must be increasing and finite, got x_span=(-8.0, 8.0) and "
+         "t_span=(0.0, nan)"),
         ({"t_span": (0.0, 1.5), "retain_t_from": 2.0},
-         "t_span ends at 1.5, before the burgers scenario's retain_t_from=2.0: discovery would "
-         "keep no time samples"),
+         "t_span ends at 1.5, so the burgers scenario's retain_t_from=2.0 must be finite and at "
+         "most that, or discovery would keep no time samples"),
+        ({"retain_t_from": np.nan},
+         "t_span ends at 10.0, so the burgers scenario's retain_t_from=nan must be finite and at "
+         "most that, or discovery would keep no time samples"),
         ({"true_terms": {"u_xxx": lambda t: 0.1}},
          "true term 'u_xxx' takes derivative order 3; the solver integrates orders (1, 2, 4)"),
         ({"true_terms": {"u*u_x": lambda t: 1.0, "u^2*u_xxx": lambda t: 0.1}},
          "true term 'u^2*u_xxx' takes derivative order 3; the solver integrates orders (1, 2, 4)"),
         ({"true_terms": {"foo": lambda t: 0.1}},
          "true term 'foo' is not a term of the standard library"),
-    ], ids=["varying-axis", "x-span", "t-span", "retained-window", "order-3", "order-3-product",
-            "unknown-term"])
+    ], ids=["varying-axis", "x-span", "t-span", "infinite-x-span", "nan-t-span", "retained-window",
+            "nan-retained-window", "order-3", "order-3-product", "unknown-term"])
     def test_scenario_the_solver_cannot_integrate_rejected(self, changes, message):
         # rejected when built, not as a KeyError inside the solve
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -8,7 +8,7 @@ from .criteria import (
     rms_criterion,
     total_error_bar,
 )
-from .differentiation import DerivativeStack, build_derivative_stack
+from .differentiation import DerivativeStack, DifferentiationSpec, build_derivative_stack
 from .fields import SpatioTemporalField
 from .filters import FilterSpec, apply_filter, data_mse, filter_sweep
 from .gibbs import BglssConfig, PosteriorEnsemble, sample_posterior
@@ -23,7 +23,6 @@ from .library import (
 )
 from .pipeline import (
     Dataset,
-    DifferentiationSpec,
     build_system,
     discover,
     filter_dataset,

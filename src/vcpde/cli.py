@@ -18,7 +18,7 @@ over a range, or over the kind's default grid when --clean is given without
 it.  The config file is a flat JSON object whose keys are the long option
 names with dashes replaced by underscores, and a key that no command declares
 is a validation error.
-Every output embeds the options and seeds needed to reproduce it bit-for-bit.
+Datasets and reports embed the settings and seeds that made them; sweep files do not.
 Exit codes: 0 success (including documented expected-failure scenarios and
 --help), 1 validation error (including a usage error, which also prints the
 usage line, and a path that cannot be read), 2 numerical failure.
@@ -37,13 +37,13 @@ import numpy as np
 
 from .dataio import (load_dataset, save_dataset, save_filter_sweep, save_report, save_sweep,
                      save_trace)
-from .fields import GridError
+from .differentiation import DIFF_METHODS, POLY_FIT_METHODS, DifferentiationSpec
 from .filters import (FILTER_KINDS, FilterSpec, FilterSweepCurve, data_mse, filter_sweep,
                       parameter_name)
 from .gibbs import BglssConfig, SamplerError
-from .library import LibrarySpec, ZeroColumnError
-from .pipeline import (Dataset, DifferentiationSpec, build_system, discover, filter_dataset,
-                       noisy_dataset, paper_grid, simulate_dataset, truth_on)
+from .library import LibrarySpec
+from .pipeline import (Dataset, _resolved_differentiation, build_system, discover,
+                       filter_dataset, noisy_dataset, paper_grid, simulate_dataset, truth_on)
 from .selection import (AXIS_METHODS, METHODS, SWEEP_AXES, SelectionCurve, SweepFailedError,
                         default_grid, sweep)
 from .solvers import SolverBlowupError, check_noise_level, make_scenario
@@ -92,7 +92,6 @@ def _dataset_stem(dataset: Dataset) -> str:
     return f"{metadata['family']}_noise{dataset.noise_level:g}_seed{metadata.get('seed', 0)}"
 
 
-DIFF_METHODS = ("auto", "finite_difference", "poly_fit")
 FILTER_MODES = ("filter", "filter sweep")  # `filter` with one parameter value, or a sweep
 
 
@@ -122,7 +121,7 @@ def _option(flag: str, commands: str, field: str | None = None, readers: tuple =
 
 
 FIT = "discover sweep"
-TBGLSS, POLY_FIT = ("tbglss",), ("auto", "poly_fit")
+TBGLSS = ("tbglss",)
 OPTIONS = (
     _option("--family", "simulate", help="burgers | ad | ks"),
     _option("--noise", "simulate", type=float, default=0.0,
@@ -187,10 +186,10 @@ OPTIONS = (
     _option("--sgtr-ridge", FIT, "sgtr.ridge", ("sgtr",), type=float),
     _option("--lasso-lam", "discover", "group_lasso.lam", ("group_lasso",), type=float),
     _option("--diff-method", FIT, "diff.method", choices=DIFF_METHODS),
-    _option("--space-width", FIT, "diff.space_width", POLY_FIT, type=int),
-    _option("--space-degree", FIT, "diff.space_degree", POLY_FIT, type=int),
-    _option("--time-width", FIT, "diff.time_width", POLY_FIT, type=int),
-    _option("--time-degree", FIT, "diff.time_degree", POLY_FIT, type=int),
+    _option("--space-width", FIT, "diff.space_width", POLY_FIT_METHODS, type=int),
+    _option("--space-degree", FIT, "diff.space_degree", POLY_FIT_METHODS, type=int),
+    _option("--time-width", FIT, "diff.time_width", POLY_FIT_METHODS, type=int),
+    _option("--time-degree", FIT, "diff.time_degree", POLY_FIT_METHODS, type=int),
     _option("--max-power", FIT, "library.max_poly_power", type=int, help="highest power of u"),
     _option("--max-derivative", FIT, "library.max_deriv_order", type=int,
             help="highest x-derivative order"),
@@ -229,7 +228,7 @@ def _diff_spec_from_args(args, dataset: Dataset) -> DifferentiationSpec:
     method = args.diff_method or "auto"
     _reject(args, method, DIFF_METHODS, f"--diff-method {method}")
     spec = DifferentiationSpec(**_given(args, "diff"))
-    picked = spec.resolve(dataset.noise_level, bool(dataset.metadata.get("filters"))).method
+    picked = _resolved_differentiation(dataset, spec).method
     _reject(args, picked, DIFF_METHODS,
             f"--diff-method auto, which picks {picked} at noise level {dataset.noise_level:g},")
     return spec
@@ -480,7 +479,7 @@ def main(argv=None) -> int:
         elif remaining:
             parser.error(f"unrecognized arguments: {' '.join(remaining)}")
         return args.func(args)
-    except (ValueError, GridError, ZeroColumnError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverBlowupError, SamplerError, SweepFailedError, np.linalg.LinAlgError,

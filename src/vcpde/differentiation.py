@@ -1,13 +1,15 @@
 """Derivative estimation on uniform grids: centered stencils and local polynomial fits.
 
-`build_derivative_stack` is the one place a field is differentiated.  It builds
-one kernel per derivative order and axis, either a centered finite-difference
-stencil or the weights of a least-squares local polynomial (`polyfit_kernel`),
-and correlates the field with them, along space first and then time.  Only
-points where the widest kernel fits inside the grid are kept; edge strips are
-dropped from the valid region instead of being extrapolated, since biased edge
-derivatives would contaminate the regression.  A retained time window (`t_from`)
-is cut here too: only the columns its samples read are correlated.
+`DifferentiationSpec` holds the settings and their noise tiers (`resolve`).
+`build_derivative_stack` is the one place a field is differentiated.  From a resolved
+spec it builds one kernel per derivative order and axis, either a centered
+finite-difference stencil or the weights of a least-squares local polynomial
+(`polyfit_kernel`), and correlates the field with them, along space first and then
+time.  Only points where the widest kernel fits inside the grid are kept; edge strips
+are dropped from the valid region instead of being extrapolated, since biased edge
+derivatives would contaminate the regression.  A retained time window (`t_from`) is
+cut here too: only the columns its samples read are correlated.  The spec's
+prefilters are run by `pipeline.build_system`, since `filters` imports this module.
 
 `correlate1d` is the one correlation of the package: the derivative stack, the
 moving average and the Savitzky-Golay filter all run through it.
@@ -16,7 +18,7 @@ moving average and the Savitzky-Golay filter all run through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,8 +33,65 @@ _FD_STENCILS = {
 }
 
 MAX_SPACE_ORDER = 4
+DIFF_METHODS = ("auto", "finite_difference", "poly_fit")
+POLY_FIT_METHODS = ("auto", "poly_fit")  # the methods that read a poly-fit width or degree
 # The poly_fit method's windows and degrees where the caller sets none.
 POLY_FIT_DEFAULTS = {"space_width": 9, "space_degree": 4, "time_width": 5, "time_degree": 3}
+SMOOTHING_NOISE_LEVEL = 0.005  # heavy-smoothing tier starts here
+
+
+def _tier(noise_level: float, filtered: bool) -> dict:
+    """The `auto` method's settings for data at `noise_level`, `filtered` if already denoised."""
+    if noise_level == 0:
+        return {"method": "finite_difference"}
+    if filtered:
+        # data already denoised upstream: widen the fit slightly, no prefilter
+        return {"method": "poly_fit", "space_width": 19, "space_degree": 4}
+    if noise_level < SMOOTHING_NOISE_LEVEL:
+        return {"method": "poly_fit"}
+    return {"method": "poly_fit", "space_width": 17, "space_degree": 4, "time_width": 9,
+            "time_degree": 3, "prefilter_time": (21, 3), "prefilter_space": (9, 4)}
+
+
+@dataclass(frozen=True)
+class DifferentiationSpec:
+    """How derivatives are estimated; 'auto' picks a tier by noise level.
+
+    Tiers: clean data uses centered finite differences; barely-noisy data
+    (below 0.5% of sigma_u) uses narrow local polynomial fits; noisier data
+    additionally smooths the field along both axes first and widens the fit
+    windows.  A field left as None is set by `resolve`.  Finite differences
+    read no poly-fit width or degree, so setting one with that method is a
+    ValueError; a prefilter smooths the field before either method.
+    """
+
+    method: str = "auto"  # one of DIFF_METHODS
+    space_width: int | None = None
+    space_degree: int | None = None
+    time_width: int | None = None
+    time_degree: int | None = None
+    prefilter_time: tuple[int, int] | None = None  # (window, degree) SG along time
+    prefilter_space: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.method not in DIFF_METHODS:
+            raise ValueError(f"differentiation method {self.method!r} is not in {DIFF_METHODS}")
+        if self.method == "finite_difference":
+            unread = [name for name in POLY_FIT_DEFAULTS if getattr(self, name) is not None]
+            if unread:
+                raise ValueError(f"finite differences read no {' or '.join(unread)}")
+
+    def resolve(self, noise_level: float, filtered: bool = False) -> "DifferentiationSpec":
+        """Every field set: POLY_FIT_DEFAULTS, overridden by the tier of the data (for the
+        `auto` method only), overridden by the fields set here.  Finite differences read no
+        poly-fit width or degree, so those stay None."""
+        given = {name: value for name, value in asdict(self).items()
+                 if value is not None and name != "method"}
+        tier = _tier(noise_level, filtered) if self.method == "auto" else {"method": self.method}
+        resolved = {**POLY_FIT_DEFAULTS, **tier, **given}
+        if resolved["method"] == "finite_difference":
+            resolved.update(dict.fromkeys(POLY_FIT_DEFAULTS))
+        return DifferentiationSpec(**resolved)
 
 
 def polyfit_kernel(width: int, degree: int, order: int, h: float) -> np.ndarray:
@@ -126,15 +185,12 @@ class DerivativeStack:
 
 def build_derivative_stack(
     field: SpatioTemporalField,
+    spec: DifferentiationSpec,
     max_space_order: int = MAX_SPACE_ORDER,
-    method: str = "finite_difference",
-    space_width: int = POLY_FIT_DEFAULTS["space_width"],
-    space_degree: int = POLY_FIT_DEFAULTS["space_degree"],
-    time_width: int = POLY_FIT_DEFAULTS["time_width"],
-    time_degree: int = POLY_FIT_DEFAULTS["time_degree"],
     t_from: float | None = None,
 ) -> DerivativeStack:
-    """Estimate u_t and u_x..u_(x^max) and trim all to a common valid region.
+    """Estimate u_t and u_x..u_(x^max) as `spec` says and trim all to a common valid region;
+    an unresolved `spec` (`auto`, or poly_fit with a width or degree unset) is a ValueError.
 
     With `t_from` (a dataset's `retain_t_from`) the region starts at the first
     time sample at or after it, to within 1e-12; a `t_from` past the last
@@ -149,16 +205,17 @@ def build_derivative_stack(
     """
     if not 1 <= max_space_order <= MAX_SPACE_ORDER:
         raise ValueError(f"max_space_order must be in 1..{MAX_SPACE_ORDER}")
+    unset = [name for name in POLY_FIT_DEFAULTS if getattr(spec, name) is None]
+    if spec.method == "auto" or (spec.method == "poly_fit" and unset):
+        raise ValueError(f"unresolved {spec}: resolve it for the data's noise level first")
     orders = range(max_space_order + 1)
     # kernels indexed by derivative order; None leaves the axis as it is
-    if method == "finite_difference":
+    if spec.method == "finite_difference":
         space = [None] + [_FD_STENCILS[q] / field.dx**q for q in orders[1:]]
         time = [None, _FD_STENCILS[1] / field.dt]
-    elif method == "poly_fit":
-        space = [polyfit_kernel(space_width, space_degree, q, field.dx) for q in orders]
-        time = [polyfit_kernel(time_width, time_degree, q, field.dt) for q in (0, 1)]
     else:
-        raise ValueError(f"unknown differentiation method {method!r}")
+        space = [polyfit_kernel(spec.space_width, spec.space_degree, q, field.dx) for q in orders]
+        time = [polyfit_kernel(spec.time_width, spec.time_degree, q, field.dt) for q in (0, 1)]
 
     trims = []
     for axis, kernels, n in (("space", space, field.n_x), ("time", time, field.n_t)):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .differentiation import DerivativeStack
+from .differentiation import MAX_SPACE_ORDER, DerivativeStack
 
 # Steps per chunk of a loop over steps that would otherwise make a temporary the size
 # of all steps (`_group_major_products`, `tbglss._summarize`).
@@ -75,6 +75,11 @@ class LibrarySpec:
     @classmethod
     def standard(cls, max_poly_power: int = 3, max_deriv_order: int = 4) -> "LibrarySpec":
         """All products u^p * (d^q u / dx^q), p <= max_poly_power, q <= max_deriv_order."""
+        if not 1 <= max_deriv_order <= MAX_SPACE_ORDER:
+            raise ValueError(f"max_deriv_order must be in 1..{MAX_SPACE_ORDER}, "
+                             f"got {max_deriv_order!r}")
+        if max_poly_power < 0:
+            raise ValueError(f"max_poly_power must be nonnegative, got {max_poly_power!r}")
         terms = []
         for q in range(max_deriv_order + 1):
             for p in range(max_poly_power + 1):

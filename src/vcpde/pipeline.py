@@ -1,8 +1,9 @@
 """End-to-end wiring: dataset -> derivatives -> grouped system -> discovery.
 
-`discover` builds the system, doubles tbglss's chains on noisy data and
-records provenance; `selection.fit`, the one method dispatch, runs the method
-its config's type names and chooses a baseline parameter left None.
+`build_system` resolves the dataset's `DifferentiationSpec` and runs its
+prefilters.  `discover` builds the system, doubles tbglss's chains on noisy
+data and records provenance; `selection.fit`, the one method dispatch, runs
+the method its config's type names and chooses a baseline parameter left None.
 `paper_grid` runs the paper's benchmark grid (PAPER_CELLS) on worker
 processes and returns its outputs.
 
@@ -22,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .differentiation import POLY_FIT_DEFAULTS, build_derivative_stack
+from .differentiation import DifferentiationSpec, build_derivative_stack
 from .fields import SpatioTemporalField
 from .filters import FILTER_KINDS, FilterSpec, apply_filter, data_mse, filter_sweep
 from .gibbs import BglssConfig
@@ -89,61 +90,6 @@ def filter_dataset(dataset: Dataset, spec: FilterSpec) -> Dataset:
     return Dataset(filtered, metadata)
 
 
-SMOOTHING_NOISE_LEVEL = 0.005  # heavy-smoothing tier starts here
-
-
-def _tier(noise_level: float, filtered: bool) -> dict:
-    """The `auto` method's settings for data at `noise_level`, `filtered` if already denoised."""
-    if noise_level == 0:
-        return {"method": "finite_difference"}
-    if filtered:
-        # data already denoised upstream: widen the fit slightly, no prefilter
-        return {"method": "poly_fit", "space_width": 19, "space_degree": 4}
-    if noise_level < SMOOTHING_NOISE_LEVEL:
-        return {"method": "poly_fit"}
-    return {"method": "poly_fit", "space_width": 17, "space_degree": 4, "time_width": 9,
-            "time_degree": 3, "prefilter_time": (21, 3), "prefilter_space": (9, 4)}
-
-
-@dataclass(frozen=True)
-class DifferentiationSpec:
-    """How derivatives are estimated; 'auto' picks a tier by noise level.
-
-    Tiers: clean data uses centered finite differences; barely-noisy data
-    (below 0.5% of sigma_u) uses narrow local polynomial fits; noisier data
-    additionally smooths the field along both axes first and widens the fit
-    windows.  A field left as None is set by `resolve`.  Finite differences
-    read no poly-fit width or degree, so setting one with that method is a
-    ValueError; a prefilter smooths the field before either method.
-    """
-
-    method: str = "auto"  # auto | finite_difference | poly_fit
-    space_width: int | None = None
-    space_degree: int | None = None
-    time_width: int | None = None
-    time_degree: int | None = None
-    prefilter_time: tuple[int, int] | None = None  # (window, degree) SG along time
-    prefilter_space: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.method == "finite_difference":
-            unread = [name for name in POLY_FIT_DEFAULTS if getattr(self, name) is not None]
-            if unread:
-                raise ValueError(f"finite differences read no {' or '.join(unread)}")
-
-    def resolve(self, noise_level: float, filtered: bool = False) -> "DifferentiationSpec":
-        """Every field set: POLY_FIT_DEFAULTS, overridden by the tier of the data (for the
-        `auto` method only), overridden by the fields set here.  Finite differences read no
-        poly-fit width or degree, so those stay None."""
-        given = {name: value for name, value in asdict(self).items()
-                 if value is not None and name != "method"}
-        tier = _tier(noise_level, filtered) if self.method == "auto" else {"method": self.method}
-        resolved = {**POLY_FIT_DEFAULTS, **tier, **given}
-        if resolved["method"] == "finite_difference":
-            resolved.update(dict.fromkeys(POLY_FIT_DEFAULTS))
-        return DifferentiationSpec(**resolved)
-
-
 def _resolved_differentiation(dataset: Dataset,
                               diff: DifferentiationSpec | None) -> DifferentiationSpec:
     """`diff` (all automatic when None) resolved for the dataset's noise level and filtering."""
@@ -169,16 +115,8 @@ def build_system(
         if prefilter is not None:  # (window, degree)
             field_used = apply_filter(field_used, FilterSpec.of("savitzky_golay", *prefilter,
                                                                 axis=axis))
-    stack = build_derivative_stack(
-        field_used,
-        max_space_order=library.max_derivative,
-        method=diff.method,
-        space_width=diff.space_width,
-        space_degree=diff.space_degree,
-        time_width=diff.time_width,
-        time_degree=diff.time_degree,
-        t_from=dataset.metadata.get("retain_t_from"),
-    )
+    stack = build_derivative_stack(field_used, diff, library.max_derivative,
+                                   dataset.metadata.get("retain_t_from"))
     del field_used  # a prefiltered copy is not needed past the derivatives
 
     varying = dataset.varying_axis

@@ -13,12 +13,12 @@ from vcpde import cli, dataio, pipeline, pool, selection, solvers, tbglss
 from vcpde.baselines import SgtrConfig
 from vcpde.cli import main
 from vcpde.dataio import load_dataset, save_dataset, save_report
+from vcpde.differentiation import DifferentiationSpec
 from vcpde.fields import SpatioTemporalField
 from vcpde.filters import DEFAULT_GRIDS, FILTER_KINDS, FilterSpec, parameter_name
 from vcpde.gibbs import BglssConfig, SamplerError
 from vcpde.library import LibrarySpec
-from vcpde.pipeline import (Dataset, DifferentiationSpec, filter_dataset, noisy_dataset,
-                            simulate_dataset)
+from vcpde.pipeline import Dataset, filter_dataset, noisy_dataset, simulate_dataset
 from vcpde.selection import AXIS_METHODS, METHODS
 from vcpde.solvers import make_scenario
 from vcpde.tbglss import DiscoveryReport, TbglssConfig, ThresholdSpec, run_tbglss
@@ -296,6 +296,51 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: retain_t_from=100.0 keeps no time samples: the data's last time is 50.0 "
             "(the last with derivatives 48.387096774193544)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["discover", "sweep"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-derivative", "0", "max_deriv_order must be in 1..4, got 0"),
+        ("--max-derivative", "5", "max_deriv_order must be in 1..4, got 5"),
+        ("--max-power", "-1", "max_poly_power must be nonnegative, got -1"),
+    ], ids=["derivative-0", "derivative-5", "power-negative"])
+    def test_a_library_size_is_rejected_before_any_prefilter(
+            self, small_dataset, monkeypatch, tmp_path, capsys, command, flag, value, message):
+        # the 2%-noise tier prefilters the field; the library's sizes are checked first
+        filtered = []
+        monkeypatch.setattr(pipeline, "apply_filter", lambda *args: filtered.append(args))
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        argv = ["--axis", "sgtr_threshold"] if command == "sweep" else ["--method", "sgtr"]
+        code = self.run(command, "--dataset", str(path), *argv, flag, value,
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert filtered == []
+        assert not (tmp_path / "out").exists()
+
+    def test_a_grid_that_is_not_uniform_exits_one(self, small_dataset, tmp_path, capsys):
+        # a GridError is a ValueError: a validation error
+        path = save_dataset(small_dataset, tmp_path / "d.json")
+        doc = json.loads(path.read_text())
+        doc["x_coords"][3] += 0.01
+        path.write_text(json.dumps(doc))
+        code = self.run("discover", "--dataset", str(path), "--method", "sgtr",
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: x_coords must be uniformly spaced (rtol 1e-09)\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_an_identically_zero_design_column_exits_one(self, tmp_path, capsys):
+        # a constant field has u_x = 0 exactly; a ZeroColumnError is a ValueError
+        x, t = np.linspace(0.0, 1.0, 32), np.linspace(0.0, 1.0, 16)
+        metadata = {"family": "burgers", "noise_level": 0.0}
+        path = save_dataset(Dataset(SpatioTemporalField(np.ones((32, 16)), x, t), metadata),
+                            tmp_path / "c.json")
+        code = self.run("discover", "--dataset", str(path), "--method", "sgtr",
+                        "--output", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: term 'u_x' has a zero column at step 0.0666667\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--space-width", "--space-degree", "--time-width",

@@ -9,6 +9,7 @@ from scipy import ndimage, signal  # the oracle of the bit-for-bit tests only
 from vcpde.differentiation import (
     _FD_STENCILS,
     DerivativeStack,
+    DifferentiationSpec,
     build_derivative_stack,
     correlate1d,
     polyfit_kernel,
@@ -23,15 +24,23 @@ def grid_field(fn, n_x=64, n_t=16, x_span=(-3.0, 3.0), t_span=(0.0, 1.0)):
     return SpatioTemporalField(fn(x)[:, None] * np.ones(n_t)[None, :], x, t)
 
 
+def resolved(method: str, **settings) -> DifferentiationSpec:
+    """The resolved spec of `method`: its poly-fit settings over POLY_FIT_DEFAULTS."""
+    return DifferentiationSpec(method, **settings).resolve(0.0)
+
+
+FD = resolved("finite_difference")
+
+
 class TestDifferentiate:
     def test_quadratic_second_derivative_exact(self):
-        stack = build_derivative_stack(grid_field(lambda x: x**2), max_space_order=2)
+        stack = build_derivative_stack(grid_field(lambda x: x**2), FD, max_space_order=2)
         np.testing.assert_allclose(stack.space[2], 2.0, atol=1e-8)
 
     def test_constant_any_order(self):
         f = grid_field(lambda x: np.full_like(x, 3.7))
         for method in ("finite_difference", "poly_fit"):
-            stack = build_derivative_stack(f, method=method)
+            stack = build_derivative_stack(f, resolved(method))
             for order in (1, 2, 3, 4):
                 assert np.abs(stack.space[order]).max() < 1e-10
             assert np.abs(stack.u_t).max() < 1e-10
@@ -43,7 +52,7 @@ class TestDifferentiate:
     def test_sin_fourth_derivative_second_order(self, method, kwargs):
         errs = []
         for n in (65, 129):
-            stack = build_derivative_stack(grid_field(np.sin, n_x=n), method=method, **kwargs)
+            stack = build_derivative_stack(grid_field(np.sin, n_x=n), resolved(method, **kwargs))
             exact = np.sin(stack.x_coords)[:, None]
             errs.append(np.abs(stack.space[4] - exact).max())
         rate = np.log2(errs[0] / errs[1])
@@ -53,12 +62,12 @@ class TestDifferentiate:
         f = grid_field(np.sin)
         # the widest kernel sets the trim: 5-point stencils from order 3 on, 3-point below
         for max_order, trim_x in ((2, 1), (4, 2)):
-            stack = build_derivative_stack(f, max_space_order=max_order)
+            stack = build_derivative_stack(f, FD, max_space_order=max_order)
             np.testing.assert_array_equal(stack.x_coords, f.x_coords[trim_x:-trim_x])
             np.testing.assert_array_equal(stack.t_coords, f.t_coords[1:-1])
             np.testing.assert_array_equal(stack.u, f.values[trim_x:-trim_x, 1:-1])
             assert all(np.isfinite(a).all() for a in stack.space.values())
-        stack = build_derivative_stack(f, method="poly_fit", space_width=7, time_width=5)
+        stack = build_derivative_stack(f, resolved("poly_fit", space_width=7, time_width=5))
         np.testing.assert_array_equal(stack.x_coords, f.x_coords[3:-3])
         np.testing.assert_array_equal(stack.t_coords, f.t_coords[2:-2])
 
@@ -66,7 +75,7 @@ class TestDifferentiate:
         x = np.linspace(0, 1, 8)
         t = np.linspace(0, 1, 32)
         f = SpatioTemporalField(np.ones(8)[:, None] * t[None, :] ** 2, x, t)
-        stack = build_derivative_stack(f, max_space_order=1)
+        stack = build_derivative_stack(f, FD, max_space_order=1)
         exact = np.ones(stack.x_coords.size)[:, None] * (2 * stack.t_coords)[None, :]
         np.testing.assert_allclose(stack.u_t, exact, atol=1e-8)
 
@@ -74,23 +83,39 @@ class TestDifferentiate:
         f = grid_field(np.sin)
         for order in (0, 5):
             with pytest.raises(ValueError, match="max_space_order"):
-                build_derivative_stack(f, max_space_order=order)
-        with pytest.raises(ValueError, match="unknown differentiation method"):
-            build_derivative_stack(f, method="spectral")
+                build_derivative_stack(f, FD, max_space_order=order)
+        with pytest.raises(ValueError, match="differentiation method 'spectral' is not in"):
+            DifferentiationSpec(method="spectral")
         with pytest.raises(ValueError, match="odd"):
-            build_derivative_stack(f, 2, "poly_fit", space_width=8, space_degree=3)
+            build_derivative_stack(f, resolved("poly_fit", space_width=8, space_degree=3), 2)
         with pytest.raises(ValueError, match="odd"):
-            build_derivative_stack(f, 2, "poly_fit", time_width=4)
+            build_derivative_stack(f, resolved("poly_fit", time_width=4), 2)
         with pytest.raises(ValueError, match="degree must be at least"):
-            build_derivative_stack(f, 3, "poly_fit", space_width=7, space_degree=2)
+            build_derivative_stack(f, resolved("poly_fit", space_width=7, space_degree=2), 3)
         with pytest.raises(ValueError, match="exceed the degree"):
-            build_derivative_stack(f, 2, "poly_fit", space_width=5, space_degree=5)
+            build_derivative_stack(f, resolved("poly_fit", space_width=5, space_degree=5), 2)
+
+    def test_a_method_outside_the_list_is_rejected_when_the_spec_is_made(self):
+        message = ("differentiation method 'spline' is not in ('auto', 'finite_difference', "
+                   "'poly_fit')")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DifferentiationSpec(method="spline")
+
+    @pytest.mark.parametrize("spec", [
+        DifferentiationSpec(),
+        DifferentiationSpec(space_width=9, space_degree=4, time_width=5, time_degree=3),
+        DifferentiationSpec("poly_fit", space_degree=4, time_width=5, time_degree=3),
+    ], ids=["auto", "auto-with-widths", "poly-fit-width-unset"])
+    def test_an_unresolved_spec_is_rejected(self, spec):
+        # the stack picks no tier and fills no width: `resolve` does both
+        with pytest.raises(ValueError, match=r"^unresolved DifferentiationSpec\(method="):
+            build_derivative_stack(grid_field(np.sin), spec)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError, match="too small along space"):
-            build_derivative_stack(grid_field(np.sin, n_x=8), 2, "poly_fit")
+            build_derivative_stack(grid_field(np.sin, n_x=8), resolved("poly_fit"), 2)
         with pytest.raises(ValueError, match="too small along time"):
-            build_derivative_stack(grid_field(np.sin, n_t=2))
+            build_derivative_stack(grid_field(np.sin, n_t=2), FD)
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
@@ -98,9 +123,9 @@ class TestDifferentiate:
         f = grid_field(np.sin)
         g = grid_field(np.cos)
         combo = f.with_values(a * f.values + b * g.values)
-        lhs = build_derivative_stack(combo, max_space_order=2).space[2]
-        rhs = (a * build_derivative_stack(f, max_space_order=2).space[2]
-               + b * build_derivative_stack(g, max_space_order=2).space[2])
+        lhs = build_derivative_stack(combo, FD, max_space_order=2).space[2]
+        rhs = (a * build_derivative_stack(f, FD, max_space_order=2).space[2]
+               + b * build_derivative_stack(g, FD, max_space_order=2).space[2])
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -153,7 +178,7 @@ class TestCorrelate1d:
 
 class TestDerivativeStack:
     def test_burgers_stack_shapes(self, burgers_field):
-        stack = build_derivative_stack(burgers_field)
+        stack = build_derivative_stack(burgers_field, FD)
         assert set(stack.space) == {1, 2, 3, 4}
         assert stack.u.shape == (252, 254)  # 256 minus FD trims (2 space, 1 time per side)
         np.testing.assert_array_equal(stack.x_coords, burgers_field.x_coords[2:254])
@@ -161,7 +186,7 @@ class TestDerivativeStack:
 
     def test_constant_field_all_zero(self):
         f = grid_field(lambda x: np.full_like(x, 2.0), n_x=32)
-        stack = build_derivative_stack(f)
+        stack = build_derivative_stack(f, FD)
         for q in (1, 2, 3, 4):
             assert np.abs(stack.space[q]).max() < 1e-10
 
@@ -174,8 +199,8 @@ class TestDerivativeStack:
         smooth = solve(replace(make_scenario("burgers"),
                                true_terms={"u*u_x": lambda t: 0.0, "u_xx": lambda t: 0.1},
                                coefficient_formulas={"mu": "0", "nu": "0.1"}))
-        s7 = build_derivative_stack(smooth, method="poly_fit", space_width=7, space_degree=4)
-        s9 = build_derivative_stack(smooth, method="poly_fit", space_width=9, space_degree=4)
+        s7 = build_derivative_stack(smooth, resolved("poly_fit", space_width=7, space_degree=4))
+        s9 = build_derivative_stack(smooth, resolved("poly_fit", space_width=9, space_degree=4))
         a = s7.space[1][2:-2, :]  # restrict to the common interior
         b = s9.space[1][1:-1, :]
         assert np.linalg.norm(a - b) / np.linalg.norm(b) <= 1e-4
@@ -188,7 +213,7 @@ class TestDerivativeStack:
         noisy = np.sin(2 * np.pi * x)[:, None] * np.ones(32)[None, :]
         noisy = noisy + 0.1 * rng.standard_normal(noisy.shape)
         f = SpatioTemporalField(noisy, x, t)
-        stack = build_derivative_stack(f, method="poly_fit")
+        stack = build_derivative_stack(f, resolved("poly_fit"))
         kept = noisy[4:-4, 2:-2]  # the default 9- and 5-point windows trim 4 and 2 points
         np.testing.assert_array_equal(stack.x_coords, x[4:-4])
         np.testing.assert_array_equal(stack.t_coords, t[2:-2])
@@ -201,10 +226,10 @@ class TestDerivativeStack:
         x, t = np.linspace(0.0, 1.0, 40), np.linspace(0.0, 2.0, 30)
         values = np.sin(2 * np.pi * x)[:, None] * np.cos(t)[None, :]
         f = SpatioTemporalField(values + 0.01 * rng.standard_normal(values.shape), x, t)
-        full = build_derivative_stack(f, method=method)
+        full = build_derivative_stack(f, resolved(method))
         # before the first sample with derivatives, on a sample, between two, on the last
         for t_from in (t[0], t[12], 0.5 * (t[12] + t[13]), full.t_coords[-1]):
-            cut = build_derivative_stack(f, method=method, t_from=t_from)
+            cut = build_derivative_stack(f, resolved(method), t_from=t_from)
             first = np.flatnonzero(full.t_coords >= t_from)[0]
             assert_same_bits(cut.t_coords, full.t_coords[first:], "t_coords")
             assert_same_bits(cut.x_coords, full.x_coords, "x_coords")
@@ -217,7 +242,7 @@ class TestDerivativeStack:
             message = (f"retain_t_from={t_from!r} keeps no time samples: the data's last time "
                        f"is 2.0 (the last with derivatives {float(full.t_coords[-1])!r})")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                build_derivative_stack(f, method=method, t_from=t_from)
+                build_derivative_stack(f, resolved(method), t_from=t_from)
 
     def test_derivative_off_the_valid_region_rejected(self):
         x, t = np.arange(4.0), np.arange(3.0)
@@ -227,4 +252,4 @@ class TestDerivativeStack:
 
     def test_degree_must_reach_order(self, burgers_field):
         with pytest.raises(ValueError):
-            build_derivative_stack(burgers_field, method="poly_fit", space_degree=3)
+            build_derivative_stack(burgers_field, resolved("poly_fit", space_degree=3))

@@ -1,10 +1,10 @@
 """Import hygiene of the package: imports sit at module top, criteria is a leaf, tbglss does
-not import selection at run time, only the CLI prints, only dataio writes files or encodes
-JSON (and only it and the CLI import csv or pathlib), only pool runs tasks, only the system
-and the true solution build coefficient trajectories, and the package runs on numpy alone:
-neither importing the CLI nor running it loads any scipy module.  Every vcpde name the
-benchmark in perfbench/ imports or traces, and every one the README's examples import,
-exists."""
+not import selection at run time, only differentiation names the derivative methods, only the
+CLI prints, only dataio writes files or encodes JSON (and only it and the CLI import csv or
+pathlib), only pool runs tasks, only the system and the true solution build coefficient
+trajectories, and the package runs on numpy alone: neither importing the CLI nor running it
+loads any scipy module.  Every vcpde name the benchmark in perfbench/ imports or traces, and
+every one the README's examples import, exists."""
 
 import ast
 import importlib
@@ -124,6 +124,31 @@ def test_only_dataio_encodes_json():
         and node.func.attr in ("dump", "dumps") and getattr(node.func.value, "id", None) == "json"
     )
     assert not calls, f"json.dump or json.dumps outside dataio.py: {calls}"
+
+
+def _docstrings(tree) -> set[int]:
+    """The id of every docstring's constant in `tree`."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def test_only_differentiation_names_the_derivative_methods():
+    # the method names are stated once, beside the tiers that pick them; the CLI imports
+    # DIFF_METHODS and POLY_FIT_METHODS for its choices and its option readers
+    names = {"finite_difference", "poly_fit"}
+    found = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = _docstrings(tree)
+        found[path.name] = sorted(f"{node.value}:{node.lineno}" for node in ast.walk(tree)
+                                  if isinstance(node, ast.Constant) and node.value in names
+                                  and id(node) not in docstrings)
+    outside = {name: lines for name, lines in found.items()
+               if lines and name != "differentiation.py"}
+    assert not outside, f"derivative method names outside differentiation.py: {outside}"
+    assert {line.split(":")[0] for line in found["differentiation.py"]} == names  # it sees them
 
 
 def _calls(tree, name):

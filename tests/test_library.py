@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from vcpde.baselines import (GroupLassoConfig, SgtrConfig, group_lasso,
                              group_lasso_null_threshold, sgtr)
-from vcpde.differentiation import DerivativeStack
+from vcpde.differentiation import DerivativeStack, DifferentiationSpec, build_derivative_stack
 from vcpde.gibbs import BglssConfig
 from vcpde.library import (
     CHUNK_STEPS,
@@ -54,6 +55,16 @@ class TestLibrarySpec:
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ValueError):
             LibrarySpec((Term(((0, 1),)), Term(((0, 1),))))
+
+    @pytest.mark.parametrize("power,order,message", [
+        (3, 0, "max_deriv_order must be in 1..4, got 0"),
+        (3, 5, "max_deriv_order must be in 1..4, got 5"),
+        (-1, 4, "max_poly_power must be nonnegative, got -1"),
+    ], ids=["derivative-0", "derivative-5", "power-negative"])
+    def test_standard_rejects_a_size_no_stack_evaluates(self, power, order, message):
+        # a stack differentiates to order 1..MAX_SPACE_ORDER; no library has a negative power
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LibrarySpec.standard(power, order)
 
     @pytest.mark.parametrize("build,message", [
         (lambda: Term(((1, 1), (1, 2))), "duplicate derivative order in term factors"),
@@ -352,11 +363,11 @@ class TestExactRecoveryInvariant:
     def test_burgers_least_squares_within_discretization_error(self, burgers_dataset,
                                                                burgers_scenario_full):
         # per-step OLS on clean 256^2 data recovers the trajectories to ~discretization error
-        from vcpde.differentiation import build_derivative_stack
         from vcpde.solvers import true_coefficients
 
         lib = LibrarySpec.standard(max_poly_power=2, max_deriv_order=2)
-        stack = build_derivative_stack(burgers_dataset.field, max_space_order=2)
+        stack = build_derivative_stack(burgers_dataset.field,
+                                       DifferentiationSpec("finite_difference"), max_space_order=2)
         system = assemble_grouped_system(evaluate_terms(stack, lib, "time"), stack.u_t.T,
                                          lib.descriptors, "time", stack.t_coords)
         truth = true_coefficients(burgers_scenario_full, lib, step_coords=system.step_coords)
